@@ -357,8 +357,11 @@ class GeneratorSet:
         return self.cartan.parity[alpha]
 
     def script_e(self, alpha: int, sign: str) -> sp.csr_matrix:
-        """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}."""
+        """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}; E itself at
+        q_alpha = 1."""
         key = (alpha, sign)
+        if self.q_alpha(alpha) == 1:
+            return self.E[key]
         if key not in self._script:
             self._script[key] = (self.E[key] @ diag_exp(
                 -0.5 * self.H[alpha], self.q_alpha(alpha))).tocsr()

@@ -46,7 +46,7 @@ from .oscillators import (
     number_op,
     q_boson_annihilate,
 )
-from .report import RelationReport, check_identity
+from .report import RelationReport, SuiteReports
 
 MINUS = "minus"
 PLUS = "plus"
@@ -173,11 +173,10 @@ def suite_braiding(cfg: LatticeConfig,
     the mixed plain/tilde relations, and the on-site (q-)oscillator algebra."""
     basis = build_basis(cfg)
     q = cfg.q
-    tol = cfg.tol
     one = identity_op(basis)
     zero = 0 * one
     head1 = bulk_projector(cfg, basis, 0, 1)
-    reports: list[RelationReport] = []
+    out = SuiteReports("braiding", cfg.tol)
     points, pairs = _ordered_site_pairs(cfg)
     pairs = _pair_cap(pairs)
 
@@ -186,10 +185,9 @@ def suite_braiding(cfg: LatticeConfig,
         mode = ModeId(kind, flavor, pt[0], pt[1])
         return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
 
-    def rep(rid, eq, lhs, rhs=None, proj=None, desc=None, **params):
-        reports.append(check_identity(
-            rid, eq, lhs, zero if rhs is None else rhs, proj,
-            projector_desc=desc, tol=tol, params=params))
+    def rep(rid, lhs, rhs=None, proj=None, desc=None, **params):
+        out.check(rid, lhs, zero if rhs is None else rhs, proj,
+                  projector_desc=desc, params=params)
 
     fl_f = range(1, cfg.M + 1)
     fl_b = range(1, cfg.N + 1)
@@ -199,23 +197,23 @@ def suite_braiding(cfg: LatticeConfig,
             ar, asr = A(i, x, "a"), A(i, y, "a")
             adr, ads = A(i, x, "a", True), A(i, y, "a", True)
             ps = {"flavor": i, "x": list(x), "y": list(y)}
-            rep(f"eq42a[i={i},{x},{y}]", "Eq. (42)", ar @ asr + (asr @ ar) / q, **ps)
-            rep(f"eq42b[i={i},{x},{y}]", "Eq. (42)", adr @ ads + (ads @ adr) / q, **ps)
-            rep(f"eq42c[i={i},{x},{y}]", "Eq. (42)", adr @ asr + q * (asr @ adr), **ps)
-            rep(f"eq42d[i={i},{x},{y}]", "Eq. (42)", ar @ ads + q * (ads @ ar), **ps)
+            rep(f"eq42a[i={i},{x},{y}]", ar @ asr + (asr @ ar) / q, **ps)
+            rep(f"eq42b[i={i},{x},{y}]", adr @ ads + (ads @ adr) / q, **ps)
+            rep(f"eq42c[i={i},{x},{y}]", adr @ asr + q * (asr @ adr), **ps)
+            rep(f"eq42d[i={i},{x},{y}]", ar @ ads + q * (ads @ ar), **ps)
             tr, ts = A(i, x, "a~"), A(i, y, "a~")
             tdr, tds = A(i, x, "a~", True), A(i, y, "a~", True)
-            rep(f"eq42ta[i={i},{x},{y}]", "Eq. (42) q<->1/q", tr @ ts + q * (ts @ tr), **ps)
-            rep(f"eq42tb[i={i},{x},{y}]", "Eq. (42) q<->1/q", tdr @ tds + q * (tds @ tdr), **ps)
-            rep(f"eq42tc[i={i},{x},{y}]", "Eq. (42) q<->1/q", tdr @ ts + (ts @ tdr) / q, **ps)
-            rep(f"eq42td[i={i},{x},{y}]", "Eq. (42) q<->1/q", tr @ tds + (tds @ tr) / q, **ps)
+            rep(f"eq42ta[i={i},{x},{y}]", tr @ ts + q * (ts @ tr), **ps)
+            rep(f"eq42tb[i={i},{x},{y}]", tdr @ tds + q * (tds @ tdr), **ps)
+            rep(f"eq42tc[i={i},{x},{y}]", tdr @ ts + (ts @ tdr) / q, **ps)
+            rep(f"eq42td[i={i},{x},{y}]", tr @ tds + (tds @ tr) / q, **ps)
             # mixed families vanish at distinct sites with either anchoring
-            rep(f"eq44[i={i},{x},{y}]", "Eq. (44)", tr @ asr + asr @ tr, **ps)
-            rep(f"eq44x[i={i},{x},{y}]", "Eq. (44)", ts @ ar + ar @ ts, **ps)
-            rep(f"eq44d[i={i},{x},{y}]", "Eq. (44)", tdr @ ads + ads @ tdr, **ps)
-            rep(f"eq45[i={i},{x},{y}]", "Eq. (45)", tdr @ asr + asr @ tdr, **ps)
-            rep(f"eq45x[i={i},{x},{y}]", "Eq. (45)", tds @ ar + ar @ tds, **ps)
-            rep(f"eq45b[i={i},{x},{y}]", "Eq. (45)", tr @ ads + ads @ tr, **ps)
+            rep(f"eq44[i={i},{x},{y}]", tr @ asr + asr @ tr, **ps)
+            rep(f"eq44x[i={i},{x},{y}]", ts @ ar + ar @ ts, **ps)
+            rep(f"eq44d[i={i},{x},{y}]", tdr @ ads + ads @ tdr, **ps)
+            rep(f"eq45[i={i},{x},{y}]", tdr @ asr + asr @ tdr, **ps)
+            rep(f"eq45x[i={i},{x},{y}]", tds @ ar + ar @ tds, **ps)
+            rep(f"eq45b[i={i},{x},{y}]", tr @ ads + ads @ tr, **ps)
 
         for pt in points:
             a_ = A(i, pt, "a")
@@ -223,33 +221,33 @@ def suite_braiding(cfg: LatticeConfig,
             t_ = A(i, pt, "a~")
             td = A(i, pt, "a~", True)
             ps = {"flavor": i, "x": list(pt)}
-            rep(f"eq43[i={i},{pt}]", "Eq. (43)", a_ @ ad + ad @ a_, one, **ps)
-            rep(f"eq43n[i={i},{pt}]", "Eq. (43)", a_ @ a_, **ps)
-            rep(f"eq43nd[i={i},{pt}]", "Eq. (43)", ad @ ad, **ps)
-            rep(f"eq43t[i={i},{pt}]", "Eq. (43) q<->1/q", t_ @ td + td @ t_, one, **ps)
-            rep(f"eq44s[i={i},{pt}]", "Eq. (44)", t_ @ a_ + a_ @ t_, **ps)
+            rep(f"eq43[i={i},{pt}]", a_ @ ad + ad @ a_, one, **ps)
+            rep(f"eq43n[i={i},{pt}]", a_ @ a_, **ps)
+            rep(f"eq43nd[i={i},{pt}]", ad @ ad, **ps)
+            rep(f"eq43t[i={i},{pt}]", t_ @ td + td @ t_, one, **ps)
+            rep(f"eq44s[i={i},{pt}]", t_ @ a_ + a_ @ t_, **ps)
             w = string_exponent(cfg, basis, FERMION, i, pt[0], pt[1])
-            rep(f"eq46a[i={i},{pt}]", "Eq. (46)", t_ @ ad + ad @ t_,
+            rep(f"eq46a[i={i},{pt}]", t_ @ ad + ad @ t_,
                 diag_operator(q_power(q, w)), **ps)
-            rep(f"eq46b[i={i},{pt}]", "Eq. (46)", td @ a_ + a_ @ td,
+            rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,
                 diag_operator(q_power(q, -w)), **ps)
             n = number_op(cfg, basis, ModeId(FERMION, i, pt[0], pt[1]))
-            rep(f"eq47[i={i},{pt}]", "Eq. (47)", ad @ a_, n, **ps)
-            rep(f"eq47t[i={i},{pt}]", "Eq. (47)", td @ t_, n, **ps)
+            rep(f"eq47[i={i},{pt}]", ad @ a_, n, **ps)
+            rep(f"eq47t[i={i},{pt}]", td @ t_, n, **ps)
 
     for k in fl_b:
         for x, y in pairs:
             Ar, As = A(k, x, "A"), A(k, y, "A")
             Adr, Ads = A(k, x, "A", True), A(k, y, "A", True)
             ps = {"flavor": k, "x": list(x), "y": list(y)}
-            rep(f"eq53a[k={k},{x},{y}]", "Eq. (53)", Ar @ As - q * (As @ Ar), **ps)
-            rep(f"eq53b[k={k},{x},{y}]", "Eq. (53)", Adr @ Ads - q * (Ads @ Adr), **ps)
-            rep(f"eq53c[k={k},{x},{y}]", "Eq. (53)", Adr @ As - (As @ Adr) / q, **ps)
-            rep(f"eq53d[k={k},{x},{y}]", "Eq. (53)", Ar @ Ads - (Ads @ Ar) / q, **ps)
+            rep(f"eq53a[k={k},{x},{y}]", Ar @ As - q * (As @ Ar), **ps)
+            rep(f"eq53b[k={k},{x},{y}]", Adr @ Ads - q * (Ads @ Adr), **ps)
+            rep(f"eq53c[k={k},{x},{y}]", Adr @ As - (As @ Adr) / q, **ps)
+            rep(f"eq53d[k={k},{x},{y}]", Ar @ Ads - (Ads @ Ar) / q, **ps)
             Tr, Ts = A(k, x, "A~"), A(k, y, "A~")
-            rep(f"eq53ta[k={k},{x},{y}]", "Eq. (53) q<->1/q", Tr @ Ts - (Ts @ Tr) / q, **ps)
+            rep(f"eq53ta[k={k},{x},{y}]", Tr @ Ts - (Ts @ Tr) / q, **ps)
             Tdr, Tds = A(k, x, "A~", True), A(k, y, "A~", True)
-            rep(f"eq53tb[k={k},{x},{y}]", "Eq. (53) q<->1/q", Tdr @ Tds - (Tds @ Tdr) / q, **ps)
+            rep(f"eq53tb[k={k},{x},{y}]", Tdr @ Tds - (Tds @ Tdr) / q, **ps)
 
         for pt in points:
             Ao = A(k, pt, "A")
@@ -258,13 +256,13 @@ def suite_braiding(cfg: LatticeConfig,
             Td = A(k, pt, "A~", True)
             nvec = number_diag(cfg, basis, ModeId(BOSON, k, pt[0], pt[1]))
             ps = {"flavor": k, "x": list(pt)}
-            rep(f"eq54a[k={k},{pt}]", "Eq. (54)", Ao @ Ad - q * (Ad @ Ao),
+            rep(f"eq54a[k={k},{pt}]", Ao @ Ad - q * (Ad @ Ao),
                 diag_operator(q_power(q, -nvec)), head1, "margin=0,headroom=1", **ps)
-            rep(f"eq54b[k={k},{pt}]", "Eq. (54)", Ao @ Ad - (Ad @ Ao) / q,
+            rep(f"eq54b[k={k},{pt}]", Ao @ Ad - (Ad @ Ao) / q,
                 diag_operator(q_power(q, nvec)), head1, "margin=0,headroom=1", **ps)
-            rep(f"eq54ta[k={k},{pt}]", "Eq. (54) q<->1/q", To @ Td - (Td @ To) / q,
+            rep(f"eq54ta[k={k},{pt}]", To @ Td - (Td @ To) / q,
                 diag_operator(q_power(q, nvec)), head1, "margin=0,headroom=1", **ps)
             bracket = diag_operator(np.array([q_number(n, q) for n in nvec]))
-            rep(f"eq50A[k={k},{pt}]", "Eq. (50)+(51)", Ad @ Ao, bracket, **ps)
+            rep(f"eq50A[k={k},{pt}]", Ad @ Ao, bracket, **ps)
 
-    return reports
+    return out.reports

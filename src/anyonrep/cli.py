@@ -36,8 +36,8 @@ from .fock import (
     InstanceTooLargeError,
     LatticeConfig,
 )
-from .report import reports_ok
-from .verify import CATALOG, SUITES, run_suites
+from .report import CATALOG, reports_ok
+from .verify import SUITES, run_suites
 
 ENV_CONFIG = "ANYONREP_CONFIG"
 SCHEMA_VERSION = 1
@@ -386,8 +386,9 @@ def cmd_list(args) -> int:
     print(f"suites: {', '.join(SUITES)}")
     print()
     width = max(len(rid) for _, rid, _, _ in CATALOG) + 2
+    tag_width = max(len(tag) for _, _, tag, _ in CATALOG) + 2
     for suite, rid, tag, desc in CATALOG:
-        print(f"{suite:<12} {rid:<{width}} {tag:<14} {desc}")
+        print(f"{suite:<12} {rid:<{width}} {tag:<{tag_width}} {desc}")
     return EXIT_OK
 
 

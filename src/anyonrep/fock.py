@@ -359,8 +359,10 @@ def fermion_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
-def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """d with d|n> = sqrt(n) |n-1>, hard cutoff at n_max."""
+def _boson_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
+                  amplitude) -> sp.csr_matrix:
+    """Lowering operator |n> -> amplitude[n] |n-1> on one bosonic mode, hard
+    cutoff at n_max; ``amplitude`` is indexed by occupation 0..n_max."""
     if mode.kind != BOSON:
         raise ValueError(f"{mode} is not bosonic")
     j = basis.boson_slot(mode)
@@ -368,13 +370,18 @@ def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.c
     occ = basis.b_occ[:, j]
     src = np.nonzero(occ)[0]
     dst = src - stride
-    vals = np.sqrt(occ[src].astype(float)).astype(complex)
+    vals = np.asarray(amplitude, dtype=complex)[occ[src]]
     nb = basis.NB
     fblock = np.arange(basis.NF, dtype=np.int64) * nb
     rows = (fblock[:, None] + dst).ravel()
     cols = (fblock[:, None] + src).ravel()
     data = np.tile(vals, basis.NF)
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
+
+
+def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    """d with d|n> = sqrt(n) |n-1>, hard cutoff at n_max."""
+    return _boson_ladder(cfg, basis, mode, np.sqrt(np.arange(cfg.n_max + 1)))
 
 
 def annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
@@ -394,20 +401,6 @@ def create(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
 def _check_shapes(x: sp.spmatrix, y: sp.spmatrix):
     if x.shape != y.shape:
         raise ValueError(f"operator dimensions differ: {x.shape} vs {y.shape}")
-
-
-def op_add(x: sp.spmatrix, y: sp.spmatrix) -> sp.csr_matrix:
-    _check_shapes(x, y)
-    return (x + y).tocsr()
-
-
-def op_mul(x: sp.spmatrix, y: sp.spmatrix) -> sp.csr_matrix:
-    _check_shapes(x, y)
-    return (x @ y).tocsr()
-
-
-def op_scale(c: complex, x: sp.spmatrix) -> sp.csr_matrix:
-    return (c * x).tocsr()
 
 
 def op_adjoint(x: sp.spmatrix) -> sp.csr_matrix:

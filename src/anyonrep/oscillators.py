@@ -13,7 +13,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import (
-    BOSON,
     FERMION,
     SEA,
     FockBasis,
@@ -21,6 +20,7 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     Corruption,
+    _boson_ladder,
     build_basis,
     bulk_projector,
     boson_annihilate,
@@ -31,7 +31,7 @@ from .fock import (
     q_number,
     q_power,
 )
-from .report import RelationReport, check_identity
+from .report import RelationReport, SuiteReports
 
 
 def number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
@@ -74,21 +74,8 @@ def q_boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp
     the matrix-element definition; config validation guarantees [n]_q > 0 up
     to the cutoff so the positive square root is real.
     """
-    if mode.kind != BOSON:
-        raise ValueError(f"{mode} is not bosonic")
-    q = cfg.q
-    j = basis.boson_slot(mode)
-    stride = (cfg.n_max + 1) ** j
-    occ = basis.b_occ[:, j]
-    src = np.nonzero(occ)[0]
-    dst = src - stride
-    amps = np.sqrt(np.array([q_number(int(n), q).real for n in occ[src]]))
-    nb = basis.NB
-    fblock = np.arange(basis.NF, dtype=np.int64) * nb
-    rows = (fblock[:, None] + dst).ravel()
-    cols = (fblock[:, None] + src).ravel()
-    data = np.tile(amps.astype(complex), basis.NF)
-    return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
+    amps = [np.sqrt(q_number(n, cfg.q).real) for n in range(cfg.n_max + 1)]
+    return _boson_ladder(cfg, basis, mode, amps)
 
 
 def q_boson_create(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
@@ -112,10 +99,10 @@ def suite_oscillators(cfg: LatticeConfig,
     projector instead of pretending the cutoff away."""
     basis = build_basis(cfg)
     q = cfg.q
-    tol = cfg.tol
     one = identity_op(basis)
+    zero = 0 * one
     head1 = bulk_projector(cfg, basis, 0, 1)
-    reports: list[RelationReport] = []
+    out = SuiteReports("oscillators", cfg.tol)
 
     cs = {m: fermion_annihilate(cfg, basis, m) for m in basis.fermion_modes}
     ds = {m: boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
@@ -123,41 +110,28 @@ def suite_oscillators(cfg: LatticeConfig,
 
     for m1, m2 in _mode_pairs(basis.fermion_modes):
         c1, c2 = cs[m1], cs[m2]
-        delta = one if m1 == m2 else None
-        rhs = one if m1 == m2 else 0 * one
-        reports.append(check_identity(
-            f"eq20[{m1},{m2}+]", "Eq. (20)",
-            c1 @ op_adjoint(c2) + op_adjoint(c2) @ c1, rhs,
-            tol=tol, params={"modes": [str(m1), str(m2)]}))
-        reports.append(check_identity(
-            f"eq20[{m1},{m2}]", "Eq. (20)",
-            c1 @ c2 + c2 @ c1, 0 * one,
-            tol=tol, params={"modes": [str(m1), str(m2)]}))
+        ps = {"modes": [str(m1), str(m2)]}
+        out.check(f"eq20[{m1},{m2}+]",
+                  c1 @ op_adjoint(c2) + op_adjoint(c2) @ c1,
+                  one if m1 == m2 else zero, params=ps)
+        out.check(f"eq20[{m1},{m2}]", c1 @ c2 + c2 @ c1, zero, params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):
         d1, d2 = ds[m1], ds[m2]
-        rhs = one if m1 == m2 else 0 * one
-        reports.append(check_identity(
-            f"eq21[{m1},{m2}+]", "Eq. (21)",
-            d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1, rhs,
-            head1, projector_desc="margin=0,headroom=1",
-            tol=tol, params={"modes": [str(m1), str(m2)]}))
-        reports.append(check_identity(
-            f"eq21[{m1},{m2}]", "Eq. (21)",
-            d1 @ d2 - d2 @ d1, 0 * one,
-            tol=tol, params={"modes": [str(m1), str(m2)]}))
+        ps = {"modes": [str(m1), str(m2)]}
+        out.check(f"eq21[{m1},{m2}+]",
+                  d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1,
+                  one if m1 == m2 else zero,
+                  head1, projector_desc="margin=0,headroom=1", params=ps)
+        out.check(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, zero, params=ps)
 
     for mf in basis.fermion_modes[:4]:
         for mb in basis.boson_modes[:4]:
             c, d = cs[mf], ds[mb]
-            reports.append(check_identity(
-                f"eq30[{mf},{mb}]", "Eq. (30)",
-                c @ d - d @ c, 0 * one, tol=tol,
-                params={"modes": [str(mf), str(mb)]}))
-            reports.append(check_identity(
-                f"eq30[{mf},{mb}+]", "Eq. (30)",
-                c @ op_adjoint(d) - op_adjoint(d) @ c, 0 * one, tol=tol,
-                params={"modes": [str(mf), str(mb)]}))
+            ps = {"modes": [str(mf), str(mb)]}
+            out.check(f"eq30[{mf},{mb}]", c @ d - d @ c, zero, params=ps)
+            out.check(f"eq30[{mf},{mb}+]",
+                      c @ op_adjoint(d) - op_adjoint(d) @ c, zero, params=ps)
 
     # q-boson algebra
     for m in basis.boson_modes:
@@ -166,45 +140,30 @@ def suite_oscillators(cfg: LatticeConfig,
         nvec = number_diag(cfg, basis, m)
         q_minus_n = diag_operator(q_power(q, -nvec))
         q_plus_n = diag_operator(q_power(q, nvec))
-        reports.append(check_identity(
-            f"eq49a[{m}]", "Eq. (49a)", b @ bd - q * (bd @ b), q_minus_n,
-            head1, projector_desc="margin=0,headroom=1",
-            tol=tol, params={"mode": str(m)}))
-        reports.append(check_identity(
-            f"eq49b[{m}]", "Eq. (49b)", b @ bd - (bd @ b) / q, q_plus_n,
-            head1, projector_desc="margin=0,headroom=1",
-            tol=tol, params={"mode": str(m)}))
+        ps = {"mode": str(m)}
+        out.check(f"eq49a[{m}]", b @ bd - q * (bd @ b), q_minus_n,
+                  head1, projector_desc="margin=0,headroom=1", params=ps)
+        out.check(f"eq49b[{m}]", b @ bd - (bd @ b) / q, q_plus_n,
+                  head1, projector_desc="margin=0,headroom=1", params=ps)
         nop = number_op(cfg, basis, m)
-        reports.append(check_identity(
-            f"eq49d[{m}]", "Eq. (49d)", nop @ b - b @ nop, -1 * b,
-            tol=tol, params={"mode": str(m)}))
-        reports.append(check_identity(
-            f"eq49e[{m}]", "Eq. (49e)", nop @ bd - bd @ nop, bd,
-            tol=tol, params={"mode": str(m)}))
+        out.check(f"eq49d[{m}]", nop @ b - b @ nop, -1 * b, params=ps)
+        out.check(f"eq49e[{m}]", nop @ bd - bd @ nop, bd, params=ps)
         bracket = diag_operator(np.array([q_number(n, q) for n in nvec]))
         bracket1 = diag_operator(np.array([q_number(n + 1, q) for n in nvec]))
-        reports.append(check_identity(
-            f"eq50a[{m}]", "Eq. (50)", bd @ b, bracket,
-            tol=tol, params={"mode": str(m)}))
-        reports.append(check_identity(
-            f"eq50b[{m}]", "Eq. (50)", b @ bd, bracket1,
-            head1, projector_desc="margin=0,headroom=1",
-            tol=tol, params={"mode": str(m)}))
+        out.check(f"eq50a[{m}]", bd @ b, bracket, params=ps)
+        out.check(f"eq50b[{m}]", b @ bd, bracket1,
+                  head1, projector_desc="margin=0,headroom=1", params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):
         if m1 == m2:
             continue
         b1, b2 = bs[m1], bs[m2]
-        reports.append(check_identity(
-            f"eq49c[{m1},{m2}]", "Eq. (49c)", b1 @ b2 - b2 @ b1, 0 * one,
-            tol=tol, params={"modes": [str(m1), str(m2)]}))
-        reports.append(check_identity(
-            f"eq49a0[{m1},{m2}]", "Eq. (49a)",
-            b1 @ op_adjoint(b2) - op_adjoint(b2) @ b1, 0 * one,
-            tol=tol, params={"modes": [str(m1), str(m2)]}))
-        reports.append(check_identity(
-            f"eq49d0[{m1},{m2}]", "Eq. (49d)",
-            number_op(cfg, basis, m1) @ b2 - b2 @ number_op(cfg, basis, m1),
-            0 * one, tol=tol, params={"modes": [str(m1), str(m2)]}))
+        ps = {"modes": [str(m1), str(m2)]}
+        out.check(f"eq49c[{m1},{m2}]", b1 @ b2 - b2 @ b1, zero, params=ps)
+        out.check(f"eq49a0[{m1},{m2}]",
+                  b1 @ op_adjoint(b2) - op_adjoint(b2) @ b1, zero, params=ps)
+        out.check(f"eq49d0[{m1},{m2}]",
+                  number_op(cfg, basis, m1) @ b2 - b2 @ number_op(cfg, basis, m1),
+                  zero, params=ps)
 
-    return reports
+    return out.reports

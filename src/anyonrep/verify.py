@@ -55,7 +55,7 @@ from .fock import (
     zero_op,
 )
 from .oscillators import number_diag
-from .report import RelationReport, check_identity, not_applicable
+from .report import RelationReport, SuiteReports
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +96,43 @@ def _sig(sign: str) -> int:
     return 1 if sign == "+" else -1
 
 
-# ---------------------------------------------------------------------------
-# quantum Serre-Chevalley suite
-# ---------------------------------------------------------------------------
+def _q_one(cfg: LatticeConfig) -> LatticeConfig:
+    """``cfg`` at q = 1, where the deformed set collapses onto the plain one."""
+    return dataclasses.replace(cfg, nu=None, q_real=1.0)
 
-def suite_quantum(cfg: LatticeConfig,
-                  corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
-    """Defining relations of the deformed superalgebra on the simple nodes."""
-    gs = cached_generators(cfg, True, corruption)
-    basis, ct = gs.basis, gs.cartan
+
+def _serre_headroom(cfg: LatticeConfig) -> int:
+    """Boson headroom of the Serre-type projectors: the words raise a boson
+    up to twice, clamped to the cutoff."""
+    return min(2, cfg.n_max)
+
+
+# ---------------------------------------------------------------------------
+# Serre-Chevalley relations, shared by the quantum, Serre and undeformed suites
+# ---------------------------------------------------------------------------
+#
+# The relations below are written for the deformed set.  On the plain set at
+# q = 1 every q-dependent factor is exact: q_alpha = 1, [H]_q = H,
+# q_alpha + 1/q_alpha = 2 and script_e = E, so the same code yields the
+# classical relations, Eqs. (2)-(4), under the family ids it is given.
+
+def _chevalley_relations(out: SuiteReports, gs: GeneratorSet, ids):
+    """Cartan operators commute, weights of the simple generators, the
+    pairing onto [H]_q and the odd squares (Eqs. (7a)-(7d)), under the family
+    ids ``ids`` = (a, b, c, d)."""
+    eq_a, eq_b, eq_c, eq_d = ids
+    cfg, basis, ct = gs.cfg, gs.basis, gs.cartan
     a = ct.a
     R = cfg.R
-    tol = cfg.tol
     P10 = bulk_projector(cfg, basis, 1, 0)
     P11 = bulk_projector(cfg, basis, 1, 1)
     P21 = bulk_projector(cfg, basis, 2, 1)
-    reports = []
 
     for al in range(R + 1):
         for be in range(al, R + 1):
-            reports.append(check_identity(
-                f"eq7a[{al},{be}]", "Eq. (7a)",
-                gs.H[al] @ gs.H[be], gs.H[be] @ gs.H[al],
-                tol=tol, params={"alpha": al, "beta": be}))
+            out.check(f"{eq_a}[{al},{be}]",
+                      gs.H[al] @ gs.H[be], gs.H[be] @ gs.H[al],
+                      params={"alpha": al, "beta": be})
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -128,10 +142,9 @@ def suite_quantum(cfg: LatticeConfig,
                 rhs = _sig(s) * a[al][be] * E
                 proj = P10 if 0 in (al, be) else None
                 desc = "margin=1" if proj is not None else None
-                reports.append(check_identity(
-                    f"eq7b[{al},{be},{s}]", "Eq. (7b)", lhs, rhs, proj,
-                    projector_desc=desc, tol=tol,
-                    params={"alpha": al, "beta": be, "sign": s}))
+                out.check(f"{eq_b}[{al},{be},{s}]", lhs, rhs, proj,
+                          projector_desc=desc,
+                          params={"alpha": al, "beta": be, "sign": s})
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -143,72 +156,37 @@ def suite_quantum(cfg: LatticeConfig,
                 rhs = zero_op(basis)
             proj, desc = (P21, "margin=2,headroom=1") if al == be == 0 \
                 else (P11, "margin=1,headroom=1")
-            reports.append(check_identity(
-                f"eq7c[{al},{be}]", "Eq. (7c)", lhs, rhs, proj,
-                projector_desc=desc, tol=tol,
-                params={"alpha": al, "beta": be}))
+            out.check(f"{eq_c}[{al},{be}]", lhs, rhs, proj,
+                      projector_desc=desc, params={"alpha": al, "beta": be})
 
     for al in (0, cfg.M):
         for s in ("+", "-"):
             E = gs.E[(al, s)]
-            reports.append(check_identity(
-                f"eq7d[{al},{s}]", "Eq. (7d)",
-                supercommutator(E, E, 1, 1), zero_op(basis),
-                tol=tol, params={"alpha": al, "sign": s}))
+            out.check(f"{eq_d}[{al},{s}]", supercommutator(E, E, 1, 1),
+                      zero_op(basis), params={"alpha": al, "sign": s})
 
-    # E^- versus the matrix adjoint of E^+ is observed, never asserted: the
-    # minus generators use the tilded anyons and differ by string tails
-    if cfg.nu is not None:
-        for al in range(R + 1):
-            dev = residual_norm(gs.E[(al, "-")] - op_adjoint(gs.E[(al, "+")]))
-            reports.append(RelationReport(
-                relation_id=f"adjointness-observation[{al}]", equation="-",
-                params={"alpha": al, "deviation": dev}, projector="identity",
-                residual=dev, tol=tol, passed=dev <= tol, informational=True))
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# Serre and supplementary relations
-# ---------------------------------------------------------------------------
 
 def _quartic_applicable(ct, prev: int, nxt: int) -> bool:
     return ct.parity[prev] == 0 and ct.parity[nxt] == 0 and prev != nxt
 
 
-def suite_serre(cfg: LatticeConfig,
-                corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
-    """Expanded Serre relations, the quartic supplementary relations at the
-    isotropic nodes, and the adjoint-action oracle cross-checks."""
-    gs = cached_generators(cfg, True, corruption)
-    basis, ct = gs.basis, gs.cartan
-    a, at = ct.a, ct.a_tilde
-    R = cfg.R
-    tol = cfg.tol
-    head = min(2, cfg.n_max)
-    P = bulk_projector(cfg, basis, 2, head)
-    Ph = bulk_projector(cfg, basis, 0, head)
-    P1 = bulk_projector(cfg, basis, 1, head)
-    zero = zero_op(basis)
-    reports = []
+def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
+    """Expanded Serre relations (Eq. (8)) and the quartic supplementary
+    relations at node M and at the affine node (Eq. (9)), under the family
+    ids ``ids`` = (Serre, quartic at M, affine quartic prefix).
 
-    # closed-form adjoint vs Hopf oracle; the affine action needs the bulk
-    # because H_0 weight bookkeeping is truncated at the boundary
-    for al in range(R + 1):
-        for be in range(R + 1):
-            if al == be:
-                continue
-            for s in ("+", "-"):
-                Y = gs.script_e(be, s)
-                w = _sig(s) * a[al][be]
-                closed = ad_q(gs, al, Y, w, ct.parity[be], s)
-                hopf = ad_q_hopf(gs, al, Y, ct.parity[be], s)
-                proj = P1 if al == 0 else None
-                desc = "margin=1,headroom=%d" % head if al == 0 else None
-                reports.append(check_identity(
-                    f"eq12-oracle[{al},{be},{s}]", "Eq. (12)",
-                    closed, hopf, proj, projector_desc=desc, tol=tol,
-                    params={"alpha": al, "beta": be, "sign": s}))
+    A generator: each word is formed, checked and then yielded as
+    ``(family, word, params)`` so that a caller can check more of it.  Words
+    are formed one at a time and not kept.
+    """
+    eq_serre, eq_quartic, eq_affine = ids
+    cfg, basis, ct = gs.cfg, gs.basis, gs.cartan
+    a, at = ct.a, ct.a_tilde
+    R, M = cfg.R, cfg.M
+    head = _serre_headroom(cfg)
+    P = bulk_projector(cfg, basis, 2, head)
+    desc = f"margin=2,headroom={head}"
+    zero = zero_op(basis)
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -232,19 +210,12 @@ def suite_serre(cfg: LatticeConfig,
                     X = EA @ EA @ EB - q_power(qa, -2 * w) * (EB @ EA @ EA)
                     form = "odd-square"
                 ps = {"alpha": al, "beta": be, "sign": s, "form": form}
-                reports.append(check_identity(
-                    f"eq8[{al},{be},{s}]", "Eq. (8)", X, zero, P,
-                    projector_desc="margin=2,headroom=%d" % head, tol=tol,
-                    params=ps))
-                if 0 not in (al, be):
-                    reports.append(check_identity(
-                        f"eq8-img[{al},{be},{s}]", "Eq. (8)", X, zero, Ph,
-                        projector_desc="headroom=%d" % head,
-                        projector_side="right", tol=tol, params=ps))
+                out.check(f"{eq_serre}[{al},{be},{s}]", X, zero, P,
+                          projector_desc=desc, params=ps)
+                yield eq_serre, X, ps
 
     # quartic at alpha = M (bare generators, plain q-commutators; the minus
     # form mirrors the bracket orders, as dictated by the adjoint action)
-    M = cfg.M
     q = cfg.q
     if M >= 2 and cfg.N >= 2:
         for s in ("+", "-"):
@@ -255,190 +226,159 @@ def suite_serre(cfg: LatticeConfig,
                 X1, X2 = q_commutator(E2, E1, q), q_commutator(E3, E2, q)
             X = supercommutator(X1, X2, 1, 1)
             ps = {"alpha": M, "sign": s}
-            reports.append(check_identity(
-                f"eq9-alphaM[{s}]", "Eq. (9)", X, zero, P,
-                projector_desc="margin=2,headroom=%d" % head, tol=tol, params=ps))
-            reports.append(check_identity(
-                f"eq9-alphaM-img[{s}]", "Eq. (9)", X, zero, Ph,
-                projector_desc="headroom=%d" % head, projector_side="right",
-                tol=tol, params=ps))
-            Y1 = ad_q(gs, M - 1, gs.script_e(M, s), _sig(s) * a[M - 1][M], 1, s)
-            Y2 = ad_q(gs, M + 1, gs.script_e(M, s), _sig(s) * a[M + 1][M], 1, s)
-            reports.append(check_identity(
-                f"eq10-alphaM[{s}]", "Eq. (10)",
-                supercommutator(Y1, Y2, 1, 1), zero, P,
-                projector_desc="margin=2,headroom=%d" % head, tol=tol, params=ps))
+            out.check(f"{eq_quartic}[{s}]", X, zero, P,
+                      projector_desc=desc, params=ps)
+            yield eq_quartic, X, ps
     else:
-        reports.append(not_applicable("eq9-alphaM", "Eq. (9)",
-                                      "needs M >= 2 and N >= 2"))
+        out.not_applicable(eq_quartic, "needs M >= 2 and N >= 2")
 
     # quartic at the affine node: "alpha -+ 1" admits two readings there;
     # both are reported, neither is decreed
     for name, (prev, nxt) in {"cyclic": (R, 1), "skip": (1, R)}.items():
-        rid = f"eq9-alpha0-{name}"
+        rid = f"{eq_affine}-{name}"
         if not _quartic_applicable(ct, prev, nxt):
-            reports.append(not_applicable(rid, "Eq. (9)",
-                                          "affine neighbours are not even nodes"))
+            out.not_applicable(rid, "affine neighbours are not even nodes")
             continue
         for s in ("+", "-"):
             Y1 = ad_q(gs, prev, gs.script_e(0, s), _sig(s) * a[prev][0], 1, s)
             Y2 = ad_q(gs, nxt, gs.script_e(0, s), _sig(s) * a[nxt][0], 1, s)
             X = supercommutator(Y1, Y2, 1, 1)
-            reports.append(check_identity(
-                f"{rid}[{s}]", "Eq. (9)", X, zero, P,
-                projector_desc="margin=2,headroom=%d" % head, tol=tol,
-                params={"alpha": 0, "neighbours": [prev, nxt], "sign": s}))
-    return reports
+            ps = {"alpha": 0, "neighbours": [prev, nxt], "sign": s}
+            out.check(f"{rid}[{s}]", X, zero, P, projector_desc=desc, params=ps)
+            yield rid, X, ps
 
 
 # ---------------------------------------------------------------------------
-# undeformed suite
+# quantum, Serre and undeformed suites
 # ---------------------------------------------------------------------------
 
-def suite_undeformed(cfg: LatticeConfig,
-                     corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
-    """Classical Serre-Chevalley relations for the plain oscillator set."""
-    gs = cached_generators(cfg, False, corruption)
+def suite_quantum(cfg: LatticeConfig,
+                  corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+    """Defining relations of the deformed superalgebra on the simple nodes."""
+    gs = cached_generators(cfg, True, corruption)
+    out = SuiteReports("quantum", cfg.tol)
+    _chevalley_relations(out, gs, ("eq7a", "eq7b", "eq7c", "eq7d"))
+
+    # E^- versus the matrix adjoint of E^+ is observed, never asserted: the
+    # minus generators use the tilded anyons and differ by string tails
+    if cfg.nu is not None:
+        for al in range(cfg.R + 1):
+            dev = residual_norm(gs.E[(al, "-")] - op_adjoint(gs.E[(al, "+")]))
+            out.record(f"adjointness-observation[{al}]", dev,
+                       params={"alpha": al, "deviation": dev},
+                       informational=True)
+    return out.reports
+
+
+def suite_serre(cfg: LatticeConfig,
+                corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+    """Expanded Serre relations, the quartic supplementary relations at the
+    isotropic nodes, and the adjoint-action oracle cross-checks."""
+    gs = cached_generators(cfg, True, corruption)
     basis, ct = gs.basis, gs.cartan
-    a, at = ct.a, ct.a_tilde
-    R = cfg.R
-    tol = cfg.tol
-    P10 = bulk_projector(cfg, basis, 1, 0)
-    P11 = bulk_projector(cfg, basis, 1, 1)
-    P21 = bulk_projector(cfg, basis, 2, 1)
-    P2 = bulk_projector(cfg, basis, 2, min(2, cfg.n_max))
+    a = ct.a
+    R, M = cfg.R, cfg.M
+    head = _serre_headroom(cfg)
+    P = bulk_projector(cfg, basis, 2, head)
+    Ph = bulk_projector(cfg, basis, 0, head)
+    P1 = bulk_projector(cfg, basis, 1, head)
     zero = zero_op(basis)
-    reports = []
+    out = SuiteReports("serre", cfg.tol)
 
-    for al in range(R + 1):
-        for be in range(al, R + 1):
-            reports.append(check_identity(
-                f"eq2a[{al},{be}]", "Eq. (2a)",
-                gs.H[al] @ gs.H[be], gs.H[be] @ gs.H[al], tol=tol,
-                params={"alpha": al, "beta": be}))
-    for al in range(R + 1):
-        for be in range(R + 1):
-            for s in ("+", "-"):
-                E = gs.E[(be, s)]
-                proj = P10 if 0 in (al, be) else None
-                reports.append(check_identity(
-                    f"eq2b[{al},{be},{s}]", "Eq. (2b)",
-                    gs.H[al] @ E - E @ gs.H[al], _sig(s) * a[al][be] * E,
-                    proj,
-                    projector_desc="margin=1" if proj is not None else None,
-                    tol=tol, params={"alpha": al, "beta": be, "sign": s}))
-            lhs = supercommutator(gs.E[(al, "+")], gs.E[(be, "-")],
-                                  ct.parity[al], ct.parity[be])
-            rhs = gs.H[al] if al == be else zero
-            proj, desc = (P21, "margin=2,headroom=1") if al == be == 0 \
-                else (P11, "margin=1,headroom=1")
-            reports.append(check_identity(
-                f"eq2c[{al},{be}]", "Eq. (2c)", lhs, rhs, proj,
-                projector_desc=desc, tol=tol,
-                params={"alpha": al, "beta": be}))
-
-    for al in (0, cfg.M):
-        for s in ("+", "-"):
-            E = gs.E[(al, s)]
-            reports.append(check_identity(
-                f"eq2d[{al},{s}]", "Eq. (2d)", supercommutator(E, E, 1, 1),
-                zero, tol=tol, params={"alpha": al, "sign": s}))
-
+    # closed-form adjoint vs Hopf oracle; the affine action needs the bulk
+    # because H_0 weight bookkeeping is truncated at the boundary
     for al in range(R + 1):
         for be in range(R + 1):
             if al == be:
                 continue
             for s in ("+", "-"):
-                EA, EB = gs.E[(al, s)], gs.E[(be, s)]
-                if at[al][be] == 0:
-                    X = supercommutator(EA, EB, ct.parity[al], ct.parity[be])
-                elif a[al][al] == 2:
-                    X = EA @ EA @ EB - 2 * (EA @ EB @ EA) + EB @ EA @ EA
-                else:
-                    X = EA @ EA @ EB - EB @ EA @ EA
-                reports.append(check_identity(
-                    f"eq3[{al},{be},{s}]", "Eq. (3)", X, zero, P2,
-                    projector_desc="margin=2,headroom=2", tol=tol,
-                    params={"alpha": al, "beta": be, "sign": s}))
+                Y = gs.script_e(be, s)
+                w = _sig(s) * a[al][be]
+                closed = ad_q(gs, al, Y, w, ct.parity[be], s)
+                hopf = ad_q_hopf(gs, al, Y, ct.parity[be], s)
+                proj = P1 if al == 0 else None
+                desc = "margin=1,headroom=%d" % head if al == 0 else None
+                out.check(f"eq12-oracle[{al},{be},{s}]", closed, hopf, proj,
+                          projector_desc=desc,
+                          params={"alpha": al, "beta": be, "sign": s})
 
-    M = cfg.M
-    if M >= 2 and cfg.N >= 2:
-        for s in ("+", "-"):
-            E1, E2, E3 = gs.E[(M - 1, s)], gs.E[(M, s)], gs.E[(M + 1, s)]
-            X = supercommutator(E1 @ E2 - E2 @ E1, E2 @ E3 - E3 @ E2, 1, 1)
-            reports.append(check_identity(
-                f"eq4-alphaM[{s}]", "Eq. (4)", X, zero, P2,
-                projector_desc="margin=2,headroom=2", tol=tol,
-                params={"alpha": M, "sign": s}))
-    else:
-        reports.append(not_applicable("eq4-alphaM", "Eq. (4)",
-                                      "needs M >= 2 and N >= 2"))
-    for name, (prev, nxt) in {"cyclic": (R, 1), "skip": (1, R)}.items():
-        rid = f"eq4-alpha0-{name}"
-        if not _quartic_applicable(ct, prev, nxt):
-            reports.append(not_applicable(rid, "Eq. (4)",
-                                          "affine neighbours are not even nodes"))
-            continue
-        for s in ("+", "-"):
-            Ep, E0, En = gs.E[(prev, s)], gs.E[(0, s)], gs.E[(nxt, s)]
-            X = supercommutator(Ep @ E0 - E0 @ Ep, En @ E0 - E0 @ En, 1, 1)
-            reports.append(check_identity(
-                f"{rid}[{s}]", "Eq. (4)", X, zero, P2,
-                projector_desc="margin=2,headroom=2", tol=tol,
-                params={"alpha": 0, "neighbours": [prev, nxt], "sign": s}))
-    return reports
+    # where a word is exact away from the cutoff it must also annihilate the
+    # headroom-protected subspace outright
+    for family, X, ps in _serre_relations(out, gs,
+                                          ("eq8", "eq9-alphaM", "eq9-alpha0")):
+        if family == "eq8" and 0 not in (ps["alpha"], ps["beta"]):
+            out.check(f"eq8-img[{ps['alpha']},{ps['beta']},{ps['sign']}]",
+                      X, zero, Ph, projector_desc="headroom=%d" % head,
+                      projector_side="right", params=ps)
+        elif family == "eq9-alphaM":
+            s = ps["sign"]
+            out.check(f"eq9-alphaM-img[{s}]", X, zero, Ph,
+                      projector_desc="headroom=%d" % head,
+                      projector_side="right", params=ps)
+            Y1 = ad_q(gs, M - 1, gs.script_e(M, s), _sig(s) * a[M - 1][M], 1, s)
+            Y2 = ad_q(gs, M + 1, gs.script_e(M, s), _sig(s) * a[M + 1][M], 1, s)
+            out.check(f"eq10-alphaM[{s}]", supercommutator(Y1, Y2, 1, 1),
+                      zero, P, projector_desc="margin=2,headroom=%d" % head,
+                      params=ps)
+    return out.reports
+
+
+def suite_undeformed(cfg: LatticeConfig,
+                     corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+    """Classical Serre-Chevalley relations of the plain oscillator set: the
+    quantum and Serre relations evaluated on it at q = 1."""
+    gs = cached_generators(_q_one(cfg), False, corruption)
+    out = SuiteReports("undeformed", cfg.tol)
+    _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
+    for _ in _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0")):
+        pass
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
 # coproduct suite
 # ---------------------------------------------------------------------------
 
+def _worst_factorization(gs: GeneratorSet, alpha: int, flip: bool = False) -> float:
+    """Largest entry of E_alpha(r) - e_hat_alpha(r) * tail over both signs
+    and every local piece; ``flip`` inverts q_alpha in the tail."""
+    cfg, basis = gs.cfg, gs.basis
+    worst = 0.0
+    for s in ("+", "-"):
+        for line in cfg.lines:
+            for r in admissible_sites(cfg, alpha):
+                E = gs.E_local[(alpha, s, line, r)]
+                ehat = local_q_generator(cfg, basis, alpha, s, line, r)
+                tail = eq57_tail(cfg, basis, gs.cartan, alpha, line, r,
+                                 gs.corruption, flip=flip)
+                worst = max(worst, residual_norm(E - ehat @ tail))
+    return worst
+
+
 def suite_coproduct(cfg: LatticeConfig,
                     corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """String-tail factorization of every local piece, and the two-half split
     of the global generators with the coproduct weights between the halves."""
     gs = cached_generators(cfg, True, corruption)
-    basis, ct = gs.basis, gs.cartan
-    tol = cfg.tol
-    reports = []
+    basis = gs.basis
+    out = SuiteReports("coproduct", cfg.tol)
 
     for alpha in range(cfg.R + 1):
-        worst = 0.0
-        for s in ("+", "-"):
-            for line in cfg.lines:
-                for r in admissible_sites(cfg, alpha):
-                    E = gs.E_local[(alpha, s, line, r)]
-                    ehat = local_q_generator(cfg, basis, alpha, s, line, r)
-                    tail = eq57_tail(cfg, basis, ct, alpha, line, r, corruption)
-                    worst = max(worst, residual_norm(E - ehat @ tail))
-        reports.append(RelationReport(
-            relation_id=f"eq57[{alpha}]", equation="Eq. (57)",
-            params={"alpha": alpha,
-                    "form": "two-site tail" if alpha == 0 else "standard"},
-            projector="identity", residual=worst, tol=tol, passed=worst <= tol))
+        out.record(f"eq57[{alpha}]", _worst_factorization(gs, alpha),
+                   params={"alpha": alpha,
+                           "form": "two-site tail" if alpha == 0 else "standard"})
 
     # flipping q_alpha in the tail must break the factorization: the opposite
     # base sign of the bosonic strings is load-bearing
     flips = list(range(cfg.M + 1, cfg.R + 1))
     if flips:
         al = flips[0]
-        worst = 0.0
-        for s in ("+", "-"):
-            for line in cfg.lines:
-                for r in admissible_sites(cfg, al):
-                    E = gs.E_local[(al, s, line, r)]
-                    ehat = local_q_generator(cfg, basis, al, s, line, r)
-                    tail = eq57_tail(cfg, basis, ct, al, line, r, corruption,
-                                     flip=True)
-                    worst = max(worst, residual_norm(E - ehat @ tail))
-        reports.append(RelationReport(
-            relation_id=f"eq57-tailflip-control[{al}]", equation="Eq. (57)",
-            params={"alpha": al, "note": "sensitivity control, must fail"},
-            projector="identity", residual=worst, tol=1e-3,
-            passed=worst <= 1e-3, expect_fail=True))
+        out.record(f"eq57-tailflip-control[{al}]",
+                   _worst_factorization(gs, al, flip=True), tol=1e-3,
+                   params={"alpha": al, "note": "sensitivity control, must fail"},
+                   expect_fail=True)
     else:
-        reports.append(not_applicable("eq57-tailflip-control", "Eq. (57)",
-                                      "no q^-1 node (N = 1)"))
+        out.not_applicable("eq57-tailflip-control", "no q^-1 node (N = 1)")
 
     # two-half split along a cut compatible with the lattice order (an
     # order ideal: earlier lines plus the left half of the cut line); the
@@ -469,11 +409,9 @@ def suite_coproduct(cfg: LatticeConfig,
             EL = half_sum(left)
             ER = half_sum(lambda ln, r: not left(ln, r))
             rhs = EL @ diag_exp(0.5 * HR, qa) + diag_exp(-0.5 * HL, qa) @ ER
-            reports.append(check_identity(
-                f"eq11a-split[{alpha},{s}]", "Eq. (11a)",
-                gs.E[(alpha, s)], rhs.tocsr(), tol=tol,
-                params={"alpha": alpha, "sign": s}))
-    return reports
+            out.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
+                      rhs.tocsr(), params={"alpha": alpha, "sign": s})
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +431,16 @@ def suite_classical_limit(cfg: LatticeConfig,
                           corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """q = 1 collapse onto the plain oscillator realization, and first-order
     scaling of the deviation in (q - 1)."""
-    reports = []
-    cfg1 = dataclasses.replace(cfg, nu=None, q_real=1.0)
+    out = SuiteReports("classical", 1e-12)
+    cfg1 = _q_one(cfg)
     dist = _genset_distance(cached_generators(cfg1, True, corruption),
                             cached_generators(cfg1, False, corruption))
-    reports.append(RelationReport(
-        relation_id="limit-q1", equation="q=1 limit",
-        params={}, projector="identity", residual=dist, tol=1e-12,
-        passed=dist <= 1e-12))
+    out.record("limit-q1", dist)
 
     gs1 = cached_generators(cfg1, True, corruption)
     worst = max(residual_norm(q_bracket_diag(gs1.H[al], 1.0) - gs1.H[al])
                 for al in gs1.H)
-    reports.append(RelationReport(
-        relation_id="limit-qbracket", equation="Eq. (7c)",
-        params={"note": "[H]_q -> H at q=1"}, projector="identity",
-        residual=worst, tol=1e-12, passed=worst <= 1e-12))
+    out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
 
     eps = 1e-6
     undef = cached_generators(cfg1, False, corruption)
@@ -519,12 +451,9 @@ def suite_classical_limit(cfg: LatticeConfig,
         cached_generators(dataclasses.replace(cfg, nu=None, q_real=1 + 2 * eps),
                           True, corruption), undef)
     ratio = r2 / r1 if r1 else float("inf")
-    reports.append(RelationReport(
-        relation_id="limit-slope", equation="q->1 slope",
-        params={"r_eps": r1, "r_2eps": r2, "ratio": ratio},
-        projector="identity", residual=abs(ratio - 2.0), tol=0.2,
-        passed=abs(ratio - 2.0) <= 0.2))
-    return reports
+    out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
+               params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +473,11 @@ def suite_central_charge(cfg: LatticeConfig,
     gamma = central_charge_operator(gs)
     gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
     P = bulk_projector(cfg, basis, 1, 0)
-    reports = [check_identity(
-        "eq29-gamma", "Eq. (29)/(31)", gamma,
-        gamma_expected * identity_op(basis), P, projector_desc="margin=1",
-        tol=1e-12,
-        params={"expected": gamma_expected, "ordering": list(cfg.ordering),
-                "lines": cfg.K})]
+    out = SuiteReports("central", 1e-12)
+    out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis), P,
+              projector_desc="margin=1",
+              params={"expected": gamma_expected,
+                      "ordering": list(cfg.ordering), "lines": cfg.K})
 
     if not corruption.drop_h0_delta:
         vec = np.zeros(basis.dim)
@@ -557,11 +485,9 @@ def suite_central_charge(cfg: LatticeConfig,
         for line in cfg.lines:
             vec = vec + number_diag(cfg, basis, ModeId(FERMION, 1, line, r_min))
             vec = vec + number_diag(cfg, basis, ModeId(BOSON, cfg.N, line, r_max))
-        reports.append(check_identity(
-            "gamma-boundary", "Eq. (29)", gamma, diag_operator(vec),
-            tol=1e-12,
-            params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"}))
-    return reports
+        out.check("gamma-boundary", gamma, diag_operator(vec),
+                  params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"})
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -576,20 +502,15 @@ def suite_cartan_weyl(cfg: LatticeConfig,
     gs = cached_generators(cfg, False, corruption)
     basis, ct = gs.basis, gs.cartan
     R = cfg.R
-    tol = cfg.tol
-    reports = []
+    out = SuiteReports("cartanweyl", cfg.tol)
 
     for alpha in range(R + 1):
         lab = ct.simple_root_label(alpha)
-        reports.append(check_identity(
-            f"eq6-cw[{alpha}]", "Eq. (6)",
-            cartan_weyl_generators(cfg, basis, lab), gs.E[(alpha, "+")],
-            tol=tol, params={"alpha": alpha, "root": str(lab)}))
+        out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(cfg, basis, lab),
+                  gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
     for a_ in range(1, R + 1):
-        reports.append(check_identity(
-            f"eq26-h[{a_}]", "Eq. (26)",
-            cartan_weyl_h(cfg, basis, a_, 0), gs.H[a_],
-            tol=tol, params={"a": a_}))
+        out.check(f"eq26-h[{a_}]", cartan_weyl_h(cfg, basis, a_, 0), gs.H[a_],
+                  params={"a": a_})
 
     roots = [ct.simple_root_label(al) for al in range(1, R + 1)]
     if cfg.M >= 2:
@@ -604,19 +525,16 @@ def suite_cartan_weyl(cfg: LatticeConfig,
             for a_ in range(1, R + 1):
                 h = cartan_weyl_h(cfg, basis, a_, 0)
                 w = root_weight(cfg.M, cfg.N, a_, lab)
-                reports.append(check_identity(
-                    f"eq1b[{lab},a={a_}]", "Eq. (1b)",
-                    h @ e - e @ h, w * e, proj,
-                    projector_desc=f"margin={abs(m)}" if proj is not None else None,
-                    tol=tol, params={"root": str(lab), "a": a_, "weight": w}))
+                out.check(f"eq1b[{lab},a={a_}]", h @ e - e @ h, w * e, proj,
+                          projector_desc=f"margin={abs(m)}" if proj is not None else None,
+                          params={"root": str(lab), "a": a_, "weight": w})
 
     # anomaly scalar of [h^m, h^-m] on the bulk
     lambdas = {}
     gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
     for m in (1, 2):
         if m >= cfg.S:
-            reports.append(not_applicable(
-                f"eq1a-scalar[m={m}]", "Eq. (1a)", "lattice too short"))
+            out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
             continue
         hm = cartan_weyl_h(cfg, basis, 1, m)
         hmm = cartan_weyl_h(cfg, basis, 1, -m)
@@ -627,20 +545,16 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         lambdas[m] = lam
         res = residual_norm(X - lam * P)
         K_obs = (lam / gamma_expected / m).real if gamma_expected else None
-        reports.append(RelationReport(
-            relation_id=f"eq1a-scalar[m={m}]", equation="Eq. (1a)",
-            params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
-                    "K(h1,h1)-observed": K_obs},
-            projector="margin=2", residual=res, tol=tol, passed=res <= tol))
+        out.record(f"eq1a-scalar[m={m}]", res, projector="margin=2",
+                   params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
+                           "K(h1,h1)-observed": K_obs})
     if 1 in lambdas and 2 in lambdas:
         dev = abs(lambdas[2] - 2 * lambdas[1])
-        reports.append(RelationReport(
-            relation_id="eq1a-linearity", equation="Eq. (1a)",
-            params={"lambda_1": lambdas[1].real, "lambda_2": lambdas[2].real},
-            projector="margin=2", residual=dev, tol=1e-8, passed=dev <= 1e-8))
+        out.record("eq1a-linearity", dev, tol=1e-8, projector="margin=2",
+                   params={"lambda_1": lambdas[1].real,
+                           "lambda_2": lambdas[2].real})
     elif 1 in lambdas:
-        reports.append(not_applicable("eq1a-linearity", "Eq. (1a)",
-                                      "m=2 needs S >= 4"))
+        out.not_applicable("eq1a-linearity", "m=2 needs S >= 4")
 
     # supercommutator onto a composite root: the structure constant is read
     # off and only its unit modulus is asserted
@@ -663,21 +577,17 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         X = (P @ supercommutator(e1, e2, r1.parity, r2.parity) @ P).tocsr()
         Z = (P @ es @ P).tocsr()
         if Z.nnz == 0 or residual_norm(Z) < 1e-12:
-            reports.append(not_applicable(
-                f"eq1c-cocycle[{r1},{r2}]", "Eq. (1c)",
-                "target vanishes on the bulk"))
+            out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
+                               "target vanishes on the bulk")
             continue
         dense = np.abs(Z.toarray())
         i, j = np.unravel_index(np.argmax(dense), dense.shape)
         lam = complex(X[i, j] / Z[i, j])
         res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
-        reports.append(RelationReport(
-            relation_id=f"eq1c-cocycle[{r1},{r2}]", equation="Eq. (1c)",
-            params={"roots": [str(r1), str(r2)],
-                    "scalar": [lam.real, lam.imag]},
-            projector=f"margin={margin}", residual=res, tol=tol,
-            passed=res <= tol))
-    return reports
+        out.record(f"eq1c-cocycle[{r1},{r2}]", res, projector=f"margin={margin}",
+                   params={"roots": [str(r1), str(r2)],
+                           "scalar": [lam.real, lam.imag]})
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -695,61 +605,6 @@ SUITES = {
     "central": suite_central_charge,
     "cartanweyl": suite_cartan_weyl,
 }
-
-CATALOG = [
-    ("oscillators", "eq20", "Eq. (20)", "fermionic anticommutators, all mode pairs"),
-    ("oscillators", "eq21", "Eq. (21)", "bosonic commutators (headroom 1)"),
-    ("oscillators", "eq30", "Eq. (30)", "fermion/boson mixed commutativity"),
-    ("oscillators", "eq49a", "Eq. (49a)", "q-boson q-commutator, rhs q^-n'"),
-    ("oscillators", "eq49b", "Eq. (49b)", "q-boson 1/q-commutator, rhs q^+n'"),
-    ("oscillators", "eq49c", "Eq. (49c)", "q-bosons commute across modes"),
-    ("oscillators", "eq49d", "Eq. (49d)", "[n', b] = -b on the same mode"),
-    ("oscillators", "eq49e", "Eq. (49e)", "[n', b^dag] = +b^dag"),
-    ("oscillators", "eq50a", "Eq. (50)", "b^dag b = [n']_q, full space"),
-    ("oscillators", "eq50b", "Eq. (50)", "b b^dag = [n'+1]_q (headroom 1)"),
-    ("braiding", "eq42", "Eq. (42)", "fermionic anyon braiding, x after y"),
-    ("braiding", "eq43", "Eq. (43)", "on-site anticommutators and nilpotency"),
-    ("braiding", "eq44", "Eq. (44)", "plain/tilde mixed anticommutators"),
-    ("braiding", "eq45", "Eq. (45)", "mixed daggered pairs at distinct sites"),
-    ("braiding", "eq46", "Eq. (46)", "on-site mixed pair equals the string diagonal"),
-    ("braiding", "eq47", "Eq. (47)", "a^dag a = n exactly"),
-    ("braiding", "eq53", "Eq. (53)", "bosonic anyon braiding, x after y"),
-    ("braiding", "eq54", "Eq. (54)", "on-site q-boson relations of the dressed pair"),
-    ("braiding", "eq50A", "Eq. (50)+(51)", "A^dag A = [n']_q"),
-    ("quantum", "eq7a", "Eq. (7a)", "Cartan operators commute"),
-    ("quantum", "eq7b", "Eq. (7b)", "weights of the simple generators"),
-    ("quantum", "eq7c", "Eq. (7c)", "pairing onto [H]_q"),
-    ("quantum", "eq7d", "Eq. (7d)", "odd generators square to zero"),
-    ("serre", "eq12-oracle", "Eq. (12)", "closed-form adjoint vs Hopf oracle"),
-    ("serre", "eq8", "Eq. (8)", "expanded quantum Serre relations"),
-    ("serre", "eq9-alphaM", "Eq. (9)", "quartic supplementary relation at node M"),
-    ("serre", "eq10-alphaM", "Eq. (10)", "quartic in adjoint-action form"),
-    ("serre", "eq9-alpha0-cyclic", "Eq. (9)", "affine quartic, neighbours (R, 1)"),
-    ("serre", "eq9-alpha0-skip", "Eq. (9)", "affine quartic, neighbours (1, R)"),
-    ("undeformed", "eq2a", "Eq. (2a)", "Cartan operators commute"),
-    ("undeformed", "eq2b", "Eq. (2b)", "classical weights"),
-    ("undeformed", "eq2c", "Eq. (2c)", "pairing onto h"),
-    ("undeformed", "eq2d", "Eq. (2d)", "odd generators square to zero"),
-    ("undeformed", "eq3", "Eq. (3)", "classical Serre relations"),
-    ("undeformed", "eq4-alphaM", "Eq. (4)", "classical quartic at node M"),
-    ("undeformed", "eq4-alpha0-cyclic", "Eq. (4)", "affine quartic, neighbours (R, 1)"),
-    ("undeformed", "eq4-alpha0-skip", "Eq. (4)", "affine quartic, neighbours (1, R)"),
-    ("coproduct", "eq57", "Eq. (57)", "local string-tail factorization"),
-    ("coproduct", "eq57-tailflip-control", "Eq. (57)", "tail sign control, must fail"),
-    ("coproduct", "eq11a-split", "Eq. (11a)", "two-half coproduct split"),
-    ("classical", "limit-q1", "q=1 limit", "deformed set collapses entrywise"),
-    ("classical", "limit-qbracket", "Eq. (7c)", "[H]_q -> H at q=1"),
-    ("classical", "limit-slope", "q->1 slope", "deviation linear in q-1"),
-    ("central", "eq29-gamma", "Eq. (29)/(31)", "bulk eigenvalue of the central element"),
-    ("central", "gamma-boundary", "Eq. (29)", "exact boundary-occupation identity"),
-    ("cartanweyl", "eq6-cw", "Eq. (6)", "simple generators from the root basis"),
-    ("cartanweyl", "eq26-h", "Eq. (26)", "Cartan operators from bilinears"),
-    ("cartanweyl", "eq1b", "Eq. (1b)", "root weights for shifted modes"),
-    ("cartanweyl", "eq1a-scalar", "Eq. (1a)", "central anomaly acts as a scalar"),
-    ("cartanweyl", "eq1a-linearity", "Eq. (1a)", "anomaly linear in the mode number"),
-    ("cartanweyl", "eq1c-cocycle", "Eq. (1c)", "structure constants read off, modulus 1"),
-]
-
 
 def run_suites(cfg: LatticeConfig, names=None,
                corruption: Corruption = NO_CORRUPTION) -> dict:

@@ -15,10 +15,7 @@ from anyonrep.fock import (
     diag_operator,
     fermion_annihilate,
     identity_op,
-    op_add,
     op_adjoint,
-    op_mul,
-    op_scale,
     q_commutator,
     q_number,
     q_power,
@@ -205,9 +202,6 @@ def test_nilpotency_residual_is_zero(cfg21, basis21):
 def test_combinator_shape_checks(cfg21, basis21):
     c = fermion_annihilate(cfg21, basis21, basis21.fermion_modes[0])
     small = sp.identity(3, format="csr", dtype=complex)
-    for fn in (op_add, op_mul):
-        with pytest.raises(ValueError):
-            fn(c, small)
     with pytest.raises(ValueError):
         supercommutator(c, small, 0, 0)
 
@@ -230,14 +224,9 @@ def test_diag_exp_is_multiplicative(x, y):
     q = np.exp(0.3j * np.pi)
     d1 = diag_operator(np.array([float(x)]))
     d2 = diag_operator(np.array([float(y)]))
-    lhs = diag_exp(op_add(d1, d2), q)
-    rhs = op_mul(diag_exp(d1, q), diag_exp(d2, q))
+    lhs = diag_exp(d1 + d2, q)
+    rhs = diag_exp(d1, q) @ diag_exp(d2, q)
     assert residual_norm(lhs - rhs) < 1e-14
-
-
-def test_op_scale(op_pool):
-    x = op_pool[0]
-    assert residual_norm(op_scale(2j, x) - 2j * x) == 0.0
 
 
 def test_residual_norm_empty():

@@ -1,6 +1,8 @@
 import math
 
 import numpy as np
+import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from anyonrep.fock import (
@@ -108,6 +110,31 @@ def test_q_boson_collapses_at_q_one():
         b = q_boson_annihilate(cfg, basis, mode)
         d = boson_annihilate(cfg, basis, mode)
         assert residual_norm(b - d) == 0.0
+
+
+@pytest.mark.parametrize("q", [{"nu": 0.3}, {"q_real": 1.3}])
+def test_boson_ladders_match_the_per_state_formula(q):
+    """d|n> = sqrt(n)|n-1> and b|n> = sqrt([n]_q)|n-1>, entry by entry."""
+    cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, **q)
+    basis = build_basis(cfg)
+    for mode in basis.boson_modes:
+        j = basis.boson_slot(mode)
+        rows, cols, plain, deformed = [], [], [], []
+        for i in range(basis.dim):
+            f_occ, b_occ = basis.occupations(i)
+            n = int(b_occ[j])
+            if n == 0:
+                continue
+            b_occ[j] -= 1
+            rows.append(basis.index_for(f_occ, b_occ))
+            cols.append(i)
+            plain.append(math.sqrt(n))
+            deformed.append(math.sqrt(q_number(n, cfg.q).real))
+        for op, vals in ((boson_annihilate, plain),
+                         (q_boson_annihilate, deformed)):
+            ref = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
+                                shape=(basis.dim, basis.dim))
+            assert residual_norm(op(cfg, basis, mode) - ref) == 0.0
 
 
 def test_q_boson_create_is_adjoint(cfg21, basis21):

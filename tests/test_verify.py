@@ -12,9 +12,14 @@ from anyonrep.fock import (
     residual_norm,
     supercommutator,
 )
-from anyonrep.report import check_identity, not_applicable, reports_ok
-from anyonrep.verify import (
+from anyonrep.report import (
     CATALOG,
+    SuiteReports,
+    check_identity,
+    not_applicable,
+    reports_ok,
+)
+from anyonrep.verify import (
     SUITES,
     ad_q,
     ad_q_hopf,
@@ -334,6 +339,38 @@ def test_catalog_covers_required_ids():
     tags = {rid: tag for _, rid, tag, _ in CATALOG}
     assert tags["eq7c"] == "Eq. (7c)"
     assert set(SUITES) == {s for s, _, _, _ in CATALOG}
+
+
+def test_catalog_is_exactly_what_the_suites_emit():
+    emitted = set()
+    for N in (1, 2):
+        cfg = LatticeConfig(M=2, N=N, S=2, n_max=2, nu=0.3)
+        for suite, reps in run_suites(cfg).items():
+            emitted |= {(suite, r.relation_id.split("[", 1)[0], r.equation)
+                        for r in reps}
+    assert emitted == {(suite, fid, tag) for suite, fid, tag, _ in CATALOG}
+    assert len({(suite, fid) for suite, fid, _, _ in CATALOG}) == len(CATALOG)
+
+
+def test_undeclared_family_raises_at_emission(cfg21):
+    out = SuiteReports("quantum", cfg21.tol)
+    out.not_applicable("eq7d", "declared")
+    with pytest.raises(KeyError, match="eq2d"):
+        out.not_applicable("eq2d[0,+]", "declared for another suite")
+    with pytest.raises(KeyError, match="eq99"):
+        out.record("eq99", 0.0)
+    assert [r.equation for r in out.reports] == ["Eq. (7d)"]
+
+
+def test_serre_projector_label_names_the_headroom_at_nmax_one():
+    """At n_max = 1 the Serre-type projector keeps headroom 1, not 2."""
+    cfg = LatticeConfig(M=2, N=2, S=2, n_max=1, nu=0.3)
+    out = run_suites(cfg, ["serre", "undeformed"])
+    labelled = [r for reps in out.values() for r in reps
+                if r.relation_id.startswith(("eq3[", "eq4-", "eq8[", "eq9-alpha"))
+                and r.applicable and not r.relation_id.startswith("eq9-alphaM-img")]
+    assert {r.relation_id[:3] for r in labelled} == {"eq3", "eq4", "eq8", "eq9"}
+    assert {r.projector for r in labelled} == {"margin=2,headroom=1"}
 
 
 def test_reports_are_json_serializable(cfg21):
