@@ -16,7 +16,7 @@ coproduct suite checks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -184,30 +184,37 @@ def root_weight(M: int, N: int, a: int, root: RootLabel) -> int:
 # simple generators
 # ---------------------------------------------------------------------------
 
-def _h_local_diag(cfg: LatticeConfig, basis: FockBasis, alpha: int, line: int,
-                  r: float, corruption: Corruption) -> np.ndarray:
-    M, N = cfg.M, cfg.N
-
-    def nf(flavor, site):
-        return normal_number_diag(cfg, basis, ModeId(FERMION, flavor, line, site))
-
-    def nb(flavor, site):
-        return normal_number_diag(cfg, basis, ModeId(BOSON, flavor, line, site))
-
+def _node_modes(cfg: LatticeConfig, alpha: int, line: int,
+                r: float) -> tuple[ModeId, ModeId]:
+    """The mode pair (upper, lower) of node alpha's local piece at (line, r):
+    e^+ = upper^dag lower, e^- = lower^dag upper.  Only the affine node
+    reaches the next site."""
+    M = cfg.M
     if 1 <= alpha <= M - 1:
-        return nf(alpha, r) - nf(alpha + 1, r)
+        return ModeId(FERMION, alpha, line, r), ModeId(FERMION, alpha + 1, line, r)
     if alpha == M:
-        return nf(M, r) + nb(1, r)
+        return ModeId(FERMION, M, line, r), ModeId(BOSON, 1, line, r)
     if M < alpha <= cfg.R:
         k = alpha - M
-        return nb(k, r) - nb(k + 1, r)
+        return ModeId(BOSON, k, line, r), ModeId(BOSON, k + 1, line, r)
     if alpha == 0:
-        v = nb(N, r) + nf(1, r + 1)
-        if (cfg.line_ordering(line) == SEA and r == -0.5
-                and not corruption.drop_h0_delta):
-            v = v - 1.0
-        return v
+        return ModeId(BOSON, cfg.N, line, r), ModeId(FERMION, 1, line, r + 1)
     raise ValueError(f"no node {alpha}")
+
+
+def _h_local_diag(cfg: LatticeConfig, basis: FockBasis, alpha: int, line: int,
+                  r: float, corruption: Corruption) -> np.ndarray:
+    """:n_upper: - :n_lower: on even nodes, + on the odd nodes 0 and M; the
+    affine piece carries -1 at r = -1/2 on sea lines."""
+    upper, lower = _node_modes(cfg, alpha, line, r)
+    n_up = normal_number_diag(cfg, basis, upper)
+    n_low = normal_number_diag(cfg, basis, lower)
+    if alpha not in (0, cfg.M):
+        return n_up - n_low
+    if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
+            and not corruption.drop_h0_delta):
+        return n_up + n_low - 1.0
+    return n_up + n_low
 
 
 def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
@@ -215,82 +222,35 @@ def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
     return cfg.sites[:-1] if alpha == 0 else cfg.sites
 
 
+PLAIN, Q_BOSON, ANYON = "plain", "q-boson", "anyon"
+
+
 def _local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
-             line: int, r: float, deformed: bool,
-             corruption: Corruption) -> sp.csr_matrix:
-    M, N = cfg.M, cfg.N
+             line: int, r: float, oscillators: str,
+             corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
+    """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
+    (line, r), over plain oscillators, fermions with q-bosons, or anyons
+    (families a/A for e^+, a~/A~ for e^-)."""
+    upper, lower = _node_modes(cfg, alpha, line, r)
+    tilde = ""
+    if sign == "-":
+        upper, lower, tilde = lower, upper, "~"
 
-    def f(flavor, site):
-        return ModeId(FERMION, flavor, line, site)
+    def ladder(mode, dagger):
+        if oscillators == ANYON:
+            family = ("a" if mode.kind == FERMION else "A") + tilde
+            return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
+        if oscillators == Q_BOSON and mode.kind == BOSON:
+            return (q_boson_create if dagger else q_boson_annihilate)(cfg, basis, mode)
+        return (create if dagger else annihilate)(cfg, basis, mode)
 
-    def b(flavor, site):
-        return ModeId(BOSON, flavor, line, site)
-
-    if deformed:
-        def low(mode, family):
-            return anyon(cfg, basis, mode, family, corruption=corruption)
-
-        def dag(mode, family):
-            return anyon(cfg, basis, mode, family, dagger=True,
-                         corruption=corruption)
-    else:
-        def low(mode, family):
-            return annihilate(cfg, basis, mode)
-
-        def dag(mode, family):
-            return create(cfg, basis, mode)
-
-    if 1 <= alpha <= M - 1:
-        if sign == "+":
-            return (dag(f(alpha, r), "a") @ low(f(alpha + 1, r), "a")).tocsr()
-        return (dag(f(alpha + 1, r), "a~") @ low(f(alpha, r), "a~")).tocsr()
-    if alpha == M:
-        if sign == "+":
-            return (dag(f(M, r), "a") @ low(b(1, r), "A")).tocsr()
-        return (dag(b(1, r), "A~") @ low(f(M, r), "a~")).tocsr()
-    if M < alpha <= cfg.R:
-        k = alpha - M
-        if sign == "+":
-            return (dag(b(k, r), "A") @ low(b(k + 1, r), "A")).tocsr()
-        return (dag(b(k + 1, r), "A~") @ low(b(k, r), "A~")).tocsr()
-    if alpha == 0:
-        if sign == "+":
-            return (dag(b(N, r), "A") @ low(f(1, r + 1), "a")).tocsr()
-        return (dag(f(1, r + 1), "a~") @ low(b(N, r), "A~")).tocsr()
-    raise ValueError(f"no node {alpha}")
+    return (ladder(upper, True) @ ladder(lower, False)).tocsr()
 
 
 def local_q_generator(cfg: LatticeConfig, basis: FockBasis, alpha: int,
                       sign: str, line: int, r: float) -> sp.csr_matrix:
     """The undressed local generator with bosons replaced by q-bosons."""
-    M, N = cfg.M, cfg.N
-
-    def c(flavor, site):
-        return annihilate(cfg, basis, ModeId(FERMION, flavor, line, site))
-
-    def cd(flavor, site):
-        return create(cfg, basis, ModeId(FERMION, flavor, line, site))
-
-    def bq(flavor, site):
-        return q_boson_annihilate(cfg, basis, ModeId(BOSON, flavor, line, site))
-
-    def bqd(flavor, site):
-        return q_boson_create(cfg, basis, ModeId(BOSON, flavor, line, site))
-
-    if 1 <= alpha <= M - 1:
-        return (cd(alpha, r) @ c(alpha + 1, r) if sign == "+"
-                else cd(alpha + 1, r) @ c(alpha, r)).tocsr()
-    if alpha == M:
-        return (cd(M, r) @ bq(1, r) if sign == "+"
-                else bqd(1, r) @ c(M, r)).tocsr()
-    if M < alpha <= cfg.R:
-        k = alpha - M
-        return (bqd(k, r) @ bq(k + 1, r) if sign == "+"
-                else bqd(k + 1, r) @ bq(k, r)).tocsr()
-    if alpha == 0:
-        return (bqd(N, r) @ c(1, r + 1) if sign == "+"
-                else cd(1, r + 1) @ bq(N, r)).tocsr()
-    raise ValueError(f"no node {alpha}")
+    return _local_e(cfg, basis, alpha, sign, line, r, Q_BOSON)
 
 
 def string_tail_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
@@ -392,7 +352,7 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
             for line in cfg.lines:
                 for r in admissible_sites(cfg, alpha):
                     loc = _local_e(cfg, basis, alpha, sign, line, r,
-                                   deformed, corruption)
+                                   ANYON if deformed else PLAIN, corruption)
                     E_local[(alpha, sign, line, r)] = loc
                     total = total + loc
             E[(alpha, sign)] = total.tocsr()
@@ -400,9 +360,21 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
                         H, E, H_local, E_local)
 
 
-@lru_cache(maxsize=32)
+def _q_one(cfg: LatticeConfig) -> LatticeConfig:
+    """``cfg`` at q = 1, where the deformed set collapses onto the plain one."""
+    return replace(cfg, nu=None, q_real=1.0)
+
+
 def cached_generators(cfg: LatticeConfig, deformed: bool,
                       corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
+    """The generator set of ``cfg``, built once per process.  The plain set
+    reads no q: it is built at q = 1 and shared by every q."""
+    return _cached_set(cfg if deformed else _q_one(cfg), deformed, corruption)
+
+
+@lru_cache(maxsize=32)
+def _cached_set(cfg: LatticeConfig, deformed: bool,
+                corruption: Corruption) -> GeneratorSet:
     return chevalley_generators(cfg, cached_basis(cfg), deformed, corruption)
 
 
@@ -411,8 +383,7 @@ def cached_basis(cfg: LatticeConfig) -> FockBasis:
     return build_basis(cfg)
 
 
-def central_charge_operator(genset: GeneratorSet,
-                            cartan: CartanData | None = None) -> sp.csr_matrix:
+def central_charge_operator(genset: GeneratorSet) -> sp.csr_matrix:
     """Gamma = -H_0 + sum_{i<=M} H_i - sum_{k<N} H_{M+k}.
 
     Acts as the central charge (number of sea-ordered lines) on bulk states;

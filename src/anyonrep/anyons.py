@@ -36,7 +36,7 @@ from .fock import (
     fermion_annihilate,
     identity_op,
     op_adjoint,
-    q_number,
+    q_bracket_diag,
     q_power,
     site_order_sign,
 )
@@ -262,7 +262,7 @@ def suite_braiding(cfg: LatticeConfig,
                 diag_operator(q_power(q, nvec)), head1, "margin=0,headroom=1", **ps)
             rep(f"eq54ta[k={k},{pt}]", To @ Td - (Td @ To) / q,
                 diag_operator(q_power(q, nvec)), head1, "margin=0,headroom=1", **ps)
-            bracket = diag_operator(np.array([q_number(n, q) for n in nvec]))
-            rep(f"eq50A[k={k},{pt}]", Ad @ Ao, bracket, **ps)
+            rep(f"eq50A[k={k},{pt}]", Ad @ Ao,
+                q_bracket_diag(diag_operator(nvec), q), **ps)
 
     return out.reports

@@ -74,10 +74,12 @@ def q_number(n, q: complex) -> complex:
 
 
 def q_bracket_diag(h: sp.spmatrix, q: complex) -> sp.csr_matrix:
-    """[H]_q for a diagonal operator H with real spectrum."""
+    """[H]_q for a diagonal operator H with real spectrum; one q_number
+    call per distinct eigenvalue."""
     d = _require_diagonal(h, "q_bracket_diag")
-    vals = np.array([q_number(x, q) for x in d.real], dtype=complex)
-    return sp.diags(vals, format="csr", dtype=complex).tocsr()
+    vals, where = np.unique(d.real, return_inverse=True)
+    table = np.array([q_number(x, q) for x in vals], dtype=complex)
+    return diag_operator(table[where])
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +315,6 @@ class FockBasis:
     def vacuum_index(self) -> int:
         f_occ = [self.vacuum_occupation(m) for m in self.fermion_modes]
         return self.index_for(f_occ, [0] * self.B)
-
-    def state_str(self, index: int) -> str:
-        f_occ, b_occ = self.occupations(index)
-        fs = ",".join(f"{m}={n}" for m, n in zip(self.fermion_modes, f_occ))
-        bs = ",".join(f"{m}={n}" for m, n in zip(self.boson_modes, b_occ))
-        return f"|{fs}; {bs}>"
 
 
 def build_basis(cfg: LatticeConfig) -> FockBasis:

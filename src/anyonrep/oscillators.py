@@ -28,6 +28,7 @@ from .fock import (
     fermion_annihilate,
     identity_op,
     op_adjoint,
+    q_bracket_diag,
     q_number,
     q_power,
 )
@@ -148,10 +149,8 @@ def suite_oscillators(cfg: LatticeConfig,
         nop = number_op(cfg, basis, m)
         out.check(f"eq49d[{m}]", nop @ b - b @ nop, -1 * b, params=ps)
         out.check(f"eq49e[{m}]", nop @ bd - bd @ nop, bd, params=ps)
-        bracket = diag_operator(np.array([q_number(n, q) for n in nvec]))
-        bracket1 = diag_operator(np.array([q_number(n + 1, q) for n in nvec]))
-        out.check(f"eq50a[{m}]", bd @ b, bracket, params=ps)
-        out.check(f"eq50b[{m}]", b @ bd, bracket1,
+        out.check(f"eq50a[{m}]", bd @ b, q_bracket_diag(nop, q), params=ps)
+        out.check(f"eq50b[{m}]", b @ bd, q_bracket_diag(nop + one, q),
                   head1, projector_desc="margin=0,headroom=1", params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):

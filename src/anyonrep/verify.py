@@ -23,11 +23,14 @@ from .algebra import (
     DELTA,
     GeneratorSet,
     RootLabel,
+    _q_one,
     admissible_sites,
+    cached_basis,
     cached_generators,
     cartan_weyl_generators,
     cartan_weyl_h,
     central_charge_operator,
+    chevalley_generators,
     compose_roots,
     eq57_tail,
     local_q_generator,
@@ -94,11 +97,6 @@ def ad_q_hopf(genset: GeneratorSet, alpha: int, Y: sp.spmatrix,
 
 def _sig(sign: str) -> int:
     return 1 if sign == "+" else -1
-
-
-def _q_one(cfg: LatticeConfig) -> LatticeConfig:
-    """``cfg`` at q = 1, where the deformed set collapses onto the plain one."""
-    return dataclasses.replace(cfg, nu=None, q_real=1.0)
 
 
 def _serre_headroom(cfg: LatticeConfig) -> int:
@@ -327,7 +325,7 @@ def suite_undeformed(cfg: LatticeConfig,
                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Classical Serre-Chevalley relations of the plain oscillator set: the
     quantum and Serre relations evaluated on it at q = 1."""
-    gs = cached_generators(_q_one(cfg), False, corruption)
+    gs = cached_generators(cfg, False, corruption)
     out = SuiteReports("undeformed", cfg.tol)
     _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
     for _ in _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0")):
@@ -433,23 +431,22 @@ def suite_classical_limit(cfg: LatticeConfig,
     scaling of the deviation in (q - 1)."""
     out = SuiteReports("classical", 1e-12)
     cfg1 = _q_one(cfg)
-    dist = _genset_distance(cached_generators(cfg1, True, corruption),
-                            cached_generators(cfg1, False, corruption))
-    out.record("limit-q1", dist)
-
     gs1 = cached_generators(cfg1, True, corruption)
+    plain = cached_generators(cfg1, False, corruption)
+    out.record("limit-q1", _genset_distance(gs1, plain))
+
     worst = max(residual_norm(q_bracket_diag(gs1.H[al], 1.0) - gs1.H[al])
                 for al in gs1.H)
     out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
 
+    # the sets near q = 1 are used once: built here, not cached
+    def distance_at(q_real):
+        gs = chevalley_generators(dataclasses.replace(cfg1, q_real=q_real),
+                                  cached_basis(cfg1), True, corruption)
+        return _genset_distance(gs, plain)
+
     eps = 1e-6
-    undef = cached_generators(cfg1, False, corruption)
-    r1 = _genset_distance(
-        cached_generators(dataclasses.replace(cfg, nu=None, q_real=1 + eps),
-                          True, corruption), undef)
-    r2 = _genset_distance(
-        cached_generators(dataclasses.replace(cfg, nu=None, q_real=1 + 2 * eps),
-                          True, corruption), undef)
+    r1, r2 = distance_at(1 + eps), distance_at(1 + 2 * eps)
     ratio = r2 / r1 if r1 else float("inf")
     out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
                params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})
@@ -493,6 +490,14 @@ def suite_central_charge(cfg: LatticeConfig,
 # ---------------------------------------------------------------------------
 # Cartan-Weyl spot checks
 # ---------------------------------------------------------------------------
+
+def _largest_entry(Z: sp.csr_matrix) -> tuple[int, int]:
+    """(row, column) of the first largest-magnitude entry of Z in row-major
+    order, as a dense argmax picks it; Z is put in canonical form first."""
+    Z.sum_duplicates()
+    k = int(np.argmax(np.abs(Z.data)))
+    return int(np.searchsorted(Z.indptr, k, side="right")) - 1, int(Z.indices[k])
+
 
 def suite_cartan_weyl(cfg: LatticeConfig,
                       corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
@@ -580,11 +585,11 @@ def suite_cartan_weyl(cfg: LatticeConfig,
             out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
                                "target vanishes on the bulk")
             continue
-        dense = np.abs(Z.toarray())
-        i, j = np.unravel_index(np.argmax(dense), dense.shape)
+        i, j = _largest_entry(Z)
         lam = complex(X[i, j] / Z[i, j])
         res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
-        out.record(f"eq1c-cocycle[{r1},{r2}]", res, projector=f"margin={margin}",
+        desc = f"margin={margin}" + (f",headroom={headroom}" if headroom else "")
+        out.record(f"eq1c-cocycle[{r1},{r2}]", res, projector=desc,
                    params={"roots": [str(r1), str(r2)],
                            "scalar": [lam.real, lam.imag]})
     return out.reports

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,8 @@ from anyonrep.algebra import (
     DELTA,
     EPS,
     RootLabel,
+    _q_one,
+    cached_generators,
     cartan_data,
     cartan_weyl_generators,
     cartan_weyl_h,
@@ -18,19 +22,29 @@ from anyonrep.algebra import (
 )
 from anyonrep.anyons import anyon
 from anyonrep.fock import (
+    BOSON,
+    FERMION,
+    SEA,
     ConfigError,
     Corruption,
     LatticeConfig,
+    ModeId,
+    annihilate,
     boson_mode,
     build_basis,
     bulk_projector,
+    create,
     diag_operator,
     fermion_mode,
     q_bracket_diag,
     residual_norm,
     supercommutator,
 )
-from anyonrep.oscillators import normal_number_diag
+from anyonrep.oscillators import (
+    normal_number_diag,
+    q_boson_annihilate,
+    q_boson_create,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +245,142 @@ def test_local_fixed_site_representation(cfg22, basis22):
             else:
                 rhs = 0 * lhs
             assert residual_norm(head @ (lhs - rhs) @ head) <= 1e-10
+
+
+def test_plain_set_is_built_once_per_process(cfg21):
+    plain = cached_generators(cfg21, False)
+    assert cached_generators(replace(cfg21, nu=0.2), False) is plain
+    assert cached_generators(_q_one(cfg21), False) is plain
+    assert cached_generators(cfg21, True) is not plain
+
+
+# ---------------------------------------------------------------------------
+# node table against the per-node chains it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
+    M, N = cfg.M, cfg.N
+
+    def nf(flavor, site):
+        return normal_number_diag(cfg, basis, ModeId(FERMION, flavor, line, site))
+
+    def nb(flavor, site):
+        return normal_number_diag(cfg, basis, ModeId(BOSON, flavor, line, site))
+
+    if 1 <= alpha <= M - 1:
+        return nf(alpha, r) - nf(alpha + 1, r)
+    if alpha == M:
+        return nf(M, r) + nb(1, r)
+    if M < alpha <= cfg.R:
+        k = alpha - M
+        return nb(k, r) - nb(k + 1, r)
+    v = nb(N, r) + nf(1, r + 1)
+    if (cfg.line_ordering(line) == SEA and r == -0.5
+            and not corruption.drop_h0_delta):
+        v = v - 1.0
+    return v
+
+
+def _ref_local_e(cfg, basis, alpha, sign, line, r, deformed, corruption):
+    M, N = cfg.M, cfg.N
+
+    def f(flavor, site):
+        return ModeId(FERMION, flavor, line, site)
+
+    def b(flavor, site):
+        return ModeId(BOSON, flavor, line, site)
+
+    if deformed:
+        def low(mode, family):
+            return anyon(cfg, basis, mode, family, corruption=corruption)
+
+        def dag(mode, family):
+            return anyon(cfg, basis, mode, family, dagger=True,
+                         corruption=corruption)
+    else:
+        def low(mode, family):
+            return annihilate(cfg, basis, mode)
+
+        def dag(mode, family):
+            return create(cfg, basis, mode)
+
+    if 1 <= alpha <= M - 1:
+        if sign == "+":
+            return (dag(f(alpha, r), "a") @ low(f(alpha + 1, r), "a")).tocsr()
+        return (dag(f(alpha + 1, r), "a~") @ low(f(alpha, r), "a~")).tocsr()
+    if alpha == M:
+        if sign == "+":
+            return (dag(f(M, r), "a") @ low(b(1, r), "A")).tocsr()
+        return (dag(b(1, r), "A~") @ low(f(M, r), "a~")).tocsr()
+    if M < alpha <= cfg.R:
+        k = alpha - M
+        if sign == "+":
+            return (dag(b(k, r), "A") @ low(b(k + 1, r), "A")).tocsr()
+        return (dag(b(k + 1, r), "A~") @ low(b(k, r), "A~")).tocsr()
+    if sign == "+":
+        return (dag(b(N, r), "A") @ low(f(1, r + 1), "a")).tocsr()
+    return (dag(f(1, r + 1), "a~") @ low(b(N, r), "A~")).tocsr()
+
+
+def _ref_local_q_generator(cfg, basis, alpha, sign, line, r):
+    M, N = cfg.M, cfg.N
+
+    def c(flavor, site):
+        return annihilate(cfg, basis, ModeId(FERMION, flavor, line, site))
+
+    def cd(flavor, site):
+        return create(cfg, basis, ModeId(FERMION, flavor, line, site))
+
+    def bq(flavor, site):
+        return q_boson_annihilate(cfg, basis, ModeId(BOSON, flavor, line, site))
+
+    def bqd(flavor, site):
+        return q_boson_create(cfg, basis, ModeId(BOSON, flavor, line, site))
+
+    if 1 <= alpha <= M - 1:
+        return (cd(alpha, r) @ c(alpha + 1, r) if sign == "+"
+                else cd(alpha + 1, r) @ c(alpha, r)).tocsr()
+    if alpha == M:
+        return (cd(M, r) @ bq(1, r) if sign == "+"
+                else bqd(1, r) @ c(M, r)).tocsr()
+    if M < alpha <= cfg.R:
+        k = alpha - M
+        return (bqd(k, r) @ bq(k + 1, r) if sign == "+"
+                else bqd(k + 1, r) @ bq(k, r)).tocsr()
+    return (bqd(N, r) @ c(1, r + 1) if sign == "+"
+            else cd(1, r + 1) @ bq(N, r)).tocsr()
+
+
+def _same(x, y):
+    return x.shape == y.shape and (x != y).nnz == 0
+
+
+@pytest.mark.parametrize("cfg", [
+    LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+    LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+    LatticeConfig(M=2, N=1, S=2, K=2, n_max=1, nu=0.3, ordering=("sea", "empty")),
+], ids=["M2N1S2", "M2N2S2", "M2N1S2-sea,empty"])
+def test_node_table_reproduces_per_node_chains(cfg):
+    basis = build_basis(cfg)
+    corruptions = (Corruption(), Corruption(drop_h0_delta=True),
+                   Corruption(flip_boson_disorder=True))
+    for alpha in range(cfg.R + 1):
+        for line in cfg.lines:
+            for r in alg.admissible_sites(cfg, alpha):
+                for cor in corruptions[:2]:
+                    assert np.array_equal(
+                        alg._h_local_diag(cfg, basis, alpha, line, r, cor),
+                        _ref_h_local_diag(cfg, basis, alpha, line, r, cor))
+                for s in ("+", "-"):
+                    assert _same(local_q_generator(cfg, basis, alpha, s, line, r),
+                                 _ref_local_q_generator(cfg, basis, alpha, s, line, r))
+                    for deformed, cors in ((False, corruptions[:1]),
+                                           (True, corruptions)):
+                        kind = alg.ANYON if deformed else alg.PLAIN
+                        for cor in cors:
+                            assert _same(
+                                alg._local_e(cfg, basis, alpha, s, line, r, kind, cor),
+                                _ref_local_e(cfg, basis, alpha, s, line, r, deformed, cor))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from anyonrep.fock import (
     diag_operator,
     fermion_annihilate,
     identity_op,
+    boson_mode,
     op_adjoint,
+    q_bracket_diag,
     q_commutator,
     q_number,
     q_power,
@@ -250,6 +252,20 @@ def test_q_number_unit_circle_is_real():
     for n in range(5):
         assert abs(q_number(n, q).imag) < 1e-12
     assert abs(q_number(2, q) - 2 * np.cos(0.3 * np.pi)) < 1e-13
+
+
+@pytest.mark.parametrize("q", [np.exp(0.3j * np.pi), 1.3, 1.0])
+def test_q_bracket_diag_equals_per_state_loop(cfg22, basis22, q):
+    """One q_number call per distinct value gives exactly the per-state
+    loop, on every H_alpha of M2N2 and on n + 1."""
+    from anyonrep.algebra import chevalley_generators
+    from anyonrep.oscillators import number_op
+    gs = chevalley_generators(cfg22, basis22, deformed=False)
+    n = number_op(cfg22, basis22, boson_mode(1, 0.5))
+    for h in list(gs.H.values()) + [n + identity_op(basis22)]:
+        loop = np.array([q_number(x, q) for x in h.diagonal().real], dtype=complex)
+        out = q_bracket_diag(h, q)
+        assert (out != diag_operator(loop)).nnz == 0
 
 
 def test_q_power_branch_consistency():

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from anyonrep.algebra import cached_generators
+from anyonrep.algebra import (
+    _cached_set,
+    cached_basis,
+    cached_generators,
+    cartan_data,
+    cartan_weyl_generators,
+    compose_roots,
+)
 from anyonrep.fock import (
     Corruption,
     LatticeConfig,
@@ -21,6 +29,7 @@ from anyonrep.report import (
 )
 from anyonrep.verify import (
     SUITES,
+    _largest_entry,
     ad_q,
     ad_q_hopf,
     run_suites,
@@ -256,6 +265,45 @@ def test_suite_cartan_weyl():
     assert lin.residual <= 1e-8
     cocycle = [r for r in reports if r.relation_id.startswith("eq1c")]
     assert cocycle and all(r.satisfied for r in cocycle)
+
+
+def test_cocycle_projector_label_names_headroom():
+    # a composition with an odd root runs under headroom 1; the label says so
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    cocycle = [r for r in suite_cartan_weyl(cfg)
+               if r.relation_id.startswith("eq1c") and r.applicable]
+    assert cocycle
+    for r in cocycle:
+        assert r.projector == "margin=1,headroom=1"
+
+
+def test_cocycle_pivot_equals_dense_argmax():
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    basis = cached_basis(cfg)
+    ct = cartan_data(cfg.M, cfg.N)
+    r1, r2 = ct.simple_root_label(cfg.R), ct.simple_root_label(0)
+    P = bulk_projector(cfg, basis, 1, 1)
+    Z = (P @ cartan_weyl_generators(cfg, basis, compose_roots(r1, r2)) @ P).tocsr()
+    assert Z.nnz
+    dense = np.abs(Z.toarray())
+    assert _largest_entry(Z) == np.unravel_index(np.argmax(dense), dense.shape)
+
+    # unsorted columns and ties: the first maximum in row-major order wins;
+    # duplicates are summed first, as in the dense matrix
+    for data, indices, indptr in (([3, -3, 3j], [2, 0, 0], [0, 2, 2, 3]),
+                                  ([3, -3, 2, 2, 3j], [2, 0, 1, 1, 0], [0, 2, 4, 5])):
+        Z = sp.csr_matrix((np.array(data, dtype=complex), np.array(indices),
+                           np.array(indptr)), shape=(3, 3))
+        dense = np.abs(Z.toarray())
+        assert _largest_entry(Z) == np.unravel_index(np.argmax(dense), dense.shape)
+
+
+def test_limit_slope_sets_are_not_cached():
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    _cached_set.cache_clear()
+    suite_classical_limit(cfg)
+    # the deformed and the plain set at q = 1, nothing near q = 1
+    assert _cached_set.cache_info().currsize == 2
 
 
 def test_truncation_robustness_larger_lattice():
