@@ -16,7 +16,7 @@ coproduct suite checks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,8 +32,10 @@ from .fock import (
     LatticeConfig,
     ModeId,
     NO_CORRUPTION,
+    _q_one,
     annihilate,
     build_basis,
+    cached_basis,
     create,
     diag_operator,
     diag_exp,
@@ -360,11 +362,6 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
                         H, E, H_local, E_local)
 
 
-def _q_one(cfg: LatticeConfig) -> LatticeConfig:
-    """``cfg`` at q = 1, where the deformed set collapses onto the plain one."""
-    return replace(cfg, nu=None, q_real=1.0)
-
-
 def cached_generators(cfg: LatticeConfig, deformed: bool,
                       corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
     """The generator set of ``cfg``, built once per process.  The plain set
@@ -376,11 +373,6 @@ def cached_generators(cfg: LatticeConfig, deformed: bool,
 def _cached_set(cfg: LatticeConfig, deformed: bool,
                 corruption: Corruption) -> GeneratorSet:
     return chevalley_generators(cfg, cached_basis(cfg), deformed, corruption)
-
-
-@lru_cache(maxsize=32)
-def cached_basis(cfg: LatticeConfig) -> FockBasis:
-    return build_basis(cfg)
 
 
 def central_charge_operator(genset: GeneratorSet) -> sp.csr_matrix:

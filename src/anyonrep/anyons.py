@@ -30,8 +30,7 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     Corruption,
-    build_basis,
-    bulk_projector,
+    cached_basis,
     diag_operator,
     fermion_annihilate,
     identity_op,
@@ -151,11 +150,7 @@ def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
 def _ordered_site_pairs(cfg: LatticeConfig):
     """All (x, y) position pairs with x after y in the lattice order."""
     points = [(line, site) for line in cfg.lines for site in cfg.sites]
-    pairs = []
-    for i, x in enumerate(points):
-        for y in points[:i]:
-            pairs.append((x, y))
-    return points, pairs
+    return points, [(x, y) for i, x in enumerate(points) for y in points[:i]]
 
 
 def _pair_cap(pairs, cap: int = 12):
@@ -171,12 +166,10 @@ def suite_braiding(cfg: LatticeConfig,
                    corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Braiding relations of both anyon families, their q <-> 1/q mirrors,
     the mixed plain/tilde relations, and the on-site (q-)oscillator algebra."""
-    basis = build_basis(cfg)
+    basis = cached_basis(cfg)
     q = cfg.q
     one = identity_op(basis)
-    zero = 0 * one
-    head1 = bulk_projector(cfg, basis, 0, 1)
-    out = SuiteReports("braiding", cfg.tol)
+    out = SuiteReports("braiding", cfg.tol, basis)
     points, pairs = _ordered_site_pairs(cfg)
     pairs = _pair_cap(pairs)
 
@@ -185,9 +178,8 @@ def suite_braiding(cfg: LatticeConfig,
         mode = ModeId(kind, flavor, pt[0], pt[1])
         return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
 
-    def rep(rid, lhs, rhs=None, proj=None, desc=None, **params):
-        out.check(rid, lhs, zero if rhs is None else rhs, proj,
-                  projector_desc=desc, params=params)
+    def rep(rid, lhs, rhs=None, bulk=None, **params):
+        out.check(rid, lhs, rhs, bulk=bulk, params=params)
 
     fl_f = range(1, cfg.M + 1)
     fl_b = range(1, cfg.N + 1)
@@ -257,11 +249,11 @@ def suite_braiding(cfg: LatticeConfig,
             nvec = number_diag(cfg, basis, ModeId(BOSON, k, pt[0], pt[1]))
             ps = {"flavor": k, "x": list(pt)}
             rep(f"eq54a[k={k},{pt}]", Ao @ Ad - q * (Ad @ Ao),
-                diag_operator(q_power(q, -nvec)), head1, "margin=0,headroom=1", **ps)
+                diag_operator(q_power(q, -nvec)), bulk=(0, 1), **ps)
             rep(f"eq54b[k={k},{pt}]", Ao @ Ad - (Ad @ Ao) / q,
-                diag_operator(q_power(q, nvec)), head1, "margin=0,headroom=1", **ps)
+                diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
             rep(f"eq54ta[k={k},{pt}]", To @ Td - (Td @ To) / q,
-                diag_operator(q_power(q, nvec)), head1, "margin=0,headroom=1", **ps)
+                diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
             rep(f"eq50A[k={k},{pt}]", Ad @ Ao,
                 q_bracket_diag(diag_operator(nvec), q), **ps)
 

@@ -72,10 +72,8 @@ def _merge_run_config(args) -> dict:
     path = args.config or os.environ.get(ENV_CONFIG)
     if path:
         raw.update(_load_config_file(path))
-    for key, attr in [("M", "M"), ("N", "N"), ("sites", "sites"),
-                      ("lines", "lines"), ("nmax", "nmax"), ("tol", "tol"),
-                      ("dim_cap", "dim_cap")]:
-        val = getattr(args, attr, None)
+    for key in ("M", "N", "sites", "lines", "nmax", "tol", "dim_cap"):
+        val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
     if getattr(args, "ordering", None) is not None:

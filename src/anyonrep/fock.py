@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -322,6 +323,22 @@ def build_basis(cfg: LatticeConfig) -> FockBasis:
     return FockBasis(cfg)
 
 
+def _q_one(cfg: LatticeConfig) -> LatticeConfig:
+    """``cfg`` at q = 1, where the deformed set collapses onto the plain one."""
+    return replace(cfg, nu=None, q_real=1.0)
+
+
+def cached_basis(cfg: LatticeConfig) -> FockBasis:
+    """The basis of ``cfg``, built once per process.  A basis reads no q: it
+    is built for the q = 1 config and shared by every q."""
+    return _cached_basis(_q_one(cfg))
+
+
+@lru_cache(maxsize=32)
+def _cached_basis(cfg: LatticeConfig) -> FockBasis:
+    return build_basis(cfg)
+
+
 # ---------------------------------------------------------------------------
 # elementary operators
 # ---------------------------------------------------------------------------
@@ -450,7 +467,8 @@ def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
 
     Keeps states whose ``boundary_margin`` outermost sites on every line carry
     the vacuum occupation of that line's scheme and whose bosonic occupations
-    all stay at or below n_max - boson_headroom.
+    all stay at or below n_max - boson_headroom; raises ``EmptyBulkError`` if
+    no state is kept.
     """
     if boundary_margin < 0:
         raise ValueError("boundary_margin must be >= 0")
@@ -470,12 +488,12 @@ def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
         if mode.site in boundary:
             j = basis.boson_slot(mode)
             b_ok &= basis.b_occ[:, j] == 0
+    if not (f_ok.any() and b_ok.any()):
+        raise EmptyBulkError("empty bulk: no state satisfies the boundary constraints")
     return (f_ok[:, None] & b_ok[None, :]).ravel()
 
 
 def bulk_projector(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int = 1,
                    boson_headroom: int = 0) -> sp.csr_matrix:
-    mask = bulk_mask(cfg, basis, boundary_margin, boson_headroom)
-    if not mask.any():
-        raise EmptyBulkError("empty bulk: no state satisfies the boundary constraints")
-    return diag_operator(mask.astype(complex))
+    return diag_operator(bulk_mask(cfg, basis, boundary_margin, boson_headroom)
+                         .astype(complex))

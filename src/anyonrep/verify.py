@@ -1,13 +1,14 @@
 """Relation suites certifying the oscillator and anyonic realizations.
 
-Projector policy: relations built only from single-site nodes are exact on the
-truncated lattice (up to the boson cutoff) and run unprojected or with a
-headroom projector; anything touching the affine node, whose local pieces
-straddle two sites, runs sandwiched between bulk projectors (margin 1, or 2
-when the affine node appears on both sides / in Serre compositions).  Where a
-relation is exact away from the cutoff we additionally check that the operator
-annihilates the headroom-protected subspace outright (right projection),
-which is a strictly stronger statement than the sandwich.
+Bulk policy: relations built only from single-site nodes are exact on the
+truncated lattice up to the boson cutoff and run on the full space or with
+boson headroom; anything touching the two-site affine node runs with
+boundary margin 1, or 2 when it appears on both sides or in Serre
+compositions.  A check names its bulk once, ``bulk=(margin, headroom)`` with
+a ``side``; the states it is reduced over and its label both come from that
+spec.  Where a relation is exact away from the cutoff, the operator must also
+annihilate the headroom-protected subspace outright (side "right"), a
+strictly stronger statement than the two-sided check.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .fock import (
     LatticeConfig,
     ModeId,
     NO_CORRUPTION,
-    bulk_projector,
     diag_exp,
     diag_operator,
     identity_op,
@@ -58,7 +58,7 @@ from .fock import (
     zero_op,
 )
 from .oscillators import number_diag
-from .report import RelationReport, SuiteReports
+from .report import RelationReport, SuiteReports, bulk_part
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +100,8 @@ def _sig(sign: str) -> int:
 
 
 def _serre_headroom(cfg: LatticeConfig) -> int:
-    """Boson headroom of the Serre-type projectors: the words raise a boson
-    up to twice, clamped to the cutoff."""
+    """Boson headroom of the Serre-type bulks: the words raise a boson up to
+    twice, clamped to the cutoff."""
     return min(2, cfg.n_max)
 
 
@@ -119,12 +119,9 @@ def _chevalley_relations(out: SuiteReports, gs: GeneratorSet, ids):
     pairing onto [H]_q and the odd squares (Eqs. (7a)-(7d)), under the family
     ids ``ids`` = (a, b, c, d)."""
     eq_a, eq_b, eq_c, eq_d = ids
-    cfg, basis, ct = gs.cfg, gs.basis, gs.cartan
+    cfg, ct = gs.cfg, gs.cartan
     a = ct.a
     R = cfg.R
-    P10 = bulk_projector(cfg, basis, 1, 0)
-    P11 = bulk_projector(cfg, basis, 1, 1)
-    P21 = bulk_projector(cfg, basis, 2, 1)
 
     for al in range(R + 1):
         for be in range(al, R + 1):
@@ -138,34 +135,24 @@ def _chevalley_relations(out: SuiteReports, gs: GeneratorSet, ids):
                 E = gs.E[(be, s)]
                 lhs = gs.H[al] @ E - E @ gs.H[al]
                 rhs = _sig(s) * a[al][be] * E
-                proj = P10 if 0 in (al, be) else None
-                desc = "margin=1" if proj is not None else None
-                out.check(f"{eq_b}[{al},{be},{s}]", lhs, rhs, proj,
-                          projector_desc=desc,
+                out.check(f"{eq_b}[{al},{be},{s}]", lhs, rhs,
+                          bulk=(1, 0) if 0 in (al, be) else None,
                           params={"alpha": al, "beta": be, "sign": s})
 
     for al in range(R + 1):
         for be in range(R + 1):
             lhs = supercommutator(gs.E[(al, "+")], gs.E[(be, "-")],
                                   ct.parity[al], ct.parity[be])
-            if al == be:
-                rhs = q_bracket_diag(gs.H[al], gs.q_alpha(al))
-            else:
-                rhs = zero_op(basis)
-            proj, desc = (P21, "margin=2,headroom=1") if al == be == 0 \
-                else (P11, "margin=1,headroom=1")
-            out.check(f"{eq_c}[{al},{be}]", lhs, rhs, proj,
-                      projector_desc=desc, params={"alpha": al, "beta": be})
+            rhs = q_bracket_diag(gs.H[al], gs.q_alpha(al)) if al == be else None
+            out.check(f"{eq_c}[{al},{be}]", lhs, rhs,
+                      bulk=(2, 1) if al == be == 0 else (1, 1),
+                      params={"alpha": al, "beta": be})
 
     for al in (0, cfg.M):
         for s in ("+", "-"):
             E = gs.E[(al, s)]
             out.check(f"{eq_d}[{al},{s}]", supercommutator(E, E, 1, 1),
-                      zero_op(basis), params={"alpha": al, "sign": s})
-
-
-def _quartic_applicable(ct, prev: int, nxt: int) -> bool:
-    return ct.parity[prev] == 0 and ct.parity[nxt] == 0 and prev != nxt
+                      params={"alpha": al, "sign": s})
 
 
 def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
@@ -178,13 +165,10 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
     are formed one at a time and not kept.
     """
     eq_serre, eq_quartic, eq_affine = ids
-    cfg, basis, ct = gs.cfg, gs.basis, gs.cartan
+    cfg, ct = gs.cfg, gs.cartan
     a, at = ct.a, ct.a_tilde
     R, M = cfg.R, cfg.M
-    head = _serre_headroom(cfg)
-    P = bulk_projector(cfg, basis, 2, head)
-    desc = f"margin=2,headroom={head}"
-    zero = zero_op(basis)
+    bulk = (2, _serre_headroom(cfg))
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -208,8 +192,7 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
                     X = EA @ EA @ EB - q_power(qa, -2 * w) * (EB @ EA @ EA)
                     form = "odd-square"
                 ps = {"alpha": al, "beta": be, "sign": s, "form": form}
-                out.check(f"{eq_serre}[{al},{be},{s}]", X, zero, P,
-                          projector_desc=desc, params=ps)
+                out.check(f"{eq_serre}[{al},{be},{s}]", X, bulk=bulk, params=ps)
                 yield eq_serre, X, ps
 
     # quartic at alpha = M (bare generators, plain q-commutators; the minus
@@ -224,8 +207,7 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
                 X1, X2 = q_commutator(E2, E1, q), q_commutator(E3, E2, q)
             X = supercommutator(X1, X2, 1, 1)
             ps = {"alpha": M, "sign": s}
-            out.check(f"{eq_quartic}[{s}]", X, zero, P,
-                      projector_desc=desc, params=ps)
+            out.check(f"{eq_quartic}[{s}]", X, bulk=bulk, params=ps)
             yield eq_quartic, X, ps
     else:
         out.not_applicable(eq_quartic, "needs M >= 2 and N >= 2")
@@ -234,7 +216,7 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
     # both are reported, neither is decreed
     for name, (prev, nxt) in {"cyclic": (R, 1), "skip": (1, R)}.items():
         rid = f"{eq_affine}-{name}"
-        if not _quartic_applicable(ct, prev, nxt):
+        if ct.parity[prev] or ct.parity[nxt] or prev == nxt:
             out.not_applicable(rid, "affine neighbours are not even nodes")
             continue
         for s in ("+", "-"):
@@ -242,7 +224,7 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
             Y2 = ad_q(gs, nxt, gs.script_e(0, s), _sig(s) * a[nxt][0], 1, s)
             X = supercommutator(Y1, Y2, 1, 1)
             ps = {"alpha": 0, "neighbours": [prev, nxt], "sign": s}
-            out.check(f"{rid}[{s}]", X, zero, P, projector_desc=desc, params=ps)
+            out.check(f"{rid}[{s}]", X, bulk=bulk, params=ps)
             yield rid, X, ps
 
 
@@ -254,7 +236,7 @@ def suite_quantum(cfg: LatticeConfig,
                   corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Defining relations of the deformed superalgebra on the simple nodes."""
     gs = cached_generators(cfg, True, corruption)
-    out = SuiteReports("quantum", cfg.tol)
+    out = SuiteReports("quantum", cfg.tol, gs.basis)
     _chevalley_relations(out, gs, ("eq7a", "eq7b", "eq7c", "eq7d"))
 
     # E^- versus the matrix adjoint of E^+ is observed, never asserted: the
@@ -273,15 +255,11 @@ def suite_serre(cfg: LatticeConfig,
     """Expanded Serre relations, the quartic supplementary relations at the
     isotropic nodes, and the adjoint-action oracle cross-checks."""
     gs = cached_generators(cfg, True, corruption)
-    basis, ct = gs.basis, gs.cartan
+    ct = gs.cartan
     a = ct.a
     R, M = cfg.R, cfg.M
     head = _serre_headroom(cfg)
-    P = bulk_projector(cfg, basis, 2, head)
-    Ph = bulk_projector(cfg, basis, 0, head)
-    P1 = bulk_projector(cfg, basis, 1, head)
-    zero = zero_op(basis)
-    out = SuiteReports("serre", cfg.tol)
+    out = SuiteReports("serre", cfg.tol, gs.basis)
 
     # closed-form adjoint vs Hopf oracle; the affine action needs the bulk
     # because H_0 weight bookkeeping is truncated at the boundary
@@ -294,10 +272,8 @@ def suite_serre(cfg: LatticeConfig,
                 w = _sig(s) * a[al][be]
                 closed = ad_q(gs, al, Y, w, ct.parity[be], s)
                 hopf = ad_q_hopf(gs, al, Y, ct.parity[be], s)
-                proj = P1 if al == 0 else None
-                desc = "margin=1,headroom=%d" % head if al == 0 else None
-                out.check(f"eq12-oracle[{al},{be},{s}]", closed, hopf, proj,
-                          projector_desc=desc,
+                out.check(f"eq12-oracle[{al},{be},{s}]", closed, hopf,
+                          bulk=(1, head) if al == 0 else None,
                           params={"alpha": al, "beta": be, "sign": s})
 
     # where a word is exact away from the cutoff it must also annihilate the
@@ -306,18 +282,15 @@ def suite_serre(cfg: LatticeConfig,
                                           ("eq8", "eq9-alphaM", "eq9-alpha0")):
         if family == "eq8" and 0 not in (ps["alpha"], ps["beta"]):
             out.check(f"eq8-img[{ps['alpha']},{ps['beta']},{ps['sign']}]",
-                      X, zero, Ph, projector_desc="headroom=%d" % head,
-                      projector_side="right", params=ps)
+                      X, bulk=(0, head), side="right", params=ps)
         elif family == "eq9-alphaM":
             s = ps["sign"]
-            out.check(f"eq9-alphaM-img[{s}]", X, zero, Ph,
-                      projector_desc="headroom=%d" % head,
-                      projector_side="right", params=ps)
+            out.check(f"eq9-alphaM-img[{s}]", X, bulk=(0, head), side="right",
+                      params=ps)
             Y1 = ad_q(gs, M - 1, gs.script_e(M, s), _sig(s) * a[M - 1][M], 1, s)
             Y2 = ad_q(gs, M + 1, gs.script_e(M, s), _sig(s) * a[M + 1][M], 1, s)
             out.check(f"eq10-alphaM[{s}]", supercommutator(Y1, Y2, 1, 1),
-                      zero, P, projector_desc="margin=2,headroom=%d" % head,
-                      params=ps)
+                      bulk=(2, head), params=ps)
     return out.reports
 
 
@@ -326,7 +299,7 @@ def suite_undeformed(cfg: LatticeConfig,
     """Classical Serre-Chevalley relations of the plain oscillator set: the
     quantum and Serre relations evaluated on it at q = 1."""
     gs = cached_generators(cfg, False, corruption)
-    out = SuiteReports("undeformed", cfg.tol)
+    out = SuiteReports("undeformed", cfg.tol, gs.basis)
     _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
     for _ in _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0")):
         pass
@@ -469,11 +442,9 @@ def suite_central_charge(cfg: LatticeConfig,
     basis = gs.basis
     gamma = central_charge_operator(gs)
     gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
-    P = bulk_projector(cfg, basis, 1, 0)
-    out = SuiteReports("central", 1e-12)
-    out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis), P,
-              projector_desc="margin=1",
-              params={"expected": gamma_expected,
+    out = SuiteReports("central", 1e-12, basis)
+    out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis),
+              bulk=(1, 0), params={"expected": gamma_expected,
                       "ordering": list(cfg.ordering), "lines": cfg.K})
 
     if not corruption.drop_h0_delta:
@@ -507,7 +478,7 @@ def suite_cartan_weyl(cfg: LatticeConfig,
     gs = cached_generators(cfg, False, corruption)
     basis, ct = gs.basis, gs.cartan
     R = cfg.R
-    out = SuiteReports("cartanweyl", cfg.tol)
+    out = SuiteReports("cartanweyl", cfg.tol, basis)
 
     for alpha in range(R + 1):
         lab = ct.simple_root_label(alpha)
@@ -526,13 +497,11 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         for m in (-1, 0, 1):
             lab = dataclasses.replace(base, m=m)
             e = cartan_weyl_generators(cfg, basis, lab)
-            proj = bulk_projector(cfg, basis, abs(m), 0) if m else None
             for a_ in range(1, R + 1):
                 h = cartan_weyl_h(cfg, basis, a_, 0)
                 w = root_weight(cfg.M, cfg.N, a_, lab)
-                out.check(f"eq1b[{lab},a={a_}]", h @ e - e @ h, w * e, proj,
-                          projector_desc=f"margin={abs(m)}" if proj is not None else None,
-                          params={"root": str(lab), "a": a_, "weight": w})
+                out.check(f"eq1b[{lab},a={a_}]", h @ e - e @ h, w * e,
+                          bulk=(abs(m), 0) if m else None, params={"root": str(lab), "a": a_, "weight": w})
 
     # anomaly scalar of [h^m, h^-m] on the bulk
     lambdas = {}
@@ -543,19 +512,17 @@ def suite_cartan_weyl(cfg: LatticeConfig,
             continue
         hm = cartan_weyl_h(cfg, basis, 1, m)
         hmm = cartan_weyl_h(cfg, basis, 1, -m)
-        P = bulk_projector(cfg, basis, 2, 0)
-        X = (P @ (hm @ hmm - hmm @ hm) @ P).tocsr()
-        mask = np.real(P.diagonal()) > 0.5
-        lam = complex(X.diagonal()[mask].mean())
+        X = bulk_part(hm @ hmm - hmm @ hm, out.mask((2, 0)))
+        lam = complex(X.diagonal().mean())
         lambdas[m] = lam
-        res = residual_norm(X - lam * P)
+        res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
         K_obs = (lam / gamma_expected / m).real if gamma_expected else None
-        out.record(f"eq1a-scalar[m={m}]", res, projector="margin=2",
+        out.record(f"eq1a-scalar[m={m}]", res, bulk=(2, 0),
                    params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
                            "K(h1,h1)-observed": K_obs})
     if 1 in lambdas and 2 in lambdas:
         dev = abs(lambdas[2] - 2 * lambdas[1])
-        out.record("eq1a-linearity", dev, tol=1e-8, projector="margin=2",
+        out.record("eq1a-linearity", dev, tol=1e-8, bulk=(2, 0),
                    params={"lambda_1": lambdas[1].real,
                            "lambda_2": lambdas[2].real})
     elif 1 in lambdas:
@@ -575,12 +542,10 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         e1 = cartan_weyl_generators(cfg, basis, r1)
         e2 = cartan_weyl_generators(cfg, basis, r2)
         es = cartan_weyl_generators(cfg, basis, rsum)
-        margin = max(1, abs(r1.m) + abs(r2.m))
         # compositions of odd roots raise a boson in one ordering
-        headroom = 1 if (r1.parity or r2.parity) else 0
-        P = bulk_projector(cfg, basis, margin, headroom)
-        X = (P @ supercommutator(e1, e2, r1.parity, r2.parity) @ P).tocsr()
-        Z = (P @ es @ P).tocsr()
+        bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
+        X = bulk_part(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
+        Z = bulk_part(es, out.mask(bulk))
         if Z.nnz == 0 or residual_norm(Z) < 1e-12:
             out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
                                "target vanishes on the bulk")
@@ -588,8 +553,7 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         i, j = _largest_entry(Z)
         lam = complex(X[i, j] / Z[i, j])
         res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
-        desc = f"margin={margin}" + (f",headroom={headroom}" if headroom else "")
-        out.record(f"eq1c-cocycle[{r1},{r2}]", res, projector=desc,
+        out.record(f"eq1c-cocycle[{r1},{r2}]", res, bulk=bulk,
                    params={"roots": [str(r1), str(r2)],
                            "scalar": [lam.real, lam.imag]})
     return out.reports

@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,9 +14,11 @@ from anyonrep.algebra import (
     cartan_weyl_generators,
     compose_roots,
 )
+from anyonrep import fock
 from anyonrep.fock import (
     Corruption,
     LatticeConfig,
+    _cached_basis,
     bulk_projector,
     identity_op,
     q_bracket_diag,
@@ -23,6 +28,7 @@ from anyonrep.fock import (
 from anyonrep.report import (
     CATALOG,
     SuiteReports,
+    bulk_part,
     check_identity,
     not_applicable,
     reports_ok,
@@ -79,9 +85,63 @@ def test_eq7c_against_dense_oracle(cfg21):
         "eq7c[1,1]", "Eq. (7c)",
         supercommutator(gs.E[(1, "+")], gs.E[(1, "-")], 0, 0),
         q_bracket_diag(gs.H[1], gs.q_alpha(1)),
-        bulk_projector(cfg21, basis, 1, 1), tol=cfg21.tol)
+        bulk=(1, 1), basis=basis, tol=cfg21.tol)
     assert rep.passed
     assert abs(rep.residual - dense_res) <= 1e-12
+
+
+def test_bulk_spec_equals_projector_sandwich():
+    """A check that names its bulk as (margin, headroom) reduces the same
+    entries as the explicit projector sandwich (or right product), bit for
+    bit, and labels them from the same spec."""
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    gs = cached_generators(cfg, True)
+    basis = gs.basis
+    operators = [
+        (supercommutator(gs.E[(0, "+")], gs.E[(0, "-")], 1, 1),
+         q_bracket_diag(gs.H[0], gs.q_alpha(0))),
+        (gs.E[(1, "+")] @ gs.E[(1, "-")], gs.H[1]),
+        (gs.E[(0, "+")] + gs.H[2], None),
+        (gs.E[(2, "-")] @ gs.E[(1, "-")], None),
+    ]
+    out = SuiteReports("quantum", cfg.tol, basis)
+    reference = []
+    for bulk in [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]:
+        P = bulk_projector(cfg, basis, *bulk)
+        for side in ("both", "right"):
+            for lhs, rhs in operators:
+                diff = lhs - (0 * lhs if rhs is None else rhs)
+                sandwich = P @ diff @ P if side == "both" else diff @ P
+                reference.append((residual_norm(sandwich),
+                                  f"margin={bulk[0]}"
+                                  + (f",headroom={bulk[1]}" if bulk[1] else "")
+                                  + (",right" if side == "right" else "")))
+                out.check("eq7c", lhs, rhs, bulk=bulk, side=side)
+    assert [(r.residual, r.projector) for r in out.reports] == reference
+    assert len({res for res, _ in reference}) > 5  # not all zero
+
+
+def test_zero_rhs_reduces_the_canonical_form_without_mutation():
+    # duplicates (3, -3) in row 0 sum to 0; the largest summed entry is 1
+    lhs = sp.csr_matrix((np.array([3, -3, 1], dtype=complex), np.array([0, 0, 1]),
+                         np.array([0, 2, 3])), shape=(2, 2))
+    assert check_identity("x", "-", lhs, tol=1e-10).residual == 1.0
+    assert bulk_part(lhs, np.array([True, True])).nnz == 2
+    assert residual_norm(bulk_part(lhs, np.array([True, False]))) == 0.0
+    assert lhs.nnz == 3 and list(lhs.data) == [3, -3, 1]
+
+
+def test_projector_labels_follow_the_spec_format():
+    """Every label is 'identity', '-' or margin=m[,headroom=h][,right]."""
+    label = re.compile(r"identity|-|margin=\d+(,headroom=[1-9]\d*)?(,right)?")
+    seen = set()
+    for N in (1, 2):
+        for n_max in (2, 1):
+            cfg = LatticeConfig(M=2, N=N, S=2, n_max=n_max, nu=0.3)
+            for reps in run_suites(cfg).values():
+                seen |= {r.projector for r in reps}
+    assert all(label.fullmatch(p) for p in seen), seen
+    assert {"margin=0,headroom=2,right", "margin=0,headroom=1,right"} <= seen
 
 
 def test_not_applicable_reports_are_satisfied():
@@ -304,6 +364,43 @@ def test_limit_slope_sets_are_not_cached():
     suite_classical_limit(cfg)
     # the deformed and the plain set at q = 1, nothing near q = 1
     assert _cached_set.cache_info().currsize == 2
+
+
+def test_one_basis_per_geometry(monkeypatch):
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    assert cached_basis(cfg) is cached_basis(dataclasses.replace(cfg, nu=0.2))
+    assert cached_basis(cfg) is cached_basis(
+        dataclasses.replace(cfg, nu=None, q_real=1.3))
+
+    built = []
+    monkeypatch.setattr(fock, "build_basis",
+                        lambda c: built.append(c) or fock.FockBasis(c))
+    _cached_basis.cache_clear()
+    _cached_set.cache_clear()
+    for nu in (0.3, 0.2):
+        run_suites(dataclasses.replace(cfg, nu=nu))
+    assert len(built) == 1
+
+
+def test_cocycle_is_vacuous_on_small_bulks():
+    """Where the bulk leaves no room, every eq1c-cocycle chain is n/a: S = 2
+    with margin 1 pins both sites to the vacuum, and at N = 2, n_max = 1
+    headroom 1 leaves no bosons.  Only M2N1S4 n_max 1 reads a constant."""
+    vacuous = [dict(M=2, N=1, S=2, n_max=2), dict(M=2, N=2, S=2, n_max=2),
+               dict(M=3, N=2, S=2, n_max=2), dict(M=1, N=2, S=2, n_max=2),
+               dict(M=2, N=2, S=4, n_max=1)]
+    for kw in vacuous:
+        cocycle = [r for r in suite_cartan_weyl(LatticeConfig(nu=0.3, **kw))
+                   if r.relation_id.startswith("eq1c-cocycle")]
+        assert cocycle, kw
+        for r in cocycle:
+            assert not r.applicable, (kw, r.relation_id)
+            assert r.params["reason"] == "target vanishes on the bulk"
+    for ordering in ("sea", "empty"):
+        cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3, ordering=ordering)
+        applicable = [r.relation_id for r in suite_cartan_weyl(cfg)
+                      if r.relation_id.startswith("eq1c-cocycle") and r.applicable]
+        assert applicable == ["eq1c-cocycle[eps2-delta1:m=0,delta1-eps1:m=1]"]
 
 
 def test_truncation_robustness_larger_lattice():
