@@ -293,8 +293,8 @@ def eq57_tail(cfg: LatticeConfig, basis: FockBasis, cartan: CartanData,
     if alpha != 0:
         expo = 0.5 * string_tail_exponent(cfg, basis, alpha, line, r)
         return diag_operator(q_power(qa, expo))
-    expo = (string_exponent(cfg, basis, BOSON, cfg.N, line, r)
-            + string_exponent(cfg, basis, FERMION, 1, line, r + 1))
+    boson, fermion = _node_modes(cfg, 0, line, r)
+    expo = string_exponent(cfg, basis, boson) + string_exponent(cfg, basis, fermion)
     return diag_operator(q_power(qa, -0.5 * expo))
 
 

@@ -1,23 +1,22 @@
-"""Disorder factors and anyonic oscillators on 1D and stacked 2D lattices.
+"""Anyonic oscillators on 1D and stacked 2D lattices.
 
-A fermionic anyon is a fermion dressed by a diagonal phase string,
-a_i(r) = K_i(r) c_i(r) with K_i(r) = q^{-1/2 sum_t eps(t-r) :n_i(t):}, and a
-tilded partner built from the inverse string.  Bosonic anyons dress q-deformed
-bosons with the opposite base sign, A_k(r) = K'_k(r) b_k(r) with
-K'_k(r) = q^{+1/2 sum_t eps(t-r) :n'_k(t):}.  On a stack of lines the sign
+Every anyon is one construction, fixed by a mode, a family and a dagger: the
+mode's oscillator dressed by a diagonal disorder string, a_i(r) = K_i(r) c_i(r)
+with K_i(r) = q^{-1/2 sum_t eps(t-r) :n_i(t):} for fermions (family "a"), and
+A_k(r) = K'_k(r) b_k(r) on q-bosons with the opposite base sign,
+K'_k(r) = q^{+1/2 sum_t eps(t-r) :n'_k(t):} (family "A").  The tilded families
+"a~" and "A~" are the same anyons at q^-1.  On a stack of lines the sign
 function eps is replaced by the line-major lattice order, which realizes the
 half-plane angle convention for two-dimensional strings (lines below count as
 "earlier", lines above as "later").
 
-Daggered anyons are the disorder-inverse conjugates, e.g. a^dag = c^dag K^{-1}.
-At |q| = 1 these coincide with the matrix adjoints (K is unitary there); for
-real q only this convention satisfies the braiding relations, so it is used
+The dagger is the disorder-inverse conjugate, e.g. a^dag = c^dag K^{-1}.  At
+|q| = 1 it coincides with the matrix adjoint (K is unitary there); for real q
+only this convention satisfies the braiding relations, so it is used
 uniformly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,86 +46,53 @@ from .oscillators import (
 )
 from .report import RelationReport, SuiteReports
 
-MINUS = "minus"
-PLUS = "plus"
-
-# family -> (statistics, disorder sign selector)
+# family -> (statistics, tilde); a tilded family is its partner at q^-1
 FAMILIES = {
-    "a": (FERMION, MINUS),
-    "a~": (FERMION, PLUS),
-    "A": (BOSON, MINUS),
-    "A~": (BOSON, PLUS),
+    "a": (FERMION, False),
+    "a~": (FERMION, True),
+    "A": (BOSON, False),
+    "A~": (BOSON, True),
 }
 
 
-@dataclass(frozen=True)
-class DisorderSpec:
-    """Target mode and string orientation of one disorder factor."""
-
-    kind: str
-    flavor: int
-    line: int
-    site: float
-    sign: str = MINUS  # "minus" selects K / K', "plus" the tilded inverses
-
-    @property
-    def mode(self) -> ModeId:
-        return ModeId(self.kind, self.flavor, self.line, self.site)
-
-
-def string_exponent(cfg: LatticeConfig, basis: FockBasis, kind: str, flavor: int,
-                    line: int, site: float, scheme: str | None = None) -> np.ndarray:
-    """The real diagonal sum_t eps(t - r) :n(t): over the whole lattice.
+def string_exponent(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
+    statistics and flavor as ``mode``, r its position.
 
     eps compares (line, site) pairs in line-major order and vanishes at the
     target itself, so the resulting factor commutes with ladder operators of
-    the target mode.  Cross-line terms use the normal-ordered number by
-    default; ``cfg.bare_cross_line`` switches them to bare numbers.
+    the target mode.
     """
     total = np.zeros(basis.dim)
-    modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
+    modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
     for m in modes:
-        if m.flavor != flavor:
+        if m.flavor != mode.flavor:
             continue
-        eps = site_order_sign(m.line, m.site, line, site)
-        if eps == 0:
-            continue
-        if cfg.bare_cross_line and m.line != line:
-            total += eps * number_diag(cfg, basis, m)
-        else:
-            total += eps * normal_number_diag(cfg, basis, m, scheme)
+        eps = site_order_sign(m.line, m.site, mode.line, mode.site)
+        if eps:
+            total += eps * normal_number_diag(cfg, basis, m)
     return total
 
 
-def disorder_exponent(cfg: LatticeConfig, basis: FockBasis, spec: DisorderSpec,
-                      scheme: str | None = None,
-                      corruption: Corruption = NO_CORRUPTION) -> np.ndarray:
-    """Exponent vector X with disorder factor = q^X (diagonal, real)."""
-    base = -0.5 if spec.kind == FERMION else +0.5
-    if corruption.flip_boson_disorder and spec.kind == BOSON:
-        base = -base
-    if spec.sign == PLUS:
-        base = -base
-    elif spec.sign != MINUS:
-        raise ValueError(f"unknown disorder sign {spec.sign!r}")
-    return base * string_exponent(cfg, basis, spec.kind, spec.flavor,
-                                  spec.line, spec.site, scheme)
-
-
-def disorder_factor(cfg: LatticeConfig, basis: FockBasis, spec: DisorderSpec,
-                    scheme: str | None = None,
+def disorder_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
+                    tilde: bool = False,
                     corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
-    """Diagonal string operator q^{-+ 1/2 sum_t eps(t-r) :n(t):}."""
-    expo = disorder_exponent(cfg, basis, spec, scheme, corruption)
-    return diag_operator(q_power(cfg.q, expo))
+    """Diagonal string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base
+    sign) of ``mode``; ``tilde`` gives its inverse, the string at q^-1."""
+    base = -0.5 if mode.kind == FERMION else +0.5
+    if corruption.flip_boson_disorder and mode.kind == BOSON:
+        base = -base
+    if tilde:
+        base = -base
+    return diag_operator(q_power(cfg.q, base * string_exponent(cfg, basis, mode)))
 
 
 def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
-          dagger: bool = False, scheme: str | None = None,
+          dagger: bool = False,
           corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """One anyonic oscillator: a/a~ dress fermions, A/A~ dress q-bosons."""
     try:
-        kind, sign = FAMILIES[family]
+        kind, tilde = FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown anyon family {family!r}") from None
     if mode.kind != kind:
@@ -135,12 +101,9 @@ def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
         osc = fermion_annihilate(cfg, basis, mode)
     else:
         osc = q_boson_annihilate(cfg, basis, mode)
-    spec = DisorderSpec(mode.kind, mode.flavor, mode.line, mode.site, sign)
     if not dagger:
-        return (disorder_factor(cfg, basis, spec, scheme, corruption) @ osc).tocsr()
-    flipped = DisorderSpec(spec.kind, spec.flavor, spec.line, spec.site,
-                           PLUS if sign == MINUS else MINUS)
-    return (op_adjoint(osc) @ disorder_factor(cfg, basis, flipped, scheme, corruption)).tocsr()
+        return (disorder_factor(cfg, basis, mode, tilde, corruption) @ osc).tocsr()
+    return (op_adjoint(osc) @ disorder_factor(cfg, basis, mode, not tilde, corruption)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +181,13 @@ def suite_braiding(cfg: LatticeConfig,
             rep(f"eq43nd[i={i},{pt}]", ad @ ad, **ps)
             rep(f"eq43t[i={i},{pt}]", t_ @ td + td @ t_, one, **ps)
             rep(f"eq44s[i={i},{pt}]", t_ @ a_ + a_ @ t_, **ps)
-            w = string_exponent(cfg, basis, FERMION, i, pt[0], pt[1])
+            mode = ModeId(FERMION, i, pt[0], pt[1])
+            w = string_exponent(cfg, basis, mode)
             rep(f"eq46a[i={i},{pt}]", t_ @ ad + ad @ t_,
                 diag_operator(q_power(q, w)), **ps)
             rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,
                 diag_operator(q_power(q, -w)), **ps)
-            n = number_op(cfg, basis, ModeId(FERMION, i, pt[0], pt[1]))
+            n = number_op(cfg, basis, mode)
             rep(f"eq47[i={i},{pt}]", ad @ a_, n, **ps)
             rep(f"eq47t[i={i},{pt}]", td @ t_, n, **ps)
 

@@ -106,7 +106,6 @@ class LatticeConfig:
     q_real: float | None = None
     tol: float = 1e-10
     dim_cap: int = DEFAULT_DIM_CAP
-    bare_cross_line: bool = False
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:

@@ -48,23 +48,20 @@ def number_op(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matr
     return diag_operator(number_diag(cfg, basis, mode))
 
 
-def normal_order_shift(cfg: LatticeConfig, mode: ModeId, scheme: str | None = None) -> int:
-    """Constant added to the bare number by the normal ordering."""
-    sch = scheme or cfg.line_ordering(mode.line)
-    if sch == SEA and mode.site < 0:
+def normal_order_shift(cfg: LatticeConfig, mode: ModeId) -> int:
+    """Constant added to the bare number by the normal ordering of its line."""
+    if cfg.line_ordering(mode.line) == SEA and mode.site < 0:
         return -1 if mode.kind == FERMION else +1
     return 0
 
 
-def normal_number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
-                       scheme: str | None = None) -> np.ndarray:
-    return number_diag(cfg, basis, mode) + normal_order_shift(cfg, mode, scheme)
+def normal_number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+    return number_diag(cfg, basis, mode) + normal_order_shift(cfg, mode)
 
 
-def normal_ordered_number(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
-                          scheme: str | None = None) -> sp.csr_matrix:
+def normal_ordered_number(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
     """:n:(r); differs from the bare number operator by a multiple of Id."""
-    return diag_operator(normal_number_diag(cfg, basis, mode, scheme))
+    return diag_operator(normal_number_diag(cfg, basis, mode))
 
 
 def q_boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:

@@ -37,25 +37,28 @@ class RelationReport:
     wall_time: float = 0.0
 
     @property
+    def status(self) -> str:
+        """n/a, info, fails-as-expected or UNEXPECTED-PASS (a control), else
+        pass or FAIL."""
+        if not self.applicable:
+            return "n/a"
+        if self.informational:
+            return "info"
+        if self.expect_fail:
+            return "UNEXPECTED-PASS" if self.passed else "fails-as-expected"
+        return "pass" if self.passed else "FAIL"
+
+    @property
     def satisfied(self) -> bool:
         """Whether this report counts as OK for the run outcome."""
-        if not self.applicable or self.informational:
-            return True
-        return (not self.passed) if self.expect_fail else self.passed
+        return self.status not in ("UNEXPECTED-PASS", "FAIL")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def summary_line(self) -> str:
-        mark = "pass" if self.passed else "FAIL"
-        if not self.applicable:
-            mark = "n/a"
-        elif self.informational:
-            mark = "info"
-        elif self.expect_fail:
-            mark = "fails-as-expected" if not self.passed else "UNEXPECTED-PASS"
         return (f"{self.relation_id:<34} {self.equation:<12} "
-                f"residual={self.residual:.3e}  [{self.projector}]  {mark}")
+                f"residual={self.residual:.3e}  [{self.projector}]  {self.status}")
 
 
 def bulk_label(bulk: tuple[int, int] | None, side: str = "both") -> str:

@@ -484,9 +484,9 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         lab = ct.simple_root_label(alpha)
         out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(cfg, basis, lab),
                   gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
-    for a_ in range(1, R + 1):
-        out.check(f"eq26-h[{a_}]", cartan_weyl_h(cfg, basis, a_, 0), gs.H[a_],
-                  params={"a": a_})
+    h0 = {a_: cartan_weyl_h(cfg, basis, a_, 0) for a_ in range(1, R + 1)}
+    for a_, h in h0.items():
+        out.check(f"eq26-h[{a_}]", h, gs.H[a_], params={"a": a_})
 
     roots = [ct.simple_root_label(al) for al in range(1, R + 1)]
     if cfg.M >= 2:
@@ -497,8 +497,7 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         for m in (-1, 0, 1):
             lab = dataclasses.replace(base, m=m)
             e = cartan_weyl_generators(cfg, basis, lab)
-            for a_ in range(1, R + 1):
-                h = cartan_weyl_h(cfg, basis, a_, 0)
+            for a_, h in h0.items():
                 w = root_weight(cfg.M, cfg.N, a_, lab)
                 out.check(f"eq1b[{lab},a={a_}]", h @ e - e @ h, w * e,
                           bulk=(abs(m), 0) if m else None, params={"root": str(lab), "a": a_, "weight": w})

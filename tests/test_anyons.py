@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from anyonrep.anyons import (
-    DisorderSpec,
     anyon,
     disorder_factor,
     string_exponent,
@@ -10,7 +9,6 @@ from anyonrep.anyons import (
 )
 from anyonrep.fock import (
     FERMION,
-    BOSON,
     Corruption,
     LatticeConfig,
     boson_annihilate,
@@ -40,12 +38,12 @@ def test_disorder_on_all_empty_state_sea(cfg21, basis21):
     the string of K_i(-1/2) sees only the bare positive site and stays 1."""
     q = cfg21.q
     empty = 0
-    k_plus = disorder_factor(cfg21, basis21, DisorderSpec(FERMION, 1, 1, +0.5))
-    k_minus = disorder_factor(cfg21, basis21, DisorderSpec(FERMION, 1, 1, -0.5))
+    k_plus = disorder_factor(cfg21, basis21, fermion_mode(1, +0.5))
+    k_minus = disorder_factor(cfg21, basis21, fermion_mode(1, -0.5))
     assert abs(k_plus.diagonal()[empty] - q_power(q, -0.5)) < 1e-14
     assert abs(k_minus.diagonal()[empty] - 1.0) < 1e-14
     # bosonic strings carry the opposite base sign and +1 at the filled sea
-    kp = disorder_factor(cfg21, basis21, DisorderSpec(BOSON, 1, 1, +0.5))
+    kp = disorder_factor(cfg21, basis21, boson_mode(1, +0.5))
     assert abs(kp.diagonal()[empty] - q_power(q, -0.5)) < 1e-14
 
 
@@ -53,21 +51,19 @@ def test_disorder_trivial_under_empty_ordering():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, ordering="empty")
     basis = build_basis(cfg)
     one = identity_op(basis)
-    for spec in (DisorderSpec(FERMION, 1, 1, 0.5), DisorderSpec(BOSON, 1, 1, -0.5)):
-        K = disorder_factor(cfg, basis, spec)
+    for mode in (fermion_mode(1, 0.5), boson_mode(1, -0.5)):
+        K = disorder_factor(cfg, basis, mode)
         assert abs(K.diagonal()[0] - 1.0) < 1e-14  # all :n: vanish there
     # and on the all-empty state every factor is exactly 1; elsewhere not
-    vals = disorder_factor(cfg, basis, DisorderSpec(FERMION, 1, 1, 0.5)).diagonal()
+    vals = disorder_factor(cfg, basis, fermion_mode(1, 0.5)).diagonal()
     assert not np.allclose(vals, 1.0)
 
 
 def test_disorder_unitary_at_unit_modulus(cfg21, basis21):
     one = identity_op(basis21)
-    for kind in (FERMION, BOSON):
-        spec = DisorderSpec(kind, 1, 1, 0.5, "minus")
-        K = disorder_factor(cfg21, basis21, spec)
-        Kt = disorder_factor(cfg21, basis21,
-                             DisorderSpec(kind, 1, 1, 0.5, "plus"))
+    for mode in (fermion_mode(1, 0.5), boson_mode(1, 0.5)):
+        K = disorder_factor(cfg21, basis21, mode)
+        Kt = disorder_factor(cfg21, basis21, mode, tilde=True)
         assert residual_norm(K @ op_adjoint(K) - one) < 1e-13
         assert residual_norm(K @ Kt - one) < 1e-13  # opposite exponents
 
@@ -75,16 +71,16 @@ def test_disorder_unitary_at_unit_modulus(cfg21, basis21):
 def test_disorder_inverse_not_adjoint_for_real_q():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.3)
     basis = build_basis(cfg)
-    K = disorder_factor(cfg, basis, DisorderSpec(FERMION, 1, 1, 0.5))
-    Kt = disorder_factor(cfg, basis, DisorderSpec(FERMION, 1, 1, 0.5, "plus"))
+    K = disorder_factor(cfg, basis, fermion_mode(1, 0.5))
+    Kt = disorder_factor(cfg, basis, fermion_mode(1, 0.5), tilde=True)
     one = identity_op(basis)
     assert residual_norm(K @ Kt - one) < 1e-13
     assert residual_norm(K @ op_adjoint(K) - one) > 0.1
 
 
 def test_disorder_factors_are_diagonal_and_commute(cfg21, basis21):
-    specs = [DisorderSpec(FERMION, 1, 1, 0.5), DisorderSpec(BOSON, 1, 1, -0.5, "plus")]
-    ops = [disorder_factor(cfg21, basis21, s) for s in specs]
+    ops = [disorder_factor(cfg21, basis21, fermion_mode(1, 0.5)),
+           disorder_factor(cfg21, basis21, boson_mode(1, -0.5), tilde=True)]
     for K in ops:
         off = K - diag_operator(K.diagonal())
         assert residual_norm(off) == 0.0
@@ -93,7 +89,7 @@ def test_disorder_factors_are_diagonal_and_commute(cfg21, basis21):
 
 def test_string_commutes_with_own_site_ladder(cfg21, basis21):
     # eps(0) = 0 removes the target mode from its own string
-    K = disorder_factor(cfg21, basis21, DisorderSpec(FERMION, 1, 1, 0.5))
+    K = disorder_factor(cfg21, basis21, fermion_mode(1, 0.5))
     c = fermion_annihilate(cfg21, basis21, fermion_mode(1, 0.5))
     assert residual_norm(K @ c - c @ K) == 0.0
 
@@ -122,6 +118,23 @@ def test_anyons_collapse_at_q_one():
     assert residual_norm(A - d) == 0.0
 
 
+@pytest.mark.parametrize("q, q_inv", [({"nu": 0.3}, {"nu": -0.3}),
+                                       ({"q_real": 1.3}, {"q_real": 1 / 1.3})])
+@pytest.mark.parametrize("lines", [{}, {"K": 2, "ordering": ("sea", "empty")}])
+def test_tilded_family_is_the_family_at_inverse_q(q, q_inv, lines):
+    """The q <-> 1/q mirror: a~ and A~ at q are a and A at 1/q, on every
+    mode, with and without the dagger."""
+    common = dict(M=2, N=1, S=2, n_max=2, **lines)
+    cfg, cfg_inv = LatticeConfig(**common, **q), LatticeConfig(**common, **q_inv)
+    basis = build_basis(cfg)
+    for mode in basis.fermion_modes + basis.boson_modes:
+        family = "a" if mode.kind == FERMION else "A"
+        for dagger in (False, True):
+            tilded = anyon(cfg, basis, mode, family + "~", dagger)
+            mirror = anyon(cfg_inv, basis, mode, family, dagger)
+            assert residual_norm(tilded - mirror) <= 1e-14
+
+
 def test_number_identity_exact(cfg21, basis21):
     for fam in ("a", "a~"):
         for site in cfg21.sites:
@@ -143,7 +156,7 @@ def test_same_site_mixed_pair_gives_string_diagonal(cfg21, basis21):
     mode = fermion_mode(1, -0.5)
     t = anyon(cfg21, basis21, mode, "a~")
     ad = anyon(cfg21, basis21, mode, "a", dagger=True)
-    w = string_exponent(cfg21, basis21, FERMION, 1, 1, -0.5)
+    w = string_exponent(cfg21, basis21, mode)
     rhs = diag_operator(q_power(q, w))
     assert residual_norm(t @ ad + ad @ t - rhs) <= 1e-13
 
@@ -190,21 +203,8 @@ def test_cross_line_string_sign():
     state = [0] * basis.F
     state[basis.fermion_slot(fermion_mode(1, -0.5, line=2))] = 1
     idx = basis.index_for(state, [0] * basis.B)
-    K = disorder_factor(cfg, basis, DisorderSpec(FERMION, 1, 1, 0.5))
+    K = disorder_factor(cfg, basis, fermion_mode(1, 0.5))
     assert abs(K.diagonal()[idx] - q_power(cfg.q, -0.5)) < 1e-14
-
-
-def test_bare_cross_line_flag_changes_sea_strings():
-    common = dict(M=2, N=1, S=2, K=2, n_max=1, nu=0.3)
-    cfg_n = LatticeConfig(**common)
-    cfg_b = LatticeConfig(**common, bare_cross_line=True)
-    b_n, b_b = build_basis(cfg_n), build_basis(cfg_b)
-    spec = DisorderSpec(FERMION, 1, 1, 0.5)
-    K_n = disorder_factor(cfg_n, b_n, spec)
-    K_b = disorder_factor(cfg_b, b_b, spec)
-    assert residual_norm(K_n - K_b) > 0.1
-    # braiding is insensitive to the constant reshuffling
-    assert reports_ok(suite_braiding(cfg_b))
 
 
 def test_corrupted_boson_disorder_fails_braiding(cfg21):

@@ -7,6 +7,7 @@ from anyonrep.cli import (
     EXIT_OK,
     EXIT_RELATION_FAILURE,
     EXIT_TOO_LARGE,
+    _counts,
     config_digest,
     lattice_config_from_raw,
     main,
@@ -15,6 +16,7 @@ from anyonrep.cli import (
     write_operator,
 )
 from anyonrep.fock import residual_norm
+from anyonrep.report import RelationReport
 
 
 @pytest.fixture
@@ -65,6 +67,35 @@ def test_verify_config_file_and_env(outdir, monkeypatch):
     # flags override the file
     assert main(["verify", "--config", str(cfgfile), "--M", "1", "--N", "1",
                  "--quiet"]) == EXIT_CONFIG_ERROR
+
+
+@pytest.mark.parametrize("key", ["n_max", "bare_cross_line"])
+def test_config_file_rejects_unknown_keys(outdir, capsys, key):
+    cfgfile = outdir / "cfg.json"
+    cfgfile.write_text(json.dumps({"M": 2, "N": 1, key: 1,
+                                   "suites": ["central"]}))
+    assert main(["verify", "--config", str(cfgfile), "--quiet"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert key in err and "nmax" in err and "q_samples" in err
+
+
+def test_status_classifies_each_report_once():
+    def make(**fields):
+        return RelationReport("x", "-", **fields)
+
+    cases = {"n/a": make(applicable=False, passed=False),
+             "info": make(informational=True, passed=False),
+             "fails-as-expected": make(expect_fail=True, passed=False),
+             "UNEXPECTED-PASS": make(expect_fail=True),
+             "pass": make(),
+             "FAIL": make(passed=False)}
+    for status, r in cases.items():
+        assert r.status == status
+        assert r.summary_line().endswith(status)
+    assert [r.satisfied for r in cases.values()] == [True, True, True, False, True, False]
+    assert _counts({"s": list(cases.values())}) == {
+        "total": 6, "passed": 1, "failed": 1, "not_applicable": 1,
+        "controls": 2, "informational": 1}
 
 
 def test_verify_q_samples(outdir):
