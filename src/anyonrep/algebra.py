@@ -38,8 +38,8 @@ from .fock import (
     cached_basis,
     create,
     diag_operator,
-    diag_exp,
     q_power,
+    scale_columns,
     site_order_sign,
     zero_op,
 )
@@ -279,8 +279,8 @@ def string_tail_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
 def eq57_tail(cfg: LatticeConfig, basis: FockBasis, cartan: CartanData,
               alpha: int, line: int, r: float,
               corruption: Corruption = NO_CORRUPTION,
-              flip: bool = False) -> sp.csr_matrix:
-    """Diagonal tail such that E_alpha(r) = e_hat_alpha(r) * tail.
+              flip: bool = False) -> np.ndarray:
+    """Diagonal of the tail such that E_alpha(r) = e_hat_alpha(r) * tail.
 
     For alpha != 0 it is q_alpha^{1/2 sum_t eps(t-r) :h_alpha(t):}.  The affine
     node straddles (r, r+1) and its tail carries both oscillator strings with
@@ -292,10 +292,10 @@ def eq57_tail(cfg: LatticeConfig, basis: FockBasis, cartan: CartanData,
         qa = 1 / qa
     if alpha != 0:
         expo = 0.5 * string_tail_exponent(cfg, basis, alpha, line, r)
-        return diag_operator(q_power(qa, expo))
+        return q_power(qa, expo)
     boson, fermion = _node_modes(cfg, 0, line, r)
     expo = string_exponent(cfg, basis, boson) + string_exponent(cfg, basis, fermion)
-    return diag_operator(q_power(qa, -0.5 * expo))
+    return q_power(qa, -0.5 * expo)
 
 
 @dataclass
@@ -325,8 +325,8 @@ class GeneratorSet:
         if self.q_alpha(alpha) == 1:
             return self.E[key]
         if key not in self._script:
-            self._script[key] = (self.E[key] @ diag_exp(
-                -0.5 * self.H[alpha], self.q_alpha(alpha))).tocsr()
+            self._script[key] = scale_columns(self.E[key], q_power(
+                self.q_alpha(alpha), (-0.5 * self.H[alpha]).diagonal().real))
         return self._script[key]
 
     def __post_init__(self):

@@ -36,11 +36,14 @@ from .fock import (
     op_adjoint,
     q_bracket_diag,
     q_power,
+    scale_columns,
+    scale_rows,
     site_order_sign,
 )
 from .oscillators import (
-    normal_number_diag,
+    normal_order_shift,
     number_diag,
+    number_factor,
     number_op,
     q_boson_annihilate,
 )
@@ -55,6 +58,20 @@ FAMILIES = {
 }
 
 
+def _string_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """sum_t eps(t - r) :n(t): on the factor of the basis index that carries
+    ``mode``'s statistics: the summed modes share it."""
+    total = np.zeros(basis.NF if mode.kind == FERMION else basis.NB)
+    modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
+    for m in modes:
+        if m.flavor != mode.flavor:
+            continue
+        eps = site_order_sign(m.line, m.site, mode.line, mode.site)
+        if eps:
+            total += eps * (number_factor(basis, m) + normal_order_shift(cfg, m))
+    return total
+
+
 def string_exponent(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
     """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
     statistics and flavor as ``mode``, r its position.
@@ -63,15 +80,19 @@ def string_exponent(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.nd
     target itself, so the resulting factor commutes with ladder operators of
     the target mode.
     """
-    total = np.zeros(basis.dim)
-    modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
-    for m in modes:
-        if m.flavor != mode.flavor:
-            continue
-        eps = site_order_sign(m.line, m.site, mode.line, mode.site)
-        if eps:
-            total += eps * normal_number_diag(cfg, basis, m)
-    return total
+    return basis.lift(mode.kind, _string_factor(cfg, basis, mode))
+
+
+def _disorder_string(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
+                     tilde: bool, corruption: Corruption) -> np.ndarray:
+    """The diagonal of :func:`disorder_factor` on the whole basis."""
+    base = -0.5 if mode.kind == FERMION else +0.5
+    if corruption.flip_boson_disorder and mode.kind == BOSON:
+        base = -base
+    if tilde:
+        base = -base
+    return basis.lift(mode.kind,
+                      q_power(cfg.q, base * _string_factor(cfg, basis, mode)))
 
 
 def disorder_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
@@ -79,18 +100,17 @@ def disorder_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
                     corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """Diagonal string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base
     sign) of ``mode``; ``tilde`` gives its inverse, the string at q^-1."""
-    base = -0.5 if mode.kind == FERMION else +0.5
-    if corruption.flip_boson_disorder and mode.kind == BOSON:
-        base = -base
-    if tilde:
-        base = -base
-    return diag_operator(q_power(cfg.q, base * string_exponent(cfg, basis, mode)))
+    return diag_operator(_disorder_string(cfg, basis, mode, tilde, corruption))
 
 
 def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
           dagger: bool = False,
           corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
-    """One anyonic oscillator: a/a~ dress fermions, A/A~ dress q-bosons."""
+    """One anyonic oscillator: a/a~ dress fermions, A/A~ dress q-bosons.
+
+    The string is applied by scaling the oscillator's entries: K c scales
+    its rows, c^dag K^{-1} the columns of the adjoint.
+    """
     try:
         kind, tilde = FAMILIES[family]
     except KeyError:
@@ -101,9 +121,10 @@ def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
         osc = fermion_annihilate(cfg, basis, mode)
     else:
         osc = q_boson_annihilate(cfg, basis, mode)
+    string = _disorder_string(cfg, basis, mode, tilde != dagger, corruption)
     if not dagger:
-        return (disorder_factor(cfg, basis, mode, tilde, corruption) @ osc).tocsr()
-    return (op_adjoint(osc) @ disorder_factor(cfg, basis, mode, not tilde, corruption)).tocsr()
+        return scale_rows(osc, string)
+    return scale_columns(op_adjoint(osc), string)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +157,15 @@ def suite_braiding(cfg: LatticeConfig,
     points, pairs = _ordered_site_pairs(cfg)
     pairs = _pair_cap(pairs)
 
+    built = {}  # each anyon once per flavor; cleared when the flavor changes
+
     def A(flavor, pt, family, dagger=False):
-        kind = FAMILIES[family][0]
-        mode = ModeId(kind, flavor, pt[0], pt[1])
-        return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
+        key = (flavor, pt, family, dagger)
+        if key not in built:
+            mode = ModeId(FAMILIES[family][0], flavor, pt[0], pt[1])
+            built[key] = anyon(cfg, basis, mode, family, dagger,
+                               corruption=corruption)
+        return built[key]
 
     def rep(rid, lhs, rhs=None, bulk=None, **params):
         out.check(rid, lhs, rhs, bulk=bulk, params=params)
@@ -148,6 +174,7 @@ def suite_braiding(cfg: LatticeConfig,
     fl_b = range(1, cfg.N + 1)
 
     for i in fl_f:
+        built.clear()
         for x, y in pairs:
             ar, asr = A(i, x, "a"), A(i, y, "a")
             adr, ads = A(i, x, "a", True), A(i, y, "a", True)
@@ -192,6 +219,7 @@ def suite_braiding(cfg: LatticeConfig,
             rep(f"eq47t[i={i},{pt}]", td @ t_, n, **ps)
 
     for k in fl_b:
+        built.clear()
         for x, y in pairs:
             Ar, As = A(k, x, "A"), A(k, y, "A")
             Adr, Ads = A(k, x, "A", True), A(k, y, "A", True)

@@ -71,7 +71,21 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; accepted: "
                           + " ".join(CONFIG_KEYS))
+    for key in ("suites", "negative_controls"):
+        if key in data:
+            data[key] = _name_list(key, data[key])
     return data
+
+
+def _name_list(key: str, val) -> list:
+    """Names given as a list of comma-separated strings, as the --suites
+    flag takes them, or as one such string."""
+    parts = [val] if isinstance(val, str) else val
+    if not (isinstance(parts, list) and all(isinstance(v, str) for v in parts)):
+        raise ConfigError(f'config key "{key}" must be a list of names such as '
+                          f'["central", "serre"] (or one comma-separated '
+                          f'string), got {val!r}')
+    return [s for part in parts for s in part.split(",") if s]
 
 
 def _merge_run_config(args) -> dict:
@@ -91,13 +105,25 @@ def _merge_run_config(args) -> dict:
     if getattr(args, "q_real", None) is not None:
         raw["q"] = {"real": args.q_real}
     if getattr(args, "suites", None):
-        raw["suites"] = [s for part in args.suites for s in part.split(",") if s]
+        raw["suites"] = _name_list("suites", args.suites)
     if getattr(args, "negative_control", None):
         raw.setdefault("negative_controls", [])
         raw["negative_controls"] = list(raw["negative_controls"]) + args.negative_control
     if getattr(args, "q_samples", None) is not None:
         raw["q_samples"] = args.q_samples
     return raw
+
+
+def _typed(raw: dict, key: str, kind: type, default):
+    """``raw[key]`` (or the default) as an int or a float; a value of
+    another type (a string, a list, a bool, a float for an int) is a config
+    error naming the key."""
+    val = raw.get(key, default)
+    ok = (int,) if kind is int else (int, float)
+    if isinstance(val, bool) or not isinstance(val, ok):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f'config key "{key}" must be {expected}, got {val!r}')
+    return kind(val)
 
 
 def lattice_config_from_raw(raw: dict) -> LatticeConfig:
@@ -109,20 +135,23 @@ def lattice_config_from_raw(raw: dict) -> LatticeConfig:
         ordering = tuple(ordering.split(","))
     elif isinstance(ordering, list):
         ordering = tuple(ordering)
+    elif not isinstance(ordering, str):
+        raise ConfigError('config key "ordering" must be a string or a list '
+                          f'of strings, got {ordering!r}')
     kwargs = dict(
-        M=int(raw.get("M", 2)),
-        N=int(raw.get("N", 1)),
-        S=int(raw.get("sites", 2)),
-        K=int(raw.get("lines", 1)),
-        n_max=int(raw.get("nmax", 2)),
+        M=_typed(raw, "M", int, 2),
+        N=_typed(raw, "N", int, 1),
+        S=_typed(raw, "sites", int, 2),
+        K=_typed(raw, "lines", int, 1),
+        n_max=_typed(raw, "nmax", int, 2),
         ordering=ordering,
-        tol=float(raw.get("tol", 1e-10)),
-        dim_cap=int(raw.get("dim_cap", 100_000)),
+        tol=_typed(raw, "tol", float, 1e-10),
+        dim_cap=_typed(raw, "dim_cap", int, 100_000),
     )
     if "nu" in q:
-        kwargs["nu"] = float(q["nu"])
+        kwargs["nu"] = _typed(q, "nu", float, None)
     else:
-        kwargs["q_real"] = float(q["real"])
+        kwargs["q_real"] = _typed(q, "real", float, None)
     return LatticeConfig(**kwargs)
 
 
@@ -164,7 +193,7 @@ def run_config_from(args) -> RunConfig:
     corruption_from_names(controls)  # validate names up front
     return RunConfig(lattice=lattice, suites=suites,
                      negative_controls=controls,
-                     q_samples=int(raw.get("q_samples", 0)),
+                     q_samples=_typed(raw, "q_samples", int, 0),
                      report_path=getattr(args, "report", None),
                      summary_path=getattr(args, "summary", None))
 

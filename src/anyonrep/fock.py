@@ -51,12 +51,26 @@ class EmptyBulkError(RuntimeError):
 def q_power(q: complex, x) -> np.ndarray | complex:
     """q**x through the principal logarithm (consistent branch everywhere).
 
-    ``x`` may be a scalar or an ndarray of real exponents.
+    ``x`` may be a scalar or an ndarray of real exponents.  An array of
+    half-integers (every string and Cartan exponent) reads q^{k/2} from a
+    table indexed by k = 2x: the same exp of the same argument, so the result
+    equals the element-wise exp bit for bit.  -0.0 has its own slot, since
+    the sign of a zero exponent can reach the sign of a zero imaginary part.
     """
     lg = cmath.log(q)
     if np.isscalar(x):
         return cmath.exp(x * lg)
-    return np.exp(np.asarray(x) * lg)
+    x = np.asarray(x, dtype=float)
+    k = 2 * x
+    if x.size and (np.rint(k) == k).all():
+        lo, hi = k.min(), k.max()
+        if lo > hi - x.size:  # the table is smaller; false for infinities
+            lo, span = int(lo), int(hi - lo) + 1
+            table = np.exp(np.append(np.arange(lo, lo + span) / 2, -0.0) * lg)
+            idx = k.astype(np.intp) - lo
+            idx[np.signbit(k) & (k == 0)] = span
+            return table[idx]
+    return np.exp(x * lg)
 
 
 def q_number(n, q: complex) -> complex:
@@ -305,6 +319,13 @@ class FockBasis:
         b = int(np.dot(np.asarray(b_occ, dtype=np.int64), nb ** np.arange(self.B)))
         return f * self.NB + b
 
+    def lift(self, kind: str, factor: np.ndarray) -> np.ndarray:
+        """A vector on one factor of the index f * NB + b (f for fermions, b
+        for bosons) as the diagonal it gives on the whole basis."""
+        if kind == FERMION:
+            return np.repeat(factor, self.NB)
+        return np.tile(factor, self.NF)
+
     def vacuum_occupation(self, mode: ModeId) -> int:
         """Occupation of this mode in the reference vacuum of its line's scheme."""
         if self.cfg.line_ordering(mode.line) == SEA:
@@ -351,7 +372,27 @@ def zero_op(basis: FockBasis) -> sp.csr_matrix:
 
 
 def diag_operator(diagonal: np.ndarray) -> sp.csr_matrix:
-    return sp.diags(np.asarray(diagonal, dtype=complex), format="csr").tocsr()
+    """The diagonal matrix of ``diagonal``, zeros not stored."""
+    d = np.asarray(diagonal, dtype=complex)
+    keep = np.flatnonzero(d)
+    indptr = np.zeros(d.size + 1, dtype=np.int32)
+    np.cumsum(d != 0, out=indptr[1:])
+    return sp.csr_matrix((d[keep], keep.astype(np.int32), indptr),
+                         shape=(d.size, d.size))
+
+
+def scale_rows(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
+    """diag(v) @ x without forming the diagonal: row i of x times v[i]."""
+    x = x.tocsr()
+    return sp.csr_matrix((x.data * np.repeat(v, np.diff(x.indptr)),
+                          x.indices.copy(), x.indptr.copy()), shape=x.shape)
+
+
+def scale_columns(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
+    """x @ diag(v) without forming the diagonal: column j of x times v[j]."""
+    x = x.tocsr()
+    return sp.csr_matrix((x.data * v[x.indices], x.indices.copy(),
+                          x.indptr.copy()), shape=x.shape)
 
 
 def fermion_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
@@ -434,9 +475,13 @@ def q_commutator(x: sp.spmatrix, y: sp.spmatrix, q: complex) -> sp.csr_matrix:
 
 def _require_diagonal(d: sp.spmatrix, where: str) -> np.ndarray:
     d = d.tocsr()
+    if not d.has_canonical_format:
+        d = d.copy()
+        d.sum_duplicates()
     diag = d.diagonal()
-    off = d - sp.diags(diag, format="csr")
-    if off.nnz and np.abs(off.data).max() > 1e-14:
+    rows = np.repeat(np.arange(d.shape[0]), np.diff(d.indptr))
+    off = d.data[d.indices != rows]
+    if np.abs(off).max(initial=0.0) > 1e-14:
         raise ValueError(f"{where}: operator is not diagonal")
     if np.abs(diag.imag).max(initial=0.0) > 1e-12:
         raise ValueError(f"{where}: diagonal is not real")

@@ -34,13 +34,17 @@ from .fock import (
 from .report import RelationReport, SuiteReports
 
 
+def number_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """Occupation of ``mode`` on its factor of the basis index: on every f
+    for a fermion, on every b for a boson."""
+    if mode.kind == FERMION:
+        return basis.f_occ[:, basis.fermion_slot(mode)].astype(float)
+    return basis.b_occ[:, basis.boson_slot(mode)].astype(float)
+
+
 def number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
     """Occupation of ``mode`` on every basis state, as a real vector."""
-    if mode.kind == FERMION:
-        occ = basis.f_occ[:, basis.fermion_slot(mode)].astype(float)
-        return np.repeat(occ, basis.NB)
-    occ = basis.b_occ[:, basis.boson_slot(mode)].astype(float)
-    return np.tile(occ, basis.NF)
+    return basis.lift(mode.kind, number_factor(basis, mode))
 
 
 def number_op(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
@@ -102,20 +106,21 @@ def suite_oscillators(cfg: LatticeConfig,
     cs = {m: fermion_annihilate(cfg, basis, m) for m in basis.fermion_modes}
     ds = {m: boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
     bs = {m: q_boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
+    dag = {m: op_adjoint(x) for ops in (cs, ds) for m, x in ops.items()}
+    bds = {m: op_adjoint(b) for m, b in bs.items()}
+    ns = {m: number_op(cfg, basis, m) for m in basis.boson_modes}
 
     for m1, m2 in _mode_pairs(basis.fermion_modes):
         c1, c2 = cs[m1], cs[m2]
         ps = {"modes": [str(m1), str(m2)]}
-        out.check(f"eq20[{m1},{m2}+]",
-                  c1 @ op_adjoint(c2) + op_adjoint(c2) @ c1,
+        out.check(f"eq20[{m1},{m2}+]", c1 @ dag[m2] + dag[m2] @ c1,
                   one if m1 == m2 else None, params=ps)
         out.check(f"eq20[{m1},{m2}]", c1 @ c2 + c2 @ c1, params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):
         d1, d2 = ds[m1], ds[m2]
         ps = {"modes": [str(m1), str(m2)]}
-        out.check(f"eq21[{m1},{m2}+]",
-                  d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1,
+        out.check(f"eq21[{m1},{m2}+]", d1 @ dag[m2] - dag[m2] @ d1,
                   one if m1 == m2 else None, bulk=(0, 1), params=ps)
         out.check(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
 
@@ -124,13 +129,11 @@ def suite_oscillators(cfg: LatticeConfig,
             c, d = cs[mf], ds[mb]
             ps = {"modes": [str(mf), str(mb)]}
             out.check(f"eq30[{mf},{mb}]", c @ d - d @ c, params=ps)
-            out.check(f"eq30[{mf},{mb}+]",
-                      c @ op_adjoint(d) - op_adjoint(d) @ c, params=ps)
+            out.check(f"eq30[{mf},{mb}+]", c @ dag[mb] - dag[mb] @ c, params=ps)
 
     # q-boson algebra
     for m in basis.boson_modes:
-        b = bs[m]
-        bd = op_adjoint(b)
+        b, bd, nop = bs[m], bds[m], ns[m]
         nvec = number_diag(cfg, basis, m)
         q_minus_n = diag_operator(q_power(q, -nvec))
         q_plus_n = diag_operator(q_power(q, nvec))
@@ -139,7 +142,6 @@ def suite_oscillators(cfg: LatticeConfig,
                   bulk=(0, 1), params=ps)
         out.check(f"eq49b[{m}]", b @ bd - (bd @ b) / q, q_plus_n,
                   bulk=(0, 1), params=ps)
-        nop = number_op(cfg, basis, m)
         out.check(f"eq49d[{m}]", nop @ b - b @ nop, -1 * b, params=ps)
         out.check(f"eq49e[{m}]", nop @ bd - bd @ nop, bd, params=ps)
         out.check(f"eq50a[{m}]", bd @ b, q_bracket_diag(nop, q), params=ps)
@@ -152,10 +154,7 @@ def suite_oscillators(cfg: LatticeConfig,
         b1, b2 = bs[m1], bs[m2]
         ps = {"modes": [str(m1), str(m2)]}
         out.check(f"eq49c[{m1},{m2}]", b1 @ b2 - b2 @ b1, params=ps)
-        out.check(f"eq49a0[{m1},{m2}]",
-                  b1 @ op_adjoint(b2) - op_adjoint(b2) @ b1, params=ps)
-        out.check(f"eq49d0[{m1},{m2}]",
-                  number_op(cfg, basis, m1) @ b2 - b2 @ number_op(cfg, basis, m1),
-                  params=ps)
+        out.check(f"eq49a0[{m1},{m2}]", b1 @ bds[m2] - bds[m2] @ b1, params=ps)
+        out.check(f"eq49d0[{m1},{m2}]", ns[m1] @ b2 - b2 @ ns[m1], params=ps)
 
     return out.reports

@@ -54,6 +54,7 @@ from .fock import (
     q_commutator,
     q_power,
     residual_norm,
+    scale_columns,
     supercommutator,
     zero_op,
 )
@@ -322,7 +323,7 @@ def _worst_factorization(gs: GeneratorSet, alpha: int, flip: bool = False) -> fl
                 ehat = local_q_generator(cfg, basis, alpha, s, line, r)
                 tail = eq57_tail(cfg, basis, gs.cartan, alpha, line, r,
                                  gs.corruption, flip=flip)
-                worst = max(worst, residual_norm(E - ehat @ tail))
+                worst = max(worst, residual_norm(E - scale_columns(ehat, tail)))
     return worst
 
 
@@ -375,7 +376,7 @@ def suite_coproduct(cfg: LatticeConfig,
                         ehat = local_q_generator(cfg, basis, alpha, s, ln, r)
                         expo = 0.5 * string_tail_exponent(
                             cfg, basis, alpha, ln, r, site_filter=pred)
-                        tot = tot + ehat @ diag_operator(q_power(qa, expo))
+                        tot = tot + scale_columns(ehat, q_power(qa, expo))
                 return tot
             EL = half_sum(left)
             ER = half_sum(lambda ln, r: not left(ln, r))

@@ -212,3 +212,51 @@ def test_corrupted_boson_disorder_fails_braiding(cfg21):
     assert not reports_ok(reports)
     bad = [r for r in reports if not r.satisfied]
     assert any(r.relation_id.startswith("eq53") for r in bad)
+
+
+# ---------------------------------------------------------------------------
+# the scaled construction
+# ---------------------------------------------------------------------------
+
+STACKS = [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+          LatticeConfig(M=2, N=1, S=2, K=2, n_max=1, nu=0.3,
+                        ordering=("sea", "empty"))]
+
+
+@pytest.mark.parametrize("cfg", STACKS, ids=["M2N1S2", "sea,empty"])
+@pytest.mark.parametrize("flip", [False, True])
+def test_scaled_anyon_equals_string_product(cfg, flip):
+    """Scaling the oscillator's rows (columns of the adjoint) by the string
+    gives the product with the diagonal disorder factor entry for entry."""
+    from anyonrep.anyons import FAMILIES
+    from anyonrep.oscillators import q_boson_annihilate
+    basis = build_basis(cfg)
+    corr = Corruption(flip_boson_disorder=flip)
+    for family, (kind, tilde) in FAMILIES.items():
+        modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
+        for mode in modes:
+            osc = (fermion_annihilate if kind == FERMION
+                   else q_boson_annihilate)(cfg, basis, mode)
+            for dagger in (False, True):
+                if dagger:
+                    ref = op_adjoint(osc) @ disorder_factor(
+                        cfg, basis, mode, not tilde, corr)
+                else:
+                    ref = disorder_factor(cfg, basis, mode, tilde, corr) @ osc
+                out = anyon(cfg, basis, mode, family, dagger, corruption=corr)
+                assert out.nnz == ref.nnz and (out != ref).nnz == 0
+
+
+def test_suite_braiding_builds_each_anyon_once(monkeypatch):
+    from anyonrep import anyons
+    calls = []
+
+    def counted(cfg, basis, mode, family, dagger=False, **kw):
+        calls.append((mode, family, dagger))
+        return anyon(cfg, basis, mode, family, dagger, **kw)
+
+    monkeypatch.setattr(anyons, "anyon", counted)
+    reports = suite_braiding(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3))
+    assert reports_ok(reports)
+    # 3 flavors x 2 sites x 2 families x 2 daggers
+    assert len(calls) == len(set(calls)) == 24

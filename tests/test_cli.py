@@ -79,6 +79,55 @@ def test_config_file_rejects_unknown_keys(outdir, capsys, key):
     assert key in err and "nmax" in err and "q_samples" in err
 
 
+@pytest.mark.parametrize("key, value, named, expected", [
+    ("M", "two", "M", "an integer"),
+    ("nmax", 1.5, "nmax", "an integer"),
+    ("lines", True, "lines", "an integer"),
+    ("tol", "1e-10", "tol", "a number"),
+    ("q_samples", [1], "q_samples", "an integer"),
+    ("q", {"nu": "0.3"}, "nu", "a number"),
+    ("ordering", 3, "ordering", "a string"),
+])
+def test_config_file_wrong_type_exits_2(outdir, capsys, key, value, named, expected):
+    cfgfile = outdir / "cfg.json"
+    cfgfile.write_text(json.dumps({"M": 2, "N": 1, "suites": ["central"],
+                                   key: value}))
+    assert main(["verify", "--config", str(cfgfile), "--quiet"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f'"{named}"' in err and expected in err
+
+
+@pytest.mark.parametrize("suites, names", [
+    ("central", ["central"]),
+    ("central,coproduct", ["central", "coproduct"]),
+    (["central,coproduct"], ["central", "coproduct"]),
+])
+def test_config_file_suites_take_the_flag_form(outdir, suites, names):
+    report = outdir / "r.json"
+    cfgfile = outdir / "cfg.json"
+    cfgfile.write_text(json.dumps({"suites": suites,
+                                   "negative_controls": "qalpha"}))
+    rc = main(["verify", "--config", str(cfgfile), "--report", str(report),
+               "--quiet"])
+    payload = json.loads(report.read_text())
+    assert payload["run"]["suites"] == names
+    assert payload["run"]["negative_controls"] == ["qalpha"]
+    assert rc == (EXIT_RELATION_FAILURE if "coproduct" in names else EXIT_OK)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("suites", {"central": True}),
+    ("suites", ["central", 3]),
+    ("negative_controls", 5),
+])
+def test_config_file_name_lists_reject_other_types(outdir, capsys, key, value):
+    cfgfile = outdir / "cfg.json"
+    cfgfile.write_text(json.dumps({key: value}))
+    assert main(["verify", "--config", str(cfgfile), "--quiet"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f'"{key}"' in err and '["central", "serre"]' in err
+
+
 def test_status_classifies_each_report_once():
     def make(**fields):
         return RelationReport("x", "-", **fields)

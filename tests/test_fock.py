@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from anyonrep.fock import (
     ConfigError,
     InstanceTooLargeError,
     LatticeConfig,
+    _require_diagonal,
     boson_annihilate,
     build_basis,
     bulk_mask,
@@ -22,9 +25,12 @@ from anyonrep.fock import (
     q_number,
     q_power,
     residual_norm,
+    scale_columns,
+    scale_rows,
     site_order_sign,
     supercommutator,
 )
+from anyonrep.oscillators import q_boson_annihilate
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +278,127 @@ def test_q_power_branch_consistency():
     q = np.exp(0.3j * np.pi)
     assert abs(q_power(q, 0.5) ** 2 - q) < 1e-14
     assert abs(q_power(1.3, 2.0) - 1.69) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# diagonal kernels: each equals the sparse-matrix form it replaces
+# ---------------------------------------------------------------------------
+
+ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1j, 0.5 - 0.25j, 1e-300])
+
+
+@given(st.lists(ENTRIES, min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_diag_operator_equals_sp_diags(vals):
+    d = np.array(vals, dtype=complex)
+    ref = sp.diags(d, format="csr").tocsr()
+    out = diag_operator(d)
+    assert out.shape == ref.shape and out.nnz == ref.nnz
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(out, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _random_csr(seed, n, per_row, duplicates):
+    """n x n complex CSR with up to ``per_row`` entries per row, unsorted
+    columns and, if asked, duplicate entries."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, per_row + 1, size=n)
+    cols = rng.integers(0, n, size=counts.sum())
+    if duplicates and cols.size:
+        cols[rng.random(cols.size) < 0.3] = cols[0]
+    data = rng.normal(size=cols.size) + 1j * rng.normal(size=cols.size)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 5),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_scaling_equals_diagonal_products(seed, n, per_row, duplicates):
+    """Within 1e-15 on general matrices: duplicates are summed after
+    scaling there, before it in the product."""
+    x = _random_csr(seed, n, per_row, duplicates)
+    v = q_power(np.exp(0.3j * np.pi), np.random.default_rng(seed).integers(-6, 7, n) / 2)
+    v[::7] = 0
+    assert residual_norm(scale_rows(x, v) - diag_operator(v) @ x) <= 1e-15
+    assert residual_norm(scale_columns(x, v) - x @ diag_operator(v)) <= 1e-15
+
+
+@pytest.mark.parametrize("qspec", [{"nu": 0.3}, {"q_real": 1.3}])
+def test_scaling_a_ladder_is_exact(basis22, qspec):
+    """One entry per row and column: the scaled ladder equals the product
+    entry for entry."""
+    cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, **qspec)
+    v = q_power(cfg.q, (np.arange(basis22.dim) % 7 - 3) / 2)
+    ladders = [fermion_annihilate(cfg, basis22, m) for m in basis22.fermion_modes]
+    ladders += [f(cfg, basis22, m) for m in basis22.boson_modes
+                for f in (boson_annihilate, q_boson_annihilate)]
+    for x in ladders + [op_adjoint(x) for x in ladders]:
+        for out, ref in ((scale_rows(x, v), diag_operator(v) @ x),
+                         (scale_columns(x, v), x @ diag_operator(v))):
+            assert out.nnz == ref.nnz and (out != ref).nnz == 0
+
+
+HALF = st.integers(-40, 40).map(lambda k: k / 2)
+QS = st.one_of(st.floats(-0.99, 0.99).map(lambda nu: np.exp(1j * np.pi * nu)),
+               st.floats(0.05, 20.0))
+
+
+@given(QS, st.lists(st.one_of(HALF, st.just(-0.0)), min_size=1, max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_tabulated_q_power_is_bit_equal(q, xs):
+    x = np.array(xs)
+    ref = np.exp(x * cmath.log(q))
+    assert q_power(q, x).tobytes() == ref.tobytes()
+
+
+@given(QS, st.lists(st.floats(-20, 20), min_size=1, max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_q_power_falls_back_off_the_half_integers(q, xs):
+    for x in (np.array(xs) + 0.25, np.array([0.0, 60.0]), np.array(xs)):
+        assert q_power(q, x).tobytes() == np.exp(x * cmath.log(q)).tobytes()
+
+
+def _require_diagonal_reference(d):
+    """The former test: subtract the diagonal, look at what is left."""
+    d = d.tocsr()
+    off = d - sp.diags(d.diagonal(), format="csr")
+    return not (off.nnz and np.abs(off.data).max() > 1e-14)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
+       st.sampled_from([0.0, 5e-15, 1e-14, 2e-14, 1.0]), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_require_diagonal_rejects_off_diagonal_entries(seed, n, off, cancel):
+    """Non-canonical input (unsorted, duplicates) included: duplicates are
+    summed first, so a pair that cancels is accepted, and the input is not
+    changed."""
+    rng = np.random.default_rng(seed)
+    rows = list(range(n)) * 2
+    cols = list(range(n)) * 2
+    data = list(rng.integers(-3, 4, size=2 * n) / 2)
+    if n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        rows += [i, i]
+        cols += [j, j]
+        data += [off, -off if cancel else off]
+    order = rng.permutation(len(rows))
+    rows, cols = np.array(rows)[order], np.array(cols)[order]
+    data = np.array(data, dtype=complex)[order]
+    by_row = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[by_row], np.arange(n + 1))
+    d = sp.csr_matrix((data[by_row], cols[by_row], indptr), shape=(n, n))
+    before = (d.data.copy(), d.indices.copy())
+    accepted = _require_diagonal_reference(d)
+    if accepted:
+        diag = _require_diagonal(d, "t")
+        assert np.array_equal(diag, d.toarray().diagonal())
+    else:
+        with pytest.raises(ValueError, match="not diagonal"):
+            _require_diagonal(d, "t")
+    assert accepted == (n == 1 or cancel or 2 * off <= 1e-14)
+    assert np.array_equal(d.data, before[0]) and np.array_equal(d.indices, before[1])
 
 
 # ---------------------------------------------------------------------------
