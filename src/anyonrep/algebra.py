@@ -46,7 +46,6 @@ from .fock import (
 from .anyons import anyon, string_exponent
 from .oscillators import (
     normal_number_diag,
-    normal_ordered_number,
     q_boson_annihilate,
     q_boson_create,
 )
@@ -224,25 +223,22 @@ def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
     return cfg.sites[:-1] if alpha == 0 else cfg.sites
 
 
-PLAIN, Q_BOSON, ANYON = "plain", "q-boson", "anyon"
-
-
 def _local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
-             line: int, r: float, oscillators: str,
+             line: int, r: float, dressed: bool,
              corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
-    (line, r), over plain oscillators, fermions with q-bosons, or anyons
-    (families a/A for e^+, a~/A~ for e^-)."""
+    (line, r), over anyons if ``dressed`` (families a/A for e^+, a~/A~ for
+    e^-), else over fermions and q-bosons, the plain oscillators at q = 1."""
     upper, lower = _node_modes(cfg, alpha, line, r)
     tilde = ""
     if sign == "-":
         upper, lower, tilde = lower, upper, "~"
 
     def ladder(mode, dagger):
-        if oscillators == ANYON:
+        if dressed:
             family = ("a" if mode.kind == FERMION else "A") + tilde
             return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
-        if oscillators == Q_BOSON and mode.kind == BOSON:
+        if mode.kind == BOSON:
             return (q_boson_create if dagger else q_boson_annihilate)(cfg, basis, mode)
         return (create if dagger else annihilate)(cfg, basis, mode)
 
@@ -252,7 +248,7 @@ def _local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
 def local_q_generator(cfg: LatticeConfig, basis: FockBasis, alpha: int,
                       sign: str, line: int, r: float) -> sp.csr_matrix:
     """The undressed local generator with bosons replaced by q-bosons."""
-    return _local_e(cfg, basis, alpha, sign, line, r, Q_BOSON)
+    return _local_e(cfg, basis, alpha, sign, line, r, False)
 
 
 def string_tail_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
@@ -300,7 +296,9 @@ def eq57_tail(cfg: LatticeConfig, basis: FockBasis, cartan: CartanData,
 
 @dataclass
 class GeneratorSet:
-    """Assembled simple generators with their per-site local pieces."""
+    """Assembled simple generators with their per-site local pieces.  ``H``
+    holds CSR matrices (exported and checked as such; :meth:`h` reads their
+    diagonals), ``H_local`` real vectors."""
 
     cfg: LatticeConfig
     basis: FockBasis
@@ -318,6 +316,10 @@ class GeneratorSet:
     def grade(self, alpha: int) -> int:
         return self.cartan.parity[alpha]
 
+    def h(self, alpha: int) -> np.ndarray:
+        """The diagonal of H_alpha, a real vector."""
+        return self.H[alpha].diagonal().real
+
     def script_e(self, alpha: int, sign: str) -> sp.csr_matrix:
         """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}; E itself at
         q_alpha = 1."""
@@ -326,7 +328,7 @@ class GeneratorSet:
             return self.E[key]
         if key not in self._script:
             self._script[key] = scale_columns(self.E[key], q_power(
-                self.q_alpha(alpha), (-0.5 * self.H[alpha]).diagonal().real))
+                self.q_alpha(alpha), -0.5 * self.h(alpha)))
         return self._script[key]
 
     def __post_init__(self):
@@ -336,7 +338,10 @@ class GeneratorSet:
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
                          deformed: bool = True,
                          corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
-    """Build H_alpha and E_alpha^+- as sums of local pieces over all lines."""
+    """Build H_alpha and E_alpha^+- as sums of local pieces over all lines.
+    The plain set (not ``deformed``) is the q-boson set at q = 1."""
+    if not deformed:
+        cfg = _q_one(cfg)
     if basis is None:
         basis = build_basis(cfg)
     cartan = cartan_data(cfg.M, cfg.N)
@@ -346,7 +351,7 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
         for line in cfg.lines:
             for r in admissible_sites(cfg, alpha):
                 loc = _h_local_diag(cfg, basis, alpha, line, r, corruption)
-                H_local[(alpha, line, r)] = diag_operator(loc)
+                H_local[(alpha, line, r)] = loc
                 hd += loc
         H[alpha] = diag_operator(hd)
         for sign in ("+", "-"):
@@ -354,7 +359,7 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
             for line in cfg.lines:
                 for r in admissible_sites(cfg, alpha):
                     loc = _local_e(cfg, basis, alpha, sign, line, r,
-                                   ANYON if deformed else PLAIN, corruption)
+                                   deformed, corruption)
                     E_local[(alpha, sign, line, r)] = loc
                     total = total + loc
             E[(alpha, sign)] = total.tocsr()
@@ -375,20 +380,16 @@ def _cached_set(cfg: LatticeConfig, deformed: bool,
     return chevalley_generators(cfg, cached_basis(cfg), deformed, corruption)
 
 
-def central_charge_operator(genset: GeneratorSet) -> sp.csr_matrix:
-    """Gamma = -H_0 + sum_{i<=M} H_i - sum_{k<N} H_{M+k}.
+def central_charge_diag(genset: GeneratorSet) -> np.ndarray:
+    """The diagonal of Gamma = -H_0 + sum_{i<=M} H_i - sum_{k<N} H_{M+k}.
 
     Acts as the central charge (number of sea-ordered lines) on bulk states;
     off bulk it reduces to boundary occupations n_1(r_min) + n'_N(r_max)
-    summed over lines.
+    summed over lines.  Integer entries: the order of the sum is immaterial.
     """
-    cfg = genset.cfg
-    out = -1 * genset.H[0]
-    for i in range(1, cfg.M + 1):
-        out = out + genset.H[i]
-    for k in range(1, cfg.N):
-        out = out - genset.H[cfg.M + k]
-    return out.tocsr()
+    M, N, h = genset.cfg.M, genset.cfg.N, genset.h
+    return (sum(h(i) for i in range(1, M + 1)) - h(0)
+            - sum(h(M + k) for k in range(1, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,28 +424,25 @@ def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
     return total.tocsr()
 
 
+def cartan_weyl_h0_diag(cfg: LatticeConfig, basis: FockBasis, a: int) -> np.ndarray:
+    """The diagonal of h_a^0: its bilinears are normal-ordered numbers."""
+    return sum((w * normal_number_diag(cfg, basis, ModeId(kind, flavor, line, r))
+                for (kind, flavor), w in h_coefficients(cfg.M, cfg.N, a).items()
+                for line in cfg.lines for r in cfg.sites), np.zeros(basis.dim))
+
+
 def cartan_weyl_h(cfg: LatticeConfig, basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
-    """h_a^m; at m = 0 the bilinears become normal-ordered number operators."""
-    coeff = h_coefficients(cfg.M, cfg.N, a)
-    total = zero_op(basis)
-    terms = 0
-    for (kind, flavor), w in coeff.items():
-        for line in cfg.lines:
-            for r in cfg.sites:
-                s = r + m
-                if s not in cfg.sites:
-                    continue
-                mode_r = ModeId(kind, flavor, line, r)
-                if m == 0:
-                    total = total + w * normal_ordered_number(cfg, basis, mode_r)
-                else:
-                    mode_s = ModeId(kind, flavor, line, s)
-                    total = total + w * (create(cfg, basis, mode_r)
-                                         @ annihilate(cfg, basis, mode_s))
-                terms += 1
-    if terms == 0:
+    """h_a^m = sum_r of the h_a bilinears (r, r+m), truncated; the diagonal
+    :func:`cartan_weyl_h0_diag` at m = 0."""
+    if m == 0:
+        return diag_operator(cartan_weyl_h0_diag(cfg, basis, a))
+    terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))
+             for (kind, flavor), w in h_coefficients(cfg.M, cfg.N, a).items()
+             for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
+    if not terms:
         warnings.warn(f"empty truncated sum for h_{a}^{m}; returning zero operator")
-    return total.tocsr()
+    return sum((w * (create(cfg, basis, mode_r) @ annihilate(cfg, basis, mode_s))
+                for w, mode_r, mode_s in terms), zero_op(basis)).tocsr()
 
 
 def compose_roots(a: RootLabel, b: RootLabel) -> RootLabel | None:

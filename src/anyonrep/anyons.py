@@ -34,7 +34,7 @@ from .fock import (
     fermion_annihilate,
     identity_op,
     op_adjoint,
-    q_bracket_diag,
+    q_bracket,
     q_power,
     scale_columns,
     scale_rows,
@@ -44,7 +44,6 @@ from .oscillators import (
     normal_order_shift,
     number_diag,
     number_factor,
-    number_op,
     q_boson_annihilate,
 )
 from .report import RelationReport, SuiteReports
@@ -214,7 +213,7 @@ def suite_braiding(cfg: LatticeConfig,
                 diag_operator(q_power(q, w)), **ps)
             rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,
                 diag_operator(q_power(q, -w)), **ps)
-            n = number_op(cfg, basis, mode)
+            n = diag_operator(number_diag(cfg, basis, mode))
             rep(f"eq47[i={i},{pt}]", ad @ a_, n, **ps)
             rep(f"eq47t[i={i},{pt}]", td @ t_, n, **ps)
 
@@ -247,6 +246,6 @@ def suite_braiding(cfg: LatticeConfig,
             rep(f"eq54ta[k={k},{pt}]", To @ Td - (Td @ To) / q,
                 diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
             rep(f"eq50A[k={k},{pt}]", Ad @ Ao,
-                q_bracket_diag(diag_operator(nvec), q), **ps)
+                diag_operator(q_bracket(nvec, q)), **ps)
 
     return out.reports

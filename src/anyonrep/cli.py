@@ -29,13 +29,14 @@ from .algebra import (
     cached_generators,
     cartan_weyl_generators,
     cartan_weyl_h,
-    central_charge_operator,
+    central_charge_diag,
 )
 from .fock import (
     ConfigError,
     Corruption,
     InstanceTooLargeError,
     LatticeConfig,
+    diag_operator,
 )
 from .report import CATALOG, reports_ok
 from .verify import SUITES, run_suites
@@ -191,9 +192,14 @@ def run_config_from(args) -> RunConfig:
         raise ConfigError(f"unknown suites {unknown}; available: {list(SUITES)}")
     controls = tuple(raw.get("negative_controls", []))
     corruption_from_names(controls)  # validate names up front
+    q_samples = _typed(raw, "q_samples", int, 0)
+    if q_samples < 0:
+        raise ConfigError(f"q_samples must be >= 0, got {q_samples}")
+    if q_samples and lattice.nu is None:
+        raise ConfigError("q_samples draws nu values, so it needs q on the "
+                          "unit circle (nu), not a real q")
     return RunConfig(lattice=lattice, suites=suites,
-                     negative_controls=controls,
-                     q_samples=_typed(raw, "q_samples", int, 0),
+                     negative_controls=controls, q_samples=q_samples,
                      report_path=getattr(args, "report", None),
                      summary_path=getattr(args, "summary", None))
 
@@ -226,14 +232,13 @@ def cmd_verify(args) -> int:
 
     results = {name: run_suites(cfg, [name], corruption)[name]
                for name in run.suites}
-    if run.q_samples > 0 and cfg.nu is not None:
-        for nu in _nu_samples(cfg, run.q_samples):
-            sampled = dataclasses.replace(cfg, nu=nu)
-            for name in run.suites:
-                if name == "classical":
-                    continue
-                key = f"{name}@nu={nu:.6f}"
-                results[key] = run_suites(sampled, [name], corruption)[name]
+    for nu in _nu_samples(cfg, run.q_samples):
+        sampled = dataclasses.replace(cfg, nu=nu)
+        for name in run.suites:
+            if name == "classical":
+                continue
+            key = f"{name}@nu={nu:.6f}"
+            results[key] = run_suites(sampled, [name], corruption)[name]
 
     all_ok = all(reports_ok(reps) for reps in results.values())
     run_meta = {"suites": list(run.suites),
@@ -324,22 +329,28 @@ def resolve_operator(cfg: LatticeConfig, op_id: str) -> sp.csr_matrix:
     parts = op_id.split(":")
     head = parts[0]
     if head in ("H", "E+", "E-", "h", "e+", "e-"):
-        if len(parts) != 2:
-            raise ConfigError(f"bad generator id {op_id!r}")
-        alpha = int(parts[1])
+        try:
+            (alpha,) = map(int, parts[1:])
+        except ValueError:
+            raise ConfigError(f"bad generator id {op_id!r}; expected "
+                              f"{head}:<node>") from None
         if not 0 <= alpha <= cfg.R:
-            raise ConfigError(f"node {alpha} out of range 0..{cfg.R}")
+            raise ConfigError(f"bad generator id {op_id!r}: node {alpha} "
+                              f"out of range 0..{cfg.R}")
         gs = cached_generators(cfg, deformed=head[0].isupper())
         if head in ("H", "h"):
             return gs.H[alpha]
         return gs.E[(alpha, head[1])]
     if head.lower() == "gamma":
-        return central_charge_operator(cached_generators(cfg, True))
+        return diag_operator(central_charge_diag(cached_generators(cfg, True)))
     if head == "CWH":
         if len(parts) != 3 or not parts[2].startswith("m="):
             raise ConfigError(f"bad id {op_id!r}; expected CWH:a:m=<int>")
-        return cartan_weyl_h(cfg, cached_basis(cfg), int(parts[1]),
-                             int(parts[2][2:]))
+        try:
+            return cartan_weyl_h(cfg, cached_basis(cfg), int(parts[1]),
+                                 int(parts[2][2:]))
+        except ValueError as exc:
+            raise ConfigError(f"bad id {op_id!r}: {exc}") from None
     if head == "CW":
         if len(parts) != 3 or not parts[2].startswith("m="):
             raise ConfigError(f"bad id {op_id!r}; expected CW:<root>:m=<int>")
@@ -352,7 +363,7 @@ def resolve_operator(cfg: LatticeConfig, op_id: str) -> sp.csr_matrix:
                               _parse_root_token(neg_tok), m=int(parts[2][2:]))
             return cartan_weyl_generators(cfg, cached_basis(cfg), label)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"bad id {op_id!r}: {exc}") from None
     raise ConfigError(f"unknown generator id {op_id!r}")
 
 

@@ -12,6 +12,12 @@ fixed global order (line, then site ascending, then flavor ascending), so the
 canonical anticommutation relations hold exactly for every mode pair.
 Operators and bases are immutable by convention once built; nothing in this
 package mutates a returned matrix.
+
+An operator diagonal in the occupation basis (a number, a string, q^{H/2},
+[H]_q) is a vector over the basis.  It acts on a sparse operator through
+:func:`scale_rows` / :func:`scale_columns` and becomes a CSR matrix
+(:func:`diag_operator`) only as the operand of a check or as an exported
+generator; the Cartan generators ``GeneratorSet.H`` are kept as CSR.
 """
 
 from __future__ import annotations
@@ -88,13 +94,12 @@ def q_number(n, q: complex) -> complex:
     return cmath.sinh(n * lg) / denom
 
 
-def q_bracket_diag(h: sp.spmatrix, q: complex) -> sp.csr_matrix:
-    """[H]_q for a diagonal operator H with real spectrum; one q_number
-    call per distinct eigenvalue."""
-    d = _require_diagonal(h, "q_bracket_diag")
-    vals, where = np.unique(d.real, return_inverse=True)
+def q_bracket(h: np.ndarray, q: complex) -> np.ndarray:
+    """[h]_q entry by entry for a real vector h (the diagonal of [H]_q); one
+    q_number call per distinct value."""
+    vals, where = np.unique(h, return_inverse=True)
     table = np.array([q_number(x, q) for x in vals], dtype=complex)
-    return diag_operator(table[where])
+    return table[where]
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +476,6 @@ def q_commutator(x: sp.spmatrix, y: sp.spmatrix, q: complex) -> sp.csr_matrix:
     """X Y - q Y X."""
     _check_shapes(x, y)
     return (x @ y - q * (y @ x)).tocsr()
-
-
-def _require_diagonal(d: sp.spmatrix, where: str) -> np.ndarray:
-    d = d.tocsr()
-    if not d.has_canonical_format:
-        d = d.copy()
-        d.sum_duplicates()
-    diag = d.diagonal()
-    rows = np.repeat(np.arange(d.shape[0]), np.diff(d.indptr))
-    off = d.data[d.indices != rows]
-    if np.abs(off).max(initial=0.0) > 1e-14:
-        raise ValueError(f"{where}: operator is not diagonal")
-    if np.abs(diag.imag).max(initial=0.0) > 1e-12:
-        raise ValueError(f"{where}: diagonal is not real")
-    return diag
-
-
-def diag_exp(d: sp.spmatrix, base: complex) -> sp.csr_matrix:
-    """base**D for a diagonal D with real spectrum (e.g. q^{H/2})."""
-    diag = _require_diagonal(d, "diag_exp")
-    return diag_operator(q_power(base, diag.real))
 
 
 def residual_norm(x: sp.spmatrix) -> float:

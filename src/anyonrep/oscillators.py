@@ -27,9 +27,11 @@ from .fock import (
     fermion_annihilate,
     identity_op,
     op_adjoint,
-    q_bracket_diag,
+    q_bracket,
     q_number,
     q_power,
+    scale_columns,
+    scale_rows,
 )
 from .report import RelationReport, SuiteReports
 
@@ -43,13 +45,9 @@ def number_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
 
 
 def number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
-    """Occupation of ``mode`` on every basis state, as a real vector."""
+    """The number operator n = c^dag c (fermion) or n' = d^dag d (boson):
+    the occupation of ``mode`` on every basis state, as a real vector."""
     return basis.lift(mode.kind, number_factor(basis, mode))
-
-
-def number_op(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """n = c^dag c (fermion) or n' = d^dag d (boson); diagonal."""
-    return diag_operator(number_diag(cfg, basis, mode))
 
 
 def normal_order_shift(cfg: LatticeConfig, mode: ModeId) -> int:
@@ -60,12 +58,9 @@ def normal_order_shift(cfg: LatticeConfig, mode: ModeId) -> int:
 
 
 def normal_number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """:n:(r), the number shifted by the normal-ordering constant of its
+    line, as a real vector."""
     return number_diag(cfg, basis, mode) + normal_order_shift(cfg, mode)
-
-
-def normal_ordered_number(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """:n:(r); differs from the bare number operator by a multiple of Id."""
-    return diag_operator(normal_number_diag(cfg, basis, mode))
 
 
 def q_boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
@@ -108,7 +103,7 @@ def suite_oscillators(cfg: LatticeConfig,
     bs = {m: q_boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
     dag = {m: op_adjoint(x) for ops in (cs, ds) for m, x in ops.items()}
     bds = {m: op_adjoint(b) for m, b in bs.items()}
-    ns = {m: number_op(cfg, basis, m) for m in basis.boson_modes}
+    ns = {m: number_diag(cfg, basis, m) for m in basis.boson_modes}
 
     for m1, m2 in _mode_pairs(basis.fermion_modes):
         c1, c2 = cs[m1], cs[m2]
@@ -133,19 +128,19 @@ def suite_oscillators(cfg: LatticeConfig,
 
     # q-boson algebra
     for m in basis.boson_modes:
-        b, bd, nop = bs[m], bds[m], ns[m]
-        nvec = number_diag(cfg, basis, m)
-        q_minus_n = diag_operator(q_power(q, -nvec))
-        q_plus_n = diag_operator(q_power(q, nvec))
+        b, bd, n = bs[m], bds[m], ns[m]
         ps = {"mode": str(m)}
-        out.check(f"eq49a[{m}]", b @ bd - q * (bd @ b), q_minus_n,
-                  bulk=(0, 1), params=ps)
-        out.check(f"eq49b[{m}]", b @ bd - (bd @ b) / q, q_plus_n,
-                  bulk=(0, 1), params=ps)
-        out.check(f"eq49d[{m}]", nop @ b - b @ nop, -1 * b, params=ps)
-        out.check(f"eq49e[{m}]", nop @ bd - bd @ nop, bd, params=ps)
-        out.check(f"eq50a[{m}]", bd @ b, q_bracket_diag(nop, q), params=ps)
-        out.check(f"eq50b[{m}]", b @ bd, q_bracket_diag(nop + one, q),
+        out.check(f"eq49a[{m}]", b @ bd - q * (bd @ b),
+                  diag_operator(q_power(q, -n)), bulk=(0, 1), params=ps)
+        out.check(f"eq49b[{m}]", b @ bd - (bd @ b) / q,
+                  diag_operator(q_power(q, n)), bulk=(0, 1), params=ps)
+        out.check(f"eq49d[{m}]", scale_rows(b, n) - scale_columns(b, n),
+                  -1 * b, params=ps)
+        out.check(f"eq49e[{m}]", scale_rows(bd, n) - scale_columns(bd, n),
+                  bd, params=ps)
+        out.check(f"eq50a[{m}]", bd @ b, diag_operator(q_bracket(n, q)),
+                  params=ps)
+        out.check(f"eq50b[{m}]", b @ bd, diag_operator(q_bracket(n + 1, q)),
                   bulk=(0, 1), params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):
@@ -155,6 +150,7 @@ def suite_oscillators(cfg: LatticeConfig,
         ps = {"modes": [str(m1), str(m2)]}
         out.check(f"eq49c[{m1},{m2}]", b1 @ b2 - b2 @ b1, params=ps)
         out.check(f"eq49a0[{m1},{m2}]", b1 @ bds[m2] - bds[m2] @ b1, params=ps)
-        out.check(f"eq49d0[{m1},{m2}]", ns[m1] @ b2 - b2 @ ns[m1], params=ps)
+        out.check(f"eq49d0[{m1},{m2}]",
+                  scale_rows(b2, ns[m1]) - scale_columns(b2, ns[m1]), params=ps)
 
     return out.reports

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anyonrep import algebra as alg
 from anyonrep.algebra import (
@@ -13,7 +14,7 @@ from anyonrep.algebra import (
     cartan_data,
     cartan_weyl_generators,
     cartan_weyl_h,
-    central_charge_operator,
+    central_charge_diag,
     chevalley_generators,
     compose_roots,
     eq57_tail,
@@ -36,7 +37,7 @@ from anyonrep.fock import (
     create,
     diag_operator,
     fermion_mode,
-    q_bracket_diag,
+    q_bracket,
     residual_norm,
     supercommutator,
 )
@@ -155,6 +156,21 @@ def test_h_matches_number_combination(cfg21, basis21):
     assert residual_norm(gs.H[1] - diag_operator(expected)) == 0.0
 
 
+def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
+    """H_alpha stays a CSR matrix (it is exported and checked); h(alpha) is
+    its diagonal, and the local pieces are vectors that sum to it."""
+    for deformed in (True, False):
+        gs = chevalley_generators(cfg22, basis22, deformed=deformed)
+        for al, H in gs.H.items():
+            assert isinstance(H, sp.csr_matrix)
+            h = gs.h(al)
+            assert h.dtype == np.float64
+            assert h.tobytes() == H.diagonal().real.tobytes()
+            local = sum(gs.H_local[(al, line, r)] for line in cfg22.lines
+                        for r in alg.admissible_sites(cfg22, al))
+            assert np.array_equal(local, h)
+
+
 def test_deformed_equals_undeformed_at_q_one():
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.0)
     g_def = chevalley_generators(cfg, deformed=True)
@@ -226,9 +242,9 @@ def test_local_fixed_site_representation(cfg22, basis22):
     head = bulk_projector(cfg22, basis22, 0, 1)
     r = -0.5
     for al in range(1, cfg22.R + 1):
-        h_al = gs.H_local[(al, 1, r)]
+        h_al = diag_operator(gs.H_local[(al, 1, r)])
         for be in range(1, cfg22.R + 1):
-            h_be = gs.H_local[(be, 1, r)]
+            h_be = diag_operator(gs.H_local[(be, 1, r)])
             assert residual_norm(h_al @ h_be - h_be @ h_al) == 0.0
             for s, sgn in (("+", 1), ("-", -1)):
                 e = local_q_generator(cfg22, basis22, be, s, 1, r)
@@ -241,7 +257,8 @@ def test_local_fixed_site_representation(cfg22, basis22):
                     local_q_generator(cfg22, basis22, al, "+", 1, r), em,
                     ct.parity[al], ct.parity[be])
             if al == be:
-                rhs = q_bracket_diag(h_al, ct.q_alpha(cfg22.q)[al])
+                rhs = diag_operator(q_bracket(gs.H_local[(al, 1, r)],
+                                              ct.q_alpha(cfg22.q)[al]))
             else:
                 rhs = 0 * lhs
             assert residual_norm(head @ (lhs - rhs) @ head) <= 1e-10
@@ -374,13 +391,15 @@ def test_node_table_reproduces_per_node_chains(cfg):
                 for s in ("+", "-"):
                     assert _same(local_q_generator(cfg, basis, alpha, s, line, r),
                                  _ref_local_q_generator(cfg, basis, alpha, s, line, r))
-                    for deformed, cors in ((False, corruptions[:1]),
-                                           (True, corruptions)):
-                        kind = alg.ANYON if deformed else alg.PLAIN
-                        for cor in cors:
-                            assert _same(
-                                alg._local_e(cfg, basis, alpha, s, line, r, kind, cor),
-                                _ref_local_e(cfg, basis, alpha, s, line, r, deformed, cor))
+                    # the plain pieces are the q-boson pieces at q = 1
+                    assert _same(
+                        alg._local_e(_q_one(cfg), basis, alpha, s, line, r, False),
+                        _ref_local_e(cfg, basis, alpha, s, line, r, False,
+                                     corruptions[0]))
+                    for cor in corruptions:
+                        assert _same(
+                            alg._local_e(cfg, basis, alpha, s, line, r, True, cor),
+                            _ref_local_e(cfg, basis, alpha, s, line, r, True, cor))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +409,7 @@ def test_node_table_reproduces_per_node_chains(cfg):
 def test_gamma_boundary_identity(cfg21, basis21):
     from anyonrep.oscillators import number_diag
     gs = chevalley_generators(cfg21, basis21, deformed=True)
-    gamma = central_charge_operator(gs)
+    gamma = diag_operator(central_charge_diag(gs))
     vec = (number_diag(cfg21, basis21, fermion_mode(1, cfg21.sites[0]))
            + number_diag(cfg21, basis21, boson_mode(cfg21.N, cfg21.sites[-1])))
     assert residual_norm(gamma - diag_operator(vec)) <= 1e-12
@@ -402,7 +421,7 @@ def test_gamma_bulk_eigenvalue(ordering, expected):
     basis = build_basis(cfg)
     gs = chevalley_generators(cfg, basis, deformed=True)
     P = bulk_projector(cfg, basis, 1, 0)
-    gamma = central_charge_operator(gs)
+    gamma = diag_operator(central_charge_diag(gs))
     assert residual_norm(gamma @ P - expected * P) <= 1e-12
 
 
@@ -410,7 +429,7 @@ def test_dropping_affine_constant_shifts_gamma(cfg21, basis21):
     gs = chevalley_generators(cfg21, basis21, deformed=True,
                               corruption=Corruption(drop_h0_delta=True))
     P = bulk_projector(cfg21, basis21, 1, 0)
-    gamma = central_charge_operator(gs)
+    gamma = diag_operator(central_charge_diag(gs))
     assert residual_norm(gamma @ P - P) > 0.5  # no longer 1 on the bulk
 
 

@@ -43,11 +43,20 @@ def test_verify_default_config_passes(outdir):
     assert "| relation |" in text and "eq29-gamma" in text
 
 
-def test_verify_exit_codes():
+def test_verify_exit_codes(capsys):
     assert main(["verify", "--M", "1", "--N", "1", "--quiet"]) == EXIT_CONFIG_ERROR
     assert main(["verify", "--sites", "10", "--suites", "central",
                  "--quiet"]) == EXIT_TOO_LARGE
     assert main(["verify", "--suites", "nosuchsuite", "--quiet"]) == EXIT_CONFIG_ERROR
+    # sampling draws nu, so a real q cannot be sampled; a negative count is
+    # no count: both are config errors that name the reason
+    capsys.readouterr()
+    assert main(["verify", "--q-real", "1.3", "--q-samples", "2",
+                 "--suites", "central", "--quiet"]) == EXIT_CONFIG_ERROR
+    assert "unit circle" in capsys.readouterr().err
+    assert main(["verify", "--q-samples", "-1", "--suites", "central",
+                 "--quiet"]) == EXIT_CONFIG_ERROR
+    assert ">= 0" in capsys.readouterr().err
 
 
 def test_verify_negative_control_fails():
@@ -198,13 +207,16 @@ def test_export_round_trip(outdir):
         assert residual_norm(op - back) == 0.0
 
 
-def test_export_unknown_id(outdir):
-    assert main(["export", "X:9", "-o", str(outdir / "x.txt"),
-                 "--quiet"]) == EXIT_CONFIG_ERROR
-    assert main(["export", "E+:7", "-o", str(outdir / "x.txt"),
-                 "--quiet"]) == EXIT_CONFIG_ERROR
-    assert main(["export", "CW:eps1-eps1:m=0", "-o", str(outdir / "x.txt"),
-                 "--quiet"]) == EXIT_CONFIG_ERROR
+def test_export_unknown_id(outdir, capsys):
+    """An unknown, malformed or out-of-range id is a config error that names
+    the id, not a traceback with the relation-failure exit code."""
+    path = outdir / "x.txt"
+    for op_id in ("X:9", "E+:7", "CW:eps1-eps1:m=0", "H:x", "E+:", "H:1:2",
+                  "CWH:x:m=0", "CWH:0:m=0", "CWH:1:m=x"):
+        assert main(["export", op_id, "-o", str(path),
+                     "--quiet"]) == EXIT_CONFIG_ERROR, op_id
+        assert repr(op_id) in capsys.readouterr().err, op_id
+        assert not path.exists()
 
 
 def test_list_catalog_stable(capsys):

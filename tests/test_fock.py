@@ -9,18 +9,16 @@ from anyonrep.fock import (
     ConfigError,
     InstanceTooLargeError,
     LatticeConfig,
-    _require_diagonal,
     boson_annihilate,
     build_basis,
     bulk_mask,
     bulk_projector,
-    diag_exp,
     diag_operator,
     fermion_annihilate,
     identity_op,
     boson_mode,
     op_adjoint,
-    q_bracket_diag,
+    q_bracket,
     q_commutator,
     q_number,
     q_power,
@@ -214,29 +212,6 @@ def test_combinator_shape_checks(cfg21, basis21):
         supercommutator(c, small, 0, 0)
 
 
-def test_diag_exp_values_and_validation(cfg21, basis21):
-    d = diag_operator(np.array([0.0, 1.0, 2.0, -1.0]))
-    q = cfg21.q
-    out = diag_exp(d, q).diagonal()
-    assert np.allclose(out, [1, q, q * q, 1 / q])
-    c = fermion_annihilate(cfg21, basis21, basis21.fermion_modes[0])
-    with pytest.raises(ValueError, match="not diagonal"):
-        diag_exp(c, q)
-    with pytest.raises(ValueError, match="not real"):
-        diag_exp(diag_operator(np.array([1j])), q)
-
-
-@given(st.integers(-3, 3), st.integers(-3, 3))
-@settings(max_examples=30, deadline=None)
-def test_diag_exp_is_multiplicative(x, y):
-    q = np.exp(0.3j * np.pi)
-    d1 = diag_operator(np.array([float(x)]))
-    d2 = diag_operator(np.array([float(y)]))
-    lhs = diag_exp(d1 + d2, q)
-    rhs = diag_exp(d1, q) @ diag_exp(d2, q)
-    assert residual_norm(lhs - rhs) < 1e-14
-
-
 def test_residual_norm_empty():
     assert residual_norm(sp.csr_matrix((4, 4), dtype=complex)) == 0.0
 
@@ -265,13 +240,12 @@ def test_q_bracket_diag_equals_per_state_loop(cfg22, basis22, q):
     """One q_number call per distinct value gives exactly the per-state
     loop, on every H_alpha of M2N2 and on n + 1."""
     from anyonrep.algebra import chevalley_generators
-    from anyonrep.oscillators import number_op
+    from anyonrep.oscillators import number_diag
     gs = chevalley_generators(cfg22, basis22, deformed=False)
-    n = number_op(cfg22, basis22, boson_mode(1, 0.5))
-    for h in list(gs.H.values()) + [n + identity_op(basis22)]:
-        loop = np.array([q_number(x, q) for x in h.diagonal().real], dtype=complex)
-        out = q_bracket_diag(h, q)
-        assert (out != diag_operator(loop)).nnz == 0
+    n = number_diag(cfg22, basis22, boson_mode(1, 0.5))
+    for h in [gs.h(al) for al in gs.H] + [n + 1]:
+        loop = np.array([q_number(x, q) for x in h], dtype=complex)
+        assert q_bracket(h, q).tobytes() == loop.tobytes()
 
 
 def test_q_power_branch_consistency():
@@ -358,47 +332,6 @@ def test_tabulated_q_power_is_bit_equal(q, xs):
 def test_q_power_falls_back_off_the_half_integers(q, xs):
     for x in (np.array(xs) + 0.25, np.array([0.0, 60.0]), np.array(xs)):
         assert q_power(q, x).tobytes() == np.exp(x * cmath.log(q)).tobytes()
-
-
-def _require_diagonal_reference(d):
-    """The former test: subtract the diagonal, look at what is left."""
-    d = d.tocsr()
-    off = d - sp.diags(d.diagonal(), format="csr")
-    return not (off.nnz and np.abs(off.data).max() > 1e-14)
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8),
-       st.sampled_from([0.0, 5e-15, 1e-14, 2e-14, 1.0]), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_require_diagonal_rejects_off_diagonal_entries(seed, n, off, cancel):
-    """Non-canonical input (unsorted, duplicates) included: duplicates are
-    summed first, so a pair that cancels is accepted, and the input is not
-    changed."""
-    rng = np.random.default_rng(seed)
-    rows = list(range(n)) * 2
-    cols = list(range(n)) * 2
-    data = list(rng.integers(-3, 4, size=2 * n) / 2)
-    if n > 1:
-        i, j = rng.choice(n, size=2, replace=False)
-        rows += [i, i]
-        cols += [j, j]
-        data += [off, -off if cancel else off]
-    order = rng.permutation(len(rows))
-    rows, cols = np.array(rows)[order], np.array(cols)[order]
-    data = np.array(data, dtype=complex)[order]
-    by_row = np.argsort(rows, kind="stable")
-    indptr = np.searchsorted(rows[by_row], np.arange(n + 1))
-    d = sp.csr_matrix((data[by_row], cols[by_row], indptr), shape=(n, n))
-    before = (d.data.copy(), d.indices.copy())
-    accepted = _require_diagonal_reference(d)
-    if accepted:
-        diag = _require_diagonal(d, "t")
-        assert np.array_equal(diag, d.toarray().diagonal())
-    else:
-        with pytest.raises(ValueError, match="not diagonal"):
-            _require_diagonal(d, "t")
-    assert accepted == (n == 1 or cancel or 2 * off <= 1e-14)
-    assert np.array_equal(d.data, before[0]) and np.array_equal(d.indices, before[1])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from anyonrep.fock import (
     _cached_basis,
     bulk_projector,
     identity_op,
-    q_bracket_diag,
+    diag_operator,
+    q_bracket,
     residual_norm,
     supercommutator,
 )
@@ -84,7 +85,7 @@ def test_eq7c_against_dense_oracle(cfg21):
     rep = check_identity(
         "eq7c[1,1]", "Eq. (7c)",
         supercommutator(gs.E[(1, "+")], gs.E[(1, "-")], 0, 0),
-        q_bracket_diag(gs.H[1], gs.q_alpha(1)),
+        diag_operator(q_bracket(gs.h(1), gs.q_alpha(1))),
         bulk=(1, 1), basis=basis, tol=cfg21.tol)
     assert rep.passed
     assert abs(rep.residual - dense_res) <= 1e-12
@@ -99,7 +100,7 @@ def test_bulk_spec_equals_projector_sandwich():
     basis = gs.basis
     operators = [
         (supercommutator(gs.E[(0, "+")], gs.E[(0, "-")], 1, 1),
-         q_bracket_diag(gs.H[0], gs.q_alpha(0))),
+         diag_operator(q_bracket(gs.h(0), gs.q_alpha(0)))),
         (gs.E[(1, "+")] @ gs.E[(1, "-")], gs.H[1]),
         (gs.E[(0, "+")] + gs.H[2], None),
         (gs.E[(2, "-")] @ gs.E[(1, "-")], None),
@@ -204,6 +205,53 @@ def test_ad_q_annihilates_identity(cfg21):
     one = identity_op(gs.basis)
     out = ad_q(gs, 1, one, 0, 0)
     assert residual_norm(out) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# diagonal scalings against the diagonal-matrix products they replace
+# ---------------------------------------------------------------------------
+
+CFG22_Q = [LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+           LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.3)]
+
+
+@pytest.mark.parametrize("cfg", CFG22_Q, ids=["nu", "real-q"])
+def test_weight_scaling_equals_cartan_commutator(cfg):
+    """scale_rows(X, h) - scale_columns(X, h), the form of Eq. (7b), is
+    H @ X - X @ H entry for entry, for every H_alpha and every generator."""
+    gs = cached_generators(cfg, True)
+    for al in gs.H:
+        H, h = gs.H[al], gs.h(al)
+        for X in list(gs.E.values()) + list(gs.H.values()):
+            scaled = fock.scale_rows(X, h) - fock.scale_columns(X, h)
+            assert (scaled != H @ X - X @ H).nnz == 0, al
+
+
+def _ad_q_hopf_diagonal_matrices(gs, alpha, Y, grade_of_Y, sign):
+    """The Hopf oracle with q^{+-H_alpha} formed as diagonal matrices and
+    multiplied in, the form the scalings of :func:`ad_q_hopf` replace."""
+    X = gs.script_e(alpha, sign)
+    qa = gs.q_alpha(alpha)
+    aa = gs.cartan.a[alpha][alpha]
+    exponent = aa if sign == "+" else -aa
+    q_h = diag_operator(fock.q_power(qa, gs.H[alpha].diagonal().real))
+    q_minus_h = diag_operator(fock.q_power(qa, (-1 * gs.H[alpha]).diagonal().real))
+    SX = -fock.q_power(qa, exponent) * (X @ q_h)
+    sgn = -1.0 if (gs.grade(alpha) * grade_of_Y) % 2 else 1.0
+    return (X @ Y + sgn * (q_minus_h @ Y @ SX)).tocsr()
+
+
+@pytest.mark.parametrize("cfg", CFG22_Q, ids=["nu", "real-q"])
+def test_scaled_hopf_oracle_equals_diagonal_matrix_form(cfg):
+    gs = cached_generators(cfg, True)
+    ct = gs.cartan
+    for al in range(cfg.R + 1):
+        for be in range(cfg.R + 1):
+            for s in ("+", "-"):
+                Y = gs.script_e(be, s)
+                ref = _ad_q_hopf_diagonal_matrices(gs, al, Y, ct.parity[be], s)
+                out = ad_q_hopf(gs, al, Y, ct.parity[be], s)
+                assert residual_norm(out - ref) <= 1e-15, (al, be, s)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +518,7 @@ def test_pass_status_invariant_under_unit_rescaling(theta):
         Ep = u * gs.E[(al, "+")]
         Em = gs.E[(al, "-")] / u
         lhs = supercommutator(Ep, Em, ct.parity[al], ct.parity[al])
-        rhs = q_bracket_diag(gs.H[al], gs.q_alpha(al))
+        rhs = diag_operator(q_bracket(gs.h(al), gs.q_alpha(al)))
         assert residual_norm(P @ (lhs - rhs) @ P) <= cfg.tol
         comm = gs.H[al] @ Ep - Ep @ gs.H[al] - ct.a[al][al] * Ep
         proj = P if al == 0 else None
