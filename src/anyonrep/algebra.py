@@ -10,7 +10,9 @@ summed).
 Simple generators are sums of local one- or two-site pieces.  The deformed set
 replaces oscillators by anyons; every deformed local piece factorizes into the
 q-boson local generator times a diagonal string tail, which is what the
-coproduct suite checks.
+coproduct suite checks.  A generator set holds only the sums, ``H`` (CSR)
+and ``E``, and keeps no local pieces: the coproduct suite builds the pieces it
+checks one at a time.
 """
 
 from __future__ import annotations
@@ -223,9 +225,9 @@ def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
     return cfg.sites[:-1] if alpha == 0 else cfg.sites
 
 
-def _local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
-             line: int, r: float, dressed: bool,
-             corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
+def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
+            line: int, r: float, dressed: bool,
+            corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
     (line, r), over anyons if ``dressed`` (families a/A for e^+, a~/A~ for
     e^-), else over fermions and q-bosons, the plain oscillators at q = 1."""
@@ -245,26 +247,17 @@ def _local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
     return (ladder(upper, True) @ ladder(lower, False)).tocsr()
 
 
-def local_q_generator(cfg: LatticeConfig, basis: FockBasis, alpha: int,
-                      sign: str, line: int, r: float) -> sp.csr_matrix:
-    """The undressed local generator with bosons replaced by q-bosons."""
-    return _local_e(cfg, basis, alpha, sign, line, r, False)
-
-
 def string_tail_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
-                         line: int, r: float,
-                         site_filter=None) -> np.ndarray:
-    """sum_t eps(t - x) :h_alpha(t): restricted to sites accepted by the filter.
+                         line: int, r: float) -> np.ndarray:
+    """sum_t eps(t - x) :h_alpha(t): over every site t of every line.
 
     Only defined for alpha != 0, whose local Cartan pieces sit on one site.
     """
     if alpha == 0:
-        raise ValueError("the affine node has a two-site tail; use eq57_tail")
+        raise ValueError("the affine node has a two-site tail; use eq57_exponent")
     total = np.zeros(basis.dim)
     for ln in cfg.lines:
         for t in cfg.sites:
-            if site_filter is not None and not site_filter(ln, t):
-                continue
             eps = site_order_sign(ln, t, line, r)
             if eps == 0:
                 continue
@@ -272,43 +265,34 @@ def string_tail_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
     return total
 
 
-def eq57_tail(cfg: LatticeConfig, basis: FockBasis, cartan: CartanData,
-              alpha: int, line: int, r: float,
-              corruption: Corruption = NO_CORRUPTION,
-              flip: bool = False) -> np.ndarray:
-    """Diagonal of the tail such that E_alpha(r) = e_hat_alpha(r) * tail.
+def eq57_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
+                  line: int, r: float) -> np.ndarray:
+    """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x.
 
-    For alpha != 0 it is q_alpha^{1/2 sum_t eps(t-r) :h_alpha(t):}.  The affine
-    node straddles (r, r+1) and its tail carries both oscillator strings with
-    the opposite base sign:
-    q_0^{-1/2 [sum_t eps(t-r) :n'_N(t): + sum_t eps(t-(r+1)) :n_1(t):]}.
+    For alpha != 0 it is 1/2 sum_t eps(t-r) :h_alpha(t):.  The affine node
+    straddles (r, r+1) and its tail carries both oscillator strings with the
+    opposite base sign: -1/2 [sum_t eps(t-r) :n'_N(t): + sum_t eps(t-(r+1))
+    :n_1(t):].
     """
-    qa = cartan.q_alpha(cfg.q, corruption)[alpha]
-    if flip:
-        qa = 1 / qa
     if alpha != 0:
-        expo = 0.5 * string_tail_exponent(cfg, basis, alpha, line, r)
-        return q_power(qa, expo)
+        return 0.5 * string_tail_exponent(cfg, basis, alpha, line, r)
     boson, fermion = _node_modes(cfg, 0, line, r)
     expo = string_exponent(cfg, basis, boson) + string_exponent(cfg, basis, fermion)
-    return q_power(qa, -0.5 * expo)
+    return -0.5 * expo
 
 
 @dataclass
 class GeneratorSet:
-    """Assembled simple generators with their per-site local pieces.  ``H``
-    holds CSR matrices (exported and checked as such; :meth:`h` reads their
-    diagonals), ``H_local`` real vectors."""
+    """Assembled simple generators: ``H`` holds CSR matrices (exported and
+    checked as such; :meth:`h` reads their diagonals) and ``E`` the sums of
+    the local pieces.  The pieces themselves are not kept."""
 
     cfg: LatticeConfig
     basis: FockBasis
     cartan: CartanData
-    deformed: bool
     corruption: Corruption
     H: dict
     E: dict
-    H_local: dict
-    E_local: dict
 
     def q_alpha(self, alpha: int) -> complex:
         return self.cartan.q_alpha(self.cfg.q, self.corruption)[alpha]
@@ -345,26 +329,21 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
     if basis is None:
         basis = build_basis(cfg)
     cartan = cartan_data(cfg.M, cfg.N)
-    H, E, H_local, E_local = {}, {}, {}, {}
+    H, E = {}, {}
     for alpha in range(cfg.R + 1):
         hd = np.zeros(basis.dim)
         for line in cfg.lines:
             for r in admissible_sites(cfg, alpha):
-                loc = _h_local_diag(cfg, basis, alpha, line, r, corruption)
-                H_local[(alpha, line, r)] = loc
-                hd += loc
+                hd += _h_local_diag(cfg, basis, alpha, line, r, corruption)
         H[alpha] = diag_operator(hd)
         for sign in ("+", "-"):
             total = zero_op(basis)
             for line in cfg.lines:
                 for r in admissible_sites(cfg, alpha):
-                    loc = _local_e(cfg, basis, alpha, sign, line, r,
-                                   deformed, corruption)
-                    E_local[(alpha, sign, line, r)] = loc
-                    total = total + loc
+                    total = total + local_e(cfg, basis, alpha, sign, line, r,
+                                            deformed, corruption)
             E[(alpha, sign)] = total.tocsr()
-    return GeneratorSet(cfg, basis, cartan, deformed, corruption,
-                        H, E, H_local, E_local)
+    return GeneratorSet(cfg, basis, cartan, corruption, H, E)
 
 
 def cached_generators(cfg: LatticeConfig, deformed: bool,

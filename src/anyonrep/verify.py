@@ -24,6 +24,7 @@ from .algebra import (
     DELTA,
     GeneratorSet,
     RootLabel,
+    _h_local_diag,
     _q_one,
     admissible_sites,
     cached_basis,
@@ -34,10 +35,9 @@ from .algebra import (
     central_charge_diag,
     chevalley_generators,
     compose_roots,
-    eq57_tail,
-    local_q_generator,
+    eq57_exponent,
+    local_e,
     root_weight,
-    string_tail_exponent,
 )
 from .fock import (
     BOSON,
@@ -129,9 +129,9 @@ def _chevalley_relations(out: SuiteReports, gs: GeneratorSet, ids):
     h = [gs.h(al) for al in range(R + 1)]
     for al in range(R + 1):
         for be in range(al, R + 1):
-            out.check(f"{eq_a}[{al},{be}]",
-                      diag_operator(h[al] * h[be]), diag_operator(h[be] * h[al]),
-                      params={"alpha": al, "beta": be})
+            out.record(f"{eq_a}[{al},{be}]",
+                       float(np.abs(h[al] * h[be] - h[be] * h[al]).max()),
+                       params={"alpha": al, "beta": be})
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -315,81 +315,76 @@ def suite_undeformed(cfg: LatticeConfig,
 # coproduct suite
 # ---------------------------------------------------------------------------
 
-def _worst_factorization(gs: GeneratorSet, alpha: int, flip: bool = False) -> float:
-    """Largest entry of E_alpha(r) - e_hat_alpha(r) * tail over both signs
-    and every local piece; ``flip`` inverts q_alpha in the tail."""
-    cfg, basis = gs.cfg, gs.basis
-    worst = 0.0
-    for s in ("+", "-"):
-        for line in cfg.lines:
-            for r in admissible_sites(cfg, alpha):
-                E = gs.E_local[(alpha, s, line, r)]
-                ehat = local_q_generator(cfg, basis, alpha, s, line, r)
-                tail = eq57_tail(cfg, basis, gs.cartan, alpha, line, r,
-                                 gs.corruption, flip=flip)
-                worst = max(worst, residual_norm(E - scale_columns(ehat, tail)))
-    return worst
-
-
 def suite_coproduct(cfg: LatticeConfig,
                     corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """String-tail factorization of every local piece, and the two-half split
-    of the global generators with the coproduct weights between the halves."""
+    of the global generators with the coproduct weights between the halves.
+    Each piece is built once over anyons and once over q-bosons, and read by
+    every statement about it."""
     gs = cached_generators(cfg, True, corruption)
     basis = gs.basis
     out = SuiteReports("coproduct", cfg.tol)
+    splits = SuiteReports("coproduct", cfg.tol)  # reported after eq57
     zero = np.zeros(basis.dim)
-
-    for alpha in range(cfg.R + 1):
-        out.record(f"eq57[{alpha}]", _worst_factorization(gs, alpha),
-                   params={"alpha": alpha,
-                           "form": "two-site tail" if alpha == 0 else "standard"})
 
     # flipping q_alpha in the tail must break the factorization: the opposite
     # base sign of the bosonic strings is load-bearing
-    flips = list(range(cfg.M + 1, cfg.R + 1))
-    if flips:
-        al = flips[0]
-        out.record(f"eq57-tailflip-control[{al}]",
-                   _worst_factorization(gs, al, flip=True), tol=1e-3,
-                   params={"alpha": al, "note": "sensitivity control, must fail"},
-                   expect_fail=True)
-    else:
-        out.not_applicable("eq57-tailflip-control", "no q^-1 node (N = 1)")
+    control = cfg.M + 1 if cfg.N >= 2 else None
+    worst_flip = 0.0
 
-    # two-half split along a cut compatible with the lattice order (an
-    # order ideal: earlier lines plus the left half of the cut line); the
-    # affine pieces straddle the cut and are excluded
+    # two-half split along a cut compatible with the lattice order (an order
+    # ideal: earlier lines plus the left half of the cut line); the affine
+    # pieces straddle the cut and are excluded.  Every right site comes after
+    # every left site, so a left piece's left-only tail exponent is its full
+    # one minus H_right/2 and a right piece's right-only one its full one
+    # plus H_left/2: exact, as every exponent is a half-integer.
     cut = (cfg.K + 1) // 2
 
-    def left(ln, r):
-        return ln < cut or (ln == cut and r < 0)
-
-    for alpha in range(1, cfg.R + 1):
+    for alpha in range(cfg.R + 1):
         qa = gs.q_alpha(alpha)
-        HL = sum((gs.H_local[(alpha, ln, r)] for ln in cfg.lines
-                  for r in cfg.sites if left(ln, r)), zero)
-        HR = sum((gs.H_local[(alpha, ln, r)] for ln in cfg.lines
-                  for r in cfg.sites if not left(ln, r)), zero)
+        sites = [(ln, r) for ln in cfg.lines for r in admissible_sites(cfg, alpha)]
+        expos = [eq57_exponent(cfg, basis, alpha, ln, r) for ln, r in sites]
+        tails = [q_power(qa, x) for x in expos]
+        if alpha:
+            left = [ln < cut or (ln == cut and r < 0) for ln, r in sites]
+            h = [_h_local_diag(cfg, basis, alpha, ln, r, corruption)
+                 for ln, r in sites]
+            HL = sum((v for v, lf in zip(h, left) if lf), zero)
+            HR = sum((v for v, lf in zip(h, left) if not lf), zero)
+            halves = [q_power(qa, x - 0.5 * HR if lf else x + 0.5 * HL)
+                      for x, lf in zip(expos, left)]
+        worst = 0.0
         for s in ("+", "-"):
-            def half_sum(pred):
-                tot = zero_op(basis)
-                for ln in cfg.lines:
-                    for r in cfg.sites:
-                        if not pred(ln, r):
-                            continue
-                        ehat = local_q_generator(cfg, basis, alpha, s, ln, r)
-                        expo = 0.5 * string_tail_exponent(
-                            cfg, basis, alpha, ln, r, site_filter=pred)
-                        tot = tot + scale_columns(ehat, q_power(qa, expo))
-                return tot
-            EL = half_sum(left)
-            ER = half_sum(lambda ln, r: not left(ln, r))
-            rhs = (scale_columns(EL, q_power(qa, 0.5 * HR))
-                   + scale_rows(ER, q_power(qa, -0.5 * HL)))
-            out.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
-                      rhs.tocsr(), params={"alpha": alpha, "sign": s})
-    return out.reports
+            EL = ER = zero_op(basis)
+            for i, (ln, r) in enumerate(sites):
+                E = local_e(cfg, basis, alpha, s, ln, r, True, corruption)
+                ehat = local_e(cfg, basis, alpha, s, ln, r, False)
+                worst = max(worst, residual_norm(E - scale_columns(ehat, tails[i])))
+                if alpha == control:
+                    flipped = scale_columns(ehat, q_power(1 / qa, expos[i]))
+                    worst_flip = max(worst_flip, residual_norm(E - flipped))
+                if alpha:
+                    half = scale_columns(ehat, halves[i])
+                    if left[i]:
+                        EL = EL + half
+                    else:
+                        ER = ER + half
+            if alpha:
+                rhs = (scale_columns(EL, q_power(qa, 0.5 * HR))
+                       + scale_rows(ER, q_power(qa, -0.5 * HL)))
+                splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
+                             rhs.tocsr(), params={"alpha": alpha, "sign": s})
+        out.record(f"eq57[{alpha}]", worst,
+                   params={"alpha": alpha,
+                           "form": "two-site tail" if alpha == 0 else "standard"})
+
+    if control is None:
+        out.not_applicable("eq57-tailflip-control", "no q^-1 node (N = 1)")
+    else:
+        out.record(f"eq57-tailflip-control[{control}]", worst_flip, tol=1e-3,
+                   params={"alpha": control, "note": "sensitivity control, must fail"},
+                   expect_fail=True)
+    return out.reports + splits.reports
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +406,24 @@ def suite_classical_limit(cfg: LatticeConfig,
     scaling of the deviation in (q - 1)."""
     out = SuiteReports("classical", 1e-12)
     cfg1 = _q_one(cfg)
-    gs1 = cached_generators(cfg1, True, corruption)
     plain = cached_generators(cfg1, False, corruption)
-    out.record("limit-q1", _genset_distance(gs1, plain))
 
+    # the deformed sets at and near q = 1 are used once: built here, not
+    # cached, and the one at q = 1 is released before the others are built
+    def deformed_at(q_real):
+        return chevalley_generators(dataclasses.replace(cfg1, q_real=q_real),
+                                    cached_basis(cfg1), True, corruption)
+
+    gs1 = deformed_at(1.0)
+    out.record("limit-q1", _genset_distance(gs1, plain))
     worst = max(float(np.abs(q_bracket(gs1.h(al), 1.0) - gs1.h(al)).max())
                 for al in gs1.H)
     out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
-
-    # the sets near q = 1 are used once: built here, not cached
-    def distance_at(q_real):
-        gs = chevalley_generators(dataclasses.replace(cfg1, q_real=q_real),
-                                  cached_basis(cfg1), True, corruption)
-        return _genset_distance(gs, plain)
+    del gs1
 
     eps = 1e-6
-    r1, r2 = distance_at(1 + eps), distance_at(1 + 2 * eps)
+    r1 = _genset_distance(deformed_at(1 + eps), plain)
+    r2 = _genset_distance(deformed_at(1 + 2 * eps), plain)
     ratio = r2 / r1 if r1 else float("inf")
     out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
                params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})

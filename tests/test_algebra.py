@@ -17,9 +17,10 @@ from anyonrep.algebra import (
     central_charge_diag,
     chevalley_generators,
     compose_roots,
-    eq57_tail,
-    local_q_generator,
+    eq57_exponent,
+    local_e,
     root_weight,
+    string_tail_exponent,
 )
 from anyonrep.anyons import anyon
 from anyonrep.fock import (
@@ -38,7 +39,9 @@ from anyonrep.fock import (
     diag_operator,
     fermion_mode,
     q_bracket,
+    q_power,
     residual_norm,
+    site_order_sign,
     supercommutator,
 )
 from anyonrep.oscillators import (
@@ -166,7 +169,8 @@ def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
             h = gs.h(al)
             assert h.dtype == np.float64
             assert h.tobytes() == H.diagonal().real.tobytes()
-            local = sum(gs.H_local[(al, line, r)] for line in cfg22.lines
+            local = sum(alg._h_local_diag(cfg22, basis22, al, line, r, Corruption())
+                        for line in cfg22.lines
                         for r in alg.admissible_sites(cfg22, al))
             assert np.array_equal(local, h)
 
@@ -183,81 +187,129 @@ def test_deformed_equals_undeformed_at_q_one():
 
 def test_local_piece_matches_anyon_product(cfg21, basis21):
     # the mixed node: a_M^dag(r) A_1(r)
-    gs = chevalley_generators(cfg21, basis21, deformed=True)
     r = 0.5
-    lhs = gs.E_local[(cfg21.M, "+", 1, r)]
+    lhs = local_e(cfg21, basis21, cfg21.M, "+", 1, r, True)
     rhs = anyon(cfg21, basis21, fermion_mode(cfg21.M, r), "a", dagger=True) \
         @ anyon(cfg21, basis21, boson_mode(1, r), "A")
     assert residual_norm(lhs - rhs) == 0.0
 
 
-def test_affine_pieces_need_next_site(cfg21, basis21):
-    gs = chevalley_generators(cfg21, basis21, deformed=True)
-    assert (0, "+", 1, -0.5) in gs.E_local
-    assert (0, "+", 1, 0.5) not in gs.E_local
+def test_affine_pieces_need_next_site(cfg21):
     assert alg.admissible_sites(cfg21, 0) == (-0.5,)
     assert alg.admissible_sites(cfg21, 1) == (-0.5, 0.5)
 
 
 def test_string_tail_factorization(cfg21, basis21):
-    gs = chevalley_generators(cfg21, basis21, deformed=True)
+    q_alpha = cartan_data(cfg21.M, cfg21.N).q_alpha(cfg21.q)
     for alpha in range(cfg21.R + 1):
         for s in ("+", "-"):
             for r in alg.admissible_sites(cfg21, alpha):
-                E = gs.E_local[(alpha, s, 1, r)]
-                ehat = local_q_generator(cfg21, basis21, alpha, s, 1, r)
-                tail = eq57_tail(cfg21, basis21, gs.cartan, alpha, 1, r)
+                E = local_e(cfg21, basis21, alpha, s, 1, r, True)
+                ehat = local_e(cfg21, basis21, alpha, s, 1, r, False)
+                tail = q_power(q_alpha[alpha],
+                               eq57_exponent(cfg21, basis21, alpha, 1, r))
                 assert residual_norm(E - ehat @ diag_operator(tail)) <= cfg21.tol
 
 
 def test_local_q_generator_collapses_at_q_one():
+    # the q-boson piece at q = 1 against the piece over plain oscillators
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.0)
     basis = build_basis(cfg)
-    gs = chevalley_generators(cfg, basis, deformed=False)
     for alpha in range(cfg.R + 1):
         for s in ("+", "-"):
             for r in alg.admissible_sites(cfg, alpha):
-                ehat = local_q_generator(cfg, basis, alpha, s, 1, r)
-                assert residual_norm(ehat - gs.E_local[(alpha, s, 1, r)]) <= 1e-13
+                ehat = local_e(cfg, basis, alpha, s, 1, r, False)
+                plain = _ref_local_e(cfg, basis, alpha, s, 1, r, False, Corruption())
+                assert residual_norm(ehat - plain) <= 1e-13
 
 
 def test_tail_flip_breaks_factorization(cfg22, basis22):
     # only nodes above M carry q^{-1}; flipping must be visible
-    gs = chevalley_generators(cfg22, basis22, deformed=True)
     alpha = cfg22.M + 1
+    qa = cartan_data(cfg22.M, cfg22.N).q_alpha(cfg22.q)[alpha]
     worst = 0.0
     for r in cfg22.sites:
-        E = gs.E_local[(alpha, "+", 1, r)]
-        ehat = local_q_generator(cfg22, basis22, alpha, "+", 1, r)
-        tail = eq57_tail(cfg22, basis22, gs.cartan, alpha, 1, r, flip=True)
+        E = local_e(cfg22, basis22, alpha, "+", 1, r, True)
+        ehat = local_e(cfg22, basis22, alpha, "+", 1, r, False)
+        tail = q_power(1 / qa, eq57_exponent(cfg22, basis22, alpha, 1, r))
         worst = max(worst, residual_norm(E - ehat @ diag_operator(tail)))
     assert worst > 1e-3
+
+
+def _filtered_tail_exponent(cfg, basis, alpha, line, r, keep):
+    """sum_t eps(t - x) :h_alpha(t): over the sites that ``keep`` accepts."""
+    total = np.zeros(basis.dim)
+    for ln in cfg.lines:
+        for t in cfg.sites:
+            eps = site_order_sign(ln, t, line, r)
+            if keep(ln, t) and eps:
+                total += eps * alg._h_local_diag(cfg, basis, alpha, ln, t,
+                                                 Corruption())
+    return total
+
+
+@pytest.mark.parametrize("cfg", [
+    LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+    LatticeConfig(M=2, N=1, S=2, K=2, n_max=1, nu=0.3, ordering=("sea", "empty")),
+    LatticeConfig(M=2, N=1, S=2, K=3, n_max=1, nu=0.3,
+                  ordering=("sea", "empty", "sea"), dim_cap=2 ** 18),
+], ids=["M2N2S2", "M2N1S2-sea,empty", "M2N1S2-three-lines"])
+def test_half_tail_is_full_tail_less_other_half(cfg):
+    """The coproduct split cuts along an order ideal (every right site after
+    every left site), so a piece's one-half tail is its full tail less the
+    other half's Cartan sum, bit for bit."""
+    basis = build_basis(cfg)
+    cut = (cfg.K + 1) // 2
+
+    def left(ln, t):
+        return ln < cut or (ln == cut and t < 0)
+
+    def right(ln, t):
+        return not left(ln, t)
+
+    for alpha in range(1, cfg.R + 1):
+        H = {side: sum((alg._h_local_diag(cfg, basis, alpha, ln, t, Corruption())
+                        for ln in cfg.lines for t in cfg.sites if side(ln, t)),
+                       np.zeros(basis.dim))
+             for side in (left, right)}
+        for ln in cfg.lines:
+            for r in cfg.sites:
+                T = string_tail_exponent(cfg, basis, alpha, ln, r)
+                own = left if left(ln, r) else right
+                half = T - H[right] if own is left else T + H[left]
+                ref = _filtered_tail_exponent(cfg, basis, alpha, ln, r, own)
+                assert half.tobytes() == ref.tobytes()
 
 
 def test_local_fixed_site_representation(cfg22, basis22):
     """At a single site the hatted generators and the local Cartan pieces
     close into the finite-rank deformed algebra (headroom 1 for the cutoff)."""
-    gs = chevalley_generators(cfg22, basis22, deformed=True)
-    ct = gs.cartan
+    ct = cartan_data(cfg22.M, cfg22.N)
     head = bulk_projector(cfg22, basis22, 0, 1)
     r = -0.5
+
+    def h_local(alpha):
+        return alg._h_local_diag(cfg22, basis22, alpha, 1, r, Corruption())
+
+    def e_hat(alpha, s):
+        return local_e(cfg22, basis22, alpha, s, 1, r, False)
+
     for al in range(1, cfg22.R + 1):
-        h_al = diag_operator(gs.H_local[(al, 1, r)])
+        h_al = diag_operator(h_local(al))
         for be in range(1, cfg22.R + 1):
-            h_be = diag_operator(gs.H_local[(be, 1, r)])
+            h_be = diag_operator(h_local(be))
             assert residual_norm(h_al @ h_be - h_be @ h_al) == 0.0
             for s, sgn in (("+", 1), ("-", -1)):
-                e = local_q_generator(cfg22, basis22, be, s, 1, r)
+                e = e_hat(be, s)
                 comm = h_al @ e - e @ h_al - sgn * ct.a[al][be] * e
                 assert residual_norm(comm) <= 1e-12
-            ep = local_q_generator(cfg22, basis22, be, "+", 1, r)
-            em = local_q_generator(cfg22, basis22, be, "-", 1, r)
+            ep = e_hat(be, "+")
+            em = e_hat(be, "-")
             lhs = supercommutator(ep, em, ct.parity[be], ct.parity[be]) \
                 if al == be else supercommutator(
-                    local_q_generator(cfg22, basis22, al, "+", 1, r), em,
-                    ct.parity[al], ct.parity[be])
+                    e_hat(al, "+"), em, ct.parity[al], ct.parity[be])
             if al == be:
-                rhs = diag_operator(q_bracket(gs.H_local[(al, 1, r)],
+                rhs = diag_operator(q_bracket(h_local(al),
                                               ct.q_alpha(cfg22.q)[al]))
             else:
                 rhs = 0 * lhs
@@ -389,16 +441,16 @@ def test_node_table_reproduces_per_node_chains(cfg):
                         alg._h_local_diag(cfg, basis, alpha, line, r, cor),
                         _ref_h_local_diag(cfg, basis, alpha, line, r, cor))
                 for s in ("+", "-"):
-                    assert _same(local_q_generator(cfg, basis, alpha, s, line, r),
+                    assert _same(local_e(cfg, basis, alpha, s, line, r, False),
                                  _ref_local_q_generator(cfg, basis, alpha, s, line, r))
                     # the plain pieces are the q-boson pieces at q = 1
                     assert _same(
-                        alg._local_e(_q_one(cfg), basis, alpha, s, line, r, False),
+                        local_e(_q_one(cfg), basis, alpha, s, line, r, False),
                         _ref_local_e(cfg, basis, alpha, s, line, r, False,
                                      corruptions[0]))
                     for cor in corruptions:
                         assert _same(
-                            alg._local_e(cfg, basis, alpha, s, line, r, True, cor),
+                            local_e(cfg, basis, alpha, s, line, r, True, cor),
                             _ref_local_e(cfg, basis, alpha, s, line, r, True, cor))
 
 

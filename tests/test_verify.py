@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from anyonrep.algebra import (
     _cached_set,
+    admissible_sites,
     cached_basis,
     cached_generators,
     cartan_data,
     cartan_weyl_generators,
     compose_roots,
+    local_e,
 )
-from anyonrep import fock
+from anyonrep import fock, verify
 from anyonrep.fock import (
     Corruption,
     LatticeConfig,
@@ -325,6 +327,24 @@ def test_coproduct_split_on_line_stacks(ordering):
     assert splits and all(r.residual <= 1e-12 for r in splits)
 
 
+def test_suite_coproduct_builds_each_local_piece_once(monkeypatch):
+    cfg = LatticeConfig(M=2, N=2, S=2, K=2, n_max=1, nu=0.3,
+                        ordering=("sea", "empty"))
+    calls = []
+
+    def counted(cfg, basis, alpha, sign, line, r, dressed, *args, **kw):
+        calls.append((alpha, sign, line, r, dressed))
+        return local_e(cfg, basis, alpha, sign, line, r, dressed, *args, **kw)
+
+    monkeypatch.setattr(verify, "local_e", counted)
+    assert reports_ok(suite_coproduct(cfg))
+    pieces = {(al, s, ln, r) for al in range(cfg.R + 1) for s in ("+", "-")
+              for ln in cfg.lines for r in admissible_sites(cfg, al)}
+    # once over anyons, once over q-bosons
+    assert len(calls) == len(set(calls)) == 2 * len(pieces)
+    assert {c[:4] for c in calls} == pieces
+
+
 def test_coproduct_control_not_applicable_without_inverse_nodes(cfg21):
     reports = suite_coproduct(cfg21)
     control = [r for r in reports if "tailflip" in r.relation_id]
@@ -336,8 +356,8 @@ def test_split_degenerates_to_additivity_at_q_one():
     gs = cached_generators(cfg, True)
     for alpha in range(1, cfg.R + 1):
         for s in ("+", "-"):
-            total = sum((gs.E_local[(alpha, s, 1, r)] for r in cfg.sites),
-                        0 * gs.H[0])
+            total = sum((local_e(cfg, gs.basis, alpha, s, 1, r, True)
+                         for r in cfg.sites), 0 * gs.H[0])
             assert residual_norm(gs.E[(alpha, s)] - total) <= 1e-13
 
 
@@ -410,8 +430,20 @@ def test_limit_slope_sets_are_not_cached():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     _cached_set.cache_clear()
     suite_classical_limit(cfg)
-    # the deformed and the plain set at q = 1, nothing near q = 1
-    assert _cached_set.cache_info().currsize == 2
+    # the plain set only: the deformed sets at and near q = 1 are used once
+    assert _cached_set.cache_info().currsize == 1
+
+
+def test_run_suites_caches_the_deformed_and_the_plain_set():
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    _cached_set.cache_clear()
+    run_suites(cfg)
+    info = _cached_set.cache_info()
+    assert info.currsize == 2
+    # the deformed set at the config's q and the plain set
+    cached_generators(cfg, True)
+    cached_generators(cfg, False)
+    assert _cached_set.cache_info().misses == info.misses
 
 
 def test_one_basis_per_geometry(monkeypatch):
