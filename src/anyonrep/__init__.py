@@ -17,7 +17,6 @@ from .fock import (
     NO_CORRUPTION,
     boson_mode,
     build_basis,
-    bulk_projector,
     fermion_mode,
 )
 from .report import RelationReport, check_identity, reports_ok
@@ -42,7 +41,6 @@ __all__ = [
     "SUITES",
     "boson_mode",
     "build_basis",
-    "bulk_projector",
     "check_identity",
     "fermion_mode",
     "reports_ok",

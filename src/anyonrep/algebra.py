@@ -353,7 +353,9 @@ def cached_generators(cfg: LatticeConfig, deformed: bool,
     return _cached_set(cfg if deformed else _q_one(cfg), deformed, corruption)
 
 
-@lru_cache(maxsize=32)
+# the plain set and the deformed set asked for last: a run reads one q at a
+# time (verify --q-samples never returns to one), so older sets are dead weight
+@lru_cache(maxsize=2)
 def _cached_set(cfg: LatticeConfig, deformed: bool,
                 corruption: Corruption) -> GeneratorSet:
     return chevalley_generators(cfg, cached_basis(cfg), deformed, corruption)

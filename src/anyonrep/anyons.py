@@ -239,11 +239,11 @@ def suite_braiding(cfg: LatticeConfig,
             Td = A(k, pt, "A~", True)
             nvec = number_diag(cfg, basis, ModeId(BOSON, k, pt[0], pt[1]))
             ps = {"flavor": k, "x": list(pt)}
-            rep(f"eq54a[k={k},{pt}]", Ao @ Ad - q * (Ad @ Ao),
+            rep(f"eq54a[k={k},{pt}]", [(1, Ao, Ad), (-q, Ad, Ao)],
                 diag_operator(q_power(q, -nvec)), bulk=(0, 1), **ps)
-            rep(f"eq54b[k={k},{pt}]", Ao @ Ad - (Ad @ Ao) / q,
+            rep(f"eq54b[k={k},{pt}]", [(1, Ao, Ad), (-1 / q, Ad, Ao)],
                 diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
-            rep(f"eq54ta[k={k},{pt}]", To @ Td - (Td @ To) / q,
+            rep(f"eq54ta[k={k},{pt}]", [(1, To, Td), (-1 / q, Td, To)],
                 diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
             rep(f"eq50A[k={k},{pt}]", Ad @ Ao,
                 diag_operator(q_bracket(nvec, q)), **ps)

@@ -143,11 +143,11 @@ def lattice_config_from_raw(raw: dict) -> LatticeConfig:
         M=_typed(raw, "M", int, 2),
         N=_typed(raw, "N", int, 1),
         S=_typed(raw, "sites", int, 2),
-        K=_typed(raw, "lines", int, 1),
-        n_max=_typed(raw, "nmax", int, 2),
+        K=_typed(raw, "lines", int, LatticeConfig.K),
+        n_max=_typed(raw, "nmax", int, LatticeConfig.n_max),
         ordering=ordering,
-        tol=_typed(raw, "tol", float, 1e-10),
-        dim_cap=_typed(raw, "dim_cap", int, 100_000),
+        tol=_typed(raw, "tol", float, LatticeConfig.tol),
+        dim_cap=_typed(raw, "dim_cap", int, LatticeConfig.dim_cap),
     )
     if "nu" in q:
         kwargs["nu"] = _typed(q, "nu", float, None)
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--q-real", dest="q_real", type=float, help="positive real q")
         sp_.add_argument("--tol", type=float, help="verification tolerance")
         sp_.add_argument("--dim-cap", dest="dim_cap", type=int,
-                         help="basis dimension cap (default 100000)")
+                         help=f"basis dimension cap (default {LatticeConfig.dim_cap})")
         sp_.add_argument("--quiet", action="store_true")
 
     v = sub.add_parser("verify", help="run relation suites")

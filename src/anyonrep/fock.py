@@ -465,11 +465,11 @@ def op_adjoint(x: sp.spmatrix) -> sp.csr_matrix:
     return x.conjugate().transpose().tocsr()
 
 
-def supercommutator(x: sp.spmatrix, y: sp.spmatrix, grade_x: int, grade_y: int) -> sp.csr_matrix:
-    """X Y - (-1)^(gx*gy) Y X."""
+def supercommutator(x: sp.spmatrix, y: sp.spmatrix, grade_x: int, grade_y: int) -> list:
+    """X Y - (-1)^(gx*gy) Y X as its two products (see ``report.restrict``)."""
     _check_shapes(x, y)
     sign = -1.0 if (grade_x * grade_y) % 2 else 1.0
-    return (x @ y - sign * (y @ x)).tocsr()
+    return [(1, x, y), (-sign, y, x)]
 
 
 def q_commutator(x: sp.spmatrix, y: sp.spmatrix, q: complex) -> sp.csr_matrix:
@@ -520,8 +520,3 @@ def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
         raise EmptyBulkError("empty bulk: no state satisfies the boundary constraints")
     return (f_ok[:, None] & b_ok[None, :]).ravel()
 
-
-def bulk_projector(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int = 1,
-                   boson_headroom: int = 0) -> sp.csr_matrix:
-    return diag_operator(bulk_mask(cfg, basis, boundary_margin, boson_headroom)
-                         .astype(complex))

@@ -115,7 +115,7 @@ def suite_oscillators(cfg: LatticeConfig,
     for m1, m2 in _mode_pairs(basis.boson_modes):
         d1, d2 = ds[m1], ds[m2]
         ps = {"modes": [str(m1), str(m2)]}
-        out.check(f"eq21[{m1},{m2}+]", d1 @ dag[m2] - dag[m2] @ d1,
+        out.check(f"eq21[{m1},{m2}+]", [(1, d1, dag[m2]), (-1, dag[m2], d1)],
                   one if m1 == m2 else None, bulk=(0, 1), params=ps)
         out.check(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
 
@@ -130,9 +130,9 @@ def suite_oscillators(cfg: LatticeConfig,
     for m in basis.boson_modes:
         b, bd, n = bs[m], bds[m], ns[m]
         ps = {"mode": str(m)}
-        out.check(f"eq49a[{m}]", b @ bd - q * (bd @ b),
+        out.check(f"eq49a[{m}]", [(1, b, bd), (-q, bd, b)],
                   diag_operator(q_power(q, -n)), bulk=(0, 1), params=ps)
-        out.check(f"eq49b[{m}]", b @ bd - (bd @ b) / q,
+        out.check(f"eq49b[{m}]", [(1, b, bd), (-1 / q, bd, b)],
                   diag_operator(q_power(q, n)), bulk=(0, 1), params=ps)
         out.check(f"eq49d[{m}]", scale_rows(b, n) - scale_columns(b, n),
                   -1 * b, params=ps)
@@ -140,8 +140,8 @@ def suite_oscillators(cfg: LatticeConfig,
                   bd, params=ps)
         out.check(f"eq50a[{m}]", bd @ b, diag_operator(q_bracket(n, q)),
                   params=ps)
-        out.check(f"eq50b[{m}]", b @ bd, diag_operator(q_bracket(n + 1, q)),
-                  bulk=(0, 1), params=ps)
+        out.check(f"eq50b[{m}]", [(1, b, bd)],
+                  diag_operator(q_bracket(n + 1, q)), bulk=(0, 1), params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):
         if m1 == m2:

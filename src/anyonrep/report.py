@@ -9,6 +9,8 @@ A relation id is a family id, optionally followed by an index in brackets
 (``eq7c[0,1]``).  Every family a suite emits is declared once in
 :data:`CATALOG`, which is also what ``anyonrep list`` prints; suites emit
 through :class:`SuiteReports`, which takes the equation tag from there.
+A projected check's products are restricted to its bulk before they are
+multiplied (:func:`restrict`), with the residual of the full products.
 """
 
 from __future__ import annotations
@@ -71,52 +73,51 @@ def bulk_label(bulk: tuple[int, int] | None, side: str = "both") -> str:
             + (",right" if side == "right" else ""))
 
 
-def bulk_part(x: sp.spmatrix, mask: np.ndarray | None = None,
-              side: str = "both") -> sp.csr_matrix:
-    """``x`` on the masked columns, and for side "both" the masked rows, with
-    duplicate entries summed; ``x`` itself is not changed (generators are
-    shared)."""
-    x = x.tocsr()
+def restrict(terms, mask: np.ndarray | None = None, side: str = "both") -> sp.csr_matrix:
+    """The sum of ``terms`` on the masked columns, and for side "both" the
+    masked rows.  ``terms`` is a matrix X, the product (1, X), or a list of
+    products (c, X1, ..., Xn), meaning c X1 ... Xn, added in order.  Each is
+    formed left to right from X1[mask] (side "both") to Xn[:, mask]: row i of
+    X Y reads row i of X alone and (X Y)[:, m] = X (Y[:, m]), so every kept
+    entry is summed as in the full product."""
     if side not in ("both", "right"):
         raise ValueError(f"unknown projector side {side!r}")
-    if mask is not None:
-        x = (x[mask] if side == "both" else x)[:, mask]
-    elif not x.has_canonical_format:
-        x = x.copy()
-    x.sum_duplicates()
-    return x
+    if sp.issparse(terms):
+        terms = [(1, terms)]
+    total = None
+    for c, *factors in terms:
+        if mask is not None:
+            if side == "both":
+                factors[0] = factors[0][mask]
+            factors[-1] = factors[-1][:, mask]
+        x = factors[0]
+        for f in factors[1:]:
+            x = x @ f
+        if c != 1:
+            x = c * x
+        total = x if total is None else total + x
+    return total.tocsr()
 
 
 def check_identity(relation_id: str, equation: str, lhs: sp.spmatrix,
-                   rhs: sp.spmatrix | None = None, *, tol: float,
-                   bulk: tuple[int, int] | None = None, side: str = "both",
-                   basis: FockBasis | None = None, mask: np.ndarray | None = None,
+                   rhs: sp.spmatrix, *, tol: float, label: str = "identity",
                    params: dict | None = None, expect_fail: bool = False,
                    informational: bool = False) -> RelationReport:
-    """Residual of lhs - rhs; ``rhs`` defaults to zero (an rhs without stored
-    entries is not subtracted).
-
-    ``bulk`` = (margin, headroom) names the states :func:`fock.bulk_mask`
-    selects on ``basis`` (``mask``: that selection, if made already).  The
-    residual is reduced over their rows and columns (side "both") or their
-    columns (side "right": the identity annihilates the protected subspace
-    outright); the label is written from the same spec.
-    """
+    """Residual of lhs - rhs, duplicates summed; neither operand is changed
+    (generators are shared).  ``label`` names the bulk of the operands."""
     t0 = time.perf_counter()
-    diff = lhs
-    if rhs is not None:
-        if lhs.shape != rhs.shape:
-            raise ValueError(f"operator dimensions differ: {lhs.shape} vs {rhs.shape}")
-        if rhs.nnz:
-            diff = lhs - rhs
-    if bulk is not None and mask is None:
-        mask = bulk_mask(basis.cfg, basis, *bulk)
-    res = residual_norm(bulk_part(diff, mask, side))
+    if lhs.shape != rhs.shape:
+        raise ValueError(f"operator dimensions differ: {lhs.shape} vs {rhs.shape}")
+    diff = lhs - rhs if rhs.nnz else lhs
+    if not diff.has_canonical_format:
+        diff = diff.copy()
+        diff.sum_duplicates()
+    res = residual_norm(diff)
     return RelationReport(
         relation_id=relation_id,
         equation=equation,
         params=dict(params or {}),
-        projector=bulk_label(bulk, side),
+        projector=label,
         residual=res,
         tol=tol,
         passed=res <= tol,
@@ -243,10 +244,6 @@ class SuiteReports:
         self.basis = basis
         self.reports: list[RelationReport] = []
         self._masks: dict[tuple[int, int], np.ndarray] = {}
-        # a zero rhs is passed on as this empty operand, not as None: tracers
-        # of check_identity (perfbench/tracing.py) read the rhs's nnz
-        self._zero = (None if basis is None
-                      else sp.csr_matrix((basis.dim, basis.dim), dtype=complex))
 
     def equation(self, relation_id: str) -> str:
         family = relation_id.split("[", 1)[0]
@@ -262,16 +259,23 @@ class SuiteReports:
             self._masks[bulk] = bulk_mask(self.basis.cfg, self.basis, *bulk)
         return self._masks[bulk]
 
-    def check(self, relation_id: str, lhs: sp.spmatrix,
-              rhs: sp.spmatrix | None = None, *, tol: float | None = None,
-              bulk: tuple[int, int] | None = None, **kwargs):
-        """:func:`check_identity` under the catalog tag; ``rhs`` defaults to
-        zero."""
-        self.reports.append(check_identity(
-            relation_id, self.equation(relation_id), lhs,
-            self._zero if rhs is None else rhs,
-            tol=self.tol if tol is None else tol, bulk=bulk,
-            mask=None if bulk is None else self.mask(bulk), **kwargs))
+    def check(self, relation_id: str, lhs, rhs=None, *,
+              tol: float | None = None, bulk: tuple[int, int] | None = None,
+              side: str = "both", **kwargs):
+        """:func:`check_identity` under the catalog tag of both sides, each a
+        matrix or products restricted to the bulk by :func:`restrict`; ``rhs``
+        defaults to zero.  The wall time includes forming the products."""
+        t0 = time.perf_counter()
+        mask = None if bulk is None else self.mask(bulk)
+        lhs = restrict(lhs, mask, side)
+        rhs = (sp.csr_matrix(lhs.shape, dtype=complex) if rhs is None
+               else restrict(rhs, mask, side))
+        report = check_identity(
+            relation_id, self.equation(relation_id), lhs, rhs,
+            tol=self.tol if tol is None else tol, label=bulk_label(bulk, side),
+            **kwargs)
+        report.wall_time = time.perf_counter() - t0
+        self.reports.append(report)
 
     def record(self, relation_id: str, residual: float, *,
                tol: float | None = None, bulk: tuple[int, int] | None = None,

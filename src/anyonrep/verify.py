@@ -5,10 +5,11 @@ truncated lattice up to the boson cutoff and run on the full space or with
 boson headroom; anything touching the two-site affine node runs with
 boundary margin 1, or 2 when it appears on both sides or in Serre
 compositions.  A check names its bulk once, ``bulk=(margin, headroom)`` with
-a ``side``; the states it is reduced over and its label both come from that
-spec.  Where a relation is exact away from the cutoff, the operator must also
-annihilate the headroom-protected subspace outright (side "right"), a
-strictly stronger statement than the two-sided check.
+a ``side``: its products are restricted to those states before they are
+multiplied, and its label is written from the same spec.  Where a relation
+is exact away from the cutoff, the operator must also annihilate the
+headroom-protected subspace outright (side "right"), a strictly stronger
+statement than the two-sided check.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .fock import (
     zero_op,
 )
 from .oscillators import number_diag
-from .report import RelationReport, SuiteReports, bulk_part
+from .report import RelationReport, SuiteReports, restrict
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +166,10 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
     relations at node M and at the affine node (Eq. (9)), under the family
     ids ``ids`` = (Serre, quartic at M, affine quartic prefix).
 
-    A generator: each word is formed, checked and then yielded as
-    ``(family, word, params)`` so that a caller can check more of it.  Words
-    are formed one at a time and not kept.
+    A generator: each word, a list of products (c, X1, ..., Xn), is checked
+    and then yielded as ``(family, products, params)`` so that a caller can
+    check it on another bulk.  Each check restricts the products to its bulk
+    before it multiplies them.
     """
     eq_serre, eq_quartic, eq_affine = ids
     cfg, ct = gs.cfg, gs.cartan
@@ -187,14 +189,14 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
                     X = supercommutator(EA, EB, ct.parity[al], ct.parity[be])
                     form = "supercommutator"
                 elif a[al][al] == 2:
-                    X = (EA @ EA @ EB - (qa + 1 / qa) * (EA @ EB @ EA)
-                         + EB @ EA @ EA)
+                    X = [(1, EA, EA, EB), (-(qa + 1 / qa), EA, EB, EA),
+                         (1, EB, EA, EA)]
                     form = "q-binomial cubic"
                 else:
                     # odd alpha: (ad_q)^2 collapses onto the E^2 terms; the
                     # remaining content is Eq. (7d) plus the quartic
                     w = _sig(s) * a[al][be]
-                    X = EA @ EA @ EB - q_power(qa, -2 * w) * (EB @ EA @ EA)
+                    X = [(1, EA, EA, EB), (-q_power(qa, -2 * w), EB, EA, EA)]
                     form = "odd-square"
                 ps = {"alpha": al, "beta": be, "sign": s, "form": form}
                 out.check(f"{eq_serre}[{al},{be},{s}]", X, bulk=bulk, params=ps)
@@ -516,7 +518,7 @@ def suite_cartan_weyl(cfg: LatticeConfig,
             continue
         hm = cartan_weyl_h(cfg, basis, 1, m)
         hmm = cartan_weyl_h(cfg, basis, 1, -m)
-        X = bulk_part(hm @ hmm - hmm @ hm, out.mask((2, 0)))
+        X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
         lam = complex(X.trace() / X.shape[0])
         lambdas[m] = lam
         res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
@@ -548,8 +550,8 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         es = cartan_weyl_generators(cfg, basis, rsum)
         # compositions of odd roots raise a boson in one ordering
         bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
-        X = bulk_part(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
-        Z = bulk_part(es, out.mask(bulk))
+        X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
+        Z = restrict(es, out.mask(bulk))
         if Z.nnz == 0 or residual_norm(Z) < 1e-12:
             out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
                                "target vanishes on the bulk")

@@ -1,6 +1,13 @@
 import pytest
 
-from anyonrep.fock import LatticeConfig, build_basis
+from anyonrep.fock import LatticeConfig, build_basis, bulk_mask, diag_operator
+
+
+def bulk_projector(cfg, basis, boundary_margin=1, boson_headroom=0):
+    """The bulk projector as a diagonal matrix: the reference the restriction
+    of a check's products to its bulk is tested against."""
+    return diag_operator(bulk_mask(cfg, basis, boundary_margin, boson_headroom)
+                         .astype(complex))
 
 
 @pytest.fixture(scope="session")

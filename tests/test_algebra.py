@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import bulk_projector
 from anyonrep import algebra as alg
 from anyonrep.algebra import (
     DELTA,
@@ -34,7 +35,6 @@ from anyonrep.fock import (
     annihilate,
     boson_mode,
     build_basis,
-    bulk_projector,
     create,
     diag_operator,
     fermion_mode,
@@ -49,6 +49,7 @@ from anyonrep.oscillators import (
     q_boson_annihilate,
     q_boson_create,
 )
+from anyonrep.report import restrict
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +306,9 @@ def test_local_fixed_site_representation(cfg22, basis22):
                 assert residual_norm(comm) <= 1e-12
             ep = e_hat(be, "+")
             em = e_hat(be, "-")
-            lhs = supercommutator(ep, em, ct.parity[be], ct.parity[be]) \
-                if al == be else supercommutator(
-                    e_hat(al, "+"), em, ct.parity[al], ct.parity[be])
+            lhs = restrict(supercommutator(ep, em, ct.parity[be], ct.parity[be])
+                           if al == be else supercommutator(
+                               e_hat(al, "+"), em, ct.parity[al], ct.parity[be]))
             if al == be:
                 rhs = diag_operator(q_bracket(h_local(al),
                                               ct.q_alpha(cfg22.q)[al]))

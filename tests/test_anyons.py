@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import bulk_projector
 from anyonrep.anyons import (
     anyon,
     disorder_factor,
@@ -14,7 +15,6 @@ from anyonrep.fock import (
     boson_annihilate,
     boson_mode,
     build_basis,
-    bulk_projector,
     diag_operator,
     fermion_annihilate,
     fermion_mode,

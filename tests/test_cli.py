@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,8 @@ from anyonrep.cli import (
     resolve_operator,
     write_operator,
 )
-from anyonrep.fock import residual_norm
+from anyonrep.algebra import _cached_set
+from anyonrep.fock import DEFAULT_DIM_CAP, LatticeConfig, residual_norm
 from anyonrep.report import RelationReport
 
 
@@ -164,6 +166,23 @@ def test_verify_q_samples(outdir):
     payload = json.loads(report.read_text())
     sampled = [k for k in payload["suites"] if "@nu=" in k]
     assert len(sampled) == 2
+
+
+def test_q_samples_keep_the_plain_and_the_last_deformed_set():
+    _cached_set.cache_clear()
+    assert main(["verify", "--M", "2", "--N", "1", "--sites", "2",
+                 "--q-samples", "3", "--quiet"]) == EXIT_OK
+    info = _cached_set.cache_info()
+    # one plain set and four deformed ones, each built once
+    assert info.currsize <= 2 and info.misses == 5
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    cfg = lattice_config_from_raw({})
+    defaults = {f.name: f.default for f in dataclasses.fields(LatticeConfig)}
+    for name in ("n_max", "tol", "dim_cap"):
+        assert getattr(cfg, name) == defaults[name]
+    assert cfg.dim_cap == DEFAULT_DIM_CAP
 
 
 def test_config_hash_is_stable():

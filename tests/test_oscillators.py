@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from conftest import bulk_projector
 from anyonrep.fock import (
     LatticeConfig,
     boson_annihilate,
     boson_mode,
     build_basis,
-    bulk_projector,
     diag_operator,
     fermion_mode,
     op_adjoint,
