@@ -12,7 +12,9 @@ replaces oscillators by anyons; every deformed local piece factorizes into the
 q-boson local generator times a diagonal string tail, which is what the
 coproduct suite checks.  A generator set holds only the sums, ``H`` (CSR)
 and ``E``, and keeps no local pieces: the coproduct suite builds the pieces it
-checks one at a time.
+checks one at a time.  Every oscillator comes from ``fock.annihilate`` and
+``create``; the plain set and the Cartan-Weyl operators take them at q = 1,
+where the q-boson is the plain boson.
 """
 
 from __future__ import annotations
@@ -36,21 +38,15 @@ from .fock import (
     NO_CORRUPTION,
     _q_one,
     annihilate,
-    build_basis,
     cached_basis,
     create,
     diag_operator,
     q_power,
     scale_columns,
-    site_order_sign,
     zero_op,
 )
 from .anyons import anyon, string_exponent
-from .oscillators import (
-    normal_number_diag,
-    q_boson_annihilate,
-    q_boson_create,
-)
+from .oscillators import normal_number_diag
 
 EPS = "eps"
 DELTA = "delta"
@@ -240,45 +236,29 @@ def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
         if dressed:
             family = ("a" if mode.kind == FERMION else "A") + tilde
             return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
-        if mode.kind == BOSON:
-            return (q_boson_create if dagger else q_boson_annihilate)(cfg, basis, mode)
         return (create if dagger else annihilate)(cfg, basis, mode)
 
     return (ladder(upper, True) @ ladder(lower, False)).tocsr()
-
-
-def string_tail_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
-                         line: int, r: float) -> np.ndarray:
-    """sum_t eps(t - x) :h_alpha(t): over every site t of every line.
-
-    Only defined for alpha != 0, whose local Cartan pieces sit on one site.
-    """
-    if alpha == 0:
-        raise ValueError("the affine node has a two-site tail; use eq57_exponent")
-    total = np.zeros(basis.dim)
-    for ln in cfg.lines:
-        for t in cfg.sites:
-            eps = site_order_sign(ln, t, line, r)
-            if eps == 0:
-                continue
-            total += eps * _h_local_diag(cfg, basis, alpha, ln, t, NO_CORRUPTION)
-    return total
 
 
 def eq57_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
                   line: int, r: float) -> np.ndarray:
     """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x.
 
-    For alpha != 0 it is 1/2 sum_t eps(t-r) :h_alpha(t):.  The affine node
-    straddles (r, r+1) and its tail carries both oscillator strings with the
-    opposite base sign: -1/2 [sum_t eps(t-r) :n'_N(t): + sum_t eps(t-(r+1))
-    :n_1(t):].
+    With w the :func:`string_exponent` of each node mode, x is 1/2 sum_t
+    eps(t-r) :h_alpha(t):, that is 1/2 (w_upper - w_lower) on even nodes and
+    1/2 (w_upper + w_lower) at node M.  The affine node straddles (r, r+1)
+    and its tail carries both strings with the opposite base sign:
+    -1/2 (w_upper + w_lower).
     """
-    if alpha != 0:
-        return 0.5 * string_tail_exponent(cfg, basis, alpha, line, r)
-    boson, fermion = _node_modes(cfg, 0, line, r)
-    expo = string_exponent(cfg, basis, boson) + string_exponent(cfg, basis, fermion)
-    return -0.5 * expo
+    upper, lower = _node_modes(cfg, alpha, line, r)
+    w_up = string_exponent(cfg, basis, upper)
+    w_low = string_exponent(cfg, basis, lower)
+    if alpha == 0:
+        return -0.5 * (w_up + w_low)
+    if alpha == cfg.M:
+        return 0.5 * (w_up + w_low)
+    return 0.5 * (w_up - w_low)
 
 
 @dataclass
@@ -319,15 +299,13 @@ class GeneratorSet:
         self._script = {}
 
 
-def chevalley_generators(cfg: LatticeConfig, basis: FockBasis | None = None,
+def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
                          deformed: bool = True,
                          corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
     """Build H_alpha and E_alpha^+- as sums of local pieces over all lines.
     The plain set (not ``deformed``) is the q-boson set at q = 1."""
     if not deformed:
         cfg = _q_one(cfg)
-    if basis is None:
-        basis = build_basis(cfg)
     cartan = cartan_data(cfg.M, cfg.N)
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
@@ -384,7 +362,9 @@ def _mode_for(kind_tag: str, flavor: int, line: int, site: float) -> ModeId:
 
 def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
                            label: RootLabel) -> sp.csr_matrix:
-    """e_root^m = sum_r (pos mode)^dag(r) (neg mode)(r+m), truncated."""
+    """e_root^m = sum_r (pos mode)^dag(r) (neg mode)(r+m), truncated, over
+    plain oscillators: it reads no q."""
+    cfg = _q_one(cfg)
     for kind, idx in (label.pos, label.neg):
         hi = cfg.M if kind == EPS else cfg.N
         if not 1 <= idx <= hi:
@@ -413,8 +393,10 @@ def cartan_weyl_h0_diag(cfg: LatticeConfig, basis: FockBasis, a: int) -> np.ndar
 
 
 def cartan_weyl_h(cfg: LatticeConfig, basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
-    """h_a^m = sum_r of the h_a bilinears (r, r+m), truncated; the diagonal
-    :func:`cartan_weyl_h0_diag` at m = 0."""
+    """h_a^m = sum_r of the h_a bilinears (r, r+m), truncated, over plain
+    oscillators (it reads no q); the diagonal :func:`cartan_weyl_h0_diag` at
+    m = 0."""
+    cfg = _q_one(cfg)
     if m == 0:
         return diag_operator(cartan_weyl_h0_diag(cfg, basis, a))
     terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))

@@ -29,9 +29,9 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     Corruption,
+    annihilate,
     cached_basis,
     diag_operator,
-    fermion_annihilate,
     identity_op,
     op_adjoint,
     q_bracket,
@@ -40,12 +40,7 @@ from .fock import (
     scale_rows,
     site_order_sign,
 )
-from .oscillators import (
-    normal_order_shift,
-    number_diag,
-    number_factor,
-    q_boson_annihilate,
-)
+from .oscillators import normal_order_shift, number_diag, number_factor
 from .report import RelationReport, SuiteReports
 
 # family -> (statistics, tilde); a tilded family is its partner at q^-1
@@ -84,7 +79,9 @@ def string_exponent(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.nd
 
 def _disorder_string(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
                      tilde: bool, corruption: Corruption) -> np.ndarray:
-    """The diagonal of :func:`disorder_factor` on the whole basis."""
+    """The string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base sign)
+    of ``mode`` on the whole basis; ``tilde`` gives its inverse, the string
+    at q^-1."""
     base = -0.5 if mode.kind == FERMION else +0.5
     if corruption.flip_boson_disorder and mode.kind == BOSON:
         base = -base
@@ -92,14 +89,6 @@ def _disorder_string(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
         base = -base
     return basis.lift(mode.kind,
                       q_power(cfg.q, base * _string_factor(cfg, basis, mode)))
-
-
-def disorder_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
-                    tilde: bool = False,
-                    corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
-    """Diagonal string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base
-    sign) of ``mode``; ``tilde`` gives its inverse, the string at q^-1."""
-    return diag_operator(_disorder_string(cfg, basis, mode, tilde, corruption))
 
 
 def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
@@ -116,10 +105,7 @@ def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
         raise ValueError(f"unknown anyon family {family!r}") from None
     if mode.kind != kind:
         raise ValueError(f"family {family!r} needs a {kind} mode, got {mode}")
-    if mode.kind == FERMION:
-        osc = fermion_annihilate(cfg, basis, mode)
-    else:
-        osc = q_boson_annihilate(cfg, basis, mode)
+    osc = annihilate(cfg, basis, mode)
     string = _disorder_string(cfg, basis, mode, tilde != dagger, corruption)
     if not dagger:
         return scale_rows(osc, string)

@@ -186,11 +186,12 @@ class RunConfig:
 def run_config_from(args) -> RunConfig:
     raw = _merge_run_config(args)
     lattice = lattice_config_from_raw(raw)
-    suites = tuple(raw.get("suites") or SUITES)
+    # a name given twice runs once: the report and its hash list it once
+    suites = tuple(dict.fromkeys(raw.get("suites") or SUITES))
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; available: {list(SUITES)}")
-    controls = tuple(raw.get("negative_controls", []))
+    controls = tuple(dict.fromkeys(raw.get("negative_controls", [])))
     corruption_from_names(controls)  # validate names up front
     q_samples = _typed(raw, "q_samples", int, 0)
     if q_samples < 0:

@@ -10,6 +10,8 @@ Operators are scipy CSR matrices over this basis.  Fermionic operators carry
 Jordan-Wigner sign strings over all fermionic modes preceding the target in a
 fixed global order (line, then site ascending, then flavor ascending), so the
 canonical anticommutation relations hold exactly for every mode pair.
+There is one boson ladder, the q-boson b|n> = sqrt([n]_q) |n-1>; the plain
+boson is the same ladder at q = 1, where [n]_1 = n.
 Operators and bases are immutable by convention once built; nothing in this
 package mutates a returned matrix.
 
@@ -417,10 +419,14 @@ def fermion_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
-def _boson_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
-                  amplitude) -> sp.csr_matrix:
-    """Lowering operator |n> -> amplitude[n] |n-1> on one bosonic mode, hard
-    cutoff at n_max; ``amplitude`` is indexed by occupation 0..n_max."""
+def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    """The q-boson b with b|n> = sqrt([n]_q) |n-1>, hard cutoff at n_max.
+
+    The one boson ladder: the plain boson d|n> = sqrt(n) |n-1> is this call
+    at ``_q_one(cfg)``, since [n]_1 = n.  The 0/0 of the rescaling
+    d * sqrt([n']/n') at n' = 0 is resolved by the matrix element; config
+    validation guarantees [n]_q > 0 up to the cutoff, so the root is real.
+    """
     if mode.kind != BOSON:
         raise ValueError(f"{mode} is not bosonic")
     j = basis.boson_slot(mode)
@@ -428,18 +434,14 @@ def _boson_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
     occ = basis.b_occ[:, j]
     src = np.nonzero(occ)[0]
     dst = src - stride
-    vals = np.asarray(amplitude, dtype=complex)[occ[src]]
+    amplitude = np.sqrt([q_number(n, cfg.q).real for n in range(cfg.n_max + 1)])
+    vals = amplitude.astype(complex)[occ[src]]
     nb = basis.NB
     fblock = np.arange(basis.NF, dtype=np.int64) * nb
     rows = (fblock[:, None] + dst).ravel()
     cols = (fblock[:, None] + src).ravel()
     data = np.tile(vals, basis.NF)
     return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
-
-
-def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """d with d|n> = sqrt(n) |n-1>, hard cutoff at n_max."""
-    return _boson_ladder(cfg, basis, mode, np.sqrt(np.arange(cfg.n_max + 1)))
 
 
 def annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:

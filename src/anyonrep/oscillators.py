@@ -3,14 +3,14 @@
 Two normal orderings are supported per line.  The "sea" scheme subtracts the
 filled-Dirac-sea reference: fermionic :n:(r) = n(r) - 1 and bosonic
 :n':(r) = n'(r) + 1 at negative sites.  The "empty" scheme keeps bare
-occupation numbers everywhere.  q-bosons are built from ordinary truncated
-bosons by rescaling matrix elements, b|n> = sqrt([n]_q) |n-1>.
+occupation numbers everywhere.  The q-bosons b|n> = sqrt([n]_q) |n-1> are
+``fock.boson_annihilate``; the ordinary truncated bosons of the canonical
+relations are the same ladders at q = 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fock import (
     FERMION,
@@ -20,7 +20,7 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     Corruption,
-    _boson_ladder,
+    _q_one,
     boson_annihilate,
     cached_basis,
     diag_operator,
@@ -28,7 +28,6 @@ from .fock import (
     identity_op,
     op_adjoint,
     q_bracket,
-    q_number,
     q_power,
     scale_columns,
     scale_rows,
@@ -63,21 +62,6 @@ def normal_number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np
     return number_diag(cfg, basis, mode) + normal_order_shift(cfg, mode)
 
 
-def q_boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """b with b|n> = sqrt([n]_q) |n-1>.
-
-    Resolves the 0/0 of the operator rescaling d * sqrt([n']/n') at n' = 0 by
-    the matrix-element definition; config validation guarantees [n]_q > 0 up
-    to the cutoff so the positive square root is real.
-    """
-    amps = [np.sqrt(q_number(n, cfg.q).real) for n in range(cfg.n_max + 1)]
-    return _boson_ladder(cfg, basis, mode, amps)
-
-
-def q_boson_create(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return op_adjoint(q_boson_annihilate(cfg, basis, mode))
-
-
 # ---------------------------------------------------------------------------
 # relation suite
 # ---------------------------------------------------------------------------
@@ -99,8 +83,8 @@ def suite_oscillators(cfg: LatticeConfig,
     out = SuiteReports("oscillators", cfg.tol, basis)
 
     cs = {m: fermion_annihilate(cfg, basis, m) for m in basis.fermion_modes}
-    ds = {m: boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
-    bs = {m: q_boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
+    ds = {m: boson_annihilate(_q_one(cfg), basis, m) for m in basis.boson_modes}
+    bs = {m: boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
     dag = {m: op_adjoint(x) for ops in (cs, ds) for m, x in ops.items()}
     bds = {m: op_adjoint(b) for m, b in bs.items()}
     ns = {m: number_diag(cfg, basis, m) for m in basis.boson_modes}

@@ -21,7 +21,6 @@ from anyonrep.algebra import (
     eq57_exponent,
     local_e,
     root_weight,
-    string_tail_exponent,
 )
 from anyonrep.anyons import anyon
 from anyonrep.fock import (
@@ -44,11 +43,7 @@ from anyonrep.fock import (
     site_order_sign,
     supercommutator,
 )
-from anyonrep.oscillators import (
-    normal_number_diag,
-    q_boson_annihilate,
-    q_boson_create,
-)
+from anyonrep.oscillators import normal_number_diag
 from anyonrep.report import restrict
 
 
@@ -143,8 +138,8 @@ def test_compose_roots():
 # generator sets
 # ---------------------------------------------------------------------------
 
-def test_cartan_spectra_are_integers(cfg21):
-    gs = chevalley_generators(cfg21, deformed=True)
+def test_cartan_spectra_are_integers(cfg21, basis21):
+    gs = chevalley_generators(cfg21, basis21, deformed=True)
     for al, H in gs.H.items():
         vals = H.diagonal()
         assert np.allclose(vals.imag, 0)
@@ -178,8 +173,9 @@ def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
 
 def test_deformed_equals_undeformed_at_q_one():
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.0)
-    g_def = chevalley_generators(cfg, deformed=True)
-    g_und = chevalley_generators(cfg, deformed=False)
+    basis = build_basis(cfg)
+    g_def = chevalley_generators(cfg, basis, deformed=True)
+    g_und = chevalley_generators(cfg, basis, deformed=False)
     for al in g_def.H:
         assert residual_norm(g_def.H[al] - g_und.H[al]) <= 1e-12
     for key in g_def.E:
@@ -275,7 +271,7 @@ def test_half_tail_is_full_tail_less_other_half(cfg):
              for side in (left, right)}
         for ln in cfg.lines:
             for r in cfg.sites:
-                T = string_tail_exponent(cfg, basis, alpha, ln, r)
+                T = 2 * eq57_exponent(cfg, basis, alpha, ln, r)
                 own = left if left(ln, r) else right
                 half = T - H[right] if own is left else T + H[left]
                 ref = _filtered_tail_exponent(cfg, basis, alpha, ln, r, own)
@@ -392,35 +388,6 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, deformed, corruption):
     return (dag(f(1, r + 1), "a~") @ low(b(N, r), "A~")).tocsr()
 
 
-def _ref_local_q_generator(cfg, basis, alpha, sign, line, r):
-    M, N = cfg.M, cfg.N
-
-    def c(flavor, site):
-        return annihilate(cfg, basis, ModeId(FERMION, flavor, line, site))
-
-    def cd(flavor, site):
-        return create(cfg, basis, ModeId(FERMION, flavor, line, site))
-
-    def bq(flavor, site):
-        return q_boson_annihilate(cfg, basis, ModeId(BOSON, flavor, line, site))
-
-    def bqd(flavor, site):
-        return q_boson_create(cfg, basis, ModeId(BOSON, flavor, line, site))
-
-    if 1 <= alpha <= M - 1:
-        return (cd(alpha, r) @ c(alpha + 1, r) if sign == "+"
-                else cd(alpha + 1, r) @ c(alpha, r)).tocsr()
-    if alpha == M:
-        return (cd(M, r) @ bq(1, r) if sign == "+"
-                else bqd(1, r) @ c(M, r)).tocsr()
-    if M < alpha <= cfg.R:
-        k = alpha - M
-        return (bqd(k, r) @ bq(k + 1, r) if sign == "+"
-                else bqd(k + 1, r) @ bq(k, r)).tocsr()
-    return (bqd(N, r) @ c(1, r + 1) if sign == "+"
-            else cd(1, r + 1) @ bq(N, r)).tocsr()
-
-
 def _same(x, y):
     return x.shape == y.shape and (x != y).nnz == 0
 
@@ -442,13 +409,12 @@ def test_node_table_reproduces_per_node_chains(cfg):
                         alg._h_local_diag(cfg, basis, alpha, line, r, cor),
                         _ref_h_local_diag(cfg, basis, alpha, line, r, cor))
                 for s in ("+", "-"):
-                    assert _same(local_e(cfg, basis, alpha, s, line, r, False),
-                                 _ref_local_q_generator(cfg, basis, alpha, s, line, r))
-                    # the plain pieces are the q-boson pieces at q = 1
-                    assert _same(
-                        local_e(_q_one(cfg), basis, alpha, s, line, r, False),
-                        _ref_local_e(cfg, basis, alpha, s, line, r, False,
-                                     corruptions[0]))
+                    # the q-boson pieces, and at q = 1 the plain pieces
+                    for at in (cfg, _q_one(cfg)):
+                        assert _same(
+                            local_e(at, basis, alpha, s, line, r, False),
+                            _ref_local_e(at, basis, alpha, s, line, r, False,
+                                         corruptions[0]))
                     for cor in corruptions:
                         assert _same(
                             local_e(cfg, basis, alpha, s, line, r, True, cor),
@@ -498,6 +464,23 @@ def test_cw_matches_simple_generators(cfg21, basis21):
         assert residual_norm(cw - gs.E[(alpha, "+")]) == 0.0
     for a_ in range(1, cfg21.R + 1):
         assert residual_norm(cartan_weyl_h(cfg21, basis21, a_, 0) - gs.H[a_]) == 0.0
+
+
+@pytest.mark.parametrize("qspec", [{"nu": 0.3}, {"q_real": 1.3}])
+def test_cartan_weyl_operators_read_no_q(qspec):
+    """Cartan-Weyl operators are plain-oscillator bilinears: at any q they
+    equal those at q = 1 bit for bit, boson roots and h^m (m != 0) too."""
+    cfg = LatticeConfig(M=1, N=2, S=2, n_max=2, **qspec)
+    basis = build_basis(cfg)
+    roots = [RootLabel((DELTA, 1), (DELTA, 2), m=m) for m in (-1, 0, 1)]
+    roots.append(RootLabel((EPS, 1), (DELTA, 2), m=1))
+    for lab in roots:
+        assert _same(cartan_weyl_generators(cfg, basis, lab),
+                     cartan_weyl_generators(_q_one(cfg), basis, lab))
+    for a_ in range(1, cfg.R + 1):
+        for m in (-1, 1):
+            assert _same(cartan_weyl_h(cfg, basis, a_, m),
+                         cartan_weyl_h(_q_one(cfg), basis, a_, m))
 
 
 def test_cw_empty_sum_warns(cfg21, basis21):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import bulk_projector
+from conftest import bulk_projector, disorder_factor
 from anyonrep.anyons import (
     anyon,
-    disorder_factor,
     string_exponent,
     suite_braiding,
 )
@@ -230,14 +229,13 @@ def test_scaled_anyon_equals_string_product(cfg, flip):
     """Scaling the oscillator's rows (columns of the adjoint) by the string
     gives the product with the diagonal disorder factor entry for entry."""
     from anyonrep.anyons import FAMILIES
-    from anyonrep.oscillators import q_boson_annihilate
     basis = build_basis(cfg)
     corr = Corruption(flip_boson_disorder=flip)
     for family, (kind, tilde) in FAMILIES.items():
         modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
         for mode in modes:
             osc = (fermion_annihilate if kind == FERMION
-                   else q_boson_annihilate)(cfg, basis, mode)
+                   else boson_annihilate)(cfg, basis, mode)
             for dagger in (False, True):
                 if dagger:
                     ref = op_adjoint(osc) @ disorder_factor(

@@ -67,6 +67,34 @@ def test_verify_negative_control_fails():
     assert rc == EXIT_RELATION_FAILURE
 
 
+def test_repeated_names_run_once(outdir, monkeypatch):
+    """A suite or negative control named twice runs once, and the report's
+    run block and config hash are those of the names given once."""
+    from anyonrep import verify
+    calls = []
+    central = verify.SUITES["central"]
+
+    def counted(cfg, corruption):
+        calls.append(corruption)
+        return central(cfg, corruption)
+
+    monkeypatch.setitem(verify.SUITES, "central", counted)
+    payloads = []
+    for suites, controls in (("central,central", ["qalpha", "qalpha"]),
+                             ("central", ["qalpha"])):
+        report = outdir / "report.json"
+        flags = [a for c in controls for a in ("--negative-control", c)]
+        main(["verify", "--suites", suites, *flags, "--report", str(report),
+              "--quiet"])
+        payloads.append(json.loads(report.read_text()))
+    assert len(calls) == 2  # once per run
+    twice, once = payloads
+    assert twice["run"] == once["run"]
+    assert twice["run"]["suites"] == ["central"]
+    assert twice["run"]["negative_controls"] == ["qalpha"]
+    assert twice["config_hash"] == once["config_hash"]
+
+
 def test_verify_config_file_and_env(outdir, monkeypatch):
     cfgfile = outdir / "cfg.json"
     cfgfile.write_text(json.dumps({

@@ -10,6 +10,7 @@ from anyonrep.fock import (
     ConfigError,
     InstanceTooLargeError,
     LatticeConfig,
+    _q_one,
     boson_annihilate,
     build_basis,
     bulk_mask,
@@ -28,7 +29,6 @@ from anyonrep.fock import (
     site_order_sign,
     supercommutator,
 )
-from anyonrep.oscillators import q_boson_annihilate
 from anyonrep.report import restrict
 
 
@@ -117,9 +117,9 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
     one = identity_op(basis21)
     head = bulk_projector(cfg21, basis21, 0, 1)
     for m1 in basis21.boson_modes:
-        d1 = boson_annihilate(cfg21, basis21, m1)
+        d1 = boson_annihilate(_q_one(cfg21), basis21, m1)
         for m2 in basis21.boson_modes:
-            d2 = boson_annihilate(cfg21, basis21, m2)
+            d2 = boson_annihilate(_q_one(cfg21), basis21, m2)
             comm = d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1
             expected = one if m1 == m2 else 0 * one
             assert residual_norm(head @ (comm - expected) @ head) <= 1e-13
@@ -129,7 +129,7 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
 def test_ccr_truncation_artifact_on_top_state(cfg21, basis21):
     # on |n_max> the commutator eigenvalue drops to -n_max instead of +1
     mode = basis21.boson_modes[0]
-    d = boson_annihilate(cfg21, basis21, mode)
+    d = boson_annihilate(_q_one(cfg21), basis21, mode)
     comm = (d @ op_adjoint(d) - op_adjoint(d) @ d).diagonal().real
     j = basis21.boson_slot(mode)
     tops = np.tile(basis21.b_occ[:, j] == cfg21.n_max, basis21.NF)
@@ -141,7 +141,7 @@ def test_mixed_commutativity_exact(cfg21, basis21):
     for mf in basis21.fermion_modes:
         c = fermion_annihilate(cfg21, basis21, mf)
         for mb in basis21.boson_modes:
-            d = boson_annihilate(cfg21, basis21, mb)
+            d = boson_annihilate(_q_one(cfg21), basis21, mb)
             assert residual_norm(c @ d - d @ c) == 0.0
             assert residual_norm(c @ op_adjoint(d) - op_adjoint(d) @ c) == 0.0
             assert residual_norm(op_adjoint(c) @ d - d @ op_adjoint(c)) == 0.0
@@ -178,7 +178,8 @@ def test_jordan_wigner_against_state_oracle(data):
 @pytest.fixture(scope="module")
 def op_pool(cfg21, basis21):
     pool = [fermion_annihilate(cfg21, basis21, m) for m in basis21.fermion_modes[:2]]
-    pool += [boson_annihilate(cfg21, basis21, m) for m in basis21.boson_modes[:1]]
+    pool += [boson_annihilate(_q_one(cfg21), basis21, m)
+             for m in basis21.boson_modes[:1]]
     pool.append(op_adjoint(pool[0]) @ pool[2])
     return pool
 
@@ -307,8 +308,8 @@ def test_scaling_a_ladder_is_exact(basis22, qspec):
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, **qspec)
     v = q_power(cfg.q, (np.arange(basis22.dim) % 7 - 3) / 2)
     ladders = [fermion_annihilate(cfg, basis22, m) for m in basis22.fermion_modes]
-    ladders += [f(cfg, basis22, m) for m in basis22.boson_modes
-                for f in (boson_annihilate, q_boson_annihilate)]
+    ladders += [boson_annihilate(at, basis22, m) for m in basis22.boson_modes
+                for at in (_q_one(cfg), cfg)]
     for x in ladders + [op_adjoint(x) for x in ladders]:
         for out, ref in ((scale_rows(x, v), diag_operator(v) @ x),
                          (scale_columns(x, v), x @ diag_operator(v))):
