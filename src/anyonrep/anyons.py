@@ -29,10 +29,10 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     Corruption,
-    annihilate,
     cached_basis,
     diag_operator,
     identity_op,
+    ladder,
     op_adjoint,
     q_bracket,
     q_power,
@@ -40,7 +40,7 @@ from .fock import (
     scale_rows,
     site_order_sign,
 )
-from .oscillators import normal_order_shift, number_diag, number_factor
+from .oscillators import normal_order_shift, number_factor
 from .report import RelationReport, SuiteReports
 
 # family -> (statistics, tilde); a tilded family is its partner at q^-1
@@ -77,27 +77,16 @@ def string_exponent(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.nd
     return basis.lift(mode.kind, _string_factor(cfg, basis, mode))
 
 
-def _disorder_string(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
-                     tilde: bool, corruption: Corruption) -> np.ndarray:
-    """The string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base sign)
-    of ``mode`` on the whole basis; ``tilde`` gives its inverse, the string
-    at q^-1."""
-    base = -0.5 if mode.kind == FERMION else +0.5
-    if corruption.flip_boson_disorder and mode.kind == BOSON:
-        base = -base
-    if tilde:
-        base = -base
-    return basis.lift(mode.kind,
-                      q_power(cfg.q, base * _string_factor(cfg, basis, mode)))
+def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
+                 dagger: bool = False,
+                 corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
+    """One anyonic oscillator on the factor of the basis index that carries
+    its statistics: a/a~ dress fermions, A/A~ dress q-bosons.
 
-
-def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
-          dagger: bool = False,
-          corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
-    """One anyonic oscillator: a/a~ dress fermions, A/A~ dress q-bosons.
-
-    The string is applied by scaling the oscillator's entries: K c scales
-    its rows, c^dag K^{-1} the columns of the adjoint.
+    The string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base sign) is
+    applied by scaling the oscillator's entries: K c scales its rows, and
+    c^dag K^{-1} the columns of the adjoint by the inverse, the string at
+    q^-1 (as for a tilded family).
     """
     try:
         kind, tilde = FAMILIES[family]
@@ -105,11 +94,24 @@ def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
         raise ValueError(f"unknown anyon family {family!r}") from None
     if mode.kind != kind:
         raise ValueError(f"family {family!r} needs a {kind} mode, got {mode}")
-    osc = annihilate(cfg, basis, mode)
-    string = _disorder_string(cfg, basis, mode, tilde != dagger, corruption)
+    base = -0.5 if kind == FERMION else +0.5
+    if corruption.flip_boson_disorder and kind == BOSON:
+        base = -base
+    if tilde != dagger:
+        base = -base
+    string = q_power(cfg.q, base * _string_factor(cfg, basis, mode))
+    osc = ladder(cfg, basis, mode)
     if not dagger:
         return scale_rows(osc, string)
     return scale_columns(op_adjoint(osc), string)
+
+
+def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
+          dagger: bool = False,
+          corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
+    """The anyon of :func:`anyon_factor` on the whole basis, its lift."""
+    return basis.lift_operator(
+        mode.kind, anyon_factor(cfg, basis, mode, family, dagger, corruption))
 
 
 # ---------------------------------------------------------------------------
@@ -137,39 +139,34 @@ def suite_braiding(cfg: LatticeConfig,
     the mixed plain/tilde relations, and the on-site (q-)oscillator algebra."""
     basis = cached_basis(cfg)
     q = cfg.q
-    one = identity_op(basis)
+    one = identity_op(basis, FERMION)
     out = SuiteReports("braiding", cfg.tol, basis)
     points, pairs = _ordered_site_pairs(cfg)
     pairs = _pair_cap(pairs)
 
-    built = {}  # each anyon once per flavor; cleared when the flavor changes
-
-    def A(flavor, pt, family, dagger=False):
-        key = (flavor, pt, family, dagger)
-        if key not in built:
-            mode = ModeId(FAMILIES[family][0], flavor, pt[0], pt[1])
-            built[key] = anyon(cfg, basis, mode, family, dagger,
-                               corruption=corruption)
-        return built[key]
+    def anyons(kind, flavor, families):
+        """Every anyon of one flavor on its factor, by (point, family, dagger)."""
+        return {(pt, fam, dag): anyon_factor(cfg, basis, ModeId(kind, flavor, *pt),
+                                             fam, dag, corruption=corruption)
+                for pt in points for fam in families for dag in (False, True)}
 
     def rep(rid, lhs, rhs=None, bulk=None, **params):
-        out.check(rid, lhs, rhs, bulk=bulk, params=params)
+        # every operand acts on the factor of the statistics looped over
+        out.check(rid, lhs, rhs, bulk=bulk, factor=factor, params=params)
 
-    fl_f = range(1, cfg.M + 1)
-    fl_b = range(1, cfg.N + 1)
-
-    for i in fl_f:
-        built.clear()
+    factor = FERMION
+    for i in range(1, cfg.M + 1):
+        A = anyons(factor, i, ("a", "a~"))
         for x, y in pairs:
-            ar, asr = A(i, x, "a"), A(i, y, "a")
-            adr, ads = A(i, x, "a", True), A(i, y, "a", True)
+            ar, asr = A[x, "a", False], A[y, "a", False]
+            adr, ads = A[x, "a", True], A[y, "a", True]
             ps = {"flavor": i, "x": list(x), "y": list(y)}
             rep(f"eq42a[i={i},{x},{y}]", ar @ asr + (asr @ ar) / q, **ps)
             rep(f"eq42b[i={i},{x},{y}]", adr @ ads + (ads @ adr) / q, **ps)
             rep(f"eq42c[i={i},{x},{y}]", adr @ asr + q * (asr @ adr), **ps)
             rep(f"eq42d[i={i},{x},{y}]", ar @ ads + q * (ads @ ar), **ps)
-            tr, ts = A(i, x, "a~"), A(i, y, "a~")
-            tdr, tds = A(i, x, "a~", True), A(i, y, "a~", True)
+            tr, ts = A[x, "a~", False], A[y, "a~", False]
+            tdr, tds = A[x, "a~", True], A[y, "a~", True]
             rep(f"eq42ta[i={i},{x},{y}]", tr @ ts + q * (ts @ tr), **ps)
             rep(f"eq42tb[i={i},{x},{y}]", tdr @ tds + q * (tds @ tdr), **ps)
             rep(f"eq42tc[i={i},{x},{y}]", tdr @ ts + (ts @ tdr) / q, **ps)
@@ -183,47 +180,44 @@ def suite_braiding(cfg: LatticeConfig,
             rep(f"eq45b[i={i},{x},{y}]", tr @ ads + ads @ tr, **ps)
 
         for pt in points:
-            a_ = A(i, pt, "a")
-            ad = A(i, pt, "a", True)
-            t_ = A(i, pt, "a~")
-            td = A(i, pt, "a~", True)
+            a_, ad = A[pt, "a", False], A[pt, "a", True]
+            t_, td = A[pt, "a~", False], A[pt, "a~", True]
             ps = {"flavor": i, "x": list(pt)}
             rep(f"eq43[i={i},{pt}]", a_ @ ad + ad @ a_, one, **ps)
             rep(f"eq43n[i={i},{pt}]", a_ @ a_, **ps)
             rep(f"eq43nd[i={i},{pt}]", ad @ ad, **ps)
             rep(f"eq43t[i={i},{pt}]", t_ @ td + td @ t_, one, **ps)
             rep(f"eq44s[i={i},{pt}]", t_ @ a_ + a_ @ t_, **ps)
-            mode = ModeId(FERMION, i, pt[0], pt[1])
-            w = string_exponent(cfg, basis, mode)
+            mode = ModeId(FERMION, i, *pt)
+            w = _string_factor(cfg, basis, mode)
             rep(f"eq46a[i={i},{pt}]", t_ @ ad + ad @ t_,
                 diag_operator(q_power(q, w)), **ps)
             rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,
                 diag_operator(q_power(q, -w)), **ps)
-            n = diag_operator(number_diag(cfg, basis, mode))
+            n = diag_operator(number_factor(basis, mode))
             rep(f"eq47[i={i},{pt}]", ad @ a_, n, **ps)
             rep(f"eq47t[i={i},{pt}]", td @ t_, n, **ps)
 
-    for k in fl_b:
-        built.clear()
+    factor = BOSON
+    for k in range(1, cfg.N + 1):
+        A = anyons(factor, k, ("A", "A~"))
         for x, y in pairs:
-            Ar, As = A(k, x, "A"), A(k, y, "A")
-            Adr, Ads = A(k, x, "A", True), A(k, y, "A", True)
+            Ar, As = A[x, "A", False], A[y, "A", False]
+            Adr, Ads = A[x, "A", True], A[y, "A", True]
             ps = {"flavor": k, "x": list(x), "y": list(y)}
             rep(f"eq53a[k={k},{x},{y}]", Ar @ As - q * (As @ Ar), **ps)
             rep(f"eq53b[k={k},{x},{y}]", Adr @ Ads - q * (Ads @ Adr), **ps)
             rep(f"eq53c[k={k},{x},{y}]", Adr @ As - (As @ Adr) / q, **ps)
             rep(f"eq53d[k={k},{x},{y}]", Ar @ Ads - (Ads @ Ar) / q, **ps)
-            Tr, Ts = A(k, x, "A~"), A(k, y, "A~")
+            Tr, Ts = A[x, "A~", False], A[y, "A~", False]
             rep(f"eq53ta[k={k},{x},{y}]", Tr @ Ts - (Ts @ Tr) / q, **ps)
-            Tdr, Tds = A(k, x, "A~", True), A(k, y, "A~", True)
+            Tdr, Tds = A[x, "A~", True], A[y, "A~", True]
             rep(f"eq53tb[k={k},{x},{y}]", Tdr @ Tds - (Tds @ Tdr) / q, **ps)
 
         for pt in points:
-            Ao = A(k, pt, "A")
-            Ad = A(k, pt, "A", True)
-            To = A(k, pt, "A~")
-            Td = A(k, pt, "A~", True)
-            nvec = number_diag(cfg, basis, ModeId(BOSON, k, pt[0], pt[1]))
+            Ao, Ad = A[pt, "A", False], A[pt, "A", True]
+            To, Td = A[pt, "A~", False], A[pt, "A~", True]
+            nvec = number_factor(basis, ModeId(BOSON, k, *pt))
             ps = {"flavor": k, "x": list(pt)}
             rep(f"eq54a[k={k},{pt}]", [(1, Ao, Ad), (-q, Ad, Ao)],
                 diag_operator(q_power(q, -nvec)), bulk=(0, 1), **ps)

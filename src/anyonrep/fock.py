@@ -6,12 +6,15 @@ and ``N`` bosonic oscillator modes; bosons are truncated at occupation
 ``n_max``.  The full state space is the tensor product of all mode spaces,
 dimension ``2^(M*S*K) * (n_max+1)^(N*S*K)``.
 
-Operators are scipy CSR matrices over this basis.  Fermionic operators carry
-Jordan-Wigner sign strings over all fermionic modes preceding the target in a
-fixed global order (line, then site ascending, then flavor ascending), so the
-canonical anticommutation relations hold exactly for every mode pair.
-There is one boson ladder, the q-boson b|n> = sqrt([n]_q) |n-1>; the plain
-boson is the same ladder at q = 1, where [n]_1 = n.
+Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
+the state index f * NB + b: they are built on it (:func:`ladder`) and lifted
+to X (x) 1 or 1 (x) Y (:meth:`FockBasis.lift_operator`) where a full-space
+operator is needed.  Fermionic operators carry Jordan-Wigner sign strings over
+all fermionic modes preceding the target in a fixed global order (line, then
+site ascending, then flavor ascending), so the canonical anticommutation
+relations hold exactly for every mode pair.  There is one boson ladder, the
+q-boson b|n> = sqrt([n]_q) |n-1>; the plain boson is the same ladder at
+q = 1, where [n]_1 = n.
 Operators and bases are immutable by convention once built; nothing in this
 package mutates a returned matrix.
 
@@ -333,6 +336,27 @@ class FockBasis:
             return np.repeat(factor, self.NB)
         return np.tile(factor, self.NF)
 
+    def lift_operator(self, kind: str, x: sp.csr_matrix) -> sp.csr_matrix:
+        """An operator x on one factor of the index as the operator it gives on
+        the whole basis, x (x) 1 for fermions and 1 (x) x for bosons: the CSR
+        arrays of ``sp.kron``, tiled from those of x.  A fermion-factor x holds
+        at most one entry per row, as every ladder and anyon does."""
+        nf, nb, n, counts = self.NF, self.NB, x.nnz, np.diff(x.indptr)
+        idx = np.int32 if self.dim <= np.iinfo(np.int32).max else np.int64  # scipy's, no copy
+        if kind == FERMION:
+            if counts.max() > 1:
+                raise ValueError("a fermion-factor lift takes one entry per row at most")
+            # row f*NB + b holds the entry of row f, its column j moved to j*NB + b
+            indptr = nb * x.indptr[:-1, None].astype(idx) + np.outer(counts, np.arange(nb, dtype=idx))
+            indices = x.indices[:, None].astype(idx) * nb + np.arange(nb, dtype=idx)
+            data = np.repeat(x.data, nb)
+        else:
+            indptr = n * np.arange(nf, dtype=idx)[:, None] + x.indptr[:-1]
+            indices = nb * np.arange(nf, dtype=idx)[:, None] + x.indices
+            data = np.tile(x.data, nf)
+        return sp.csr_matrix((data, indices.ravel(), np.append(indptr.ravel(), idx(data.size))),
+                             shape=(self.dim, self.dim))
+
     def vacuum_occupation(self, mode: ModeId) -> int:
         """Occupation of this mode in the reference vacuum of its line's scheme."""
         if self.cfg.line_ordering(mode.line) == SEA:
@@ -370,8 +394,10 @@ def _cached_basis(cfg: LatticeConfig) -> FockBasis:
 # elementary operators
 # ---------------------------------------------------------------------------
 
-def identity_op(basis: FockBasis) -> sp.csr_matrix:
-    return sp.identity(basis.dim, format="csr", dtype=complex)
+def identity_op(basis: FockBasis, factor: str | None = None) -> sp.csr_matrix:
+    """The identity on the whole basis, or on its fermion or boson factor."""
+    n = {FERMION: basis.NF, BOSON: basis.NB}.get(factor, basis.dim)
+    return sp.identity(n, format="csr", dtype=complex)
 
 
 def zero_op(basis: FockBasis) -> sp.csr_matrix:
@@ -402,25 +428,20 @@ def scale_columns(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
                           x.indptr.copy()), shape=x.shape)
 
 
-def fermion_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """c for one fermionic mode, with the Jordan-Wigner string over all
-    fermionic slots preceding the mode in the global order."""
+def fermion_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    """c for one fermionic mode on the fermion factor, with the Jordan-Wigner
+    string over all fermionic slots preceding the mode in the global order."""
     if mode.kind != FERMION:
         raise ValueError(f"{mode} is not fermionic")
     j = basis.fermion_slot(mode)
     src = np.nonzero(basis.f_occ[:, j])[0]
-    dst = src ^ (1 << j)
     vals = basis.f_sign[src, j].astype(complex)
-    nb = basis.NB
-    block = np.arange(nb, dtype=np.int64)
-    rows = (dst[:, None] * nb + block).ravel()
-    cols = (src[:, None] * nb + block).ravel()
-    data = np.repeat(vals, nb)
-    return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
+    return sp.csr_matrix((vals, (src ^ (1 << j), src)), shape=(basis.NF, basis.NF))
 
 
-def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """The q-boson b with b|n> = sqrt([n]_q) |n-1>, hard cutoff at n_max.
+def boson_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    """The q-boson b with b|n> = sqrt([n]_q) |n-1> on the boson factor, hard
+    cutoff at n_max.
 
     The one boson ladder: the plain boson d|n> = sqrt(n) |n-1> is this call
     at ``_q_one(cfg)``, since [n]_1 = n.  The 0/0 of the rescaling
@@ -430,28 +451,35 @@ def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.c
     if mode.kind != BOSON:
         raise ValueError(f"{mode} is not bosonic")
     j = basis.boson_slot(mode)
-    stride = (cfg.n_max + 1) ** j
     occ = basis.b_occ[:, j]
     src = np.nonzero(occ)[0]
-    dst = src - stride
     amplitude = np.sqrt([q_number(n, cfg.q).real for n in range(cfg.n_max + 1)])
-    vals = amplitude.astype(complex)[occ[src]]
-    nb = basis.NB
-    fblock = np.arange(basis.NF, dtype=np.int64) * nb
-    rows = (fblock[:, None] + dst).ravel()
-    cols = (fblock[:, None] + src).ravel()
-    data = np.tile(vals, basis.NF)
-    return sp.csr_matrix((data, (rows, cols)), shape=(basis.dim, basis.dim))
+    return sp.csr_matrix((amplitude.astype(complex)[occ[src]],
+                          (src - (cfg.n_max + 1) ** j, src)),
+                         shape=(basis.NB, basis.NB))
+
+
+def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    """The annihilator of ``mode`` on its factor of the basis index."""
+    if mode.kind == FERMION:
+        return fermion_ladder(cfg, basis, mode)
+    return boson_ladder(cfg, basis, mode)
+
+
+def fermion_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    return basis.lift_operator(FERMION, fermion_ladder(cfg, basis, mode))
+
+
+def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
+    return basis.lift_operator(BOSON, boson_ladder(cfg, basis, mode))
 
 
 def annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    if mode.kind == FERMION:
-        return fermion_annihilate(cfg, basis, mode)
-    return boson_annihilate(cfg, basis, mode)
+    return basis.lift_operator(mode.kind, ladder(cfg, basis, mode))
 
 
 def create(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return op_adjoint(annihilate(cfg, basis, mode))
+    return basis.lift_operator(mode.kind, op_adjoint(ladder(cfg, basis, mode)))
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +520,14 @@ def residual_norm(x: sp.spmatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
-              boson_headroom: int) -> np.ndarray:
-    """Boolean diagonal of the bulk projector.
+              boson_headroom: int, factor: str | None = None) -> np.ndarray:
+    """Boolean diagonal of the bulk projector, or its fermion or boson factor.
 
     Keeps states whose ``boundary_margin`` outermost sites on every line carry
     the vacuum occupation of that line's scheme and whose bosonic occupations
     all stay at or below n_max - boson_headroom; raises ``EmptyBulkError`` if
-    no state is kept.
+    no state is kept.  The bulk is f_ok (x) b_ok, so ``factor`` FERMION
+    (BOSON) gives f_ok (b_ok), the bulk of an operator X (x) 1 (1 (x) Y).
     """
     if boundary_margin < 0:
         raise ValueError("boundary_margin must be >= 0")
@@ -520,5 +549,7 @@ def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
             b_ok &= basis.b_occ[:, j] == 0
     if not (f_ok.any() and b_ok.any()):
         raise EmptyBulkError("empty bulk: no state satisfies the boundary constraints")
+    if factor is not None:
+        return f_ok if factor == FERMION else b_ok
     return (f_ok[:, None] & b_ok[None, :]).ravel()
 

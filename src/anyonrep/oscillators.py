@@ -4,15 +4,18 @@ Two normal orderings are supported per line.  The "sea" scheme subtracts the
 filled-Dirac-sea reference: fermionic :n:(r) = n(r) - 1 and bosonic
 :n':(r) = n'(r) + 1 at negative sites.  The "empty" scheme keeps bare
 occupation numbers everywhere.  The q-bosons b|n> = sqrt([n]_q) |n-1> are
-``fock.boson_annihilate``; the ordinary truncated bosons of the canonical
+``fock.boson_ladder``; the ordinary truncated bosons of the canonical
 relations are the same ladders at q = 1.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .fock import (
+    BOSON,
     FERMION,
     SEA,
     FockBasis,
@@ -21,10 +24,10 @@ from .fock import (
     NO_CORRUPTION,
     Corruption,
     _q_one,
-    boson_annihilate,
+    boson_ladder,
     cached_basis,
     diag_operator,
-    fermion_annihilate,
+    fermion_ladder,
     identity_op,
     op_adjoint,
     q_bracket,
@@ -76,65 +79,72 @@ def suite_oscillators(cfg: LatticeConfig,
                       corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Canonical (anti)commutators, mixed commutativity, and the q-boson
     relations; relations that raise boson number run with boson headroom 1
-    instead of pretending the cutoff away."""
+    instead of pretending the cutoff away.  Every relation but the mixed
+    eq30 acts on one factor of the basis index and is checked there."""
     basis = cached_basis(cfg)
     q = cfg.q
-    one = identity_op(basis)
     out = SuiteReports("oscillators", cfg.tol, basis)
 
-    cs = {m: fermion_annihilate(cfg, basis, m) for m in basis.fermion_modes}
-    ds = {m: boson_annihilate(_q_one(cfg), basis, m) for m in basis.boson_modes}
-    bs = {m: boson_annihilate(cfg, basis, m) for m in basis.boson_modes}
+    cs = {m: fermion_ladder(cfg, basis, m) for m in basis.fermion_modes}
+    ds = {m: boson_ladder(_q_one(cfg), basis, m) for m in basis.boson_modes}
+    bs = {m: boson_ladder(cfg, basis, m) for m in basis.boson_modes}
     dag = {m: op_adjoint(x) for ops in (cs, ds) for m, x in ops.items()}
     bds = {m: op_adjoint(b) for m, b in bs.items()}
-    ns = {m: number_diag(cfg, basis, m) for m in basis.boson_modes}
+    ns = {m: number_factor(basis, m) for m in basis.boson_modes}
 
+    on_f = functools.partial(out.check, factor=FERMION)
+    on_b = functools.partial(out.check, factor=BOSON)
+
+    one = identity_op(basis, FERMION)
     for m1, m2 in _mode_pairs(basis.fermion_modes):
         c1, c2 = cs[m1], cs[m2]
         ps = {"modes": [str(m1), str(m2)]}
-        out.check(f"eq20[{m1},{m2}+]", c1 @ dag[m2] + dag[m2] @ c1,
-                  one if m1 == m2 else None, params=ps)
-        out.check(f"eq20[{m1},{m2}]", c1 @ c2 + c2 @ c1, params=ps)
+        on_f(f"eq20[{m1},{m2}+]", c1 @ dag[m2] + dag[m2] @ c1,
+             one if m1 == m2 else None, params=ps)
+        on_f(f"eq20[{m1},{m2}]", c1 @ c2 + c2 @ c1, params=ps)
 
+    one = identity_op(basis, BOSON)
     for m1, m2 in _mode_pairs(basis.boson_modes):
         d1, d2 = ds[m1], ds[m2]
         ps = {"modes": [str(m1), str(m2)]}
-        out.check(f"eq21[{m1},{m2}+]", [(1, d1, dag[m2]), (-1, dag[m2], d1)],
-                  one if m1 == m2 else None, bulk=(0, 1), params=ps)
-        out.check(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
+        on_b(f"eq21[{m1},{m2}+]", [(1, d1, dag[m2]), (-1, dag[m2], d1)],
+             one if m1 == m2 else None, bulk=(0, 1), params=ps)
+        on_b(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
 
-    for mf in basis.fermion_modes[:4]:
-        for mb in basis.boson_modes[:4]:
-            c, d = cs[mf], ds[mb]
+    # the mixed pairs are X (x) Y in both orders, checked on the whole basis
+    lift = basis.lift_operator
+    lc = {m: lift(FERMION, cs[m]) for m in basis.fermion_modes[:4]}
+    ld = {m: (lift(BOSON, ds[m]), lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
+    for mf, c in lc.items():
+        for mb, (d, dd) in ld.items():
             ps = {"modes": [str(mf), str(mb)]}
             out.check(f"eq30[{mf},{mb}]", c @ d - d @ c, params=ps)
-            out.check(f"eq30[{mf},{mb}+]", c @ dag[mb] - dag[mb] @ c, params=ps)
+            out.check(f"eq30[{mf},{mb}+]", c @ dd - dd @ c, params=ps)
 
     # q-boson algebra
     for m in basis.boson_modes:
         b, bd, n = bs[m], bds[m], ns[m]
         ps = {"mode": str(m)}
-        out.check(f"eq49a[{m}]", [(1, b, bd), (-q, bd, b)],
-                  diag_operator(q_power(q, -n)), bulk=(0, 1), params=ps)
-        out.check(f"eq49b[{m}]", [(1, b, bd), (-1 / q, bd, b)],
-                  diag_operator(q_power(q, n)), bulk=(0, 1), params=ps)
-        out.check(f"eq49d[{m}]", scale_rows(b, n) - scale_columns(b, n),
-                  -1 * b, params=ps)
-        out.check(f"eq49e[{m}]", scale_rows(bd, n) - scale_columns(bd, n),
-                  bd, params=ps)
-        out.check(f"eq50a[{m}]", bd @ b, diag_operator(q_bracket(n, q)),
-                  params=ps)
-        out.check(f"eq50b[{m}]", [(1, b, bd)],
-                  diag_operator(q_bracket(n + 1, q)), bulk=(0, 1), params=ps)
+        on_b(f"eq49a[{m}]", [(1, b, bd), (-q, bd, b)],
+             diag_operator(q_power(q, -n)), bulk=(0, 1), params=ps)
+        on_b(f"eq49b[{m}]", [(1, b, bd), (-1 / q, bd, b)],
+             diag_operator(q_power(q, n)), bulk=(0, 1), params=ps)
+        on_b(f"eq49d[{m}]", scale_rows(b, n) - scale_columns(b, n), -1 * b,
+             params=ps)
+        on_b(f"eq49e[{m}]", scale_rows(bd, n) - scale_columns(bd, n), bd,
+             params=ps)
+        on_b(f"eq50a[{m}]", bd @ b, diag_operator(q_bracket(n, q)), params=ps)
+        on_b(f"eq50b[{m}]", [(1, b, bd)], diag_operator(q_bracket(n + 1, q)),
+             bulk=(0, 1), params=ps)
 
     for m1, m2 in _mode_pairs(basis.boson_modes):
         if m1 == m2:
             continue
         b1, b2 = bs[m1], bs[m2]
         ps = {"modes": [str(m1), str(m2)]}
-        out.check(f"eq49c[{m1},{m2}]", b1 @ b2 - b2 @ b1, params=ps)
-        out.check(f"eq49a0[{m1},{m2}]", b1 @ bds[m2] - bds[m2] @ b1, params=ps)
-        out.check(f"eq49d0[{m1},{m2}]",
-                  scale_rows(b2, ns[m1]) - scale_columns(b2, ns[m1]), params=ps)
+        on_b(f"eq49c[{m1},{m2}]", b1 @ b2 - b2 @ b1, params=ps)
+        on_b(f"eq49a0[{m1},{m2}]", b1 @ bds[m2] - bds[m2] @ b1, params=ps)
+        on_b(f"eq49d0[{m1},{m2}]",
+             scale_rows(b2, ns[m1]) - scale_columns(b2, ns[m1]), params=ps)
 
     return out.reports

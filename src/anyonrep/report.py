@@ -233,7 +233,9 @@ class SuiteReports:
     """The reports one suite emits, tagged from :data:`CATALOG`.
 
     ``tol`` is the default tolerance of every check.  A projected check names
-    its bulk ``bulk=(margin, headroom)``, resolved on ``basis`` once per spec.
+    its bulk ``bulk=(margin, headroom)``, resolved on ``basis`` once per spec;
+    a check whose operands act on one factor of the basis index names it,
+    ``factor=FERMION`` or ``BOSON``, and is restricted to that factor's bulk.
     Emitting a family that the catalog does not declare for this suite
     raises ``KeyError``.
     """
@@ -243,7 +245,7 @@ class SuiteReports:
         self.tol = tol
         self.basis = basis
         self.reports: list[RelationReport] = []
-        self._masks: dict[tuple[int, int], np.ndarray] = {}
+        self._masks: dict[tuple, np.ndarray] = {}
 
     def equation(self, relation_id: str) -> str:
         family = relation_id.split("[", 1)[0]
@@ -253,20 +255,22 @@ class SuiteReports:
             raise KeyError(f"suite {self.suite!r} emits undeclared relation "
                            f"family {family!r}") from None
 
-    def mask(self, bulk: tuple[int, int]) -> np.ndarray:
-        """The states of the bulk spec (margin, headroom) on this basis."""
-        if bulk not in self._masks:
-            self._masks[bulk] = bulk_mask(self.basis.cfg, self.basis, *bulk)
-        return self._masks[bulk]
+    def mask(self, bulk: tuple[int, int], factor: str | None = None) -> np.ndarray:
+        """The states of the bulk spec (margin, headroom) on this basis, or on
+        its fermion or boson ``factor``."""
+        if (bulk, factor) not in self._masks:
+            self._masks[bulk, factor] = bulk_mask(self.basis.cfg, self.basis,
+                                                  *bulk, factor=factor)
+        return self._masks[bulk, factor]
 
     def check(self, relation_id: str, lhs, rhs=None, *,
               tol: float | None = None, bulk: tuple[int, int] | None = None,
-              side: str = "both", **kwargs):
+              side: str = "both", factor: str | None = None, **kwargs):
         """:func:`check_identity` under the catalog tag of both sides, each a
         matrix or products restricted to the bulk by :func:`restrict`; ``rhs``
         defaults to zero.  The wall time includes forming the products."""
         t0 = time.perf_counter()
-        mask = None if bulk is None else self.mask(bulk)
+        mask = None if bulk is None else self.mask(bulk, factor)
         lhs = restrict(lhs, mask, side)
         rhs = (sp.csr_matrix(lhs.shape, dtype=complex) if rhs is None
                else restrict(rhs, mask, side))

@@ -9,12 +9,15 @@ a ``side``: its products are restricted to those states before they are
 multiplied, and its label is written from the same spec.  Where a relation
 is exact away from the cutoff, the operator must also annihilate the
 headroom-protected subspace outright (side "right"), a strictly stronger
-statement than the two-sided check.
+statement than the two-sided check.  A relation whose operands all act on
+one factor of the basis index (fermion or boson, as ladders and anyons do)
+runs on that factor, under that factor's part of the same bulk.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -485,10 +488,12 @@ def suite_cartan_weyl(cfg: LatticeConfig,
     basis, ct = gs.basis, gs.cartan
     R = cfg.R
     out = SuiteReports("cartanweyl", cfg.tol, basis)
+    # each root's generator is built once per run (RootLabel is hashable)
+    cw = functools.cache(functools.partial(cartan_weyl_generators, cfg, basis))
 
     for alpha in range(R + 1):
         lab = ct.simple_root_label(alpha)
-        out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(cfg, basis, lab),
+        out.check(f"eq6-cw[{alpha}]", cw(lab),
                   gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
     h0 = {a_: cartan_weyl_h0_diag(cfg, basis, a_) for a_ in range(1, R + 1)}
     for a_, h in h0.items():
@@ -502,7 +507,7 @@ def suite_cartan_weyl(cfg: LatticeConfig,
     for base in roots:
         for m in (-1, 0, 1):
             lab = dataclasses.replace(base, m=m)
-            e = cartan_weyl_generators(cfg, basis, lab)
+            e = cw(lab)
             for a_, h in h0.items():
                 w = root_weight(cfg.M, cfg.N, a_, lab)
                 out.check(f"eq1b[{lab},a={a_}]",
@@ -545,9 +550,7 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         rsum = compose_roots(r1, r2)
         if rsum is None:
             continue
-        e1 = cartan_weyl_generators(cfg, basis, r1)
-        e2 = cartan_weyl_generators(cfg, basis, r2)
-        es = cartan_weyl_generators(cfg, basis, rsum)
+        e1, e2, es = cw(r1), cw(r2), cw(rsum)
         # compositions of odd roots raise a boson in one ordering
         bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
         X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))

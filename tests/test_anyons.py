@@ -249,12 +249,13 @@ def test_scaled_anyon_equals_string_product(cfg, flip):
 def test_suite_braiding_builds_each_anyon_once(monkeypatch):
     from anyonrep import anyons
     calls = []
+    build = anyons.anyon_factor
 
     def counted(cfg, basis, mode, family, dagger=False, **kw):
         calls.append((mode, family, dagger))
-        return anyon(cfg, basis, mode, family, dagger, **kw)
+        return build(cfg, basis, mode, family, dagger, **kw)
 
-    monkeypatch.setattr(anyons, "anyon", counted)
+    monkeypatch.setattr(anyons, "anyon_factor", counted)
     reports = suite_braiding(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3))
     assert reports_ok(reports)
     # 3 flavors x 2 sites x 2 families x 2 daggers

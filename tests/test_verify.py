@@ -462,6 +462,21 @@ def test_suite_cartan_weyl():
     assert cocycle and all(r.satisfied for r in cocycle)
 
 
+def test_suite_cartan_weyl_builds_each_generator_once(monkeypatch):
+    """eq6-cw, eq1b at m = 0 and the cocycle chains share root labels; each
+    label's generator is built once per run."""
+    calls = []
+    build = verify.cartan_weyl_generators
+
+    def counted(cfg, basis, label):
+        calls.append(label)
+        return build(cfg, basis, label)
+
+    monkeypatch.setattr(verify, "cartan_weyl_generators", counted)
+    assert reports_ok(suite_cartan_weyl(LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)))
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_cocycle_projector_label_names_headroom():
     # a composition with an odd root runs under headroom 1; the label says so
     cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
