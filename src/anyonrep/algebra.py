@@ -12,9 +12,12 @@ replaces oscillators by anyons; every deformed local piece factorizes into the
 q-boson local generator times a diagonal string tail, which is what the
 coproduct suite checks.  A generator set holds only the sums, ``H`` (CSR)
 and ``E``, and keeps no local pieces: the coproduct suite builds the pieces it
-checks one at a time.  Every oscillator comes from ``fock.annihilate`` and
-``create``; the plain set and the Cartan-Weyl operators take them at q = 1,
-where the q-boson is the plain boson.
+checks one at a time.  Every oscillator is a ladder or an anyon on its factor
+of the basis index (``fock.ladder``, ``anyons.anyon_factor``); the plain set
+and the Cartan-Weyl operators take them at q = 1, where the q-boson is the
+plain boson.  A sum whose pieces act on one factor (an even node, a root of
+two fermion or two boson modes) is formed there and lifted once; a mixed
+piece X (x) Y is tiled from its two factors (``FockBasis.factor_product``).
 """
 
 from __future__ import annotations
@@ -37,16 +40,15 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     _q_one,
-    annihilate,
     cached_basis,
-    create,
     diag_operator,
+    ladder,
     q_power,
     scale_columns,
     zero_op,
 )
-from .anyons import anyon, string_exponent
-from .oscillators import normal_number_diag
+from .anyons import anyon_factor, string_factor
+from .oscillators import normal_number_diag, normal_order_shift, number_factor
 
 EPS = "eps"
 DELTA = "delta"
@@ -201,13 +203,30 @@ def _node_modes(cfg: LatticeConfig, alpha: int, line: int,
     raise ValueError(f"no node {alpha}")
 
 
+def node_factor(cfg: LatticeConfig, alpha: int) -> str | None:
+    """The factor node alpha's local pieces, tails and Cartan parts live on,
+    the statistics of its two modes; None (the whole basis) at the mixed
+    nodes 0 and M."""
+    upper, lower = _node_modes(cfg, alpha, 1, cfg.sites[0])
+    return upper.kind if upper.kind == lower.kind else None
+
+
+def _on_node(basis: FockBasis, modes, vectors) -> list:
+    """The factor vectors of a node's two modes on the node's factor: as they
+    are if the modes share a statistics, else lifted to the whole basis."""
+    if modes[0].kind == modes[1].kind:
+        return vectors
+    return [basis.lift(m.kind, v) for m, v in zip(modes, vectors)]
+
+
 def _h_local_diag(cfg: LatticeConfig, basis: FockBasis, alpha: int, line: int,
                   r: float, corruption: Corruption) -> np.ndarray:
-    """:n_upper: - :n_lower: on even nodes, + on the odd nodes 0 and M; the
-    affine piece carries -1 at r = -1/2 on sea lines."""
-    upper, lower = _node_modes(cfg, alpha, line, r)
-    n_up = normal_number_diag(cfg, basis, upper)
-    n_low = normal_number_diag(cfg, basis, lower)
+    """:n_upper: - :n_lower: on even nodes, + on the odd nodes 0 and M, on
+    the node's factor (:func:`node_factor`); the affine piece carries -1 at
+    r = -1/2 on sea lines."""
+    modes = _node_modes(cfg, alpha, line, r)
+    n_up, n_low = _on_node(basis, modes, [number_factor(basis, m) + normal_order_shift(cfg, m)
+                                          for m in modes])
     if alpha not in (0, cfg.M):
         return n_up - n_low
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
@@ -226,34 +245,37 @@ def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
             corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
     (line, r), over anyons if ``dressed`` (families a/A for e^+, a~/A~ for
-    e^-), else over fermions and q-bosons, the plain oscillators at q = 1."""
+    e^-), else over fermions and q-bosons, the plain oscillators at q = 1:
+    the product of the two factor operators, on the node's factor
+    (``FockBasis.factor_product``)."""
     upper, lower = _node_modes(cfg, alpha, line, r)
     tilde = ""
     if sign == "-":
         upper, lower, tilde = lower, upper, "~"
 
-    def ladder(mode, dagger):
+    def factor(mode, dagger):
         if dressed:
             family = ("a" if mode.kind == FERMION else "A") + tilde
-            return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
-        return (create if dagger else annihilate)(cfg, basis, mode)
+            return anyon_factor(cfg, basis, mode, family, dagger, corruption=corruption)
+        return ladder(cfg, basis, mode, dagger)
 
-    return (ladder(upper, True) @ ladder(lower, False)).tocsr()
+    return basis.factor_product(upper.kind, factor(upper, True),
+                                lower.kind, factor(lower, False))
 
 
 def eq57_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
                   line: int, r: float) -> np.ndarray:
-    """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x.
+    """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x,
+    on the node's factor.
 
-    With w the :func:`string_exponent` of each node mode, x is 1/2 sum_t
+    With w the ``anyons.string_factor`` of each node mode, x is 1/2 sum_t
     eps(t-r) :h_alpha(t):, that is 1/2 (w_upper - w_lower) on even nodes and
     1/2 (w_upper + w_lower) at node M.  The affine node straddles (r, r+1)
     and its tail carries both strings with the opposite base sign:
     -1/2 (w_upper + w_lower).
     """
-    upper, lower = _node_modes(cfg, alpha, line, r)
-    w_up = string_exponent(cfg, basis, upper)
-    w_low = string_exponent(cfg, basis, lower)
+    modes = _node_modes(cfg, alpha, line, r)
+    w_up, w_low = _on_node(basis, modes, [string_factor(cfg, basis, m) for m in modes])
     if alpha == 0:
         return -0.5 * (w_up + w_low)
     if alpha == cfg.M:
@@ -309,18 +331,19 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
     cartan = cartan_data(cfg.M, cfg.N)
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
-        hd = np.zeros(basis.dim)
-        for line in cfg.lines:
-            for r in admissible_sites(cfg, alpha):
-                hd += _h_local_diag(cfg, basis, alpha, line, r, corruption)
-        H[alpha] = diag_operator(hd)
+        # each sum is formed on the node's factor and lifted once
+        space = node_factor(cfg, alpha)
+        sites = [(line, r) for line in cfg.lines for r in admissible_sites(cfg, alpha)]
+        hd = np.zeros(basis.size(space))
+        for line, r in sites:
+            hd += _h_local_diag(cfg, basis, alpha, line, r, corruption)
+        H[alpha] = diag_operator(basis.lift(space, hd))
         for sign in ("+", "-"):
-            total = zero_op(basis)
-            for line in cfg.lines:
-                for r in admissible_sites(cfg, alpha):
-                    total = total + local_e(cfg, basis, alpha, sign, line, r,
-                                            deformed, corruption)
-            E[(alpha, sign)] = total.tocsr()
+            total = zero_op(basis, space)
+            for line, r in sites:
+                total = total + local_e(cfg, basis, alpha, sign, line, r,
+                                        deformed, corruption)
+            E[(alpha, sign)] = basis.lift_operator(space, total.tocsr())
     return GeneratorSet(cfg, basis, cartan, corruption, H, E)
 
 
@@ -360,6 +383,22 @@ def _mode_for(kind_tag: str, flavor: int, line: int, site: float) -> ModeId:
     return ModeId(kind, flavor, line, site)
 
 
+def _bilinear_sum(cfg: LatticeConfig, basis: FockBasis, terms) -> sp.csr_matrix:
+    """sum_i w_i (mode_r)^dag (mode_s) over ``terms`` (w, mode_r, mode_s) of
+    plain oscillators.  The terms of one statistics are summed on its factor
+    and lifted once, mixed ones tiled; the sums shift different factors, so
+    they touch disjoint entries and add as the full-dimension sum does."""
+    total = None
+    for space in (FERMION, BOSON, None):
+        part = [w * basis.factor_product(r.kind, ladder(cfg, basis, r, True),
+                                         s.kind, ladder(cfg, basis, s))
+                for w, r, s in terms if (r.kind if r.kind == s.kind else None) == space]
+        if part:
+            part = basis.lift_operator(space, sum(part, zero_op(basis, space)))
+            total = part if total is None else total + part
+    return zero_op(basis) if total is None else total.tocsr()
+
+
 def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
                            label: RootLabel) -> sp.csr_matrix:
     """e_root^m = sum_r (pos mode)^dag(r) (neg mode)(r+m), truncated, over
@@ -369,20 +408,11 @@ def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
         hi = cfg.M if kind == EPS else cfg.N
         if not 1 <= idx <= hi:
             raise ValueError(f"flavor index out of range in {label}")
-    total = zero_op(basis)
-    terms = 0
-    for line in cfg.lines:
-        for r in cfg.sites:
-            s = r + label.m
-            if s not in cfg.sites:
-                continue
-            up = create(cfg, basis, _mode_for(*label.pos, line, r))
-            dn = annihilate(cfg, basis, _mode_for(*label.neg, line, s))
-            total = total + up @ dn
-            terms += 1
-    if terms == 0:
+    terms = [(1, _mode_for(*label.pos, line, r), _mode_for(*label.neg, line, r + label.m))
+             for line in cfg.lines for r in cfg.sites if r + label.m in cfg.sites]
+    if not terms:
         warnings.warn(f"empty truncated sum for {label}; returning zero operator")
-    return total.tocsr()
+    return _bilinear_sum(cfg, basis, terms)
 
 
 def cartan_weyl_h0_diag(cfg: LatticeConfig, basis: FockBasis, a: int) -> np.ndarray:
@@ -404,8 +434,7 @@ def cartan_weyl_h(cfg: LatticeConfig, basis: FockBasis, a: int, m: int) -> sp.cs
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for h_{a}^{m}; returning zero operator")
-    return sum((w * (create(cfg, basis, mode_r) @ annihilate(cfg, basis, mode_s))
-                for w, mode_r, mode_s in terms), zero_op(basis)).tocsr()
+    return _bilinear_sum(cfg, basis, terms)
 
 
 def compose_roots(a: RootLabel, b: RootLabel) -> RootLabel | None:

@@ -33,7 +33,6 @@ from .fock import (
     diag_operator,
     identity_op,
     ladder,
-    op_adjoint,
     q_bracket,
     q_power,
     scale_columns,
@@ -52,10 +51,13 @@ FAMILIES = {
 }
 
 
-def _string_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
-    """sum_t eps(t - r) :n(t): on the factor of the basis index that carries
-    ``mode``'s statistics: the summed modes share it."""
-    total = np.zeros(basis.NF if mode.kind == FERMION else basis.NB)
+def string_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
+    statistics and flavor as ``mode``, r its position, on the factor of the
+    basis index that carries that statistics.  eps compares (line, site)
+    pairs in line-major order and vanishes at the target itself, so the
+    string commutes with ladder operators of the target mode."""
+    total = np.zeros(basis.size(mode.kind))
     modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
     for m in modes:
         if m.flavor != mode.flavor:
@@ -66,22 +68,12 @@ def _string_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.nda
     return total
 
 
-def string_exponent(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
-    """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
-    statistics and flavor as ``mode``, r its position.
-
-    eps compares (line, site) pairs in line-major order and vanishes at the
-    target itself, so the resulting factor commutes with ladder operators of
-    the target mode.
-    """
-    return basis.lift(mode.kind, _string_factor(cfg, basis, mode))
-
-
 def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
                  dagger: bool = False,
                  corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """One anyonic oscillator on the factor of the basis index that carries
-    its statistics: a/a~ dress fermions, A/A~ dress q-bosons.
+    its statistics: a/a~ dress fermions, A/A~ dress q-bosons; built once per
+    config and corruption (:meth:`FockBasis.memo`).
 
     The string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base sign) is
     applied by scaling the oscillator's entries: K c scales its rows, and
@@ -99,11 +91,12 @@ def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str
         base = -base
     if tilde != dagger:
         base = -base
-    string = q_power(cfg.q, base * _string_factor(cfg, basis, mode))
-    osc = ladder(cfg, basis, mode)
-    if not dagger:
-        return scale_rows(osc, string)
-    return scale_columns(op_adjoint(osc), string)
+
+    def build():
+        string = q_power(cfg.q, base * string_factor(cfg, basis, mode))
+        osc = ladder(cfg, basis, mode, dagger)
+        return scale_columns(osc, string) if dagger else scale_rows(osc, string)
+    return basis.memo(cfg, (mode, family, dagger, corruption), build)
 
 
 def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
@@ -189,7 +182,7 @@ def suite_braiding(cfg: LatticeConfig,
             rep(f"eq43t[i={i},{pt}]", t_ @ td + td @ t_, one, **ps)
             rep(f"eq44s[i={i},{pt}]", t_ @ a_ + a_ @ t_, **ps)
             mode = ModeId(FERMION, i, *pt)
-            w = _string_factor(cfg, basis, mode)
+            w = string_factor(cfg, basis, mode)
             rep(f"eq46a[i={i},{pt}]", t_ @ ad + ad @ t_,
                 diag_operator(q_power(q, w)), **ps)
             rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,

@@ -7,15 +7,17 @@ and ``N`` bosonic oscillator modes; bosons are truncated at occupation
 dimension ``2^(M*S*K) * (n_max+1)^(N*S*K)``.
 
 Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
-the state index f * NB + b: they are built on it (:func:`ladder`) and lifted
-to X (x) 1 or 1 (x) Y (:meth:`FockBasis.lift_operator`) where a full-space
-operator is needed.  Fermionic operators carry Jordan-Wigner sign strings over
-all fermionic modes preceding the target in a fixed global order (line, then
-site ascending, then flavor ascending), so the canonical anticommutation
-relations hold exactly for every mode pair.  There is one boson ladder, the
-q-boson b|n> = sqrt([n]_q) |n-1>; the plain boson is the same ladder at
-q = 1, where [n]_1 = n.
-Operators and bases are immutable by convention once built; nothing in this
+the state index f * NB + b: they are built on it once per config
+(:func:`ladder`, :meth:`FockBasis.memo`), sums of their products are formed
+there, and a factor operator is lifted to X (x) 1 or 1 (x) Y
+(:meth:`FockBasis.lift_operator`) where a full-space operator is needed; a
+product of a fermion and a boson factor operator is tiled as X (x) Y
+(:meth:`FockBasis.factor_product`).  Fermionic operators carry Jordan-Wigner
+sign strings over all fermionic modes preceding the target in a fixed global
+order (line, then site ascending, then flavor ascending), so the canonical
+anticommutation relations hold exactly for every mode pair.  There is one
+boson ladder, the q-boson b|n> = sqrt([n]_q) |n-1>; the plain boson is the
+same ladder at q = 1, where [n]_1 = n.  Operators and bases are immutable by convention once built; nothing in this
 package mutates a returned matrix.
 
 An operator diagonal in the occupation basis (a number, a string, q^{H/2},
@@ -301,6 +303,8 @@ class FockBasis:
         self.NF = 2 ** self.F
         self.NB = (cfg.n_max + 1) ** self.B
         self.dim = dim
+        # scipy's own index type for the whole basis, so nothing is converted
+        self._idx = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
 
         f = np.arange(self.NF, dtype=np.int64)
         self.f_occ = ((f[:, None] >> np.arange(self.F)) & 1).astype(np.uint8)
@@ -311,6 +315,7 @@ class FockBasis:
         b = np.arange(self.NB, dtype=np.int64)
         nb = cfg.n_max + 1
         self.b_occ = ((b[:, None] // nb ** np.arange(self.B)) % nb).astype(np.uint8)
+        self._memo = {}
 
     def fermion_slot(self, mode: ModeId) -> int:
         return self._fslot[mode]
@@ -329,33 +334,82 @@ class FockBasis:
         b = int(np.dot(np.asarray(b_occ, dtype=np.int64), nb ** np.arange(self.B)))
         return f * self.NB + b
 
-    def lift(self, kind: str, factor: np.ndarray) -> np.ndarray:
+    def size(self, factor: str | None = None) -> int:
+        """NF, NB, or for ``factor`` None the dimension of the whole basis."""
+        return {FERMION: self.NF, BOSON: self.NB}.get(factor, self.dim)
+
+    def lift(self, kind: str | None, factor: np.ndarray) -> np.ndarray:
         """A vector on one factor of the index f * NB + b (f for fermions, b
-        for bosons) as the diagonal it gives on the whole basis."""
+        for bosons) as the diagonal it gives on the whole basis; a ``kind``
+        of None names the whole basis, where the vector is left as it is."""
         if kind == FERMION:
             return np.repeat(factor, self.NB)
-        return np.tile(factor, self.NF)
+        return factor if kind is None else np.tile(factor, self.NF)
 
-    def lift_operator(self, kind: str, x: sp.csr_matrix) -> sp.csr_matrix:
+    def lift_operator(self, kind: str | None, x: sp.csr_matrix) -> sp.csr_matrix:
         """An operator x on one factor of the index as the operator it gives on
-        the whole basis, x (x) 1 for fermions and 1 (x) x for bosons: the CSR
-        arrays of ``sp.kron``, tiled from those of x.  A fermion-factor x holds
-        at most one entry per row, as every ladder and anyon does."""
-        nf, nb, n, counts = self.NF, self.NB, x.nnz, np.diff(x.indptr)
-        idx = np.int32 if self.dim <= np.iinfo(np.int32).max else np.int64  # scipy's, no copy
+        the whole basis, x (x) 1 for fermions and 1 (x) x for bosons (x itself
+        for a ``kind`` of None): the CSR arrays of ``sp.kron``, tiled from
+        those of x."""
+        if kind is None:
+            return x
+        nf, nb, n, idx = self.NF, self.NB, x.nnz, self._idx
+        counts = np.diff(x.indptr)
         if kind == FERMION:
-            if counts.max() > 1:
-                raise ValueError("a fermion-factor lift takes one entry per row at most")
-            # row f*NB + b holds the entry of row f, its column j moved to j*NB + b
+            # row f*NB + b holds the entries of row f, column j moved to j*NB + b
             indptr = nb * x.indptr[:-1, None].astype(idx) + np.outer(counts, np.arange(nb, dtype=idx))
-            indices = x.indices[:, None].astype(idx) * nb + np.arange(nb, dtype=idx)
-            data = np.repeat(x.data, nb)
+            f = np.repeat(np.arange(nf), counts)  # the row of each entry of x
+            dest = (((nb - 1) * x.indptr[f] + np.arange(n))[:, None]
+                    + np.outer(counts[f], np.arange(nb))).ravel()
+            indices, data = np.empty(n * nb, dtype=idx), np.empty(n * nb, dtype=x.dtype)
+            indices[dest] = (x.indices[:, None].astype(idx) * nb + np.arange(nb, dtype=idx)).ravel()
+            data[dest] = np.repeat(x.data, nb)
         else:
             indptr = n * np.arange(nf, dtype=idx)[:, None] + x.indptr[:-1]
-            indices = nb * np.arange(nf, dtype=idx)[:, None] + x.indices
+            indices = (nb * np.arange(nf, dtype=idx)[:, None] + x.indices).ravel()
             data = np.tile(x.data, nf)
-        return sp.csr_matrix((data, indices.ravel(), np.append(indptr.ravel(), idx(data.size))),
+        return sp.csr_matrix((data, indices, np.append(indptr.ravel(), idx(data.size))),
                              shape=(self.dim, self.dim))
+
+    def factor_product(self, kind_x: str, x: sp.csr_matrix, kind_y: str,
+                       y: sp.csr_matrix) -> sp.csr_matrix:
+        """lift(x) @ lift(y) for x, y on the factors ``kind_x``, ``kind_y``, on
+        the smallest space that holds it: x @ y on a shared factor, else
+        X (x) Y on the whole basis, tiled with the arrays of scipy's product.
+        X and Y hold at most one entry per row, as every ladder and anyon
+        does.  scipy forms each entry from separately rounded real products
+        (in either order alike; numpy's complex * differs), adds it to zero
+        and drops it if it is zero."""
+        if kind_x == kind_y:
+            return x @ y
+        (fx, bx), idx = ((x, y) if kind_x == FERMION else (y, x)), self._idx
+        cf = np.diff(fx.indptr)
+        if max(cf.max(initial=0), np.diff(bx.indptr).max(initial=0)) > 1:
+            raise ValueError("a mixed product takes one entry per row at most")
+        # row f*NB + b holds the product of the entries of rows f and b
+        indptr = bx.nnz * fx.indptr[:-1, None].astype(idx) + np.outer(cf, bx.indptr[:-1])
+        indices = fx.indices[:, None].astype(idx) * self.NB + bx.indices
+        u, v = fx.data[:, None], bx.data
+        data = np.empty(indices.shape, dtype=complex)
+        data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
+        data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
+        out = sp.csr_matrix((data.ravel(), indices.ravel(), np.append(indptr.ravel(), idx(data.size))),
+                            shape=(self.dim, self.dim))
+        if not data.all():
+            out.eliminate_zeros()
+        return out
+
+    def memo(self, cfg: LatticeConfig, key, build):
+        """``build()`` once per config and key, for the operators of this
+        basis.  The operators of the two configs asked for last are kept, as a
+        run reads one q besides q = 1 (a bound like the generator sets')."""
+        ops = self._memo.pop(cfg, {})
+        self._memo[cfg] = ops
+        if len(self._memo) > 2:
+            del self._memo[next(iter(self._memo))]
+        if key not in ops:
+            ops[key] = build()
+        return ops[key]
 
     def vacuum_occupation(self, mode: ModeId) -> int:
         """Occupation of this mode in the reference vacuum of its line's scheme."""
@@ -396,12 +450,13 @@ def _cached_basis(cfg: LatticeConfig) -> FockBasis:
 
 def identity_op(basis: FockBasis, factor: str | None = None) -> sp.csr_matrix:
     """The identity on the whole basis, or on its fermion or boson factor."""
-    n = {FERMION: basis.NF, BOSON: basis.NB}.get(factor, basis.dim)
-    return sp.identity(n, format="csr", dtype=complex)
+    return sp.identity(basis.size(factor), format="csr", dtype=complex)
 
 
-def zero_op(basis: FockBasis) -> sp.csr_matrix:
-    return sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+def zero_op(basis: FockBasis, factor: str | None = None) -> sp.csr_matrix:
+    """The zero operator on the whole basis, or on its fermion or boson factor."""
+    n = basis.size(factor)
+    return sp.csr_matrix((n, n), dtype=complex)
 
 
 def diag_operator(diagonal: np.ndarray) -> sp.csr_matrix:
@@ -428,50 +483,33 @@ def scale_columns(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
                           x.indptr.copy()), shape=x.shape)
 
 
-def fermion_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """c for one fermionic mode on the fermion factor, with the Jordan-Wigner
-    string over all fermionic slots preceding the mode in the global order."""
-    if mode.kind != FERMION:
-        raise ValueError(f"{mode} is not fermionic")
-    j = basis.fermion_slot(mode)
-    src = np.nonzero(basis.f_occ[:, j])[0]
-    vals = basis.f_sign[src, j].astype(complex)
-    return sp.csr_matrix((vals, (src ^ (1 << j), src)), shape=(basis.NF, basis.NF))
+def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
+           dagger: bool = False) -> sp.csr_matrix:
+    """The annihilator of ``mode`` on its factor of the basis index, or its
+    adjoint, the creator; built once per config (:meth:`FockBasis.memo`).
 
-
-def boson_ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """The q-boson b with b|n> = sqrt([n]_q) |n-1> on the boson factor, hard
-    cutoff at n_max.
-
-    The one boson ladder: the plain boson d|n> = sqrt(n) |n-1> is this call
-    at ``_q_one(cfg)``, since [n]_1 = n.  The 0/0 of the rescaling
-    d * sqrt([n']/n') at n' = 0 is resolved by the matrix element; config
-    validation guarantees [n]_q > 0 up to the cutoff, so the root is real.
+    A fermion's c carries the Jordan-Wigner string over all fermionic slots
+    preceding the mode in the global order.  The one boson ladder is the
+    q-boson b|n> = sqrt([n]_q) |n-1>, hard cutoff at n_max; the plain boson
+    d|n> = sqrt(n) |n-1> is this ladder at ``_q_one(cfg)``, since [n]_1 = n.
+    Config validation guarantees [n]_q > 0 up to the cutoff, so the root is
+    real.
     """
-    if mode.kind != BOSON:
-        raise ValueError(f"{mode} is not bosonic")
-    j = basis.boson_slot(mode)
-    occ = basis.b_occ[:, j]
-    src = np.nonzero(occ)[0]
-    amplitude = np.sqrt([q_number(n, cfg.q).real for n in range(cfg.n_max + 1)])
-    return sp.csr_matrix((amplitude.astype(complex)[occ[src]],
-                          (src - (cfg.n_max + 1) ** j, src)),
-                         shape=(basis.NB, basis.NB))
-
-
-def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    """The annihilator of ``mode`` on its factor of the basis index."""
-    if mode.kind == FERMION:
-        return fermion_ladder(cfg, basis, mode)
-    return boson_ladder(cfg, basis, mode)
-
-
-def fermion_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return basis.lift_operator(FERMION, fermion_ladder(cfg, basis, mode))
-
-
-def boson_annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return basis.lift_operator(BOSON, boson_ladder(cfg, basis, mode))
+    def build():
+        if dagger:
+            return op_adjoint(ladder(cfg, basis, mode))
+        if mode.kind == FERMION:
+            j = basis.fermion_slot(mode)
+            src = np.nonzero(basis.f_occ[:, j])[0]
+            return sp.csr_matrix((basis.f_sign[src, j].astype(complex), (src ^ (1 << j), src)),
+                                 shape=(basis.NF, basis.NF))
+        j = basis.boson_slot(mode)
+        occ = basis.b_occ[:, j]
+        src = np.nonzero(occ)[0]
+        amplitude = np.sqrt([q_number(n, cfg.q).real for n in range(cfg.n_max + 1)])
+        return sp.csr_matrix((amplitude.astype(complex)[occ[src]],
+                              (src - (cfg.n_max + 1) ** j, src)), shape=(basis.NB, basis.NB))
+    return basis.memo(cfg, (mode, dagger), build)
 
 
 def annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
@@ -479,7 +517,7 @@ def annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_mat
 
 
 def create(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return basis.lift_operator(mode.kind, op_adjoint(ladder(cfg, basis, mode)))
+    return basis.lift_operator(mode.kind, ladder(cfg, basis, mode, dagger=True))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Two normal orderings are supported per line.  The "sea" scheme subtracts the
 filled-Dirac-sea reference: fermionic :n:(r) = n(r) - 1 and bosonic
 :n':(r) = n'(r) + 1 at negative sites.  The "empty" scheme keeps bare
 occupation numbers everywhere.  The q-bosons b|n> = sqrt([n]_q) |n-1> are
-``fock.boson_ladder``; the ordinary truncated bosons of the canonical
-relations are the same ladders at q = 1.
+``fock.ladder``; the ordinary truncated bosons of the canonical relations are
+the same ladders at q = 1.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .fock import (
     NO_CORRUPTION,
     Corruption,
     _q_one,
-    boson_ladder,
     cached_basis,
     diag_operator,
-    fermion_ladder,
     identity_op,
+    ladder,
     op_adjoint,
     q_bracket,
     q_power,
@@ -85,9 +84,9 @@ def suite_oscillators(cfg: LatticeConfig,
     q = cfg.q
     out = SuiteReports("oscillators", cfg.tol, basis)
 
-    cs = {m: fermion_ladder(cfg, basis, m) for m in basis.fermion_modes}
-    ds = {m: boson_ladder(_q_one(cfg), basis, m) for m in basis.boson_modes}
-    bs = {m: boson_ladder(cfg, basis, m) for m in basis.boson_modes}
+    cs = {m: ladder(cfg, basis, m) for m in basis.fermion_modes}
+    ds = {m: ladder(_q_one(cfg), basis, m) for m in basis.boson_modes}
+    bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}
     dag = {m: op_adjoint(x) for ops in (cs, ds) for m, x in ops.items()}
     bds = {m: op_adjoint(b) for m, b in bs.items()}
     ns = {m: number_factor(basis, m) for m in basis.boson_modes}

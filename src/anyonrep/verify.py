@@ -41,6 +41,7 @@ from .algebra import (
     compose_roots,
     eq57_exponent,
     local_e,
+    node_factor,
     root_weight,
 )
 from .fock import (
@@ -327,10 +328,9 @@ def suite_coproduct(cfg: LatticeConfig,
     Each piece is built once over anyons and once over q-bosons, and read by
     every statement about it."""
     gs = cached_generators(cfg, True, corruption)
-    basis = gs.basis
+    basis, lift = gs.basis, gs.basis.lift_operator
     out = SuiteReports("coproduct", cfg.tol)
     splits = SuiteReports("coproduct", cfg.tol)  # reported after eq57
-    zero = np.zeros(basis.dim)
 
     # flipping q_alpha in the tail must break the factorization: the opposite
     # base sign of the bosonic strings is load-bearing
@@ -347,6 +347,9 @@ def suite_coproduct(cfg: LatticeConfig,
 
     for alpha in range(cfg.R + 1):
         qa = gs.q_alpha(alpha)
+        # pieces, tails and halves live on the node's factor
+        space = node_factor(cfg, alpha)
+        zero = np.zeros(basis.size(space))
         sites = [(ln, r) for ln in cfg.lines for r in admissible_sites(cfg, alpha)]
         expos = [eq57_exponent(cfg, basis, alpha, ln, r) for ln, r in sites]
         tails = [q_power(qa, x) for x in expos]
@@ -360,7 +363,7 @@ def suite_coproduct(cfg: LatticeConfig,
                       for x, lf in zip(expos, left)]
         worst = 0.0
         for s in ("+", "-"):
-            EL = ER = zero_op(basis)
+            EL = ER = zero_op(basis, space)
             for i, (ln, r) in enumerate(sites):
                 E = local_e(cfg, basis, alpha, s, ln, r, True, corruption)
                 ehat = local_e(cfg, basis, alpha, s, ln, r, False)
@@ -375,8 +378,10 @@ def suite_coproduct(cfg: LatticeConfig,
                     else:
                         ER = ER + half
             if alpha:
-                rhs = (scale_columns(EL, q_power(qa, 0.5 * HR))
-                       + scale_rows(ER, q_power(qa, -0.5 * HL)))
+                # scaled at full dimension: numpy multiplies operands of
+                # >= 256 KiB in swapped order, and its complex a*b != b*a
+                rhs = (scale_columns(lift(space, EL), q_power(qa, 0.5 * basis.lift(space, HR)))
+                       + scale_rows(lift(space, ER), q_power(qa, -0.5 * basis.lift(space, HL))))
                 splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
                              rhs.tocsr(), params={"alpha": alpha, "sign": s})
         out.record(f"eq57[{alpha}]", worst,

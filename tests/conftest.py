@@ -1,6 +1,8 @@
 import pytest
+import scipy.sparse as sp
 
-from anyonrep.anyons import string_exponent
+from anyonrep.algebra import _h_local_diag, eq57_exponent, local_e, node_factor
+from anyonrep.anyons import string_factor
 from anyonrep.fock import (
     BOSON,
     FERMION,
@@ -18,6 +20,31 @@ def bulk_projector(cfg, basis, boundary_margin=1, boson_headroom=0):
     of a check's products to its bulk is tested against."""
     return diag_operator(bulk_mask(cfg, basis, boundary_margin, boson_headroom)
                          .astype(complex))
+
+
+def on_basis(cfg, basis, alpha, x):
+    """A local piece (an operator) or a tail or Cartan part (a vector) of node
+    alpha, which the package forms on the node's factor, on the whole basis."""
+    space = node_factor(cfg, alpha)
+    return basis.lift_operator(space, x) if sp.issparse(x) else basis.lift(space, x)
+
+
+def full_local_e(cfg, basis, alpha, *args):
+    return on_basis(cfg, basis, alpha, local_e(cfg, basis, alpha, *args))
+
+
+def full_h_local_diag(cfg, basis, alpha, *args):
+    return on_basis(cfg, basis, alpha, _h_local_diag(cfg, basis, alpha, *args))
+
+
+def full_eq57_exponent(cfg, basis, alpha, *args):
+    return on_basis(cfg, basis, alpha, eq57_exponent(cfg, basis, alpha, *args))
+
+
+def string_exponent(cfg, basis, mode):
+    """sum_t eps(t - r) :n(t): of ``mode`` on the whole basis, the lift of
+    its factor vector: the full-dimension string the references read."""
+    return basis.lift(mode.kind, string_factor(cfg, basis, mode))
 
 
 def disorder_factor(cfg, basis, mode, tilde=False, corruption=NO_CORRUPTION):

@@ -1,10 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import bulk_projector
+from conftest import bulk_projector, full_eq57_exponent, full_h_local_diag, full_local_e
 from anyonrep import algebra as alg
 from anyonrep.algebra import (
     DELTA,
@@ -18,8 +19,6 @@ from anyonrep.algebra import (
     central_charge_diag,
     chevalley_generators,
     compose_roots,
-    eq57_exponent,
-    local_e,
     root_weight,
 )
 from anyonrep.anyons import anyon
@@ -165,7 +164,7 @@ def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
             h = gs.h(al)
             assert h.dtype == np.float64
             assert h.tobytes() == H.diagonal().real.tobytes()
-            local = sum(alg._h_local_diag(cfg22, basis22, al, line, r, Corruption())
+            local = sum(full_h_local_diag(cfg22, basis22, al, line, r, Corruption())
                         for line in cfg22.lines
                         for r in alg.admissible_sites(cfg22, al))
             assert np.array_equal(local, h)
@@ -183,12 +182,30 @@ def test_deformed_equals_undeformed_at_q_one():
 
 
 def test_local_piece_matches_anyon_product(cfg21, basis21):
-    # the mixed node: a_M^dag(r) A_1(r)
-    r = 0.5
-    lhs = local_e(cfg21, basis21, cfg21.M, "+", 1, r, True)
-    rhs = anyon(cfg21, basis21, fermion_mode(cfg21.M, r), "a", dagger=True) \
-        @ anyon(cfg21, basis21, boson_mode(1, r), "A")
-    assert residual_norm(lhs - rhs) == 0.0
+    """The mixed pieces, tiled from their factors, equal the product of the
+    lifted operators: at node M a_M^dag(r) A_1(r), at the affine node
+    A_N^dag(r) a_1(r+1), for e^- the tilded lower^dag upper; over anyons and
+    over plain oscillators, array for array."""
+    M, N = cfg21.M, cfg21.N
+    nodes = [(M, 0.5, fermion_mode(M, 0.5), boson_mode(1, 0.5)),
+             (0, -0.5, boson_mode(N, -0.5), fermion_mode(1, 0.5))]
+    for (alpha, r, upper, lower), sign, dressed in itertools.product(
+            nodes, ("+", "-"), (True, False)):
+        tilde = ""
+        if sign == "-":
+            upper, lower, tilde = lower, upper, "~"
+
+        def op(mode, dagger):
+            if not dressed:
+                return (create if dagger else annihilate)(cfg21, basis21, mode)
+            family = ("a" if mode.kind == FERMION else "A") + tilde
+            return anyon(cfg21, basis21, mode, family, dagger=dagger)
+
+        lhs = full_local_e(cfg21, basis21, alpha, sign, 1, r, dressed)
+        rhs = op(upper, True) @ op(lower, False)
+        assert residual_norm(lhs - rhs) == 0.0
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lhs, name), getattr(rhs, name))
 
 
 def test_affine_pieces_need_next_site(cfg21):
@@ -201,10 +218,10 @@ def test_string_tail_factorization(cfg21, basis21):
     for alpha in range(cfg21.R + 1):
         for s in ("+", "-"):
             for r in alg.admissible_sites(cfg21, alpha):
-                E = local_e(cfg21, basis21, alpha, s, 1, r, True)
-                ehat = local_e(cfg21, basis21, alpha, s, 1, r, False)
+                E = full_local_e(cfg21, basis21, alpha, s, 1, r, True)
+                ehat = full_local_e(cfg21, basis21, alpha, s, 1, r, False)
                 tail = q_power(q_alpha[alpha],
-                               eq57_exponent(cfg21, basis21, alpha, 1, r))
+                               full_eq57_exponent(cfg21, basis21, alpha, 1, r))
                 assert residual_norm(E - ehat @ diag_operator(tail)) <= cfg21.tol
 
 
@@ -215,7 +232,7 @@ def test_local_q_generator_collapses_at_q_one():
     for alpha in range(cfg.R + 1):
         for s in ("+", "-"):
             for r in alg.admissible_sites(cfg, alpha):
-                ehat = local_e(cfg, basis, alpha, s, 1, r, False)
+                ehat = full_local_e(cfg, basis, alpha, s, 1, r, False)
                 plain = _ref_local_e(cfg, basis, alpha, s, 1, r, False, Corruption())
                 assert residual_norm(ehat - plain) <= 1e-13
 
@@ -226,9 +243,9 @@ def test_tail_flip_breaks_factorization(cfg22, basis22):
     qa = cartan_data(cfg22.M, cfg22.N).q_alpha(cfg22.q)[alpha]
     worst = 0.0
     for r in cfg22.sites:
-        E = local_e(cfg22, basis22, alpha, "+", 1, r, True)
-        ehat = local_e(cfg22, basis22, alpha, "+", 1, r, False)
-        tail = q_power(1 / qa, eq57_exponent(cfg22, basis22, alpha, 1, r))
+        E = full_local_e(cfg22, basis22, alpha, "+", 1, r, True)
+        ehat = full_local_e(cfg22, basis22, alpha, "+", 1, r, False)
+        tail = q_power(1 / qa, full_eq57_exponent(cfg22, basis22, alpha, 1, r))
         worst = max(worst, residual_norm(E - ehat @ diag_operator(tail)))
     assert worst > 1e-3
 
@@ -240,7 +257,7 @@ def _filtered_tail_exponent(cfg, basis, alpha, line, r, keep):
         for t in cfg.sites:
             eps = site_order_sign(ln, t, line, r)
             if keep(ln, t) and eps:
-                total += eps * alg._h_local_diag(cfg, basis, alpha, ln, t,
+                total += eps * full_h_local_diag(cfg, basis, alpha, ln, t,
                                                  Corruption())
     return total
 
@@ -265,13 +282,13 @@ def test_half_tail_is_full_tail_less_other_half(cfg):
         return not left(ln, t)
 
     for alpha in range(1, cfg.R + 1):
-        H = {side: sum((alg._h_local_diag(cfg, basis, alpha, ln, t, Corruption())
+        H = {side: sum((full_h_local_diag(cfg, basis, alpha, ln, t, Corruption())
                         for ln in cfg.lines for t in cfg.sites if side(ln, t)),
                        np.zeros(basis.dim))
              for side in (left, right)}
         for ln in cfg.lines:
             for r in cfg.sites:
-                T = 2 * eq57_exponent(cfg, basis, alpha, ln, r)
+                T = 2 * full_eq57_exponent(cfg, basis, alpha, ln, r)
                 own = left if left(ln, r) else right
                 half = T - H[right] if own is left else T + H[left]
                 ref = _filtered_tail_exponent(cfg, basis, alpha, ln, r, own)
@@ -286,10 +303,10 @@ def test_local_fixed_site_representation(cfg22, basis22):
     r = -0.5
 
     def h_local(alpha):
-        return alg._h_local_diag(cfg22, basis22, alpha, 1, r, Corruption())
+        return full_h_local_diag(cfg22, basis22, alpha, 1, r, Corruption())
 
     def e_hat(alpha, s):
-        return local_e(cfg22, basis22, alpha, s, 1, r, False)
+        return full_local_e(cfg22, basis22, alpha, s, 1, r, False)
 
     for al in range(1, cfg22.R + 1):
         h_al = diag_operator(h_local(al))
@@ -406,18 +423,18 @@ def test_node_table_reproduces_per_node_chains(cfg):
             for r in alg.admissible_sites(cfg, alpha):
                 for cor in corruptions[:2]:
                     assert np.array_equal(
-                        alg._h_local_diag(cfg, basis, alpha, line, r, cor),
+                        full_h_local_diag(cfg, basis, alpha, line, r, cor),
                         _ref_h_local_diag(cfg, basis, alpha, line, r, cor))
                 for s in ("+", "-"):
                     # the q-boson pieces, and at q = 1 the plain pieces
                     for at in (cfg, _q_one(cfg)):
                         assert _same(
-                            local_e(at, basis, alpha, s, line, r, False),
+                            full_local_e(at, basis, alpha, s, line, r, False),
                             _ref_local_e(at, basis, alpha, s, line, r, False,
                                          corruptions[0]))
                     for cor in corruptions:
                         assert _same(
-                            local_e(cfg, basis, alpha, s, line, r, True, cor),
+                            full_local_e(cfg, basis, alpha, s, line, r, True, cor),
                             _ref_local_e(cfg, basis, alpha, s, line, r, True, cor))
 
 

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import bulk_projector, disorder_factor
+from conftest import bulk_projector, disorder_factor, string_exponent
 from anyonrep.anyons import (
     anyon,
-    string_exponent,
     suite_braiding,
 )
 from anyonrep.fock import (
     FERMION,
     Corruption,
     LatticeConfig,
-    boson_annihilate,
+    annihilate,
     boson_mode,
     build_basis,
     diag_operator,
-    fermion_annihilate,
     fermion_mode,
     identity_op,
     op_adjoint,
@@ -89,7 +87,7 @@ def test_disorder_factors_are_diagonal_and_commute(cfg21, basis21):
 def test_string_commutes_with_own_site_ladder(cfg21, basis21):
     # eps(0) = 0 removes the target mode from its own string
     K = disorder_factor(cfg21, basis21, fermion_mode(1, 0.5))
-    c = fermion_annihilate(cfg21, basis21, fermion_mode(1, 0.5))
+    c = annihilate(cfg21, basis21, fermion_mode(1, 0.5))
     assert residual_norm(K @ c - c @ K) == 0.0
 
 
@@ -110,10 +108,10 @@ def test_anyons_collapse_at_q_one():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.0)
     basis = build_basis(cfg)
     a = anyon(cfg, basis, fermion_mode(1, 0.5), "a")
-    c = fermion_annihilate(cfg, basis, fermion_mode(1, 0.5))
+    c = annihilate(cfg, basis, fermion_mode(1, 0.5))
     assert residual_norm(a - c) == 0.0
     A = anyon(cfg, basis, boson_mode(1, -0.5), "A")
-    d = boson_annihilate(cfg, basis, boson_mode(1, -0.5))
+    d = annihilate(cfg, basis, boson_mode(1, -0.5))
     assert residual_norm(A - d) == 0.0
 
 
@@ -234,8 +232,7 @@ def test_scaled_anyon_equals_string_product(cfg, flip):
     for family, (kind, tilde) in FAMILIES.items():
         modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
         for mode in modes:
-            osc = (fermion_annihilate if kind == FERMION
-                   else boson_annihilate)(cfg, basis, mode)
+            osc = annihilate(cfg, basis, mode)
             for dagger in (False, True):
                 if dagger:
                     ref = op_adjoint(osc) @ disorder_factor(

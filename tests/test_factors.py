@@ -1,33 +1,38 @@
 """Ladders and anyons act on one factor of the state index f * NB + b.
 
 The oscillator and braiding suites check every single-statistics relation on
-that factor.  These tests hold the two facts that make this exact: every
-full-space ladder and anyon is the lift of its factor operator, array for
-array, and a relation recomputed at full dimension from the lifted operands
-has the suite's residual, bit for bit.  The full-dimension evaluation of
-these suites lives here, as their oracle.
+that factor, and the generator sets, the Cartan-Weyl operators and the
+coproduct suite form their single-factor sums there.  These tests hold the
+facts that make this exact: every full-space ladder and anyon is the lift of
+its factor operator, array for array; a mixed product is tiled with the
+arrays of scipy's product of the lifts; every generator has the arrays of
+its full-dimension construction; and a relation recomputed at full dimension
+from the lifted operands has the suite's residual, bit for bit.  The
+full-dimension evaluation of these suites lives here, as their oracle.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anyonrep.anyons import FAMILIES, anyon, anyon_factor, string_exponent, suite_braiding
+from conftest import string_exponent
+from anyonrep import algebra as alg
+from anyonrep import verify
+from anyonrep.anyons import FAMILIES, anyon, anyon_factor, suite_braiding
 from anyonrep.fock import (
     BOSON,
     FERMION,
     NO_CORRUPTION,
+    SEA,
     Corruption,
     LatticeConfig,
     ModeId,
     _q_one,
     annihilate,
-    boson_annihilate,
     build_basis,
     cached_basis,
     create,
     diag_operator,
-    fermion_annihilate,
     identity_op,
     ladder,
     op_adjoint,
@@ -35,14 +40,18 @@ from anyonrep.fock import (
     q_power,
     scale_columns,
     scale_rows,
+    zero_op,
 )
-from anyonrep.oscillators import number_diag, suite_oscillators
+from anyonrep.oscillators import normal_number_diag, number_diag, suite_oscillators
 from anyonrep.report import CATALOG, SuiteReports
 
 STACKS = [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
           LatticeConfig(M=1, N=2, S=2, n_max=2, nu=0.3),
           LatticeConfig(M=2, N=1, S=2, K=2, n_max=1, nu=0.3,
                         ordering=("sea", "empty"))]
+STACK_IDS = ["M2N1S2", "M1N2S2", "sea,empty"]
+CONTROLS = [NO_CORRUPTION, Corruption(flip_q_alpha=True),
+            Corruption(drop_h0_delta=True), Corruption(flip_boson_disorder=True)]
 
 
 def kron_lift(basis, kind, x):
@@ -52,32 +61,46 @@ def kron_lift(basis, kind, x):
     return (sp.kron(x, one) if kind == FERMION else sp.kron(one, x)).tocsr()
 
 
-def assert_same_arrays(x, y):
+def assert_same_arrays(x, y, bits=False):
+    """Equal shapes and indptr, indices and data arrays; with ``bits`` the
+    data also bit for bit, the signs of zero parts included (sp.kron, the
+    lift's reference, multiplies by 1 and loses them)."""
     assert x.shape == y.shape
     for name in ("indptr", "indices", "data"):
         a, b = getattr(x, name), getattr(y, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert not bits or x.data.tobytes() == y.data.tobytes()
+
+
+def random_factor_operator(rng, n):
+    """A complex operator with rows of several entries, empty rows, real rows
+    and a few stored zeros: every case the lift and the tiling must carry."""
+    dense = (rng.random((n, n)) < 0.3) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    dense[::3] = 0
+    dense[1::3] = dense[1::3].real  # real rows, as a ladder's: signed zero parts
+    x = sp.csr_matrix(dense)
+    x.data[::7] = 0
+    assert np.diff(x.indptr).max() > 1 and np.diff(x.indptr).min() == 0
+    return x
 
 
 # ---------------------------------------------------------------------------
 # the factors are exact
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cfg", STACKS, ids=["M2N1S2", "M1N2S2", "sea,empty"])
+@pytest.mark.parametrize("cfg", STACKS, ids=STACK_IDS)
 def test_full_space_operators_are_lifted_factors(cfg):
     """Every ladder (both daggers, at q and at q = 1) and every anyon of the
     four families (both daggers) equals the kron lift of its factor
     operator: the same indptr, indices and data arrays."""
     basis = build_basis(cfg)
-    typed = {FERMION: fermion_annihilate, BOSON: boson_annihilate}
     for mode in basis.fermion_modes + basis.boson_modes:
         for at in (cfg, _q_one(cfg)):
             x = ladder(at, basis, mode)
             assert x.shape == ((basis.NF,) * 2 if mode.kind == FERMION
                                else (basis.NB,) * 2)
             assert_same_arrays(annihilate(at, basis, mode), kron_lift(basis, mode.kind, x))
-            assert_same_arrays(typed[mode.kind](at, basis, mode),
-                               kron_lift(basis, mode.kind, x))
+            assert_same_arrays(ladder(at, basis, mode, True), op_adjoint(x))
             assert_same_arrays(create(at, basis, mode),
                                kron_lift(basis, mode.kind, op_adjoint(x)))
     for family, (kind, _) in FAMILIES.items():
@@ -90,22 +113,191 @@ def test_full_space_operators_are_lifted_factors(cfg):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_lift_of_a_boson_factor_operator_is_the_kron_lift(seed):
-    """On the boson factor any operator lifts like sp.kron, rows with
-    several entries and empty rows included; on the fermion factor such an
-    operator is refused rather than lifted wrong."""
+def test_lift_of_a_factor_operator_is_the_kron_lift(seed):
+    """On either factor any operator lifts like sp.kron, rows with several
+    entries, empty rows and stored zeros included."""
     basis = build_basis(STACKS[0])
     rng = np.random.default_rng(seed)
     for kind, n in ((BOSON, basis.NB), (FERMION, basis.NF)):
-        dense = (rng.random((n, n)) < 0.3) * (rng.normal(size=(n, n)) + 1j)
-        dense[::3] = 0  # some empty rows
-        x = sp.csr_matrix(dense)
-        assert np.diff(x.indptr).max() > 1 and np.diff(x.indptr).min() == 0
-        if kind == BOSON:
-            assert_same_arrays(basis.lift_operator(kind, x), kron_lift(basis, kind, x))
-        else:
-            with pytest.raises(ValueError, match="one entry per row"):
-                basis.lift_operator(kind, x)
+        x = random_factor_operator(rng, n)
+        assert_same_arrays(basis.lift_operator(kind, x), kron_lift(basis, kind, x))
+    assert basis.lift_operator(None, x) is x
+
+
+def random_ladder_like(rng, n):
+    """A complex operator with at most one entry per row, as a ladder or an
+    anyon: some rows empty, some real, a few stored zeros."""
+    x = random_factor_operator(rng, n)
+    keep = np.zeros(x.nnz, dtype=bool)
+    keep[x.indptr[:-1][np.diff(x.indptr) > 0]] = True  # the first entry of a row
+    x = sp.csr_matrix((x.data * keep, x.indices, x.indptr), shape=x.shape)
+    x.eliminate_zeros()
+    x.data[::5] = 0
+    assert np.diff(x.indptr).max() == 1 and np.diff(x.indptr).min() == 0
+    return x
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
+    """A fermion-factor and a boson-factor operator of one entry per row,
+    multiplied in either order, give the arrays of scipy's product of their
+    lifts, bit for bit: its complex rounding (numpy's complex * differs from
+    it in about a third of random products, and is not commutative), its
+    signed zeros and its dropped zeros.  Rows of several entries are
+    refused rather than tiled wrong."""
+    basis = build_basis(STACKS[0])
+    rng = np.random.default_rng(seed)
+    x = random_ladder_like(rng, basis.NF)
+    y = random_ladder_like(rng, basis.NB)
+    lx, ly = basis.lift_operator(FERMION, x), basis.lift_operator(BOSON, y)
+    assert_same_arrays(basis.factor_product(FERMION, x, BOSON, y), lx @ ly, bits=True)
+    assert_same_arrays(basis.factor_product(BOSON, y, FERMION, x), ly @ lx, bits=True)
+    empty = sp.csr_matrix(x.shape, dtype=complex)
+    assert_same_arrays(basis.factor_product(FERMION, empty, BOSON, y),
+                       basis.lift_operator(FERMION, empty) @ ly, bits=True)
+    many = random_factor_operator(rng, basis.NB)
+    assert_same_arrays(basis.factor_product(BOSON, many, BOSON, y), many @ y, bits=True)
+    with pytest.raises(ValueError, match="one entry per row"):
+        basis.factor_product(FERMION, x, BOSON, many)
+
+
+def test_factor_operators_are_built_once_per_config():
+    """A ladder or an anyon is built once per config and key, the corruption
+    part of it, and only the configs of the last two q asked for are kept."""
+    cfg = STACKS[0]
+    basis = build_basis(cfg)
+    mode = basis.boson_modes[0]
+    a = anyon_factor(cfg, basis, mode, "A")
+    assert anyon_factor(cfg, basis, mode, "A") is a
+    flipped = anyon_factor(cfg, basis, mode, "A",
+                           corruption=Corruption(flip_boson_disorder=True))
+    assert flipped is not a and abs(flipped - a).max() > 0.1
+    b = ladder(cfg, basis, mode)
+    assert ladder(cfg, basis, mode) is b
+    plain = ladder(_q_one(cfg), basis, mode)
+    assert ladder(_q_one(cfg), basis, mode) is plain and plain is not b
+    ladder(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.2), basis, mode)
+    assert ladder(_q_one(cfg), basis, mode) is plain  # asked for last but one
+    assert len(basis._memo) == 2 and cfg not in basis._memo
+    assert ladder(cfg, basis, mode) is not b  # rebuilt, equal
+    assert abs(ladder(cfg, basis, mode) - b).max() == 0
+
+
+# ---------------------------------------------------------------------------
+# the generators equal their full-dimension construction
+# ---------------------------------------------------------------------------
+
+def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed, corruption):
+    """A local piece as the product of the two lifted operators."""
+    upper, lower = alg._node_modes(cfg, alpha, line, r)
+    tilde = ""
+    if sign == "-":
+        upper, lower, tilde = lower, upper, "~"
+
+    def op(mode, dagger):
+        if dressed:
+            family = ("a" if mode.kind == FERMION else "A") + tilde
+            return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
+        return (create if dagger else annihilate)(cfg, basis, mode)
+
+    return (op(upper, True) @ op(lower, False)).tocsr()
+
+
+def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
+    """:n_upper: -+ :n_lower: of node alpha on the whole basis."""
+    upper, lower = alg._node_modes(cfg, alpha, line, r)
+    n_up = normal_number_diag(cfg, basis, upper)
+    n_low = normal_number_diag(cfg, basis, lower)
+    if alpha not in (0, cfg.M):
+        return n_up - n_low
+    if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
+            and not corruption.drop_h0_delta):
+        return n_up + n_low - 1.0
+    return n_up + n_low
+
+
+def _ref_generators(cfg, basis, deformed, corruption):
+    """H and E summed at full dimension, piece by piece."""
+    if not deformed:
+        cfg = _q_one(cfg)
+    H, E = {}, {}
+    for alpha in range(cfg.R + 1):
+        sites = [(ln, r) for ln in cfg.lines for r in alg.admissible_sites(cfg, alpha)]
+        hd = np.zeros(basis.dim)
+        for ln, r in sites:
+            hd += _ref_h_local_diag(cfg, basis, alpha, ln, r, corruption)
+        H[alpha] = diag_operator(hd)
+        for sign in ("+", "-"):
+            total = zero_op(basis)
+            for ln, r in sites:
+                total = total + _ref_local_e(cfg, basis, alpha, sign, ln, r,
+                                             deformed, corruption)
+            E[(alpha, sign)] = total.tocsr()
+    return H, E
+
+
+def _ref_cartan_weyl(cfg, basis, label):
+    cfg = _q_one(cfg)
+    total = zero_op(basis)
+    for line in cfg.lines:
+        for r in cfg.sites:
+            if r + label.m in cfg.sites:
+                up = create(cfg, basis, alg._mode_for(*label.pos, line, r))
+                dn = annihilate(cfg, basis, alg._mode_for(*label.neg, line, r + label.m))
+                total = total + up @ dn
+    return total.tocsr()
+
+
+def _ref_cartan_weyl_h(cfg, basis, a, m):
+    cfg = _q_one(cfg)
+    terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))
+             for (kind, flavor), w in alg.h_coefficients(cfg.M, cfg.N, a).items()
+             for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
+    return sum((w * (create(cfg, basis, mr) @ annihilate(cfg, basis, ms))
+                for w, mr, ms in terms), zero_op(basis)).tocsr()
+
+
+@pytest.mark.parametrize("cfg", STACKS, ids=STACK_IDS)
+@pytest.mark.parametrize("corruption", CONTROLS,
+                         ids=["none", "qalpha", "h0delta", "disorder"])
+def test_generators_equal_their_full_dimension_construction(cfg, corruption):
+    """Every H and E of the plain and the deformed set, summed on the node's
+    factor and lifted once or tiled at the mixed nodes, has the arrays of the
+    sum of the lifted products, under no corruption and each control."""
+    basis = build_basis(cfg)
+    for deformed in (False, True):
+        gs = alg.chevalley_generators(cfg, basis, deformed, corruption)
+        H, E = _ref_generators(cfg, basis, deformed, corruption)
+        for al in H:
+            assert_same_arrays(gs.H[al], H[al], bits=True)
+        for key in E:
+            assert_same_arrays(gs.E[key], E[key], bits=True)
+            assert E[key].nnz
+
+
+@pytest.mark.parametrize("cfg", STACKS, ids=STACK_IDS)
+def test_cartan_weyl_operators_equal_their_full_dimension_construction(cfg, monkeypatch):
+    """Every root label the Cartan-Weyl suite builds, of one statistics or
+    mixed, and h_1^m at m = +-1 have the arrays of the sum of the lifted
+    products."""
+    labels = []
+    build = verify.cartan_weyl_generators
+
+    def recorded(cfg, basis, label):
+        labels.append(label)
+        return build(cfg, basis, label)
+
+    monkeypatch.setattr(verify, "cartan_weyl_generators", recorded)
+    verify.suite_cartan_weyl(cfg)
+    basis = cached_basis(cfg)
+    assert {lab.parity for lab in labels} == {0, 1}
+    for label in labels:
+        assert_same_arrays(build(cfg, basis, label), _ref_cartan_weyl(cfg, basis, label),
+                           bits=True)
+    for m in (1, -1):
+        h = alg.cartan_weyl_h(cfg, basis, 1, m)
+        assert h.nnz
+        assert_same_arrays(h, _ref_cartan_weyl_h(cfg, basis, 1, m), bits=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ from anyonrep.fock import (
     InstanceTooLargeError,
     LatticeConfig,
     _q_one,
-    boson_annihilate,
+    annihilate,
     build_basis,
     bulk_mask,
     diag_operator,
-    fermion_annihilate,
     identity_op,
     boson_mode,
     op_adjoint,
@@ -103,10 +102,10 @@ def test_state_index_bijection(basis21):
 def test_car_all_pairs_exact(cfg21, basis21):
     one = identity_op(basis21)
     for m1 in basis21.fermion_modes:
-        c1 = fermion_annihilate(cfg21, basis21, m1)
+        c1 = annihilate(cfg21, basis21, m1)
         assert residual_norm(c1 @ c1) == 0.0
         for m2 in basis21.fermion_modes:
-            c2 = fermion_annihilate(cfg21, basis21, m2)
+            c2 = annihilate(cfg21, basis21, m2)
             anti = c1 @ op_adjoint(c2) + op_adjoint(c2) @ c1
             expected = one if m1 == m2 else 0 * one
             assert residual_norm(anti - expected) <= 1e-13
@@ -117,9 +116,9 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
     one = identity_op(basis21)
     head = bulk_projector(cfg21, basis21, 0, 1)
     for m1 in basis21.boson_modes:
-        d1 = boson_annihilate(_q_one(cfg21), basis21, m1)
+        d1 = annihilate(_q_one(cfg21), basis21, m1)
         for m2 in basis21.boson_modes:
-            d2 = boson_annihilate(_q_one(cfg21), basis21, m2)
+            d2 = annihilate(_q_one(cfg21), basis21, m2)
             comm = d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1
             expected = one if m1 == m2 else 0 * one
             assert residual_norm(head @ (comm - expected) @ head) <= 1e-13
@@ -129,7 +128,7 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
 def test_ccr_truncation_artifact_on_top_state(cfg21, basis21):
     # on |n_max> the commutator eigenvalue drops to -n_max instead of +1
     mode = basis21.boson_modes[0]
-    d = boson_annihilate(_q_one(cfg21), basis21, mode)
+    d = annihilate(_q_one(cfg21), basis21, mode)
     comm = (d @ op_adjoint(d) - op_adjoint(d) @ d).diagonal().real
     j = basis21.boson_slot(mode)
     tops = np.tile(basis21.b_occ[:, j] == cfg21.n_max, basis21.NF)
@@ -139,9 +138,9 @@ def test_ccr_truncation_artifact_on_top_state(cfg21, basis21):
 
 def test_mixed_commutativity_exact(cfg21, basis21):
     for mf in basis21.fermion_modes:
-        c = fermion_annihilate(cfg21, basis21, mf)
+        c = annihilate(cfg21, basis21, mf)
         for mb in basis21.boson_modes:
-            d = boson_annihilate(_q_one(cfg21), basis21, mb)
+            d = annihilate(_q_one(cfg21), basis21, mb)
             assert residual_norm(c @ d - d @ c) == 0.0
             assert residual_norm(c @ op_adjoint(d) - op_adjoint(d) @ c) == 0.0
             assert residual_norm(op_adjoint(c) @ d - d @ op_adjoint(c)) == 0.0
@@ -156,7 +155,7 @@ def test_jordan_wigner_against_state_oracle(data):
     basis = build_basis(cfg)
     i = data.draw(st.integers(0, basis.dim - 1))
     mode = data.draw(st.sampled_from(basis.fermion_modes))
-    op = fermion_annihilate(cfg, basis, mode)
+    op = annihilate(cfg, basis, mode)
     col = op[:, i].toarray().ravel()
     f_occ, b_occ = basis.occupations(i)
     j = basis.fermion_slot(mode)
@@ -177,8 +176,8 @@ def test_jordan_wigner_against_state_oracle(data):
 
 @pytest.fixture(scope="module")
 def op_pool(cfg21, basis21):
-    pool = [fermion_annihilate(cfg21, basis21, m) for m in basis21.fermion_modes[:2]]
-    pool += [boson_annihilate(_q_one(cfg21), basis21, m)
+    pool = [annihilate(cfg21, basis21, m) for m in basis21.fermion_modes[:2]]
+    pool += [annihilate(_q_one(cfg21), basis21, m)
              for m in basis21.boson_modes[:1]]
     pool.append(op_adjoint(pool[0]) @ pool[2])
     return pool
@@ -203,12 +202,12 @@ def test_q_commutator_reduces_to_commutator(op_pool):
 
 
 def test_nilpotency_residual_is_zero(cfg21, basis21):
-    c = fermion_annihilate(cfg21, basis21, basis21.fermion_modes[0])
+    c = annihilate(cfg21, basis21, basis21.fermion_modes[0])
     assert residual_norm(c @ c + c @ c) == 0.0
 
 
 def test_combinator_shape_checks(cfg21, basis21):
-    c = fermion_annihilate(cfg21, basis21, basis21.fermion_modes[0])
+    c = annihilate(cfg21, basis21, basis21.fermion_modes[0])
     small = sp.identity(3, format="csr", dtype=complex)
     with pytest.raises(ValueError):
         supercommutator(c, small, 0, 0)
@@ -307,8 +306,8 @@ def test_scaling_a_ladder_is_exact(basis22, qspec):
     entry for entry."""
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, **qspec)
     v = q_power(cfg.q, (np.arange(basis22.dim) % 7 - 3) / 2)
-    ladders = [fermion_annihilate(cfg, basis22, m) for m in basis22.fermion_modes]
-    ladders += [boson_annihilate(at, basis22, m) for m in basis22.boson_modes
+    ladders = [annihilate(cfg, basis22, m) for m in basis22.fermion_modes]
+    ladders += [annihilate(at, basis22, m) for m in basis22.boson_modes
                 for at in (_q_one(cfg), cfg)]
     for x in ladders + [op_adjoint(x) for x in ladders]:
         for out, ref in ((scale_rows(x, v), diag_operator(v) @ x),

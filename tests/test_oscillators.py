@@ -10,7 +10,6 @@ from anyonrep.fock import (
     LatticeConfig,
     _q_one,
     annihilate,
-    boson_annihilate,
     boson_mode,
     build_basis,
     create,
@@ -75,7 +74,7 @@ def test_q_boson_matrix_elements_oracle(cfg21, basis21):
     """<n-1|b|n> must be sqrt([n]_q), computed here independently via the
     sine form on the unit circle."""
     mode = basis21.boson_modes[0]
-    b = boson_annihilate(cfg21, basis21, mode)
+    b = annihilate(cfg21, basis21, mode)
     nu = cfg21.nu
     j = basis21.boson_slot(mode)
     stride = (cfg21.n_max + 1) ** j
@@ -92,7 +91,7 @@ def test_q_boson_number_pairing_at_nu_quarter():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.25)
     basis = build_basis(cfg)
     mode = basis.boson_modes[0]
-    b = boson_annihilate(cfg, basis, mode)
+    b = annihilate(cfg, basis, mode)
     j = basis.boson_slot(mode)
     stride = (cfg.n_max + 1) ** j
     idx = 2 * stride  # the |n'=2> state in the boson sector, fermions empty
@@ -129,7 +128,7 @@ def test_boson_ladders_match_the_per_state_formula(q):
 def test_q_boson_create_is_adjoint(cfg21, basis21):
     mode = basis21.boson_modes[0]
     assert residual_norm(create(cfg21, basis21, mode)
-                         - op_adjoint(boson_annihilate(cfg21, basis21, mode))) == 0.0
+                         - op_adjoint(annihilate(cfg21, basis21, mode))) == 0.0
 
 
 def test_q_boson_qcommutator_headroom(cfg21, basis21):
@@ -137,7 +136,7 @@ def test_q_boson_qcommutator_headroom(cfg21, basis21):
     from anyonrep.fock import diag_operator, q_power
     from anyonrep.oscillators import number_diag
     mode = basis21.boson_modes[0]
-    b = boson_annihilate(cfg21, basis21, mode)
+    b = annihilate(cfg21, basis21, mode)
     bd = op_adjoint(b)
     q = cfg21.q
     head = bulk_projector(cfg21, basis21, 0, 1)
@@ -152,7 +151,7 @@ def test_q_boson_real_q():
     from anyonrep.fock import diag_operator, q_power
     from anyonrep.oscillators import number_diag
     mode = basis.boson_modes[0]
-    b = boson_annihilate(cfg, basis, mode)
+    b = annihilate(cfg, basis, mode)
     bd = op_adjoint(b)
     head = bulk_projector(cfg, basis, 0, 1)
     rhs = diag_operator(q_power(cfg.q, number_diag(cfg, basis, mode)))
