@@ -15,16 +15,17 @@ and ``E``, and keeps no local pieces: the coproduct suite builds the pieces it
 checks one at a time.  Every oscillator is a ladder or an anyon on its factor
 of the basis index (``fock.ladder``, ``anyons.anyon_factor``); the plain set
 and the Cartan-Weyl operators take them at q = 1, where the q-boson is the
-plain boson.  A sum whose pieces act on one factor (an even node, a root of
-two fermion or two boson modes) is formed there and lifted once; a mixed
-piece X (x) Y is tiled from its two factors (``FockBasis.factor_product``).
+plain boson.  Every generator is one bilinear sum (``_bilinear_sum``): a sum
+whose pieces act on one factor (an even node, a root of two fermion or two
+boson modes) is formed there and lifted once, and a mixed piece is the
+tensor product X (x) Y of its two factors (``FockBasis.kron``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -185,22 +186,23 @@ def root_weight(M: int, N: int, a: int, root: RootLabel) -> int:
 # simple generators
 # ---------------------------------------------------------------------------
 
-def _node_modes(cfg: LatticeConfig, alpha: int, line: int,
-                r: float) -> tuple[ModeId, ModeId]:
-    """The mode pair (upper, lower) of node alpha's local piece at (line, r):
-    e^+ = upper^dag lower, e^- = lower^dag upper.  Only the affine node
-    reaches the next site."""
+def _node_modes(cfg: LatticeConfig, alpha: int, line: int, r: float,
+                sign: str = "+") -> tuple[ModeId, ModeId]:
+    """The mode pair (upper, lower) of node alpha's local piece at (line, r),
+    e^+ = upper^dag lower, or for ``sign`` "-" the pair (lower, upper) of
+    e^- = lower^dag upper.  Only the affine node reaches the next site."""
     M = cfg.M
     if 1 <= alpha <= M - 1:
-        return ModeId(FERMION, alpha, line, r), ModeId(FERMION, alpha + 1, line, r)
-    if alpha == M:
-        return ModeId(FERMION, M, line, r), ModeId(BOSON, 1, line, r)
-    if M < alpha <= cfg.R:
-        k = alpha - M
-        return ModeId(BOSON, k, line, r), ModeId(BOSON, k + 1, line, r)
-    if alpha == 0:
-        return ModeId(BOSON, cfg.N, line, r), ModeId(FERMION, 1, line, r + 1)
-    raise ValueError(f"no node {alpha}")
+        pair = ModeId(FERMION, alpha, line, r), ModeId(FERMION, alpha + 1, line, r)
+    elif alpha == M:
+        pair = ModeId(FERMION, M, line, r), ModeId(BOSON, 1, line, r)
+    elif M < alpha <= cfg.R:
+        pair = ModeId(BOSON, alpha - M, line, r), ModeId(BOSON, alpha - M + 1, line, r)
+    elif alpha == 0:
+        pair = ModeId(BOSON, cfg.N, line, r), ModeId(FERMION, 1, line, r + 1)
+    else:
+        raise ValueError(f"no node {alpha}")
+    return pair if sign == "+" else pair[::-1]
 
 
 def node_factor(cfg: LatticeConfig, alpha: int) -> str | None:
@@ -240,27 +242,36 @@ def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
     return cfg.sites[:-1] if alpha == 0 else cfg.sites
 
 
+def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool,
+                corruption: Corruption):
+    """op(mode, dagger), a mode's factor operator in node pieces of this sign:
+    its anyon of family a/A (e^+) or a~/A~ (e^-) if ``dressed``, else its
+    ladder (fermions and q-bosons, the plain oscillators at q = 1)."""
+    if not dressed:
+        return partial(ladder, cfg, basis)
+    tilde = "~" if sign == "-" else ""
+    return lambda mode, dagger: anyon_factor(
+        cfg, basis, mode, ("a" if mode.kind == FERMION else "A") + tilde, dagger,
+        corruption=corruption)
+
+
+def _piece(basis: FockBasis, op, r: ModeId, s: ModeId) -> sp.csr_matrix:
+    """op(r, True) op(s, False) on the smallest space that holds it: x @ y on
+    the modes' shared factor, else their tensor product on the whole basis."""
+    x, y = op(r, True), op(s, False)
+    if r.kind == s.kind:
+        return x @ y
+    return basis.kron(x, y) if r.kind == FERMION else basis.kron(y, x)
+
+
 def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
             line: int, r: float, dressed: bool,
             corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
     """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
-    (line, r), over anyons if ``dressed`` (families a/A for e^+, a~/A~ for
-    e^-), else over fermions and q-bosons, the plain oscillators at q = 1:
-    the product of the two factor operators, on the node's factor
-    (``FockBasis.factor_product``)."""
-    upper, lower = _node_modes(cfg, alpha, line, r)
-    tilde = ""
-    if sign == "-":
-        upper, lower, tilde = lower, upper, "~"
-
-    def factor(mode, dagger):
-        if dressed:
-            family = ("a" if mode.kind == FERMION else "A") + tilde
-            return anyon_factor(cfg, basis, mode, family, dagger, corruption=corruption)
-        return ladder(cfg, basis, mode, dagger)
-
-    return basis.factor_product(upper.kind, factor(upper, True),
-                                lower.kind, factor(lower, False))
+    (line, r) over the oscillators of :func:`_factor_ops`, on the node's
+    factor."""
+    return _piece(basis, _factor_ops(cfg, basis, sign, dressed, corruption),
+                  *_node_modes(cfg, alpha, line, r, sign))
 
 
 def eq57_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
@@ -339,11 +350,9 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
             hd += _h_local_diag(cfg, basis, alpha, line, r, corruption)
         H[alpha] = diag_operator(basis.lift(space, hd))
         for sign in ("+", "-"):
-            total = zero_op(basis, space)
-            for line, r in sites:
-                total = total + local_e(cfg, basis, alpha, sign, line, r,
-                                        deformed, corruption)
-            E[(alpha, sign)] = basis.lift_operator(space, total.tocsr())
+            E[(alpha, sign)] = _bilinear_sum(
+                basis, [(1, *_node_modes(cfg, alpha, line, r, sign)) for line, r in sites],
+                _factor_ops(cfg, basis, sign, deformed, corruption))
     return GeneratorSet(cfg, basis, cartan, corruption, H, E)
 
 
@@ -383,18 +392,17 @@ def _mode_for(kind_tag: str, flavor: int, line: int, site: float) -> ModeId:
     return ModeId(kind, flavor, line, site)
 
 
-def _bilinear_sum(cfg: LatticeConfig, basis: FockBasis, terms) -> sp.csr_matrix:
-    """sum_i w_i (mode_r)^dag (mode_s) over ``terms`` (w, mode_r, mode_s) of
-    plain oscillators.  The terms of one statistics are summed on its factor
-    and lifted once, mixed ones tiled; the sums shift different factors, so
-    they touch disjoint entries and add as the full-dimension sum does."""
+def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
+    """sum_i w_i op(r_i, True) op(s_i, False) over ``terms`` (w, r, s).  The
+    terms of one statistics are summed on its factor and lifted once, mixed
+    ones (:func:`_piece`) at full dimension; the sums shift different
+    factors, so they touch disjoint entries and add as one sum does."""
     total = None
     for space in (FERMION, BOSON, None):
-        part = [w * basis.factor_product(r.kind, ladder(cfg, basis, r, True),
-                                         s.kind, ladder(cfg, basis, s))
-                for w, r, s in terms if (r.kind if r.kind == s.kind else None) == space]
+        part = [w * _piece(basis, op, r, s) for w, r, s in terms
+                if (r.kind if r.kind == s.kind else None) == space]
         if part:
-            part = basis.lift_operator(space, sum(part, zero_op(basis, space)))
+            part = basis.lift(space, sum(part, zero_op(basis, space)))
             total = part if total is None else total + part
     return zero_op(basis) if total is None else total.tocsr()
 
@@ -412,7 +420,7 @@ def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
              for line in cfg.lines for r in cfg.sites if r + label.m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for {label}; returning zero operator")
-    return _bilinear_sum(cfg, basis, terms)
+    return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
 
 
 def cartan_weyl_h0_diag(cfg: LatticeConfig, basis: FockBasis, a: int) -> np.ndarray:
@@ -434,7 +442,7 @@ def cartan_weyl_h(cfg: LatticeConfig, basis: FockBasis, a: int, m: int) -> sp.cs
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for h_{a}^{m}; returning zero operator")
-    return _bilinear_sum(cfg, basis, terms)
+    return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
 
 
 def compose_roots(a: RootLabel, b: RootLabel) -> RootLabel | None:

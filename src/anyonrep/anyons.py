@@ -99,14 +99,6 @@ def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str
     return basis.memo(cfg, (mode, family, dagger, corruption), build)
 
 
-def anyon(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
-          dagger: bool = False,
-          corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
-    """The anyon of :func:`anyon_factor` on the whole basis, its lift."""
-    return basis.lift_operator(
-        mode.kind, anyon_factor(cfg, basis, mode, family, dagger, corruption))
-
-
 # ---------------------------------------------------------------------------
 # braiding suite
 # ---------------------------------------------------------------------------

@@ -9,16 +9,14 @@ dimension ``2^(M*S*K) * (n_max+1)^(N*S*K)``.
 Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
 the state index f * NB + b: they are built on it once per config
 (:func:`ladder`, :meth:`FockBasis.memo`), sums of their products are formed
-there, and a factor operator is lifted to X (x) 1 or 1 (x) Y
-(:meth:`FockBasis.lift_operator`) where a full-space operator is needed; a
-product of a fermion and a boson factor operator is tiled as X (x) Y
-(:meth:`FockBasis.factor_product`).  Fermionic operators carry Jordan-Wigner
-sign strings over all fermionic modes preceding the target in a fixed global
+there, and :meth:`FockBasis.kron` alone places them on the whole basis as
+X (x) 1, 1 (x) Y or X (x) Y.  Fermionic operators carry Jordan-Wigner sign
+strings over all fermionic modes preceding the target in a fixed global
 order (line, then site ascending, then flavor ascending), so the canonical
 anticommutation relations hold exactly for every mode pair.  There is one
 boson ladder, the q-boson b|n> = sqrt([n]_q) |n-1>; the plain boson is the
-same ladder at q = 1, where [n]_1 = n.  Operators and bases are immutable by convention once built; nothing in this
-package mutates a returned matrix.
+same ladder at q = 1, where [n]_1 = n.  Operators and bases are immutable by
+convention once built; nothing in this package mutates a returned matrix.
 
 An operator diagonal in the occupation basis (a number, a string, q^{H/2},
 [H]_q) is a vector over the basis.  It acts on a sparse operator through
@@ -316,6 +314,7 @@ class FockBasis:
         nb = cfg.n_max + 1
         self.b_occ = ((b[:, None] // nb ** np.arange(self.B)) % nb).astype(np.uint8)
         self._memo = {}
+        self._one = {k: identity_op(self, k) for k in (FERMION, BOSON)}
 
     def fermion_slot(self, mode: ModeId) -> int:
         return self._fslot[mode]
@@ -338,62 +337,45 @@ class FockBasis:
         """NF, NB, or for ``factor`` None the dimension of the whole basis."""
         return {FERMION: self.NF, BOSON: self.NB}.get(factor, self.dim)
 
-    def lift(self, kind: str | None, factor: np.ndarray) -> np.ndarray:
-        """A vector on one factor of the index f * NB + b (f for fermions, b
-        for bosons) as the diagonal it gives on the whole basis; a ``kind``
-        of None names the whole basis, where the vector is left as it is."""
-        if kind == FERMION:
-            return np.repeat(factor, self.NB)
-        return factor if kind is None else np.tile(factor, self.NF)
-
-    def lift_operator(self, kind: str | None, x: sp.csr_matrix) -> sp.csr_matrix:
-        """An operator x on one factor of the index as the operator it gives on
-        the whole basis, x (x) 1 for fermions and 1 (x) x for bosons (x itself
-        for a ``kind`` of None): the CSR arrays of ``sp.kron``, tiled from
-        those of x."""
+    def lift(self, kind: str | None, x):
+        """A vector (a diagonal) or an operator x on one factor of the index
+        f * NB + b (f for fermions, b for bosons) on the whole basis, x (x) 1
+        or 1 (x) x; a ``kind`` of None names the whole basis, x as it is."""
         if kind is None:
             return x
-        nf, nb, n, idx = self.NF, self.NB, x.nnz, self._idx
-        counts = np.diff(x.indptr)
-        if kind == FERMION:
-            # row f*NB + b holds the entries of row f, column j moved to j*NB + b
-            indptr = nb * x.indptr[:-1, None].astype(idx) + np.outer(counts, np.arange(nb, dtype=idx))
-            f = np.repeat(np.arange(nf), counts)  # the row of each entry of x
-            dest = (((nb - 1) * x.indptr[f] + np.arange(n))[:, None]
-                    + np.outer(counts[f], np.arange(nb))).ravel()
-            indices, data = np.empty(n * nb, dtype=idx), np.empty(n * nb, dtype=x.dtype)
-            indices[dest] = (x.indices[:, None].astype(idx) * nb + np.arange(nb, dtype=idx)).ravel()
-            data[dest] = np.repeat(x.data, nb)
-        else:
-            indptr = n * np.arange(nf, dtype=idx)[:, None] + x.indptr[:-1]
-            indices = (nb * np.arange(nf, dtype=idx)[:, None] + x.indices).ravel()
-            data = np.tile(x.data, nf)
-        return sp.csr_matrix((data, indices, np.append(indptr.ravel(), idx(data.size))),
-                             shape=(self.dim, self.dim))
+        if sp.issparse(x):
+            return self.kron(x, None) if kind == FERMION else self.kron(None, x)
+        return np.repeat(x, self.NB) if kind == FERMION else np.tile(x, self.NF)
 
-    def factor_product(self, kind_x: str, x: sp.csr_matrix, kind_y: str,
-                       y: sp.csr_matrix) -> sp.csr_matrix:
-        """lift(x) @ lift(y) for x, y on the factors ``kind_x``, ``kind_y``, on
-        the smallest space that holds it: x @ y on a shared factor, else
-        X (x) Y on the whole basis, tiled with the arrays of scipy's product.
-        X and Y hold at most one entry per row, as every ladder and anyon
-        does.  scipy forms each entry from separately rounded real products
-        (in either order alike; numpy's complex * differs), adds it to zero
-        and drops it if it is zero."""
-        if kind_x == kind_y:
-            return x @ y
-        (fx, bx), idx = ((x, y) if kind_x == FERMION else (y, x)), self._idx
-        cf = np.diff(fx.indptr)
-        if max(cf.max(initial=0), np.diff(bx.indptr).max(initial=0)) > 1:
-            raise ValueError("a mixed product takes one entry per row at most")
-        # row f*NB + b holds the product of the entries of rows f and b
-        indptr = bx.nnz * fx.indptr[:-1, None].astype(idx) + np.outer(cf, bx.indptr[:-1])
-        indices = fx.indices[:, None].astype(idx) * self.NB + bx.indices
-        u, v = fx.data[:, None], bx.data
-        data = np.empty(indices.shape, dtype=complex)
-        data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
-        data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
-        out = sp.csr_matrix((data.ravel(), indices.ravel(), np.append(indptr.ravel(), idx(data.size))),
+    def kron(self, x: sp.csr_matrix | None, y: sp.csr_matrix | None) -> sp.csr_matrix:
+        """x (x) y on the whole basis, x on the fermion factor and y on the
+        boson factor (None: the identity).  Row f*NB + b holds the products of
+        the entries of rows f of x and b of y, formed as scipy's product of the
+        lifts forms them (separately rounded real products added to zero)."""
+        one = (x is None) != (y is None)
+        x = self._one[FERMION] if x is None else x
+        y = self._one[BOSON] if y is None else y
+        idx, cx, cy = self._idx, np.diff(x.indptr), np.diff(y.indptr)
+        indptr = y.nnz * x.indptr[:-1, None].astype(idx) + np.outer(cx, y.indptr[:-1])
+        indices = (x.indices[:, None].astype(idx) * self.NB + y.indices).ravel()
+        if one:  # a product with 1 adds each entry to zero
+            data = 0.0 + (np.tile(y.data, self.NF) if x is self._one[FERMION]
+                          else np.repeat(x.data, self.NB))
+        else:
+            u, v = x.data[:, None], y.data
+            data = np.empty((x.nnz, y.nnz), dtype=complex)
+            data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
+            data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
+            data = data.ravel()
+        if cx.max(initial=0) > 1:
+            # entry p of row f (x) entry s of row b is entry p*cy[b] + s of
+            # row f*NB + b; with one entry per row of x this is the order above
+            rx, ry = np.repeat(np.arange(self.NF), cx), np.repeat(np.arange(self.NB), cy)
+            p, s = np.arange(x.nnz) - x.indptr[rx], np.arange(y.nnz) - y.indptr[ry]
+            dest = ((y.nnz * x.indptr[rx])[:, None] + np.outer(cx[rx], y.indptr[ry])
+                    + np.outer(p, cy[ry]) + s).ravel()
+            indices[dest], data[dest] = indices.copy(), data.copy()
+        out = sp.csr_matrix((data, indices, np.append(indptr.ravel(), idx(data.size))),
                             shape=(self.dim, self.dim))
         if not data.all():
             out.eliminate_zeros()
@@ -510,14 +492,6 @@ def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
         return sp.csr_matrix((amplitude.astype(complex)[occ[src]],
                               (src - (cfg.n_max + 1) ** j, src)), shape=(basis.NB, basis.NB))
     return basis.memo(cfg, (mode, dagger), build)
-
-
-def annihilate(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return basis.lift_operator(mode.kind, ladder(cfg, basis, mode))
-
-
-def create(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> sp.csr_matrix:
-    return basis.lift_operator(mode.kind, ladder(cfg, basis, mode, dagger=True))
 
 
 # ---------------------------------------------------------------------------

@@ -111,9 +111,8 @@ def suite_oscillators(cfg: LatticeConfig,
         on_b(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
 
     # the mixed pairs are X (x) Y in both orders, checked on the whole basis
-    lift = basis.lift_operator
-    lc = {m: lift(FERMION, cs[m]) for m in basis.fermion_modes[:4]}
-    ld = {m: (lift(BOSON, ds[m]), lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
+    lc = {m: basis.lift(FERMION, cs[m]) for m in basis.fermion_modes[:4]}
+    ld = {m: (basis.lift(BOSON, ds[m]), basis.lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
     for mf, c in lc.items():
         for mb, (d, dd) in ld.items():
             ps = {"modes": [str(mf), str(mb)]}

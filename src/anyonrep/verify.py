@@ -328,7 +328,7 @@ def suite_coproduct(cfg: LatticeConfig,
     Each piece is built once over anyons and once over q-bosons, and read by
     every statement about it."""
     gs = cached_generators(cfg, True, corruption)
-    basis, lift = gs.basis, gs.basis.lift_operator
+    basis = gs.basis
     out = SuiteReports("coproduct", cfg.tol)
     splits = SuiteReports("coproduct", cfg.tol)  # reported after eq57
 
@@ -380,8 +380,8 @@ def suite_coproduct(cfg: LatticeConfig,
             if alpha:
                 # scaled at full dimension: numpy multiplies operands of
                 # >= 256 KiB in swapped order, and its complex a*b != b*a
-                rhs = (scale_columns(lift(space, EL), q_power(qa, 0.5 * basis.lift(space, HR)))
-                       + scale_rows(lift(space, ER), q_power(qa, -0.5 * basis.lift(space, HL))))
+                rhs = (scale_columns(basis.lift(space, EL), q_power(qa, 0.5 * basis.lift(space, HR)))
+                       + scale_rows(basis.lift(space, ER), q_power(qa, -0.5 * basis.lift(space, HL))))
                 splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
                              rhs.tocsr(), params={"alpha": alpha, "sign": s})
         out.record(f"eq57[{alpha}]", worst,

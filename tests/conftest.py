@@ -2,7 +2,7 @@ import pytest
 import scipy.sparse as sp
 
 from anyonrep.algebra import _h_local_diag, eq57_exponent, local_e, node_factor
-from anyonrep.anyons import string_factor
+from anyonrep.anyons import anyon_factor, string_factor
 from anyonrep.fock import (
     BOSON,
     FERMION,
@@ -11,6 +11,7 @@ from anyonrep.fock import (
     build_basis,
     bulk_mask,
     diag_operator,
+    ladder,
     q_power,
 )
 
@@ -22,11 +23,29 @@ def bulk_projector(cfg, basis, boundary_margin=1, boson_headroom=0):
                          .astype(complex))
 
 
+def kron_lift(basis, kind, x):
+    """The reference lift x (x) 1 (fermions) or 1 (x) x (bosons), by sp.kron."""
+    one = sp.identity(basis.NB if kind == FERMION else basis.NF, dtype=complex,
+                      format="csr")
+    return (sp.kron(x, one) if kind == FERMION else sp.kron(one, x)).tocsr()
+
+
+def full_ladder(cfg, basis, mode, dagger=False):
+    """The annihilator of ``mode``, or the creator, on the whole basis: the
+    kron lift of its factor operator."""
+    return kron_lift(basis, mode.kind, ladder(cfg, basis, mode, dagger))
+
+
+def full_anyon(cfg, basis, mode, family, dagger=False, corruption=NO_CORRUPTION):
+    """One anyon on the whole basis: the kron lift of its factor operator."""
+    return kron_lift(basis, mode.kind,
+                     anyon_factor(cfg, basis, mode, family, dagger, corruption=corruption))
+
+
 def on_basis(cfg, basis, alpha, x):
     """A local piece (an operator) or a tail or Cartan part (a vector) of node
     alpha, which the package forms on the node's factor, on the whole basis."""
-    space = node_factor(cfg, alpha)
-    return basis.lift_operator(space, x) if sp.issparse(x) else basis.lift(space, x)
+    return basis.lift(node_factor(cfg, alpha), x)
 
 
 def full_local_e(cfg, basis, alpha, *args):

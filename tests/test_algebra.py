@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import bulk_projector, full_eq57_exponent, full_h_local_diag, full_local_e
+from conftest import (
+    bulk_projector,
+    full_anyon,
+    full_eq57_exponent,
+    full_h_local_diag,
+    full_ladder,
+    full_local_e,
+)
 from anyonrep import algebra as alg
 from anyonrep.algebra import (
     DELTA,
@@ -21,7 +28,6 @@ from anyonrep.algebra import (
     compose_roots,
     root_weight,
 )
-from anyonrep.anyons import anyon
 from anyonrep.fock import (
     BOSON,
     FERMION,
@@ -30,10 +36,8 @@ from anyonrep.fock import (
     Corruption,
     LatticeConfig,
     ModeId,
-    annihilate,
     boson_mode,
     build_basis,
-    create,
     diag_operator,
     fermion_mode,
     q_bracket,
@@ -197,9 +201,9 @@ def test_local_piece_matches_anyon_product(cfg21, basis21):
 
         def op(mode, dagger):
             if not dressed:
-                return (create if dagger else annihilate)(cfg21, basis21, mode)
+                return full_ladder(cfg21, basis21, mode, dagger)
             family = ("a" if mode.kind == FERMION else "A") + tilde
-            return anyon(cfg21, basis21, mode, family, dagger=dagger)
+            return full_anyon(cfg21, basis21, mode, family, dagger=dagger)
 
         lhs = full_local_e(cfg21, basis21, alpha, sign, 1, r, dressed)
         rhs = op(upper, True) @ op(lower, False)
@@ -375,17 +379,17 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, deformed, corruption):
 
     if deformed:
         def low(mode, family):
-            return anyon(cfg, basis, mode, family, corruption=corruption)
+            return full_anyon(cfg, basis, mode, family, corruption=corruption)
 
         def dag(mode, family):
-            return anyon(cfg, basis, mode, family, dagger=True,
+            return full_anyon(cfg, basis, mode, family, dagger=True,
                          corruption=corruption)
     else:
         def low(mode, family):
-            return annihilate(cfg, basis, mode)
+            return full_ladder(cfg, basis, mode)
 
         def dag(mode, family):
-            return create(cfg, basis, mode)
+            return full_ladder(cfg, basis, mode, True)
 
     if 1 <= alpha <= M - 1:
         if sign == "+":

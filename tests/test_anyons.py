@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import bulk_projector, disorder_factor, string_exponent
-from anyonrep.anyons import (
-    anyon,
-    suite_braiding,
-)
+from conftest import bulk_projector, disorder_factor, full_anyon, full_ladder, string_exponent
+from anyonrep.anyons import suite_braiding
 from anyonrep.fock import (
     FERMION,
     Corruption,
     LatticeConfig,
-    annihilate,
     boson_mode,
     build_basis,
     diag_operator,
@@ -87,7 +83,7 @@ def test_disorder_factors_are_diagonal_and_commute(cfg21, basis21):
 def test_string_commutes_with_own_site_ladder(cfg21, basis21):
     # eps(0) = 0 removes the target mode from its own string
     K = disorder_factor(cfg21, basis21, fermion_mode(1, 0.5))
-    c = annihilate(cfg21, basis21, fermion_mode(1, 0.5))
+    c = full_ladder(cfg21, basis21, fermion_mode(1, 0.5))
     assert residual_norm(K @ c - c @ K) == 0.0
 
 
@@ -97,21 +93,21 @@ def test_string_commutes_with_own_site_ladder(cfg21, basis21):
 
 def test_anyon_family_validation(cfg21, basis21):
     with pytest.raises(ValueError):
-        anyon(cfg21, basis21, fermion_mode(1, 0.5), "A")
+        full_anyon(cfg21, basis21, fermion_mode(1, 0.5), "A")
     with pytest.raises(ValueError):
-        anyon(cfg21, basis21, boson_mode(1, 0.5), "a")
+        full_anyon(cfg21, basis21, boson_mode(1, 0.5), "a")
     with pytest.raises(ValueError):
-        anyon(cfg21, basis21, fermion_mode(1, 0.5), "nope")
+        full_anyon(cfg21, basis21, fermion_mode(1, 0.5), "nope")
 
 
 def test_anyons_collapse_at_q_one():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.0)
     basis = build_basis(cfg)
-    a = anyon(cfg, basis, fermion_mode(1, 0.5), "a")
-    c = annihilate(cfg, basis, fermion_mode(1, 0.5))
+    a = full_anyon(cfg, basis, fermion_mode(1, 0.5), "a")
+    c = full_ladder(cfg, basis, fermion_mode(1, 0.5))
     assert residual_norm(a - c) == 0.0
-    A = anyon(cfg, basis, boson_mode(1, -0.5), "A")
-    d = annihilate(cfg, basis, boson_mode(1, -0.5))
+    A = full_anyon(cfg, basis, boson_mode(1, -0.5), "A")
+    d = full_ladder(cfg, basis, boson_mode(1, -0.5))
     assert residual_norm(A - d) == 0.0
 
 
@@ -127,8 +123,8 @@ def test_tilded_family_is_the_family_at_inverse_q(q, q_inv, lines):
     for mode in basis.fermion_modes + basis.boson_modes:
         family = "a" if mode.kind == FERMION else "A"
         for dagger in (False, True):
-            tilded = anyon(cfg, basis, mode, family + "~", dagger)
-            mirror = anyon(cfg_inv, basis, mode, family, dagger)
+            tilded = full_anyon(cfg, basis, mode, family + "~", dagger)
+            mirror = full_anyon(cfg_inv, basis, mode, family, dagger)
             assert residual_norm(tilded - mirror) <= 1e-14
 
 
@@ -136,24 +132,24 @@ def test_number_identity_exact(cfg21, basis21):
     for fam in ("a", "a~"):
         for site in cfg21.sites:
             mode = fermion_mode(2, site)
-            lo = anyon(cfg21, basis21, mode, fam)
-            hi = anyon(cfg21, basis21, mode, fam, dagger=True)
+            lo = full_anyon(cfg21, basis21, mode, fam)
+            hi = full_anyon(cfg21, basis21, mode, fam, dagger=True)
             assert residual_norm(
                 hi @ lo - diag_operator(number_diag(cfg21, basis21, mode))) == 0.0
 
 
 def test_braiding_spot_relation(cfg21, basis21):
     q = cfg21.q
-    a_hi = anyon(cfg21, basis21, fermion_mode(1, 0.5), "a")
-    a_lo = anyon(cfg21, basis21, fermion_mode(1, -0.5), "a")
+    a_hi = full_anyon(cfg21, basis21, fermion_mode(1, 0.5), "a")
+    a_lo = full_anyon(cfg21, basis21, fermion_mode(1, -0.5), "a")
     assert residual_norm(a_hi @ a_lo + (a_lo @ a_hi) / q) <= 1e-10
 
 
 def test_same_site_mixed_pair_gives_string_diagonal(cfg21, basis21):
     q = cfg21.q
     mode = fermion_mode(1, -0.5)
-    t = anyon(cfg21, basis21, mode, "a~")
-    ad = anyon(cfg21, basis21, mode, "a", dagger=True)
+    t = full_anyon(cfg21, basis21, mode, "a~")
+    ad = full_anyon(cfg21, basis21, mode, "a", dagger=True)
     w = string_exponent(cfg21, basis21, mode)
     rhs = diag_operator(q_power(q, w))
     assert residual_norm(t @ ad + ad @ t - rhs) <= 1e-13
@@ -162,8 +158,8 @@ def test_same_site_mixed_pair_gives_string_diagonal(cfg21, basis21):
 def test_bosonic_same_site_headroom(cfg21, basis21):
     q = cfg21.q
     mode = boson_mode(1, 0.5)
-    A = anyon(cfg21, basis21, mode, "A")
-    Ad = anyon(cfg21, basis21, mode, "A", dagger=True)
+    A = full_anyon(cfg21, basis21, mode, "A")
+    Ad = full_anyon(cfg21, basis21, mode, "A", dagger=True)
     nvec = number_diag(cfg21, basis21, mode)
     head = bulk_projector(cfg21, basis21, 0, 1)
     lhs = A @ Ad - q * (Ad @ A) - diag_operator(q_power(q, -nvec))
@@ -232,14 +228,14 @@ def test_scaled_anyon_equals_string_product(cfg, flip):
     for family, (kind, tilde) in FAMILIES.items():
         modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
         for mode in modes:
-            osc = annihilate(cfg, basis, mode)
+            osc = full_ladder(cfg, basis, mode)
             for dagger in (False, True):
                 if dagger:
                     ref = op_adjoint(osc) @ disorder_factor(
                         cfg, basis, mode, not tilde, corr)
                 else:
                     ref = disorder_factor(cfg, basis, mode, tilde, corr) @ osc
-                out = anyon(cfg, basis, mode, family, dagger, corruption=corr)
+                out = full_anyon(cfg, basis, mode, family, dagger, corruption=corr)
                 assert out.nnz == ref.nnz and (out != ref).nnz == 0
 
 

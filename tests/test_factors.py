@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import string_exponent
+from conftest import full_anyon, full_ladder, kron_lift, string_exponent
 from anyonrep import algebra as alg
 from anyonrep import verify
-from anyonrep.anyons import FAMILIES, anyon, anyon_factor, suite_braiding
+from anyonrep.anyons import FAMILIES, anyon_factor, suite_braiding
 from anyonrep.fock import (
     BOSON,
     FERMION,
@@ -28,10 +28,8 @@ from anyonrep.fock import (
     LatticeConfig,
     ModeId,
     _q_one,
-    annihilate,
     build_basis,
     cached_basis,
-    create,
     diag_operator,
     identity_op,
     ladder,
@@ -52,13 +50,6 @@ STACKS = [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
 STACK_IDS = ["M2N1S2", "M1N2S2", "sea,empty"]
 CONTROLS = [NO_CORRUPTION, Corruption(flip_q_alpha=True),
             Corruption(drop_h0_delta=True), Corruption(flip_boson_disorder=True)]
-
-
-def kron_lift(basis, kind, x):
-    """The reference lift x (x) 1 (fermions) or 1 (x) x (bosons)."""
-    one = sp.identity(basis.NB if kind == FERMION else basis.NF, dtype=complex,
-                      format="csr")
-    return (sp.kron(x, one) if kind == FERMION else sp.kron(one, x)).tocsr()
 
 
 def assert_same_arrays(x, y, bits=False):
@@ -91,74 +82,78 @@ def random_factor_operator(rng, n):
 @pytest.mark.parametrize("cfg", STACKS, ids=STACK_IDS)
 def test_full_space_operators_are_lifted_factors(cfg):
     """Every ladder (both daggers, at q and at q = 1) and every anyon of the
-    four families (both daggers) equals the kron lift of its factor
+    four families (both daggers) lifts to the kron lift of its factor
     operator: the same indptr, indices and data arrays."""
     basis = build_basis(cfg)
     for mode in basis.fermion_modes + basis.boson_modes:
         for at in (cfg, _q_one(cfg)):
             x = ladder(at, basis, mode)
-            assert x.shape == ((basis.NF,) * 2 if mode.kind == FERMION
-                               else (basis.NB,) * 2)
-            assert_same_arrays(annihilate(at, basis, mode), kron_lift(basis, mode.kind, x))
+            assert x.shape == (basis.size(mode.kind),) * 2
             assert_same_arrays(ladder(at, basis, mode, True), op_adjoint(x))
-            assert_same_arrays(create(at, basis, mode),
-                               kron_lift(basis, mode.kind, op_adjoint(x)))
+            for y in (x, op_adjoint(x)):
+                assert_same_arrays(basis.lift(mode.kind, y), kron_lift(basis, mode.kind, y))
     for family, (kind, _) in FAMILIES.items():
         modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
         for mode in modes:
             for dagger in (False, True):
                 x = anyon_factor(cfg, basis, mode, family, dagger)
-                assert_same_arrays(anyon(cfg, basis, mode, family, dagger),
-                                   kron_lift(basis, kind, x))
+                assert_same_arrays(basis.lift(kind, x), kron_lift(basis, kind, x))
+
+
+def lifted_product(basis, x, y):
+    """The product of the kron lifts of x on the fermion factor and y on the
+    boson factor (None: the identity), its rows sorted: scipy's product
+    leaves them in reverse order of first touch."""
+    def lift(kind, z):
+        return kron_lift(basis, kind, identity_op(basis, kind) if z is None else z)
+
+    out = lift(FERMION, x) @ lift(BOSON, y)
+    out.sort_indices()
+    return out
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_lift_of_a_factor_operator_is_the_kron_lift(seed):
-    """On either factor any operator lifts like sp.kron, rows with several
-    entries, empty rows and stored zeros included."""
+    """x (x) y of random operators with rows of several entries, empty rows
+    and real rows on both factors, either side the identity (None), has the
+    arrays of the product of the kron lifts, bit for bit: its rounding, its
+    signed zeros and its dropped zeros, the stored zeros of x and y among
+    them.  A factor operator lifts as its tensor product with the identity."""
     basis = build_basis(STACKS[0])
     rng = np.random.default_rng(seed)
-    for kind, n in ((BOSON, basis.NB), (FERMION, basis.NF)):
-        x = random_factor_operator(rng, n)
-        assert_same_arrays(basis.lift_operator(kind, x), kron_lift(basis, kind, x))
-    assert basis.lift_operator(None, x) is x
-
-
-def random_ladder_like(rng, n):
-    """A complex operator with at most one entry per row, as a ladder or an
-    anyon: some rows empty, some real, a few stored zeros."""
-    x = random_factor_operator(rng, n)
-    keep = np.zeros(x.nnz, dtype=bool)
-    keep[x.indptr[:-1][np.diff(x.indptr) > 0]] = True  # the first entry of a row
-    x = sp.csr_matrix((x.data * keep, x.indices, x.indptr), shape=x.shape)
-    x.eliminate_zeros()
-    x.data[::5] = 0
-    assert np.diff(x.indptr).max() == 1 and np.diff(x.indptr).min() == 0
-    return x
+    x = random_factor_operator(rng, basis.NF)
+    y = random_factor_operator(rng, basis.NB)
+    for fx, by in ((x, y), (x, None), (None, y), (None, None)):
+        assert_same_arrays(basis.kron(fx, by), lifted_product(basis, fx, by), bits=True)
+    assert_same_arrays(basis.lift(FERMION, x), basis.kron(x, None), bits=True)
+    assert_same_arrays(basis.lift(BOSON, y), basis.kron(None, y), bits=True)
+    assert basis.lift(None, x) is x
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
-    """A fermion-factor and a boson-factor operator of one entry per row,
-    multiplied in either order, give the arrays of scipy's product of their
-    lifts, bit for bit: its complex rounding (numpy's complex * differs from
-    it in about a third of random products, and is not commutative), its
-    signed zeros and its dropped zeros.  Rows of several entries are
-    refused rather than tiled wrong."""
+    """The product of a fermion-factor and a boson-factor operator, with
+    rows of several entries, in either order, is their tensor product, bit
+    for bit like scipy's product of the lifts: its complex rounding (numpy's
+    complex * differs from it in about a third of random products, and is
+    not commutative), its signed zeros and its dropped zeros.  Operators of
+    one factor multiply there."""
     basis = build_basis(STACKS[0])
     rng = np.random.default_rng(seed)
-    x = random_ladder_like(rng, basis.NF)
-    y = random_ladder_like(rng, basis.NB)
-    lx, ly = basis.lift_operator(FERMION, x), basis.lift_operator(BOSON, y)
-    assert_same_arrays(basis.factor_product(FERMION, x, BOSON, y), lx @ ly, bits=True)
-    assert_same_arrays(basis.factor_product(BOSON, y, FERMION, x), ly @ lx, bits=True)
+    x = random_factor_operator(rng, basis.NF)
+    y = random_factor_operator(rng, basis.NB)
+    (f,), (b, b2) = basis.fermion_modes[:1], basis.boson_modes[:2]
+    ops = {f: x, b: y}
+    ref = lifted_product(basis, x, y)
+    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], f, b), ref, bits=True)
+    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], b, f), ref, bits=True)
+    swapped = kron_lift(basis, BOSON, y) @ kron_lift(basis, FERMION, x)
+    swapped.sort_indices()
+    assert_same_arrays(swapped, ref, bits=True)
     empty = sp.csr_matrix(x.shape, dtype=complex)
-    assert_same_arrays(basis.factor_product(FERMION, empty, BOSON, y),
-                       basis.lift_operator(FERMION, empty) @ ly, bits=True)
-    many = random_factor_operator(rng, basis.NB)
-    assert_same_arrays(basis.factor_product(BOSON, many, BOSON, y), many @ y, bits=True)
-    with pytest.raises(ValueError, match="one entry per row"):
-        basis.factor_product(FERMION, x, BOSON, many)
+    assert_same_arrays(basis.kron(empty, y), lifted_product(basis, empty, y), bits=True)
+    ops = {b: random_factor_operator(rng, basis.NB), b2: y}
+    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], b, b2), ops[b] @ y, bits=True)
 
 
 def test_factor_operators_are_built_once_per_config():
@@ -197,8 +192,8 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed, corruption):
     def op(mode, dagger):
         if dressed:
             family = ("a" if mode.kind == FERMION else "A") + tilde
-            return anyon(cfg, basis, mode, family, dagger, corruption=corruption)
-        return (create if dagger else annihilate)(cfg, basis, mode)
+            return full_anyon(cfg, basis, mode, family, dagger, corruption=corruption)
+        return full_ladder(cfg, basis, mode, dagger)
 
     return (op(upper, True) @ op(lower, False)).tocsr()
 
@@ -242,8 +237,8 @@ def _ref_cartan_weyl(cfg, basis, label):
     for line in cfg.lines:
         for r in cfg.sites:
             if r + label.m in cfg.sites:
-                up = create(cfg, basis, alg._mode_for(*label.pos, line, r))
-                dn = annihilate(cfg, basis, alg._mode_for(*label.neg, line, r + label.m))
+                up = full_ladder(cfg, basis, alg._mode_for(*label.pos, line, r), True)
+                dn = full_ladder(cfg, basis, alg._mode_for(*label.neg, line, r + label.m))
                 total = total + up @ dn
     return total.tocsr()
 
@@ -253,7 +248,7 @@ def _ref_cartan_weyl_h(cfg, basis, a, m):
     terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))
              for (kind, flavor), w in alg.h_coefficients(cfg.M, cfg.N, a).items()
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
-    return sum((w * (create(cfg, basis, mr) @ annihilate(cfg, basis, ms))
+    return sum((w * (full_ladder(cfg, basis, mr, True) @ full_ladder(cfg, basis, ms))
                 for w, mr, ms in terms), zero_op(basis)).tocsr()
 
 
@@ -316,7 +311,7 @@ def test_factor_bulk_restricts_like_the_full_bulk(bulk):
                  if m.kind == kind and abs(m.site) < 1]  # off the margin
         x = anyon_factor(cfg, basis, modes[0], family, True)
         y = anyon_factor(cfg, basis, modes[-1], family, False)
-        lx, ly = basis.lift_operator(kind, x), basis.lift_operator(kind, y)
+        lx, ly = kron_lift(basis, kind, x), kron_lift(basis, kind, y)
         on_factor = SuiteReports("braiding", cfg.tol, basis)
         on_factor.check("eq42a", [(1, x, y), (-cfg.q, y, x)], x @ y,
                         bulk=bulk, factor=kind)
@@ -334,12 +329,12 @@ def _oscillator_oracle(cfg):
     one, plain = identity_op(basis), _q_one(cfg)
     f1, f2 = basis.fermion_modes[:2]
     m1, m2 = basis.boson_modes[:2]
-    c1, c2, cd1 = (annihilate(cfg, basis, f1), annihilate(cfg, basis, f2),
-                   create(cfg, basis, f1))
-    d1, d2, dd1 = (annihilate(plain, basis, m1), annihilate(plain, basis, m2),
-                   create(plain, basis, m1))
-    b, bd = annihilate(cfg, basis, m1), create(cfg, basis, m1)
-    b2, bd2 = annihilate(cfg, basis, m2), create(cfg, basis, m2)
+    c1, c2, cd1 = (full_ladder(cfg, basis, f1), full_ladder(cfg, basis, f2),
+                   full_ladder(cfg, basis, f1, True))
+    d1, d2, dd1 = (full_ladder(plain, basis, m1), full_ladder(plain, basis, m2),
+                   full_ladder(plain, basis, m1, True))
+    b, bd = full_ladder(cfg, basis, m1), full_ladder(cfg, basis, m1, True)
+    b2, bd2 = full_ladder(cfg, basis, m2), full_ladder(cfg, basis, m2, True)
     n = number_diag(cfg, basis, m1)
     return [
         (f"eq20[{f1},{f1}+]", c1 @ cd1 + cd1 @ c1, one, None),
@@ -368,7 +363,7 @@ def _braiding_oracle(cfg, corruption):
     x, y = (1, 0.5), (1, -0.5)
 
     def A(kind, pt, family, dagger=False):
-        return anyon(cfg, basis, ModeId(kind, 1, *pt), family, dagger,
+        return full_anyon(cfg, basis, ModeId(kind, 1, *pt), family, dagger,
                      corruption=corruption)
 
     ar, asr, adr, ads = (A(FERMION, x, "a"), A(FERMION, y, "a"),

@@ -5,13 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import bulk_projector
+from conftest import bulk_projector, full_ladder
 from anyonrep.fock import (
     ConfigError,
     InstanceTooLargeError,
     LatticeConfig,
     _q_one,
-    annihilate,
     build_basis,
     bulk_mask,
     diag_operator,
@@ -102,10 +101,10 @@ def test_state_index_bijection(basis21):
 def test_car_all_pairs_exact(cfg21, basis21):
     one = identity_op(basis21)
     for m1 in basis21.fermion_modes:
-        c1 = annihilate(cfg21, basis21, m1)
+        c1 = full_ladder(cfg21, basis21, m1)
         assert residual_norm(c1 @ c1) == 0.0
         for m2 in basis21.fermion_modes:
-            c2 = annihilate(cfg21, basis21, m2)
+            c2 = full_ladder(cfg21, basis21, m2)
             anti = c1 @ op_adjoint(c2) + op_adjoint(c2) @ c1
             expected = one if m1 == m2 else 0 * one
             assert residual_norm(anti - expected) <= 1e-13
@@ -116,9 +115,9 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
     one = identity_op(basis21)
     head = bulk_projector(cfg21, basis21, 0, 1)
     for m1 in basis21.boson_modes:
-        d1 = annihilate(_q_one(cfg21), basis21, m1)
+        d1 = full_ladder(_q_one(cfg21), basis21, m1)
         for m2 in basis21.boson_modes:
-            d2 = annihilate(_q_one(cfg21), basis21, m2)
+            d2 = full_ladder(_q_one(cfg21), basis21, m2)
             comm = d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1
             expected = one if m1 == m2 else 0 * one
             assert residual_norm(head @ (comm - expected) @ head) <= 1e-13
@@ -128,7 +127,7 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
 def test_ccr_truncation_artifact_on_top_state(cfg21, basis21):
     # on |n_max> the commutator eigenvalue drops to -n_max instead of +1
     mode = basis21.boson_modes[0]
-    d = annihilate(_q_one(cfg21), basis21, mode)
+    d = full_ladder(_q_one(cfg21), basis21, mode)
     comm = (d @ op_adjoint(d) - op_adjoint(d) @ d).diagonal().real
     j = basis21.boson_slot(mode)
     tops = np.tile(basis21.b_occ[:, j] == cfg21.n_max, basis21.NF)
@@ -138,9 +137,9 @@ def test_ccr_truncation_artifact_on_top_state(cfg21, basis21):
 
 def test_mixed_commutativity_exact(cfg21, basis21):
     for mf in basis21.fermion_modes:
-        c = annihilate(cfg21, basis21, mf)
+        c = full_ladder(cfg21, basis21, mf)
         for mb in basis21.boson_modes:
-            d = annihilate(_q_one(cfg21), basis21, mb)
+            d = full_ladder(_q_one(cfg21), basis21, mb)
             assert residual_norm(c @ d - d @ c) == 0.0
             assert residual_norm(c @ op_adjoint(d) - op_adjoint(d) @ c) == 0.0
             assert residual_norm(op_adjoint(c) @ d - d @ op_adjoint(c)) == 0.0
@@ -155,7 +154,7 @@ def test_jordan_wigner_against_state_oracle(data):
     basis = build_basis(cfg)
     i = data.draw(st.integers(0, basis.dim - 1))
     mode = data.draw(st.sampled_from(basis.fermion_modes))
-    op = annihilate(cfg, basis, mode)
+    op = full_ladder(cfg, basis, mode)
     col = op[:, i].toarray().ravel()
     f_occ, b_occ = basis.occupations(i)
     j = basis.fermion_slot(mode)
@@ -176,8 +175,8 @@ def test_jordan_wigner_against_state_oracle(data):
 
 @pytest.fixture(scope="module")
 def op_pool(cfg21, basis21):
-    pool = [annihilate(cfg21, basis21, m) for m in basis21.fermion_modes[:2]]
-    pool += [annihilate(_q_one(cfg21), basis21, m)
+    pool = [full_ladder(cfg21, basis21, m) for m in basis21.fermion_modes[:2]]
+    pool += [full_ladder(_q_one(cfg21), basis21, m)
              for m in basis21.boson_modes[:1]]
     pool.append(op_adjoint(pool[0]) @ pool[2])
     return pool
@@ -202,12 +201,12 @@ def test_q_commutator_reduces_to_commutator(op_pool):
 
 
 def test_nilpotency_residual_is_zero(cfg21, basis21):
-    c = annihilate(cfg21, basis21, basis21.fermion_modes[0])
+    c = full_ladder(cfg21, basis21, basis21.fermion_modes[0])
     assert residual_norm(c @ c + c @ c) == 0.0
 
 
 def test_combinator_shape_checks(cfg21, basis21):
-    c = annihilate(cfg21, basis21, basis21.fermion_modes[0])
+    c = full_ladder(cfg21, basis21, basis21.fermion_modes[0])
     small = sp.identity(3, format="csr", dtype=complex)
     with pytest.raises(ValueError):
         supercommutator(c, small, 0, 0)
@@ -306,8 +305,8 @@ def test_scaling_a_ladder_is_exact(basis22, qspec):
     entry for entry."""
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, **qspec)
     v = q_power(cfg.q, (np.arange(basis22.dim) % 7 - 3) / 2)
-    ladders = [annihilate(cfg, basis22, m) for m in basis22.fermion_modes]
-    ladders += [annihilate(at, basis22, m) for m in basis22.boson_modes
+    ladders = [full_ladder(cfg, basis22, m) for m in basis22.fermion_modes]
+    ladders += [full_ladder(at, basis22, m) for m in basis22.boson_modes
                 for at in (_q_one(cfg), cfg)]
     for x in ladders + [op_adjoint(x) for x in ladders]:
         for out, ref in ((scale_rows(x, v), diag_operator(v) @ x),

@@ -5,14 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import bulk_projector
+from conftest import bulk_projector, full_ladder
 from anyonrep.fock import (
     LatticeConfig,
     _q_one,
-    annihilate,
     boson_mode,
     build_basis,
-    create,
     diag_operator,
     fermion_mode,
     op_adjoint,
@@ -29,7 +27,7 @@ from anyonrep.report import reports_ok
 
 def test_number_op_matches_definition(cfg21, basis21):
     for mode in basis21.fermion_modes + basis21.boson_modes:
-        low = annihilate(_q_one(cfg21), basis21, mode)
+        low = full_ladder(_q_one(cfg21), basis21, mode)
         n = diag_operator(number_diag(cfg21, basis21, mode))
         assert residual_norm(op_adjoint(low) @ low - n) <= 1e-13
 
@@ -74,7 +72,7 @@ def test_q_boson_matrix_elements_oracle(cfg21, basis21):
     """<n-1|b|n> must be sqrt([n]_q), computed here independently via the
     sine form on the unit circle."""
     mode = basis21.boson_modes[0]
-    b = annihilate(cfg21, basis21, mode)
+    b = full_ladder(cfg21, basis21, mode)
     nu = cfg21.nu
     j = basis21.boson_slot(mode)
     stride = (cfg21.n_max + 1) ** j
@@ -91,7 +89,7 @@ def test_q_boson_number_pairing_at_nu_quarter():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.25)
     basis = build_basis(cfg)
     mode = basis.boson_modes[0]
-    b = annihilate(cfg, basis, mode)
+    b = full_ladder(cfg, basis, mode)
     j = basis.boson_slot(mode)
     stride = (cfg.n_max + 1) ** j
     idx = 2 * stride  # the |n'=2> state in the boson sector, fermions empty
@@ -122,13 +120,13 @@ def test_boson_ladders_match_the_per_state_formula(q):
         for at, vals in ((_q_one(cfg), plain), (cfg, deformed)):
             ref = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
                                 shape=(basis.dim, basis.dim))
-            assert residual_norm(annihilate(at, basis, mode) - ref) == 0.0
+            assert residual_norm(full_ladder(at, basis, mode) - ref) == 0.0
 
 
 def test_q_boson_create_is_adjoint(cfg21, basis21):
     mode = basis21.boson_modes[0]
-    assert residual_norm(create(cfg21, basis21, mode)
-                         - op_adjoint(annihilate(cfg21, basis21, mode))) == 0.0
+    assert residual_norm(full_ladder(cfg21, basis21, mode, True)
+                         - op_adjoint(full_ladder(cfg21, basis21, mode))) == 0.0
 
 
 def test_q_boson_qcommutator_headroom(cfg21, basis21):
@@ -136,7 +134,7 @@ def test_q_boson_qcommutator_headroom(cfg21, basis21):
     from anyonrep.fock import diag_operator, q_power
     from anyonrep.oscillators import number_diag
     mode = basis21.boson_modes[0]
-    b = annihilate(cfg21, basis21, mode)
+    b = full_ladder(cfg21, basis21, mode)
     bd = op_adjoint(b)
     q = cfg21.q
     head = bulk_projector(cfg21, basis21, 0, 1)
@@ -151,7 +149,7 @@ def test_q_boson_real_q():
     from anyonrep.fock import diag_operator, q_power
     from anyonrep.oscillators import number_diag
     mode = basis.boson_modes[0]
-    b = annihilate(cfg, basis, mode)
+    b = full_ladder(cfg, basis, mode)
     bd = op_adjoint(b)
     head = bulk_projector(cfg, basis, 0, 1)
     rhs = diag_operator(q_power(cfg.q, number_diag(cfg, basis, mode)))
