@@ -338,9 +338,8 @@ class FockBasis:
         return {FERMION: self.NF, BOSON: self.NB}.get(factor, self.dim)
 
     def lift(self, kind: str | None, x):
-        """A vector (a diagonal) or an operator x on one factor of the index
-        f * NB + b (f for fermions, b for bosons) on the whole basis, x (x) 1
-        or 1 (x) x; a ``kind`` of None names the whole basis, x as it is."""
+        """A vector (a diagonal) or an operator x on the fermion or boson factor
+        of the index f * NB + b on the whole basis, x (x) 1 or 1 (x) x (x for None)."""
         if kind is None:
             return x
         if sp.issparse(x):
@@ -452,16 +451,17 @@ def diag_operator(diagonal: np.ndarray) -> sp.csr_matrix:
 
 
 def scale_rows(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
-    """diag(v) @ x without forming the diagonal: row i of x times v[i]."""
+    """diag(v) @ x without forming the diagonal: row i of x times v[i], x's
+    entry the left operand at any size (numpy's ``*`` may swap them)."""
     x = x.tocsr()
-    return sp.csr_matrix((x.data * np.repeat(v, np.diff(x.indptr)),
+    return sp.csr_matrix((np.multiply(x.data, np.repeat(v, np.diff(x.indptr))),
                           x.indices.copy(), x.indptr.copy()), shape=x.shape)
 
 
 def scale_columns(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
     """x @ diag(v) without forming the diagonal: column j of x times v[j]."""
     x = x.tocsr()
-    return sp.csr_matrix((x.data * v[x.indices], x.indices.copy(),
+    return sp.csr_matrix((np.multiply(x.data, v[x.indices]), x.indices.copy(),
                           x.indptr.copy()), shape=x.shape)
 
 

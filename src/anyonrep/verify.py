@@ -378,12 +378,10 @@ def suite_coproduct(cfg: LatticeConfig,
                     else:
                         ER = ER + half
             if alpha:
-                # scaled at full dimension: numpy multiplies operands of
-                # >= 256 KiB in swapped order, and its complex a*b != b*a
-                rhs = (scale_columns(basis.lift(space, EL), q_power(qa, 0.5 * basis.lift(space, HR)))
-                       + scale_rows(basis.lift(space, ER), q_power(qa, -0.5 * basis.lift(space, HL))))
-                splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
-                             rhs.tocsr(), params={"alpha": alpha, "sign": s})
+                rhs = basis.lift(space, scale_columns(EL, q_power(qa, 0.5 * HR))
+                                 + scale_rows(ER, q_power(qa, -0.5 * HL)))
+                splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)], rhs,
+                             params={"alpha": alpha, "sign": s})
         out.record(f"eq57[{alpha}]", worst,
                    params={"alpha": alpha,
                            "form": "two-site tail" if alpha == 0 else "standard"})

@@ -314,6 +314,22 @@ def test_scaling_a_ladder_is_exact(basis22, qspec):
             assert out.nnz == ref.nnz and (out != ref).nnz == 0
 
 
+@pytest.mark.parametrize("scale", [scale_rows, scale_columns])
+def test_scaling_rounds_alike_at_every_size(scale):
+    """The same entries, scaled inside a 16 383-entry and a 16 384-entry
+    operand, give the same bits: from 256 KiB up numpy may reuse the scale
+    vector's temporary and multiply in swapped order, and its complex
+    a * b and b * a can round differently."""
+    rng = np.random.default_rng(7)
+    n = 16_384
+    d = rng.normal(size=n) + 1j * rng.normal(size=n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    big = scale(sp.diags(d, format="csr"), v).data
+    small = scale(sp.diags(d[:-1], format="csr"), v[:-1]).data
+    assert big[:-1].tobytes() == small.tobytes()
+    assert small.tobytes() == np.multiply(d[:-1], v[:-1]).tobytes()
+
+
 HALF = st.integers(-40, 40).map(lambda k: k / 2)
 QS = st.one_of(st.floats(-0.99, 0.99).map(lambda nu: np.exp(1j * np.pi * nu)),
                st.floats(0.05, 20.0))
