@@ -244,8 +244,8 @@ def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
 
 def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool,
                 corruption: Corruption):
-    """op(mode, dagger): its anyon of family a/A (e^+) or a~/A~ (e^-) if
-    ``dressed``, else its ladder (the plain oscillators at q = 1)."""
+    """op(mode, dagger): the mode's anyon of family a/A (e^+) or a~/A~ (e^-)
+    if ``dressed``, else its ladder (the plain oscillators at q = 1)."""
     if not dressed:
         return partial(ladder, cfg, basis)
     tilde = "~" if sign == "-" else ""

@@ -186,8 +186,8 @@ def test_deformed_equals_undeformed_at_q_one():
 
 
 def test_local_piece_matches_anyon_product(cfg21, basis21):
-    """The mixed pieces, tiled from their factors, equal the product of the
-    lifted operators: at node M a_M^dag(r) A_1(r), at the affine node
+    """The mixed pieces, tensor products of their factors, equal the product
+    of the lifted operators: at node M a_M^dag(r) A_1(r), at the affine node
     A_N^dag(r) a_1(r+1), for e^- the tilded lower^dag upper; over anyons and
     over plain oscillators, array for array."""
     M, N = cfg21.M, cfg21.N

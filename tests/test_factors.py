@@ -3,10 +3,11 @@
 The oscillator and braiding suites check every single-statistics relation on
 that factor, and the generator sets, the Cartan-Weyl operators and the
 coproduct suite form their single-factor sums there.  These tests hold the
-facts that make this exact: every full-space ladder and anyon is the lift of
-its factor operator, array for array; a mixed product is tiled with the
-arrays of scipy's product of the lifts; every generator has the arrays of
-its full-dimension construction; and a relation recomputed at full dimension
+facts that make this exact: the tensor product ``FockBasis.kron`` of two
+factor operators has the arrays of scipy's product of their kron lifts, so
+every lifted ladder and anyon is the kron lift of its factor operator and a
+mixed product is formed exactly; every generator has the arrays of its
+full-dimension construction; and a relation recomputed at full dimension
 from the lifted operands has the suite's residual, bit for bit.  The
 full-dimension evaluation of these suites lives here, as their oracle.
 """
@@ -64,11 +65,14 @@ def assert_same_arrays(x, y, bits=False):
 
 
 def random_factor_operator(rng, n):
-    """A complex operator with rows of several entries, empty rows, real rows
-    and a few stored zeros: every case the lift and the tiling must carry."""
+    """A complex operator with rows of several entries, empty rows, real and
+    imaginary rows (zero parts of either sign) and a few stored zeros: every
+    case the tensor product must carry."""
     dense = (rng.random((n, n)) < 0.3) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     dense[::3] = 0
-    dense[1::3] = dense[1::3].real  # real rows, as a ladder's: signed zero parts
+    dense[1::6] = dense[1::6].real  # real rows, as a ladder's
+    dense[4::6] = np.conj(dense[4::6].real + 0j)  # real rows with -0.0 imaginary parts
+    dense[2::6] = 1j * dense[2::6].imag  # imaginary rows: products with zero real parts
     x = sp.csr_matrix(dense)
     x.data[::7] = 0
     assert np.diff(x.indptr).max() > 1 and np.diff(x.indptr).min() == 0
@@ -257,8 +261,9 @@ def _ref_cartan_weyl_h(cfg, basis, a, m):
                          ids=["none", "qalpha", "h0delta", "disorder"])
 def test_generators_equal_their_full_dimension_construction(cfg, corruption):
     """Every H and E of the plain and the deformed set, summed on the node's
-    factor and lifted once or tiled at the mixed nodes, has the arrays of the
-    sum of the lifted products, under no corruption and each control."""
+    factor and lifted once or formed as tensor products at the mixed nodes,
+    has the arrays of the sum of the lifted products, under no corruption
+    and each control."""
     basis = build_basis(cfg)
     for deformed in (False, True):
         gs = alg.chevalley_generators(cfg, basis, deformed, corruption)
