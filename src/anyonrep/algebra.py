@@ -398,10 +398,11 @@ def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
     factors, so they touch disjoint entries and add as one sum does."""
     total = None
     for space in (FERMION, BOSON, None):
-        part = [w * _piece(basis, op, r, s) for w, r, s in terms
+        part = [(w, _piece(basis, op, r, s)) for w, r, s in terms
                 if (r.kind if r.kind == s.kind else None) == space]
-        if part:
-            part = basis.lift(space, sum(part, zero_op(basis, space)))
+        if part:  # w * p copies p, so the weight 1 of every E term is left out
+            part = sum((p if w == 1 else w * p for w, p in part), zero_op(basis, space))
+            part = basis.lift(space, part)
             total = part if total is None else total + part
     return zero_op(basis) if total is None else total.tocsr()
 

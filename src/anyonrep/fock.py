@@ -357,15 +357,14 @@ class FockBasis:
         idx, cx, cy = self._idx, np.diff(x.indptr), np.diff(y.indptr)
         indptr = y.nnz * x.indptr[:-1, None].astype(idx) + np.outer(cx, y.indptr[:-1])
         indices = (x.indices[:, None].astype(idx) * self.NB + y.indices).ravel()
+        u, v = x.data[:, None], y.data
         if one:  # a product with 1 adds each entry to zero
-            data = 0.0 + (np.tile(y.data, self.NF) if x is self._one[FERMION]
-                          else np.repeat(x.data, self.NB))
+            data = 0.0 + np.broadcast_to(v if x is self._one[FERMION] else u, (x.nnz, y.nnz))
         else:
-            u, v = x.data[:, None], y.data
             data = np.empty((x.nnz, y.nnz), dtype=complex)
             data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
             data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
-            data = data.ravel()
+        data = data.ravel()
         if cx.max(initial=0) > 1:
             # entry p of row f (x) entry s of row b is entry p*cy[b] + s of
             # row f*NB + b; with one entry per row of x this is the order above
