@@ -254,13 +254,13 @@ def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool,
         corruption=corruption)
 
 
-def _piece(basis: FockBasis, op, r: ModeId, s: ModeId) -> sp.csr_matrix:
-    """op(r, True) op(s, False) on the smallest space that holds it: x @ y on
-    the modes' shared factor, else their tensor product on the whole basis."""
+def _piece(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> sp.csr_matrix:
+    """w op(r, True) op(s, False) on the smallest space that holds it: x @ y on
+    the modes' shared factor, else their tensor product on the whole basis.
+    w * p copies p, so a weight 1 is left out."""
     x, y = op(r, True), op(s, False)
-    if r.kind == s.kind:
-        return x @ y
-    return basis.kron(x, y) if r.kind == FERMION else basis.kron(y, x)
+    p = x @ y if r.kind == s.kind else basis.kron(x, y) if r.kind == FERMION else basis.kron(y, x)
+    return p if w == 1 else w * p
 
 
 def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
@@ -269,7 +269,7 @@ def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
     """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
     (line, r) over the oscillators of :func:`_factor_ops`, on the node's
     factor."""
-    return _piece(basis, _factor_ops(cfg, basis, sign, dressed, corruption),
+    return _piece(basis, _factor_ops(cfg, basis, sign, dressed, corruption), 1,
                   *_node_modes(cfg, alpha, line, r, sign))
 
 
@@ -398,10 +398,10 @@ def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
     factors, so they touch disjoint entries and add as one sum does."""
     total = None
     for space in (FERMION, BOSON, None):
-        part = [(w, _piece(basis, op, r, s)) for w, r, s in terms
-                if (r.kind if r.kind == s.kind else None) == space]
-        if part:  # w * p copies p, so the weight 1 of every E term is left out
-            part = sum((p if w == 1 else w * p for w, p in part), zero_op(basis, space))
+        group = [(w, r, s) for w, r, s in terms
+                 if (r.kind if r.kind == s.kind else None) == space]
+        if group:  # summed piece by piece: a node's pieces are never all held at once
+            part = sum((_piece(basis, op, *t) for t in group), zero_op(basis, space))
             part = basis.lift(space, part)
             total = part if total is None else total + part
     return zero_op(basis) if total is None else total.tocsr()

@@ -149,15 +149,15 @@ def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
     (f,), (b, b2) = basis.fermion_modes[:1], basis.boson_modes[:2]
     ops = {f: x, b: y}
     ref = lifted_product(basis, x, y)
-    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], f, b), ref, bits=True)
-    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], b, f), ref, bits=True)
+    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], 1, f, b), ref, bits=True)
+    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], 1, b, f), ref, bits=True)
     swapped = kron_lift(basis, BOSON, y) @ kron_lift(basis, FERMION, x)
     swapped.sort_indices()
     assert_same_arrays(swapped, ref, bits=True)
     empty = sp.csr_matrix(x.shape, dtype=complex)
     assert_same_arrays(basis.kron(empty, y), lifted_product(basis, empty, y), bits=True)
     ops = {b: random_factor_operator(rng, basis.NB), b2: y}
-    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], b, b2), ops[b] @ y, bits=True)
+    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], 1, b, b2), ops[b] @ y, bits=True)
 
 
 def test_factor_operators_are_built_once_per_config():
