@@ -221,11 +221,12 @@ def _on_node(basis: FockBasis, modes, vectors) -> list:
     return [basis.lift(m.kind, v) for m, v in zip(modes, vectors)]
 
 
-def _h_local_diag(cfg: LatticeConfig, basis: FockBasis, alpha: int, line: int,
-                  r: float, corruption: Corruption) -> np.ndarray:
+def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float,
+                  corruption: Corruption) -> np.ndarray:
     """:n_upper: - :n_lower: on even nodes, + on the odd nodes 0 and M, on
     the node's factor (:func:`node_factor`); the affine piece carries -1 at
     r = -1/2 on sea lines."""
+    cfg = basis.cfg
     modes = _node_modes(cfg, alpha, line, r)
     n_up, n_low = _on_node(basis, modes, [number_factor(basis, m) + normal_order_shift(cfg, m)
                                           for m in modes])
@@ -273,8 +274,7 @@ def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
                   *_node_modes(cfg, alpha, line, r, sign))
 
 
-def eq57_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
-                  line: int, r: float) -> np.ndarray:
+def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarray:
     """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x,
     on the node's factor.
 
@@ -284,11 +284,11 @@ def eq57_exponent(cfg: LatticeConfig, basis: FockBasis, alpha: int,
     and its tail carries both strings with the opposite base sign:
     -1/2 (w_upper + w_lower).
     """
-    modes = _node_modes(cfg, alpha, line, r)
-    w_up, w_low = _on_node(basis, modes, [string_factor(cfg, basis, m) for m in modes])
+    modes = _node_modes(basis.cfg, alpha, line, r)
+    w_up, w_low = _on_node(basis, modes, [string_factor(basis, m) for m in modes])
     if alpha == 0:
         return -0.5 * (w_up + w_low)
-    if alpha == cfg.M:
+    if alpha == basis.cfg.M:
         return 0.5 * (w_up + w_low)
     return 0.5 * (w_up - w_low)
 
@@ -346,7 +346,7 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
         sites = [(line, r) for line in cfg.lines for r in admissible_sites(cfg, alpha)]
         hd = np.zeros(basis.size(space))
         for line, r in sites:
-            hd += _h_local_diag(cfg, basis, alpha, line, r, corruption)
+            hd += _h_local_diag(basis, alpha, line, r, corruption)
         H[alpha] = diag_operator(basis.lift(space, hd))
         for sign in ("+", "-"):
             E[(alpha, sign)] = _bilinear_sum(
@@ -407,11 +407,10 @@ def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
     return zero_op(basis) if total is None else total.tocsr()
 
 
-def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
-                           label: RootLabel) -> sp.csr_matrix:
+def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:
     """e_root^m = sum_r (pos mode)^dag(r) (neg mode)(r+m), truncated, over
     plain oscillators: it reads no q."""
-    cfg = _q_one(cfg)
+    cfg = _q_one(basis.cfg)
     for kind, idx in (label.pos, label.neg):
         hi = cfg.M if kind == EPS else cfg.N
         if not 1 <= idx <= hi:
@@ -423,20 +422,21 @@ def cartan_weyl_generators(cfg: LatticeConfig, basis: FockBasis,
     return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
 
 
-def cartan_weyl_h0_diag(cfg: LatticeConfig, basis: FockBasis, a: int) -> np.ndarray:
+def cartan_weyl_h0_diag(basis: FockBasis, a: int) -> np.ndarray:
     """The diagonal of h_a^0: its bilinears are normal-ordered numbers."""
-    return sum((w * normal_number_diag(cfg, basis, ModeId(kind, flavor, line, r))
+    cfg = basis.cfg
+    return sum((w * normal_number_diag(basis, ModeId(kind, flavor, line, r))
                 for (kind, flavor), w in h_coefficients(cfg.M, cfg.N, a).items()
                 for line in cfg.lines for r in cfg.sites), np.zeros(basis.dim))
 
 
-def cartan_weyl_h(cfg: LatticeConfig, basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
+def cartan_weyl_h(basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
     """h_a^m = sum_r of the h_a bilinears (r, r+m), truncated, over plain
     oscillators (it reads no q); the diagonal :func:`cartan_weyl_h0_diag` at
     m = 0."""
-    cfg = _q_one(cfg)
     if m == 0:
-        return diag_operator(cartan_weyl_h0_diag(cfg, basis, a))
+        return diag_operator(cartan_weyl_h0_diag(basis, a))
+    cfg = _q_one(basis.cfg)
     terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))
              for (kind, flavor), w in h_coefficients(cfg.M, cfg.N, a).items()
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]

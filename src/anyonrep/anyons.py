@@ -51,7 +51,7 @@ FAMILIES = {
 }
 
 
-def string_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+def string_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
     """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
     statistics and flavor as ``mode``, r its position, on the factor of the
     basis index that carries that statistics.  eps compares (line, site)
@@ -64,7 +64,7 @@ def string_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndar
             continue
         eps = site_order_sign(m.line, m.site, mode.line, mode.site)
         if eps:
-            total += eps * (number_factor(basis, m) + normal_order_shift(cfg, m))
+            total += eps * (number_factor(basis, m) + normal_order_shift(basis.cfg, m))
     return total
 
 
@@ -93,7 +93,7 @@ def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str
         base = -base
 
     def build():
-        string = q_power(cfg.q, base * string_factor(cfg, basis, mode))
+        string = q_power(cfg.q, base * string_factor(basis, mode))
         osc = ladder(cfg, basis, mode, dagger)
         return scale_columns(osc, string) if dagger else scale_rows(osc, string)
     return basis.memo(cfg, (mode, family, dagger, corruption), build)
@@ -174,7 +174,7 @@ def suite_braiding(cfg: LatticeConfig,
             rep(f"eq43t[i={i},{pt}]", t_ @ td + td @ t_, one, **ps)
             rep(f"eq44s[i={i},{pt}]", t_ @ a_ + a_ @ t_, **ps)
             mode = ModeId(FERMION, i, *pt)
-            w = string_factor(cfg, basis, mode)
+            w = string_factor(basis, mode)
             rep(f"eq46a[i={i},{pt}]", t_ @ ad + ad @ t_,
                 diag_operator(q_power(q, w)), **ps)
             rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,

@@ -348,8 +348,7 @@ def resolve_operator(cfg: LatticeConfig, op_id: str) -> sp.csr_matrix:
         if len(parts) != 3 or not parts[2].startswith("m="):
             raise ConfigError(f"bad id {op_id!r}; expected CWH:a:m=<int>")
         try:
-            return cartan_weyl_h(cfg, cached_basis(cfg), int(parts[1]),
-                                 int(parts[2][2:]))
+            return cartan_weyl_h(cached_basis(cfg), int(parts[1]), int(parts[2][2:]))
         except ValueError as exc:
             raise ConfigError(f"bad id {op_id!r}: {exc}") from None
     if head == "CW":
@@ -362,7 +361,7 @@ def resolve_operator(cfg: LatticeConfig, op_id: str) -> sp.csr_matrix:
         try:
             label = RootLabel(_parse_root_token(pos_tok),
                               _parse_root_token(neg_tok), m=int(parts[2][2:]))
-            return cartan_weyl_generators(cfg, cached_basis(cfg), label)
+            return cartan_weyl_generators(cached_basis(cfg), label)
         except ValueError as exc:
             raise ConfigError(f"bad id {op_id!r}: {exc}") from None
     raise ConfigError(f"unknown generator id {op_id!r}")

@@ -530,8 +530,8 @@ def residual_norm(x: sp.spmatrix) -> float:
 # bulk projector
 # ---------------------------------------------------------------------------
 
-def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
-              boson_headroom: int, factor: str | None = None) -> np.ndarray:
+def bulk_mask(basis: FockBasis, boundary_margin: int, boson_headroom: int,
+              factor: str | None = None) -> np.ndarray:
     """Boolean diagonal of the bulk projector, or its fermion or boson factor.
 
     Keeps states whose ``boundary_margin`` outermost sites on every line carry
@@ -542,6 +542,7 @@ def bulk_mask(cfg: LatticeConfig, basis: FockBasis, boundary_margin: int,
     """
     if boundary_margin < 0:
         raise ValueError("boundary_margin must be >= 0")
+    cfg = basis.cfg
     if not 0 <= boson_headroom <= cfg.n_max:
         raise ValueError("boson_headroom must lie in [0, n_max]")
     sites = cfg.sites

@@ -45,7 +45,7 @@ def number_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
     return basis.b_occ[:, basis.boson_slot(mode)].astype(float)
 
 
-def number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+def number_diag(basis: FockBasis, mode: ModeId) -> np.ndarray:
     """The number operator n = c^dag c (fermion) or n' = d^dag d (boson):
     the occupation of ``mode`` on every basis state, as a real vector."""
     return basis.lift(mode.kind, number_factor(basis, mode))
@@ -58,10 +58,10 @@ def normal_order_shift(cfg: LatticeConfig, mode: ModeId) -> int:
     return 0
 
 
-def normal_number_diag(cfg: LatticeConfig, basis: FockBasis, mode: ModeId) -> np.ndarray:
+def normal_number_diag(basis: FockBasis, mode: ModeId) -> np.ndarray:
     """:n:(r), the number shifted by the normal-ordering constant of its
     line, as a real vector."""
-    return number_diag(cfg, basis, mode) + normal_order_shift(cfg, mode)
+    return number_diag(basis, mode) + normal_order_shift(basis.cfg, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,7 @@ class SuiteReports:
         """The states of the bulk spec (margin, headroom) on this basis, or on
         its fermion or boson ``factor``."""
         if (bulk, factor) not in self._masks:
-            self._masks[bulk, factor] = bulk_mask(self.basis.cfg, self.basis,
-                                                  *bulk, factor=factor)
+            self._masks[bulk, factor] = bulk_mask(self.basis, *bulk, factor=factor)
         return self._masks[bulk, factor]
 
     def check(self, relation_id: str, lhs, rhs=None, *,

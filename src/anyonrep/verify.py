@@ -351,12 +351,11 @@ def suite_coproduct(cfg: LatticeConfig,
         space = node_factor(cfg, alpha)
         zero = np.zeros(basis.size(space))
         sites = [(ln, r) for ln in cfg.lines for r in admissible_sites(cfg, alpha)]
-        expos = [eq57_exponent(cfg, basis, alpha, ln, r) for ln, r in sites]
+        expos = [eq57_exponent(basis, alpha, ln, r) for ln, r in sites]
         tails = [q_power(qa, x) for x in expos]
         if alpha:
             left = [ln < cut or (ln == cut and r < 0) for ln, r in sites]
-            h = [_h_local_diag(cfg, basis, alpha, ln, r, corruption)
-                 for ln, r in sites]
+            h = [_h_local_diag(basis, alpha, ln, r, corruption) for ln, r in sites]
             HL = sum((v for v, lf in zip(h, left) if lf), zero)
             HR = sum((v for v, lf in zip(h, left) if not lf), zero)
             halves = [q_power(qa, x - 0.5 * HR if lf else x + 0.5 * HL)
@@ -463,8 +462,8 @@ def suite_central_charge(cfg: LatticeConfig,
         vec = np.zeros(basis.dim)
         r_min, r_max = cfg.sites[0], cfg.sites[-1]
         for line in cfg.lines:
-            vec = vec + number_diag(cfg, basis, ModeId(FERMION, 1, line, r_min))
-            vec = vec + number_diag(cfg, basis, ModeId(BOSON, cfg.N, line, r_max))
+            vec = vec + number_diag(basis, ModeId(FERMION, 1, line, r_min))
+            vec = vec + number_diag(basis, ModeId(BOSON, cfg.N, line, r_max))
         out.check("gamma-boundary", gamma, diag_operator(vec),
                   params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"})
     return out.reports
@@ -492,13 +491,13 @@ def suite_cartan_weyl(cfg: LatticeConfig,
     R = cfg.R
     out = SuiteReports("cartanweyl", cfg.tol, basis)
     # each root's generator is built once per run (RootLabel is hashable)
-    cw = functools.cache(functools.partial(cartan_weyl_generators, cfg, basis))
+    cw = functools.cache(functools.partial(cartan_weyl_generators, basis))
 
     for alpha in range(R + 1):
         lab = ct.simple_root_label(alpha)
         out.check(f"eq6-cw[{alpha}]", cw(lab),
                   gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
-    h0 = {a_: cartan_weyl_h0_diag(cfg, basis, a_) for a_ in range(1, R + 1)}
+    h0 = {a_: cartan_weyl_h0_diag(basis, a_) for a_ in range(1, R + 1)}
     for a_, h in h0.items():
         out.check(f"eq26-h[{a_}]", diag_operator(h), gs.H[a_], params={"a": a_})
 
@@ -524,8 +523,8 @@ def suite_cartan_weyl(cfg: LatticeConfig,
         if m >= cfg.S:
             out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
             continue
-        hm = cartan_weyl_h(cfg, basis, 1, m)
-        hmm = cartan_weyl_h(cfg, basis, 1, -m)
+        hm = cartan_weyl_h(basis, 1, m)
+        hmm = cartan_weyl_h(basis, 1, -m)
         X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
         lam = complex(X.trace() / X.shape[0])
         lambdas[m] = lam

@@ -16,10 +16,10 @@ from anyonrep.fock import (
 )
 
 
-def bulk_projector(cfg, basis, boundary_margin=1, boson_headroom=0):
+def bulk_projector(basis, boundary_margin=1, boson_headroom=0):
     """The bulk projector as a diagonal matrix: the reference the restriction
     of a check's products to its bulk is tested against."""
-    return diag_operator(bulk_mask(cfg, basis, boundary_margin, boson_headroom)
+    return diag_operator(bulk_mask(basis, boundary_margin, boson_headroom)
                          .astype(complex))
 
 
@@ -42,28 +42,28 @@ def full_anyon(cfg, basis, mode, family, dagger=False, corruption=NO_CORRUPTION)
                      anyon_factor(cfg, basis, mode, family, dagger, corruption=corruption))
 
 
-def on_basis(cfg, basis, alpha, x):
+def on_basis(basis, alpha, x):
     """A local piece (an operator) or a tail or Cartan part (a vector) of node
     alpha, which the package forms on the node's factor, on the whole basis."""
-    return basis.lift(node_factor(cfg, alpha), x)
+    return basis.lift(node_factor(basis.cfg, alpha), x)
 
 
 def full_local_e(cfg, basis, alpha, *args):
-    return on_basis(cfg, basis, alpha, local_e(cfg, basis, alpha, *args))
+    return on_basis(basis, alpha, local_e(cfg, basis, alpha, *args))
 
 
-def full_h_local_diag(cfg, basis, alpha, *args):
-    return on_basis(cfg, basis, alpha, _h_local_diag(cfg, basis, alpha, *args))
+def full_h_local_diag(basis, alpha, *args):
+    return on_basis(basis, alpha, _h_local_diag(basis, alpha, *args))
 
 
-def full_eq57_exponent(cfg, basis, alpha, *args):
-    return on_basis(cfg, basis, alpha, eq57_exponent(cfg, basis, alpha, *args))
+def full_eq57_exponent(basis, alpha, *args):
+    return on_basis(basis, alpha, eq57_exponent(basis, alpha, *args))
 
 
-def string_exponent(cfg, basis, mode):
+def string_exponent(basis, mode):
     """sum_t eps(t - r) :n(t): of ``mode`` on the whole basis, the lift of
     its factor vector: the full-dimension string the references read."""
-    return basis.lift(mode.kind, string_factor(cfg, basis, mode))
+    return basis.lift(mode.kind, string_factor(basis, mode))
 
 
 def disorder_factor(cfg, basis, mode, tilde=False, corruption=NO_CORRUPTION):
@@ -76,7 +76,7 @@ def disorder_factor(cfg, basis, mode, tilde=False, corruption=NO_CORRUPTION):
         base = -base
     if tilde:
         base = -base
-    return diag_operator(q_power(cfg.q, base * string_exponent(cfg, basis, mode)))
+    return diag_operator(q_power(cfg.q, base * string_exponent(basis, mode)))
 
 
 @pytest.fixture(scope="session")

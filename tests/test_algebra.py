@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from conftest import (
     full_ladder,
     full_local_e,
 )
-from anyonrep import algebra as alg
+from anyonrep import algebra as alg, anyons, cli, fock, oscillators, report, verify
 from anyonrep.algebra import (
     DELTA,
     EPS,
@@ -153,8 +154,8 @@ def test_h_matches_number_combination(cfg21, basis21):
     gs = chevalley_generators(cfg21, basis21, deformed=False)
     expected = np.zeros(basis21.dim)
     for r in cfg21.sites:
-        expected += normal_number_diag(cfg21, basis21, fermion_mode(1, r))
-        expected -= normal_number_diag(cfg21, basis21, fermion_mode(2, r))
+        expected += normal_number_diag(basis21, fermion_mode(1, r))
+        expected -= normal_number_diag(basis21, fermion_mode(2, r))
     assert residual_norm(gs.H[1] - diag_operator(expected)) == 0.0
 
 
@@ -168,7 +169,7 @@ def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
             h = gs.h(al)
             assert h.dtype == np.float64
             assert h.tobytes() == H.diagonal().real.tobytes()
-            local = sum(full_h_local_diag(cfg22, basis22, al, line, r, Corruption())
+            local = sum(full_h_local_diag(basis22, al, line, r, Corruption())
                         for line in cfg22.lines
                         for r in alg.admissible_sites(cfg22, al))
             assert np.array_equal(local, h)
@@ -225,7 +226,7 @@ def test_string_tail_factorization(cfg21, basis21):
                 E = full_local_e(cfg21, basis21, alpha, s, 1, r, True)
                 ehat = full_local_e(cfg21, basis21, alpha, s, 1, r, False)
                 tail = q_power(q_alpha[alpha],
-                               full_eq57_exponent(cfg21, basis21, alpha, 1, r))
+                               full_eq57_exponent(basis21, alpha, 1, r))
                 assert residual_norm(E - ehat @ diag_operator(tail)) <= cfg21.tol
 
 
@@ -249,7 +250,7 @@ def test_tail_flip_breaks_factorization(cfg22, basis22):
     for r in cfg22.sites:
         E = full_local_e(cfg22, basis22, alpha, "+", 1, r, True)
         ehat = full_local_e(cfg22, basis22, alpha, "+", 1, r, False)
-        tail = q_power(1 / qa, full_eq57_exponent(cfg22, basis22, alpha, 1, r))
+        tail = q_power(1 / qa, full_eq57_exponent(basis22, alpha, 1, r))
         worst = max(worst, residual_norm(E - ehat @ diag_operator(tail)))
     assert worst > 1e-3
 
@@ -261,8 +262,7 @@ def _filtered_tail_exponent(cfg, basis, alpha, line, r, keep):
         for t in cfg.sites:
             eps = site_order_sign(ln, t, line, r)
             if keep(ln, t) and eps:
-                total += eps * full_h_local_diag(cfg, basis, alpha, ln, t,
-                                                 Corruption())
+                total += eps * full_h_local_diag(basis, alpha, ln, t, Corruption())
     return total
 
 
@@ -286,13 +286,13 @@ def test_half_tail_is_full_tail_less_other_half(cfg):
         return not left(ln, t)
 
     for alpha in range(1, cfg.R + 1):
-        H = {side: sum((full_h_local_diag(cfg, basis, alpha, ln, t, Corruption())
+        H = {side: sum((full_h_local_diag(basis, alpha, ln, t, Corruption())
                         for ln in cfg.lines for t in cfg.sites if side(ln, t)),
                        np.zeros(basis.dim))
              for side in (left, right)}
         for ln in cfg.lines:
             for r in cfg.sites:
-                T = 2 * full_eq57_exponent(cfg, basis, alpha, ln, r)
+                T = 2 * full_eq57_exponent(basis, alpha, ln, r)
                 own = left if left(ln, r) else right
                 half = T - H[right] if own is left else T + H[left]
                 ref = _filtered_tail_exponent(cfg, basis, alpha, ln, r, own)
@@ -303,11 +303,11 @@ def test_local_fixed_site_representation(cfg22, basis22):
     """At a single site the hatted generators and the local Cartan pieces
     close into the finite-rank deformed algebra (headroom 1 for the cutoff)."""
     ct = cartan_data(cfg22.M, cfg22.N)
-    head = bulk_projector(cfg22, basis22, 0, 1)
+    head = bulk_projector(basis22, 0, 1)
     r = -0.5
 
     def h_local(alpha):
-        return full_h_local_diag(cfg22, basis22, alpha, 1, r, Corruption())
+        return full_h_local_diag(basis22, alpha, 1, r, Corruption())
 
     def e_hat(alpha, s):
         return full_local_e(cfg22, basis22, alpha, s, 1, r, False)
@@ -349,10 +349,10 @@ def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
     M, N = cfg.M, cfg.N
 
     def nf(flavor, site):
-        return normal_number_diag(cfg, basis, ModeId(FERMION, flavor, line, site))
+        return normal_number_diag(basis, ModeId(FERMION, flavor, line, site))
 
     def nb(flavor, site):
-        return normal_number_diag(cfg, basis, ModeId(BOSON, flavor, line, site))
+        return normal_number_diag(basis, ModeId(BOSON, flavor, line, site))
 
     if 1 <= alpha <= M - 1:
         return nf(alpha, r) - nf(alpha + 1, r)
@@ -427,7 +427,7 @@ def test_node_table_reproduces_per_node_chains(cfg):
             for r in alg.admissible_sites(cfg, alpha):
                 for cor in corruptions[:2]:
                     assert np.array_equal(
-                        full_h_local_diag(cfg, basis, alpha, line, r, cor),
+                        full_h_local_diag(basis, alpha, line, r, cor),
                         _ref_h_local_diag(cfg, basis, alpha, line, r, cor))
                 for s in ("+", "-"):
                     # the q-boson pieces, and at q = 1 the plain pieces
@@ -450,8 +450,8 @@ def test_gamma_boundary_identity(cfg21, basis21):
     from anyonrep.oscillators import number_diag
     gs = chevalley_generators(cfg21, basis21, deformed=True)
     gamma = diag_operator(central_charge_diag(gs))
-    vec = (number_diag(cfg21, basis21, fermion_mode(1, cfg21.sites[0]))
-           + number_diag(cfg21, basis21, boson_mode(cfg21.N, cfg21.sites[-1])))
+    vec = (number_diag(basis21, fermion_mode(1, cfg21.sites[0]))
+           + number_diag(basis21, boson_mode(cfg21.N, cfg21.sites[-1])))
     assert residual_norm(gamma - diag_operator(vec)) <= 1e-12
 
 
@@ -460,7 +460,7 @@ def test_gamma_bulk_eigenvalue(ordering, expected):
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, ordering=ordering)
     basis = build_basis(cfg)
     gs = chevalley_generators(cfg, basis, deformed=True)
-    P = bulk_projector(cfg, basis, 1, 0)
+    P = bulk_projector(basis, 1, 0)
     gamma = diag_operator(central_charge_diag(gs))
     assert residual_norm(gamma @ P - expected * P) <= 1e-12
 
@@ -468,7 +468,7 @@ def test_gamma_bulk_eigenvalue(ordering, expected):
 def test_dropping_affine_constant_shifts_gamma(cfg21, basis21):
     gs = chevalley_generators(cfg21, basis21, deformed=True,
                               corruption=Corruption(drop_h0_delta=True))
-    P = bulk_projector(cfg21, basis21, 1, 0)
+    P = bulk_projector(basis21, 1, 0)
     gamma = diag_operator(central_charge_diag(gs))
     assert residual_norm(gamma @ P - P) > 0.5  # no longer 1 on the bulk
 
@@ -481,33 +481,53 @@ def test_cw_matches_simple_generators(cfg21, basis21):
     gs = chevalley_generators(cfg21, basis21, deformed=False)
     for alpha in range(cfg21.R + 1):
         lab = gs.cartan.simple_root_label(alpha)
-        cw = cartan_weyl_generators(cfg21, basis21, lab)
+        cw = cartan_weyl_generators(basis21, lab)
         assert residual_norm(cw - gs.E[(alpha, "+")]) == 0.0
     for a_ in range(1, cfg21.R + 1):
-        assert residual_norm(cartan_weyl_h(cfg21, basis21, a_, 0) - gs.H[a_]) == 0.0
+        assert residual_norm(cartan_weyl_h(basis21, a_, 0) - gs.H[a_]) == 0.0
 
 
 @pytest.mark.parametrize("qspec", [{"nu": 0.3}, {"q_real": 1.3}])
 def test_cartan_weyl_operators_read_no_q(qspec):
-    """Cartan-Weyl operators are plain-oscillator bilinears: at any q they
-    equal those at q = 1 bit for bit, boson roots and h^m (m != 0) too."""
+    """Cartan-Weyl operators are plain-oscillator bilinears: on a basis built
+    at any q they equal those on the basis built at q = 1 bit for bit, boson
+    roots and h^m (m != 0) too."""
     cfg = LatticeConfig(M=1, N=2, S=2, n_max=2, **qspec)
-    basis = build_basis(cfg)
+    basis, basis1 = build_basis(cfg), build_basis(_q_one(cfg))
     roots = [RootLabel((DELTA, 1), (DELTA, 2), m=m) for m in (-1, 0, 1)]
     roots.append(RootLabel((EPS, 1), (DELTA, 2), m=1))
     for lab in roots:
-        assert _same(cartan_weyl_generators(cfg, basis, lab),
-                     cartan_weyl_generators(_q_one(cfg), basis, lab))
+        assert _same(cartan_weyl_generators(basis, lab),
+                     cartan_weyl_generators(basis1, lab))
     for a_ in range(1, cfg.R + 1):
         for m in (-1, 1):
-            assert _same(cartan_weyl_h(cfg, basis, a_, m),
-                         cartan_weyl_h(_q_one(cfg), basis, a_, m))
+            assert _same(cartan_weyl_h(basis, a_, m), cartan_weyl_h(basis1, a_, m))
+
+
+def test_a_config_beside_the_basis_reads_q():
+    """A basis holds the geometry and the orderings and reads no q, so a
+    function or method takes a config beside it only to read q."""
+    both = set()
+    for mod in (fock, oscillators, anyons, alg, verify, report, cli):
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for meth, fn in members:
+                if not inspect.isfunction(fn) or (meth or "").startswith("__"):
+                    continue
+                types = {t for k, t in fn.__annotations__.items() if k != "return"}
+                types |= {name} if meth else set()
+                if {"LatticeConfig", "FockBasis"} <= types:
+                    both.add(f"{name}.{meth}" if meth else name)
+    assert both == {"ladder", "anyon_factor", "_factor_ops", "local_e",
+                    "chevalley_generators", "FockBasis.memo"}
 
 
 def test_cw_empty_sum_warns(cfg21, basis21):
     lab = RootLabel((EPS, 1), (EPS, 2), m=cfg21.S)
     with pytest.warns(UserWarning, match="empty truncated sum"):
-        op = cartan_weyl_generators(cfg21, basis21, lab)
+        op = cartan_weyl_generators(basis21, lab)
     assert op.nnz == 0
 
 
@@ -515,4 +535,4 @@ def test_cw_label_validation(cfg21, basis21):
     with pytest.raises(ValueError):
         RootLabel((EPS, 1), (EPS, 1))
     with pytest.raises(ValueError):
-        cartan_weyl_generators(cfg21, basis21, RootLabel((EPS, 3), (EPS, 1)))
+        cartan_weyl_generators(basis21, RootLabel((EPS, 3), (EPS, 1)))

@@ -135,7 +135,7 @@ def test_number_identity_exact(cfg21, basis21):
             lo = full_anyon(cfg21, basis21, mode, fam)
             hi = full_anyon(cfg21, basis21, mode, fam, dagger=True)
             assert residual_norm(
-                hi @ lo - diag_operator(number_diag(cfg21, basis21, mode))) == 0.0
+                hi @ lo - diag_operator(number_diag(basis21, mode))) == 0.0
 
 
 def test_braiding_spot_relation(cfg21, basis21):
@@ -150,7 +150,7 @@ def test_same_site_mixed_pair_gives_string_diagonal(cfg21, basis21):
     mode = fermion_mode(1, -0.5)
     t = full_anyon(cfg21, basis21, mode, "a~")
     ad = full_anyon(cfg21, basis21, mode, "a", dagger=True)
-    w = string_exponent(cfg21, basis21, mode)
+    w = string_exponent(basis21, mode)
     rhs = diag_operator(q_power(q, w))
     assert residual_norm(t @ ad + ad @ t - rhs) <= 1e-13
 
@@ -160,8 +160,8 @@ def test_bosonic_same_site_headroom(cfg21, basis21):
     mode = boson_mode(1, 0.5)
     A = full_anyon(cfg21, basis21, mode, "A")
     Ad = full_anyon(cfg21, basis21, mode, "A", dagger=True)
-    nvec = number_diag(cfg21, basis21, mode)
-    head = bulk_projector(cfg21, basis21, 0, 1)
+    nvec = number_diag(basis21, mode)
+    head = bulk_projector(basis21, 0, 1)
     lhs = A @ Ad - q * (Ad @ A) - diag_operator(q_power(q, -nvec))
     assert residual_norm(head @ lhs @ head) <= 1e-10
 

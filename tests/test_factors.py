@@ -205,8 +205,8 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed, corruption):
 def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
     """:n_upper: -+ :n_lower: of node alpha on the whole basis."""
     upper, lower = alg._node_modes(cfg, alpha, line, r)
-    n_up = normal_number_diag(cfg, basis, upper)
-    n_low = normal_number_diag(cfg, basis, lower)
+    n_up = normal_number_diag(basis, upper)
+    n_low = normal_number_diag(basis, lower)
     if alpha not in (0, cfg.M):
         return n_up - n_low
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
@@ -283,19 +283,19 @@ def test_cartan_weyl_operators_equal_their_full_dimension_construction(cfg, monk
     labels = []
     build = verify.cartan_weyl_generators
 
-    def recorded(cfg, basis, label):
+    def recorded(basis, label):
         labels.append(label)
-        return build(cfg, basis, label)
+        return build(basis, label)
 
     monkeypatch.setattr(verify, "cartan_weyl_generators", recorded)
     verify.suite_cartan_weyl(cfg)
     basis = cached_basis(cfg)
     assert {lab.parity for lab in labels} == {0, 1}
     for label in labels:
-        assert_same_arrays(build(cfg, basis, label), _ref_cartan_weyl(cfg, basis, label),
+        assert_same_arrays(build(basis, label), _ref_cartan_weyl(cfg, basis, label),
                            bits=True)
     for m in (1, -1):
-        h = alg.cartan_weyl_h(cfg, basis, 1, m)
+        h = alg.cartan_weyl_h(basis, 1, m)
         assert h.nnz
         assert_same_arrays(h, _ref_cartan_weyl_h(cfg, basis, 1, m), bits=True)
 
@@ -340,7 +340,7 @@ def _oscillator_oracle(cfg):
                    full_ladder(plain, basis, m1, True))
     b, bd = full_ladder(cfg, basis, m1), full_ladder(cfg, basis, m1, True)
     b2, bd2 = full_ladder(cfg, basis, m2), full_ladder(cfg, basis, m2, True)
-    n = number_diag(cfg, basis, m1)
+    n = number_diag(basis, m1)
     return [
         (f"eq20[{f1},{f1}+]", c1 @ cd1 + cd1 @ c1, one, None),
         (f"eq20[{f1},{f2}]", c1 @ c2 + c2 @ c1, None, None),
@@ -379,9 +379,9 @@ def _braiding_oracle(cfg, corruption):
                         A(BOSON, x, "A", True), A(BOSON, y, "A", True))
     Tr, Ts, Tdr, Tds = (A(BOSON, x, "A~"), A(BOSON, y, "A~"),
                         A(BOSON, x, "A~", True), A(BOSON, y, "A~", True))
-    w = string_exponent(cfg, basis, ModeId(FERMION, 1, *x))
-    n = diag_operator(number_diag(cfg, basis, ModeId(FERMION, 1, *x)))
-    nb = number_diag(cfg, basis, ModeId(BOSON, 1, *x))
+    w = string_exponent(basis, ModeId(FERMION, 1, *x))
+    n = diag_operator(number_diag(basis, ModeId(FERMION, 1, *x)))
+    nb = number_diag(basis, ModeId(BOSON, 1, *x))
     pair, at = f"i=1,{x},{y}", f"i=1,{x}"
     bpair, bat = f"k=1,{x},{y}", f"k=1,{x}"
     return [

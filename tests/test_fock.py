@@ -113,7 +113,7 @@ def test_car_all_pairs_exact(cfg21, basis21):
 
 def test_ccr_on_headroom_subspace(cfg21, basis21):
     one = identity_op(basis21)
-    head = bulk_projector(cfg21, basis21, 0, 1)
+    head = bulk_projector(basis21, 0, 1)
     for m1 in basis21.boson_modes:
         d1 = full_ladder(_q_one(cfg21), basis21, m1)
         for m2 in basis21.boson_modes:
@@ -242,7 +242,7 @@ def test_q_bracket_diag_equals_per_state_loop(cfg22, basis22, q):
     from anyonrep.algebra import chevalley_generators
     from anyonrep.oscillators import number_diag
     gs = chevalley_generators(cfg22, basis22, deformed=False)
-    n = number_diag(cfg22, basis22, boson_mode(1, 0.5))
+    n = number_diag(basis22, boson_mode(1, 0.5))
     for h in [gs.h(al) for al in gs.H] + [n + 1]:
         loop = np.array([q_number(x, q) for x in h], dtype=complex)
         assert q_bracket(h, q).tobytes() == loop.tobytes()
@@ -378,18 +378,18 @@ def _bulk_oracle(cfg, basis, margin, headroom):
 
 
 def test_bulk_projector_trivial_case(cfg21, basis21):
-    P = bulk_projector(cfg21, basis21, 0, 0)
+    P = bulk_projector(basis21, 0, 0)
     assert residual_norm(P - identity_op(basis21)) == 0.0
 
 
 def test_bulk_projector_matches_enumeration_oracle(cfg21, basis21):
     for margin, headroom in [(1, 0), (1, 1), (0, 1), (2, 0)]:
         count, flags = _bulk_oracle(cfg21, basis21, margin, headroom)
-        mask = bulk_mask(cfg21, basis21, margin, headroom)
+        mask = bulk_mask(basis21, margin, headroom)
         assert np.array_equal(mask, flags)
         assert mask.sum() == count
     # S=2 with margin 1 pins every site: the sea vacuum alone survives
-    assert bulk_mask(cfg21, basis21, 1, 0).sum() == 1
+    assert bulk_mask(basis21, 1, 0).sum() == 1
 
 
 def test_bulk_rank_s4():
@@ -398,15 +398,15 @@ def test_bulk_rank_s4():
     count, _ = _bulk_oracle(cfg, basis, 1, 0)
     # 4 free fermionic modes and 2 free bosonic modes in the middle
     assert count == 2 ** 4 * 2 ** 2 == 64
-    assert bulk_mask(cfg, basis, 1, 0).sum() == 64
+    assert bulk_mask(basis, 1, 0).sum() == 64
 
 
 def test_sea_and_empty_projectors_differ(cfg21):
     cfg_e = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, ordering="empty")
     b_sea = build_basis(cfg21)
     b_emp = build_basis(cfg_e)
-    m_sea = bulk_mask(cfg21, b_sea, 1, 0)
-    m_emp = bulk_mask(cfg_e, b_emp, 1, 0)
+    m_sea = bulk_mask(b_sea, 1, 0)
+    m_emp = bulk_mask(b_emp, 1, 0)
     assert m_sea.sum() == m_emp.sum() == 1
     assert np.argmax(m_sea) != np.argmax(m_emp)
     assert np.argmax(m_emp) == 0  # the all-empty state sits at index 0
@@ -414,9 +414,9 @@ def test_sea_and_empty_projectors_differ(cfg21):
 
 def test_bulk_projector_validation(cfg21, basis21):
     with pytest.raises(ValueError):
-        bulk_projector(cfg21, basis21, -1, 0)
+        bulk_projector(basis21, -1, 0)
     with pytest.raises(ValueError):
-        bulk_projector(cfg21, basis21, 0, cfg21.n_max + 1)
+        bulk_projector(basis21, 0, cfg21.n_max + 1)
 
 
 def test_vacuum_index_matches_scheme(cfg21, basis21):

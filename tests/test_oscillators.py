@@ -28,38 +28,38 @@ from anyonrep.report import reports_ok
 def test_number_op_matches_definition(cfg21, basis21):
     for mode in basis21.fermion_modes + basis21.boson_modes:
         low = full_ladder(_q_one(cfg21), basis21, mode)
-        n = diag_operator(number_diag(cfg21, basis21, mode))
+        n = diag_operator(number_diag(basis21, mode))
         assert residual_norm(op_adjoint(low) @ low - n) <= 1e-13
 
 
 def test_number_eigenvalue_ranges(cfg21, basis21):
     for mode in basis21.fermion_modes:
-        vals = number_diag(cfg21, basis21, mode)
+        vals = number_diag(basis21, mode)
         assert set(np.unique(vals)) <= {0.0, 1.0}
     for mode in basis21.boson_modes:
-        vals = number_diag(cfg21, basis21, mode)
+        vals = number_diag(basis21, mode)
         assert vals.min() == 0 and vals.max() == cfg21.n_max
 
 
 def test_normal_ordering_constants_on_empty_state(cfg21, basis21):
     # the all-empty Fock state: negative-site fermions read -1, bosons +1
     empty = 0
-    nf = normal_number_diag(cfg21, basis21, fermion_mode(1, -0.5))
-    nb = normal_number_diag(cfg21, basis21, boson_mode(1, -0.5))
+    nf = normal_number_diag(basis21, fermion_mode(1, -0.5))
+    nb = normal_number_diag(basis21, boson_mode(1, -0.5))
     assert nf[empty] == -1.0
     assert nb[empty] == +1.0
     # positive sites and the empty scheme stay bare
-    assert normal_number_diag(cfg21, basis21, fermion_mode(1, 0.5))[empty] == 0
+    assert normal_number_diag(basis21, fermion_mode(1, 0.5))[empty] == 0
     cfg_e = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, ordering="empty")
     be = build_basis(cfg_e)
     for mode in (fermion_mode(1, -0.5), boson_mode(1, -0.5)):
-        assert normal_number_diag(cfg_e, be, mode)[0] == 0
+        assert normal_number_diag(be, mode)[0] == 0
 
 
 def test_normal_ordering_is_constant_shift(cfg21, basis21):
     for mode in basis21.fermion_modes + basis21.boson_modes:
-        shift = (normal_number_diag(cfg21, basis21, mode)
-                 - number_diag(cfg21, basis21, mode))
+        shift = (normal_number_diag(basis21, mode)
+                 - number_diag(basis21, mode))
         assert np.allclose(shift, shift[0])
         assert (shift == shift[0]).all()
 
@@ -137,8 +137,8 @@ def test_q_boson_qcommutator_headroom(cfg21, basis21):
     b = full_ladder(cfg21, basis21, mode)
     bd = op_adjoint(b)
     q = cfg21.q
-    head = bulk_projector(cfg21, basis21, 0, 1)
-    rhs = diag_operator(q_power(q, -number_diag(cfg21, basis21, mode)))
+    head = bulk_projector(basis21, 0, 1)
+    rhs = diag_operator(q_power(q, -number_diag(basis21, mode)))
     lhs = b @ bd - q * (bd @ b)
     assert residual_norm(head @ (lhs - rhs) @ head) <= cfg21.tol
 
@@ -151,8 +151,8 @@ def test_q_boson_real_q():
     mode = basis.boson_modes[0]
     b = full_ladder(cfg, basis, mode)
     bd = op_adjoint(b)
-    head = bulk_projector(cfg, basis, 0, 1)
-    rhs = diag_operator(q_power(cfg.q, number_diag(cfg, basis, mode)))
+    head = bulk_projector(basis, 0, 1)
+    rhs = diag_operator(q_power(cfg.q, number_diag(basis, mode)))
     lhs = b @ bd - (bd @ b) / cfg.q
     assert residual_norm(head @ (lhs - rhs) @ head) <= cfg.tol
 

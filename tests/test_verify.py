@@ -83,7 +83,7 @@ def test_eq7c_against_dense_oracle(cfg21):
     q = cfg21.q
     lhs = Ep @ Em - Em @ Ep  # both grades even
     rhs = np.diag([(q ** h - q ** -h) / (q - 1 / q) for h in np.diag(H).real])
-    P = bulk_projector(cfg21, basis, 1, 1).toarray()
+    P = bulk_projector(basis, 1, 1).toarray()
     dense_res = np.abs(P @ (lhs - rhs) @ P).max()
     assert dense_res <= 1e-10
     out = SuiteReports("quantum", cfg21.tol, basis)
@@ -122,7 +122,7 @@ def test_bulk_spec_equals_projector_sandwich():
     out = SuiteReports("quantum", cfg.tol, basis)
     reference = []
     for bulk in [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]:
-        P = bulk_projector(cfg, basis, *bulk)
+        P = bulk_projector(basis, *bulk)
         for side in ("both", "right"):
             for lhs, rhs in operators:
                 full = restrict(lhs)
@@ -226,7 +226,7 @@ def test_not_applicable_reports_are_satisfied():
 def test_ad_q_matches_hopf_oracle(cfg22):
     gs = cached_generators(cfg22, True)
     ct = gs.cartan
-    P1 = bulk_projector(cfg22, gs.basis, 1, 1)
+    P1 = bulk_projector(gs.basis, 1, 1)
     for al in range(cfg22.R + 1):
         for be in range(cfg22.R + 1):
             if al == be:
@@ -245,7 +245,7 @@ def test_ad_q_on_itself_at_isotropic_nodes(cfg22):
     """At an isotropic node the adjoint of a generator on itself is the plain
     anticommutator (the weight factor is q^0), and the oracle agrees."""
     gs = cached_generators(cfg22, True)
-    P1 = bulk_projector(cfg22, gs.basis, 1, 1)
+    P1 = bulk_projector(gs.basis, 1, 1)
     for al in (0, cfg22.M):
         Y = gs.script_e(al, "+")
         out = ad_q(gs, al, Y, gs.cartan.a[al][al], 1)
@@ -468,9 +468,9 @@ def test_suite_cartan_weyl_builds_each_generator_once(monkeypatch):
     calls = []
     build = verify.cartan_weyl_generators
 
-    def counted(cfg, basis, label):
+    def counted(basis, label):
         calls.append(label)
-        return build(cfg, basis, label)
+        return build(basis, label)
 
     monkeypatch.setattr(verify, "cartan_weyl_generators", counted)
     assert reports_ok(suite_cartan_weyl(LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)))
@@ -492,8 +492,8 @@ def test_cocycle_pivot_equals_dense_argmax():
     basis = cached_basis(cfg)
     ct = cartan_data(cfg.M, cfg.N)
     r1, r2 = ct.simple_root_label(cfg.R), ct.simple_root_label(0)
-    P = bulk_projector(cfg, basis, 1, 1)
-    Z = (P @ cartan_weyl_generators(cfg, basis, compose_roots(r1, r2)) @ P).tocsr()
+    P = bulk_projector(basis, 1, 1)
+    Z = (P @ cartan_weyl_generators(basis, compose_roots(r1, r2)) @ P).tocsr()
     assert Z.nnz
     dense = np.abs(Z.toarray())
     assert _largest_entry(Z) == np.unravel_index(np.argmax(dense), dense.shape)
@@ -627,7 +627,7 @@ def test_pass_status_invariant_under_unit_rescaling(theta):
     ct = gs.cartan
     u = np.exp(1j * np.pi * theta)
     basis = gs.basis
-    P = bulk_projector(cfg, basis, 1, 1)
+    P = bulk_projector(basis, 1, 1)
     for al in range(cfg.R + 1):
         Ep = u * gs.E[(al, "+")]
         Em = gs.E[(al, "-")] / u
