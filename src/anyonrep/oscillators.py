@@ -28,7 +28,6 @@ from .fock import (
     diag_operator,
     identity_op,
     ladder,
-    op_adjoint,
     q_bracket,
     q_power,
     scale_columns,
@@ -87,8 +86,9 @@ def suite_oscillators(cfg: LatticeConfig,
     cs = {m: ladder(cfg, basis, m) for m in basis.fermion_modes}
     ds = {m: ladder(_q_one(cfg), basis, m) for m in basis.boson_modes}
     bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}
-    dag = {m: op_adjoint(x) for ops in (cs, ds) for m, x in ops.items()}
-    bds = {m: op_adjoint(b) for m, b in bs.items()}
+    # the creators, which fock.ladder builds once per config with the ladders
+    dag = {m: ladder(_q_one(cfg) if m in ds else cfg, basis, m, True) for m in cs | ds}
+    bds = {m: ladder(cfg, basis, m, True) for m in bs}
     ns = {m: number_factor(basis, m) for m in basis.boson_modes}
 
     on_f = functools.partial(out.check, factor=FERMION)
