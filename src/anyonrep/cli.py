@@ -436,8 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp_.add_argument("--lines", type=int, help="number of lines")
         sp_.add_argument("--nmax", type=int, help="boson cutoff")
         sp_.add_argument("--ordering", help='"sea", "empty", or comma list per line')
-        sp_.add_argument("--nu", type=float, help="statistics parameter, q = exp(i pi nu)")
-        sp_.add_argument("--q-real", dest="q_real", type=float, help="positive real q")
+        q = sp_.add_mutually_exclusive_group()  # a config takes one q
+        q.add_argument("--nu", type=float, help="statistics parameter, q = exp(i pi nu)")
+        q.add_argument("--q-real", dest="q_real", type=float, help="positive real q")
         sp_.add_argument("--tol", type=float, help="verification tolerance")
         sp_.add_argument("--dim-cap", dest="dim_cap", type=int,
                          help=f"basis dimension cap (default {LatticeConfig.dim_cap})")

@@ -61,6 +61,33 @@ def test_verify_exit_codes(capsys):
     assert ">= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_nu_and_q_real_are_exclusive(outdir, capsys, command):
+    """A config takes one q: --nu and --q-real together are a usage error
+    (exit 2) that names both flags, on verify and on export alike."""
+    out = outdir / "out"
+    args = (["verify", "--suites", "central", "--report", str(out)] if command == "verify"
+            else ["export", "H:1", "-o", str(out)])
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--nu", "0.3", "--q-real", "1.3", "--quiet"])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "--nu" in err and "--q-real" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,q", [(["--nu", "0.3"], {"nu": 0.3, "q_real": None}),
+                                    (["--q-real", "1.3"], {"nu": None, "q_real": 1.3})])
+def test_a_q_flag_overrides_the_config_file_q(outdir, flag, q):
+    cfgfile, report = outdir / "cfg.json", outdir / "r.json"
+    other = {"real": 1.3} if "--nu" in flag else {"nu": 0.3}
+    cfgfile.write_text(json.dumps({"q": other, "suites": "central"}))
+    assert main(["verify", "--config", str(cfgfile), *flag, "--report", str(report),
+                 "--quiet"]) == EXIT_OK
+    lattice = json.loads(report.read_text())["config"]
+    assert {k: lattice[k] for k in q} == q
+
+
 def test_verify_negative_control_fails():
     rc = main(["verify", "--suites", "coproduct", "--negative-control",
                "qalpha", "--quiet"])
