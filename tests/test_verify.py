@@ -589,6 +589,36 @@ def test_truncation_robustness_larger_lattice():
         assert reports_ok(reports), suite
 
 
+def _eq7c_observed_form(cfg):
+    """|1 - q^-1| max_{1 <= k <= S/2 - 1} |[k]_q|, 0 at S = 2."""
+    q = cfg.q
+    return abs(1 - 1 / q) * max((abs(fock.q_number(k, q)) for k in range(1, cfg.S // 2)),
+                                default=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(M=2, N=1, S=2, n_max=2, nu=0.3),
+    dict(M=2, N=1, S=2, n_max=2, nu=0.3, K=2),
+    dict(M=2, N=1, S=4, n_max=1, nu=0.1),
+    dict(M=2, N=1, S=4, n_max=2, nu=0.2),
+    dict(M=2, N=1, S=4, n_max=1, nu=0.7),
+    dict(M=1, N=2, S=4, n_max=1, nu=0.3),
+    dict(M=2, N=1, S=4, n_max=1, q_real=1.3),
+    dict(M=2, N=1, S=4, n_max=1, q_real=0.7),
+    dict(M=2, N=1, S=6, n_max=1, nu=0.2),
+    dict(M=1, N=2, S=6, n_max=1, nu=0.85),
+], ids=lambda spec: "-".join(f"{k}{v}" for k, v in spec.items()))
+def test_eq7c_affine_pairing_residual_observed_form(spec):
+    """Under the sea ordering the eq7c[0,0] residual is |1 - q^-1| times the
+    largest |[k]_q| for 1 <= k <= S/2 - 1: an observed form, not a derived
+    one.  At S = 4 it is |1 - q^-1| for real q too; at S = 6 real q departs
+    from it below q = 1 (README, known truncation limits)."""
+    cfg = LatticeConfig(dim_cap=300_000, **spec)
+    (r,) = [r for r in suite_quantum(cfg) if r.relation_id == "eq7c[0,0]"]
+    assert r.residual == pytest.approx(_eq7c_observed_form(cfg), abs=1e-12)
+    assert r.satisfied == (cfg.S == 2)
+
+
 # ---------------------------------------------------------------------------
 # sensitivity and determinism
 # ---------------------------------------------------------------------------
