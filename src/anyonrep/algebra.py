@@ -15,8 +15,9 @@ and ``E``, and keeps no local pieces: the coproduct suite builds the pieces it
 checks one at a time.  Every oscillator is a ladder or an anyon on its factor
 of the basis index (``fock.ladder``, ``anyons.anyon_factor``); the plain set
 and the Cartan-Weyl operators take them at q = 1, where the q-boson is the
-plain boson.  Every generator is one bilinear sum (``_bilinear_sum``): a sum
-whose pieces act on one factor (an even node, a root of two fermion or two
+plain boson, and what reads no q (``H``, the Cartan-Weyl operators) is built
+once per basis.  Every generator is one bilinear sum (``_bilinear_sum``): a
+sum whose pieces act on one factor (an even node, a root of two fermion or two
 boson modes) is formed there and lifted once, and a mixed piece is the
 tensor product X (x) Y of its two factors (``FockBasis.kron``).
 """
@@ -40,7 +41,6 @@ from .fock import (
     LatticeConfig,
     ModeId,
     NO_CORRUPTION,
-    _q_one,
     cached_basis,
     diag_operator,
     ladder,
@@ -307,7 +307,7 @@ class GeneratorSet:
     E: dict
 
     def q_alpha(self, alpha: int) -> complex:
-        return self.cartan.q_alpha(self.cfg.q, self.corruption)[alpha]
+        return self._q_alpha[alpha]
 
     def grade(self, alpha: int) -> int:
         return self.cartan.parity[alpha]
@@ -328,6 +328,7 @@ class GeneratorSet:
         return self._script[key]
 
     def __post_init__(self):
+        self._q_alpha = self.cartan.q_alpha(self.cfg.q, self.corruption)
         self._script = {}
 
 
@@ -335,19 +336,23 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
                          deformed: bool = True,
                          corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
     """Build H_alpha and E_alpha^+- as sums of local pieces over all lines.
-    The plain set (not ``deformed``) is the q-boson set at q = 1."""
+    The plain set (not ``deformed``) is the q-boson set at ``basis.cfg``
+    (q = 1).  H_alpha reads no q: it is built once per basis and corruption."""
     if not deformed:
-        cfg = _q_one(cfg)
+        cfg = basis.cfg
     cartan = cartan_data(cfg.M, cfg.N)
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
         # each sum is formed on the node's factor and lifted once
         space = node_factor(cfg, alpha)
         sites = [(line, r) for line in cfg.lines for r in admissible_sites(cfg, alpha)]
-        hd = np.zeros(basis.size(space))
-        for line, r in sites:
-            hd += _h_local_diag(basis, alpha, line, r, corruption)
-        H[alpha] = diag_operator(basis.lift(space, hd))
+
+        def cartan_h():
+            hd = np.zeros(basis.size(space))
+            for line, r in sites:
+                hd += _h_local_diag(basis, alpha, line, r, corruption)
+            return diag_operator(basis.lift(space, hd))
+        H[alpha] = basis.memo(basis.cfg, ("H", alpha, corruption), cartan_h)
         for sign in ("+", "-"):
             E[(alpha, sign)] = _bilinear_sum(
                 basis, [(1, *_node_modes(cfg, alpha, line, r, sign)) for line, r in sites],
@@ -358,8 +363,8 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
 def cached_generators(cfg: LatticeConfig, deformed: bool,
                       corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
     """The generator set of ``cfg``, built once per process.  The plain set
-    reads no q: it is built at q = 1 and shared by every q."""
-    return _cached_set(cfg if deformed else _q_one(cfg), deformed, corruption)
+    reads no q: it is built at the basis's config (q = 1) and shared by every q."""
+    return _cached_set(cfg if deformed else cached_basis(cfg).cfg, deformed, corruption)
 
 
 # the plain set and the deformed set asked for last: a run reads one q at a
@@ -409,8 +414,8 @@ def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
 
 def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:
     """e_root^m = sum_r (pos mode)^dag(r) (neg mode)(r+m), truncated, over
-    plain oscillators: it reads no q."""
-    cfg = _q_one(basis.cfg)
+    plain oscillators: it reads no q and is built once per basis."""
+    cfg = basis.cfg
     for kind, idx in (label.pos, label.neg):
         hi = cfg.M if kind == EPS else cfg.N
         if not 1 <= idx <= hi:
@@ -419,7 +424,8 @@ def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:
              for line in cfg.lines for r in cfg.sites if r + label.m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for {label}; returning zero operator")
-    return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
+    return basis.memo(cfg, ("e", label),
+                      lambda: _bilinear_sum(basis, terms, partial(ladder, cfg, basis)))
 
 
 def cartan_weyl_h0_diag(basis: FockBasis, a: int) -> np.ndarray:
@@ -432,17 +438,18 @@ def cartan_weyl_h0_diag(basis: FockBasis, a: int) -> np.ndarray:
 
 def cartan_weyl_h(basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
     """h_a^m = sum_r of the h_a bilinears (r, r+m), truncated, over plain
-    oscillators (it reads no q); the diagonal :func:`cartan_weyl_h0_diag` at
-    m = 0."""
+    oscillators: it reads no q and is built once per basis; at m = 0 it is
+    the diagonal :func:`cartan_weyl_h0_diag`."""
     if m == 0:
         return diag_operator(cartan_weyl_h0_diag(basis, a))
-    cfg = _q_one(basis.cfg)
+    cfg = basis.cfg
     terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))
              for (kind, flavor), w in h_coefficients(cfg.M, cfg.N, a).items()
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for h_{a}^{m}; returning zero operator")
-    return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
+    return basis.memo(cfg, ("h", a, m),
+                      lambda: _bilinear_sum(basis, terms, partial(ladder, cfg, basis)))
 
 
 def compose_roots(a: RootLabel, b: RootLabel) -> RootLabel | None:

@@ -10,13 +10,15 @@ Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
 the state index f * NB + b: they are built on it once per config
 (:func:`ladder`, :meth:`FockBasis.memo`), sums of their products are formed
 there, and :meth:`FockBasis.kron` alone places them on the whole basis as
-X (x) 1, 1 (x) Y or X (x) Y.  Fermionic operators carry Jordan-Wigner sign
-strings over all fermionic modes preceding the target in a fixed global
-order (line, then site ascending, then flavor ascending), so the canonical
-anticommutation relations hold exactly for every mode pair.  There is one
-boson ladder, the q-boson b|n> = sqrt([n]_q) |n-1>; the plain boson is the
-same ladder at q = 1, where [n]_1 = n.  Operators and bases are immutable by
-convention once built; nothing in this package mutates a returned matrix.
+X (x) 1, 1 (x) Y or X (x) Y.  A basis reads no q: ``FockBasis.cfg`` is its
+config at q = 1, and what reads no q is built once per basis, under it.
+Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
+preceding the target in a fixed global order (line, then site ascending, then
+flavor ascending), so the canonical anticommutation relations hold exactly for
+every mode pair.  There is one boson ladder, the q-boson b|n> = sqrt([n]_q)
+|n-1>; the plain boson is the same ladder at q = 1, where [n]_1 = n.
+Operators and bases are immutable by convention once built; nothing in this
+package mutates a returned matrix.
 
 An operator diagonal in the occupation basis (a number, a string, q^{H/2},
 [H]_q) is a vector over the basis.  It acts on a sparse operator through
@@ -281,7 +283,7 @@ class FockBasis:
             raise InstanceTooLargeError(
                 f"instance too large: dimension {dim} exceeds cap {cfg.dim_cap}"
             )
-        self.cfg = cfg
+        self.cfg = _q_one(cfg)
         order = [
             (line, site, flavor)
             for line in cfg.lines
@@ -380,13 +382,13 @@ class FockBasis:
         return out
 
     def memo(self, cfg: LatticeConfig, key, build):
-        """``build()`` once per config and key, for the operators of this
-        basis.  The operators of the two configs asked for last are kept, as a
-        run reads one q besides q = 1 (a bound like the generator sets')."""
-        ops = self._memo.pop(cfg, {})
-        self._memo[cfg] = ops
-        if len(self._memo) > 2:
-            del self._memo[next(iter(self._memo))]
+        """``build()`` once per config and key.  The operators of ``self.cfg``
+        (q = 1; all that read no q) live as long as the basis, and of the other
+        configs only those of the last one asked for are kept."""
+        ops = self._memo.get(cfg)
+        if ops is None:
+            self._memo = {c: v for c, v in self._memo.items() if c == self.cfg}
+            ops = self._memo[cfg] = {}
         if key not in ops:
             ops[key] = build()
         return ops[key]
@@ -467,14 +469,14 @@ def scale_columns(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
 def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
            dagger: bool = False) -> sp.csr_matrix:
     """The annihilator of ``mode`` on its factor of the basis index, or its
-    adjoint, the creator; built once per config (:meth:`FockBasis.memo`).
+    adjoint, the creator; built once per config, a fermion's once per basis.
 
     A fermion's c carries the Jordan-Wigner string over all fermionic slots
     preceding the mode in the global order.  The one boson ladder is the
     q-boson b|n> = sqrt([n]_q) |n-1>, hard cutoff at n_max; the plain boson
-    d|n> = sqrt(n) |n-1> is this ladder at ``_q_one(cfg)``, since [n]_1 = n.
-    Config validation guarantees [n]_q > 0 up to the cutoff, so the root is
-    real.
+    d|n> = sqrt(n) |n-1> is this ladder at ``basis.cfg`` (q = 1), since
+    [n]_1 = n.  Config validation guarantees [n]_q > 0 up to the cutoff, so
+    the root is real.
     """
     def build():
         if dagger:
@@ -490,7 +492,7 @@ def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
         amplitude = np.sqrt([q_number(n, cfg.q).real for n in range(cfg.n_max + 1)])
         return sp.csr_matrix((amplitude.astype(complex)[occ[src]],
                               (src - (cfg.n_max + 1) ** j, src)), shape=(basis.NB, basis.NB))
-    return basis.memo(cfg, (mode, dagger), build)
+    return basis.memo(basis.cfg if mode.kind == FERMION else cfg, (mode, dagger), build)
 
 
 # ---------------------------------------------------------------------------

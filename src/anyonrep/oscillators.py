@@ -23,7 +23,6 @@ from .fock import (
     ModeId,
     NO_CORRUPTION,
     Corruption,
-    _q_one,
     cached_basis,
     diag_operator,
     identity_op,
@@ -84,10 +83,10 @@ def suite_oscillators(cfg: LatticeConfig,
     out = SuiteReports("oscillators", cfg.tol, basis)
 
     cs = {m: ladder(cfg, basis, m) for m in basis.fermion_modes}
-    ds = {m: ladder(_q_one(cfg), basis, m) for m in basis.boson_modes}
+    ds = {m: ladder(basis.cfg, basis, m) for m in basis.boson_modes}
     bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}
     # the creators, which fock.ladder builds once per config with the ladders
-    dag = {m: ladder(_q_one(cfg) if m in ds else cfg, basis, m, True) for m in cs | ds}
+    dag = {m: ladder(basis.cfg, basis, m, True) for m in cs | ds}
     bds = {m: ladder(cfg, basis, m, True) for m in bs}
     ns = {m: number_factor(basis, m) for m in basis.boson_modes}
 

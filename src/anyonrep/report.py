@@ -16,7 +16,7 @@ multiplied (:func:`restrict`), with the residual of the full products.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +56,7 @@ class RelationReport:
         return self.status not in ("UNEXPECTED-PASS", "FAIL")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # a shallow copy: ``params`` is not copied
 
     def summary_line(self) -> str:
         return (f"{self.relation_id:<34} {self.equation:<12} "

@@ -7,6 +7,7 @@ from anyonrep.fock import (
     BOSON,
     FERMION,
     NO_CORRUPTION,
+    FockBasis,
     LatticeConfig,
     build_basis,
     bulk_mask,
@@ -77,6 +78,20 @@ def disorder_factor(cfg, basis, mode, tilde=False, corruption=NO_CORRUPTION):
     if tilde:
         base = -base
     return diag_operator(q_power(cfg.q, base * string_exponent(basis, mode)))
+
+
+@pytest.fixture
+def memo_builds(monkeypatch):
+    """The (config, key) of every operator ``FockBasis.memo`` builds while
+    the test runs, in order."""
+    builds = []
+    memo = FockBasis.memo
+
+    def counted(self, cfg, key, build):
+        return memo(self, cfg, key, lambda: builds.append((cfg, key)) or build())
+
+    monkeypatch.setattr(FockBasis, "memo", counted)
+    return builds
 
 
 @pytest.fixture(scope="session")

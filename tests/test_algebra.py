@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,13 @@ from conftest import (
     full_ladder,
     full_local_e,
 )
+import anyonrep
 from anyonrep import algebra as alg, anyons, cli, fock, oscillators, report, verify
 from anyonrep.algebra import (
     DELTA,
     EPS,
     RootLabel,
-    _q_one,
+    cached_basis,
     cached_generators,
     cartan_data,
     cartan_weyl_generators,
@@ -37,6 +39,7 @@ from anyonrep.fock import (
     Corruption,
     LatticeConfig,
     ModeId,
+    _q_one,
     boson_mode,
     build_basis,
     diag_operator,
@@ -184,6 +187,30 @@ def test_deformed_equals_undeformed_at_q_one():
         assert residual_norm(g_def.H[al] - g_und.H[al]) <= 1e-12
     for key in g_def.E:
         assert residual_norm(g_def.E[key] - g_und.E[key]) <= 1e-12
+
+
+def test_generator_sets_share_one_cartan_generator():
+    """H_alpha reads no q: the plain set, the deformed set and a deformed set
+    near q = 1 on the cached basis hold one H_alpha object per corruption."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3)
+    basis = cached_basis(cfg)
+    plain = cached_generators(cfg, False)
+    sets = [cached_generators(cfg, True),
+            chevalley_generators(replace(basis.cfg, q_real=1 + 1e-6), basis)]
+    for alpha in plain.H:
+        assert all(gs.H[alpha] is plain.H[alpha] for gs in sets)
+    h0delta = chevalley_generators(cfg, basis, corruption=Corruption(drop_h0_delta=True))
+    assert h0delta.H[0] is not plain.H[0] and residual_norm(h0delta.H[0] - plain.H[0]) > 0
+
+
+def test_q_alpha_is_read_once_per_set(cfg21, basis21, monkeypatch):
+    """A set computes its q_alpha tuple once; each lookup reads it."""
+    for corruption in (Corruption(), Corruption(flip_q_alpha=True)):
+        gs = chevalley_generators(cfg21, basis21, corruption=corruption)
+        expected = gs.cartan.q_alpha(cfg21.q, corruption)
+        monkeypatch.setattr(alg.CartanData, "q_alpha", None)
+        assert tuple(gs.q_alpha(al) for al in range(cfg21.R + 1)) == expected
+        monkeypatch.undo()
 
 
 def test_local_piece_matches_anyon_product(cfg21, basis21):
@@ -522,6 +549,14 @@ def test_a_config_beside_the_basis_reads_q():
                     both.add(f"{name}.{meth}" if meth else name)
     assert both == {"ladder", "anyon_factor", "_factor_ops", "local_e",
                     "chevalley_generators", "FockBasis.memo"}
+
+
+def test_only_the_basis_converts_a_config_to_q_one():
+    """A basis holds its config at q = 1, so no module but fock converts a
+    config to q = 1, and verify keeps no cache of its own."""
+    for mod in (anyonrep, oscillators, anyons, alg, verify, report, cli):
+        assert "_q_one" not in inspect.getsource(mod), mod.__name__
+    assert not re.search(r"\bcache\b|lru_cache", inspect.getsource(verify))
 
 
 def test_cw_empty_sum_warns(cfg21, basis21):

@@ -12,6 +12,8 @@ from the lifted operands has the suite's residual, bit for bit.  The
 full-dimension evaluation of these suites lives here, as their oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -28,6 +30,7 @@ from anyonrep.fock import (
     Corruption,
     LatticeConfig,
     ModeId,
+    _cached_basis,
     _q_one,
     build_basis,
     cached_basis,
@@ -162,7 +165,8 @@ def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
 
 def test_factor_operators_are_built_once_per_config():
     """A ladder or an anyon is built once per config and key, the corruption
-    part of it, and only the configs of the last two q asked for are kept."""
+    part of it.  The operators of the basis's config (q = 1) are kept as long
+    as the basis, and of the other configs only the one asked for last."""
     cfg = STACKS[0]
     basis = build_basis(cfg)
     mode = basis.boson_modes[0]
@@ -180,6 +184,38 @@ def test_factor_operators_are_built_once_per_config():
     assert len(basis._memo) == 2 and cfg not in basis._memo
     assert ladder(cfg, basis, mode) is not b  # rebuilt, equal
     assert abs(ladder(cfg, basis, mode) - b).max() == 0
+    ladder(LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.3), basis, mode)
+    assert ladder(_q_one(cfg), basis, mode) is plain  # two other configs later
+    assert len(basis._memo) == 2
+
+
+def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
+    """Runs at nu 0.3, nu 0.2 and q_real 1.3 on one basis build each fermion
+    ladder, each H_alpha (per corruption) and each Cartan-Weyl operator once,
+    under the basis's config."""
+    _cached_basis.cache_clear()
+    alg._cached_set.cache_clear()
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3)
+    for at in (cfg, replace(cfg, nu=0.2), replace(cfg, nu=None, q_real=1.3)):
+        verify.run_suites(at)
+    h0delta = Corruption(drop_h0_delta=True)
+    verify.run_suites(cfg, ["quantum"], h0delta)
+    basis = cached_basis(cfg)
+
+    def reads_no_q(key):
+        if isinstance(key[0], ModeId):  # a ladder (mode, dagger) or an anyon
+            return len(key) == 2 and key[0].kind == FERMION
+        return key[0] in ("H", "e", "h")
+
+    q_free = [(at, key) for at, key in memo_builds if reads_no_q(key)]
+    assert {at for at, _ in q_free} == {basis.cfg}
+    keys = [key for _, key in q_free]
+    assert len(keys) == len(set(keys))
+    assert {k for k in keys if k[0] == "H"} == {
+        ("H", alpha, c) for alpha in range(cfg.R + 1) for c in (NO_CORRUPTION, h0delta)}
+    assert {k for k in keys if isinstance(k[0], ModeId)} == {
+        (m, d) for m in basis.fermion_modes for d in (False, True)}
+    assert any(k[0] == "e" for k in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,13 @@ def test_q_bracket_positivity_enforced():
         LatticeConfig(M=2, N=1, S=2, n_max=4, nu=0.3)
 
 
+@pytest.mark.parametrize("qspec", [{"nu": 0.3}, {"q_real": 1.3}])
+def test_a_basis_holds_its_config_at_q_one(qspec):
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, **qspec)
+    basis = build_basis(cfg)
+    assert basis.cfg == _q_one(cfg) and basis.cfg.q == 1
+
+
 def test_dimension_cap():
     cfg = LatticeConfig(M=2, N=1, S=10, nu=0.3)
     with pytest.raises(InstanceTooLargeError, match="instance too large"):

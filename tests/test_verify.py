@@ -462,19 +462,28 @@ def test_suite_cartan_weyl():
     assert cocycle and all(r.satisfied for r in cocycle)
 
 
-def test_suite_cartan_weyl_builds_each_generator_once(monkeypatch):
+def test_suite_cartan_weyl_builds_each_generator_once(memo_builds):
     """eq6-cw, eq1b at m = 0 and the cocycle chains share root labels; each
-    label's generator is built once per run."""
-    calls = []
-    build = verify.cartan_weyl_generators
+    label's generator is built once per basis, whatever q the run reads."""
+    _cached_basis.cache_clear()
+    _cached_set.cache_clear()
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    for nu in (0.3, 0.2):
+        run_suites(dataclasses.replace(cfg, nu=nu))
+    labels = [key for _, key in memo_builds if key[0] == "e"]
+    assert labels and len(labels) == len(set(labels))
 
-    def counted(basis, label):
-        calls.append(label)
-        return build(basis, label)
 
-    monkeypatch.setattr(verify, "cartan_weyl_generators", counted)
-    assert reports_ok(suite_cartan_weyl(LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)))
-    assert calls and len(calls) == len(set(calls))
+def test_classical_keeps_the_operators_that_read_no_q(memo_builds):
+    """suite_classical_limit builds sets at and near q = 1 on the shared basis;
+    the operators of the basis's config outlive them, so suite_cartan_weyl
+    builds nothing after it."""
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    suite_cartan_weyl(cfg)
+    suite_classical_limit(cfg)
+    memo_builds.clear()
+    assert reports_ok(suite_cartan_weyl(cfg))
+    assert memo_builds == []
 
 
 def test_cocycle_projector_label_names_headroom():
@@ -708,6 +717,16 @@ def test_serre_projector_label_names_the_headroom_at_nmax_one():
                 and r.applicable and not r.relation_id.startswith("eq9-alphaM-img")]
     assert {r.relation_id[:3] for r in labelled} == {"eq3", "eq4", "eq8", "eq9"}
     assert {r.projector for r in labelled} == {"margin=2,headroom=1"}
+
+
+def test_report_dict_is_a_copy_of_its_fields():
+    """to_dict copies the fields without the deep copy of dataclasses.asdict,
+    and equals it for every report of a full run."""
+    cfg = LatticeConfig(M=2, N=1, S=2, K=2, n_max=2, ordering=("sea", "empty"), nu=0.3)
+    reports = [r for reps in run_suites(cfg).values() for r in reps]
+    assert len(reports) == 652
+    for r in reports:
+        assert r.to_dict() == dataclasses.asdict(r)
 
 
 def test_reports_are_json_serializable(cfg21):
