@@ -9,7 +9,6 @@ from .fock import (
     SEA,
     ConfigError,
     Corruption,
-    EmptyBulkError,
     FockBasis,
     InstanceTooLargeError,
     LatticeConfig,
@@ -31,7 +30,6 @@ __all__ = [
     "SEA",
     "ConfigError",
     "Corruption",
-    "EmptyBulkError",
     "FockBasis",
     "InstanceTooLargeError",
     "LatticeConfig",

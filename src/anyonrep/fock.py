@@ -53,10 +53,6 @@ class InstanceTooLargeError(RuntimeError):
     """Basis dimension exceeds the configured cap."""
 
 
-class EmptyBulkError(RuntimeError):
-    """Bulk projector selects no states."""
-
-
 # ---------------------------------------------------------------------------
 # deformation parameter helpers
 # ---------------------------------------------------------------------------
@@ -161,6 +157,8 @@ class LatticeConfig:
             raise ConfigError("q_real must be positive")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.dim_cap < 1:
+            raise ConfigError("dim_cap must be >= 1")
         q = self.q
         for n in range(1, self.n_max + 1):
             val = q_number(n, q)
@@ -508,17 +506,18 @@ def op_adjoint(x: sp.spmatrix) -> sp.csr_matrix:
     return x.conjugate().transpose().tocsr()
 
 
-def supercommutator(x: sp.spmatrix, y: sp.spmatrix, grade_x: int, grade_y: int) -> list:
-    """X Y - (-1)^(gx*gy) Y X as its two products (see ``report.restrict``)."""
-    _check_shapes(x, y)
-    sign = -1.0 if (grade_x * grade_y) % 2 else 1.0
-    return [(1, x, y), (-sign, y, x)]
+def commutator(x, y, c: complex = 1.0) -> list:
+    """X Y - c Y X as products (see ``report.restrict``), each operand a
+    matrix or a list of products (a, X1, ..., Xn), multiplied out term by term."""
+    x, y = ([(1, t)] if sp.issparse(t) else t for t in (x, y))
+    _check_shapes(x[0][1], y[0][1])
+    return ([(a * b, *u, *v) for a, *u in x for b, *v in y]
+            + [(-c * b * a, *v, *u) for a, *u in x for b, *v in y])
 
 
-def q_commutator(x: sp.spmatrix, y: sp.spmatrix, q: complex) -> sp.csr_matrix:
-    """X Y - q Y X."""
-    _check_shapes(x, y)
-    return (x @ y - q * (y @ x)).tocsr()
+def supercommutator(x, y, grade_x: int, grade_y: int) -> list:
+    """X Y - (-1)^(gx*gy) Y X as products: :func:`commutator`."""
+    return commutator(x, y, -1.0 if (grade_x * grade_y) % 2 else 1.0)
 
 
 def residual_norm(x: sp.spmatrix) -> float:
@@ -538,9 +537,9 @@ def bulk_mask(basis: FockBasis, boundary_margin: int, boson_headroom: int,
 
     Keeps states whose ``boundary_margin`` outermost sites on every line carry
     the vacuum occupation of that line's scheme and whose bosonic occupations
-    all stay at or below n_max - boson_headroom; raises ``EmptyBulkError`` if
-    no state is kept.  The bulk is f_ok (x) b_ok, so ``factor`` FERMION
-    (BOSON) gives f_ok (b_ok), the bulk of an operator X (x) 1 (1 (x) Y).
+    all stay at or below n_max - boson_headroom; the vacuum is always kept.
+    The bulk is f_ok (x) b_ok, so ``factor`` FERMION (BOSON) gives f_ok
+    (b_ok), the bulk of an operator X (x) 1 (1 (x) Y).
     """
     if boundary_margin < 0:
         raise ValueError("boundary_margin must be >= 0")
@@ -561,8 +560,6 @@ def bulk_mask(basis: FockBasis, boundary_margin: int, boson_headroom: int,
         if mode.site in boundary:
             j = basis.boson_slot(mode)
             b_ok &= basis.b_occ[:, j] == 0
-    if not (f_ok.any() and b_ok.any()):
-        raise EmptyBulkError("empty bulk: no state satisfies the boundary constraints")
     if factor is not None:
         return f_ok if factor == FERMION else b_ok
     return (f_ok[:, None] & b_ok[None, :]).ravel()

@@ -10,7 +10,8 @@ A relation id is a family id, optionally followed by an index in brackets
 :data:`CATALOG`, which is also what ``anyonrep list`` prints; suites emit
 through :class:`SuiteReports`, which takes the equation tag from there.
 A projected check's products are restricted to its bulk before they are
-multiplied (:func:`restrict`), with the residual of the full products.
+multiplied (:func:`restrict`, the one place a check's products are formed),
+with the residual of the full products.
 """
 
 from __future__ import annotations
@@ -75,11 +76,12 @@ def bulk_label(bulk: tuple[int, int] | None, side: str = "both") -> str:
 
 def restrict(terms, mask: np.ndarray | None = None, side: str = "both") -> sp.csr_matrix:
     """The sum of ``terms`` on the masked columns, and for side "both" the
-    masked rows.  ``terms`` is a matrix X, the product (1, X), or a list of
-    products (c, X1, ..., Xn), meaning c X1 ... Xn, added in order.  Each is
-    formed left to right from X1[mask] (side "both") to Xn[:, mask]: row i of
-    X Y reads row i of X alone and (X Y)[:, m] = X (Y[:, m]), so every kept
-    entry is summed as in the full product."""
+    masked rows.  ``terms`` is a matrix X or a list of products
+    (c, X1, ..., Xn), meaning c X1 ... Xn, added in order.  Side "both" forms
+    each left to right from X1[mask], so no product has more rows than the
+    bulk; side "right" right to left from Xn[:, mask], so none has more
+    columns.  Row i of X Y reads row i of X alone and (X Y)[:, m] = X (Y[:, m]),
+    so every kept entry is summed as in the full product formed the same way."""
     if side not in ("both", "right"):
         raise ValueError(f"unknown projector side {side!r}")
     if sp.issparse(terms):
@@ -90,9 +92,9 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both") -> sp.cs
             if side == "both":
                 factors[0] = factors[0][mask]
             factors[-1] = factors[-1][:, mask]
-        x = factors[0]
-        for f in factors[1:]:
-            x = x @ f
+        x, *rest = factors if side == "both" else factors[::-1]
+        for f in rest:
+            x = x @ f if side == "both" else f @ x
         if c != 1:
             x = c * x
         total = x if total is None else total + x

@@ -49,11 +49,11 @@ from .fock import (
     LatticeConfig,
     ModeId,
     NO_CORRUPTION,
+    commutator,
     diag_operator,
     identity_op,
     op_adjoint,
     q_bracket,
-    q_commutator,
     q_power,
     residual_norm,
     scale_columns,
@@ -70,8 +70,9 @@ from .report import RelationReport, SuiteReports, restrict
 # ---------------------------------------------------------------------------
 
 def ad_q(genset: GeneratorSet, alpha: int, Y: sp.spmatrix, weight_of_Y,
-         grade_of_Y: int, sign: str = "+") -> sp.csr_matrix:
-    """Closed form of the quantum adjoint of the rescaled generator:
+         grade_of_Y: int, sign: str = "+") -> list:
+    """Closed form of the quantum adjoint of the rescaled generator, as its
+    two products (see ``report.restrict``):
 
         (ad_q E_alpha^s) Y = E Y - (-1)^{deg alpha * deg Y} q_alpha^{-w} Y E
 
@@ -82,13 +83,13 @@ def ad_q(genset: GeneratorSet, alpha: int, Y: sp.spmatrix, weight_of_Y,
     X = genset.script_e(alpha, sign)
     qa = genset.q_alpha(alpha)
     sgn = -1.0 if (genset.grade(alpha) * grade_of_Y) % 2 else 1.0
-    return (X @ Y - sgn * q_power(qa, -weight_of_Y) * (Y @ X)).tocsr()
+    return [(1, X, Y), (-sgn * q_power(qa, -weight_of_Y), Y, X)]
 
 
 def ad_q_hopf(genset: GeneratorSet, alpha: int, Y: sp.spmatrix,
-              grade_of_Y: int, sign: str = "+") -> sp.csr_matrix:
-    """Term-by-term adjoint action through coproduct and antipode, used as an
-    independent oracle for :func:`ad_q` (no weight bookkeeping)."""
+              grade_of_Y: int, sign: str = "+") -> list:
+    """Term-by-term adjoint action through coproduct and antipode, as its two
+    products; an independent oracle for :func:`ad_q` (no weight bookkeeping)."""
     X = genset.script_e(alpha, sign)
     qa = genset.q_alpha(alpha)
     aa = genset.cartan.a[alpha][alpha]
@@ -96,8 +97,7 @@ def ad_q_hopf(genset: GeneratorSet, alpha: int, Y: sp.spmatrix,
     h = genset.h(alpha)
     SX = -q_power(qa, exponent) * scale_columns(X, q_power(qa, h))
     sgn = -1.0 if (genset.grade(alpha) * grade_of_Y) % 2 else 1.0
-    term2 = scale_rows(Y, q_power(qa, -h)) @ SX
-    return (X @ Y + sgn * term2).tocsr()
+    return [(1, X, Y), (sgn, scale_rows(Y, q_power(qa, -h)), SX)]
 
 
 def _sig(sign: str) -> int:
@@ -210,9 +210,9 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
         for s in ("+", "-"):
             E1, E2, E3 = gs.E[(M - 1, s)], gs.E[(M, s)], gs.E[(M + 1, s)]
             if s == "+":
-                X1, X2 = q_commutator(E1, E2, q), q_commutator(E2, E3, q)
+                X1, X2 = commutator(E1, E2, q), commutator(E2, E3, q)
             else:
-                X1, X2 = q_commutator(E2, E1, q), q_commutator(E3, E2, q)
+                X1, X2 = commutator(E2, E1, q), commutator(E3, E2, q)
             X = supercommutator(X1, X2, 1, 1)
             ps = {"alpha": M, "sign": s}
             out.check(f"{eq_quartic}[{s}]", X, bulk=bulk, params=ps)

@@ -61,6 +61,23 @@ def test_verify_exit_codes(capsys):
     assert ">= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_a_cap_below_one_is_a_config_error(outdir, capsys, source, cap):
+    """A dimension cap below 1 admits no instance: the run exits 2 and names
+    dim_cap, from the flag and from the config-file key alike."""
+    args = ["verify", "--suites", "central", "--quiet"]
+    if source == "flag":
+        args += ["--dim-cap", cap]
+    else:
+        cfgfile = outdir / "cfg.json"
+        cfgfile.write_text(json.dumps({"dim_cap": int(cap)}))
+        args += ["--config", str(cfgfile)]
+    assert main(args) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "dim_cap" in err and "exceeds" not in err
+
+
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_nu_and_q_real_are_exclusive(outdir, capsys, command):
     """A config takes one q: --nu and --q-real together are a usage error

@@ -16,9 +16,9 @@ from anyonrep.fock import (
     diag_operator,
     identity_op,
     boson_mode,
+    commutator,
     op_adjoint,
     q_bracket,
-    q_commutator,
     q_number,
     q_power,
     residual_norm,
@@ -47,7 +47,7 @@ def test_degenerate_rank_rejected():
 @pytest.mark.parametrize("kwargs", [
     dict(S=3), dict(S=0), dict(n_max=0), dict(K=0),
     dict(ordering="weird"), dict(ordering=("sea", "sea")),
-    dict(tol=-1.0),
+    dict(tol=-1.0), dict(dim_cap=0), dict(dim_cap=-5),
 ])
 def test_bad_geometry_rejected(kwargs):
     base = dict(M=2, N=1, S=2, nu=0.3)
@@ -204,7 +204,22 @@ def test_supercommutator_of_odd_with_itself(op_pool):
 
 def test_q_commutator_reduces_to_commutator(op_pool):
     x, y = op_pool[0], op_pool[1]
-    assert residual_norm(q_commutator(x, y, 1.0) - (x @ y - y @ x)) == 0.0
+    assert residual_norm(restrict(commutator(x, y, 1.0)) - (x @ y - y @ x)) == 0.0
+
+
+def test_commutator_of_products_equals_the_whole_form(op_pool):
+    """The commutator of two product lists, multiplied out term by term,
+    is A B - c B A of the sides formed whole."""
+    x, y, b, xy = op_pool
+    c = cmath.exp(0.3j * cmath.pi)
+    A = [(0.5, x, y), (-1j, b), (c, xy, b, y)]
+    B = [(2, y), (c, b, x)]
+    whole_a = 0.5 * (x @ y) - 1j * b + c * (xy @ b @ y)
+    whole_b = 2 * y + c * (b @ x)
+    ref = whole_a @ whole_b - c * (whole_b @ whole_a)
+    assert residual_norm(ref) > 0.1
+    for side in ("both", "right"):
+        assert residual_norm(restrict(commutator(A, B, c), None, side) - ref) <= 1e-15
 
 
 def test_nilpotency_residual_is_zero(cfg21, basis21):
@@ -424,6 +439,20 @@ def test_bulk_projector_validation(cfg21, basis21):
         bulk_projector(basis21, -1, 0)
     with pytest.raises(ValueError):
         bulk_projector(basis21, 0, cfg21.n_max + 1)
+
+
+@pytest.mark.parametrize("cfg", [
+    LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3),
+    LatticeConfig(M=2, N=1, S=2, K=2, n_max=2, ordering=("sea", "empty"), nu=0.3),
+], ids=["M2N1S4-n1", "sea,empty"])
+def test_every_bulk_holds_the_vacuum(cfg):
+    """The margin pins boundary modes to their vacuum occupation and the
+    headroom admits the zero boson state, so no bulk is empty."""
+    basis = build_basis(cfg)
+    vac = basis.vacuum_index()
+    for margin in range(cfg.S + 2):
+        for headroom in range(cfg.n_max + 1):
+            assert bulk_mask(basis, margin, headroom)[vac], (margin, headroom)
 
 
 def test_vacuum_index_matches_scheme(cfg21, basis21):

@@ -125,8 +125,8 @@ def test_bulk_spec_equals_projector_sandwich():
         P = bulk_projector(basis, *bulk)
         for side in ("both", "right"):
             for lhs, rhs in operators:
-                full = restrict(lhs)
-                diff = full - (0 * full if rhs is None else restrict(rhs))
+                full = restrict(lhs, None, side)
+                diff = full - (0 * full if rhs is None else restrict(rhs, None, side))
                 sandwich = P @ diff @ P if side == "both" else diff @ P
                 reference.append((residual_norm(sandwich),
                                   f"margin={bulk[0]}"
@@ -167,16 +167,18 @@ def test_check_identity_takes_restricted_operands_only():
 
 
 def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
-    """A check on a two-sided bulk restricts its products before it
-    multiplies them: every product it forms has fewer rows than the basis.
-    The product relations reach the check as products, not formed."""
-    rows, families = [], set()
-    inside = [False]
+    """A check restricts its products before it multiplies them: every
+    product it forms on a two-sided bulk has fewer rows than the basis, and
+    on a right side fewer columns.  The relation operands, the q-commutators
+    and ad_q included, reach the check as products: once the generators are
+    built, the quantum, Serre and undeformed suites form no product outside
+    a check."""
+    calls, families = [], set()
+    where = [None]
     matmat = compressed.csr_matmat
 
     def recording_matmat(n_row, n_col, *arrays):
-        if inside[0]:
-            rows.append(n_row)
+        calls.append((where[0], n_row, n_col))
         return matmat(n_row, n_col, *arrays)
 
     check = SuiteReports.check
@@ -185,20 +187,33 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
                         side="both", **kwargs):
         if not sp.issparse(lhs):
             families.add(relation_id.split("[", 1)[0])
-        inside[0] = bulk is not None and side == "both"
+        where[0] = side if bulk is not None else "identity"
         try:
             check(self, relation_id, lhs, rhs, bulk=bulk, side=side, **kwargs)
         finally:
-            inside[0] = False
+            where[0] = None
 
+    for deformed in (True, False):
+        gs = cached_generators(cfg22, deformed)
+        for key in gs.E:
+            gs.script_e(*key)
     monkeypatch.setattr(compressed, "csr_matmat", recording_matmat)
     monkeypatch.setattr(SuiteReports, "check", recording_check)
-    run_suites(cfg22, ["oscillators", "braiding", "quantum", "serre", "undeformed"])
-    assert rows and max(rows) < cached_basis(cfg22).dim
+    run_suites(cfg22, ["quantum", "serre", "undeformed"])
+    dim = cached_basis(cfg22).dim
+    assert [c for c in calls if c[0] is None] == []
+    rows = [n_row for side, n_row, _ in calls if side == "both"]
+    cols = [n_col for side, _, n_col in calls if side == "right"]
+    assert rows and max(rows) < dim
+    assert cols and max(cols) < dim
+    calls.clear()
+    run_suites(cfg22, ["oscillators", "braiding"])
+    rows = [n_row for side, n_row, _ in calls if side == "both"]
+    assert rows and max(rows) < dim
     assert {"eq7c", "eq2c", "eq8", "eq3", "eq8-img", "eq9-alphaM", "eq4-alphaM",
             "eq9-alphaM-img", "eq9-alpha0-cyclic", "eq9-alpha0-skip",
-            "eq4-alpha0-cyclic", "eq4-alpha0-skip", "eq10-alphaM", "eq21",
-            "eq49a", "eq49b", "eq50b", "eq54a", "eq54b", "eq54ta"} <= families
+            "eq4-alpha0-cyclic", "eq4-alpha0-skip", "eq10-alphaM", "eq12-oracle",
+            "eq21", "eq49a", "eq49b", "eq50b", "eq54a", "eq54b", "eq54ta"} <= families
 
 
 def test_projector_labels_follow_the_spec_format():
@@ -233,8 +248,8 @@ def test_ad_q_matches_hopf_oracle(cfg22):
                 continue
             for s, sgn in (("+", 1), ("-", -1)):
                 Y = gs.script_e(be, s)
-                closed = ad_q(gs, al, Y, sgn * ct.a[al][be], ct.parity[be], s)
-                oracle = ad_q_hopf(gs, al, Y, ct.parity[be], s)
+                closed = restrict(ad_q(gs, al, Y, sgn * ct.a[al][be], ct.parity[be], s))
+                oracle = restrict(ad_q_hopf(gs, al, Y, ct.parity[be], s))
                 diff = closed - oracle
                 if al == 0:
                     diff = P1 @ diff @ P1
@@ -248,10 +263,10 @@ def test_ad_q_on_itself_at_isotropic_nodes(cfg22):
     P1 = bulk_projector(gs.basis, 1, 1)
     for al in (0, cfg22.M):
         Y = gs.script_e(al, "+")
-        out = ad_q(gs, al, Y, gs.cartan.a[al][al], 1)
+        out = restrict(ad_q(gs, al, Y, gs.cartan.a[al][al], 1))
         anti = restrict(supercommutator(Y, Y, 1, 1))
         assert residual_norm(out - anti) <= 1e-13
-        diff = out - ad_q_hopf(gs, al, Y, 1)
+        diff = out - restrict(ad_q_hopf(gs, al, Y, 1))
         if al == 0:
             diff = P1 @ diff @ P1
         assert residual_norm(diff) <= 1e-10
@@ -263,7 +278,7 @@ def test_ad_q_classical_reduction():
     ct = gs.cartan
     for al, be in [(1, 2), (2, 1)]:
         Y = gs.script_e(be, "+")
-        out = ad_q(gs, al, Y, ct.a[al][be], ct.parity[be])
+        out = restrict(ad_q(gs, al, Y, ct.a[al][be], ct.parity[be]))
         classical = restrict(supercommutator(gs.script_e(al, "+"), Y,
                                              ct.parity[al], ct.parity[be]))
         assert residual_norm(out - classical) <= 1e-12
@@ -272,7 +287,7 @@ def test_ad_q_classical_reduction():
 def test_ad_q_annihilates_identity(cfg21):
     gs = cached_generators(cfg21, True)
     one = identity_op(gs.basis)
-    out = ad_q(gs, 1, one, 0, 0)
+    out = restrict(ad_q(gs, 1, one, 0, 0))
     assert residual_norm(out) <= 1e-13
 
 
@@ -319,7 +334,7 @@ def test_scaled_hopf_oracle_equals_diagonal_matrix_form(cfg):
             for s in ("+", "-"):
                 Y = gs.script_e(be, s)
                 ref = _ad_q_hopf_diagonal_matrices(gs, al, Y, ct.parity[be], s)
-                out = ad_q_hopf(gs, al, Y, ct.parity[be], s)
+                out = restrict(ad_q_hopf(gs, al, Y, ct.parity[be], s))
                 assert residual_norm(out - ref) <= 1e-15, (al, be, s)
 
 
@@ -626,6 +641,26 @@ def test_eq7c_affine_pairing_residual_observed_form(spec):
     (r,) = [r for r in suite_quantum(cfg) if r.relation_id == "eq7c[0,0]"]
     assert r.residual == pytest.approx(_eq7c_observed_form(cfg), abs=1e-12)
     assert r.satisfied == (cfg.S == 2)
+
+
+@pytest.mark.parametrize("spec", [
+    *(dict(M=2, N=2, S=2, nu=nu) for nu in (0.15, 0.3, 0.45, 0.7)),
+    *(dict(M=3, N=2, S=2, nu=nu) for nu in (0.15, 0.7)),
+    dict(M=2, N=2, S=4, nu=0.45),
+], ids=lambda spec: "-".join(f"{k}{v}" for k, v in spec.items()))
+def test_node_m_quartic_image_residual_observed_form(spec):
+    """At n_max 1 and N >= 2, eq9-alphaM-img[-] reads |[2]_q| = |q + q^-1|
+    and its [+] passes: an observed form, not a derived one.  The headroom
+    min(2, n_max) = 1 is below the two boson raisings of the word.  At n_max 2
+    both pass (README, known truncation limits)."""
+    cfg = LatticeConfig(n_max=1, **spec)
+    reps = {r.relation_id: r for r in suite_serre(cfg)}
+    minus, plus = reps["eq9-alphaM-img[-]"], reps["eq9-alphaM-img[+]"]
+    assert minus.residual == pytest.approx(abs(fock.q_number(2, cfg.q)), rel=1e-12)
+    assert not minus.passed and plus.passed
+    if cfg.S == 2 and spec["nu"] < 0.5:  # n_max 2 needs [2]_q > 0
+        reps = {r.relation_id: r for r in suite_serre(dataclasses.replace(cfg, n_max=2))}
+        assert reps["eq9-alphaM-img[-]"].passed and reps["eq9-alphaM-img[+]"].passed
 
 
 # ---------------------------------------------------------------------------
