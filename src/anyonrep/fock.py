@@ -11,7 +11,7 @@ the state index f * NB + b: they are built on it once per config
 (:func:`ladder`, :meth:`FockBasis.memo`), sums of their products are formed
 there, and :meth:`FockBasis.kron` alone places them on the whole basis as
 X (x) 1, 1 (x) Y or X (x) Y.  A basis reads no q: ``FockBasis.cfg`` is its
-config at q = 1, and what reads no q is built once per basis, under it.
+config at q = 1, and what reads no q is built and checked once per basis.
 Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
 preceding the target in a fixed global order (line, then site ascending, then
 flavor ascending), so the canonical anticommutation relations hold exactly for
@@ -380,9 +380,9 @@ class FockBasis:
         return out
 
     def memo(self, cfg: LatticeConfig, key, build):
-        """``build()`` once per config and key.  The operators of ``self.cfg``
-        (q = 1; all that read no q) live as long as the basis, and of the other
-        configs only those of the last one asked for are kept."""
+        """``build()`` once per config and key.  Under ``self.cfg`` (q = 1), what
+        reads no q, operators and check reports (``report.once_per_basis``), lives
+        as long as the basis; of the other configs only the last one asked for."""
         ops = self._memo.get(cfg)
         if ops is None:
             self._memo = {c: v for c, v in self._memo.items() if c == self.cfg}

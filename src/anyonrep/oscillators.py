@@ -32,7 +32,7 @@ from .fock import (
     scale_columns,
     scale_rows,
 )
-from .report import RelationReport, SuiteReports
+from .report import RelationReport, SuiteReports, once_per_basis
 
 
 def number_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
@@ -72,30 +72,19 @@ def _mode_pairs(modes, cap: int = 6):
     return [(m1, m2) for m1 in sel for m2 in sel]
 
 
-def suite_oscillators(cfg: LatticeConfig,
-                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
-    """Canonical (anti)commutators, mixed commutativity, and the q-boson
-    relations; relations that raise boson number run with boson headroom 1
-    instead of pretending the cutoff away.  Every relation but the mixed
-    eq30 acts on one factor of the basis index and is checked there."""
-    basis = cached_basis(cfg)
-    q = cfg.q
-    out = SuiteReports("oscillators", cfg.tol, basis)
-
-    cs = {m: ladder(cfg, basis, m) for m in basis.fermion_modes}
-    ds = {m: ladder(basis.cfg, basis, m) for m in basis.boson_modes}
-    bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}
+def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
+    """Eqs. (20), (21) and (30): the canonical (anti)commutators of the fermions
+    and plain bosons the construction starts from.  They read no q."""
+    out = SuiteReports("oscillators", basis.cfg.tol, basis)
+    ops = {m: ladder(basis.cfg, basis, m) for m in basis.fermion_modes + basis.boson_modes}
     # the creators, which fock.ladder builds once per config with the ladders
-    dag = {m: ladder(basis.cfg, basis, m, True) for m in cs | ds}
-    bds = {m: ladder(cfg, basis, m, True) for m in bs}
-    ns = {m: number_factor(basis, m) for m in basis.boson_modes}
-
+    dag = {m: ladder(basis.cfg, basis, m, True) for m in ops}
     on_f = functools.partial(out.check, factor=FERMION)
     on_b = functools.partial(out.check, factor=BOSON)
 
     one = identity_op(basis, FERMION)
     for m1, m2 in _mode_pairs(basis.fermion_modes):
-        c1, c2 = cs[m1], cs[m2]
+        c1, c2 = ops[m1], ops[m2]
         ps = {"modes": [str(m1), str(m2)]}
         on_f(f"eq20[{m1},{m2}+]", c1 @ dag[m2] + dag[m2] @ c1,
              one if m1 == m2 else None, params=ps)
@@ -103,20 +92,38 @@ def suite_oscillators(cfg: LatticeConfig,
 
     one = identity_op(basis, BOSON)
     for m1, m2 in _mode_pairs(basis.boson_modes):
-        d1, d2 = ds[m1], ds[m2]
+        d1, d2 = ops[m1], ops[m2]
         ps = {"modes": [str(m1), str(m2)]}
         on_b(f"eq21[{m1},{m2}+]", [(1, d1, dag[m2]), (-1, dag[m2], d1)],
              one if m1 == m2 else None, bulk=(0, 1), params=ps)
         on_b(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
 
     # the mixed pairs are X (x) Y in both orders, checked on the whole basis
-    lc = {m: basis.lift(FERMION, cs[m]) for m in basis.fermion_modes[:4]}
-    ld = {m: (basis.lift(BOSON, ds[m]), basis.lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
+    lc = {m: basis.lift(FERMION, ops[m]) for m in basis.fermion_modes[:4]}
+    ld = {m: (basis.lift(BOSON, ops[m]), basis.lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
     for mf, c in lc.items():
         for mb, (d, dd) in ld.items():
             ps = {"modes": [str(mf), str(mb)]}
             out.check(f"eq30[{mf},{mb}]", c @ d - d @ c, params=ps)
             out.check(f"eq30[{mf},{mb}+]", c @ dd - dd @ c, params=ps)
+    return out.reports
+
+
+def suite_oscillators(cfg: LatticeConfig,
+                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+    """Canonical (anti)commutators, mixed commutativity, and the q-boson
+    relations; relations that raise boson number run with boson headroom 1
+    instead of pretending the cutoff away.  Every relation but the mixed
+    eq30 acts on one factor of the basis index and is checked there.  The
+    first three read no q and are checked once per basis, before the rest."""
+    canonical = once_per_basis(cfg, "canonical", corruption, _canonical_relations)
+    basis = cached_basis(cfg)
+    q = cfg.q
+    out = SuiteReports("oscillators", cfg.tol, basis)
+    bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}
+    bds = {m: ladder(cfg, basis, m, True) for m in bs}
+    ns = {m: number_factor(basis, m) for m in basis.boson_modes}
+    on_b = functools.partial(out.check, factor=BOSON)
 
     # q-boson algebra
     for m in basis.boson_modes:
@@ -143,5 +150,4 @@ def suite_oscillators(cfg: LatticeConfig,
         on_b(f"eq49a0[{m1},{m2}]", b1 @ bds[m2] - bds[m2] @ b1, params=ps)
         on_b(f"eq49d0[{m1},{m2}]",
              scale_rows(b2, ns[m1]) - scale_columns(b2, ns[m1]), params=ps)
-
-    return out.reports
+    return canonical + out.reports

@@ -62,7 +62,7 @@ from .fock import (
     zero_op,
 )
 from .oscillators import number_diag
-from .report import RelationReport, SuiteReports, restrict
+from .report import RelationReport, SuiteReports, once_per_basis, restrict
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +305,15 @@ def suite_serre(cfg: LatticeConfig,
 def suite_undeformed(cfg: LatticeConfig,
                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Classical Serre-Chevalley relations of the plain oscillator set: the
-    quantum and Serre relations evaluated on it at q = 1."""
-    gs = cached_generators(cfg, False, corruption)
-    out = SuiteReports("undeformed", cfg.tol, gs.basis)
-    _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
-    for _ in _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0")):
-        pass
-    return out.reports
+    quantum and Serre relations evaluated on it at q = 1, once per basis."""
+    def build(basis):
+        gs = cached_generators(cfg, False, corruption)
+        out = SuiteReports("undeformed", cfg.tol, basis)
+        _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
+        for _ in _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0")):
+            pass
+        return out.reports
+    return once_per_basis(cfg, "undeformed", corruption, build)
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +441,27 @@ def suite_central_charge(cfg: LatticeConfig,
 
     Also checks the exact finite-lattice identity Gamma = sum over lines of
     n_1(r_min) + n'_N(r_max), which is what the truncated telescoping leaves
-    behind, and pins down the off-bulk discrepancy.
+    behind, and pins down the off-bulk discrepancy.  Gamma is read from the
+    plain set's H, which reads no q, so the suite runs once per basis.
     """
-    gs = cached_generators(cfg, True, corruption)
-    basis = gs.basis
-    gamma = diag_operator(central_charge_diag(gs))
-    gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
-    out = SuiteReports("central", 1e-12, basis)
-    out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis),
-              bulk=(1, 0), params={"expected": gamma_expected,
-                      "ordering": list(cfg.ordering), "lines": cfg.K})
+    def build(basis):
+        gamma = diag_operator(central_charge_diag(cached_generators(cfg, False, corruption)))
+        gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
+        out = SuiteReports("central", 1e-12, basis)
+        out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis),
+                  bulk=(1, 0), params={"expected": gamma_expected,
+                          "ordering": list(cfg.ordering), "lines": cfg.K})
 
-    if not corruption.drop_h0_delta:
-        vec = np.zeros(basis.dim)
-        r_min, r_max = cfg.sites[0], cfg.sites[-1]
-        for line in cfg.lines:
-            vec = vec + number_diag(basis, ModeId(FERMION, 1, line, r_min))
-            vec = vec + number_diag(basis, ModeId(BOSON, cfg.N, line, r_max))
-        out.check("gamma-boundary", gamma, diag_operator(vec),
-                  params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"})
-    return out.reports
+        if not corruption.drop_h0_delta:
+            vec = np.zeros(basis.dim)
+            r_min, r_max = cfg.sites[0], cfg.sites[-1]
+            for line in cfg.lines:
+                vec = vec + number_diag(basis, ModeId(FERMION, 1, line, r_min))
+                vec = vec + number_diag(basis, ModeId(BOSON, cfg.N, line, r_max))
+            out.check("gamma-boundary", gamma, diag_operator(vec),
+                      params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"})
+        return out.reports
+    return once_per_basis(cfg, "central", corruption, build)
 
 
 # ---------------------------------------------------------------------------
@@ -477,87 +480,89 @@ def suite_cartan_weyl(cfg: LatticeConfig,
                       corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Mode-shifted generators: correspondence with the simple set, weight
     relations, the central anomaly scalar and its linearity in the mode
-    number, and the observed two-cocycle signs."""
-    gs = cached_generators(cfg, False, corruption)
-    basis, ct = gs.basis, gs.cartan
-    R = cfg.R
-    out = SuiteReports("cartanweyl", cfg.tol, basis)
+    number, and the observed two-cocycle signs; once per basis, as they read no q."""
+    def build(basis):
+        gs = cached_generators(cfg, False, corruption)
+        ct = gs.cartan
+        R = cfg.R
+        out = SuiteReports("cartanweyl", cfg.tol, basis)
 
-    for alpha in range(R + 1):
-        lab = ct.simple_root_label(alpha)
-        out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(basis, lab),
-                  gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
-    h0 = {a_: cartan_weyl_h0_diag(basis, a_) for a_ in range(1, R + 1)}
-    for a_, h in h0.items():
-        out.check(f"eq26-h[{a_}]", diag_operator(h), gs.H[a_], params={"a": a_})
+        for alpha in range(R + 1):
+            lab = ct.simple_root_label(alpha)
+            out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(basis, lab),
+                      gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
+        h0 = {a_: cartan_weyl_h0_diag(basis, a_) for a_ in range(1, R + 1)}
+        for a_, h in h0.items():
+            out.check(f"eq26-h[{a_}]", diag_operator(h), gs.H[a_], params={"a": a_})
 
-    roots = [ct.simple_root_label(al) for al in range(1, R + 1)]
-    if cfg.M >= 2:
-        roots.append(RootLabel((EPS, 1), (DELTA, 1)))
-    elif cfg.N >= 2:
-        roots.append(RootLabel((EPS, 1), (DELTA, 2)))
-    for base in roots:
-        for m in (-1, 0, 1):
-            lab = dataclasses.replace(base, m=m)
-            e = cartan_weyl_generators(basis, lab)
-            for a_, h in h0.items():
-                w = root_weight(cfg.M, cfg.N, a_, lab)
-                out.check(f"eq1b[{lab},a={a_}]",
-                          scale_rows(e, h) - scale_columns(e, h), w * e,
-                          bulk=(abs(m), 0) if m else None, params={"root": str(lab), "a": a_, "weight": w})
+        roots = [ct.simple_root_label(al) for al in range(1, R + 1)]
+        if cfg.M >= 2:
+            roots.append(RootLabel((EPS, 1), (DELTA, 1)))
+        elif cfg.N >= 2:
+            roots.append(RootLabel((EPS, 1), (DELTA, 2)))
+        for base in roots:
+            for m in (-1, 0, 1):
+                lab = dataclasses.replace(base, m=m)
+                e = cartan_weyl_generators(basis, lab)
+                for a_, h in h0.items():
+                    w = root_weight(cfg.M, cfg.N, a_, lab)
+                    out.check(f"eq1b[{lab},a={a_}]",
+                              scale_rows(e, h) - scale_columns(e, h), w * e,
+                              bulk=(abs(m), 0) if m else None, params={"root": str(lab), "a": a_, "weight": w})
 
-    # anomaly scalar of [h^m, h^-m] on the bulk
-    lambdas = {}
-    gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
-    for m in (1, 2):
-        if m >= cfg.S:
-            out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
-            continue
-        hm = cartan_weyl_h(basis, 1, m)
-        hmm = cartan_weyl_h(basis, 1, -m)
-        X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
-        lam = complex(X.trace() / X.shape[0])
-        lambdas[m] = lam
-        res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
-        K_obs = (lam / gamma_expected / m).real if gamma_expected else None
-        out.record(f"eq1a-scalar[m={m}]", res, bulk=(2, 0),
-                   params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
-                           "K(h1,h1)-observed": K_obs})
-    if 1 in lambdas and 2 in lambdas:
-        dev = abs(lambdas[2] - 2 * lambdas[1])
-        out.record("eq1a-linearity", dev, tol=1e-8, bulk=(2, 0),
-                   params={"lambda_1": lambdas[1].real,
-                           "lambda_2": lambdas[2].real})
-    elif 1 in lambdas:
-        out.not_applicable("eq1a-linearity", "m=2 needs S >= 4")
+        # anomaly scalar of [h^m, h^-m] on the bulk
+        lambdas = {}
+        gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
+        for m in (1, 2):
+            if m >= cfg.S:
+                out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
+                continue
+            hm = cartan_weyl_h(basis, 1, m)
+            hmm = cartan_weyl_h(basis, 1, -m)
+            X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
+            lam = complex(X.trace() / X.shape[0])
+            lambdas[m] = lam
+            res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
+            K_obs = (lam / gamma_expected / m).real if gamma_expected else None
+            out.record(f"eq1a-scalar[m={m}]", res, bulk=(2, 0),
+                       params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
+                               "K(h1,h1)-observed": K_obs})
+        if 1 in lambdas and 2 in lambdas:
+            dev = abs(lambdas[2] - 2 * lambdas[1])
+            out.record("eq1a-linearity", dev, tol=1e-8, bulk=(2, 0),
+                       params={"lambda_1": lambdas[1].real,
+                               "lambda_2": lambdas[2].real})
+        elif 1 in lambdas:
+            out.not_applicable("eq1a-linearity", "m=2 needs S >= 4")
 
-    # supercommutator onto a composite root: the structure constant is read
-    # off and only its unit modulus is asserted
-    chains = [(ct.simple_root_label(a_), ct.simple_root_label(a_ + 1))
-              for a_ in range(1, R)]
-    affine = (ct.simple_root_label(R), ct.simple_root_label(0))
-    if compose_roots(*affine) is not None:
-        chains.append(affine)
-    for r1, r2 in chains[:3]:
-        rsum = compose_roots(r1, r2)
-        if rsum is None:
-            continue
-        e1, e2, es = (cartan_weyl_generators(basis, r) for r in (r1, r2, rsum))
-        # compositions of odd roots raise a boson in one ordering
-        bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
-        X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
-        Z = restrict(es, out.mask(bulk))
-        if Z.nnz == 0 or residual_norm(Z) < 1e-12:
-            out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
-                               "target vanishes on the bulk")
-            continue
-        i, j = _largest_entry(Z)
-        lam = complex(X[i, j] / Z[i, j])
-        res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
-        out.record(f"eq1c-cocycle[{r1},{r2}]", res, bulk=bulk,
-                   params={"roots": [str(r1), str(r2)],
-                           "scalar": [lam.real, lam.imag]})
-    return out.reports
+        # supercommutator onto a composite root: the structure constant is read
+        # off and only its unit modulus is asserted
+        chains = [(ct.simple_root_label(a_), ct.simple_root_label(a_ + 1))
+                  for a_ in range(1, R)]
+        affine = (ct.simple_root_label(R), ct.simple_root_label(0))
+        if compose_roots(*affine) is not None:
+            chains.append(affine)
+        for r1, r2 in chains[:3]:
+            rsum = compose_roots(r1, r2)
+            if rsum is None:
+                continue
+            e1, e2, es = (cartan_weyl_generators(basis, r) for r in (r1, r2, rsum))
+            # compositions of odd roots raise a boson in one ordering
+            bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
+            X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
+            Z = restrict(es, out.mask(bulk))
+            if Z.nnz == 0 or residual_norm(Z) < 1e-12:
+                out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
+                                   "target vanishes on the bulk")
+                continue
+            i, j = _largest_entry(Z)
+            lam = complex(X[i, j] / Z[i, j])
+            res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
+            out.record(f"eq1c-cocycle[{r1},{r2}]", res, bulk=bulk,
+                       params={"roots": [str(r1), str(r2)],
+                               "scalar": [lam.real, lam.imag]})
+        return out.reports
+    return once_per_basis(cfg, "cartanweyl", corruption, build)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
+from anyonrep import algebra
 from anyonrep.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_RELATION_FAILURE,
     EXIT_TOO_LARGE,
     _counts,
+    _nu_samples,
     config_digest,
     lattice_config_from_raw,
     main,
@@ -17,8 +20,9 @@ from anyonrep.cli import (
     write_operator,
 )
 from anyonrep.algebra import _cached_set
-from anyonrep.fock import DEFAULT_DIM_CAP, LatticeConfig, residual_norm
-from anyonrep.report import RelationReport
+from anyonrep.fock import DEFAULT_DIM_CAP, LatticeConfig, _cached_basis, residual_norm
+from anyonrep.report import RelationReport, SuiteReports
+from anyonrep.verify import SUITES, run_suites
 
 
 @pytest.fixture
@@ -238,6 +242,76 @@ def test_verify_q_samples(outdir):
     payload = json.loads(report.read_text())
     sampled = [k for k in payload["suites"] if "@nu=" in k]
     assert len(sampled) == 2
+
+
+Q_FREE = ("oscillators", "undeformed", "central", "cartanweyl")
+SMALL = ["--M", "2", "--N", "1", "--sites", "2", "--nmax", "2", "--nu", "0.3"]
+
+
+def _fresh_caches():
+    _cached_basis.cache_clear()
+    _cached_set.cache_clear()
+
+
+@pytest.mark.parametrize("flags,stack", [([], {}), (["--lines", "2", "--ordering", "sea,empty"],
+                                                   {"K": 2, "ordering": ("sea", "empty")})],
+                         ids=["M2N1S2", "sea,empty"])
+def test_q_samples_repeat_the_reports_of_a_fresh_run(outdir, flags, stack):
+    """Each repeat of a q-free suite (or the oscillators' q-free block)
+    equals, in every field but wall_time, the same suite run at that nu with
+    cleared caches: what is checked once per basis is what every nu checks."""
+    report = outdir / "r.json"
+    _fresh_caches()
+    assert main(["verify", *SMALL, *flags, "--q-samples", "2", "--suites", ",".join(Q_FREE),
+                 "--report", str(report), "--quiet"]) == EXIT_OK
+    suites = json.loads(report.read_text())["suites"]
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, **stack)
+
+    def fields(reports):
+        return [{k: v for k, v in r.items() if k != "wall_time"} for r in reports]
+
+    for nu in _nu_samples(cfg, 2):
+        _fresh_caches()
+        fresh = run_suites(dataclasses.replace(cfg, nu=nu), Q_FREE)
+        for name in Q_FREE:
+            expected = json.loads(json.dumps([r.to_dict() for r in fresh[name]], default=repr))
+            assert fields(suites[f"{name}@nu={nu:.6f}"]["reports"]) == fields(expected)
+
+
+def test_q_free_parts_are_checked_once_per_basis(monkeypatch):
+    """With --q-samples 2 every check of undeformed, cartanweyl, central and
+    the oscillators' eq20/eq21/eq30 runs once; every check of a suite that
+    reads q, and the oscillators' q-boson relations, runs at each of the
+    three nu."""
+    calls = Counter()
+    check = SuiteReports.check
+
+    def counted(self, relation_id, *args, **kwargs):
+        calls[self.suite, relation_id.split("[", 1)[0], relation_id] += 1
+        return check(self, relation_id, *args, **kwargs)
+
+    _fresh_caches()
+    monkeypatch.setattr(SuiteReports, "check", counted)
+    assert main(["verify", *SMALL, "--q-samples", "2", "--quiet"]) == EXIT_OK
+    once = {(s, f) for s, f, _ in calls
+            if s in ("undeformed", "cartanweyl", "central") or f in ("eq20", "eq21", "eq30")}
+    assert {s for s, _ in once} == {"oscillators", "undeformed", "cartanweyl", "central"}
+    assert {s for s, _, _ in calls} == set(SUITES) - {"classical"}
+    for (suite, family, rid), n in calls.items():
+        assert n == (1 if (suite, family) in once else 3), rid
+
+
+def test_central_builds_no_deformed_set(monkeypatch):
+    """Gamma is read from the plain set's H, which reads no q: a sampled
+    central run builds the plain set once and no deformed set."""
+    built = []
+    build = algebra.chevalley_generators
+    monkeypatch.setattr(algebra, "chevalley_generators",
+                        lambda cfg, basis, deformed=True, *a: built.append(deformed)
+                        or build(cfg, basis, deformed, *a))
+    _fresh_caches()
+    assert main(["verify", "--suites", "central", "--q-samples", "2", "--quiet"]) == EXIT_OK
+    assert built == [False]
 
 
 def test_q_samples_keep_the_plain_and_the_last_deformed_set():

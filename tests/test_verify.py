@@ -20,6 +20,7 @@ from anyonrep.algebra import (
     local_e,
 )
 from anyonrep import fock, verify
+from anyonrep.oscillators import suite_oscillators
 from anyonrep.fock import (
     Corruption,
     LatticeConfig,
@@ -172,7 +173,9 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
     on a right side fewer columns.  The relation operands, the q-commutators
     and ad_q included, reach the check as products: once the generators are
     built, the quantum, Serre and undeformed suites form no product outside
-    a check."""
+    a check.  A fresh basis, so the suites' checks are not memo hits."""
+    _cached_basis.cache_clear()
+    _cached_set.cache_clear()
     calls, families = [], set()
     where = [None]
     matmat = compressed.csr_matmat
@@ -480,13 +483,39 @@ def test_suite_cartan_weyl():
 def test_suite_cartan_weyl_builds_each_generator_once(memo_builds):
     """eq6-cw, eq1b at m = 0 and the cocycle chains share root labels; each
     label's generator is built once per basis, whatever q the run reads."""
-    _cached_basis.cache_clear()
-    _cached_set.cache_clear()
     cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
     for nu in (0.3, 0.2):
         run_suites(dataclasses.replace(cfg, nu=nu))
     labels = [key for _, key in memo_builds if key[0] == "e"]
     assert labels and len(labels) == len(set(labels))
+
+
+@pytest.mark.parametrize("suite", [suite_undeformed, suite_central_charge, suite_cartan_weyl,
+                                   suite_oscillators])
+def test_q_free_reports_are_made_once_per_basis_tol_and_corruption(suite, monkeypatch):
+    """Another nu returns a fresh list of the same reports without a check;
+    another corruption or tol checks again."""
+    calls = []
+    check = SuiteReports.check
+    monkeypatch.setattr(SuiteReports, "check",
+                        lambda self, *a, **kw: calls.append(a[0]) or check(self, *a, **kw))
+    _cached_basis.cache_clear()
+    _cached_set.cache_clear()
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    first = suite(cfg)
+    q_free = [r for r in first if not r.relation_id.startswith(("eq49", "eq50"))]
+    assert q_free and calls
+    calls.clear()
+    again = suite(dataclasses.replace(cfg, nu=0.2))
+    assert again is not first and again[:len(q_free)] == q_free
+    assert all(a is b for a, b in zip(q_free, again))
+    assert all(rid.startswith(("eq49", "eq50")) for rid in calls)
+    first.clear()
+    assert suite(cfg)[:len(q_free)] == q_free
+    for args in ((dataclasses.replace(cfg, tol=1e-11),), (cfg, Corruption(drop_h0_delta=True))):
+        calls.clear()
+        rerun = suite(*args)
+        assert calls and not any(a is b for a, b in zip(q_free, rerun))
 
 
 def test_classical_keeps_the_operators_that_read_no_q(memo_builds):
@@ -495,6 +524,7 @@ def test_classical_keeps_the_operators_that_read_no_q(memo_builds):
     builds nothing after it."""
     cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
     suite_cartan_weyl(cfg)
+    assert memo_builds
     suite_classical_limit(cfg)
     memo_builds.clear()
     assert reports_ok(suite_cartan_weyl(cfg))
