@@ -297,7 +297,7 @@ def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarr
 class GeneratorSet:
     """Assembled simple generators: ``H`` holds CSR matrices (exported and
     checked as such; :meth:`h` reads their diagonals) and ``E`` the sums of
-    the local pieces.  The pieces themselves are not kept."""
+    the local pieces, which are not kept; :meth:`script_e` is kept in the memo."""
 
     cfg: LatticeConfig
     basis: FockBasis
@@ -317,19 +317,16 @@ class GeneratorSet:
         return self.H[alpha].diagonal().real
 
     def script_e(self, alpha: int, sign: str) -> sp.csr_matrix:
-        """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}; E itself at
-        q_alpha = 1."""
-        key = (alpha, sign)
-        if self.q_alpha(alpha) == 1:
-            return self.E[key]
-        if key not in self._script:
-            self._script[key] = scale_columns(self.E[key], q_power(
-                self.q_alpha(alpha), -0.5 * self.h(alpha)))
-        return self._script[key]
+        """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}, built once per
+        config, node, sign and corruption; E itself at q_alpha = 1."""
+        E, qa = self.E[alpha, sign], self.q_alpha(alpha)
+        if qa == 1:
+            return E
+        return self.basis.memo(self.cfg, ("script", alpha, sign, self.corruption),
+                               lambda: scale_columns(E, q_power(qa, -0.5 * self.h(alpha))))
 
     def __post_init__(self):
         self._q_alpha = self.cartan.q_alpha(self.cfg.q, self.corruption)
-        self._script = {}
 
 
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
@@ -362,17 +359,13 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
 
 def cached_generators(cfg: LatticeConfig, deformed: bool,
                       corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
-    """The generator set of ``cfg``, built once per process.  The plain set
-    reads no q: it is built at the basis's config (q = 1) and shared by every q."""
-    return _cached_set(cfg if deformed else cached_basis(cfg).cfg, deformed, corruption)
-
-
-# the plain set and the deformed set asked for last: a run reads one q at a
-# time (verify --q-samples never returns to one), so older sets are dead weight
-@lru_cache(maxsize=2)
-def _cached_set(cfg: LatticeConfig, deformed: bool,
-                corruption: Corruption) -> GeneratorSet:
-    return chevalley_generators(cfg, cached_basis(cfg), deformed, corruption)
+    """The generator set of ``cfg``, kept in the basis memo under its config:
+    the plain set reads no q and lives under ``basis.cfg`` (q = 1) as long as
+    the basis, a deformed set until another q is asked for."""
+    basis = cached_basis(cfg)
+    at = cfg if deformed else basis.cfg
+    return basis.memo(at, ("set", deformed, corruption),
+                      lambda: chevalley_generators(at, basis, deformed, corruption))
 
 
 def central_charge_diag(genset: GeneratorSet) -> np.ndarray:

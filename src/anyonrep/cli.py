@@ -64,8 +64,11 @@ CONFIG_KEYS = ("M", "N", "sites", "lines", "nmax", "ordering", "q", "tol",
 # ---------------------------------------------------------------------------
 
 def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
@@ -323,9 +326,9 @@ def _parse_root_token(token: str) -> tuple[str, int]:
 def resolve_operator(cfg: LatticeConfig, op_id: str) -> sp.csr_matrix:
     """Map a generator id to its matrix.
 
-    H:a / E+:a / E-:a  deformed set;  h:a / e+:a / e-:a  undeformed set;
-    Gamma  the central element;  CW:<pos>-<neg>:m=<int> a root generator;
-    CWH:a:m=<int> a shifted Cartan generator.
+    E+:a / E-:a  deformed set;  h:a / e+:a / e-:a  undeformed set;  H:a is
+    h:a, as H reads no q;  Gamma  the central element;  CW:<pos>-<neg>:m=<int>
+    a root generator;  CWH:a:m=<int> a shifted Cartan generator.
     """
     parts = op_id.split(":")
     head = parts[0]
@@ -338,12 +341,12 @@ def resolve_operator(cfg: LatticeConfig, op_id: str) -> sp.csr_matrix:
         if not 0 <= alpha <= cfg.R:
             raise ConfigError(f"bad generator id {op_id!r}: node {alpha} "
                               f"out of range 0..{cfg.R}")
-        gs = cached_generators(cfg, deformed=head[0].isupper())
+        gs = cached_generators(cfg, deformed=head[0] == "E")
         if head in ("H", "h"):
             return gs.H[alpha]
         return gs.E[(alpha, head[1])]
     if head.lower() == "gamma":
-        return diag_operator(central_charge_diag(cached_generators(cfg, True)))
+        return diag_operator(central_charge_diag(cached_generators(cfg, False)))
     if head == "CWH":
         if len(parts) != 3 or not parts[2].startswith("m="):
             raise ConfigError(f"bad id {op_id!r}; expected CWH:a:m=<int>")
@@ -473,7 +476,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except InstanceTooLargeError as exc:

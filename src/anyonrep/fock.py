@@ -7,11 +7,11 @@ and ``N`` bosonic oscillator modes; bosons are truncated at occupation
 dimension ``2^(M*S*K) * (n_max+1)^(N*S*K)``.
 
 Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
-the state index f * NB + b: they are built on it once per config
-(:func:`ladder`, :meth:`FockBasis.memo`), sums of their products are formed
-there, and :meth:`FockBasis.kron` alone places them on the whole basis as
-X (x) 1, 1 (x) Y or X (x) Y.  A basis reads no q: ``FockBasis.cfg`` is its
-config at q = 1, and what reads no q is built and checked once per basis.
+the state index f * NB + b, where their sums are formed; only
+:meth:`FockBasis.kron` places them on the whole basis (X (x) 1, 1 (x) Y or
+X (x) Y).  A basis reads no q: ``FockBasis.cfg`` is its config at q = 1.
+:meth:`FockBasis.memo` is the one cache below the basis: it builds what reads
+no q once per basis and the rest once per q.
 Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
 preceding the target in a fixed global order (line, then site ascending, then
 flavor ascending), so the canonical anticommutation relations hold exactly for
@@ -313,7 +313,7 @@ class FockBasis:
         b = np.arange(self.NB, dtype=np.int64)
         nb = cfg.n_max + 1
         self.b_occ = ((b[:, None] // nb ** np.arange(self.B)) % nb).astype(np.uint8)
-        self._memo = {}
+        self._memo = {self.cfg: {}}
         self._one = {k: identity_op(self, k) for k in (FERMION, BOSON)}
 
     def fermion_slot(self, mode: ModeId) -> int:
@@ -380,12 +380,12 @@ class FockBasis:
         return out
 
     def memo(self, cfg: LatticeConfig, key, build):
-        """``build()`` once per config and key.  Under ``self.cfg`` (q = 1), what
-        reads no q, operators and check reports (``report.once_per_basis``), lives
-        as long as the basis; of the other configs only the last one asked for."""
+        """``build()`` once per config and key, the one cache below the basis.
+        Under ``self.cfg`` (q = 1) what reads no q lives as long as the basis;
+        of the other configs only the one asked for last is kept."""
         ops = self._memo.get(cfg)
         if ops is None:
-            self._memo = {c: v for c, v in self._memo.items() if c == self.cfg}
+            self._memo = {self.cfg: self._memo[self.cfg]}
             ops = self._memo[cfg] = {}
         if key not in ops:
             ops[key] = build()

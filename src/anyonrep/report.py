@@ -244,7 +244,7 @@ class SuiteReports:
     """The reports one suite emits, tagged from :data:`CATALOG`.
 
     ``tol`` is the default tolerance of every check.  A projected check names
-    its bulk ``bulk=(margin, headroom)``, resolved on ``basis`` once per spec;
+    its bulk ``bulk=(margin, headroom)``, resolved once per basis and spec;
     a check whose operands act on one factor of the basis index names it,
     ``factor=FERMION`` or ``BOSON``, and is restricted to that factor's bulk.
     Emitting a family that the catalog does not declare for this suite
@@ -256,7 +256,6 @@ class SuiteReports:
         self.tol = tol
         self.basis = basis
         self.reports: list[RelationReport] = []
-        self._masks: dict[tuple, np.ndarray] = {}
 
     def equation(self, relation_id: str) -> str:
         family = relation_id.split("[", 1)[0]
@@ -268,10 +267,10 @@ class SuiteReports:
 
     def mask(self, bulk: tuple[int, int], factor: str | None = None) -> np.ndarray:
         """The states of the bulk spec (margin, headroom) on this basis, or on
-        its fermion or boson ``factor``."""
-        if (bulk, factor) not in self._masks:
-            self._masks[bulk, factor] = bulk_mask(self.basis, *bulk, factor=factor)
-        return self._masks[bulk, factor]
+        its fermion or boson ``factor``; a bulk reads no q, so each mask is
+        kept in the basis memo under ``basis.cfg`` and built once per basis."""
+        return self.basis.memo(self.basis.cfg, ("mask", bulk, factor),
+                               lambda: bulk_mask(self.basis, *bulk, factor=factor))
 
     def check(self, relation_id: str, lhs, rhs=None, *,
               tol: float | None = None, bulk: tuple[int, int] | None = None,

@@ -1,7 +1,7 @@
 import pytest
 import scipy.sparse as sp
 
-from anyonrep.algebra import _cached_set, _h_local_diag, eq57_exponent, local_e, node_factor
+from anyonrep.algebra import _h_local_diag, eq57_exponent, local_e, node_factor
 from anyonrep.anyons import anyon_factor, string_factor
 from anyonrep.fock import (
     BOSON,
@@ -87,7 +87,6 @@ def memo_builds(monkeypatch):
     the test runs, in order.  The test starts on a fresh basis, so what it
     runs is not a memo hit of an earlier test."""
     _cached_basis.cache_clear()
-    _cached_set.cache_clear()
     builds = []
     memo = FockBasis.memo
 

@@ -19,8 +19,13 @@ from anyonrep.cli import (
     resolve_operator,
     write_operator,
 )
-from anyonrep.algebra import _cached_set
-from anyonrep.fock import DEFAULT_DIM_CAP, LatticeConfig, _cached_basis, residual_norm
+from anyonrep.fock import (
+    DEFAULT_DIM_CAP,
+    LatticeConfig,
+    _cached_basis,
+    cached_basis,
+    residual_norm,
+)
 from anyonrep.report import RelationReport, SuiteReports
 from anyonrep.verify import SUITES, run_suites
 
@@ -215,6 +220,20 @@ def test_config_file_name_lists_reject_other_types(outdir, capsys, key, value):
     assert f'"{key}"' in err and '["central", "serre"]' in err
 
 
+@pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "report-dir"])
+def test_unreadable_inputs_are_config_errors(outdir, capsys, case):
+    """A config or report path that cannot be read or written exits 2 with a
+    one-line message, not a traceback with the relation-failure code."""
+    (outdir / "bad.json").write_bytes(b'\xff\xfe{"M": 2}')
+    flag, path = {"config-dir": ("--config", outdir),
+                  "config-not-utf8": ("--config", outdir / "bad.json"),
+                  "report-dir": ("--report", outdir)}[case]
+    assert main(["verify", "--suites", "central", flag, str(path),
+                 "--quiet"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_status_classifies_each_report_once():
     def make(**fields):
         return RelationReport("x", "-", **fields)
@@ -248,11 +267,6 @@ Q_FREE = ("oscillators", "undeformed", "central", "cartanweyl")
 SMALL = ["--M", "2", "--N", "1", "--sites", "2", "--nmax", "2", "--nu", "0.3"]
 
 
-def _fresh_caches():
-    _cached_basis.cache_clear()
-    _cached_set.cache_clear()
-
-
 @pytest.mark.parametrize("flags,stack", [([], {}), (["--lines", "2", "--ordering", "sea,empty"],
                                                    {"K": 2, "ordering": ("sea", "empty")})],
                          ids=["M2N1S2", "sea,empty"])
@@ -261,7 +275,7 @@ def test_q_samples_repeat_the_reports_of_a_fresh_run(outdir, flags, stack):
     equals, in every field but wall_time, the same suite run at that nu with
     cleared caches: what is checked once per basis is what every nu checks."""
     report = outdir / "r.json"
-    _fresh_caches()
+    _cached_basis.cache_clear()
     assert main(["verify", *SMALL, *flags, "--q-samples", "2", "--suites", ",".join(Q_FREE),
                  "--report", str(report), "--quiet"]) == EXIT_OK
     suites = json.loads(report.read_text())["suites"]
@@ -271,7 +285,7 @@ def test_q_samples_repeat_the_reports_of_a_fresh_run(outdir, flags, stack):
         return [{k: v for k, v in r.items() if k != "wall_time"} for r in reports]
 
     for nu in _nu_samples(cfg, 2):
-        _fresh_caches()
+        _cached_basis.cache_clear()
         fresh = run_suites(dataclasses.replace(cfg, nu=nu), Q_FREE)
         for name in Q_FREE:
             expected = json.loads(json.dumps([r.to_dict() for r in fresh[name]], default=repr))
@@ -290,7 +304,7 @@ def test_q_free_parts_are_checked_once_per_basis(monkeypatch):
         calls[self.suite, relation_id.split("[", 1)[0], relation_id] += 1
         return check(self, relation_id, *args, **kwargs)
 
-    _fresh_caches()
+    _cached_basis.cache_clear()
     monkeypatch.setattr(SuiteReports, "check", counted)
     assert main(["verify", *SMALL, "--q-samples", "2", "--quiet"]) == EXIT_OK
     once = {(s, f) for s, f, _ in calls
@@ -301,26 +315,45 @@ def test_q_free_parts_are_checked_once_per_basis(monkeypatch):
         assert n == (1 if (suite, family) in once else 3), rid
 
 
-def test_central_builds_no_deformed_set(monkeypatch):
-    """Gamma is read from the plain set's H, which reads no q: a sampled
-    central run builds the plain set once and no deformed set."""
+def _sets_built(monkeypatch) -> list:
+    """The ``deformed`` flag of every generator set built from now on, on a
+    fresh basis."""
     built = []
     build = algebra.chevalley_generators
     monkeypatch.setattr(algebra, "chevalley_generators",
                         lambda cfg, basis, deformed=True, *a: built.append(deformed)
                         or build(cfg, basis, deformed, *a))
-    _fresh_caches()
+    _cached_basis.cache_clear()
+    return built
+
+
+def test_central_builds_no_deformed_set(monkeypatch):
+    """Gamma is read from the plain set's H, which reads no q: a sampled
+    central run builds the plain set once and no deformed set."""
+    built = _sets_built(monkeypatch)
     assert main(["verify", "--suites", "central", "--q-samples", "2", "--quiet"]) == EXIT_OK
     assert built == [False]
 
 
-def test_q_samples_keep_the_plain_and_the_last_deformed_set():
-    _cached_set.cache_clear()
+def test_q_samples_keep_the_plain_and_the_last_deformed_set(memo_builds):
     assert main(["verify", "--M", "2", "--N", "1", "--sites", "2",
                  "--q-samples", "3", "--quiet"]) == EXIT_OK
-    info = _cached_set.cache_info()
+    sets = [(at, key) for at, key in memo_builds if key[0] == "set"]
     # one plain set and four deformed ones, each built once
-    assert info.currsize <= 2 and info.misses == 5
+    assert len(set(sets)) == len(sets) == 5
+    assert [key[1] for _, key in sets].count(False) == 1
+    last = sets[-1][0]
+    basis = cached_basis(last)
+    assert set(basis._memo) == {basis.cfg, last}
+
+
+def test_bulk_masks_are_built_once_per_basis(memo_builds):
+    """A bulk reads no q: every suite at the three nu reads one mask per
+    (bulk, factor), built under the basis's config."""
+    assert main(["verify", *SMALL, "--q-samples", "2", "--quiet"]) == EXIT_OK
+    masks = [(at, key) for at, key in memo_builds if key[0] == "mask"]
+    assert masks and len(set(masks)) == len(masks)
+    assert {at for at, _ in masks} == {cached_basis(masks[0][0]).cfg}
 
 
 def test_config_defaults_are_the_dataclass_defaults():
@@ -360,6 +393,13 @@ def test_export_q_one_collapse(outdir):
     assert main(["export", "e+:1", "--q-real", "1.0", "-o", str(f2),
                  "--quiet"]) == EXIT_OK
     assert f1.read_text() == f2.read_text()
+
+
+@pytest.mark.parametrize("op_id", ["H:1", "h:1", "Gamma"])
+def test_exports_that_read_no_q_build_no_deformed_set(outdir, monkeypatch, op_id):
+    built = _sets_built(monkeypatch)
+    assert main(["export", op_id, *SMALL, "-o", str(outdir / "op.txt"), "--quiet"]) == EXIT_OK
+    assert built == [False]
 
 
 def test_export_round_trip(outdir):

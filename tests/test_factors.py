@@ -189,6 +189,15 @@ def test_factor_operators_are_built_once_per_config():
     assert len(basis._memo) == 2
 
 
+def test_the_first_q_free_build_keeps_the_config_asked_for():
+    """On a fresh basis a fermionic anyon opens its config, and its ladder
+    then opens the basis's config for the first time: the anyon is kept."""
+    cfg = STACKS[0]
+    basis = build_basis(cfg)
+    a = anyon_factor(cfg, basis, basis.fermion_modes[0], "a")
+    assert anyon_factor(cfg, basis, basis.fermion_modes[0], "a") is a
+
+
 def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
     """Runs at nu 0.3, nu 0.2 and q_real 1.3 on one basis build each fermion
     ladder, each H_alpha (per corruption) and each Cartan-Weyl operator once,
@@ -315,7 +324,6 @@ def test_cartan_weyl_operators_equal_their_full_dimension_construction(cfg, monk
     mixed, and h_1^m at m = +-1 have the arrays of the sum of the lifted
     products.  A fresh basis, so the suite's checks are not memo hits."""
     _cached_basis.cache_clear()
-    alg._cached_set.cache_clear()
     labels = []
     build = verify.cartan_weyl_generators
 

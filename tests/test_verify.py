@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bulk_projector, full_local_e
 from anyonrep.algebra import (
-    _cached_set,
     admissible_sites,
     cached_basis,
     cached_generators,
@@ -175,7 +174,6 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
     built, the quantum, Serre and undeformed suites form no product outside
     a check.  A fresh basis, so the suites' checks are not memo hits."""
     _cached_basis.cache_clear()
-    _cached_set.cache_clear()
     calls, families = [], set()
     where = [None]
     matmat = compressed.csr_matmat
@@ -500,7 +498,6 @@ def test_q_free_reports_are_made_once_per_basis_tol_and_corruption(suite, monkey
     monkeypatch.setattr(SuiteReports, "check",
                         lambda self, *a, **kw: calls.append(a[0]) or check(self, *a, **kw))
     _cached_basis.cache_clear()
-    _cached_set.cache_clear()
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     first = suite(cfg)
     q_free = [r for r in first if not r.relation_id.startswith(("eq49", "eq50"))]
@@ -562,24 +559,36 @@ def test_cocycle_pivot_equals_dense_argmax():
         assert _largest_entry(Z) == np.unravel_index(np.argmax(dense), dense.shape)
 
 
-def test_limit_slope_sets_are_not_cached():
+def test_limit_slope_sets_are_not_cached(memo_builds):
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
-    _cached_set.cache_clear()
     suite_classical_limit(cfg)
     # the plain set only: the deformed sets at and near q = 1 are used once
-    assert _cached_set.cache_info().currsize == 1
+    assert [key for _, key in memo_builds if key[0] == "set"] == [
+        ("set", False, Corruption())]
 
 
-def test_run_suites_caches_the_deformed_and_the_plain_set():
+def test_run_suites_caches_the_deformed_and_the_plain_set(memo_builds):
+    """Both sets are memo hits after a run, but classical asks for q near 1
+    and so frees the deformed set, which the next call builds again once."""
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
-    _cached_set.cache_clear()
-    run_suites(cfg)
-    info = _cached_set.cache_info()
-    assert info.currsize == 2
-    # the deformed set at the config's q and the plain set
-    cached_generators(cfg, True)
-    cached_generators(cfg, False)
-    assert _cached_set.cache_info().misses == info.misses
+    for names, rebuilt in (([s for s in SUITES if s != "classical"], []), (list(SUITES), [True])):
+        run_suites(cfg, names)
+        memo_builds.clear()
+        cached_generators(cfg, True)
+        cached_generators(cfg, False)
+        assert [key[1] for _, key in memo_builds if key[0] == "set"] == rebuilt
+
+
+def test_script_e_is_built_once_per_deformed_set(memo_builds):
+    """The rescaled generators live in the memo under the set's config: the
+    quantum and Serre suites at two nu build each one once per nu."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    for nu in (0.3, 0.2):
+        run_suites(dataclasses.replace(cfg, nu=nu), ["quantum", "serre"])
+    scripts = [(at, key) for at, key in memo_builds if key[0] == "script"]
+    assert len(set(scripts)) == len(scripts) == 2 * 2 * (cfg.R + 1)
+    gs = cached_generators(dataclasses.replace(cfg, nu=0.2), True)
+    assert gs.script_e(0, "+") is gs.script_e(0, "+")
 
 
 def test_one_basis_per_geometry(monkeypatch):
@@ -592,7 +601,6 @@ def test_one_basis_per_geometry(monkeypatch):
     monkeypatch.setattr(fock, "build_basis",
                         lambda c: built.append(c) or fock.FockBasis(c))
     _cached_basis.cache_clear()
-    _cached_set.cache_clear()
     for nu in (0.3, 0.2):
         run_suites(dataclasses.replace(cfg, nu=nu))
     assert len(built) == 1
