@@ -221,28 +221,10 @@ def config_digest(cfg: LatticeConfig, extra: dict | None = None) -> str:
 # verify
 # ---------------------------------------------------------------------------
 
-def _nu_samples(cfg: LatticeConfig, count: int):
-    """Deterministic pseudo-random statistics parameters inside the
-    positivity window nu < 1/n_max."""
-    rng = np.random.default_rng(97)
-    hi = 0.95 / cfg.n_max
-    return [float(x) for x in rng.uniform(0.02, hi, size=count)]
-
-
 def cmd_verify(args) -> int:
     run = run_config_from(args)
     cfg = run.lattice
-    corruption = run.corruption
-
-    results = {name: run_suites(cfg, [name], corruption)[name]
-               for name in run.suites}
-    for nu in _nu_samples(cfg, run.q_samples):
-        sampled = dataclasses.replace(cfg, nu=nu)
-        for name in run.suites:
-            if name == "classical":
-                continue
-            key = f"{name}@nu={nu:.6f}"
-            results[key] = run_suites(sampled, [name], corruption)[name]
+    results = run_suites(cfg, run.suites, run.corruption, run.q_samples)
 
     all_ok = all(reports_ok(reps) for reps in results.values())
     run_meta = {"suites": list(run.suites),

@@ -153,6 +153,9 @@ class LatticeConfig:
         object.__setattr__(self, "ordering", ordering)
         if (self.nu is None) == (self.q_real is None):
             raise ConfigError("give exactly one of nu and q_real")
+        for key in ("nu", "q_real", "tol"):
+            if not math.isfinite(getattr(self, key) or 0):
+                raise ConfigError(f"{key} must be a finite number, got {getattr(self, key)}")
         if self.q_real is not None and self.q_real <= 0:
             raise ConfigError("q_real must be positive")
         if self.tol <= 0:
@@ -161,7 +164,11 @@ class LatticeConfig:
             raise ConfigError("dim_cap must be >= 1")
         q = self.q
         for n in range(1, self.n_max + 1):
-            val = q_number(n, q)
+            try:
+                val = q_number(n, q)
+            except OverflowError:
+                raise ConfigError(f"[{n}]_q overflows; move q or lower n_max "
+                                  f"(n_max = {self.n_max})") from None
             if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)) or val.real <= 1e-12:
                 raise ConfigError(
                     f"[{n}]_q = {val:.6g} is not a positive real; "
@@ -381,8 +388,9 @@ class FockBasis:
 
     def memo(self, cfg: LatticeConfig, key, build):
         """``build()`` once per config and key, the one cache below the basis.
-        Under ``self.cfg`` (q = 1) what reads no q lives as long as the basis;
-        of the other configs only the one asked for last is kept."""
+        Under ``self.cfg`` (q = 1) what reads no q lives as long as the basis
+        (operators, masks, the plain set and the oscillators' canonical
+        reports); of the other configs only the one asked for last is kept."""
         ops = self._memo.get(cfg)
         if ops is None:
             self._memo = {self.cfg: self._memo[self.cfg]}

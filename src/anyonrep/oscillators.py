@@ -32,7 +32,7 @@ from .fock import (
     scale_columns,
     scale_rows,
 )
-from .report import RelationReport, SuiteReports, once_per_basis
+from .report import RelationReport, SuiteReports
 
 
 def number_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
@@ -116,8 +116,9 @@ def suite_oscillators(cfg: LatticeConfig,
     instead of pretending the cutoff away.  Every relation but the mixed
     eq30 acts on one factor of the basis index and is checked there.  The
     first three read no q and are checked once per basis, before the rest."""
-    canonical = once_per_basis(cfg, "canonical", corruption, _canonical_relations)
     basis = cached_basis(cfg)
+    canonical = basis.memo(basis.cfg, ("canonical", corruption),
+                           lambda: _canonical_relations(basis))
     q = cfg.q
     out = SuiteReports("oscillators", cfg.tol, basis)
     bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}

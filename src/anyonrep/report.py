@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import Corruption, FockBasis, LatticeConfig, bulk_mask, cached_basis, residual_norm
+from .fock import FockBasis, bulk_mask, residual_norm
 
 
 @dataclass
@@ -133,15 +133,6 @@ def not_applicable(relation_id: str, equation: str, reason: str) -> RelationRepo
     return RelationReport(relation_id=relation_id, equation=equation,
                           params={"reason": reason}, projector="-",
                           residual=0.0, tol=0.0, passed=True, applicable=False)
-
-
-def once_per_basis(cfg: LatticeConfig, name: str, corruption: Corruption, build) -> list:
-    """The reports of checks that read no q: ``build(basis)`` on the basis of
-    ``cfg``, run once per basis (whose q = 1 config holds the tol), ``name``
-    and corruption.  Each call returns a fresh list of the same reports, kept
-    in the basis memo with the wall times of their one computation."""
-    basis = cached_basis(cfg)
-    return list(basis.memo(basis.cfg, (name, corruption), lambda: build(basis)))
 
 
 def reports_ok(reports) -> bool:

@@ -62,7 +62,7 @@ from .fock import (
     zero_op,
 )
 from .oscillators import number_diag
-from .report import RelationReport, SuiteReports, once_per_basis, restrict
+from .report import RelationReport, SuiteReports, restrict
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +162,20 @@ def _chevalley_relations(out: SuiteReports, gs: GeneratorSet, ids):
                       params={"alpha": al, "sign": s})
 
 
-def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
+def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids, images: bool = False):
     """Expanded Serre relations (Eq. (8)) and the quartic supplementary
     relations at node M and at the affine node (Eq. (9)), under the family
-    ids ``ids`` = (Serre, quartic at M, affine quartic prefix).
-
-    A generator: each word, a list of products (c, X1, ..., Xn), is checked
-    and then yielded as ``(family, products, params)`` so that a caller can
-    check it on another bulk.  Each check restricts the products to its bulk
-    before it multiplies them.
-    """
+    ids ``ids`` = (Serre, quartic at M, affine quartic prefix).  With
+    ``images``, a word exact away from the cutoff must also annihilate the
+    headroom-protected subspace outright: right after it, each Serre word
+    without node 0 and the quartic at M are checked on the right (``-img``),
+    and the quartic at M in adjoint-action form (``eq10-alphaM``)."""
     eq_serre, eq_quartic, eq_affine = ids
     cfg, ct = gs.cfg, gs.cartan
     a, at = ct.a, ct.a_tilde
     R, M = cfg.R, cfg.M
-    bulk = (2, _serre_headroom(cfg))
+    head = _serre_headroom(cfg)
+    bulk = (2, head)
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -201,7 +200,9 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
                     form = "odd-square"
                 ps = {"alpha": al, "beta": be, "sign": s, "form": form}
                 out.check(f"{eq_serre}[{al},{be},{s}]", X, bulk=bulk, params=ps)
-                yield eq_serre, X, ps
+                if images and 0 not in (al, be):
+                    out.check(f"{eq_serre}-img[{al},{be},{s}]", X, bulk=(0, head),
+                              side="right", params=ps)
 
     # quartic at alpha = M (bare generators, plain q-commutators; the minus
     # form mirrors the bracket orders, as dictated by the adjoint action)
@@ -216,7 +217,13 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
             X = supercommutator(X1, X2, 1, 1)
             ps = {"alpha": M, "sign": s}
             out.check(f"{eq_quartic}[{s}]", X, bulk=bulk, params=ps)
-            yield eq_quartic, X, ps
+            if images:
+                out.check(f"{eq_quartic}-img[{s}]", X, bulk=(0, head), side="right",
+                          params=ps)
+                Y1 = ad_q(gs, M - 1, gs.script_e(M, s), _sig(s) * a[M - 1][M], 1, s)
+                Y2 = ad_q(gs, M + 1, gs.script_e(M, s), _sig(s) * a[M + 1][M], 1, s)
+                out.check(f"eq10-alphaM[{s}]", supercommutator(Y1, Y2, 1, 1),
+                          bulk=bulk, params=ps)
     else:
         out.not_applicable(eq_quartic, "needs M >= 2 and N >= 2")
 
@@ -231,9 +238,8 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids):
             Y1 = ad_q(gs, prev, gs.script_e(0, s), _sig(s) * a[prev][0], 1, s)
             Y2 = ad_q(gs, nxt, gs.script_e(0, s), _sig(s) * a[nxt][0], 1, s)
             X = supercommutator(Y1, Y2, 1, 1)
-            ps = {"alpha": 0, "neighbours": [prev, nxt], "sign": s}
-            out.check(f"{rid}[{s}]", X, bulk=bulk, params=ps)
-            yield rid, X, ps
+            out.check(f"{rid}[{s}]", X, bulk=bulk,
+                      params={"alpha": 0, "neighbours": [prev, nxt], "sign": s})
 
 
 # ---------------------------------------------------------------------------
@@ -260,60 +266,42 @@ def suite_quantum(cfg: LatticeConfig,
 
 def suite_serre(cfg: LatticeConfig,
                 corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
-    """Expanded Serre relations, the quartic supplementary relations at the
-    isotropic nodes, and the adjoint-action oracle cross-checks."""
+    """The adjoint-action oracle cross-checks, then the expanded Serre
+    relations and the quartic supplementary relations at the isotropic
+    nodes, with their headroom images (``_serre_relations`` with ``images``)."""
     gs = cached_generators(cfg, True, corruption)
     ct = gs.cartan
-    a = ct.a
-    R, M = cfg.R, cfg.M
-    head = _serre_headroom(cfg)
     out = SuiteReports("serre", cfg.tol, gs.basis)
 
     # closed-form adjoint vs Hopf oracle; the affine action needs the bulk
     # because H_0 weight bookkeeping is truncated at the boundary
-    for al in range(R + 1):
-        for be in range(R + 1):
+    for al in range(cfg.R + 1):
+        for be in range(cfg.R + 1):
             if al == be:
                 continue
             for s in ("+", "-"):
                 Y = gs.script_e(be, s)
-                w = _sig(s) * a[al][be]
+                w = _sig(s) * ct.a[al][be]
                 closed = ad_q(gs, al, Y, w, ct.parity[be], s)
                 hopf = ad_q_hopf(gs, al, Y, ct.parity[be], s)
                 out.check(f"eq12-oracle[{al},{be},{s}]", closed, hopf,
-                          bulk=(1, head) if al == 0 else None,
+                          bulk=(1, _serre_headroom(cfg)) if al == 0 else None,
                           params={"alpha": al, "beta": be, "sign": s})
 
-    # where a word is exact away from the cutoff it must also annihilate the
-    # headroom-protected subspace outright
-    for family, X, ps in _serre_relations(out, gs,
-                                          ("eq8", "eq9-alphaM", "eq9-alpha0")):
-        if family == "eq8" and 0 not in (ps["alpha"], ps["beta"]):
-            out.check(f"eq8-img[{ps['alpha']},{ps['beta']},{ps['sign']}]",
-                      X, bulk=(0, head), side="right", params=ps)
-        elif family == "eq9-alphaM":
-            s = ps["sign"]
-            out.check(f"eq9-alphaM-img[{s}]", X, bulk=(0, head), side="right",
-                      params=ps)
-            Y1 = ad_q(gs, M - 1, gs.script_e(M, s), _sig(s) * a[M - 1][M], 1, s)
-            Y2 = ad_q(gs, M + 1, gs.script_e(M, s), _sig(s) * a[M + 1][M], 1, s)
-            out.check(f"eq10-alphaM[{s}]", supercommutator(Y1, Y2, 1, 1),
-                      bulk=(2, head), params=ps)
+    _serre_relations(out, gs, ("eq8", "eq9-alphaM", "eq9-alpha0"), images=True)
     return out.reports
 
 
 def suite_undeformed(cfg: LatticeConfig,
                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Classical Serre-Chevalley relations of the plain oscillator set: the
-    quantum and Serre relations evaluated on it at q = 1, once per basis."""
-    def build(basis):
-        gs = cached_generators(cfg, False, corruption)
-        out = SuiteReports("undeformed", cfg.tol, basis)
-        _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
-        for _ in _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0")):
-            pass
-        return out.reports
-    return once_per_basis(cfg, "undeformed", corruption, build)
+    quantum and Serre relations evaluated on it at q = 1.  It reads no q,
+    so a run repeats its reports at every sampled q (``Q_FREE``)."""
+    gs = cached_generators(cfg, False, corruption)
+    out = SuiteReports("undeformed", cfg.tol, gs.basis)
+    _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
+    _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0"))
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +430,27 @@ def suite_central_charge(cfg: LatticeConfig,
     Also checks the exact finite-lattice identity Gamma = sum over lines of
     n_1(r_min) + n'_N(r_max), which is what the truncated telescoping leaves
     behind, and pins down the off-bulk discrepancy.  Gamma is read from the
-    plain set's H, which reads no q, so the suite runs once per basis.
+    plain set's H, which reads no q, so a run repeats these reports at every
+    sampled q (``Q_FREE``).
     """
-    def build(basis):
-        gamma = diag_operator(central_charge_diag(cached_generators(cfg, False, corruption)))
-        gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
-        out = SuiteReports("central", 1e-12, basis)
-        out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis),
-                  bulk=(1, 0), params={"expected": gamma_expected,
-                          "ordering": list(cfg.ordering), "lines": cfg.K})
+    gs = cached_generators(cfg, False, corruption)
+    basis = gs.basis
+    gamma = diag_operator(central_charge_diag(gs))
+    gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
+    out = SuiteReports("central", 1e-12, basis)
+    out.check("eq29-gamma", gamma, gamma_expected * identity_op(basis),
+              bulk=(1, 0), params={"expected": gamma_expected,
+                      "ordering": list(cfg.ordering), "lines": cfg.K})
 
-        if not corruption.drop_h0_delta:
-            vec = np.zeros(basis.dim)
-            r_min, r_max = cfg.sites[0], cfg.sites[-1]
-            for line in cfg.lines:
-                vec = vec + number_diag(basis, ModeId(FERMION, 1, line, r_min))
-                vec = vec + number_diag(basis, ModeId(BOSON, cfg.N, line, r_max))
-            out.check("gamma-boundary", gamma, diag_operator(vec),
-                      params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"})
-        return out.reports
-    return once_per_basis(cfg, "central", corruption, build)
+    if not corruption.drop_h0_delta:
+        vec = np.zeros(basis.dim)
+        r_min, r_max = cfg.sites[0], cfg.sites[-1]
+        for line in cfg.lines:
+            vec = vec + number_diag(basis, ModeId(FERMION, 1, line, r_min))
+            vec = vec + number_diag(basis, ModeId(BOSON, cfg.N, line, r_max))
+        out.check("gamma-boundary", gamma, diag_operator(vec),
+                  params={"identity": "Gamma = sum_l n_1(l,r_min) + n'_N(l,r_max)"})
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -480,89 +469,89 @@ def suite_cartan_weyl(cfg: LatticeConfig,
                       corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
     """Mode-shifted generators: correspondence with the simple set, weight
     relations, the central anomaly scalar and its linearity in the mode
-    number, and the observed two-cocycle signs; once per basis, as they read no q."""
-    def build(basis):
-        gs = cached_generators(cfg, False, corruption)
-        ct = gs.cartan
-        R = cfg.R
-        out = SuiteReports("cartanweyl", cfg.tol, basis)
+    number, and the observed two-cocycle signs.  They read no q, so a run
+    repeats these reports at every sampled q (``Q_FREE``)."""
+    gs = cached_generators(cfg, False, corruption)
+    basis = gs.basis
+    ct = gs.cartan
+    R = cfg.R
+    out = SuiteReports("cartanweyl", cfg.tol, basis)
 
-        for alpha in range(R + 1):
-            lab = ct.simple_root_label(alpha)
-            out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(basis, lab),
-                      gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
-        h0 = {a_: cartan_weyl_h0_diag(basis, a_) for a_ in range(1, R + 1)}
-        for a_, h in h0.items():
-            out.check(f"eq26-h[{a_}]", diag_operator(h), gs.H[a_], params={"a": a_})
+    for alpha in range(R + 1):
+        lab = ct.simple_root_label(alpha)
+        out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(basis, lab),
+                  gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
+    h0 = {a_: cartan_weyl_h0_diag(basis, a_) for a_ in range(1, R + 1)}
+    for a_, h in h0.items():
+        out.check(f"eq26-h[{a_}]", diag_operator(h), gs.H[a_], params={"a": a_})
 
-        roots = [ct.simple_root_label(al) for al in range(1, R + 1)]
-        if cfg.M >= 2:
-            roots.append(RootLabel((EPS, 1), (DELTA, 1)))
-        elif cfg.N >= 2:
-            roots.append(RootLabel((EPS, 1), (DELTA, 2)))
-        for base in roots:
-            for m in (-1, 0, 1):
-                lab = dataclasses.replace(base, m=m)
-                e = cartan_weyl_generators(basis, lab)
-                for a_, h in h0.items():
-                    w = root_weight(cfg.M, cfg.N, a_, lab)
-                    out.check(f"eq1b[{lab},a={a_}]",
-                              scale_rows(e, h) - scale_columns(e, h), w * e,
-                              bulk=(abs(m), 0) if m else None, params={"root": str(lab), "a": a_, "weight": w})
+    roots = [ct.simple_root_label(al) for al in range(1, R + 1)]
+    if cfg.M >= 2:
+        roots.append(RootLabel((EPS, 1), (DELTA, 1)))
+    elif cfg.N >= 2:
+        roots.append(RootLabel((EPS, 1), (DELTA, 2)))
+    for base in roots:
+        for m in (-1, 0, 1):
+            lab = dataclasses.replace(base, m=m)
+            e = cartan_weyl_generators(basis, lab)
+            for a_, h in h0.items():
+                w = root_weight(cfg.M, cfg.N, a_, lab)
+                out.check(f"eq1b[{lab},a={a_}]",
+                          scale_rows(e, h) - scale_columns(e, h), w * e,
+                          bulk=(abs(m), 0) if m else None, params={"root": str(lab), "a": a_, "weight": w})
 
-        # anomaly scalar of [h^m, h^-m] on the bulk
-        lambdas = {}
-        gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
-        for m in (1, 2):
-            if m >= cfg.S:
-                out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
-                continue
-            hm = cartan_weyl_h(basis, 1, m)
-            hmm = cartan_weyl_h(basis, 1, -m)
-            X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
-            lam = complex(X.trace() / X.shape[0])
-            lambdas[m] = lam
-            res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
-            K_obs = (lam / gamma_expected / m).real if gamma_expected else None
-            out.record(f"eq1a-scalar[m={m}]", res, bulk=(2, 0),
-                       params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
-                               "K(h1,h1)-observed": K_obs})
-        if 1 in lambdas and 2 in lambdas:
-            dev = abs(lambdas[2] - 2 * lambdas[1])
-            out.record("eq1a-linearity", dev, tol=1e-8, bulk=(2, 0),
-                       params={"lambda_1": lambdas[1].real,
-                               "lambda_2": lambdas[2].real})
-        elif 1 in lambdas:
-            out.not_applicable("eq1a-linearity", "m=2 needs S >= 4")
+    # anomaly scalar of [h^m, h^-m] on the bulk
+    lambdas = {}
+    gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
+    for m in (1, 2):
+        if m >= cfg.S:
+            out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
+            continue
+        hm = cartan_weyl_h(basis, 1, m)
+        hmm = cartan_weyl_h(basis, 1, -m)
+        X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
+        lam = complex(X.trace() / X.shape[0])
+        lambdas[m] = lam
+        res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
+        K_obs = (lam / gamma_expected / m).real if gamma_expected else None
+        out.record(f"eq1a-scalar[m={m}]", res, bulk=(2, 0),
+                   params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
+                           "K(h1,h1)-observed": K_obs})
+    if 1 in lambdas and 2 in lambdas:
+        dev = abs(lambdas[2] - 2 * lambdas[1])
+        out.record("eq1a-linearity", dev, tol=1e-8, bulk=(2, 0),
+                   params={"lambda_1": lambdas[1].real,
+                           "lambda_2": lambdas[2].real})
+    elif 1 in lambdas:
+        out.not_applicable("eq1a-linearity", "m=2 needs S >= 4")
 
-        # supercommutator onto a composite root: the structure constant is read
-        # off and only its unit modulus is asserted
-        chains = [(ct.simple_root_label(a_), ct.simple_root_label(a_ + 1))
-                  for a_ in range(1, R)]
-        affine = (ct.simple_root_label(R), ct.simple_root_label(0))
-        if compose_roots(*affine) is not None:
-            chains.append(affine)
-        for r1, r2 in chains[:3]:
-            rsum = compose_roots(r1, r2)
-            if rsum is None:
-                continue
-            e1, e2, es = (cartan_weyl_generators(basis, r) for r in (r1, r2, rsum))
-            # compositions of odd roots raise a boson in one ordering
-            bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
-            X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
-            Z = restrict(es, out.mask(bulk))
-            if Z.nnz == 0 or residual_norm(Z) < 1e-12:
-                out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
-                                   "target vanishes on the bulk")
-                continue
-            i, j = _largest_entry(Z)
-            lam = complex(X[i, j] / Z[i, j])
-            res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
-            out.record(f"eq1c-cocycle[{r1},{r2}]", res, bulk=bulk,
-                       params={"roots": [str(r1), str(r2)],
-                               "scalar": [lam.real, lam.imag]})
-        return out.reports
-    return once_per_basis(cfg, "cartanweyl", corruption, build)
+    # supercommutator onto a composite root: the structure constant is read
+    # off and only its unit modulus is asserted
+    chains = [(ct.simple_root_label(a_), ct.simple_root_label(a_ + 1))
+              for a_ in range(1, R)]
+    affine = (ct.simple_root_label(R), ct.simple_root_label(0))
+    if compose_roots(*affine) is not None:
+        chains.append(affine)
+    for r1, r2 in chains[:3]:
+        rsum = compose_roots(r1, r2)
+        if rsum is None:
+            continue
+        e1, e2, es = (cartan_weyl_generators(basis, r) for r in (r1, r2, rsum))
+        # compositions of odd roots raise a boson in one ordering
+        bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
+        X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
+        Z = restrict(es, out.mask(bulk))
+        if Z.nnz == 0 or residual_norm(Z) < 1e-12:
+            out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
+                               "target vanishes on the bulk")
+            continue
+        i, j = _largest_entry(Z)
+        lam = complex(X[i, j] / Z[i, j])
+        res = max(residual_norm(X - lam * Z), abs(abs(lam) - 1.0))
+        out.record(f"eq1c-cocycle[{r1},{r2}]", res, bulk=bulk,
+                   params={"roots": [str(r1), str(r2)],
+                           "scalar": [lam.real, lam.imag]})
+    return out.reports
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +570,30 @@ SUITES = {
     "cartanweyl": suite_cartan_weyl,
 }
 
+Q_FREE = ("undeformed", "central", "cartanweyl")
+
+
+def _nu_samples(cfg: LatticeConfig, count: int) -> list[float]:
+    """Deterministic pseudo-random statistics parameters inside the
+    positivity window nu < 1/n_max."""
+    return np.random.default_rng(97).uniform(0.02, 0.95 / cfg.n_max, size=count).tolist()
+
+
 def run_suites(cfg: LatticeConfig, names=None,
-               corruption: Corruption = NO_CORRUPTION) -> dict:
-    """Run the selected suites in registry order; deterministic."""
-    if names is None:
-        names = list(SUITES)
-    unknown = [n for n in names if n not in SUITES]
+               corruption: Corruption = NO_CORRUPTION, q_samples: int = 0) -> dict:
+    """The one loop of a verify run, deterministic: the selected suites (default
+    all) in registry order, then at each of ``q_samples`` sampled nu every one
+    but ``classical``, keyed ``name@nu=...``.  A sample does not rerun a suite
+    in ``Q_FREE``: it holds a fresh list of the base key's report objects."""
+    unknown = [n for n in names or () if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")
-    return {name: SUITES[name](cfg, corruption) for name in SUITES if name in names}
+    names = [name for name in SUITES if names is None or name in names]
+    results = {name: SUITES[name](cfg, corruption) for name in names}
+    for nu in _nu_samples(cfg, q_samples):
+        sampled = dataclasses.replace(cfg, nu=nu)
+        for name in names:
+            if name != "classical":
+                results[f"{name}@nu={nu:.6f}"] = (
+                    list(results[name]) if name in Q_FREE else SUITES[name](sampled, corruption))
+    return results

@@ -11,7 +11,6 @@ from anyonrep.cli import (
     EXIT_RELATION_FAILURE,
     EXIT_TOO_LARGE,
     _counts,
-    _nu_samples,
     config_digest,
     lattice_config_from_raw,
     main,
@@ -27,7 +26,7 @@ from anyonrep.fock import (
     residual_norm,
 )
 from anyonrep.report import RelationReport, SuiteReports
-from anyonrep.verify import SUITES, run_suites
+from anyonrep.verify import SUITES, _nu_samples, run_suites
 
 
 @pytest.fixture
@@ -112,6 +111,29 @@ def test_a_q_flag_overrides_the_config_file_q(outdir, flag, q):
                  "--quiet"]) == EXIT_OK
     lattice = json.loads(report.read_text())["config"]
     assert {k: lattice[k] for k in q} == q
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--tol", "inf"], "tol"), (["--nu", "nan"], "nu"), (["--q-real", "inf"], "q_real"),
+    (["--q-real", "1.3", "--nmax", "3000"], "n_max"),
+], ids=["tol-inf", "nu-nan", "q-real-inf", "q-real-overflow"])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_non_finite_or_overflowing_numbers_exit_2(outdir, capsys, command, flags, named):
+    """A tol, nu or q that is not finite, or a q whose [n]_q overflows below
+    the cutoff, is a config error that names the key, on verify and export:
+    an infinite tol would pass the negative control."""
+    args = (["verify", "--negative-control", "qalpha", "--suites", "quantum,serre"]
+            if command == "verify" else ["export", "H:1", "-o", str(outdir / "h.txt")])
+    assert main([*args, *flags, "--quiet"]) == EXIT_CONFIG_ERROR
+    assert named in capsys.readouterr().err
+
+
+def test_a_nan_in_a_config_file_exits_2(outdir, capsys):
+    """json reads NaN: a config file's non-finite q is a config error too."""
+    cfgfile = outdir / "cfg.json"
+    cfgfile.write_text('{"q": {"nu": NaN}, "suites": "central"}')
+    assert main(["verify", "--config", str(cfgfile), "--quiet"]) == EXIT_CONFIG_ERROR
+    assert "nu" in capsys.readouterr().err
 
 
 def test_verify_negative_control_fails():
@@ -325,6 +347,32 @@ def _sets_built(monkeypatch) -> list:
                         or build(cfg, basis, deformed, *a))
     _cached_basis.cache_clear()
     return built
+
+
+def test_a_deformed_set_is_built_once_whatever_the_suite_order(monkeypatch):
+    """Suites run in registry order: classical, which asks for q near 1 and so
+    frees the run's deformed set, runs after every suite that reads it."""
+    built = _sets_built(monkeypatch)
+    assert main(["verify", *SMALL, "--suites", "quantum,classical,serre", "--quiet"]) == EXIT_OK
+    assert built.count(True) == 1
+
+
+def test_report_keys_follow_registry_order(outdir):
+    """Out-of-order --suites: the report's suites follow registry order, base
+    keys first, then each sample's; the run block and the hash keep the
+    order given."""
+    report = outdir / "r.json"
+    given = ["cartanweyl", "classical", "quantum", "oscillators"]
+    assert main(["verify", *SMALL, "--suites", ",".join(given), "--q-samples", "2",
+                 "--report", str(report), "--quiet"]) == EXIT_OK
+    payload = json.loads(report.read_text())
+    base = [name for name in SUITES if name in given]
+    nus = _nu_samples(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3), 2)
+    assert list(payload["suites"]) == base + [f"{name}@nu={nu:.6f}" for nu in nus
+                                              for name in base if name != "classical"]
+    assert payload["run"]["suites"] == given
+    cfg = lattice_config_from_raw({"M": 2, "N": 1, "sites": 2, "nmax": 2, "q": {"nu": 0.3}})
+    assert payload["config_hash"] == config_digest(cfg, payload["run"])
 
 
 def test_central_builds_no_deformed_set(monkeypatch):

@@ -48,6 +48,7 @@ def test_degenerate_rank_rejected():
     dict(S=3), dict(S=0), dict(n_max=0), dict(K=0),
     dict(ordering="weird"), dict(ordering=("sea", "sea")),
     dict(tol=-1.0), dict(dim_cap=0), dict(dim_cap=-5),
+    dict(tol=float("inf")), dict(tol=float("nan")),
 ])
 def test_bad_geometry_rejected(kwargs):
     base = dict(M=2, N=1, S=2, nu=0.3)
@@ -63,6 +64,18 @@ def test_q_inputs_are_exclusive():
         LatticeConfig(M=2, N=1, S=2, nu=0.3, q_real=1.3)
     with pytest.raises(ConfigError):
         LatticeConfig(M=2, N=1, S=2, q_real=-2.0)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    (dict(nu=float("nan")), "nu"), (dict(nu=float("inf")), "nu"),
+    (dict(nu=float("-inf")), "nu"), (dict(q_real=float("nan")), "q_real"),
+    (dict(q_real=float("inf")), "q_real"), (dict(q_real=1.3, n_max=3000), "n_max"),
+])
+def test_non_finite_or_overflowing_q_rejected(kwargs, named):
+    """A non-finite q, or one whose [n]_q overflows below the cutoff, is a
+    config error that names the key, not a nan residual or an OverflowError."""
+    with pytest.raises(ConfigError, match=named):
+        LatticeConfig(M=2, N=1, S=2, **kwargs)
 
 
 def test_q_bracket_positivity_enforced():

@@ -488,8 +488,7 @@ def test_suite_cartan_weyl_builds_each_generator_once(memo_builds):
     assert labels and len(labels) == len(set(labels))
 
 
-@pytest.mark.parametrize("suite", [suite_undeformed, suite_central_charge, suite_cartan_weyl,
-                                   suite_oscillators])
+@pytest.mark.parametrize("suite", [suite_oscillators])
 def test_q_free_reports_are_made_once_per_basis_tol_and_corruption(suite, monkeypatch):
     """Another nu returns a fresh list of the same reports without a check;
     another corruption or tol checks again."""
@@ -513,6 +512,30 @@ def test_q_free_reports_are_made_once_per_basis_tol_and_corruption(suite, monkey
         calls.clear()
         rerun = suite(*args)
         assert calls and not any(a is b for a, b in zip(q_free, rerun))
+
+
+@pytest.mark.parametrize("name", verify.Q_FREE)
+def test_sampled_q_free_reports_are_the_base_reports(name, monkeypatch):
+    """A run checks a suite that reads no q once: at each sampled nu it holds
+    a fresh list of the very report objects of the base key, under every
+    corruption."""
+    calls = []
+    check = SuiteReports.check
+    monkeypatch.setattr(SuiteReports, "check",
+                        lambda self, *a, **kw: calls.append(a[0]) or check(self, *a, **kw))
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    for corruption in (Corruption(), Corruption(drop_h0_delta=True)):
+        run_suites(cfg, [name], corruption)
+        once = list(calls)
+        calls.clear()
+        out = run_suites(cfg, [name], corruption, q_samples=2)
+        assert calls == once and once
+        calls.clear()
+        base = out.pop(name)
+        assert list(out) == [f"{name}@nu={nu:.6f}" for nu in verify._nu_samples(cfg, 2)]
+        for sampled in out.values():
+            assert sampled is not base and len(sampled) == len(base)
+            assert all(a is b for a, b in zip(sampled, base))
 
 
 def test_classical_keeps_the_operators_that_read_no_q(memo_builds):
