@@ -124,93 +124,93 @@ def suite_braiding(cfg: LatticeConfig,
     the mixed plain/tilde relations, and the on-site (q-)oscillator algebra."""
     basis = cached_basis(cfg)
     q = cfg.q
-    one = identity_op(basis, FERMION)
     out = SuiteReports("braiding", cfg.tol, basis)
     points, pairs = _ordered_site_pairs(cfg)
     pairs = _pair_cap(pairs)
+    one = basis.stack([identity_op(basis, FERMION)] * len(points))
 
     def anyons(kind, flavor, families):
-        """Every anyon of one flavor on its factor, by (point, family, dagger)."""
-        return {(pt, fam, dag): anyon_factor(cfg, basis, ModeId(kind, flavor, *pt),
-                                             fam, dag, corruption=corruption)
-                for pt in points for fam in families for dag in (False, True)}
+        """Every anyon of one flavor on its factor, stacked over the pairs'
+        x and y points and over the points, by (family, dagger)."""
+        A = {(pt, fam, dag): anyon_factor(cfg, basis, ModeId(kind, flavor, *pt),
+                                          fam, dag, corruption=corruption)
+             for pt in points for fam in families for dag in (False, True)}
+        return ({(fam, dag): basis.stack([A[pt, fam, dag] for pt in at])
+                 for fam in families for dag in (False, True)}
+                for at in ([x for x, _ in pairs], [y for _, y in pairs], points))
 
-    def rep(rid, lhs, rhs=None, bulk=None, **params):
+    def family(name, lhs, rhs=None, bulk=None):
         # every operand acts on the factor of the statistics looped over
-        out.check(rid, lhs, rhs, bulk=bulk, factor=factor, params=params)
+        return out.check_family([f"{name}[{tag}]" for tag in tags], lhs, rhs,
+                                bulk=bulk, factor=factor, params=params)
 
     factor = FERMION
     for i in range(1, cfg.M + 1):
-        A = anyons(factor, i, ("a", "a~"))
-        for x, y in pairs:
-            ar, asr = A[x, "a", False], A[y, "a", False]
-            adr, ads = A[x, "a", True], A[y, "a", True]
-            ps = {"flavor": i, "x": list(x), "y": list(y)}
-            rep(f"eq42a[i={i},{x},{y}]", ar @ asr + (asr @ ar) / q, **ps)
-            rep(f"eq42b[i={i},{x},{y}]", adr @ ads + (ads @ adr) / q, **ps)
-            rep(f"eq42c[i={i},{x},{y}]", adr @ asr + q * (asr @ adr), **ps)
-            rep(f"eq42d[i={i},{x},{y}]", ar @ ads + q * (ads @ ar), **ps)
-            tr, ts = A[x, "a~", False], A[y, "a~", False]
-            tdr, tds = A[x, "a~", True], A[y, "a~", True]
-            rep(f"eq42ta[i={i},{x},{y}]", tr @ ts + q * (ts @ tr), **ps)
-            rep(f"eq42tb[i={i},{x},{y}]", tdr @ tds + q * (tds @ tdr), **ps)
-            rep(f"eq42tc[i={i},{x},{y}]", tdr @ ts + (ts @ tdr) / q, **ps)
-            rep(f"eq42td[i={i},{x},{y}]", tr @ tds + (tds @ tr) / q, **ps)
+        X, Y, P = anyons(factor, i, ("a", "a~"))
+        ar, asr, adr, ads = X["a", False], Y["a", False], X["a", True], Y["a", True]
+        tr, ts, tdr, tds = X["a~", False], Y["a~", False], X["a~", True], Y["a~", True]
+        tags = [f"i={i},{x},{y}" for x, y in pairs]
+        params = [{"flavor": i, "x": list(x), "y": list(y)} for x, y in pairs]
+        out.emit(
+            family("eq42a", ar @ asr + (asr @ ar) / q),
+            family("eq42b", adr @ ads + (ads @ adr) / q),
+            family("eq42c", adr @ asr + q * (asr @ adr)),
+            family("eq42d", ar @ ads + q * (ads @ ar)),
+            family("eq42ta", tr @ ts + q * (ts @ tr)),
+            family("eq42tb", tdr @ tds + q * (tds @ tdr)),
+            family("eq42tc", tdr @ ts + (ts @ tdr) / q),
+            family("eq42td", tr @ tds + (tds @ tr) / q),
             # mixed families vanish at distinct sites with either anchoring
-            rep(f"eq44[i={i},{x},{y}]", tr @ asr + asr @ tr, **ps)
-            rep(f"eq44x[i={i},{x},{y}]", ts @ ar + ar @ ts, **ps)
-            rep(f"eq44d[i={i},{x},{y}]", tdr @ ads + ads @ tdr, **ps)
-            rep(f"eq45[i={i},{x},{y}]", tdr @ asr + asr @ tdr, **ps)
-            rep(f"eq45x[i={i},{x},{y}]", tds @ ar + ar @ tds, **ps)
-            rep(f"eq45b[i={i},{x},{y}]", tr @ ads + ads @ tr, **ps)
+            family("eq44", tr @ asr + asr @ tr),
+            family("eq44x", ts @ ar + ar @ ts),
+            family("eq44d", tdr @ ads + ads @ tdr),
+            family("eq45", tdr @ asr + asr @ tdr),
+            family("eq45x", tds @ ar + ar @ tds),
+            family("eq45b", tr @ ads + ads @ tr))
 
-        for pt in points:
-            a_, ad = A[pt, "a", False], A[pt, "a", True]
-            t_, td = A[pt, "a~", False], A[pt, "a~", True]
-            ps = {"flavor": i, "x": list(pt)}
-            rep(f"eq43[i={i},{pt}]", a_ @ ad + ad @ a_, one, **ps)
-            rep(f"eq43n[i={i},{pt}]", a_ @ a_, **ps)
-            rep(f"eq43nd[i={i},{pt}]", ad @ ad, **ps)
-            rep(f"eq43t[i={i},{pt}]", t_ @ td + td @ t_, one, **ps)
-            rep(f"eq44s[i={i},{pt}]", t_ @ a_ + a_ @ t_, **ps)
-            mode = ModeId(FERMION, i, *pt)
-            w = string_factor(basis, mode)
-            rep(f"eq46a[i={i},{pt}]", t_ @ ad + ad @ t_,
-                diag_operator(q_power(q, w)), **ps)
-            rep(f"eq46b[i={i},{pt}]", td @ a_ + a_ @ td,
-                diag_operator(q_power(q, -w)), **ps)
-            n = diag_operator(number_factor(basis, mode))
-            rep(f"eq47[i={i},{pt}]", ad @ a_, n, **ps)
-            rep(f"eq47t[i={i},{pt}]", td @ t_, n, **ps)
+        a_, ad, t_, td = P["a", False], P["a", True], P["a~", False], P["a~", True]
+        modes = [ModeId(FERMION, i, *pt) for pt in points]
+        w = np.concatenate([string_factor(basis, mode) for mode in modes])
+        n = diag_operator(np.concatenate([number_factor(basis, mode) for mode in modes]))
+        tags = [f"i={i},{pt}" for pt in points]
+        params = [{"flavor": i, "x": list(pt)} for pt in points]
+        out.emit(
+            family("eq43", a_ @ ad + ad @ a_, one),
+            family("eq43n", a_ @ a_),
+            family("eq43nd", ad @ ad),
+            family("eq43t", t_ @ td + td @ t_, one),
+            family("eq44s", t_ @ a_ + a_ @ t_),
+            family("eq46a", t_ @ ad + ad @ t_, diag_operator(q_power(q, w))),
+            family("eq46b", td @ a_ + a_ @ td, diag_operator(q_power(q, -w))),
+            family("eq47", ad @ a_, n),
+            family("eq47t", td @ t_, n))
 
     factor = BOSON
     for k in range(1, cfg.N + 1):
-        A = anyons(factor, k, ("A", "A~"))
-        for x, y in pairs:
-            Ar, As = A[x, "A", False], A[y, "A", False]
-            Adr, Ads = A[x, "A", True], A[y, "A", True]
-            ps = {"flavor": k, "x": list(x), "y": list(y)}
-            rep(f"eq53a[k={k},{x},{y}]", Ar @ As - q * (As @ Ar), **ps)
-            rep(f"eq53b[k={k},{x},{y}]", Adr @ Ads - q * (Ads @ Adr), **ps)
-            rep(f"eq53c[k={k},{x},{y}]", Adr @ As - (As @ Adr) / q, **ps)
-            rep(f"eq53d[k={k},{x},{y}]", Ar @ Ads - (Ads @ Ar) / q, **ps)
-            Tr, Ts = A[x, "A~", False], A[y, "A~", False]
-            rep(f"eq53ta[k={k},{x},{y}]", Tr @ Ts - (Ts @ Tr) / q, **ps)
-            Tdr, Tds = A[x, "A~", True], A[y, "A~", True]
-            rep(f"eq53tb[k={k},{x},{y}]", Tdr @ Tds - (Tds @ Tdr) / q, **ps)
+        X, Y, P = anyons(factor, k, ("A", "A~"))
+        Ar, As, Adr, Ads = X["A", False], Y["A", False], X["A", True], Y["A", True]
+        Tr, Ts, Tdr, Tds = X["A~", False], Y["A~", False], X["A~", True], Y["A~", True]
+        tags = [f"k={k},{x},{y}" for x, y in pairs]
+        params = [{"flavor": k, "x": list(x), "y": list(y)} for x, y in pairs]
+        out.emit(
+            family("eq53a", Ar @ As - q * (As @ Ar)),
+            family("eq53b", Adr @ Ads - q * (Ads @ Adr)),
+            family("eq53c", Adr @ As - (As @ Adr) / q),
+            family("eq53d", Ar @ Ads - (Ads @ Ar) / q),
+            family("eq53ta", Tr @ Ts - (Ts @ Tr) / q),
+            family("eq53tb", Tdr @ Tds - (Tds @ Tdr) / q))
 
-        for pt in points:
-            Ao, Ad = A[pt, "A", False], A[pt, "A", True]
-            To, Td = A[pt, "A~", False], A[pt, "A~", True]
-            nvec = number_factor(basis, ModeId(BOSON, k, *pt))
-            ps = {"flavor": k, "x": list(pt)}
-            rep(f"eq54a[k={k},{pt}]", [(1, Ao, Ad), (-q, Ad, Ao)],
-                diag_operator(q_power(q, -nvec)), bulk=(0, 1), **ps)
-            rep(f"eq54b[k={k},{pt}]", [(1, Ao, Ad), (-1 / q, Ad, Ao)],
-                diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
-            rep(f"eq54ta[k={k},{pt}]", [(1, To, Td), (-1 / q, Td, To)],
-                diag_operator(q_power(q, nvec)), bulk=(0, 1), **ps)
-            rep(f"eq50A[k={k},{pt}]", Ad @ Ao,
-                diag_operator(q_bracket(nvec, q)), **ps)
+        Ao, Ad, To, Td = P["A", False], P["A", True], P["A~", False], P["A~", True]
+        nvec = np.concatenate([number_factor(basis, ModeId(BOSON, k, *pt)) for pt in points])
+        tags = [f"k={k},{pt}" for pt in points]
+        params = [{"flavor": k, "x": list(pt)} for pt in points]
+        out.emit(
+            family("eq54a", [(1, Ao, Ad), (-q, Ad, Ao)],
+                   diag_operator(q_power(q, -nvec)), bulk=(0, 1)),
+            family("eq54b", [(1, Ao, Ad), (-1 / q, Ad, Ao)],
+                   diag_operator(q_power(q, nvec)), bulk=(0, 1)),
+            family("eq54ta", [(1, To, Td), (-1 / q, Td, To)],
+                   diag_operator(q_power(q, nvec)), bulk=(0, 1)),
+            family("eq50A", Ad @ Ao, diag_operator(q_bracket(nvec, q))))
 
     return out.reports

@@ -9,7 +9,8 @@ dimension ``2^(M*S*K) * (n_max+1)^(N*S*K)``.
 Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
 the state index f * NB + b, where their sums are formed; only
 :meth:`FockBasis.kron` places them on the whole basis (X (x) 1, 1 (x) Y or
-X (x) Y).  A basis reads no q: ``FockBasis.cfg`` is its config at q = 1.
+X (x) Y), and :meth:`FockBasis.stack` joins them block-diagonally for a
+family's check.  A basis reads no q: ``FockBasis.cfg`` is its config at q = 1.
 :meth:`FockBasis.memo` is the one cache below the basis: it builds what reads
 no q once per basis and the rest once per q.
 Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
@@ -156,6 +157,8 @@ class LatticeConfig:
         for key in ("nu", "q_real", "tol"):
             if not math.isfinite(getattr(self, key) or 0):
                 raise ConfigError(f"{key} must be a finite number, got {getattr(self, key)}")
+        if not math.isfinite(math.pi * (self.nu or 0)):
+            raise ConfigError(f"nu = {self.nu} is too large: pi * nu overflows")
         if self.q_real is not None and self.q_real <= 0:
             raise ConfigError("q_real must be positive")
         if self.tol <= 0:
@@ -385,6 +388,20 @@ class FockBasis:
         if not data.all():
             out.eliminate_zeros()
         return out
+
+    @staticmethod
+    def stack(blocks) -> sp.csr_matrix:
+        """The block-diagonal matrix of ``blocks``, CSR matrices of one shape
+        (None: a zero block).  Each row keeps its entries in their order, so a
+        product, sum or scaling of stacks holds each block's own, every entry
+        summed in the same order."""
+        r, c = next(b.shape for b in blocks if b is not None)
+        blocks = [sp.csr_matrix((r, c), dtype=complex) if b is None else b for b in blocks]
+        offsets = np.cumsum([0] + [b.nnz for b in blocks]).tolist()
+        indptr = [b.indptr[:-1] + off for b, off in zip(blocks, offsets)] + [offsets[-1:]]
+        return sp.csr_matrix((np.concatenate([b.data for b in blocks]),
+                              np.concatenate([b.indices + j * c for j, b in enumerate(blocks)]),
+                              np.concatenate(indptr)), shape=(len(blocks) * r, len(blocks) * c))
 
     def memo(self, cfg: LatticeConfig, key, build):
         """``build()`` once per config and key, the one cache below the basis.

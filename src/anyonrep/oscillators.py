@@ -72,6 +72,16 @@ def _mode_pairs(modes, cap: int = 6):
     return [(m1, m2) for m1 in sel for m2 in sel]
 
 
+def _family(out: SuiteReports, template: str, keys, lhs, rhs=None, *,
+            factor: str, bulk=None) -> list[RelationReport]:
+    """The reports ``template.format(*key)`` over ``keys``, tuples of one mode
+    or a mode pair, each side stacked over them (:meth:`FockBasis.stack`)."""
+    return out.check_family(
+        [template.format(*key) for key in keys], lhs, rhs, bulk=bulk, factor=factor,
+        params=[{"mode": str(key[0])} if len(key) == 1 else {"modes": list(map(str, key))}
+                for key in keys])
+
+
 def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
     """Eqs. (20), (21) and (30): the canonical (anti)commutators of the fermions
     and plain bosons the construction starts from.  They read no q."""
@@ -79,24 +89,18 @@ def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
     ops = {m: ladder(basis.cfg, basis, m) for m in basis.fermion_modes + basis.boson_modes}
     # the creators, which fock.ladder builds once per config with the ladders
     dag = {m: ladder(basis.cfg, basis, m, True) for m in ops}
-    on_f = functools.partial(out.check, factor=FERMION)
-    on_b = functools.partial(out.check, factor=BOSON)
 
-    one = identity_op(basis, FERMION)
-    for m1, m2 in _mode_pairs(basis.fermion_modes):
-        c1, c2 = ops[m1], ops[m2]
-        ps = {"modes": [str(m1), str(m2)]}
-        on_f(f"eq20[{m1},{m2}+]", c1 @ dag[m2] + dag[m2] @ c1,
-             one if m1 == m2 else None, params=ps)
-        on_f(f"eq20[{m1},{m2}]", c1 @ c2 + c2 @ c1, params=ps)
-
-    one = identity_op(basis, BOSON)
-    for m1, m2 in _mode_pairs(basis.boson_modes):
-        d1, d2 = ops[m1], ops[m2]
-        ps = {"modes": [str(m1), str(m2)]}
-        on_b(f"eq21[{m1},{m2}+]", [(1, d1, dag[m2]), (-1, dag[m2], d1)],
-             one if m1 == m2 else None, bulk=(0, 1), params=ps)
-        on_b(f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, params=ps)
+    # each family stacked over the mode pairs; a diagonal pair's rhs is 1
+    for factor, modes, name, sign, bulk in ((FERMION, basis.fermion_modes, "eq20", 1, None),
+                                            (BOSON, basis.boson_modes, "eq21", -1, (0, 1))):
+        pairs = _mode_pairs(modes)
+        x, y = (basis.stack([ops[pair[j]] for pair in pairs]) for j in (0, 1))
+        yd = basis.stack([dag[m2] for _, m2 in pairs])
+        one = basis.stack([identity_op(basis, factor) if m1 == m2 else None
+                           for m1, m2 in pairs])
+        family = functools.partial(_family, out, keys=pairs, factor=factor)
+        out.emit(family(name + "[{},{}+]", lhs=[(1, x, yd), (sign, yd, x)], rhs=one, bulk=bulk),
+                 family(name + "[{},{}]", lhs=[(1, x, y), (sign, y, x)]))
 
     # the mixed pairs are X (x) Y in both orders, checked on the whole basis
     lc = {m: basis.lift(FERMION, ops[m]) for m in basis.fermion_modes[:4]}
@@ -114,41 +118,37 @@ def suite_oscillators(cfg: LatticeConfig,
     """Canonical (anti)commutators, mixed commutativity, and the q-boson
     relations; relations that raise boson number run with boson headroom 1
     instead of pretending the cutoff away.  Every relation but the mixed
-    eq30 acts on one factor of the basis index and is checked there.  The
-    first three read no q and are checked once per basis, before the rest."""
+    eq30 acts on one factor of the basis index and is checked there, each
+    family at once, stacked over its modes or mode pairs.  The first three
+    read no q and are checked once per basis, before the rest."""
     basis = cached_basis(cfg)
     canonical = basis.memo(basis.cfg, ("canonical", corruption),
                            lambda: _canonical_relations(basis))
     q = cfg.q
     out = SuiteReports("oscillators", cfg.tol, basis)
-    bs = {m: ladder(cfg, basis, m) for m in basis.boson_modes}
-    bds = {m: ladder(cfg, basis, m, True) for m in bs}
-    ns = {m: number_factor(basis, m) for m in basis.boson_modes}
-    on_b = functools.partial(out.check, factor=BOSON)
+    family = functools.partial(_family, out, factor=BOSON)
 
     # q-boson algebra
-    for m in basis.boson_modes:
-        b, bd, n = bs[m], bds[m], ns[m]
-        ps = {"mode": str(m)}
-        on_b(f"eq49a[{m}]", [(1, b, bd), (-q, bd, b)],
-             diag_operator(q_power(q, -n)), bulk=(0, 1), params=ps)
-        on_b(f"eq49b[{m}]", [(1, b, bd), (-1 / q, bd, b)],
-             diag_operator(q_power(q, n)), bulk=(0, 1), params=ps)
-        on_b(f"eq49d[{m}]", scale_rows(b, n) - scale_columns(b, n), -1 * b,
-             params=ps)
-        on_b(f"eq49e[{m}]", scale_rows(bd, n) - scale_columns(bd, n), bd,
-             params=ps)
-        on_b(f"eq50a[{m}]", bd @ b, diag_operator(q_bracket(n, q)), params=ps)
-        on_b(f"eq50b[{m}]", [(1, b, bd)], diag_operator(q_bracket(n + 1, q)),
-             bulk=(0, 1), params=ps)
+    ms = basis.boson_modes
+    b, bd = (basis.stack([ladder(cfg, basis, m, dag) for m in ms]) for dag in (False, True))
+    n = np.concatenate([number_factor(basis, m) for m in ms])
+    modes = [(m,) for m in ms]
+    out.emit(
+        family("eq49a[{}]", modes, [(1, b, bd), (-q, bd, b)],
+               diag_operator(q_power(q, -n)), bulk=(0, 1)),
+        family("eq49b[{}]", modes, [(1, b, bd), (-1 / q, bd, b)],
+               diag_operator(q_power(q, n)), bulk=(0, 1)),
+        family("eq49d[{}]", modes, scale_rows(b, n) - scale_columns(b, n), -1 * b),
+        family("eq49e[{}]", modes, scale_rows(bd, n) - scale_columns(bd, n), bd),
+        family("eq50a[{}]", modes, bd @ b, diag_operator(q_bracket(n, q))),
+        family("eq50b[{}]", modes, [(1, b, bd)], diag_operator(q_bracket(n + 1, q)),
+               bulk=(0, 1)))
 
-    for m1, m2 in _mode_pairs(basis.boson_modes):
-        if m1 == m2:
-            continue
-        b1, b2 = bs[m1], bs[m2]
-        ps = {"modes": [str(m1), str(m2)]}
-        on_b(f"eq49c[{m1},{m2}]", b1 @ b2 - b2 @ b1, params=ps)
-        on_b(f"eq49a0[{m1},{m2}]", b1 @ bds[m2] - bds[m2] @ b1, params=ps)
-        on_b(f"eq49d0[{m1},{m2}]",
-             scale_rows(b2, ns[m1]) - scale_columns(b2, ns[m1]), params=ps)
+    pairs = [(m1, m2) for m1, m2 in _mode_pairs(basis.boson_modes) if m1 != m2]
+    b1, b2 = (basis.stack([ladder(cfg, basis, pair[j]) for pair in pairs]) for j in (0, 1))
+    bd2 = basis.stack([ladder(cfg, basis, m2, True) for _, m2 in pairs])
+    n1 = np.concatenate([number_factor(basis, m1) for m1, _ in pairs])
+    out.emit(family("eq49c[{},{}]", pairs, b1 @ b2 - b2 @ b1),
+             family("eq49a0[{},{}]", pairs, b1 @ bd2 - bd2 @ b1),
+             family("eq49d0[{},{}]", pairs, scale_rows(b2, n1) - scale_columns(b2, n1)))
     return canonical + out.reports

@@ -11,7 +11,9 @@ A relation id is a family id, optionally followed by an index in brackets
 through :class:`SuiteReports`, which takes the equation tag from there.
 A projected check's products are restricted to its bulk before they are
 multiplied (:func:`restrict`, the one place a check's products are formed),
-with the residual of the full products.
+with the residual of the full products.  A family, one relation over many
+operand tuples, is checked at once on block-diagonal stacks, one residual per
+block (:meth:`SuiteReports.check_family`); one relation is the one-block case.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, bulk_mask, residual_norm
+from .fock import FockBasis, bulk_mask
 
 
 @dataclass
@@ -101,32 +103,29 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both") -> sp.cs
     return total.tocsr()
 
 
-def check_identity(relation_id: str, equation: str, lhs: sp.spmatrix,
+def check_identity(relation_ids: list[str], equation: str, lhs: sp.spmatrix,
                    rhs: sp.spmatrix, *, tol: float, label: str = "identity",
-                   params: dict | None = None, expect_fail: bool = False,
-                   informational: bool = False) -> RelationReport:
-    """Residual of lhs - rhs, duplicates summed; neither operand is changed
-    (generators are shared).  ``label`` names the bulk of the operands."""
-    t0 = time.perf_counter()
+                   params: list | None = None, expect_fail: bool = False,
+                   informational: bool = False) -> list[RelationReport]:
+    """One report per relation of a family: the residual of lhs - rhs,
+    duplicates summed, on the j-th of len(relation_ids) equal row bands (the
+    j-th diagonal block of a stack); neither operand is changed (generators
+    are shared).  ``label`` names the bulk of the operands, ``params`` holds
+    each relation's parameters."""
     if lhs.shape != rhs.shape:
         raise ValueError(f"operator dimensions differ: {lhs.shape} vs {rhs.shape}")
     diff = lhs - rhs if rhs.nnz else lhs
     if not diff.has_canonical_format:
         diff = diff.copy()
         diff.sum_duplicates()
-    res = residual_norm(diff)
-    return RelationReport(
-        relation_id=relation_id,
-        equation=equation,
-        params=dict(params or {}),
-        projector=label,
-        residual=res,
-        tol=tol,
-        passed=res <= tol,
-        expect_fail=expect_fail,
-        informational=informational,
-        wall_time=time.perf_counter() - t0,
-    )
+    size, n = np.abs(diff.data), len(relation_ids)
+    bands = diff.indptr[::diff.shape[0] // n].tolist()
+    return [RelationReport(relation_id=relation_id, equation=equation, params=dict(ps or {}),
+                           projector=label, residual=res, tol=tol, passed=res <= tol,
+                           expect_fail=expect_fail, informational=informational)
+            for relation_id, ps, res in zip(
+                relation_ids, params or [None] * n,
+                (float(size[i:j].max(initial=0.0)) for i, j in zip(bands, bands[1:])))]
 
 
 def not_applicable(relation_id: str, equation: str, reason: str) -> RelationReport:
@@ -263,23 +262,36 @@ class SuiteReports:
         return self.basis.memo(self.basis.cfg, ("mask", bulk, factor),
                                lambda: bulk_mask(self.basis, *bulk, factor=factor))
 
-    def check(self, relation_id: str, lhs, rhs=None, *,
-              tol: float | None = None, bulk: tuple[int, int] | None = None,
-              side: str = "both", factor: str | None = None, **kwargs):
-        """:func:`check_identity` under the catalog tag of both sides, each a
-        matrix or products restricted to the bulk by :func:`restrict`; ``rhs``
-        defaults to zero.  The wall time includes forming the products."""
+    def check(self, relation_id: str, lhs, rhs=None, *, params=None, **kwargs):
+        """Emit one relation: the one-block :meth:`check_family`."""
+        self.reports += self.check_family([relation_id], lhs, rhs, params=[params], **kwargs)
+
+    def check_family(self, relation_ids: list[str], lhs, rhs=None, *,
+                     tol: float | None = None, bulk: tuple[int, int] | None = None,
+                     side: str = "both", factor: str | None = None,
+                     **kwargs) -> list[RelationReport]:
+        """The reports, not yet emitted, of a family: one relation over many
+        operand tuples, each side the stack (:meth:`FockBasis.stack`) of its
+        blocks, a matrix or products of stacks restricted to each block's bulk
+        by :func:`restrict`; ``rhs`` defaults to zero.  Each report's wall
+        time is the family's, forming its products included, over its blocks."""
         t0 = time.perf_counter()
-        mask = None if bulk is None else self.mask(bulk, factor)
+        mask = None if bulk is None else np.tile(self.mask(bulk, factor), len(relation_ids))
         lhs = restrict(lhs, mask, side)
         rhs = (sp.csr_matrix(lhs.shape, dtype=complex) if rhs is None
                else restrict(rhs, mask, side))
-        report = check_identity(
-            relation_id, self.equation(relation_id), lhs, rhs,
+        reports = check_identity(
+            relation_ids, self.equation(relation_ids[0]), lhs, rhs,
             tol=self.tol if tol is None else tol, label=bulk_label(bulk, side),
             **kwargs)
-        report.wall_time = time.perf_counter() - t0
-        self.reports.append(report)
+        wall_time = (time.perf_counter() - t0) / len(reports)
+        for report in reports:
+            report.wall_time = wall_time
+        return reports
+
+    def emit(self, *families):
+        """Emit the reports of families over the same blocks, block-major."""
+        self.reports += [r for block in zip(*families) for r in block]
 
     def record(self, relation_id: str, residual: float, *,
                tol: float | None = None, bulk: tuple[int, int] | None = None,

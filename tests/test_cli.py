@@ -53,6 +53,16 @@ def test_verify_default_config_passes(outdir):
     assert "| relation |" in text and "eq29-gamma" in text
 
 
+def test_report_file_is_the_indented_dump_of_its_content(outdir):
+    """The report file is the payload's JSON indented by 2: its text is
+    ``json.dumps`` of its own parsed content with ``indent=2``."""
+    report = outdir / "report.json"
+    assert main(["verify", *SMALL, "--suites", "oscillators,central",
+                 "--report", str(report), "--quiet"]) == EXIT_OK
+    text = report.read_text()
+    assert text == json.dumps(json.loads(text), indent=2)
+
+
 def test_verify_exit_codes(capsys):
     assert main(["verify", "--M", "1", "--N", "1", "--quiet"]) == EXIT_CONFIG_ERROR
     assert main(["verify", "--sites", "10", "--suites", "central",
@@ -115,8 +125,8 @@ def test_a_q_flag_overrides_the_config_file_q(outdir, flag, q):
 
 @pytest.mark.parametrize("flags, named", [
     (["--tol", "inf"], "tol"), (["--nu", "nan"], "nu"), (["--q-real", "inf"], "q_real"),
-    (["--q-real", "1.3", "--nmax", "3000"], "n_max"),
-], ids=["tol-inf", "nu-nan", "q-real-inf", "q-real-overflow"])
+    (["--q-real", "1.3", "--nmax", "3000"], "n_max"), (["--nu", "1e308"], "nu"),
+], ids=["tol-inf", "nu-nan", "q-real-inf", "q-real-overflow", "nu-overflow"])
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_non_finite_or_overflowing_numbers_exit_2(outdir, capsys, command, flags, named):
     """A tol, nu or q that is not finite, or a q whose [n]_q overflows below
@@ -320,14 +330,15 @@ def test_q_free_parts_are_checked_once_per_basis(monkeypatch):
     reads q, and the oscillators' q-boson relations, runs at each of the
     three nu."""
     calls = Counter()
-    check = SuiteReports.check
+    check_family = SuiteReports.check_family
 
-    def counted(self, relation_id, *args, **kwargs):
-        calls[self.suite, relation_id.split("[", 1)[0], relation_id] += 1
-        return check(self, relation_id, *args, **kwargs)
+    def counted(self, relation_ids, *args, **kwargs):
+        for relation_id in relation_ids:
+            calls[self.suite, relation_id.split("[", 1)[0], relation_id] += 1
+        return check_family(self, relation_ids, *args, **kwargs)
 
     _cached_basis.cache_clear()
-    monkeypatch.setattr(SuiteReports, "check", counted)
+    monkeypatch.setattr(SuiteReports, "check_family", counted)
     assert main(["verify", *SMALL, "--q-samples", "2", "--quiet"]) == EXIT_OK
     once = {(s, f) for s, f, _ in calls
             if s in ("undeformed", "cartanweyl", "central") or f in ("eq20", "eq21", "eq30")}

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import bulk_projector, full_ladder
+from anyonrep.anyons import anyon_factor
 from anyonrep.fock import (
     ConfigError,
     InstanceTooLargeError,
@@ -70,10 +71,12 @@ def test_q_inputs_are_exclusive():
     (dict(nu=float("nan")), "nu"), (dict(nu=float("inf")), "nu"),
     (dict(nu=float("-inf")), "nu"), (dict(q_real=float("nan")), "q_real"),
     (dict(q_real=float("inf")), "q_real"), (dict(q_real=1.3, n_max=3000), "n_max"),
+    (dict(nu=1e308), "nu"), (dict(nu=-1e308), "nu"),
 ])
 def test_non_finite_or_overflowing_q_rejected(kwargs, named):
-    """A non-finite q, or one whose [n]_q overflows below the cutoff, is a
-    config error that names the key, not a nan residual or an OverflowError."""
+    """A non-finite q, a nu whose pi * nu overflows, or a q whose [n]_q
+    overflows below the cutoff, is a config error that names the key, not a
+    nan residual, an OverflowError or a math domain error."""
     with pytest.raises(ConfigError, match=named):
         LatticeConfig(M=2, N=1, S=2, **kwargs)
 
@@ -489,3 +492,34 @@ def test_site_order_sign_is_antisymmetric_total_order():
     # line-major: everything on line 2 comes after everything on line 1
     assert site_order_sign(2, -0.5, 1, 0.5) == 1
     assert site_order_sign(1, 0.5, 1, -0.5) == 1
+
+
+def test_stack_holds_each_blocks_own_products_sums_and_scalings():
+    """A product, sum, difference or scaling of stacks, and a row or column
+    scaling by the joined vectors, holds in each diagonal block the blocks'
+    own result: the same entries, bit for bit, in the same order."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, K=2, ordering=("sea", "empty"), nu=0.3)
+    basis = build_basis(cfg)
+    q = cfg.q
+    modes = basis.fermion_modes
+    xs = [anyon_factor(cfg, basis, m, "a") for m in modes[:3]]
+    ys = [anyon_factor(cfg, basis, m, "a~", True) for m in modes[1:4]]
+    vs = [q_power(q, 0.5 * (basis.f_occ[:, j] - j)) for j in range(3)]
+    forms = [
+        lambda x, y, v: x @ y + (y @ x) / q,
+        lambda x, y, v: x @ y - q * (y @ x),
+        lambda x, y, v: -1 * x + y @ y,
+        lambda x, y, v: scale_rows(x, v) - scale_columns(y, v),
+    ]
+    X, Y, V = basis.stack(xs), basis.stack(ys), np.concatenate(vs)
+    r = basis.NF
+    for form in forms:
+        whole = form(X, Y, V)
+        for j, (x, y, v) in enumerate(zip(xs, ys, vs)):
+            own, block = form(x, y, v), whole[j * r:(j + 1) * r, j * r:(j + 1) * r]
+            assert own.nnz > 0
+            assert block.indptr.tolist() == own.indptr.tolist()
+            assert block.indices.tolist() == own.indices.tolist()
+            assert block.data.tobytes() == own.data.tobytes()
+    assert basis.stack([None, xs[0]]).nnz == xs[0].nnz
+    assert basis.stack([None, xs[0]])[r:, r:].toarray().tolist() == xs[0].toarray().tolist()

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -60,9 +61,9 @@ from anyonrep.verify import (
 
 def test_check_identity_trivial(cfg21):
     gs = cached_generators(cfg21, True)
-    rep = check_identity("x", "-", gs.H[1], gs.H[1], tol=1e-10)
+    [rep] = check_identity(["x"], "-", gs.H[1], gs.H[1], tol=1e-10)
     assert rep.residual == 0.0 and rep.passed
-    rep = check_identity("x", "-", gs.H[1] @ gs.H[2], gs.H[2] @ gs.H[1], tol=1e-10)
+    [rep] = check_identity(["x"], "-", gs.H[1] @ gs.H[2], gs.H[2] @ gs.H[1], tol=1e-10)
     assert rep.residual == 0.0
 
 
@@ -70,7 +71,7 @@ def test_check_identity_shape_guard(cfg21):
     import scipy.sparse as sp
     gs = cached_generators(cfg21, True)
     with pytest.raises(ValueError):
-        check_identity("x", "-", gs.H[1], sp.identity(3, dtype=complex), tol=1e-10)
+        check_identity(["x"], "-", gs.H[1], sp.identity(3, dtype=complex), tol=1e-10)
 
 
 def test_eq7c_against_dense_oracle(cfg21):
@@ -144,7 +145,8 @@ def test_zero_rhs_reduces_the_canonical_form_without_mutation():
 
     def residual(x):
         zero = sp.csr_matrix(x.shape, dtype=complex)
-        return check_identity("x", "-", x, zero, tol=1e-10).residual
+        [report] = check_identity(["x"], "-", x, zero, tol=1e-10)
+        return report.residual
 
     assert restrict(lhs) is lhs
     assert residual(restrict(lhs)) == 1.0
@@ -155,6 +157,23 @@ def test_zero_rhs_reduces_the_canonical_form_without_mutation():
     assert residual(corner) == 0.0
     assert corner.nnz == 2 and list(corner.data) == [3, -3]
     assert lhs.nnz == 3 and list(lhs.data) == [3, -3, 1]
+
+
+def test_check_identity_reduces_one_residual_per_block():
+    """A family's reports hold the residuals of its diagonal blocks, each
+    summed and reduced alone: an empty block reads 0, duplicates sum within
+    their block, and a nonzero rhs block is subtracted from its own rows."""
+    blocks = [None,
+              sp.csr_matrix((np.array([3, -3, 1j]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                            shape=(2, 2)),
+              sp.csr_matrix(np.array([[0, 2], [0.5, 0]], dtype=complex))]
+    basis = cached_basis(LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3))
+    lhs = basis.stack(blocks)
+    rhs = basis.stack([None, None, sp.csr_matrix(np.array([[0, 2], [0, 0]], dtype=complex))])
+    reports = check_identity(["a", "b", "c"], "-", lhs, rhs, tol=0.75,
+                             params=[{"k": 0}, None, {"k": 2}])
+    assert [(r.relation_id, r.residual, r.passed, r.params) for r in reports] == [
+        ("a", 0.0, True, {"k": 0}), ("b", 1.0, False, {}), ("c", 0.5, True, {"k": 2})]
 
 
 def test_check_identity_takes_restricted_operands_only():
@@ -182,15 +201,15 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
         calls.append((where[0], n_row, n_col))
         return matmat(n_row, n_col, *arrays)
 
-    check = SuiteReports.check
+    check_family = SuiteReports.check_family
 
-    def recording_check(self, relation_id, lhs, rhs=None, *, bulk=None,
+    def recording_check(self, relation_ids, lhs, rhs=None, *, bulk=None,
                         side="both", **kwargs):
         if not sp.issparse(lhs):
-            families.add(relation_id.split("[", 1)[0])
+            families.add(relation_ids[0].split("[", 1)[0])
         where[0] = side if bulk is not None else "identity"
         try:
-            check(self, relation_id, lhs, rhs, bulk=bulk, side=side, **kwargs)
+            return check_family(self, relation_ids, lhs, rhs, bulk=bulk, side=side, **kwargs)
         finally:
             where[0] = None
 
@@ -199,7 +218,7 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
         for key in gs.E:
             gs.script_e(*key)
     monkeypatch.setattr(compressed, "csr_matmat", recording_matmat)
-    monkeypatch.setattr(SuiteReports, "check", recording_check)
+    monkeypatch.setattr(SuiteReports, "check_family", recording_check)
     run_suites(cfg22, ["quantum", "serre", "undeformed"])
     dim = cached_basis(cfg22).dim
     assert [c for c in calls if c[0] is None] == []
@@ -215,6 +234,77 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
             "eq9-alphaM-img", "eq9-alpha0-cyclic", "eq9-alpha0-skip",
             "eq4-alpha0-cyclic", "eq4-alpha0-skip", "eq10-alphaM", "eq12-oracle",
             "eq21", "eq49a", "eq49b", "eq50b", "eq54a", "eq54b", "eq54ta"} <= families
+
+
+STACKED = {
+    "M2N1S2": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+    "sea-empty": LatticeConfig(M=2, N=1, S=2, n_max=2, K=2, ordering=("sea", "empty"), nu=0.3),
+}
+
+
+def _block(side, n: int, j: int):
+    """Block j of a side stacked over n blocks: a matrix, products of stacks
+    (each factor's block) or None."""
+    def block(x):
+        r, c = x.shape[0] // n, x.shape[1] // n
+        return x[j * r:(j + 1) * r, j * c:(j + 1) * c]
+    if side is None or sp.issparse(side):
+        return side if side is None else block(side)
+    return [(c, *map(block, factors)) for c, *factors in side]
+
+
+@pytest.mark.parametrize("corruption", [Corruption(), Corruption(flip_boson_disorder=True)],
+                         ids=["plain", "disorder"])
+@pytest.mark.parametrize("name", STACKED)
+def test_stacked_families_equal_their_one_relation_checks(name, corruption, monkeypatch):
+    """Every single-factor family of the oscillator and braiding suites is
+    checked at once, stacked over its blocks, and each of its reports is the
+    one-relation check of its block: the same residual by float.hex and the
+    same fields.  Covered: masked families (eq54a, eq21 at (0, 1)), a rhs
+    that is 1 on some blocks and zero on others (eq20 with m1 == m2) and the
+    disorder control tripping eq53*."""
+    cfg = STACKED[name]
+    seen = []
+    check_family = SuiteReports.check_family
+
+    def recording(self, relation_ids, lhs, rhs=None, **kwargs):
+        reports = check_family(self, relation_ids, lhs, rhs, **kwargs)
+        seen.append((self, relation_ids, lhs, rhs, kwargs, reports))
+        return reports
+
+    _cached_basis.cache_clear()
+    monkeypatch.setattr(SuiteReports, "check_family", recording)
+    run_suites(cfg, ["oscillators", "braiding"], corruption)
+    monkeypatch.undo()
+    calls, stacked, masked, mixed_rhs, tripped = Counter(), set(), set(), set(), set()
+    for out, ids, lhs, rhs, kwargs, reports in seen:
+        family, n = ids[0].split("[", 1)[0], len(ids)
+        calls[out.suite, family] += 1
+        if n > 1:
+            stacked.add((out.suite, family))
+        one = SuiteReports(out.suite, out.tol, out.basis)
+        for j, rid in enumerate(ids):
+            one.check(rid, _block(lhs, n, j), _block(rhs, n, j),
+                      **dict(kwargs, params=kwargs["params"][j]))
+        assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in one.reports]
+        strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                 for r in reports + one.reports]
+        assert strip[:n] == strip[n:], family
+        if kwargs.get("bulk"):
+            masked.add((family, kwargs["bulk"]))
+        if rhs is not None and 0 < sum(_block(rhs, n, j).nnz > 0 for j in range(n)) < n:
+            mixed_rhs.add(family)
+        tripped |= {family for r in reports if not r.passed}
+    single_factor = {(suite, family) for suite, family, _, _ in CATALOG
+                     if suite in ("oscillators", "braiding") and family != "eq30"}
+    # one check per flavor (and form), a family over many blocks where it has them
+    assert all(calls[key] <= 2 * max(cfg.M, cfg.N) for key in single_factor)
+    basis = cached_basis(cfg)
+    assert calls["oscillators", "eq30"] == 2 * min(4, basis.F) * min(4, basis.B)
+    assert stacked == single_factor if cfg.K == 2 else stacked < single_factor
+    assert {("eq54a", (0, 1)), ("eq21", (0, 1))} <= masked
+    assert {"eq20", "eq21"} <= mixed_rhs
+    assert {f[:4] for f in tripped} == ({"eq53"} if corruption else set())
 
 
 def test_projector_labels_follow_the_spec_format():
@@ -493,9 +583,9 @@ def test_q_free_reports_are_made_once_per_basis_tol_and_corruption(suite, monkey
     """Another nu returns a fresh list of the same reports without a check;
     another corruption or tol checks again."""
     calls = []
-    check = SuiteReports.check
-    monkeypatch.setattr(SuiteReports, "check",
-                        lambda self, *a, **kw: calls.append(a[0]) or check(self, *a, **kw))
+    check_family = SuiteReports.check_family
+    monkeypatch.setattr(SuiteReports, "check_family",
+                        lambda self, *a, **kw: calls.extend(a[0]) or check_family(self, *a, **kw))
     _cached_basis.cache_clear()
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     first = suite(cfg)
@@ -520,9 +610,9 @@ def test_sampled_q_free_reports_are_the_base_reports(name, monkeypatch):
     a fresh list of the very report objects of the base key, under every
     corruption."""
     calls = []
-    check = SuiteReports.check
-    monkeypatch.setattr(SuiteReports, "check",
-                        lambda self, *a, **kw: calls.append(a[0]) or check(self, *a, **kw))
+    check_family = SuiteReports.check_family
+    monkeypatch.setattr(SuiteReports, "check_family",
+                        lambda self, *a, **kw: calls.extend(a[0]) or check_family(self, *a, **kw))
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     for corruption in (Corruption(), Corruption(drop_h0_delta=True)):
         run_suites(cfg, [name], corruption)
