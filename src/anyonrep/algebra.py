@@ -19,7 +19,9 @@ plain boson, and what reads no q (``H``, the Cartan-Weyl operators) is built
 once per basis.  Every generator is one bilinear sum (``_bilinear_sum``): a
 sum whose pieces act on one factor (an even node, a root of two fermion or two
 boson modes) is formed there and lifted once, and a mixed piece is the
-tensor product X (x) Y of its two factors (``FockBasis.kron``).
+tensor product X (x) Y of its two factors (``FockBasis.kron``).  A negative
+control is a field of the config, read as ``cfg.corruption`` by
+``CartanData.q_alpha``, ``_h_local_diag`` and ``anyons.anyon_factor``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     ModeId,
-    NO_CORRUPTION,
     cached_basis,
     diag_operator,
     ladder,
@@ -106,15 +107,15 @@ class CartanData:
     def a_tilde(self) -> np.ndarray:
         return np.array(self.a_tilde_rows, dtype=int)
 
-    def q_alpha(self, q: complex, corruption: Corruption = NO_CORRUPTION) -> tuple:
+    def q_alpha(self, cfg: LatticeConfig) -> tuple:
         """q_alpha = q for alpha = 0..M and q^{-1} above M (inverted under the
-        flip_q_alpha control)."""
+        flip_q_alpha control of ``cfg``)."""
         out = []
         for alpha in range(self.R + 1):
             e = 1 if alpha <= self.M else -1
-            if corruption.flip_q_alpha:
+            if cfg.corruption.flip_q_alpha:
                 e = -e
-            out.append(q_power(q, e))
+            out.append(q_power(cfg.q, e))
         return tuple(out)
 
     def simple_root_label(self, alpha: int) -> RootLabel:
@@ -221,11 +222,10 @@ def _on_node(basis: FockBasis, modes, vectors) -> list:
     return [basis.lift(m.kind, v) for m, v in zip(modes, vectors)]
 
 
-def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float,
-                  corruption: Corruption) -> np.ndarray:
+def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarray:
     """:n_upper: - :n_lower: on even nodes, + on the odd nodes 0 and M, on
     the node's factor (:func:`node_factor`); the affine piece carries -1 at
-    r = -1/2 on sea lines."""
+    r = -1/2 on sea lines (not under the drop_h0_delta control)."""
     cfg = basis.cfg
     modes = _node_modes(cfg, alpha, line, r)
     n_up, n_low = _on_node(basis, modes, [number_factor(basis, m) + normal_order_shift(cfg, m)
@@ -233,7 +233,7 @@ def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float,
     if alpha not in (0, cfg.M):
         return n_up - n_low
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
-            and not corruption.drop_h0_delta):
+            and not cfg.corruption.drop_h0_delta):
         return n_up + n_low - 1.0
     return n_up + n_low
 
@@ -243,16 +243,14 @@ def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
     return cfg.sites[:-1] if alpha == 0 else cfg.sites
 
 
-def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool,
-                corruption: Corruption):
+def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool):
     """op(mode, dagger): the mode's anyon of family a/A (e^+) or a~/A~ (e^-)
     if ``dressed``, else its ladder (the plain oscillators at q = 1)."""
     if not dressed:
         return partial(ladder, cfg, basis)
     tilde = "~" if sign == "-" else ""
     return lambda mode, dagger: anyon_factor(
-        cfg, basis, mode, ("a" if mode.kind == FERMION else "A") + tilde, dagger,
-        corruption=corruption)
+        cfg, basis, mode, ("a" if mode.kind == FERMION else "A") + tilde, dagger)
 
 
 def _piece(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> sp.csr_matrix:
@@ -265,12 +263,11 @@ def _piece(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> sp.csr_matrix:
 
 
 def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
-            line: int, r: float, dressed: bool,
-            corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
+            line: int, r: float, dressed: bool) -> sp.csr_matrix:
     """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
     (line, r) over the oscillators of :func:`_factor_ops`, on the node's
     factor."""
-    return _piece(basis, _factor_ops(cfg, basis, sign, dressed, corruption), 1,
+    return _piece(basis, _factor_ops(cfg, basis, sign, dressed), 1,
                   *_node_modes(cfg, alpha, line, r, sign))
 
 
@@ -302,7 +299,6 @@ class GeneratorSet:
     cfg: LatticeConfig
     basis: FockBasis
     cartan: CartanData
-    corruption: Corruption
     H: dict
     E: dict
 
@@ -318,23 +314,22 @@ class GeneratorSet:
 
     def script_e(self, alpha: int, sign: str) -> sp.csr_matrix:
         """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}, built once per
-        config, node, sign and corruption; E itself at q_alpha = 1."""
+        config, node and sign; E itself at q_alpha = 1."""
         E, qa = self.E[alpha, sign], self.q_alpha(alpha)
         if qa == 1:
             return E
-        return self.basis.memo(self.cfg, ("script", alpha, sign, self.corruption),
+        return self.basis.memo(self.cfg, ("script", alpha, sign),
                                lambda: scale_columns(E, q_power(qa, -0.5 * self.h(alpha))))
 
     def __post_init__(self):
-        self._q_alpha = self.cartan.q_alpha(self.cfg.q, self.corruption)
+        self._q_alpha = self.cartan.q_alpha(self.cfg)
 
 
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
-                         deformed: bool = True,
-                         corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
+                         deformed: bool = True) -> GeneratorSet:
     """Build H_alpha and E_alpha^+- as sums of local pieces over all lines.
     The plain set (not ``deformed``) is the q-boson set at ``basis.cfg``
-    (q = 1).  H_alpha reads no q: it is built once per basis and corruption."""
+    (q = 1).  H_alpha reads no q: it is built once per basis."""
     if not deformed:
         cfg = basis.cfg
     cartan = cartan_data(cfg.M, cfg.N)
@@ -347,25 +342,27 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
         def cartan_h():
             hd = np.zeros(basis.size(space))
             for line, r in sites:
-                hd += _h_local_diag(basis, alpha, line, r, corruption)
+                hd += _h_local_diag(basis, alpha, line, r)
             return diag_operator(basis.lift(space, hd))
-        H[alpha] = basis.memo(basis.cfg, ("H", alpha, corruption), cartan_h)
+        H[alpha] = basis.memo(basis.cfg, ("H", alpha), cartan_h)
         for sign in ("+", "-"):
             E[(alpha, sign)] = _bilinear_sum(
                 basis, [(1, *_node_modes(cfg, alpha, line, r, sign)) for line, r in sites],
-                _factor_ops(cfg, basis, sign, deformed, corruption))
-    return GeneratorSet(cfg, basis, cartan, corruption, H, E)
+                _factor_ops(cfg, basis, sign, deformed))
+    return GeneratorSet(cfg, basis, cartan, H, E)
 
 
 def cached_generators(cfg: LatticeConfig, deformed: bool,
-                      corruption: Corruption = NO_CORRUPTION) -> GeneratorSet:
+                      corruption: Corruption | None = None) -> GeneratorSet:
     """The generator set of ``cfg``, kept in the basis memo under its config:
     the plain set reads no q and lives under ``basis.cfg`` (q = 1) as long as
-    the basis, a deformed set until another q is asked for."""
+    the basis, a deformed set until another q is asked for.  The set reads
+    ``cfg.corruption``; ``corruption``, if given, is only checked against it."""
+    if corruption is not None and corruption != cfg.corruption:
+        raise ValueError(f"{corruption} is not the config's {cfg.corruption}")
     basis = cached_basis(cfg)
     at = cfg if deformed else basis.cfg
-    return basis.memo(at, ("set", deformed, corruption),
-                      lambda: chevalley_generators(at, basis, deformed, corruption))
+    return basis.memo(at, ("set", deformed), lambda: chevalley_generators(at, basis, deformed))
 
 
 def central_charge_diag(genset: GeneratorSet) -> np.ndarray:

@@ -27,8 +27,6 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     ModeId,
-    NO_CORRUPTION,
-    Corruption,
     cached_basis,
     diag_operator,
     identity_op,
@@ -69,11 +67,11 @@ def string_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
 
 
 def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
-                 dagger: bool = False,
-                 corruption: Corruption = NO_CORRUPTION) -> sp.csr_matrix:
+                 dagger: bool = False) -> sp.csr_matrix:
     """One anyonic oscillator on the factor of the basis index that carries
     its statistics: a/a~ dress fermions, A/A~ dress q-bosons; built once per
-    config and corruption (:meth:`FockBasis.memo`).
+    config (:meth:`FockBasis.memo`).  The flip_boson_disorder control of
+    ``cfg`` gives a boson string the fermion base sign.
 
     The string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base sign) is
     applied by scaling the oscillator's entries: K c scales its rows, and
@@ -87,7 +85,7 @@ def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str
     if mode.kind != kind:
         raise ValueError(f"family {family!r} needs a {kind} mode, got {mode}")
     base = -0.5 if kind == FERMION else +0.5
-    if corruption.flip_boson_disorder and kind == BOSON:
+    if cfg.corruption.flip_boson_disorder and kind == BOSON:
         base = -base
     if tilde != dagger:
         base = -base
@@ -96,7 +94,7 @@ def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str
         string = q_power(cfg.q, base * string_factor(basis, mode))
         osc = ladder(cfg, basis, mode, dagger)
         return scale_columns(osc, string) if dagger else scale_rows(osc, string)
-    return basis.memo(cfg, (mode, family, dagger, corruption), build)
+    return basis.memo(cfg, (mode, family, dagger), build)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +116,7 @@ def _pair_cap(pairs, cap: int = 12):
     return kept[: cap - 1] + [pairs[-1]]
 
 
-def suite_braiding(cfg: LatticeConfig,
-                   corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_braiding(cfg: LatticeConfig) -> list[RelationReport]:
     """Braiding relations of both anyon families, their q <-> 1/q mirrors,
     the mixed plain/tilde relations, and the on-site (q-)oscillator algebra."""
     basis = cached_basis(cfg)
@@ -132,8 +129,7 @@ def suite_braiding(cfg: LatticeConfig,
     def anyons(kind, flavor, families):
         """Every anyon of one flavor on its factor, stacked over the pairs'
         x and y points and over the points, by (family, dagger)."""
-        A = {(pt, fam, dag): anyon_factor(cfg, basis, ModeId(kind, flavor, *pt),
-                                          fam, dag, corruption=corruption)
+        A = {(pt, fam, dag): anyon_factor(cfg, basis, ModeId(kind, flavor, *pt), fam, dag)
              for pt in points for fam in families for dag in (False, True)}
         return ({(fam, dag): basis.stack([A[pt, fam, dag] for pt in at])
                  for fam in families for dag in (False, True)}

@@ -183,7 +183,7 @@ class RunConfig:
 
     @property
     def corruption(self) -> Corruption:
-        return corruption_from_names(self.negative_controls)
+        return self.lattice.corruption
 
 
 def run_config_from(args) -> RunConfig:
@@ -195,7 +195,8 @@ def run_config_from(args) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown suites {unknown}; available: {list(SUITES)}")
     controls = tuple(dict.fromkeys(raw.get("negative_controls", [])))
-    corruption_from_names(controls)  # validate names up front
+    # the one place a run's negative controls enter its config
+    lattice = dataclasses.replace(lattice, corruption=corruption_from_names(controls))
     q_samples = _typed(raw, "q_samples", int, 0)
     if q_samples < 0:
         raise ConfigError(f"q_samples must be >= 0, got {q_samples}")
@@ -208,9 +209,14 @@ def run_config_from(args) -> RunConfig:
                      summary_path=getattr(args, "summary", None))
 
 
+def config_fields(cfg: LatticeConfig) -> dict:
+    """The report's ``config`` block and the hashed config: the lattice
+    config without its corruption, which the ``run`` block names."""
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if k != "corruption"}
+
+
 def config_digest(cfg: LatticeConfig, extra: dict | None = None) -> str:
-    payload = dataclasses.asdict(cfg)
-    payload["ordering"] = list(cfg.ordering)
+    payload = config_fields(cfg)
     if extra:
         payload["run"] = extra
     blob = json.dumps(payload, sort_keys=True, default=repr).encode()
@@ -224,7 +230,7 @@ def config_digest(cfg: LatticeConfig, extra: dict | None = None) -> str:
 def cmd_verify(args) -> int:
     run = run_config_from(args)
     cfg = run.lattice
-    results = run_suites(cfg, run.suites, run.corruption, run.q_samples)
+    results = run_suites(cfg, run.suites, run.q_samples)
 
     all_ok = all(reports_ok(reps) for reps in results.values())
     run_meta = {"suites": list(run.suites),
@@ -233,7 +239,7 @@ def cmd_verify(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        "config": json.loads(json.dumps(dataclasses.asdict(cfg), default=repr)),
+        "config": json.loads(json.dumps(config_fields(cfg), default=repr)),
         "config_hash": config_digest(cfg, run_meta),
         "run": run_meta,
         "all_ok": all_ok,

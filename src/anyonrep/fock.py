@@ -10,9 +10,10 @@ Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
 the state index f * NB + b, where their sums are formed; only
 :meth:`FockBasis.kron` places them on the whole basis (X (x) 1, 1 (x) Y or
 X (x) Y), and :meth:`FockBasis.stack` joins them block-diagonally for a
-family's check.  A basis reads no q: ``FockBasis.cfg`` is its config at q = 1.
-:meth:`FockBasis.memo` is the one cache below the basis: it builds what reads
-no q once per basis and the rest once per q.
+family's check.  A basis reads no q: ``FockBasis.cfg`` is its config at q = 1,
+negative controls (``LatticeConfig.corruption``) included, so a basis serves
+one corruption.  :meth:`FockBasis.memo` is the one cache below the basis: it
+builds what reads no q once per basis and the rest once per q.
 Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
 preceding the target in a fixed global order (line, then site ascending, then
 flavor ascending), so the canonical anticommutation relations hold exactly for
@@ -111,12 +112,38 @@ def q_bracket(h: np.ndarray, q: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Corruption:
+    """Deliberate defects of a realization, the negative controls: a field
+    of :class:`LatticeConfig`, so every builder reads them from its config.
+
+    ``flip_q_alpha``      invert the node-dependent deformation map q_alpha.
+    ``drop_h0_delta``     omit the -delta_{r+1/2,0} constant from the affine
+                          Cartan piece on sea-ordered lines.
+    ``flip_boson_disorder`` build bosonic disorder factors with the fermionic
+                          exponent sign.
+    """
+
+    flip_q_alpha: bool = False
+    drop_h0_delta: bool = False
+    flip_boson_disorder: bool = False
+
+    def __bool__(self):
+        return self.flip_q_alpha or self.drop_h0_delta or self.flip_boson_disorder
+
+
+NO_CORRUPTION = Corruption()
+
+
+@dataclass(frozen=True)
 class LatticeConfig:
     """Lattice geometry, mode content, truncation and deformation parameter.
 
     ``ordering`` is either a single scheme name ("sea" or "empty") applied to
     every line, or a K-tuple of per-line schemes.  Exactly one of ``nu``
     (q = exp(i pi nu)) and ``q_real`` (positive real q) must be given.
+    ``corruption`` names the negative controls of a run, defects of this same
+    realization.  A config whose dimension exceeds ``dim_cap`` is not built:
+    :class:`InstanceTooLargeError`.
     """
 
     M: int
@@ -129,6 +156,7 @@ class LatticeConfig:
     q_real: float | None = None
     tol: float = 1e-10
     dim_cap: int = DEFAULT_DIM_CAP
+    corruption: Corruption = NO_CORRUPTION
 
     def __post_init__(self):
         if self.M < 1 or self.N < 1:
@@ -141,17 +169,13 @@ class LatticeConfig:
             raise ConfigError("K must be >= 1")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        ordering = self.ordering
-        if isinstance(ordering, str):
-            ordering = (ordering,) * self.K
-        else:
-            ordering = tuple(ordering)
-        if len(ordering) != self.K:
+        one = isinstance(self.ordering, str)
+        ordering = (self.ordering,) if one else tuple(self.ordering)
+        if not one and len(ordering) != self.K:
             raise ConfigError("per-line ordering needs exactly K entries")
         for o in ordering:
             if o not in (SEA, EMPTY):
                 raise ConfigError(f"unknown ordering scheme {o!r}")
-        object.__setattr__(self, "ordering", ordering)
         if (self.nu is None) == (self.q_real is None):
             raise ConfigError("give exactly one of nu and q_real")
         for key in ("nu", "q_real", "tol"):
@@ -165,8 +189,13 @@ class LatticeConfig:
             raise ConfigError("tol must be positive")
         if self.dim_cap < 1:
             raise ConfigError("dim_cap must be >= 1")
+        # every mode has at least 2 states and a boson n_max + 1, so F + B
+        # modes past the cap's bit length, or n_max + 1 past the cap, exceed
+        # it: decided before the [n]_q loop, the exact dimension or K entries
+        F, B = self.fermion_count, self.boson_count
+        too_large = F + B > self.dim_cap.bit_length() or self.n_max >= self.dim_cap
         q = self.q
-        for n in range(1, self.n_max + 1):
+        for n in range(1, 0 if too_large else self.n_max + 1):
             try:
                 val = q_number(n, q)
             except OverflowError:
@@ -177,6 +206,10 @@ class LatticeConfig:
                     f"[{n}]_q = {val:.6g} is not a positive real; "
                     "lower n_max or move q (need [n]_q > 0 up to the cutoff)"
                 )
+        if too_large or self.dim > self.dim_cap:
+            raise InstanceTooLargeError(f"instance too large: dimension 2^{F} * "
+                                        f"{self.n_max + 1}^{B} exceeds cap {self.dim_cap}")
+        object.__setattr__(self, "ordering", ordering * self.K if one else ordering)
 
     # -- derived quantities -------------------------------------------------
 
@@ -212,28 +245,6 @@ class LatticeConfig:
     @property
     def dim(self) -> int:
         return 2 ** self.fermion_count * (self.n_max + 1) ** self.boson_count
-
-
-@dataclass(frozen=True)
-class Corruption:
-    """Deliberate defects injected for negative-control runs.
-
-    ``flip_q_alpha``      invert the node-dependent deformation map q_alpha.
-    ``drop_h0_delta``     omit the -delta_{r+1/2,0} constant from the affine
-                          Cartan piece on sea-ordered lines.
-    ``flip_boson_disorder`` build bosonic disorder factors with the fermionic
-                          exponent sign.
-    """
-
-    flip_q_alpha: bool = False
-    drop_h0_delta: bool = False
-    flip_boson_disorder: bool = False
-
-    def __bool__(self):
-        return self.flip_q_alpha or self.drop_h0_delta or self.flip_boson_disorder
-
-
-NO_CORRUPTION = Corruption()
 
 
 @dataclass(frozen=True)
@@ -286,11 +297,7 @@ class FockBasis:
     """
 
     def __init__(self, cfg: LatticeConfig):
-        dim = cfg.dim
-        if dim > cfg.dim_cap:
-            raise InstanceTooLargeError(
-                f"instance too large: dimension {dim} exceeds cap {cfg.dim_cap}"
-            )
+        self.dim = dim = cfg.dim
         self.cfg = _q_one(cfg)
         order = [
             (line, site, flavor)
@@ -310,7 +317,6 @@ class FockBasis:
         self._bslot = {m: j for j, m in enumerate(self.boson_modes)}
         self.NF = 2 ** self.F
         self.NB = (cfg.n_max + 1) ** self.B
-        self.dim = dim
         # scipy's own index type for the whole basis, so nothing is converted
         self._idx = np.int32 if dim <= np.iinfo(np.int32).max else np.int64
 
@@ -434,13 +440,13 @@ def build_basis(cfg: LatticeConfig) -> FockBasis:
 
 
 def _q_one(cfg: LatticeConfig) -> LatticeConfig:
-    """``cfg`` at q = 1, where the deformed set collapses onto the plain one."""
+    """``cfg`` at q = 1, corruption kept: the deformed set collapses onto the plain one."""
     return replace(cfg, nu=None, q_real=1.0)
 
 
 def cached_basis(cfg: LatticeConfig) -> FockBasis:
-    """The basis of ``cfg``, built once per process.  A basis reads no q: it
-    is built for the q = 1 config and shared by every q."""
+    """The basis of ``cfg``, built once per process and corruption.  A basis
+    reads no q: it is built for the q = 1 config and shared by every q."""
     return _cached_basis(_q_one(cfg))
 
 

@@ -21,8 +21,6 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     ModeId,
-    NO_CORRUPTION,
-    Corruption,
     cached_basis,
     diag_operator,
     identity_op,
@@ -113,8 +111,7 @@ def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
     return out.reports
 
 
-def suite_oscillators(cfg: LatticeConfig,
-                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_oscillators(cfg: LatticeConfig) -> list[RelationReport]:
     """Canonical (anti)commutators, mixed commutativity, and the q-boson
     relations; relations that raise boson number run with boson headroom 1
     instead of pretending the cutoff away.  Every relation but the mixed
@@ -122,8 +119,7 @@ def suite_oscillators(cfg: LatticeConfig,
     family at once, stacked over its modes or mode pairs.  The first three
     read no q and are checked once per basis, before the rest."""
     basis = cached_basis(cfg)
-    canonical = basis.memo(basis.cfg, ("canonical", corruption),
-                           lambda: _canonical_relations(basis))
+    canonical = basis.memo(basis.cfg, ("canonical",), lambda: _canonical_relations(basis))
     q = cfg.q
     out = SuiteReports("oscillators", cfg.tol, basis)
     family = functools.partial(_family, out, factor=BOSON)

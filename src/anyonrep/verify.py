@@ -45,10 +45,8 @@ from .fock import (
     BOSON,
     FERMION,
     SEA,
-    Corruption,
     LatticeConfig,
     ModeId,
-    NO_CORRUPTION,
     commutator,
     diag_operator,
     identity_op,
@@ -246,10 +244,9 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids, images: bool = Fa
 # quantum, Serre and undeformed suites
 # ---------------------------------------------------------------------------
 
-def suite_quantum(cfg: LatticeConfig,
-                  corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_quantum(cfg: LatticeConfig) -> list[RelationReport]:
     """Defining relations of the deformed superalgebra on the simple nodes."""
-    gs = cached_generators(cfg, True, corruption)
+    gs = cached_generators(cfg, True)
     out = SuiteReports("quantum", cfg.tol, gs.basis)
     _chevalley_relations(out, gs, ("eq7a", "eq7b", "eq7c", "eq7d"))
 
@@ -264,12 +261,11 @@ def suite_quantum(cfg: LatticeConfig,
     return out.reports
 
 
-def suite_serre(cfg: LatticeConfig,
-                corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_serre(cfg: LatticeConfig) -> list[RelationReport]:
     """The adjoint-action oracle cross-checks, then the expanded Serre
     relations and the quartic supplementary relations at the isotropic
     nodes, with their headroom images (``_serre_relations`` with ``images``)."""
-    gs = cached_generators(cfg, True, corruption)
+    gs = cached_generators(cfg, True)
     ct = gs.cartan
     out = SuiteReports("serre", cfg.tol, gs.basis)
 
@@ -292,12 +288,11 @@ def suite_serre(cfg: LatticeConfig,
     return out.reports
 
 
-def suite_undeformed(cfg: LatticeConfig,
-                     corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_undeformed(cfg: LatticeConfig) -> list[RelationReport]:
     """Classical Serre-Chevalley relations of the plain oscillator set: the
     quantum and Serre relations evaluated on it at q = 1.  It reads no q,
     so a run repeats its reports at every sampled q (``Q_FREE``)."""
-    gs = cached_generators(cfg, False, corruption)
+    gs = cached_generators(cfg, False)
     out = SuiteReports("undeformed", cfg.tol, gs.basis)
     _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
     _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0"))
@@ -308,13 +303,12 @@ def suite_undeformed(cfg: LatticeConfig,
 # coproduct suite
 # ---------------------------------------------------------------------------
 
-def suite_coproduct(cfg: LatticeConfig,
-                    corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
     """String-tail factorization of every local piece, and the two-half split
     of the global generators with the coproduct weights between the halves.
     Each piece is built once over anyons and once over q-bosons, and read by
     every statement about it."""
-    gs = cached_generators(cfg, True, corruption)
+    gs = cached_generators(cfg, True)
     basis = gs.basis
     out = SuiteReports("coproduct", cfg.tol)
     splits = SuiteReports("coproduct", cfg.tol)  # reported after eq57
@@ -342,7 +336,7 @@ def suite_coproduct(cfg: LatticeConfig,
         tails = [q_power(qa, x) for x in expos]
         if alpha:
             left = [ln < cut or (ln == cut and r < 0) for ln, r in sites]
-            h = [_h_local_diag(basis, alpha, ln, r, corruption) for ln, r in sites]
+            h = [_h_local_diag(basis, alpha, ln, r) for ln, r in sites]
             HL = sum((v for v, lf in zip(h, left) if lf), zero)
             HR = sum((v for v, lf in zip(h, left) if not lf), zero)
             halves = [q_power(qa, x - 0.5 * HR if lf else x + 0.5 * HL)
@@ -351,7 +345,7 @@ def suite_coproduct(cfg: LatticeConfig,
         for s in ("+", "-"):
             EL = ER = zero_op(basis, space)
             for i, (ln, r) in enumerate(sites):
-                E = local_e(cfg, basis, alpha, s, ln, r, True, corruption)
+                E = local_e(cfg, basis, alpha, s, ln, r, True)
                 ehat = local_e(cfg, basis, alpha, s, ln, r, False)
                 worst = max(worst, residual_norm(E - scale_columns(ehat, tails[i])))
                 if alpha == control:
@@ -390,18 +384,17 @@ def _genset_distance(g1: GeneratorSet, g2: GeneratorSet) -> float:
     return max(residual_norm(g1.E[key] - g2.E[key]) for key in g1.E)
 
 
-def suite_classical_limit(cfg: LatticeConfig,
-                          corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_classical_limit(cfg: LatticeConfig) -> list[RelationReport]:
     """q = 1 collapse onto the plain oscillator realization, and first-order
     scaling of the deviation in (q - 1)."""
     out = SuiteReports("classical", 1e-12)
-    plain = cached_generators(cfg, False, corruption)
+    plain = cached_generators(cfg, False)
 
     # the deformed sets at and near q = 1 are used once: built here, not
     # cached, and the one at q = 1 is released before the others are built
     def deformed_at(q_real):
         return chevalley_generators(dataclasses.replace(plain.basis.cfg, q_real=q_real),
-                                    plain.basis, True, corruption)
+                                    plain.basis, True)
 
     gs1 = deformed_at(1.0)
     out.record("limit-q1", _genset_distance(gs1, plain))
@@ -423,8 +416,7 @@ def suite_classical_limit(cfg: LatticeConfig,
 # central charge
 # ---------------------------------------------------------------------------
 
-def suite_central_charge(cfg: LatticeConfig,
-                         corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_central_charge(cfg: LatticeConfig) -> list[RelationReport]:
     """Bulk eigenvalue of the central element: one unit per sea-ordered line.
 
     Also checks the exact finite-lattice identity Gamma = sum over lines of
@@ -433,7 +425,7 @@ def suite_central_charge(cfg: LatticeConfig,
     plain set's H, which reads no q, so a run repeats these reports at every
     sampled q (``Q_FREE``).
     """
-    gs = cached_generators(cfg, False, corruption)
+    gs = cached_generators(cfg, False)
     basis = gs.basis
     gamma = diag_operator(central_charge_diag(gs))
     gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
@@ -442,7 +434,7 @@ def suite_central_charge(cfg: LatticeConfig,
               bulk=(1, 0), params={"expected": gamma_expected,
                       "ordering": list(cfg.ordering), "lines": cfg.K})
 
-    if not corruption.drop_h0_delta:
+    if not cfg.corruption.drop_h0_delta:
         vec = np.zeros(basis.dim)
         r_min, r_max = cfg.sites[0], cfg.sites[-1]
         for line in cfg.lines:
@@ -465,13 +457,12 @@ def _largest_entry(Z: sp.csr_matrix) -> tuple[int, int]:
     return int(np.searchsorted(Z.indptr, k, side="right")) - 1, int(Z.indices[k])
 
 
-def suite_cartan_weyl(cfg: LatticeConfig,
-                      corruption: Corruption = NO_CORRUPTION) -> list[RelationReport]:
+def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
     """Mode-shifted generators: correspondence with the simple set, weight
     relations, the central anomaly scalar and its linearity in the mode
     number, and the observed two-cocycle signs.  They read no q, so a run
     repeats these reports at every sampled q (``Q_FREE``)."""
-    gs = cached_generators(cfg, False, corruption)
+    gs = cached_generators(cfg, False)
     basis = gs.basis
     ct = gs.cartan
     R = cfg.R
@@ -579,8 +570,7 @@ def _nu_samples(cfg: LatticeConfig, count: int) -> list[float]:
     return np.random.default_rng(97).uniform(0.02, 0.95 / cfg.n_max, size=count).tolist()
 
 
-def run_suites(cfg: LatticeConfig, names=None,
-               corruption: Corruption = NO_CORRUPTION, q_samples: int = 0) -> dict:
+def run_suites(cfg: LatticeConfig, names=None, q_samples: int = 0) -> dict:
     """The one loop of a verify run, deterministic: the selected suites (default
     all) in registry order, then at each of ``q_samples`` sampled nu every one
     but ``classical``, keyed ``name@nu=...``.  A sample does not rerun a suite
@@ -589,11 +579,11 @@ def run_suites(cfg: LatticeConfig, names=None,
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")
     names = [name for name in SUITES if names is None or name in names]
-    results = {name: SUITES[name](cfg, corruption) for name in names}
+    results = {name: SUITES[name](cfg) for name in names}
     for nu in _nu_samples(cfg, q_samples):
         sampled = dataclasses.replace(cfg, nu=nu)
         for name in names:
             if name != "classical":
                 results[f"{name}@nu={nu:.6f}"] = (
-                    list(results[name]) if name in Q_FREE else SUITES[name](sampled, corruption))
+                    list(results[name]) if name in Q_FREE else SUITES[name](sampled))
     return results

@@ -6,7 +6,6 @@ from anyonrep.anyons import anyon_factor, string_factor
 from anyonrep.fock import (
     BOSON,
     FERMION,
-    NO_CORRUPTION,
     FockBasis,
     LatticeConfig,
     _cached_basis,
@@ -38,10 +37,9 @@ def full_ladder(cfg, basis, mode, dagger=False):
     return kron_lift(basis, mode.kind, ladder(cfg, basis, mode, dagger))
 
 
-def full_anyon(cfg, basis, mode, family, dagger=False, corruption=NO_CORRUPTION):
+def full_anyon(cfg, basis, mode, family, dagger=False):
     """One anyon on the whole basis: the kron lift of its factor operator."""
-    return kron_lift(basis, mode.kind,
-                     anyon_factor(cfg, basis, mode, family, dagger, corruption=corruption))
+    return kron_lift(basis, mode.kind, anyon_factor(cfg, basis, mode, family, dagger))
 
 
 def on_basis(basis, alpha, x):
@@ -68,13 +66,14 @@ def string_exponent(basis, mode):
     return basis.lift(mode.kind, string_factor(basis, mode))
 
 
-def disorder_factor(cfg, basis, mode, tilde=False, corruption=NO_CORRUPTION):
+def disorder_factor(cfg, basis, mode, tilde=False):
     """Diagonal string q^{-+ 1/2 sum_t eps(t-r) :n(t):} (fermion/boson base
-    sign) of ``mode``; ``tilde`` gives its inverse, the string at q^-1.  The
+    sign, flipped for a boson under ``cfg.corruption.flip_boson_disorder``) of
+    ``mode``; ``tilde`` gives its inverse, the string at q^-1.  The
     reference the anyons' scaled strings are tested against, summed at full
     dimension from :func:`string_exponent`."""
     base = -0.5 if mode.kind == FERMION else +0.5
-    if corruption.flip_boson_disorder and mode.kind == BOSON:
+    if cfg.corruption.flip_boson_disorder and mode.kind == BOSON:
         base = -base
     if tilde:
         base = -base

@@ -147,8 +147,8 @@ def test_criterion_8_cartan_weyl_spot_checks():
     (Corruption(flip_boson_disorder=True), "flipped disorder sign"),
 ])
 def test_criterion_9_negative_controls(corruption, label):
-    cfg = LatticeConfig(**BASE21, nu=NU)
-    out = run_suites(cfg, None, corruption)
+    cfg = LatticeConfig(**BASE21, nu=NU, corruption=corruption)
+    out = run_suites(cfg)
     failing = [name for name, reps in out.items() if not reports_ok(reps)]
     ok = bool(failing)
     _announce(9, f"{label} trips {len(failing)} suite(s): "

@@ -100,11 +100,12 @@ def test_symmetrizers(MN):
 def test_grading_and_q_alpha():
     ct = cartan_data(2, 2)
     assert ct.parity == (1, 0, 1, 0)
+    cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3)
     q = np.exp(0.3j * np.pi)
-    qa = ct.q_alpha(q)
+    qa = ct.q_alpha(cfg)
     assert all(abs(qa[al] - q) < 1e-14 for al in (0, 1, 2))
     assert abs(qa[3] - 1 / q) < 1e-14
-    flipped = ct.q_alpha(q, Corruption(flip_q_alpha=True))
+    flipped = ct.q_alpha(replace(cfg, corruption=Corruption(flip_q_alpha=True)))
     assert abs(flipped[0] - 1 / q) < 1e-14
     assert abs(flipped[3] - q) < 1e-14
 
@@ -172,7 +173,7 @@ def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
             h = gs.h(al)
             assert h.dtype == np.float64
             assert h.tobytes() == H.diagonal().real.tobytes()
-            local = sum(full_h_local_diag(basis22, al, line, r, Corruption())
+            local = sum(full_h_local_diag(basis22, al, line, r)
                         for line in cfg22.lines
                         for r in alg.admissible_sites(cfg22, al))
             assert np.array_equal(local, h)
@@ -199,15 +200,17 @@ def test_generator_sets_share_one_cartan_generator():
             chevalley_generators(replace(basis.cfg, q_real=1 + 1e-6), basis)]
     for alpha in plain.H:
         assert all(gs.H[alpha] is plain.H[alpha] for gs in sets)
-    h0delta = chevalley_generators(cfg, basis, corruption=Corruption(drop_h0_delta=True))
+    h0_cfg = replace(cfg, corruption=Corruption(drop_h0_delta=True))
+    h0delta = chevalley_generators(h0_cfg, cached_basis(h0_cfg))
     assert h0delta.H[0] is not plain.H[0] and residual_norm(h0delta.H[0] - plain.H[0]) > 0
 
 
 def test_q_alpha_is_read_once_per_set(cfg21, basis21, monkeypatch):
     """A set computes its q_alpha tuple once; each lookup reads it."""
     for corruption in (Corruption(), Corruption(flip_q_alpha=True)):
-        gs = chevalley_generators(cfg21, basis21, corruption=corruption)
-        expected = gs.cartan.q_alpha(cfg21.q, corruption)
+        cfg = replace(cfg21, corruption=corruption)
+        gs = chevalley_generators(cfg, cached_basis(cfg))
+        expected = gs.cartan.q_alpha(cfg)
         monkeypatch.setattr(alg.CartanData, "q_alpha", None)
         assert tuple(gs.q_alpha(al) for al in range(cfg21.R + 1)) == expected
         monkeypatch.undo()
@@ -246,7 +249,7 @@ def test_affine_pieces_need_next_site(cfg21):
 
 
 def test_string_tail_factorization(cfg21, basis21):
-    q_alpha = cartan_data(cfg21.M, cfg21.N).q_alpha(cfg21.q)
+    q_alpha = cartan_data(cfg21.M, cfg21.N).q_alpha(cfg21)
     for alpha in range(cfg21.R + 1):
         for s in ("+", "-"):
             for r in alg.admissible_sites(cfg21, alpha):
@@ -265,14 +268,14 @@ def test_local_q_generator_collapses_at_q_one():
         for s in ("+", "-"):
             for r in alg.admissible_sites(cfg, alpha):
                 ehat = full_local_e(cfg, basis, alpha, s, 1, r, False)
-                plain = _ref_local_e(cfg, basis, alpha, s, 1, r, False, Corruption())
+                plain = _ref_local_e(cfg, basis, alpha, s, 1, r, False)
                 assert residual_norm(ehat - plain) <= 1e-13
 
 
 def test_tail_flip_breaks_factorization(cfg22, basis22):
     # only nodes above M carry q^{-1}; flipping must be visible
     alpha = cfg22.M + 1
-    qa = cartan_data(cfg22.M, cfg22.N).q_alpha(cfg22.q)[alpha]
+    qa = cartan_data(cfg22.M, cfg22.N).q_alpha(cfg22)[alpha]
     worst = 0.0
     for r in cfg22.sites:
         E = full_local_e(cfg22, basis22, alpha, "+", 1, r, True)
@@ -289,7 +292,7 @@ def _filtered_tail_exponent(cfg, basis, alpha, line, r, keep):
         for t in cfg.sites:
             eps = site_order_sign(ln, t, line, r)
             if keep(ln, t) and eps:
-                total += eps * full_h_local_diag(basis, alpha, ln, t, Corruption())
+                total += eps * full_h_local_diag(basis, alpha, ln, t)
     return total
 
 
@@ -313,7 +316,7 @@ def test_half_tail_is_full_tail_less_other_half(cfg):
         return not left(ln, t)
 
     for alpha in range(1, cfg.R + 1):
-        H = {side: sum((full_h_local_diag(basis, alpha, ln, t, Corruption())
+        H = {side: sum((full_h_local_diag(basis, alpha, ln, t)
                         for ln in cfg.lines for t in cfg.sites if side(ln, t)),
                        np.zeros(basis.dim))
              for side in (left, right)}
@@ -334,7 +337,7 @@ def test_local_fixed_site_representation(cfg22, basis22):
     r = -0.5
 
     def h_local(alpha):
-        return full_h_local_diag(basis22, alpha, 1, r, Corruption())
+        return full_h_local_diag(basis22, alpha, 1, r)
 
     def e_hat(alpha, s):
         return full_local_e(cfg22, basis22, alpha, s, 1, r, False)
@@ -355,10 +358,21 @@ def test_local_fixed_site_representation(cfg22, basis22):
                                e_hat(al, "+"), em, ct.parity[al], ct.parity[be]))
             if al == be:
                 rhs = diag_operator(q_bracket(h_local(al),
-                                              ct.q_alpha(cfg22.q)[al]))
+                                              ct.q_alpha(cfg22)[al]))
             else:
                 rhs = 0 * lhs
             assert residual_norm(head @ (lhs - rhs) @ head) <= 1e-10
+
+
+def test_cached_generators_only_checks_its_corruption(cfg21):
+    """The corruption is read from the config; a third argument that is not
+    the config's is an error, not a second way to set it."""
+    assert cached_generators(cfg21, True, cfg21.corruption) is cached_generators(cfg21, True)
+    with pytest.raises(ValueError, match="flip_q_alpha=True"):
+        cached_generators(cfg21, True, Corruption(flip_q_alpha=True))
+    control = replace(cfg21, corruption=Corruption(flip_q_alpha=True))
+    with pytest.raises(ValueError):
+        cached_generators(control, False, Corruption())
 
 
 def test_plain_set_is_built_once_per_process(cfg21):
@@ -372,7 +386,7 @@ def test_plain_set_is_built_once_per_process(cfg21):
 # node table against the per-node chains it replaced
 # ---------------------------------------------------------------------------
 
-def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
+def _ref_h_local_diag(cfg, basis, alpha, line, r):
     M, N = cfg.M, cfg.N
 
     def nf(flavor, site):
@@ -390,12 +404,12 @@ def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
         return nb(k, r) - nb(k + 1, r)
     v = nb(N, r) + nf(1, r + 1)
     if (cfg.line_ordering(line) == SEA and r == -0.5
-            and not corruption.drop_h0_delta):
+            and not cfg.corruption.drop_h0_delta):
         v = v - 1.0
     return v
 
 
-def _ref_local_e(cfg, basis, alpha, sign, line, r, deformed, corruption):
+def _ref_local_e(cfg, basis, alpha, sign, line, r, deformed):
     M, N = cfg.M, cfg.N
 
     def f(flavor, site):
@@ -406,11 +420,10 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, deformed, corruption):
 
     if deformed:
         def low(mode, family):
-            return full_anyon(cfg, basis, mode, family, corruption=corruption)
+            return full_anyon(cfg, basis, mode, family)
 
         def dag(mode, family):
-            return full_anyon(cfg, basis, mode, family, dagger=True,
-                         corruption=corruption)
+            return full_anyon(cfg, basis, mode, family, dagger=True)
     else:
         def low(mode, family):
             return full_ladder(cfg, basis, mode)
@@ -446,27 +459,27 @@ def _same(x, y):
     LatticeConfig(M=2, N=1, S=2, K=2, n_max=1, nu=0.3, ordering=("sea", "empty")),
 ], ids=["M2N1S2", "M2N2S2", "M2N1S2-sea,empty"])
 def test_node_table_reproduces_per_node_chains(cfg):
-    basis = build_basis(cfg)
-    corruptions = (Corruption(), Corruption(drop_h0_delta=True),
-                   Corruption(flip_boson_disorder=True))
+    configs = [replace(cfg, corruption=cor) for cor in (
+        Corruption(), Corruption(drop_h0_delta=True), Corruption(flip_boson_disorder=True))]
+    bases = {c: build_basis(c) for c in configs}
+    basis = bases[cfg]
     for alpha in range(cfg.R + 1):
         for line in cfg.lines:
             for r in alg.admissible_sites(cfg, alpha):
-                for cor in corruptions[:2]:
+                for c in configs[:2]:
                     assert np.array_equal(
-                        full_h_local_diag(basis, alpha, line, r, cor),
-                        _ref_h_local_diag(cfg, basis, alpha, line, r, cor))
+                        full_h_local_diag(bases[c], alpha, line, r),
+                        _ref_h_local_diag(c, bases[c], alpha, line, r))
                 for s in ("+", "-"):
                     # the q-boson pieces, and at q = 1 the plain pieces
                     for at in (cfg, _q_one(cfg)):
                         assert _same(
                             full_local_e(at, basis, alpha, s, line, r, False),
-                            _ref_local_e(at, basis, alpha, s, line, r, False,
-                                         corruptions[0]))
-                    for cor in corruptions:
+                            _ref_local_e(at, basis, alpha, s, line, r, False))
+                    for c in configs:
                         assert _same(
-                            full_local_e(cfg, basis, alpha, s, line, r, True, cor),
-                            _ref_local_e(cfg, basis, alpha, s, line, r, True, cor))
+                            full_local_e(c, bases[c], alpha, s, line, r, True),
+                            _ref_local_e(c, bases[c], alpha, s, line, r, True))
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +505,11 @@ def test_gamma_bulk_eigenvalue(ordering, expected):
     assert residual_norm(gamma @ P - expected * P) <= 1e-12
 
 
-def test_dropping_affine_constant_shifts_gamma(cfg21, basis21):
-    gs = chevalley_generators(cfg21, basis21, deformed=True,
-                              corruption=Corruption(drop_h0_delta=True))
-    P = bulk_projector(basis21, 1, 0)
+def test_dropping_affine_constant_shifts_gamma(cfg21):
+    cfg = replace(cfg21, corruption=Corruption(drop_h0_delta=True))
+    basis = build_basis(cfg)
+    gs = chevalley_generators(cfg, basis, deformed=True)
+    P = bulk_projector(basis, 1, 0)
     gamma = diag_operator(central_charge_diag(gs))
     assert residual_norm(gamma @ P - P) > 0.5  # no longer 1 on the bulk
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,8 @@ def test_cross_line_string_sign():
 
 
 def test_corrupted_boson_disorder_fails_braiding(cfg21):
-    reports = suite_braiding(cfg21, Corruption(flip_boson_disorder=True))
+    reports = suite_braiding(dataclasses.replace(
+        cfg21, corruption=Corruption(flip_boson_disorder=True)))
     assert not reports_ok(reports)
     bad = [r for r in reports if not r.satisfied]
     assert any(r.relation_id.startswith("eq53") for r in bad)
@@ -223,19 +226,18 @@ def test_scaled_anyon_equals_string_product(cfg, flip):
     """Scaling the oscillator's rows (columns of the adjoint) by the string
     gives the product with the diagonal disorder factor entry for entry."""
     from anyonrep.anyons import FAMILIES
+    cfg = dataclasses.replace(cfg, corruption=Corruption(flip_boson_disorder=flip))
     basis = build_basis(cfg)
-    corr = Corruption(flip_boson_disorder=flip)
     for family, (kind, tilde) in FAMILIES.items():
         modes = basis.fermion_modes if kind == FERMION else basis.boson_modes
         for mode in modes:
             osc = full_ladder(cfg, basis, mode)
             for dagger in (False, True):
                 if dagger:
-                    ref = op_adjoint(osc) @ disorder_factor(
-                        cfg, basis, mode, not tilde, corr)
+                    ref = op_adjoint(osc) @ disorder_factor(cfg, basis, mode, not tilde)
                 else:
-                    ref = disorder_factor(cfg, basis, mode, tilde, corr) @ osc
-                out = full_anyon(cfg, basis, mode, family, dagger, corruption=corr)
+                    ref = disorder_factor(cfg, basis, mode, tilde) @ osc
+                out = full_anyon(cfg, basis, mode, family, dagger)
                 assert out.nnz == ref.nnz and (out != ref).nnz == 0
 
 
@@ -244,9 +246,9 @@ def test_suite_braiding_builds_each_anyon_once(monkeypatch):
     calls = []
     build = anyons.anyon_factor
 
-    def counted(cfg, basis, mode, family, dagger=False, **kw):
+    def counted(cfg, basis, mode, family, dagger=False):
         calls.append((mode, family, dagger))
-        return build(cfg, basis, mode, family, dagger, **kw)
+        return build(cfg, basis, mode, family, dagger)
 
     monkeypatch.setattr(anyons, "anyon_factor", counted)
     reports = suite_braiding(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3))

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import time
 from collections import Counter
 
 import pytest
@@ -20,6 +22,7 @@ from anyonrep.cli import (
 )
 from anyonrep.fock import (
     DEFAULT_DIM_CAP,
+    Corruption,
     LatticeConfig,
     _cached_basis,
     cached_basis,
@@ -96,6 +99,60 @@ def test_a_cap_below_one_is_a_config_error(outdir, capsys, source, cap):
     assert "dim_cap" in err and "exceeds" not in err
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--suites", "central", "--sites", "4000"],
+    ["export", "H:1", "--sites", "4000"],
+    ["verify", "--suites", "central", "--sites", "10000000"],
+    ["verify", "--suites", "central", "--lines", "1000000000"],
+    ["verify", "--suites", "central", "--q-real", "1", "--nmax", "1000000000"],
+], ids=["verify-4000-sites", "export-4000-sites", "1e7-sites", "1e9-lines", "1e9-nmax"])
+def test_a_too_large_instance_exits_3_promptly(outdir, capsys, args):
+    """The cap is decided from the mode counts and the cutoff before the
+    exact dimension, the per-line ordering or the [n]_q check up to n_max is
+    built, and the message names the size as 2^F * (n_max+1)^B, not as a
+    number of thousands of digits."""
+    start = time.perf_counter()
+    assert main([*args, "-o", str(outdir / "op.txt")] if args[0] == "export"
+                else [*args, "--quiet"]) == EXIT_TOO_LARGE
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert re.search(r"instance too large: dimension 2\^\d+ \* \d+\^\d+ exceeds cap 100000$", err.strip())
+
+
+def test_export_ignores_the_config_files_controls(outdir):
+    """A config file's negative controls are a verify run's: export writes
+    the same bytes with them as without, though the controlled operator
+    differs."""
+    spec = {"M": 2, "N": 1, "sites": 2, "nmax": 2, "q": {"nu": 0.3}}
+    paths = []
+    for name, extra in (("plain", {}), ("controls", {"negative_controls": ["qalpha", "disorder"]})):
+        cfgfile, path = outdir / f"{name}.json", outdir / f"{name}.txt"
+        cfgfile.write_text(json.dumps(dict(spec, **extra)))
+        assert main(["export", "E+:0", "--config", str(cfgfile), "-o", str(path),
+                     "--quiet"]) == EXIT_OK
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    cfg = lattice_config_from_raw(spec)
+    controlled = dataclasses.replace(cfg, corruption=Corruption(flip_boson_disorder=True))
+    assert residual_norm(resolve_operator(cfg, "E+:0")
+                         - resolve_operator(controlled, "E+:0")) > 0.1
+
+
+def test_the_config_block_leaves_the_controls_to_the_run_block(outdir):
+    """Under a negative control the report's config block is the block
+    without it: the controls are named once, in the run block."""
+    payloads = []
+    for flags in ([], ["--negative-control", "qalpha"]):
+        report = outdir / "report.json"
+        main(["verify", *SMALL, "--suites", "central", *flags, "--report", str(report),
+              "--quiet"])
+        payloads.append(json.loads(report.read_text()))
+    plain, control = payloads
+    assert control["config"] == plain["config"] and "corruption" not in plain["config"]
+    assert control["run"]["negative_controls"] == ["qalpha"]
+    assert control["config_hash"] != plain["config_hash"]
+
+
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_nu_and_q_real_are_exclusive(outdir, capsys, command):
     """A config takes one q: --nu and --q-real together are a usage error
@@ -159,9 +216,9 @@ def test_repeated_names_run_once(outdir, monkeypatch):
     calls = []
     central = verify.SUITES["central"]
 
-    def counted(cfg, corruption):
-        calls.append(corruption)
-        return central(cfg, corruption)
+    def counted(cfg):
+        calls.append(cfg.corruption)
+        return central(cfg)
 
     monkeypatch.setitem(verify.SUITES, "central", counted)
     payloads = []

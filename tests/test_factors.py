@@ -164,16 +164,17 @@ def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
 
 
 def test_factor_operators_are_built_once_per_config():
-    """A ladder or an anyon is built once per config and key, the corruption
-    part of it.  The operators of the basis's config (q = 1) are kept as long
-    as the basis, and of the other configs only the one asked for last."""
+    """A ladder or an anyon is built once per config and key; a config of
+    another corruption has its own basis.  The operators of the basis's
+    config (q = 1) are kept as long as the basis, and of the other configs
+    only the one asked for last."""
     cfg = STACKS[0]
     basis = build_basis(cfg)
     mode = basis.boson_modes[0]
     a = anyon_factor(cfg, basis, mode, "A")
     assert anyon_factor(cfg, basis, mode, "A") is a
-    flipped = anyon_factor(cfg, basis, mode, "A",
-                           corruption=Corruption(flip_boson_disorder=True))
+    flip = replace(cfg, corruption=Corruption(flip_boson_disorder=True))
+    flipped = anyon_factor(flip, build_basis(flip), mode, "A")
     assert flipped is not a and abs(flipped - a).max() > 0.1
     b = ladder(cfg, basis, mode)
     assert ladder(cfg, basis, mode) is b
@@ -200,14 +201,14 @@ def test_the_first_q_free_build_keeps_the_config_asked_for():
 
 def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
     """Runs at nu 0.3, nu 0.2 and q_real 1.3 on one basis build each fermion
-    ladder, each H_alpha (per corruption) and each Cartan-Weyl operator once,
-    under the basis's config."""
+    ladder, each H_alpha and each Cartan-Weyl operator once, under the
+    basis's config; a run under a control does so on its own basis."""
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3)
     for at in (cfg, replace(cfg, nu=0.2), replace(cfg, nu=None, q_real=1.3)):
         verify.run_suites(at)
-    h0delta = Corruption(drop_h0_delta=True)
-    verify.run_suites(cfg, ["quantum"], h0delta)
-    basis = cached_basis(cfg)
+    h0delta = replace(cfg, corruption=Corruption(drop_h0_delta=True))
+    verify.run_suites(h0delta, ["quantum"])
+    basis, h0_basis = cached_basis(cfg), cached_basis(h0delta)
 
     def reads_no_q(key):
         if isinstance(key[0], ModeId):  # a ladder (mode, dagger) or an anyon
@@ -215,11 +216,11 @@ def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
         return key[0] in ("H", "e", "h")
 
     q_free = [(at, key) for at, key in memo_builds if reads_no_q(key)]
-    assert {at for at, _ in q_free} == {basis.cfg}
-    keys = [key for _, key in q_free]
-    assert len(keys) == len(set(keys))
-    assert {k for k in keys if k[0] == "H"} == {
-        ("H", alpha, c) for alpha in range(cfg.R + 1) for c in (NO_CORRUPTION, h0delta)}
+    assert {at for at, _ in q_free} == {basis.cfg, h0_basis.cfg}
+    assert len(q_free) == len(set(q_free))
+    keys = [key for at, key in q_free if at == basis.cfg]
+    assert {(at, k) for at, k in q_free if k[0] == "H"} == {
+        (b.cfg, ("H", alpha)) for alpha in range(cfg.R + 1) for b in (basis, h0_basis)}
     assert {k for k in keys if isinstance(k[0], ModeId)} == {
         (m, d) for m in basis.fermion_modes for d in (False, True)}
     assert any(k[0] == "e" for k in keys)
@@ -229,7 +230,7 @@ def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
 # the generators equal their full-dimension construction
 # ---------------------------------------------------------------------------
 
-def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed, corruption):
+def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed):
     """A local piece as the product of the two lifted operators."""
     upper, lower = alg._node_modes(cfg, alpha, line, r)
     tilde = ""
@@ -239,13 +240,13 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed, corruption):
     def op(mode, dagger):
         if dressed:
             family = ("a" if mode.kind == FERMION else "A") + tilde
-            return full_anyon(cfg, basis, mode, family, dagger, corruption=corruption)
+            return full_anyon(cfg, basis, mode, family, dagger)
         return full_ladder(cfg, basis, mode, dagger)
 
     return (op(upper, True) @ op(lower, False)).tocsr()
 
 
-def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
+def _ref_h_local_diag(cfg, basis, alpha, line, r):
     """:n_upper: -+ :n_lower: of node alpha on the whole basis."""
     upper, lower = alg._node_modes(cfg, alpha, line, r)
     n_up = normal_number_diag(basis, upper)
@@ -253,12 +254,12 @@ def _ref_h_local_diag(cfg, basis, alpha, line, r, corruption):
     if alpha not in (0, cfg.M):
         return n_up - n_low
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
-            and not corruption.drop_h0_delta):
+            and not cfg.corruption.drop_h0_delta):
         return n_up + n_low - 1.0
     return n_up + n_low
 
 
-def _ref_generators(cfg, basis, deformed, corruption):
+def _ref_generators(cfg, basis, deformed):
     """H and E summed at full dimension, piece by piece."""
     if not deformed:
         cfg = _q_one(cfg)
@@ -267,13 +268,12 @@ def _ref_generators(cfg, basis, deformed, corruption):
         sites = [(ln, r) for ln in cfg.lines for r in alg.admissible_sites(cfg, alpha)]
         hd = np.zeros(basis.dim)
         for ln, r in sites:
-            hd += _ref_h_local_diag(cfg, basis, alpha, ln, r, corruption)
+            hd += _ref_h_local_diag(cfg, basis, alpha, ln, r)
         H[alpha] = diag_operator(hd)
         for sign in ("+", "-"):
             total = zero_op(basis)
             for ln, r in sites:
-                total = total + _ref_local_e(cfg, basis, alpha, sign, ln, r,
-                                             deformed, corruption)
+                total = total + _ref_local_e(cfg, basis, alpha, sign, ln, r, deformed)
             E[(alpha, sign)] = total.tocsr()
     return H, E
 
@@ -307,10 +307,11 @@ def test_generators_equal_their_full_dimension_construction(cfg, corruption):
     factor and lifted once or formed as tensor products at the mixed nodes,
     has the arrays of the sum of the lifted products, under no corruption
     and each control."""
+    cfg = replace(cfg, corruption=corruption)
     basis = build_basis(cfg)
     for deformed in (False, True):
-        gs = alg.chevalley_generators(cfg, basis, deformed, corruption)
-        H, E = _ref_generators(cfg, basis, deformed, corruption)
+        gs = alg.chevalley_generators(cfg, basis, deformed)
+        H, E = _ref_generators(cfg, basis, deformed)
         for al in H:
             assert_same_arrays(gs.H[al], H[al], bits=True)
         for key in E:
@@ -404,7 +405,7 @@ def _oscillator_oracle(cfg):
     ]
 
 
-def _braiding_oracle(cfg, corruption):
+def _braiding_oracle(cfg):
     """A sample of every braiding family, written at full dimension from the
     lifted anyons of flavor 1 at one ordered pair x after y and at x."""
     basis, q = cached_basis(cfg), cfg.q
@@ -412,8 +413,7 @@ def _braiding_oracle(cfg, corruption):
     x, y = (1, 0.5), (1, -0.5)
 
     def A(kind, pt, family, dagger=False):
-        return full_anyon(cfg, basis, ModeId(kind, 1, *pt), family, dagger,
-                     corruption=corruption)
+        return full_anyon(cfg, basis, ModeId(kind, 1, *pt), family, dagger)
 
     ar, asr, adr, ads = (A(FERMION, x, "a"), A(FERMION, y, "a"),
                          A(FERMION, x, "a", True), A(FERMION, y, "a", True))
@@ -478,13 +478,13 @@ def test_factor_checks_equal_the_full_dimension_oracle(cfg22, suite, corruption)
     operands, has the suite's residual (compared by float.hex) and label.
     The sample covers every family of the suite but the mixed eq30, and
     under the disorder control the failing eq53 reports fail alike."""
+    cfg = replace(cfg22, corruption=corruption)
     if suite == "oscillators":
-        reports, oracle = suite_oscillators(cfg22), _oscillator_oracle(cfg22)
+        reports, oracle = suite_oscillators(cfg), _oscillator_oracle(cfg)
     else:
-        reports = suite_braiding(cfg22, corruption)
-        oracle = _braiding_oracle(cfg22, corruption)
+        reports, oracle = suite_braiding(cfg), _braiding_oracle(cfg)
     by_id = {r.relation_id: r for r in reports}
-    full = SuiteReports(suite, cfg22.tol, cached_basis(cfg22))
+    full = SuiteReports(suite, cfg.tol, cached_basis(cfg))
     for rid, lhs, rhs, bulk in oracle:
         full.check(rid, lhs, rhs, bulk=bulk)
     for ref in full.reports:

@@ -96,9 +96,8 @@ def test_a_basis_holds_its_config_at_q_one(qspec):
 
 
 def test_dimension_cap():
-    cfg = LatticeConfig(M=2, N=1, S=10, nu=0.3)
     with pytest.raises(InstanceTooLargeError, match="instance too large"):
-        build_basis(cfg)
+        build_basis(LatticeConfig(M=2, N=1, S=10, nu=0.3))
 
 
 def test_sites_symmetric_about_zero(cfg21):

@@ -263,7 +263,7 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     same fields.  Covered: masked families (eq54a, eq21 at (0, 1)), a rhs
     that is 1 on some blocks and zero on others (eq20 with m1 == m2) and the
     disorder control tripping eq53*."""
-    cfg = STACKED[name]
+    cfg = dataclasses.replace(STACKED[name], corruption=corruption)
     seen = []
     check_family = SuiteReports.check_family
 
@@ -274,7 +274,7 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
 
     _cached_basis.cache_clear()
     monkeypatch.setattr(SuiteReports, "check_family", recording)
-    run_suites(cfg, ["oscillators", "braiding"], corruption)
+    run_suites(cfg, ["oscillators", "braiding"])
     monkeypatch.undo()
     calls, stacked, masked, mixed_rhs, tripped = Counter(), set(), set(), set(), set()
     for out, ids, lhs, rhs, kwargs, reports in seen:
@@ -598,9 +598,10 @@ def test_q_free_reports_are_made_once_per_basis_tol_and_corruption(suite, monkey
     assert all(rid.startswith(("eq49", "eq50")) for rid in calls)
     first.clear()
     assert suite(cfg)[:len(q_free)] == q_free
-    for args in ((dataclasses.replace(cfg, tol=1e-11),), (cfg, Corruption(drop_h0_delta=True))):
+    for other in (dataclasses.replace(cfg, tol=1e-11),
+                  dataclasses.replace(cfg, corruption=Corruption(drop_h0_delta=True))):
         calls.clear()
-        rerun = suite(*args)
+        rerun = suite(other)
         assert calls and not any(a is b for a, b in zip(q_free, rerun))
 
 
@@ -613,12 +614,12 @@ def test_sampled_q_free_reports_are_the_base_reports(name, monkeypatch):
     check_family = SuiteReports.check_family
     monkeypatch.setattr(SuiteReports, "check_family",
                         lambda self, *a, **kw: calls.extend(a[0]) or check_family(self, *a, **kw))
-    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     for corruption in (Corruption(), Corruption(drop_h0_delta=True)):
-        run_suites(cfg, [name], corruption)
+        cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3, corruption=corruption)
+        run_suites(cfg, [name])
         once = list(calls)
         calls.clear()
-        out = run_suites(cfg, [name], corruption, q_samples=2)
+        out = run_suites(cfg, [name], q_samples=2)
         assert calls == once and once
         calls.clear()
         base = out.pop(name)
@@ -676,8 +677,7 @@ def test_limit_slope_sets_are_not_cached(memo_builds):
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     suite_classical_limit(cfg)
     # the plain set only: the deformed sets at and near q = 1 are used once
-    assert [key for _, key in memo_builds if key[0] == "set"] == [
-        ("set", False, Corruption())]
+    assert [key for _, key in memo_builds if key[0] == "set"] == [("set", False)]
 
 
 def test_run_suites_caches_the_deformed_and_the_plain_set(memo_builds):
@@ -702,6 +702,25 @@ def test_script_e_is_built_once_per_deformed_set(memo_builds):
     assert len(set(scripts)) == len(scripts) == 2 * 2 * (cfg.R + 1)
     gs = cached_generators(dataclasses.replace(cfg, nu=0.2), True)
     assert gs.script_e(0, "+") is gs.script_e(0, "+")
+
+
+def test_a_corruption_shares_no_basis_and_no_memo_entry(memo_builds):
+    """Two configs that differ only in corruption have two bases: each run
+    builds every memo entry it reads on its own basis, none is shared."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    control = dataclasses.replace(cfg, corruption=Corruption(flip_boson_disorder=True))
+    run_suites(cfg)
+    plain = list(memo_builds)
+    memo_builds.clear()
+    run_suites(control)
+    assert {at.corruption for at, _ in plain} == {cfg.corruption}
+    assert {at.corruption for at, _ in memo_builds} == {control.corruption}
+    assert Counter(key for _, key in memo_builds) == Counter(key for _, key in plain)
+    bases = cached_basis(cfg), cached_basis(control)
+    assert bases[0] is not bases[1]
+    assert not set(bases[0]._memo) & set(bases[1]._memo)
+    held = [{id(v) for ops in b._memo.values() for v in ops.values()} for b in bases]
+    assert held[0] and not held[0] & held[1]
 
 
 def test_one_basis_per_geometry(monkeypatch):
@@ -824,7 +843,7 @@ def test_node_m_quartic_image_residual_observed_form(spec):
     (Corruption(flip_boson_disorder=True), "braiding"),
 ])
 def test_negative_controls_trip_suites(cfg21, corruption, expect_in):
-    out = run_suites(cfg21, None, corruption)
+    out = run_suites(dataclasses.replace(cfg21, corruption=corruption))
     failing = {name for name, reps in out.items() if not reports_ok(reps)}
     assert expect_in in failing
 
