@@ -67,8 +67,8 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # not UTF-8, malformed, or an int past Python's digit limit
+        raise ConfigError(f"config file {path!r} cannot be read as UTF-8 JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))

@@ -27,8 +27,6 @@ from .fock import (
     ladder,
     q_bracket,
     q_power,
-    scale_columns,
-    scale_rows,
 )
 from .report import RelationReport, SuiteReports
 
@@ -70,12 +68,11 @@ def _mode_pairs(modes, cap: int = 6):
     return [(m1, m2) for m1 in sel for m2 in sel]
 
 
-def _family(out: SuiteReports, template: str, keys, lhs, rhs=None, *,
-            factor: str, bulk=None) -> list[RelationReport]:
-    """The reports ``template.format(*key)`` over ``keys``, tuples of one mode
-    or a mode pair, each side stacked over them (:meth:`FockBasis.stack`)."""
-    return out.check_family(
-        [template.format(*key) for key in keys], lhs, rhs, bulk=bulk, factor=factor,
+def _family(check, template: str, keys, *operands, **kwargs) -> list[RelationReport]:
+    """The reports ``template.format(*key)`` over ``keys``, tuples of one mode or
+    a mode pair, of the ``check`` of operands stacked over them (FockBasis.stack)."""
+    return check(
+        [template.format(*key) for key in keys], *operands, **kwargs,
         params=[{"mode": str(key[0])} if len(key) == 1 else {"modes": list(map(str, key))}
                 for key in keys])
 
@@ -96,7 +93,7 @@ def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
         yd = basis.stack([dag[m2] for _, m2 in pairs])
         one = basis.stack([identity_op(basis, factor) if m1 == m2 else None
                            for m1, m2 in pairs])
-        family = functools.partial(_family, out, keys=pairs, factor=factor)
+        family = functools.partial(_family, out.check_family, keys=pairs, factor=factor)
         out.emit(family(name + "[{},{}+]", lhs=[(1, x, yd), (sign, yd, x)], rhs=one, bulk=bulk),
                  family(name + "[{},{}]", lhs=[(1, x, y), (sign, y, x)]))
 
@@ -116,13 +113,15 @@ def suite_oscillators(cfg: LatticeConfig) -> list[RelationReport]:
     relations; relations that raise boson number run with boson headroom 1
     instead of pretending the cutoff away.  Every relation but the mixed
     eq30 acts on one factor of the basis index and is checked there, each
-    family at once, stacked over its modes or mode pairs.  The first three
-    read no q and are checked once per basis, before the rest."""
+    family at once, stacked over its modes or mode pairs, the weights of b on
+    its entries.  The first three read no q and are checked once per basis,
+    before the rest."""
     basis = cached_basis(cfg)
     canonical = basis.memo(basis.cfg, ("canonical",), lambda: _canonical_relations(basis))
     q = cfg.q
     out = SuiteReports("oscillators", cfg.tol, basis)
-    family = functools.partial(_family, out, factor=BOSON)
+    family = functools.partial(_family, out.check_family, factor=BOSON)
+    weights = functools.partial(_family, out.check_weights, factor=BOSON)
 
     # q-boson algebra
     ms = basis.boson_modes
@@ -134,8 +133,8 @@ def suite_oscillators(cfg: LatticeConfig) -> list[RelationReport]:
                diag_operator(q_power(q, -n)), bulk=(0, 1)),
         family("eq49b[{}]", modes, [(1, b, bd), (-1 / q, bd, b)],
                diag_operator(q_power(q, n)), bulk=(0, 1)),
-        family("eq49d[{}]", modes, scale_rows(b, n) - scale_columns(b, n), -1 * b),
-        family("eq49e[{}]", modes, scale_rows(bd, n) - scale_columns(bd, n), bd),
+        weights("eq49d[{}]", modes, b, n, -1),
+        weights("eq49e[{}]", modes, bd, n, 1),
         family("eq50a[{}]", modes, bd @ b, diag_operator(q_bracket(n, q))),
         family("eq50b[{}]", modes, [(1, b, bd)], diag_operator(q_bracket(n + 1, q)),
                bulk=(0, 1)))
@@ -146,5 +145,5 @@ def suite_oscillators(cfg: LatticeConfig) -> list[RelationReport]:
     n1 = np.concatenate([number_factor(basis, m1) for m1, _ in pairs])
     out.emit(family("eq49c[{},{}]", pairs, b1 @ b2 - b2 @ b1),
              family("eq49a0[{},{}]", pairs, b1 @ bd2 - bd2 @ b1),
-             family("eq49d0[{},{}]", pairs, scale_rows(b2, n1) - scale_columns(b2, n1)))
+             weights("eq49d0[{},{}]", pairs, b2, n1, 0))
     return canonical + out.reports

@@ -14,6 +14,7 @@ multiplied (:func:`restrict`, the one place a check's products are formed),
 with the residual of the full products.  A family, one relation over many
 operand tuples, is checked at once on block-diagonal stacks, one residual per
 block (:meth:`SuiteReports.check_family`); one relation is the one-block case.
+A weight relation is read off its operator's entries (``check_weights``).
 """
 
 from __future__ import annotations
@@ -277,13 +278,31 @@ class SuiteReports:
         time is the family's, forming its products included, over its blocks."""
         t0 = time.perf_counter()
         mask = None if bulk is None else np.tile(self.mask(bulk, factor), len(relation_ids))
-        lhs = restrict(lhs, mask, side)
-        rhs = (sp.csr_matrix(lhs.shape, dtype=complex) if rhs is None
-               else restrict(rhs, mask, side))
-        reports = check_identity(
-            relation_ids, self.equation(relation_ids[0]), lhs, rhs,
-            tol=self.tol if tol is None else tol, label=bulk_label(bulk, side),
-            **kwargs)
+        rhs = None if rhs is None else restrict(rhs, mask, side)
+        return self._reports(t0, relation_ids, restrict(lhs, mask, side), rhs, tol=tol,
+                             label=bulk_label(bulk, side), **kwargs)
+
+    def check_weights(self, relation_ids: list[str], x: sp.csr_matrix, h: np.ndarray, w, *,
+                      bulk=None, factor=None, params=None) -> list[RelationReport]:
+        """The reports, not yet emitted, of [diag(h), x] = w x over the blocks of
+        the stack x.  Its defect (x h[row] - x h[column]) - w x has x's pattern:
+        it is read off x's stored entries, each product rounded as the scalings
+        ``fock.scale_rows``/``scale_columns`` round it, an entry off the bulk zeroed."""
+        t0 = time.perf_counter()
+        counts = np.diff(x.indptr)
+        defect = (np.multiply(x.data, np.repeat(h, counts))
+                  - np.multiply(x.data, h[x.indices])) - x.data * w
+        if bulk is not None:
+            mask = np.tile(self.mask(bulk, factor), len(relation_ids))
+            defect[~(np.repeat(mask, counts) & mask[x.indices])] = 0
+        defect = sp.csr_matrix((defect, x.indices, x.indptr), x.shape)
+        return self._reports(t0, relation_ids, defect, label=bulk_label(bulk), params=params)
+
+    def _reports(self, t0: float, relation_ids, lhs, rhs=None, *, tol=None, **kwargs):
+        """check_identity's reports (rhs None: zero), each its share of the time since t0."""
+        rhs = sp.csr_matrix(lhs.shape, dtype=complex) if rhs is None else rhs
+        reports = check_identity(relation_ids, self.equation(relation_ids[0]), lhs, rhs,
+                                 tol=self.tol if tol is None else tol, **kwargs)
         wall_time = (time.perf_counter() - t0) / len(reports)
         for report in reports:
             report.wall_time = wall_time

@@ -203,6 +203,16 @@ def test_a_nan_in_a_config_file_exits_2(outdir, capsys):
     assert "nu" in capsys.readouterr().err
 
 
+def test_a_config_integer_past_the_digit_limit_exits_2(outdir, capsys):
+    """json reads an integer literal of more than 4 300 digits with a plain
+    ValueError: it is a config error, as a malformed file is, not a traceback."""
+    cfgfile = outdir / "cfg.json"
+    cfgfile.write_text('{"nmax": ' + "9" * 5000 + ', "suites": "central"}')
+    assert main(["verify", "--config", str(cfgfile), "--quiet"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "4300 digits" in err and err.count("\n") == 1
+
+
 def test_verify_negative_control_fails():
     rc = main(["verify", "--suites", "coproduct", "--negative-control",
                "qalpha", "--quiet"])

@@ -20,7 +20,7 @@ from anyonrep.algebra import (
     local_e,
 )
 from anyonrep import fock, verify
-from anyonrep.oscillators import suite_oscillators
+from anyonrep.oscillators import number_factor, suite_oscillators
 from anyonrep.fock import (
     Corruption,
     LatticeConfig,
@@ -260,36 +260,53 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     """Every single-factor family of the oscillator and braiding suites is
     checked at once, stacked over its blocks, and each of its reports is the
     one-relation check of its block: the same residual by float.hex and the
-    same fields.  Covered: masked families (eq54a, eq21 at (0, 1)), a rhs
-    that is 1 on some blocks and zero on others (eq20 with m1 == m2) and the
-    disorder control tripping eq53*."""
+    same fields.  A weight family (eq49d, eq49e, eq49d0) is also its blocks'
+    sparse form [diag(h), x] - w x.  Covered: masked families (eq54a, eq21 at
+    (0, 1)), a rhs that is 1 on some blocks and zero on others (eq20 with
+    m1 == m2) and the disorder control tripping eq53*."""
     cfg = dataclasses.replace(STACKED[name], corruption=corruption)
     seen = []
-    check_family = SuiteReports.check_family
+    check_family, check_weights = SuiteReports.check_family, SuiteReports.check_weights
 
     def recording(self, relation_ids, lhs, rhs=None, **kwargs):
         reports = check_family(self, relation_ids, lhs, rhs, **kwargs)
-        seen.append((self, relation_ids, lhs, rhs, kwargs, reports))
+        seen.append((self, relation_ids, lhs, rhs, None, kwargs, reports))
+        return reports
+
+    def recording_weights(self, relation_ids, x, h, w, **kwargs):
+        reports = check_weights(self, relation_ids, x, h, w, **kwargs)
+        seen.append((self, relation_ids, x, None, (h, w), kwargs, reports))
         return reports
 
     _cached_basis.cache_clear()
     monkeypatch.setattr(SuiteReports, "check_family", recording)
+    monkeypatch.setattr(SuiteReports, "check_weights", recording_weights)
     run_suites(cfg, ["oscillators", "braiding"])
     monkeypatch.undo()
     calls, stacked, masked, mixed_rhs, tripped = Counter(), set(), set(), set(), set()
-    for out, ids, lhs, rhs, kwargs, reports in seen:
+    weighed = set()
+    for out, ids, lhs, rhs, weight, kwargs, reports in seen:
         family, n = ids[0].split("[", 1)[0], len(ids)
         calls[out.suite, family] += 1
         if n > 1:
             stacked.add((out.suite, family))
-        one = SuiteReports(out.suite, out.tol, out.basis)
+        ones = [SuiteReports(out.suite, out.tol, out.basis) for _ in range(2)]
         for j, rid in enumerate(ids):
-            one.check(rid, _block(lhs, n, j), _block(rhs, n, j),
-                      **dict(kwargs, params=kwargs["params"][j]))
-        assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in one.reports]
-        strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
-                 for r in reports + one.reports]
-        assert strip[:n] == strip[n:], family
+            x, ps = _block(lhs, n, j), kwargs["params"][j]
+            if weight is None:
+                ones[0].check(rid, x, _block(rhs, n, j), **dict(kwargs, params=ps))
+                continue
+            weighed.add(family)
+            h, w = weight
+            h = h[j * x.shape[0]:(j + 1) * x.shape[0]]
+            ones[0].emit(ones[0].check_weights([rid], x, h, w, **dict(kwargs, params=[ps])))
+            ones[1].check(rid, fock.scale_rows(x, h) - fock.scale_columns(x, h), x * w,
+                          **dict(kwargs, params=ps))
+        for one in ones[:1 if weight is None else 2]:
+            assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in one.reports]
+            strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                     for r in reports + one.reports]
+            assert strip[:n] == strip[n:], family
         if kwargs.get("bulk"):
             masked.add((family, kwargs["bulk"]))
         if rhs is not None and 0 < sum(_block(rhs, n, j).nnz > 0 for j in range(n)) < n:
@@ -302,6 +319,7 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     basis = cached_basis(cfg)
     assert calls["oscillators", "eq30"] == 2 * min(4, basis.F) * min(4, basis.B)
     assert stacked == single_factor if cfg.K == 2 else stacked < single_factor
+    assert weighed == {"eq49d", "eq49e", "eq49d0"}
     assert {("eq54a", (0, 1)), ("eq21", (0, 1))} <= masked
     assert {"eq20", "eq21"} <= mixed_rhs
     assert {f[:4] for f in tripped} == ({"eq53"} if corruption else set())
@@ -347,6 +365,31 @@ def test_ad_q_matches_hopf_oracle(cfg22):
                 assert residual_norm(diff) <= 1e-10, (al, be, s)
 
 
+def test_the_oracle_forms_share_their_first_product(cfg22):
+    """The premise of eq12-oracle comparing only the rest: both forms begin
+    with the same product (1, X, Y), so no defect of either can show in it."""
+    gs = cached_generators(cfg22, True)
+    ct = gs.cartan
+    for al in range(cfg22.R + 1):
+        for be in range(cfg22.R + 1):
+            for s, sgn in (("+", 1), ("-", -1)):
+                Y = gs.script_e(be, s)
+                closed = ad_q(gs, al, Y, sgn * ct.a[al][be], ct.parity[be], s)
+                assert closed[0] == ad_q_hopf(gs, al, Y, ct.parity[be], s)[0], (al, be, s)
+
+
+def test_eq12_oracle_fails_on_a_wrong_weight(cfg22, monkeypatch):
+    """Without its shared product the oracle still has teeth: a closed form
+    given the weight w + 1 fails every eq12-oracle check off the affine node.
+    (On two sites the affine node's bulk, margin 1, keeps the vacuum alone.)"""
+    def wrong(gs, alpha, Y, weight_of_Y, grade_of_Y, sign="+"):
+        return ad_q(gs, alpha, Y, weight_of_Y + 1, grade_of_Y, sign)
+
+    monkeypatch.setattr(verify, "ad_q", wrong)
+    oracle = [r for r in suite_serre(cfg22) if r.relation_id.startswith("eq12-oracle")]
+    assert all(r.passed == (r.params["alpha"] == 0) for r in oracle) and len(oracle) == 24
+
+
 def test_ad_q_on_itself_at_isotropic_nodes(cfg22):
     """At an isotropic node the adjoint of a generator on itself is the plain
     anticommutator (the weight factor is q^0), and the oracle agrees."""
@@ -388,6 +431,8 @@ def test_ad_q_annihilates_identity(cfg21):
 
 CFG22_Q = [LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
            LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.3)]
+# four sites: the bulk (1, 0) of the affine node keeps more than the vacuum
+CFG21_S4 = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
 
 
 @pytest.mark.parametrize("cfg", CFG22_Q, ids=["nu", "real-q"])
@@ -400,6 +445,61 @@ def test_weight_scaling_equals_cartan_commutator(cfg):
         for X in list(gs.E.values()) + list(gs.H.values()):
             scaled = fock.scale_rows(X, h) - fock.scale_columns(X, h)
             assert (scaled != H @ X - X @ H).nnz == 0, al
+
+
+def _weight_cases(cfg):
+    """(suite, ids, x, h, w, kwargs) of three weight checks: a full-dimension
+    generator under the bulk (1, 0) (eq7b), the q-boson family stacked over
+    its modes, w = -1 (eq49d), and stacked over mode pairs, w = 0 (eq49d0)."""
+    gs = cached_generators(cfg, True)
+    basis, ms = gs.basis, gs.basis.boson_modes
+    pairs = [(m1, m2) for m1 in ms for m2 in ms if m1 != m2]
+    bosons = {"factor": fock.BOSON}
+    return [("quantum", [f"eq7b[0,{be},+]"], gs.E[(be, "+")], gs.h(0), gs.cartan.a[0][be],
+             {"bulk": (1, 0)}) for be in gs.H] + [
+        ("oscillators", [f"eq49d[{m}]" for m in ms],
+         basis.stack([fock.ladder(cfg, basis, m) for m in ms]),
+         np.concatenate([number_factor(basis, m) for m in ms]), -1, bosons),
+        ("oscillators", [f"eq49d0[{m1},{m2}]" for m1, m2 in pairs],
+         basis.stack([fock.ladder(cfg, basis, m2) for _, m2 in pairs]),
+         np.concatenate([number_factor(basis, m1) for m1, _ in pairs]), 0, bosons)]
+
+
+@pytest.mark.parametrize("cfg", CFG22_Q + [CFG21_S4], ids=["nu", "real-q", "S4"])
+def test_check_weights_equals_the_sparse_form(cfg):
+    """check_weights reads [diag(h), x] - w x off x's stored entries: each
+    report is the one of the sparse form scale_rows - scale_columns against
+    w x, the residual equal by float.hex, at the true weight and one off."""
+    basis = cached_basis(cfg)
+    for suite, ids, x, h, w, kwargs in _weight_cases(cfg):
+        out = SuiteReports(suite, cfg.tol, basis)
+        for weight in (w, w + 1):
+            reports = out.check_weights(ids, x, h, weight, **kwargs)
+            sparse = out.check_family(ids, fock.scale_rows(x, h) - fock.scale_columns(x, h),
+                                      x * weight, **kwargs)
+            assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in sparse]
+            strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                     for r in reports + sparse]
+            assert strip[:len(ids)] == strip[len(ids):], ids[0]
+
+
+def test_check_weights_sees_a_weight_off_by_one():
+    """No negative control reaches a weight family: with w + 1 the defect is
+    -x, so the residual is max |x| on the bulk, to rounding, and the check
+    fails."""
+    basis = cached_basis(CFG21_S4)
+    for suite, ids, x, h, w, kwargs in _weight_cases(CFG21_S4):
+        out = SuiteReports(suite, CFG21_S4.tol, basis)
+        n, r = len(ids), x.shape[0] // len(ids)
+        mask = (np.tile(out.mask(kwargs["bulk"]), n) if "bulk" in kwargs
+                else np.ones(x.shape[0], dtype=bool))
+        peaks = [np.abs(restrict(x[j * r:(j + 1) * r, j * r:(j + 1) * r],
+                                 mask[j * r:(j + 1) * r]).data).max(initial=0.0)
+                 for j in range(n)]
+        assert all(rep.passed for rep in out.check_weights(ids, x, h, w, **kwargs))
+        reports = out.check_weights(ids, x, h, w + 1, **kwargs)
+        assert min(peaks) > 0 and not any(rep.passed for rep in reports)
+        assert [rep.residual for rep in reports] == pytest.approx(peaks, rel=1e-15), ids[0]
 
 
 def _ad_q_hopf_diagonal_matrices(gs, alpha, Y, grade_of_Y, sign):
