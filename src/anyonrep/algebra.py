@@ -292,12 +292,11 @@ def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarr
 
 @dataclass
 class GeneratorSet:
-    """Assembled simple generators: ``H`` holds CSR matrices (exported and
-    checked as such; :meth:`h` reads their diagonals) and ``E`` the sums of
-    the local pieces, which are not kept; :meth:`script_e` is kept in the memo."""
+    """Assembled simple generators: ``H`` holds CSR matrices (:meth:`h` reads
+    their diagonals), ``E`` the summed local pieces; :meth:`script_e` is kept
+    in the memo.  A set holds no basis, so its basis's memo makes no cycle."""
 
     cfg: LatticeConfig
-    basis: FockBasis
     cartan: CartanData
     H: dict
     E: dict
@@ -318,8 +317,9 @@ class GeneratorSet:
         E, qa = self.E[alpha, sign], self.q_alpha(alpha)
         if qa == 1:
             return E
-        return self.basis.memo(self.cfg, ("script", alpha, sign),
-                               lambda: scale_columns(E, q_power(qa, -0.5 * self.h(alpha))))
+        return cached_basis(self.cfg).memo(
+            self.cfg, ("script", alpha, sign),
+            lambda: scale_columns(E, q_power(qa, -0.5 * self.h(alpha))))
 
     def __post_init__(self):
         self._q_alpha = self.cartan.q_alpha(self.cfg)
@@ -349,7 +349,7 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
             E[(alpha, sign)] = _bilinear_sum(
                 basis, [(1, *_node_modes(cfg, alpha, line, r, sign)) for line, r in sites],
                 _factor_ops(cfg, basis, sign, deformed))
-    return GeneratorSet(cfg, basis, cartan, H, E)
+    return GeneratorSet(cfg, cartan, H, E)
 
 
 def cached_generators(cfg: LatticeConfig, deformed: bool,

@@ -14,7 +14,7 @@ multiplied (:func:`restrict`, the one place a check's products are formed),
 with the residual of the full products.  A family, one relation over many
 operand tuples, is checked at once on block-diagonal stacks, one residual per
 block (:meth:`SuiteReports.check_family`); one relation is the one-block case.
-A weight relation is read off its operator's entries (``check_weights``).
+Weights and the Hopf oracle are read off one operator's stored entries.
 """
 
 from __future__ import annotations
@@ -81,27 +81,32 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both") -> sp.cs
     """The sum of ``terms`` on the masked columns, and for side "both" the
     masked rows.  ``terms`` is a matrix X or a list of products
     (c, X1, ..., Xn), meaning c X1 ... Xn, added in order.  Side "both" forms
-    each left to right from X1[mask], so no product has more rows than the
-    bulk; side "right" right to left from Xn[:, mask], so none has more
-    columns.  Row i of X Y reads row i of X alone and (X Y)[:, m] = X (Y[:, m]),
-    so every kept entry is summed as in the full product formed the same way."""
+    each left to right from X1[mask] and masks the columns once, of the sum
+    (no full-dimension factor is column-indexed); side "right" right to left
+    from Xn[:, mask].  Entry (i, j) of X Y sums over row i of X in one order
+    whatever other rows X or columns Y have: each kept entry is the full one."""
     if side not in ("both", "right"):
         raise ValueError(f"unknown projector side {side!r}")
     if sp.issparse(terms):
         terms = [(1, terms)]
     total = None
     for c, *factors in terms:
-        if mask is not None:
-            if side == "both":
-                factors[0] = factors[0][mask]
+        if mask is not None and side == "right":
             factors[-1] = factors[-1][:, mask]
+        elif mask is not None:
+            factors[0] = factors[0][mask]
         x, *rest = factors if side == "both" else factors[::-1]
         for f in rest:
             x = x @ f if side == "both" else f @ x
         if c != 1:
             x = c * x
         total = x if total is None else total + x
-    return total.tocsr()
+    return (total if mask is None or side == "right" else total[:, mask]).tocsr()
+
+
+def _at_entries(x: sp.csr_matrix, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v at the row and at the column of each stored entry of x."""
+    return np.repeat(v, np.diff(x.indptr)), v[x.indices]
 
 
 def check_identity(relation_ids: list[str], equation: str, lhs: sp.spmatrix,
@@ -289,14 +294,23 @@ class SuiteReports:
         it is read off x's stored entries, each product rounded as the scalings
         ``fock.scale_rows``/``scale_columns`` round it, an entry off the bulk zeroed."""
         t0 = time.perf_counter()
-        counts = np.diff(x.indptr)
-        defect = (np.multiply(x.data, np.repeat(h, counts))
-                  - np.multiply(x.data, h[x.indices])) - x.data * w
+        h_row, h_column = _at_entries(x, h)
+        defect = (np.multiply(x.data, h_row) - np.multiply(x.data, h_column)) - x.data * w
         if bulk is not None:
-            mask = np.tile(self.mask(bulk, factor), len(relation_ids))
-            defect[~(np.repeat(mask, counts) & mask[x.indices])] = 0
+            rows, columns = _at_entries(x, np.tile(self.mask(bulk, factor), len(relation_ids)))
+            defect[~(rows & columns)] = 0
         defect = sp.csr_matrix((defect, x.indices, x.indptr), x.shape)
         return self._reports(t0, relation_ids, defect, label=bulk_label(bulk), params=params)
+
+    def check_scalings(self, relation_id, x, h, closed, hopf, *, bulk=None, params=None):
+        """Emit closed x = hopf(h[row] - h[column]) x, decided entry by entry on
+        the one product x, formed by :func:`restrict` on the bulk."""
+        t0, mask = time.perf_counter(), None if bulk is None else self.mask(bulk)
+        x = restrict(x, mask)
+        h_row, h_column = _at_entries(x, h if mask is None else h[mask])
+        defect = x.data * (closed - hopf(h_row - h_column))
+        self.reports += self._reports(t0, [relation_id], sp.csr_matrix(
+            (defect, x.indices, x.indptr), x.shape), label=bulk_label(bulk), params=[params])
 
     def _reports(self, t0: float, relation_ids, lhs, rhs=None, *, tol=None, **kwargs):
         """check_identity's reports (rhs None: zero), each its share of the time since t0."""

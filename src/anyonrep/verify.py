@@ -12,8 +12,8 @@ headroom-protected subspace outright (side "right"), a strictly stronger
 statement than the two-sided check.  A relation whose operands all act on
 one factor of the basis index (fermion or boson, as ladders and anyons do)
 runs on that factor, under that factor's part of the same bulk.  A weight
-relation is read off its operator's entries; the Hopf oracle compares only
-the products in which its two forms differ.
+relation is read off its operator's entries; the Hopf oracle is decided on
+the entries of its one product Y E, which both of its forms scale.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .fock import (
     SEA,
     LatticeConfig,
     ModeId,
+    cached_basis,
     commutator,
     diag_operator,
     identity_op,
@@ -76,9 +77,8 @@ def ad_q(genset: GeneratorSet, alpha: int, Y: sp.spmatrix, weight_of_Y,
 
         (ad_q E_alpha^s) Y = E Y - (-1)^{deg alpha * deg Y} q_alpha^{-w} Y E
 
-    valid when Y is h_alpha-weight homogeneous with weight w.  Derived once
-    from the coproduct E (x) 1 + q^{-h} (x) E and the antipode
-    S(E^s) = -q^{+-a_aa} E^s q^{h}; validated against :func:`ad_q_hopf`.
+    valid when Y is h_alpha-weight homogeneous with weight w; checked
+    against the Hopf form (:func:`hopf_form`) as ``eq12-oracle``.
     """
     X = genset.script_e(alpha, sign)
     qa = genset.q_alpha(alpha)
@@ -86,17 +86,21 @@ def ad_q(genset: GeneratorSet, alpha: int, Y: sp.spmatrix, weight_of_Y,
     return [(1, X, Y), (-sgn * q_power(qa, -weight_of_Y), Y, X)]
 
 
+def hopf_form(genset: GeneratorSet, alpha: int, grade_of_Y: int, sign: str = "+"):
+    """(ad_q E^s) Y = E Y + sgn q^{-h} Y S(E) by the coproduct E (x) 1 + q^{-h} (x) E
+    and the antipode S(E^s) = -q^e E^s q^h, e = +-a_aa, with no weight bookkeeping,
+    as (E, sgn, e, h): sgn = (-1)^{deg alpha * deg Y}, h the diagonal of H_alpha."""
+    aa = genset.cartan.a[alpha][alpha]
+    sgn = -1.0 if (genset.grade(alpha) * grade_of_Y) % 2 else 1.0
+    return genset.script_e(alpha, sign), sgn, aa if sign == "+" else -aa, genset.h(alpha)
+
+
 def ad_q_hopf(genset: GeneratorSet, alpha: int, Y: sp.spmatrix,
               grade_of_Y: int, sign: str = "+") -> list:
-    """Term-by-term adjoint action through coproduct and antipode, as its two
-    products; an independent oracle for :func:`ad_q` (no weight bookkeeping)."""
-    X = genset.script_e(alpha, sign)
+    """The Hopf form (:func:`hopf_form`) as two products, q^{+-h} as scalings."""
+    X, sgn, exponent, h = hopf_form(genset, alpha, grade_of_Y, sign)
     qa = genset.q_alpha(alpha)
-    aa = genset.cartan.a[alpha][alpha]
-    exponent = aa if sign == "+" else -aa
-    h = genset.h(alpha)
     SX = -q_power(qa, exponent) * scale_columns(X, q_power(qa, h))
-    sgn = -1.0 if (genset.grade(alpha) * grade_of_Y) % 2 else 1.0
     return [(1, X, Y), (sgn, scale_rows(Y, q_power(qa, -h)), SX)]
 
 
@@ -247,7 +251,7 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids, images: bool = Fa
 def suite_quantum(cfg: LatticeConfig) -> list[RelationReport]:
     """Defining relations of the deformed superalgebra on the simple nodes."""
     gs = cached_generators(cfg, True)
-    out = SuiteReports("quantum", cfg.tol, gs.basis)
+    out = SuiteReports("quantum", cfg.tol, cached_basis(cfg))
     _chevalley_relations(out, gs, ("eq7a", "eq7b", "eq7c", "eq7d"))
 
     # E^- versus the matrix adjoint of E^+ is observed, never asserted: the
@@ -267,24 +271,22 @@ def suite_serre(cfg: LatticeConfig) -> list[RelationReport]:
     nodes, with their headroom images (``_serre_relations`` with ``images``)."""
     gs = cached_generators(cfg, True)
     ct = gs.cartan
-    out = SuiteReports("serre", cfg.tol, gs.basis)
+    out = SuiteReports("serre", cfg.tol, cached_basis(cfg))
 
-    # closed-form adjoint vs Hopf oracle; the affine action needs the bulk
-    # because H_0 weight bookkeeping is truncated at the boundary
+    # closed form -sgn q^{-w} vs Hopf oracle -sgn q^e q^{-h_i} q^{h_j} on entry (i, j)
+    # of Y E; the affine action's bulk: H_0 bookkeeping is truncated at the boundary
     for al in range(cfg.R + 1):
         for be in range(cfg.R + 1):
             if al == be:
                 continue
             for s in ("+", "-"):
                 Y = gs.script_e(be, s)
-                w = _sig(s) * ct.a[al][be]
-                closed = ad_q(gs, al, Y, w, ct.parity[be], s)
-                hopf = ad_q_hopf(gs, al, Y, ct.parity[be], s)
-                if closed[0] != hopf[0]:  # the forms share E Y: only the rest can differ
-                    raise AssertionError("ad_q and ad_q_hopf no longer share E Y")
-                out.check(f"eq12-oracle[{al},{be},{s}]", closed[1:], hopf[1:],
-                          bulk=(1, _serre_headroom(cfg)) if al == 0 else None,
-                          params={"alpha": al, "beta": be, "sign": s})
+                _, (closed, *YX) = ad_q(gs, al, Y, _sig(s) * ct.a[al][be], ct.parity[be], s)
+                _, sgn, e, h = hopf_form(gs, al, ct.parity[be], s)
+                out.check_scalings(f"eq12-oracle[{al},{be},{s}]", [(1, *YX)], h, closed,
+                                   lambda d: -sgn * q_power(gs.q_alpha(al), e - d),
+                                   bulk=(1, _serre_headroom(cfg)) if al == 0 else None,
+                                   params={"alpha": al, "beta": be, "sign": s})
 
     _serre_relations(out, gs, ("eq8", "eq9-alphaM", "eq9-alpha0"), images=True)
     return out.reports
@@ -295,7 +297,7 @@ def suite_undeformed(cfg: LatticeConfig) -> list[RelationReport]:
     quantum and Serre relations evaluated on it at q = 1.  It reads no q,
     so a run repeats its reports at every sampled q (``Q_FREE``)."""
     gs = cached_generators(cfg, False)
-    out = SuiteReports("undeformed", cfg.tol, gs.basis)
+    out = SuiteReports("undeformed", cfg.tol, cached_basis(cfg))
     _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
     _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0"))
     return out.reports
@@ -311,7 +313,7 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
     Each piece is built once over anyons and once over q-bosons, and read by
     every statement about it."""
     gs = cached_generators(cfg, True)
-    basis = gs.basis
+    basis = cached_basis(cfg)
     out = SuiteReports("coproduct", cfg.tol)
     splits = SuiteReports("coproduct", cfg.tol)  # reported after eq57
 
@@ -390,13 +392,12 @@ def suite_classical_limit(cfg: LatticeConfig) -> list[RelationReport]:
     """q = 1 collapse onto the plain oscillator realization, and first-order
     scaling of the deviation in (q - 1)."""
     out = SuiteReports("classical", 1e-12)
-    plain = cached_generators(cfg, False)
+    plain, basis = cached_generators(cfg, False), cached_basis(cfg)
 
     # the deformed sets at and near q = 1 are used once: built here, not
     # cached, and the one at q = 1 is released before the others are built
     def deformed_at(q_real):
-        return chevalley_generators(dataclasses.replace(plain.basis.cfg, q_real=q_real),
-                                    plain.basis, True)
+        return chevalley_generators(dataclasses.replace(basis.cfg, q_real=q_real), basis, True)
 
     gs1 = deformed_at(1.0)
     out.record("limit-q1", _genset_distance(gs1, plain))
@@ -428,7 +429,7 @@ def suite_central_charge(cfg: LatticeConfig) -> list[RelationReport]:
     sampled q (``Q_FREE``).
     """
     gs = cached_generators(cfg, False)
-    basis = gs.basis
+    basis = cached_basis(cfg)
     gamma = diag_operator(central_charge_diag(gs))
     gamma_expected = sum(1 for o in cfg.ordering if o == SEA)
     out = SuiteReports("central", 1e-12, basis)
@@ -465,7 +466,7 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
     number, and the observed two-cocycle signs.  They read no q, so a run
     repeats these reports at every sampled q (``Q_FREE``)."""
     gs = cached_generators(cfg, False)
-    basis = gs.basis
+    basis = cached_basis(cfg)
     ct = gs.cartan
     R = cfg.R
     out = SuiteReports("cartanweyl", cfg.tol, basis)

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import inspect
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -77,7 +79,7 @@ def test_check_identity_shape_guard(cfg21):
 def test_eq7c_against_dense_oracle(cfg21):
     """Recompute the alpha = beta = 1 pairing with plain dense numpy."""
     gs = cached_generators(cfg21, True)
-    basis = gs.basis
+    basis = cached_basis(cfg21)
     Ep = gs.E[(1, "+")].toarray()
     Em = gs.E[(1, "-")].toarray()
     H = gs.H[1].toarray()
@@ -102,7 +104,7 @@ def test_bulk_spec_equals_projector_sandwich():
     given as products are restricted before they are multiplied."""
     cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
     gs = cached_generators(cfg, True)
-    basis = gs.basis
+    basis = cached_basis(cfg)
     E = gs.E
     qa = gs.q_alpha(1)
     operators = [
@@ -159,6 +161,74 @@ def test_zero_rhs_reduces_the_canonical_form_without_mutation():
     assert lhs.nnz == 3 and list(lhs.data) == [3, -3, 1]
 
 
+def _restrict_per_product(terms, mask=None, side="both"):
+    """The reference of :func:`restrict`: each product restricted on its own
+    factors, the rows of its first (side "both") and the columns of its last,
+    then multiplied out and the products summed in order."""
+    if sp.issparse(terms):
+        terms = [(1, terms)]
+    total = None
+    for c, *factors in terms:
+        if mask is not None:
+            if side == "both":
+                factors[0] = factors[0][mask]
+            factors[-1] = factors[-1][:, mask]
+        x, *rest = factors if side == "both" else factors[::-1]
+        for f in rest:
+            x = x @ f if side == "both" else f @ x
+        if c != 1:
+            x = c * x
+        total = x if total is None else total + x
+    return total.tocsr()
+
+
+def _hex_entries(x: sp.spmatrix):
+    """Shape, pattern and entries, each by float.hex, of x in canonical form."""
+    x = x.tocsr(copy=True)
+    x.sum_duplicates()
+    return (x.shape, x.indptr.tolist(), x.indices.tolist(),
+            [(float(v.real).hex(), float(v.imag).hex()) for v in x.data])
+
+
+def test_restrict_equals_the_per_product_reference(monkeypatch):
+    """restrict takes the bulk columns once, of the sum, and equals the
+    product-by-product reference by float.hex: random complex factors, one
+    to three per product, scalars 1, -q and 0.5j, masks that keep no state,
+    every state or some, both sides, and terms whose kept entries cancel to
+    exactly zero.  No side-"both" restriction column-indexes a matrix with
+    more rows than its bulk."""
+    rng = np.random.default_rng(23)
+    n, scalars = 12, [1, -np.exp(1j * np.pi * 0.3), 0.5j]
+
+    def factor():
+        return (sp.random(n, n, density=0.3, format="csr", random_state=rng)
+                + 1j * sp.random(n, n, density=0.3, format="csr", random_state=rng)).tocsr()
+
+    indexed = []  # the rows of every matrix whose columns are fancy-indexed
+    minor = compressed._cs_matrix._minor_index_fancy
+
+    def recording_minor(self, idx):
+        indexed.append(self.shape[0])
+        return minor(self, idx)
+
+    monkeypatch.setattr(compressed._cs_matrix, "_minor_index_fancy", recording_minor)
+    for mask in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool), rng.random(n) < 0.5):
+        # B and B2 agree on the kept columns, so (1, A, B) and (-1, A, B2) cancel there
+        A, B = factor(), factor()
+        B2 = (B + factor() @ sp.diags((~mask).astype(float))).tocsr()
+        cases = [factor(), [(1, A, B), (-1, A, B2)], [(0.5j, A), (1, A, B), (-1, A, B2)]]
+        cases += [[(scalars[k], *(factor() for _ in range(rng.integers(1, 4))))
+                   for k in rng.integers(0, 3, size=rng.integers(1, 4))] for _ in range(8)]
+        for side in ("both", "right"):
+            for terms in cases:
+                indexed.clear()
+                got = restrict(terms, mask, side)
+                if side == "both":
+                    assert indexed and max(indexed) <= mask.sum()
+                assert _hex_entries(got) == _hex_entries(_restrict_per_product(terms, mask, side))
+    assert restrict([(1, A, B), (-1, A, B2)], mask).nnz == 0 < (A @ B - A @ B2).nnz
+
+
 def test_check_identity_reduces_one_residual_per_block():
     """A family's reports hold the residuals of its diagonal blocks, each
     summed and reduced alone: an empty block reads 0, duplicates sum within
@@ -188,10 +258,12 @@ def test_check_identity_takes_restricted_operands_only():
 def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
     """A check restricts its products before it multiplies them: every
     product it forms on a two-sided bulk has fewer rows than the basis, and
-    on a right side fewer columns.  The relation operands, the q-commutators
+    on a right side fewer columns; a two-sided bulk column-indexes no matrix
+    with all the basis's rows.  The relation operands, the q-commutators
     and ad_q included, reach the check as products: once the generators are
     built, the quantum, Serre and undeformed suites form no product outside
-    a check.  A fresh basis, so the suites' checks are not memo hits."""
+    a check (``check_family``, or ``check_scalings`` for the oracle's one
+    product).  A fresh basis, so the suites' checks are not memo hits."""
     _cached_basis.cache_clear()
     calls, families = [], set()
     where = [None]
@@ -201,7 +273,15 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
         calls.append((where[0], n_row, n_col))
         return matmat(n_row, n_col, *arrays)
 
+    indexed = []  # (side, rows) of every matrix whose columns are fancy-indexed
+    minor = compressed._cs_matrix._minor_index_fancy
+
+    def recording_minor(self, idx):
+        indexed.append((where[0], self.shape[0]))
+        return minor(self, idx)
+
     check_family = SuiteReports.check_family
+    check_scalings = SuiteReports.check_scalings
 
     def recording_check(self, relation_ids, lhs, rhs=None, *, bulk=None,
                         side="both", **kwargs):
@@ -213,12 +293,23 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
         finally:
             where[0] = None
 
+    def recording_scalings(self, relation_id, x, *args, bulk=None, **kwargs):
+        if not sp.issparse(x):
+            families.add(relation_id.split("[", 1)[0])
+        where[0] = "both" if bulk is not None else "identity"
+        try:
+            return check_scalings(self, relation_id, x, *args, bulk=bulk, **kwargs)
+        finally:
+            where[0] = None
+
     for deformed in (True, False):
         gs = cached_generators(cfg22, deformed)
         for key in gs.E:
             gs.script_e(*key)
     monkeypatch.setattr(compressed, "csr_matmat", recording_matmat)
     monkeypatch.setattr(SuiteReports, "check_family", recording_check)
+    monkeypatch.setattr(SuiteReports, "check_scalings", recording_scalings)
+    monkeypatch.setattr(compressed._cs_matrix, "_minor_index_fancy", recording_minor)
     run_suites(cfg22, ["quantum", "serre", "undeformed"])
     dim = cached_basis(cfg22).dim
     assert [c for c in calls if c[0] is None] == []
@@ -226,6 +317,8 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
     cols = [n_col for side, _, n_col in calls if side == "right"]
     assert rows and max(rows) < dim
     assert cols and max(cols) < dim
+    column_indexed = [n_row for side, n_row in indexed if side == "both"]
+    assert column_indexed and max(column_indexed) < dim
     calls.clear()
     run_suites(cfg22, ["oscillators", "braiding"])
     rows = [n_row for side, n_row, _ in calls if side == "both"]
@@ -350,7 +443,7 @@ def test_not_applicable_reports_are_satisfied():
 def test_ad_q_matches_hopf_oracle(cfg22):
     gs = cached_generators(cfg22, True)
     ct = gs.cartan
-    P1 = bulk_projector(gs.basis, 1, 1)
+    P1 = bulk_projector(cached_basis(cfg22), 1, 1)
     for al in range(cfg22.R + 1):
         for be in range(cfg22.R + 1):
             if al == be:
@@ -366,8 +459,9 @@ def test_ad_q_matches_hopf_oracle(cfg22):
 
 
 def test_the_oracle_forms_share_their_first_product(cfg22):
-    """The premise of eq12-oracle comparing only the rest: both forms begin
-    with the same product (1, X, Y), so no defect of either can show in it."""
+    """The premise of eq12-oracle deciding on Y E alone: both forms begin
+    with the same product (1, X, Y), so no defect of either can show in it,
+    and the closed form's other term is Y E with the Hopf form's E."""
     gs = cached_generators(cfg22, True)
     ct = gs.cartan
     for al in range(cfg22.R + 1):
@@ -376,6 +470,8 @@ def test_the_oracle_forms_share_their_first_product(cfg22):
                 Y = gs.script_e(be, s)
                 closed = ad_q(gs, al, Y, sgn * ct.a[al][be], ct.parity[be], s)
                 assert closed[0] == ad_q_hopf(gs, al, Y, ct.parity[be], s)[0], (al, be, s)
+                X = verify.hopf_form(gs, al, ct.parity[be], s)[0]
+                assert closed[1][1:] == (Y, X) and X is gs.script_e(al, s), (al, be, s)
 
 
 def test_eq12_oracle_fails_on_a_wrong_weight(cfg22, monkeypatch):
@@ -390,11 +486,62 @@ def test_eq12_oracle_fails_on_a_wrong_weight(cfg22, monkeypatch):
     assert all(r.passed == (r.params["alpha"] == 0) for r in oracle) and len(oracle) == 24
 
 
+def test_eq12_oracle_fails_on_a_wrong_hopf_exponent(cfg22, monkeypatch):
+    """The mirror of a wrong weight: a Hopf form whose antipode carries
+    q^{e+1} fails all 18 eq12-oracle checks off the affine node."""
+    form = verify.hopf_form
+
+    def wrong(gs, alpha, grade_of_Y, sign="+"):
+        X, sgn, e, h = form(gs, alpha, grade_of_Y, sign)
+        return X, sgn, e + 1, h
+
+    monkeypatch.setattr(verify, "hopf_form", wrong)
+    oracle = [r for r in suite_serre(cfg22) if r.relation_id.startswith("eq12-oracle")]
+    assert len(oracle) == 24 and sum(not r.passed for r in oracle) == 18
+    assert all(r.passed == (r.params["alpha"] == 0) for r in oracle)
+
+
+@pytest.mark.parametrize("cfg", [LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+                                 LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)],
+                         ids=["M2N2S2", "M2N1S4"])
+def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
+    """eq12-oracle is decided on the entries of Y E: each check forms exactly
+    one sparse product.  scipy sizes every product, and skips csr_matmat
+    where the product is empty, as under the affine node's bulk it can be."""
+    counts, inside = [], [False]
+    check_scalings = SuiteReports.check_scalings
+
+    def recording(name, k):
+        kernel = getattr(compressed, name)
+
+        def recorded(*args):
+            if inside[0]:
+                counts[-1][k] += 1
+            return kernel(*args)
+        monkeypatch.setattr(compressed, name, recorded)
+
+    def recording_check(self, relation_id, *args, **kwargs):
+        counts.append([0, 0])
+        inside[0] = relation_id.startswith("eq12-oracle")
+        try:
+            return check_scalings(self, relation_id, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    recording("csr_matmat_maxnnz", 0)
+    recording("csr_matmat", 1)
+    monkeypatch.setattr(SuiteReports, "check_scalings", recording_check)
+    oracle = [r for r in suite_serre(cfg) if r.relation_id.startswith("eq12-oracle")]
+    assert len(counts) == len(oracle) == 2 * cfg.R * (cfg.R + 1)
+    assert all(sized == 1 and formed <= 1 for sized, formed in counts)
+    assert all(formed == 1 for (_, formed), r in zip(counts, oracle) if r.params["alpha"])
+
+
 def test_ad_q_on_itself_at_isotropic_nodes(cfg22):
     """At an isotropic node the adjoint of a generator on itself is the plain
     anticommutator (the weight factor is q^0), and the oracle agrees."""
     gs = cached_generators(cfg22, True)
-    P1 = bulk_projector(gs.basis, 1, 1)
+    P1 = bulk_projector(cached_basis(cfg22), 1, 1)
     for al in (0, cfg22.M):
         Y = gs.script_e(al, "+")
         out = restrict(ad_q(gs, al, Y, gs.cartan.a[al][al], 1))
@@ -420,7 +567,7 @@ def test_ad_q_classical_reduction():
 
 def test_ad_q_annihilates_identity(cfg21):
     gs = cached_generators(cfg21, True)
-    one = identity_op(gs.basis)
+    one = identity_op(cached_basis(cfg21))
     out = restrict(ad_q(gs, 1, one, 0, 0))
     assert residual_norm(out) <= 1e-13
 
@@ -452,7 +599,8 @@ def _weight_cases(cfg):
     generator under the bulk (1, 0) (eq7b), the q-boson family stacked over
     its modes, w = -1 (eq49d), and stacked over mode pairs, w = 0 (eq49d0)."""
     gs = cached_generators(cfg, True)
-    basis, ms = gs.basis, gs.basis.boson_modes
+    basis = cached_basis(cfg)
+    ms = basis.boson_modes
     pairs = [(m1, m2) for m1 in ms for m2 in ms if m1 != m2]
     bosons = {"factor": fock.BOSON}
     return [("quantum", [f"eq7b[0,{be},+]"], gs.E[(be, "+")], gs.h(0), gs.cartan.a[0][be],
@@ -629,7 +777,7 @@ def test_split_degenerates_to_additivity_at_q_one():
     gs = cached_generators(cfg, True)
     for alpha in range(1, cfg.R + 1):
         for s in ("+", "-"):
-            total = sum((full_local_e(cfg, gs.basis, alpha, s, 1, r, True)
+            total = sum((full_local_e(cfg, cached_basis(cfg), alpha, s, 1, r, True)
                          for r in cfg.sites), 0 * gs.H[0])
             assert residual_norm(gs.E[(alpha, s)] - total) <= 1e-13
 
@@ -823,6 +971,25 @@ def test_a_corruption_shares_no_basis_and_no_memo_entry(memo_builds):
     assert held[0] and not held[0] & held[1]
 
 
+def test_a_dropped_basis_is_freed_without_the_cyclic_collector():
+    """A generator set holds no basis, so the sets in a basis's memo make no
+    reference cycle: with the cyclic collector off, a basis the cache drops
+    is freed once no other reference holds it."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    _cached_basis.cache_clear()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_suites(cfg, ["quantum", "serre", "undeformed"])
+        cached_generators(cfg, False), cached_generators(cfg, True)
+        basis = weakref.ref(cached_basis(cfg))
+        _cached_basis.cache_clear()
+        assert basis() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_one_basis_per_geometry(monkeypatch):
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     assert cached_basis(cfg) is cached_basis(dataclasses.replace(cfg, nu=0.2))
@@ -970,7 +1137,7 @@ def test_pass_status_invariant_under_unit_rescaling(theta):
     gs = cached_generators(cfg, True)
     ct = gs.cartan
     u = np.exp(1j * np.pi * theta)
-    basis = gs.basis
+    basis = cached_basis(cfg)
     P = bulk_projector(basis, 1, 1)
     for al in range(cfg.R + 1):
         Ep = u * gs.E[(al, "+")]
