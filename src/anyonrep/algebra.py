@@ -49,8 +49,8 @@ from .fock import (
     scale_columns,
     zero_op,
 )
-from .anyons import anyon_factor, string_factor
-from .oscillators import normal_number_diag, normal_order_shift, number_factor
+from .anyons import anyon_factor
+from .oscillators import normal_number, string_factor
 
 EPS = "eps"
 DELTA = "delta"
@@ -228,8 +228,7 @@ def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarr
     r = -1/2 on sea lines (not under the drop_h0_delta control)."""
     cfg = basis.cfg
     modes = _node_modes(cfg, alpha, line, r)
-    n_up, n_low = _on_node(basis, modes, [number_factor(basis, m) + normal_order_shift(cfg, m)
-                                          for m in modes])
+    n_up, n_low = _on_node(basis, modes, [normal_number(basis, m) for m in modes])
     if alpha not in (0, cfg.M):
         return n_up - n_low
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
@@ -275,7 +274,7 @@ def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarr
     """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x,
     on the node's factor.
 
-    With w the ``anyons.string_factor`` of each node mode, x is 1/2 sum_t
+    With w the ``oscillators.string_factor`` of each node mode, x is 1/2 sum_t
     eps(t-r) :h_alpha(t):, that is 1/2 (w_upper - w_lower) on even nodes and
     1/2 (w_upper + w_lower) at node M.  The affine node straddles (r, r+1)
     and its tail carries both strings with the opposite base sign:
@@ -421,7 +420,7 @@ def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:
 def cartan_weyl_h0_diag(basis: FockBasis, a: int) -> np.ndarray:
     """The diagonal of h_a^0: its bilinears are normal-ordered numbers."""
     cfg = basis.cfg
-    return sum((w * normal_number_diag(basis, ModeId(kind, flavor, line, r))
+    return sum((w * basis.lift(kind, normal_number(basis, ModeId(kind, flavor, line, r)))
                 for (kind, flavor), w in h_coefficients(cfg.M, cfg.N, a).items()
                 for line in cfg.lines for r in cfg.sites), np.zeros(basis.dim))
 

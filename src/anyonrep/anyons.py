@@ -13,12 +13,13 @@ half-plane angle convention for two-dimensional strings (lines below count as
 The dagger is the disorder-inverse conjugate, e.g. a^dag = c^dag K^{-1}.  At
 |q| = 1 it coincides with the matrix adjoint (K is unitary there); for real q
 only this convention satisfies the braiding relations, so it is used
-uniformly.
+uniformly.  Those relations are the rows of :data:`BRAIDING`, one per family.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+
 import scipy.sparse as sp
 
 from .fock import (
@@ -28,16 +29,12 @@ from .fock import (
     LatticeConfig,
     ModeId,
     cached_basis,
-    diag_operator,
-    identity_op,
     ladder,
-    q_bracket,
     q_power,
     scale_columns,
     scale_rows,
-    site_order_sign,
 )
-from .oscillators import normal_order_shift, number_factor
+from .oscillators import Row, check_rows, q_oscillator, string_factor
 from .report import RelationReport, SuiteReports
 
 # family -> (statistics, tilde); a tilded family is its partner at q^-1
@@ -47,23 +44,6 @@ FAMILIES = {
     "A": (BOSON, False),
     "A~": (BOSON, True),
 }
-
-
-def string_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
-    """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
-    statistics and flavor as ``mode``, r its position, on the factor of the
-    basis index that carries that statistics.  eps compares (line, site)
-    pairs in line-major order and vanishes at the target itself, so the
-    string commutes with ladder operators of the target mode."""
-    total = np.zeros(basis.size(mode.kind))
-    modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
-    for m in modes:
-        if m.flavor != mode.flavor:
-            continue
-        eps = site_order_sign(m.line, m.site, mode.line, mode.site)
-        if eps:
-            total += eps * (number_factor(basis, m) + normal_order_shift(basis.cfg, m))
-    return total
 
 
 def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str,
@@ -101,112 +81,69 @@ def anyon_factor(cfg: LatticeConfig, basis: FockBasis, mode: ModeId, family: str
 # braiding suite
 # ---------------------------------------------------------------------------
 
-def _ordered_site_pairs(cfg: LatticeConfig):
-    """All (x, y) position pairs with x after y in the lattice order."""
-    points = [(line, site) for line in cfg.lines for site in cfg.sites]
-    return points, [(x, y) for i, x in enumerate(points) for y in points[:i]]
-
-
-def _pair_cap(pairs, cap: int = 12):
-    if len(pairs) <= cap:
-        return pairs
-    # deterministic thinning: keep ends and every k-th interior pair
-    k = max(1, len(pairs) // (cap - 2))
-    kept = pairs[::k]
-    return kept[: cap - 1] + [pairs[-1]]
+# X Y - c Y X = rhs, c = sign q^power (oscillators.Row), by statistics and
+# pairs x after y, then points, in CATALOG order
+BRAIDING = {
+    (FERMION, "pairs"): [
+        Row("eq42a", "a x", "a y", -1, -1),
+        Row("eq42b", "a+ x", "a+ y", -1, -1),
+        Row("eq42c", "a+ x", "a y", -1, 1),
+        Row("eq42d", "a x", "a+ y", -1, 1),
+        Row("eq42ta", "a~ x", "a~ y", -1, 1),
+        Row("eq42tb", "a~+ x", "a~+ y", -1, 1),
+        Row("eq42tc", "a~+ x", "a~ y", -1, -1),
+        Row("eq42td", "a~ x", "a~+ y", -1, -1),
+        # mixed families vanish at distinct sites with either anchoring
+        Row("eq44", "a~ x", "a y", -1),
+        Row("eq44x", "a~ y", "a x", -1),
+        Row("eq44d", "a~+ x", "a+ y", -1),
+        Row("eq45", "a~+ x", "a y", -1),
+        Row("eq45x", "a~+ y", "a x", -1),
+        Row("eq45b", "a~ x", "a+ y", -1)],
+    (FERMION, "points"): [
+        Row("eq43", "a x", "a+ x", -1, rhs="1"),
+        Row("eq43n", "a x", "a x"),
+        Row("eq43nd", "a+ x", "a+ x"),
+        Row("eq43t", "a~ x", "a~+ x", -1, rhs="1"),
+        Row("eq44s", "a~ x", "a x", -1),
+        Row("eq46a", "a~ x", "a+ x", -1, rhs="q^w"),
+        Row("eq46b", "a~+ x", "a x", -1, rhs="q^-w"),
+        Row("eq47", "a+ x", "a x", rhs="n"),
+        Row("eq47t", "a~+ x", "a~ x", rhs="n")],
+    (BOSON, "pairs"): [
+        Row("eq53a", "A x", "A y", 1, 1),
+        Row("eq53b", "A+ x", "A+ y", 1, 1),
+        Row("eq53c", "A+ x", "A y", 1, -1),
+        Row("eq53d", "A x", "A+ y", 1, -1),
+        Row("eq53ta", "A~ x", "A~ y", 1, -1),
+        Row("eq53tb", "A~+ x", "A~+ y", 1, -1)],
+    (BOSON, "points"): [
+        q_oscillator("eq54a", 1, "A"),
+        q_oscillator("eq54b", -1, "A"),
+        q_oscillator("eq54ta", -1, "A~"),
+        q_oscillator("eq50A", 0, "A")],
+}
 
 
 def suite_braiding(cfg: LatticeConfig) -> list[RelationReport]:
     """Braiding relations of both anyon families, their q <-> 1/q mirrors,
-    the mixed plain/tilde relations, and the on-site (q-)oscillator algebra."""
+    the mixed plain/tilde relations, and the on-site (q-)oscillator algebra:
+    the rows of :data:`BRAIDING`, per flavor, each anyon built once."""
     basis = cached_basis(cfg)
-    q = cfg.q
     out = SuiteReports("braiding", cfg.tol, basis)
-    points, pairs = _ordered_site_pairs(cfg)
-    pairs = _pair_cap(pairs)
-    one = basis.stack([identity_op(basis, FERMION)] * len(points))
-
-    def anyons(kind, flavor, families):
-        """Every anyon of one flavor on its factor, stacked over the pairs'
-        x and y points and over the points, by (family, dagger)."""
-        A = {(pt, fam, dag): anyon_factor(cfg, basis, ModeId(kind, flavor, *pt), fam, dag)
-             for pt in points for fam in families for dag in (False, True)}
-        return ({(fam, dag): basis.stack([A[pt, fam, dag] for pt in at])
-                 for fam in families for dag in (False, True)}
-                for at in ([x for x, _ in pairs], [y for _, y in pairs], points))
-
-    def family(name, lhs, rhs=None, bulk=None):
-        # every operand acts on the factor of the statistics looped over
-        return out.check_family([f"{name}[{tag}]" for tag in tags], lhs, rhs,
-                                bulk=bulk, factor=factor, params=params)
-
-    factor = FERMION
-    for i in range(1, cfg.M + 1):
-        X, Y, P = anyons(factor, i, ("a", "a~"))
-        ar, asr, adr, ads = X["a", False], Y["a", False], X["a", True], Y["a", True]
-        tr, ts, tdr, tds = X["a~", False], Y["a~", False], X["a~", True], Y["a~", True]
-        tags = [f"i={i},{x},{y}" for x, y in pairs]
-        params = [{"flavor": i, "x": list(x), "y": list(y)} for x, y in pairs]
-        out.emit(
-            family("eq42a", ar @ asr + (asr @ ar) / q),
-            family("eq42b", adr @ ads + (ads @ adr) / q),
-            family("eq42c", adr @ asr + q * (asr @ adr)),
-            family("eq42d", ar @ ads + q * (ads @ ar)),
-            family("eq42ta", tr @ ts + q * (ts @ tr)),
-            family("eq42tb", tdr @ tds + q * (tds @ tdr)),
-            family("eq42tc", tdr @ ts + (ts @ tdr) / q),
-            family("eq42td", tr @ tds + (tds @ tr) / q),
-            # mixed families vanish at distinct sites with either anchoring
-            family("eq44", tr @ asr + asr @ tr),
-            family("eq44x", ts @ ar + ar @ ts),
-            family("eq44d", tdr @ ads + ads @ tdr),
-            family("eq45", tdr @ asr + asr @ tdr),
-            family("eq45x", tds @ ar + ar @ tds),
-            family("eq45b", tr @ ads + ads @ tr))
-
-        a_, ad, t_, td = P["a", False], P["a", True], P["a~", False], P["a~", True]
-        modes = [ModeId(FERMION, i, *pt) for pt in points]
-        w = np.concatenate([string_factor(basis, mode) for mode in modes])
-        n = diag_operator(np.concatenate([number_factor(basis, mode) for mode in modes]))
-        tags = [f"i={i},{pt}" for pt in points]
-        params = [{"flavor": i, "x": list(pt)} for pt in points]
-        out.emit(
-            family("eq43", a_ @ ad + ad @ a_, one),
-            family("eq43n", a_ @ a_),
-            family("eq43nd", ad @ ad),
-            family("eq43t", t_ @ td + td @ t_, one),
-            family("eq44s", t_ @ a_ + a_ @ t_),
-            family("eq46a", t_ @ ad + ad @ t_, diag_operator(q_power(q, w))),
-            family("eq46b", td @ a_ + a_ @ td, diag_operator(q_power(q, -w))),
-            family("eq47", ad @ a_, n),
-            family("eq47t", td @ t_, n))
-
-    factor = BOSON
-    for k in range(1, cfg.N + 1):
-        X, Y, P = anyons(factor, k, ("A", "A~"))
-        Ar, As, Adr, Ads = X["A", False], Y["A", False], X["A", True], Y["A", True]
-        Tr, Ts, Tdr, Tds = X["A~", False], Y["A~", False], X["A~", True], Y["A~", True]
-        tags = [f"k={k},{x},{y}" for x, y in pairs]
-        params = [{"flavor": k, "x": list(x), "y": list(y)} for x, y in pairs]
-        out.emit(
-            family("eq53a", Ar @ As - q * (As @ Ar)),
-            family("eq53b", Adr @ Ads - q * (Ads @ Adr)),
-            family("eq53c", Adr @ As - (As @ Adr) / q),
-            family("eq53d", Ar @ Ads - (Ads @ Ar) / q),
-            family("eq53ta", Tr @ Ts - (Ts @ Tr) / q),
-            family("eq53tb", Tdr @ Tds - (Tds @ Tdr) / q))
-
-        Ao, Ad, To, Td = P["A", False], P["A", True], P["A~", False], P["A~", True]
-        nvec = np.concatenate([number_factor(basis, ModeId(BOSON, k, *pt)) for pt in points])
-        tags = [f"k={k},{pt}" for pt in points]
-        params = [{"flavor": k, "x": list(pt)} for pt in points]
-        out.emit(
-            family("eq54a", [(1, Ao, Ad), (-q, Ad, Ao)],
-                   diag_operator(q_power(q, -nvec)), bulk=(0, 1)),
-            family("eq54b", [(1, Ao, Ad), (-1 / q, Ad, Ao)],
-                   diag_operator(q_power(q, nvec)), bulk=(0, 1)),
-            family("eq54ta", [(1, To, Td), (-1 / q, Td, To)],
-                   diag_operator(q_power(q, nvec)), bulk=(0, 1)),
-            family("eq50A", Ad @ Ao, diag_operator(q_bracket(nvec, q))))
-
+    points = [(line, site) for line in cfg.lines for site in cfg.sites]
+    pairs = [(x, y) for i, x in enumerate(points) for y in points[:i]]  # x after y
+    if len(pairs) > 12:  # at most 12: the ends and every k-th interior pair
+        pairs = pairs[::max(1, len(pairs) // 10)][:11] + [pairs[-1]]
+    operator = functools.cache(
+        lambda family, dagger, mode: anyon_factor(cfg, basis, mode, family, dagger))
+    for kind, name, flavors in ((FERMION, "i", cfg.M), (BOSON, "k", cfg.N)):
+        for flavor in range(1, flavors + 1):
+            for group, at in (("pairs", pairs), ("points", [(pt,) for pt in points])):
+                check_rows(out, cfg, BRAIDING[kind, group],
+                           [tuple(ModeId(kind, flavor, *pt) for pt in key) for key in at], operator,
+                           tags=[",".join([f"{name}={flavor}", *map(str, key)]) for key in at],
+                           params=[{"flavor": flavor, **dict(zip("xy", map(list, key)))}
+                                   for key in at],
+                           factor=kind)
     return out.reports

@@ -34,7 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -219,6 +219,11 @@ class LatticeConfig:
             return cmath.exp(1j * math.pi * self.nu)
         return complex(self.q_real)
 
+    @cached_property
+    def _q_one(self) -> LatticeConfig:
+        """This config at q = 1, corruption kept, derived once per config."""
+        return replace(self, nu=None, q_real=1.0)
+
     @property
     def R(self) -> int:
         return self.M + self.N - 1
@@ -298,7 +303,7 @@ class FockBasis:
 
     def __init__(self, cfg: LatticeConfig):
         self.dim = dim = cfg.dim
-        self.cfg = _q_one(cfg)
+        self.cfg = cfg._q_one
         order = [
             (line, site, flavor)
             for line in cfg.lines
@@ -439,15 +444,10 @@ def build_basis(cfg: LatticeConfig) -> FockBasis:
     return FockBasis(cfg)
 
 
-def _q_one(cfg: LatticeConfig) -> LatticeConfig:
-    """``cfg`` at q = 1, corruption kept: the deformed set collapses onto the plain one."""
-    return replace(cfg, nu=None, q_real=1.0)
-
-
 def cached_basis(cfg: LatticeConfig) -> FockBasis:
     """The basis of ``cfg``, built once per process and corruption.  A basis
     reads no q: it is built for the q = 1 config and shared by every q."""
-    return _cached_basis(_q_one(cfg))
+    return _cached_basis(cfg._q_one)
 
 
 @lru_cache(maxsize=32)
@@ -528,22 +528,19 @@ def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
 # combinators
 # ---------------------------------------------------------------------------
 
-def _check_shapes(x: sp.spmatrix, y: sp.spmatrix):
-    if x.shape != y.shape:
-        raise ValueError(f"operator dimensions differ: {x.shape} vs {y.shape}")
-
-
 def op_adjoint(x: sp.spmatrix) -> sp.csr_matrix:
     return x.conjugate().transpose().tocsr()
 
 
 def commutator(x, y, c: complex = 1.0) -> list:
     """X Y - c Y X as products (see ``report.restrict``), each operand a
-    matrix or a list of products (a, X1, ..., Xn), multiplied out term by term."""
+    matrix or a list of products (a, X1, ..., Xn), multiplied out term by
+    term; for c = 0 the products of X Y alone."""
     x, y = ([(1, t)] if sp.issparse(t) else t for t in (x, y))
-    _check_shapes(x[0][1], y[0][1])
+    if x[0][1].shape != y[0][1].shape:
+        raise ValueError(f"operator dimensions differ: {x[0][1].shape} vs {y[0][1].shape}")
     return ([(a * b, *u, *v) for a, *u in x for b, *v in y]
-            + [(-c * b * a, *v, *u) for a, *u in x for b, *v in y])
+            + [(-c * b * a, *v, *u) for a, *u in x for b, *v in y if c])
 
 
 def supercommutator(x, y, grade_x: int, grade_y: int) -> list:

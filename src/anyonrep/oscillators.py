@@ -1,16 +1,20 @@
-"""Number operators, normal-ordering prescriptions, and q-deformed bosons.
+"""Number operators, normal-ordering prescriptions, q-deformed bosons, and the
+relation rows of the single-factor suites.
 
 Two normal orderings are supported per line.  The "sea" scheme subtracts the
 filled-Dirac-sea reference: fermionic :n:(r) = n(r) - 1 and bosonic
 :n':(r) = n'(r) + 1 at negative sites.  The "empty" scheme keeps bare
 occupation numbers everywhere.  The q-bosons b|n> = sqrt([n]_q) |n-1> are
 ``fock.ladder``; the ordinary truncated bosons of the canonical relations are
-the same ladders at q = 1.
+the same ladders at q = 1.  The q-boson relations here and the braiding
+relations of ``anyons`` are tables of rows, each family stated once, and
+:func:`check_rows` evaluates them all as ``fock.commutator`` products.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 
@@ -22,11 +26,13 @@ from .fock import (
     LatticeConfig,
     ModeId,
     cached_basis,
+    commutator,
     diag_operator,
     identity_op,
     ladder,
     q_bracket,
     q_power,
+    site_order_sign,
 )
 from .report import RelationReport, SuiteReports
 
@@ -45,22 +51,107 @@ def number_diag(basis: FockBasis, mode: ModeId) -> np.ndarray:
     return basis.lift(mode.kind, number_factor(basis, mode))
 
 
-def normal_order_shift(cfg: LatticeConfig, mode: ModeId) -> int:
-    """Constant added to the bare number by the normal ordering of its line."""
-    if cfg.line_ordering(mode.line) == SEA and mode.site < 0:
-        return -1 if mode.kind == FERMION else +1
-    return 0
+def normal_number(basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """:n:(r) on the factor of ``mode``: its occupation plus the constant of
+    its line's normal ordering, -1 (fermion) or +1 (boson) at a negative site
+    of a sea line, else 0."""
+    shift = 0
+    if basis.cfg.line_ordering(mode.line) == SEA and mode.site < 0:
+        shift = -1 if mode.kind == FERMION else +1
+    return number_factor(basis, mode) + shift
 
 
-def normal_number_diag(basis: FockBasis, mode: ModeId) -> np.ndarray:
-    """:n:(r), the number shifted by the normal-ordering constant of its
-    line, as a real vector."""
-    return number_diag(basis, mode) + normal_order_shift(basis.cfg, mode)
+def string_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
+    """The real diagonal sum_t eps(t - r) :n(t): over the modes of the same
+    statistics and flavor as ``mode``, r its position, on the factor of the
+    basis index that carries that statistics.  eps compares (line, site)
+    pairs in line-major order and vanishes at the target itself, so the
+    string commutes with ladder operators of the target mode."""
+    total = np.zeros(basis.size(mode.kind))
+    modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
+    for m in modes:
+        if m.flavor != mode.flavor:
+            continue
+        eps = site_order_sign(m.line, m.site, mode.line, mode.site)
+        if eps:
+            total += eps * normal_number(basis, m)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# relation rows
+# ---------------------------------------------------------------------------
+
+# A row states one relation family X Y - c Y X = rhs, c = sign q^power (sign
+# 0: X Y = rhs).  An operand "name at" is a ladder "b" or an anyon family (a,
+# a~, A, A~), "+" its dagger, at x or y of a pair or at the point x; ``rhs``
+# names a diagonal of DIAGONALS (None: zero), a function of q and the vectors
+# v("n") (number) and v("w") (string exponent).  A row whose X is the number
+# "n x" states the weight relation [n, Y] = rhs Y.
+Row = namedtuple("Row", "family x y sign power rhs bulk", defaults=(0, 0, None, None))
+DIAGONALS = {
+    "1": lambda q, v: np.ones_like(v("n")),
+    "n": lambda q, v: v("n"),
+    "q^n": lambda q, v: q_power(q, v("n")),
+    "q^-n": lambda q, v: q_power(q, -v("n")),
+    "q^w": lambda q, v: q_power(q, v("w")),
+    "q^-w": lambda q, v: q_power(q, -v("w")),
+    "[n]_q": lambda q, v: q_bracket(v("n"), q),
+    "[n+1]_q": lambda q, v: q_bracket(v("n") + 1, q),
+}
+
+
+def q_oscillator(family: str, power: int, L: str) -> Row:
+    """Row ``family`` of the q-oscillator algebra of a ladder L (Eqs. 49-50), stated once:
+    L L^dag - q^power L^dag L = q^{-power n} (headroom 1); for power 0 L^dag L = [n]_q."""
+    if power == 0:
+        return Row(family, f"{L}+ x", f"{L} x", rhs="[n]_q")
+    return Row(family, f"{L} x", f"{L}+ x", 1, power, "q^-n" if power > 0 else "q^n", (0, 1))
+
+
+def check_rows(out: SuiteReports, cfg: LatticeConfig, rows, keys, operator, *,
+               tags, params, factor):
+    """Emit the families of ``rows`` over ``keys``, each a point (x,) or a
+    pair (x, y) of modes, as ``family[tag]``, block-major.  An operand is the
+    stack of ``operator(name, dagger, mode)`` over the keys, a vector ("n",
+    "w") the concatenation of its factor vectors, each formed once."""
+    basis, vectors = out.basis, {"n": number_factor, "w": string_factor}
+
+    @functools.cache
+    def operand(spec):
+        name, at = spec.split()
+        modes = [key["xy".index(at)] for key in keys]
+        if name in vectors:
+            return np.concatenate([vectors[name](basis, m) for m in modes])
+        return basis.stack([operator(name.rstrip("+"), name.endswith("+"), m) for m in modes])
+
+    def family(row):
+        ids, x, y = [f"{row.family}[{tag}]" for tag in tags], operand(row.x), operand(row.y)
+        kwargs = {"bulk": row.bulk, "factor": factor, "params": params}
+        if row.x == "n x":  # the weight relation [n, Y] = w Y, read off Y's entries
+            return out.check_weights(ids, y, x, row.rhs, **kwargs)
+        rhs = row.rhs and diag_operator(DIAGONALS[row.rhs](cfg.q, lambda v: operand(v + " x")))
+        return out.check_family(ids, commutator(x, y, row.sign * cfg.q ** row.power), rhs, **kwargs)
+    out.emit(*map(family, rows))
 
 
 # ---------------------------------------------------------------------------
 # relation suite
 # ---------------------------------------------------------------------------
+
+# the q-boson relations of each mode, then of each pair of distinct modes
+Q_BOSON = {
+    "modes": [q_oscillator("eq49a", 1, "b"),
+              q_oscillator("eq49b", -1, "b"),
+              Row("eq49d", "n x", "b x", 1, rhs=-1),
+              Row("eq49e", "n x", "b+ x", 1, rhs=1),
+              q_oscillator("eq50a", 0, "b"),
+              Row("eq50b", "b x", "b+ x", rhs="[n+1]_q", bulk=(0, 1))],
+    "pairs": [Row("eq49c", "b x", "b y", 1),
+              Row("eq49a0", "b x", "b+ y", 1),
+              Row("eq49d0", "n x", "b y", 1, rhs=0)],
+}
+
 
 def _mode_pairs(modes, cap: int = 6):
     """Deterministic pair sample: exhaustive for small mode sets."""
@@ -68,13 +159,8 @@ def _mode_pairs(modes, cap: int = 6):
     return [(m1, m2) for m1 in sel for m2 in sel]
 
 
-def _family(check, template: str, keys, *operands, **kwargs) -> list[RelationReport]:
-    """The reports ``template.format(*key)`` over ``keys``, tuples of one mode or
-    a mode pair, of the ``check`` of operands stacked over them (FockBasis.stack)."""
-    return check(
-        [template.format(*key) for key in keys], *operands, **kwargs,
-        params=[{"mode": str(key[0])} if len(key) == 1 else {"modes": list(map(str, key))}
-                for key in keys])
+def _params(key) -> dict:
+    return {"mode": str(key[0])} if len(key) == 1 else {"modes": list(map(str, key))}
 
 
 def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
@@ -93,57 +179,34 @@ def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
         yd = basis.stack([dag[m2] for _, m2 in pairs])
         one = basis.stack([identity_op(basis, factor) if m1 == m2 else None
                            for m1, m2 in pairs])
-        family = functools.partial(_family, out.check_family, keys=pairs, factor=factor)
-        out.emit(family(name + "[{},{}+]", lhs=[(1, x, yd), (sign, yd, x)], rhs=one, bulk=bulk),
-                 family(name + "[{},{}]", lhs=[(1, x, y), (sign, y, x)]))
+        family = functools.partial(out.check_family, factor=factor, params=[*map(_params, pairs)])
+        ids = [f"{name}[{m1},{m2}" for m1, m2 in pairs]
+        out.emit(family([i + "+]" for i in ids], [(1, x, yd), (sign, yd, x)], one, bulk=bulk),
+                 family([i + "]" for i in ids], [(1, x, y), (sign, y, x)]))
 
     # the mixed pairs are X (x) Y in both orders, checked on the whole basis
     lc = {m: basis.lift(FERMION, ops[m]) for m in basis.fermion_modes[:4]}
     ld = {m: (basis.lift(BOSON, ops[m]), basis.lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
     for mf, c in lc.items():
         for mb, (d, dd) in ld.items():
-            ps = {"modes": [str(mf), str(mb)]}
-            out.check(f"eq30[{mf},{mb}]", c @ d - d @ c, params=ps)
-            out.check(f"eq30[{mf},{mb}+]", c @ dd - dd @ c, params=ps)
+            out.check(f"eq30[{mf},{mb}]", commutator(c, d), params=_params((mf, mb)))
+            out.check(f"eq30[{mf},{mb}+]", commutator(c, dd), params=_params((mf, mb)))
     return out.reports
 
 
 def suite_oscillators(cfg: LatticeConfig) -> list[RelationReport]:
-    """Canonical (anti)commutators, mixed commutativity, and the q-boson
-    relations; relations that raise boson number run with boson headroom 1
-    instead of pretending the cutoff away.  Every relation but the mixed
-    eq30 acts on one factor of the basis index and is checked there, each
-    family at once, stacked over its modes or mode pairs, the weights of b on
-    its entries.  The first three read no q and are checked once per basis,
-    before the rest."""
+    """Canonical (anti)commutators, mixed commutativity, and the q-boson rows
+    :data:`Q_BOSON`; relations that raise boson number run with boson headroom
+    1.  Every relation but the mixed eq30 acts on one factor of the basis index
+    and is checked there, each family stacked over its modes or mode pairs.
+    The first three read no q and are checked once per basis, before the rest."""
     basis = cached_basis(cfg)
     canonical = basis.memo(basis.cfg, ("canonical",), lambda: _canonical_relations(basis))
-    q = cfg.q
     out = SuiteReports("oscillators", cfg.tol, basis)
-    family = functools.partial(_family, out.check_family, factor=BOSON)
-    weights = functools.partial(_family, out.check_weights, factor=BOSON)
-
-    # q-boson algebra
-    ms = basis.boson_modes
-    b, bd = (basis.stack([ladder(cfg, basis, m, dag) for m in ms]) for dag in (False, True))
-    n = np.concatenate([number_factor(basis, m) for m in ms])
-    modes = [(m,) for m in ms]
-    out.emit(
-        family("eq49a[{}]", modes, [(1, b, bd), (-q, bd, b)],
-               diag_operator(q_power(q, -n)), bulk=(0, 1)),
-        family("eq49b[{}]", modes, [(1, b, bd), (-1 / q, bd, b)],
-               diag_operator(q_power(q, n)), bulk=(0, 1)),
-        weights("eq49d[{}]", modes, b, n, -1),
-        weights("eq49e[{}]", modes, bd, n, 1),
-        family("eq50a[{}]", modes, bd @ b, diag_operator(q_bracket(n, q))),
-        family("eq50b[{}]", modes, [(1, b, bd)], diag_operator(q_bracket(n + 1, q)),
-               bulk=(0, 1)))
-
     pairs = [(m1, m2) for m1, m2 in _mode_pairs(basis.boson_modes) if m1 != m2]
-    b1, b2 = (basis.stack([ladder(cfg, basis, pair[j]) for pair in pairs]) for j in (0, 1))
-    bd2 = basis.stack([ladder(cfg, basis, m2, True) for _, m2 in pairs])
-    n1 = np.concatenate([number_factor(basis, m1) for m1, _ in pairs])
-    out.emit(family("eq49c[{},{}]", pairs, b1 @ b2 - b2 @ b1),
-             family("eq49a0[{},{}]", pairs, b1 @ bd2 - bd2 @ b1),
-             weights("eq49d0[{},{}]", pairs, b2, n1, 0))
+    for group, keys in (("modes", [(m,) for m in basis.boson_modes]), ("pairs", pairs)):
+        check_rows(out, cfg, Q_BOSON[group], keys,
+                   lambda name, dagger, mode: ladder(cfg, basis, mode, dagger),
+                   tags=[",".join(map(str, key)) for key in keys],
+                   params=[*map(_params, keys)], factor=BOSON)
     return canonical + out.reports

@@ -9,11 +9,12 @@ A relation id is a family id, optionally followed by an index in brackets
 (``eq7c[0,1]``).  Every family a suite emits is declared once in
 :data:`CATALOG`, which is also what ``anyonrep list`` prints; suites emit
 through :class:`SuiteReports`, which takes the equation tag from there.
-A projected check's products are restricted to its bulk before they are
-multiplied (:func:`restrict`, the one place a check's products are formed),
-with the residual of the full products.  A family, one relation over many
-operand tuples, is checked at once on block-diagonal stacks, one residual per
-block (:meth:`SuiteReports.check_family`); one relation is the one-block case.
+A check's products, the braiding and q-boson rows' (``oscillators.Row``)
+included, are formed in :func:`restrict` alone, restricted to its bulk before
+they are multiplied, with the residual of the full products.  A family, one
+relation over many operand tuples, is checked at once on block-diagonal
+stacks, one residual per block (:meth:`SuiteReports.check_family`); one
+relation is the one-block case.
 Weights and the Hopf oracle are read off one operator's stored entries.
 """
 

@@ -2,7 +2,8 @@ import pytest
 import scipy.sparse as sp
 
 from anyonrep.algebra import _h_local_diag, eq57_exponent, local_e, node_factor
-from anyonrep.anyons import anyon_factor, string_factor
+from anyonrep.anyons import anyon_factor
+from anyonrep.oscillators import normal_number, string_factor
 from anyonrep.fock import (
     BOSON,
     FERMION,
@@ -58,6 +59,11 @@ def full_h_local_diag(basis, alpha, *args):
 
 def full_eq57_exponent(basis, alpha, *args):
     return on_basis(basis, alpha, eq57_exponent(basis, alpha, *args))
+
+
+def full_normal_number(basis, mode):
+    """:n:(r) of ``mode`` on the whole basis, the lift of its factor vector."""
+    return basis.lift(mode.kind, normal_number(basis, mode))
 
 
 def string_exponent(basis, mode):

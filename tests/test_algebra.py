@@ -14,6 +14,7 @@ from conftest import (
     full_h_local_diag,
     full_ladder,
     full_local_e,
+    full_normal_number,
 )
 import anyonrep
 from anyonrep import algebra as alg, anyons, cli, fock, oscillators, report, verify
@@ -39,7 +40,6 @@ from anyonrep.fock import (
     Corruption,
     LatticeConfig,
     ModeId,
-    _q_one,
     boson_mode,
     build_basis,
     diag_operator,
@@ -50,7 +50,6 @@ from anyonrep.fock import (
     site_order_sign,
     supercommutator,
 )
-from anyonrep.oscillators import normal_number_diag
 from anyonrep.report import restrict
 
 
@@ -158,8 +157,8 @@ def test_h_matches_number_combination(cfg21, basis21):
     gs = chevalley_generators(cfg21, basis21, deformed=False)
     expected = np.zeros(basis21.dim)
     for r in cfg21.sites:
-        expected += normal_number_diag(basis21, fermion_mode(1, r))
-        expected -= normal_number_diag(basis21, fermion_mode(2, r))
+        expected += full_normal_number(basis21, fermion_mode(1, r))
+        expected -= full_normal_number(basis21, fermion_mode(2, r))
     assert residual_norm(gs.H[1] - diag_operator(expected)) == 0.0
 
 
@@ -378,7 +377,7 @@ def test_cached_generators_only_checks_its_corruption(cfg21):
 def test_plain_set_is_built_once_per_process(cfg21):
     plain = cached_generators(cfg21, False)
     assert cached_generators(replace(cfg21, nu=0.2), False) is plain
-    assert cached_generators(_q_one(cfg21), False) is plain
+    assert cached_generators(cfg21._q_one, False) is plain
     assert cached_generators(cfg21, True) is not plain
 
 
@@ -390,10 +389,10 @@ def _ref_h_local_diag(cfg, basis, alpha, line, r):
     M, N = cfg.M, cfg.N
 
     def nf(flavor, site):
-        return normal_number_diag(basis, ModeId(FERMION, flavor, line, site))
+        return full_normal_number(basis, ModeId(FERMION, flavor, line, site))
 
     def nb(flavor, site):
-        return normal_number_diag(basis, ModeId(BOSON, flavor, line, site))
+        return full_normal_number(basis, ModeId(BOSON, flavor, line, site))
 
     if 1 <= alpha <= M - 1:
         return nf(alpha, r) - nf(alpha + 1, r)
@@ -472,7 +471,7 @@ def test_node_table_reproduces_per_node_chains(cfg):
                         _ref_h_local_diag(c, bases[c], alpha, line, r))
                 for s in ("+", "-"):
                     # the q-boson pieces, and at q = 1 the plain pieces
-                    for at in (cfg, _q_one(cfg)):
+                    for at in (cfg, cfg._q_one):
                         assert _same(
                             full_local_e(at, basis, alpha, s, line, r, False),
                             _ref_local_e(at, basis, alpha, s, line, r, False))
@@ -534,7 +533,7 @@ def test_cartan_weyl_operators_read_no_q(qspec):
     at any q they equal those on the basis built at q = 1 bit for bit, boson
     roots and h^m (m != 0) too."""
     cfg = LatticeConfig(M=1, N=2, S=2, n_max=2, **qspec)
-    basis, basis1 = build_basis(cfg), build_basis(_q_one(cfg))
+    basis, basis1 = build_basis(cfg), build_basis(cfg._q_one)
     roots = [RootLabel((DELTA, 1), (DELTA, 2), m=m) for m in (-1, 0, 1)]
     roots.append(RootLabel((EPS, 1), (DELTA, 2), m=1))
     for lab in roots:
@@ -571,6 +570,24 @@ def test_only_the_basis_converts_a_config_to_q_one():
     for mod in (anyonrep, oscillators, anyons, alg, verify, report, cli):
         assert "_q_one" not in inspect.getsource(mod), mod.__name__
     assert not re.search(r"\bcache\b|lru_cache", inspect.getsource(verify))
+
+
+def test_the_q_one_config_is_derived_once_per_config(monkeypatch):
+    """A basis lookup converts a config to q = 1 once: a second
+    ``cached_basis(cfg)`` or ``script_e`` call validates no config."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3)
+    gs = cached_generators(cfg, True)
+    assert cached_basis(cfg) is cached_basis(cfg)
+    first = gs.script_e(1, "+")
+    validated = []
+    post_init = LatticeConfig.__post_init__
+    monkeypatch.setattr(LatticeConfig, "__post_init__",
+                        lambda self: validated.append(self) or post_init(self))
+    assert cached_basis(cfg).cfg == cfg._q_one
+    assert gs.script_e(1, "+") is first
+    gs.script_e(2, "-")
+    assert validated == []
+    assert replace(cfg, nu=0.2) and len(validated) == 1  # the hook counts validations
 
 
 def test_cw_empty_sum_warns(cfg21, basis21):

@@ -1,25 +1,31 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import bulk_projector, disorder_factor, full_anyon, full_ladder, string_exponent
-from anyonrep.anyons import suite_braiding
+from anyonrep import report
+from anyonrep.anyons import BRAIDING, FAMILIES, anyon_factor, suite_braiding
 from anyonrep.fock import (
     FERMION,
     Corruption,
     LatticeConfig,
+    _cached_basis,
     boson_mode,
     build_basis,
+    cached_basis,
     diag_operator,
     fermion_mode,
     identity_op,
+    ladder,
     op_adjoint,
     q_power,
     residual_norm,
 )
-from anyonrep.oscillators import number_diag
-from anyonrep.report import reports_ok
+from anyonrep.oscillators import Q_BOSON, number_diag, suite_oscillators
+from anyonrep.report import CATALOG, reports_ok
 
 
 # ---------------------------------------------------------------------------
@@ -255,3 +261,81 @@ def test_suite_braiding_builds_each_anyon_once(monkeypatch):
     assert reports_ok(reports)
     # 3 flavors x 2 sites x 2 families x 2 daggers
     assert len(calls) == len(set(calls)) == 24
+
+
+# ---------------------------------------------------------------------------
+# the relation rows
+# ---------------------------------------------------------------------------
+
+CANONICAL = ("eq20", "eq21", "eq30")
+
+
+def test_each_braiding_and_q_boson_family_is_one_row_in_catalog_order():
+    """The braiding table and the q-boson table each state every family of
+    their suite once, in CATALOG order (the canonical eq20, eq21 and eq30
+    are not rows); the q-oscillator rows of b and of A are one statement."""
+    for suite, table in (("braiding", BRAIDING), ("oscillators", Q_BOSON)):
+        families = [row.family for rows in table.values() for row in rows]
+        assert families == [f for s, f, _, _ in CATALOG if s == suite and f not in CANONICAL]
+    rows = {row.family: row for table in (BRAIDING, Q_BOSON)
+            for group in table.values() for row in group}
+    for of_b, of_a in (("eq49a", "eq54a"), ("eq49b", "eq54b"), ("eq50a", "eq50A")):
+        b, a = rows[of_b], rows[of_a]
+        assert a == b._replace(family=of_a, x=b.x.replace("b", "A"), y=b.y.replace("b", "A"))
+
+
+def test_each_tilded_row_is_its_partner_at_inverse_q():
+    """A "t" family is its partner with the anyon families tilded, the power
+    of q negated and a q-power rhs mirrored (q^n <-> q^-n)."""
+    rows = {row.family: row for group in BRAIDING.values() for row in group}
+    tilded = [family for family in rows if re.fullmatch(r"eq\d+t[a-d]?", family)]
+    assert tilded == ["eq42ta", "eq42tb", "eq42tc", "eq42td", "eq43t", "eq47t",
+                      "eq53ta", "eq53tb", "eq54ta"]
+
+    def tilde(operand):
+        name, at = operand.split()
+        return f"{name[0]}~{name[1:]} {at}"
+
+    for family in tilded:
+        partner = rows[family.replace("t", "", 1)]
+        assert rows[family] == partner._replace(
+            family=family, x=tilde(partner.x), y=tilde(partner.y), power=-partner.power,
+            rhs={"q^n": "q^-n", "q^-n": "q^n"}.get(partner.rhs, partner.rhs)), family
+
+
+def test_the_single_factor_suites_multiply_only_in_restrict(monkeypatch):
+    """With the ladders and anyons built beforehand, every sparse product the
+    oscillator and braiding suites form (the canonical block included, on a
+    fresh basis) is formed inside report.restrict."""
+    cfg = LatticeConfig(M=2, N=1, S=2, K=2, n_max=1, nu=0.3, ordering=("sea", "empty"))
+    _cached_basis.cache_clear()
+    basis = cached_basis(cfg)
+    for mode in basis.fermion_modes + basis.boson_modes:
+        for dagger in (False, True):
+            ladder(basis.cfg, basis, mode, dagger), ladder(cfg, basis, mode, dagger)
+            for family, (kind, _) in FAMILIES.items():
+                if kind == mode.kind:
+                    anyon_factor(cfg, basis, mode, family, dagger)
+    inside, products = [], []
+    # the class that defines sparse `@` for every format
+    sparse = next(c for c in sp.csr_matrix.__mro__ if "__matmul__" in vars(c))
+    restrict, matmul = report.restrict, sparse.__matmul__
+
+    def restricting(*args, **kwargs):
+        inside.append(True)
+        try:
+            return restrict(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def multiply(x, y):
+        products.append(bool(inside))
+        return matmul(x, y)
+
+    monkeypatch.setattr(report, "restrict", restricting)
+    monkeypatch.setattr(sparse, "__matmul__", multiply)
+    reports = suite_oscillators(cfg) + suite_braiding(cfg)
+    monkeypatch.undo()
+    assert reports_ok(reports)
+    assert {r.relation_id.split("[")[0] for r in reports} >= {"eq20", "eq30", "eq42a", "eq54a"}
+    assert products and all(products)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import full_anyon, full_ladder, kron_lift, string_exponent
+from conftest import full_anyon, full_ladder, full_normal_number, kron_lift, string_exponent
 from anyonrep import algebra as alg
 from anyonrep import verify
 from anyonrep.anyons import FAMILIES, anyon_factor, suite_braiding
@@ -31,9 +31,9 @@ from anyonrep.fock import (
     LatticeConfig,
     ModeId,
     _cached_basis,
-    _q_one,
     build_basis,
     cached_basis,
+    commutator,
     diag_operator,
     identity_op,
     ladder,
@@ -44,7 +44,7 @@ from anyonrep.fock import (
     scale_rows,
     zero_op,
 )
-from anyonrep.oscillators import normal_number_diag, number_diag, suite_oscillators
+from anyonrep.oscillators import number_diag, suite_oscillators
 from anyonrep.report import CATALOG, SuiteReports
 
 STACKS = [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
@@ -93,7 +93,7 @@ def test_full_space_operators_are_lifted_factors(cfg):
     operator: the same indptr, indices and data arrays."""
     basis = build_basis(cfg)
     for mode in basis.fermion_modes + basis.boson_modes:
-        for at in (cfg, _q_one(cfg)):
+        for at in (cfg, cfg._q_one):
             x = ladder(at, basis, mode)
             assert x.shape == (basis.size(mode.kind),) * 2
             assert_same_arrays(ladder(at, basis, mode, True), op_adjoint(x))
@@ -178,15 +178,15 @@ def test_factor_operators_are_built_once_per_config():
     assert flipped is not a and abs(flipped - a).max() > 0.1
     b = ladder(cfg, basis, mode)
     assert ladder(cfg, basis, mode) is b
-    plain = ladder(_q_one(cfg), basis, mode)
-    assert ladder(_q_one(cfg), basis, mode) is plain and plain is not b
+    plain = ladder(cfg._q_one, basis, mode)
+    assert ladder(cfg._q_one, basis, mode) is plain and plain is not b
     ladder(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.2), basis, mode)
-    assert ladder(_q_one(cfg), basis, mode) is plain  # asked for last but one
+    assert ladder(cfg._q_one, basis, mode) is plain  # asked for last but one
     assert len(basis._memo) == 2 and cfg not in basis._memo
     assert ladder(cfg, basis, mode) is not b  # rebuilt, equal
     assert abs(ladder(cfg, basis, mode) - b).max() == 0
     ladder(LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.3), basis, mode)
-    assert ladder(_q_one(cfg), basis, mode) is plain  # two other configs later
+    assert ladder(cfg._q_one, basis, mode) is plain  # two other configs later
     assert len(basis._memo) == 2
 
 
@@ -249,8 +249,8 @@ def _ref_local_e(cfg, basis, alpha, sign, line, r, dressed):
 def _ref_h_local_diag(cfg, basis, alpha, line, r):
     """:n_upper: -+ :n_lower: of node alpha on the whole basis."""
     upper, lower = alg._node_modes(cfg, alpha, line, r)
-    n_up = normal_number_diag(basis, upper)
-    n_low = normal_number_diag(basis, lower)
+    n_up = full_normal_number(basis, upper)
+    n_low = full_normal_number(basis, lower)
     if alpha not in (0, cfg.M):
         return n_up - n_low
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
@@ -262,7 +262,7 @@ def _ref_h_local_diag(cfg, basis, alpha, line, r):
 def _ref_generators(cfg, basis, deformed):
     """H and E summed at full dimension, piece by piece."""
     if not deformed:
-        cfg = _q_one(cfg)
+        cfg = cfg._q_one
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
         sites = [(ln, r) for ln in cfg.lines for r in alg.admissible_sites(cfg, alpha)]
@@ -279,7 +279,7 @@ def _ref_generators(cfg, basis, deformed):
 
 
 def _ref_cartan_weyl(cfg, basis, label):
-    cfg = _q_one(cfg)
+    cfg = cfg._q_one
     total = zero_op(basis)
     for line in cfg.lines:
         for r in cfg.sites:
@@ -291,7 +291,7 @@ def _ref_cartan_weyl(cfg, basis, label):
 
 
 def _ref_cartan_weyl_h(cfg, basis, a, m):
-    cfg = _q_one(cfg)
+    cfg = cfg._q_one
     terms = [(w, ModeId(kind, flavor, line, r), ModeId(kind, flavor, line, r + m))
              for (kind, flavor), w in alg.h_coefficients(cfg.M, cfg.N, a).items()
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
@@ -376,7 +376,7 @@ def _oscillator_oracle(cfg):
     """A sample of every single-statistics oscillator family, written at full
     dimension from the lifted ladders: (id, lhs, rhs, bulk)."""
     basis, q = cached_basis(cfg), cfg.q
-    one, plain = identity_op(basis), _q_one(cfg)
+    one, plain = identity_op(basis), cfg._q_one
     f1, f2 = basis.fermion_modes[:2]
     m1, m2 = basis.boson_modes[:2]
     c1, c2, cd1 = (full_ladder(cfg, basis, f1), full_ladder(cfg, basis, f2),
@@ -387,20 +387,18 @@ def _oscillator_oracle(cfg):
     b2, bd2 = full_ladder(cfg, basis, m2), full_ladder(cfg, basis, m2, True)
     n = number_diag(basis, m1)
     return [
-        (f"eq20[{f1},{f1}+]", c1 @ cd1 + cd1 @ c1, one, None),
-        (f"eq20[{f1},{f2}]", c1 @ c2 + c2 @ c1, None, None),
-        (f"eq21[{m1},{m1}+]", [(1, d1, dd1), (-1, dd1, d1)], one, (0, 1)),
-        (f"eq21[{m1},{m2}]", d1 @ d2 - d2 @ d1, None, None),
-        (f"eq49a[{m1}]", [(1, b, bd), (-q, bd, b)],
-         diag_operator(q_power(q, -n)), (0, 1)),
-        (f"eq49b[{m1}]", [(1, b, bd), (-1 / q, bd, b)],
-         diag_operator(q_power(q, n)), (0, 1)),
+        (f"eq20[{f1},{f1}+]", commutator(c1, cd1, -1), one, None),
+        (f"eq20[{f1},{f2}]", commutator(c1, c2, -1), None, None),
+        (f"eq21[{m1},{m1}+]", commutator(d1, dd1), one, (0, 1)),
+        (f"eq21[{m1},{m2}]", commutator(d1, d2), None, None),
+        (f"eq49a[{m1}]", commutator(b, bd, q), diag_operator(q_power(q, -n)), (0, 1)),
+        (f"eq49b[{m1}]", commutator(b, bd, q ** -1), diag_operator(q_power(q, n)), (0, 1)),
         (f"eq49d[{m1}]", scale_rows(b, n) - scale_columns(b, n), -1 * b, None),
         (f"eq49e[{m1}]", scale_rows(bd, n) - scale_columns(bd, n), bd, None),
-        (f"eq50a[{m1}]", bd @ b, diag_operator(q_bracket(n, q)), None),
+        (f"eq50a[{m1}]", [(1, bd, b)], diag_operator(q_bracket(n, q)), None),
         (f"eq50b[{m1}]", [(1, b, bd)], diag_operator(q_bracket(n + 1, q)), (0, 1)),
-        (f"eq49c[{m1},{m2}]", b @ b2 - b2 @ b, None, None),
-        (f"eq49a0[{m1},{m2}]", b @ bd2 - bd2 @ b, None, None),
+        (f"eq49c[{m1},{m2}]", commutator(b, b2), None, None),
+        (f"eq49a0[{m1},{m2}]", commutator(b, bd2), None, None),
         (f"eq49d0[{m1},{m2}]", scale_rows(b2, n) - scale_columns(b2, n), None, None),
     ]
 
@@ -428,43 +426,41 @@ def _braiding_oracle(cfg):
     nb = number_diag(basis, ModeId(BOSON, 1, *x))
     pair, at = f"i=1,{x},{y}", f"i=1,{x}"
     bpair, bat = f"k=1,{x},{y}", f"k=1,{x}"
+    # X Y - c Y X as the products the suite states (c = 0: X Y alone)
     return [
-        (f"eq42a[{pair}]", ar @ asr + (asr @ ar) / q, None, None),
-        (f"eq42b[{pair}]", adr @ ads + (ads @ adr) / q, None, None),
-        (f"eq42c[{pair}]", adr @ asr + q * (asr @ adr), None, None),
-        (f"eq42d[{pair}]", ar @ ads + q * (ads @ ar), None, None),
-        (f"eq42ta[{pair}]", tr @ ts + q * (ts @ tr), None, None),
-        (f"eq42tb[{pair}]", tdr @ tds + q * (tds @ tdr), None, None),
-        (f"eq42tc[{pair}]", tdr @ ts + (ts @ tdr) / q, None, None),
-        (f"eq42td[{pair}]", tr @ tds + (tds @ tr) / q, None, None),
-        (f"eq44[{pair}]", tr @ asr + asr @ tr, None, None),
-        (f"eq44x[{pair}]", ts @ ar + ar @ ts, None, None),
-        (f"eq44d[{pair}]", tdr @ ads + ads @ tdr, None, None),
-        (f"eq45[{pair}]", tdr @ asr + asr @ tdr, None, None),
-        (f"eq45x[{pair}]", tds @ ar + ar @ tds, None, None),
-        (f"eq45b[{pair}]", tr @ ads + ads @ tr, None, None),
-        (f"eq43[{at}]", ar @ adr + adr @ ar, one, None),
-        (f"eq43n[{at}]", ar @ ar, None, None),
-        (f"eq43nd[{at}]", adr @ adr, None, None),
-        (f"eq43t[{at}]", tr @ tdr + tdr @ tr, one, None),
-        (f"eq44s[{at}]", tr @ ar + ar @ tr, None, None),
-        (f"eq46a[{at}]", tr @ adr + adr @ tr, diag_operator(q_power(q, w)), None),
-        (f"eq46b[{at}]", tdr @ ar + ar @ tdr, diag_operator(q_power(q, -w)), None),
-        (f"eq47[{at}]", adr @ ar, n, None),
-        (f"eq47t[{at}]", tdr @ tr, n, None),
-        (f"eq53a[{bpair}]", Ar @ As - q * (As @ Ar), None, None),
-        (f"eq53b[{bpair}]", Adr @ Ads - q * (Ads @ Adr), None, None),
-        (f"eq53c[{bpair}]", Adr @ As - (As @ Adr) / q, None, None),
-        (f"eq53d[{bpair}]", Ar @ Ads - (Ads @ Ar) / q, None, None),
-        (f"eq53ta[{bpair}]", Tr @ Ts - (Ts @ Tr) / q, None, None),
-        (f"eq53tb[{bpair}]", Tdr @ Tds - (Tds @ Tdr) / q, None, None),
-        (f"eq54a[{bat}]", [(1, Ar, Adr), (-q, Adr, Ar)],
-         diag_operator(q_power(q, -nb)), (0, 1)),
-        (f"eq54b[{bat}]", [(1, Ar, Adr), (-1 / q, Adr, Ar)],
-         diag_operator(q_power(q, nb)), (0, 1)),
-        (f"eq54ta[{bat}]", [(1, Tr, Tdr), (-1 / q, Tdr, Tr)],
-         diag_operator(q_power(q, nb)), (0, 1)),
-        (f"eq50A[{bat}]", Adr @ Ar, diag_operator(q_bracket(nb, q)), None),
+        (f"eq42a[{pair}]", commutator(ar, asr, -q ** -1), None, None),
+        (f"eq42b[{pair}]", commutator(adr, ads, -q ** -1), None, None),
+        (f"eq42c[{pair}]", commutator(adr, asr, -q), None, None),
+        (f"eq42d[{pair}]", commutator(ar, ads, -q), None, None),
+        (f"eq42ta[{pair}]", commutator(tr, ts, -q), None, None),
+        (f"eq42tb[{pair}]", commutator(tdr, tds, -q), None, None),
+        (f"eq42tc[{pair}]", commutator(tdr, ts, -q ** -1), None, None),
+        (f"eq42td[{pair}]", commutator(tr, tds, -q ** -1), None, None),
+        (f"eq44[{pair}]", commutator(tr, asr, -1), None, None),
+        (f"eq44x[{pair}]", commutator(ts, ar, -1), None, None),
+        (f"eq44d[{pair}]", commutator(tdr, ads, -1), None, None),
+        (f"eq45[{pair}]", commutator(tdr, asr, -1), None, None),
+        (f"eq45x[{pair}]", commutator(tds, ar, -1), None, None),
+        (f"eq45b[{pair}]", commutator(tr, ads, -1), None, None),
+        (f"eq43[{at}]", commutator(ar, adr, -1), one, None),
+        (f"eq43n[{at}]", [(1, ar, ar)], None, None),
+        (f"eq43nd[{at}]", [(1, adr, adr)], None, None),
+        (f"eq43t[{at}]", commutator(tr, tdr, -1), one, None),
+        (f"eq44s[{at}]", commutator(tr, ar, -1), None, None),
+        (f"eq46a[{at}]", commutator(tr, adr, -1), diag_operator(q_power(q, w)), None),
+        (f"eq46b[{at}]", commutator(tdr, ar, -1), diag_operator(q_power(q, -w)), None),
+        (f"eq47[{at}]", [(1, adr, ar)], n, None),
+        (f"eq47t[{at}]", [(1, tdr, tr)], n, None),
+        (f"eq53a[{bpair}]", commutator(Ar, As, q), None, None),
+        (f"eq53b[{bpair}]", commutator(Adr, Ads, q), None, None),
+        (f"eq53c[{bpair}]", commutator(Adr, As, q ** -1), None, None),
+        (f"eq53d[{bpair}]", commutator(Ar, Ads, q ** -1), None, None),
+        (f"eq53ta[{bpair}]", commutator(Tr, Ts, q ** -1), None, None),
+        (f"eq53tb[{bpair}]", commutator(Tdr, Tds, q ** -1), None, None),
+        (f"eq54a[{bat}]", commutator(Ar, Adr, q), diag_operator(q_power(q, -nb)), (0, 1)),
+        (f"eq54b[{bat}]", commutator(Ar, Adr, q ** -1), diag_operator(q_power(q, nb)), (0, 1)),
+        (f"eq54ta[{bat}]", commutator(Tr, Tdr, q ** -1), diag_operator(q_power(q, nb)), (0, 1)),
+        (f"eq50A[{bat}]", [(1, Adr, Ar)], diag_operator(q_bracket(nb, q)), None),
     ]
 
 

@@ -11,7 +11,6 @@ from anyonrep.fock import (
     ConfigError,
     InstanceTooLargeError,
     LatticeConfig,
-    _q_one,
     build_basis,
     bulk_mask,
     diag_operator,
@@ -92,7 +91,7 @@ def test_q_bracket_positivity_enforced():
 def test_a_basis_holds_its_config_at_q_one(qspec):
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, **qspec)
     basis = build_basis(cfg)
-    assert basis.cfg == _q_one(cfg) and basis.cfg.q == 1
+    assert basis.cfg == cfg._q_one and basis.cfg.q == 1
 
 
 def test_dimension_cap():
@@ -137,9 +136,9 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
     one = identity_op(basis21)
     head = bulk_projector(basis21, 0, 1)
     for m1 in basis21.boson_modes:
-        d1 = full_ladder(_q_one(cfg21), basis21, m1)
+        d1 = full_ladder(cfg21._q_one, basis21, m1)
         for m2 in basis21.boson_modes:
-            d2 = full_ladder(_q_one(cfg21), basis21, m2)
+            d2 = full_ladder(cfg21._q_one, basis21, m2)
             comm = d1 @ op_adjoint(d2) - op_adjoint(d2) @ d1
             expected = one if m1 == m2 else 0 * one
             assert residual_norm(head @ (comm - expected) @ head) <= 1e-13
@@ -149,7 +148,7 @@ def test_ccr_on_headroom_subspace(cfg21, basis21):
 def test_ccr_truncation_artifact_on_top_state(cfg21, basis21):
     # on |n_max> the commutator eigenvalue drops to -n_max instead of +1
     mode = basis21.boson_modes[0]
-    d = full_ladder(_q_one(cfg21), basis21, mode)
+    d = full_ladder(cfg21._q_one, basis21, mode)
     comm = (d @ op_adjoint(d) - op_adjoint(d) @ d).diagonal().real
     j = basis21.boson_slot(mode)
     tops = np.tile(basis21.b_occ[:, j] == cfg21.n_max, basis21.NF)
@@ -161,7 +160,7 @@ def test_mixed_commutativity_exact(cfg21, basis21):
     for mf in basis21.fermion_modes:
         c = full_ladder(cfg21, basis21, mf)
         for mb in basis21.boson_modes:
-            d = full_ladder(_q_one(cfg21), basis21, mb)
+            d = full_ladder(cfg21._q_one, basis21, mb)
             assert residual_norm(c @ d - d @ c) == 0.0
             assert residual_norm(c @ op_adjoint(d) - op_adjoint(d) @ c) == 0.0
             assert residual_norm(op_adjoint(c) @ d - d @ op_adjoint(c)) == 0.0
@@ -198,7 +197,7 @@ def test_jordan_wigner_against_state_oracle(data):
 @pytest.fixture(scope="module")
 def op_pool(cfg21, basis21):
     pool = [full_ladder(cfg21, basis21, m) for m in basis21.fermion_modes[:2]]
-    pool += [full_ladder(_q_one(cfg21), basis21, m)
+    pool += [full_ladder(cfg21._q_one, basis21, m)
              for m in basis21.boson_modes[:1]]
     pool.append(op_adjoint(pool[0]) @ pool[2])
     return pool
@@ -344,7 +343,7 @@ def test_scaling_a_ladder_is_exact(basis22, qspec):
     v = q_power(cfg.q, (np.arange(basis22.dim) % 7 - 3) / 2)
     ladders = [full_ladder(cfg, basis22, m) for m in basis22.fermion_modes]
     ladders += [full_ladder(at, basis22, m) for m in basis22.boson_modes
-                for at in (_q_one(cfg), cfg)]
+                for at in (cfg._q_one, cfg)]
     for x in ladders + [op_adjoint(x) for x in ladders]:
         for out, ref in ((scale_rows(x, v), diag_operator(v) @ x),
                          (scale_columns(x, v), x @ diag_operator(v))):

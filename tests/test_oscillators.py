@@ -5,10 +5,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import bulk_projector, full_ladder
+from conftest import bulk_projector, full_ladder, full_normal_number
 from anyonrep.fock import (
     LatticeConfig,
-    _q_one,
     boson_mode,
     build_basis,
     diag_operator,
@@ -18,7 +17,6 @@ from anyonrep.fock import (
     residual_norm,
 )
 from anyonrep.oscillators import (
-    normal_number_diag,
     number_diag,
     suite_oscillators,
 )
@@ -27,7 +25,7 @@ from anyonrep.report import reports_ok
 
 def test_number_op_matches_definition(cfg21, basis21):
     for mode in basis21.fermion_modes + basis21.boson_modes:
-        low = full_ladder(_q_one(cfg21), basis21, mode)
+        low = full_ladder(cfg21._q_one, basis21, mode)
         n = diag_operator(number_diag(basis21, mode))
         assert residual_norm(op_adjoint(low) @ low - n) <= 1e-13
 
@@ -44,21 +42,21 @@ def test_number_eigenvalue_ranges(cfg21, basis21):
 def test_normal_ordering_constants_on_empty_state(cfg21, basis21):
     # the all-empty Fock state: negative-site fermions read -1, bosons +1
     empty = 0
-    nf = normal_number_diag(basis21, fermion_mode(1, -0.5))
-    nb = normal_number_diag(basis21, boson_mode(1, -0.5))
+    nf = full_normal_number(basis21, fermion_mode(1, -0.5))
+    nb = full_normal_number(basis21, boson_mode(1, -0.5))
     assert nf[empty] == -1.0
     assert nb[empty] == +1.0
     # positive sites and the empty scheme stay bare
-    assert normal_number_diag(basis21, fermion_mode(1, 0.5))[empty] == 0
+    assert full_normal_number(basis21, fermion_mode(1, 0.5))[empty] == 0
     cfg_e = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, ordering="empty")
     be = build_basis(cfg_e)
     for mode in (fermion_mode(1, -0.5), boson_mode(1, -0.5)):
-        assert normal_number_diag(be, mode)[0] == 0
+        assert full_normal_number(be, mode)[0] == 0
 
 
 def test_normal_ordering_is_constant_shift(cfg21, basis21):
     for mode in basis21.fermion_modes + basis21.boson_modes:
-        shift = (normal_number_diag(basis21, mode)
+        shift = (full_normal_number(basis21, mode)
                  - number_diag(basis21, mode))
         assert np.allclose(shift, shift[0])
         assert (shift == shift[0]).all()
@@ -117,7 +115,7 @@ def test_boson_ladders_match_the_per_state_formula(q):
             cols.append(i)
             plain.append(math.sqrt(n))
             deformed.append(math.sqrt(q_number(n, cfg.q).real))
-        for at, vals in ((_q_one(cfg), plain), (cfg, deformed)):
+        for at, vals in ((cfg._q_one, plain), (cfg, deformed)):
             ref = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
                                 shape=(basis.dim, basis.dim))
             assert residual_norm(full_ladder(at, basis, mode) - ref) == 0.0
