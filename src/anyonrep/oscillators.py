@@ -127,11 +127,12 @@ def check_rows(out: SuiteReports, cfg: LatticeConfig, rows, keys, operator, *,
 
     def family(row):
         ids, x, y = [f"{row.family}[{tag}]" for tag in tags], operand(row.x), operand(row.y)
-        kwargs = {"bulk": row.bulk, "factor": factor, "params": params}
+        kwargs = {"factor": factor, "params": params}
         if row.x == "n x":  # the weight relation [n, Y] = w Y, read off Y's entries
-            return out.check_weights(ids, y, x, row.rhs, **kwargs)
+            return out.check_weights(ids, y, [(x, row.rhs, row.bulk)], **kwargs)
         rhs = row.rhs and diag_operator(DIAGONALS[row.rhs](cfg.q, lambda v: operand(v + " x")))
-        return out.check_family(ids, commutator(x, y, row.sign * cfg.q ** row.power), rhs, **kwargs)
+        return out.check_family(ids, commutator(x, y, row.sign * cfg.q ** row.power), rhs,
+                                bulk=row.bulk, **kwargs)
     out.emit(*map(family, rows))
 
 

@@ -12,8 +12,10 @@ headroom-protected subspace outright (side "right"), a strictly stronger
 statement than the two-sided check.  A relation whose operands all act on
 one factor of the basis index (fermion or boson, as ladders and anyons do)
 runs on that factor, under that factor's part of the same bulk.  A weight
-relation is read off its operator's entries; the Hopf oracle is decided on
-the entries of its one product Y E, which both of its forms scale.
+relation is read off its operator's entries, each operator checked once
+against all its Cartan vectors; the Hopf oracle is decided on the entries of
+its one product Y E, which both of its forms scale, its coefficient
+tabulated once per exponent.
 """
 
 from __future__ import annotations
@@ -139,13 +141,14 @@ def _chevalley_relations(out: SuiteReports, gs: GeneratorSet, ids):
                        float(np.abs(h[al] * h[be] - h[be] * h[al]).max()),
                        params={"alpha": al, "beta": be})
 
-    for al in range(R + 1):
-        for be in range(R + 1):
-            for s in ("+", "-"):
-                out.emit(out.check_weights(
-                    [f"{eq_b}[{al},{be},{s}]"], gs.E[(be, s)], h[al], _sig(s) * a[al][be],
-                    bulk=(1, 0) if 0 in (al, be) else None,
-                    params=[{"alpha": al, "beta": be, "sign": s}]))
+    # each generator against every h_alpha at once, reported alpha-major
+    nodes, signs = range(R + 1), ("+", "-")
+    weights = {(be, s): out.check_weights(
+        [f"{eq_b}[{al},{be},{s}]" for al in nodes], gs.E[(be, s)],
+        [(h[al], _sig(s) * a[al][be], (1, 0) if 0 in (al, be) else None) for al in nodes],
+        params=[{"alpha": al, "beta": be, "sign": s} for al in nodes])
+        for be in nodes for s in signs}
+    out.reports += [weights[be, s][al] for al in nodes for be in nodes for s in signs]
 
     for al in range(R + 1):
         for be in range(R + 1):
@@ -487,12 +490,11 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
     for base in roots:
         for m in (-1, 0, 1):
             lab = dataclasses.replace(base, m=m)
-            e = cartan_weyl_generators(basis, lab)
-            for a_, h in h0.items():
-                w = root_weight(cfg.M, cfg.N, a_, lab)
-                out.emit(out.check_weights(
-                    [f"eq1b[{lab},a={a_}]"], e, h, w, bulk=(abs(m), 0) if m else None,
-                    params=[{"root": str(lab), "a": a_, "weight": w}]))
+            w = {a_: root_weight(cfg.M, cfg.N, a_, lab) for a_ in h0}
+            out.reports += out.check_weights(
+                [f"eq1b[{lab},a={a_}]" for a_ in h0], cartan_weyl_generators(basis, lab),
+                [(h, w[a_], (abs(m), 0) if m else None) for a_, h in h0.items()],
+                params=[{"root": str(lab), "a": a_, "weight": w[a_]} for a_ in h0])
 
     # anomaly scalar of [h^m, h^-m] on the bulk
     lambdas = {}

@@ -3,7 +3,7 @@ import gc
 import inspect
 import re
 import weakref
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from anyonrep.algebra import (
     compose_roots,
     local_e,
 )
-from anyonrep import fock, verify
+from anyonrep import fock, report, verify
 from anyonrep.oscillators import number_factor, suite_oscillators
 from anyonrep.fock import (
     Corruption,
@@ -36,6 +36,7 @@ from anyonrep.fock import (
 from anyonrep.report import (
     CATALOG,
     SuiteReports,
+    bulk_label,
     check_identity,
     not_applicable,
     reports_ok,
@@ -244,6 +245,9 @@ def test_check_identity_reduces_one_residual_per_block():
                              params=[{"k": 0}, None, {"k": 2}])
     assert [(r.relation_id, r.residual, r.passed, r.params) for r in reports] == [
         ("a", 0.0, True, {"k": 0}), ("b", 1.0, False, {}), ("c", 0.5, True, {"k": 2})]
+    # no rhs is a zero right side
+    assert [r.residual for r in check_identity(["a", "b", "c"], "-", lhs, tol=0.75)] == [
+        0.0, 1.0, 2.0]
 
 
 def test_check_identity_takes_restricted_operands_only():
@@ -366,9 +370,10 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
         seen.append((self, relation_ids, lhs, rhs, None, kwargs, reports))
         return reports
 
-    def recording_weights(self, relation_ids, x, h, w, **kwargs):
-        reports = check_weights(self, relation_ids, x, h, w, **kwargs)
-        seen.append((self, relation_ids, x, None, (h, w), kwargs, reports))
+    def recording_weights(self, relation_ids, x, weights, **kwargs):
+        reports = check_weights(self, relation_ids, x, weights, **kwargs)
+        [weight] = weights
+        seen.append((self, relation_ids, x, None, weight, kwargs, reports))
         return reports
 
     _cached_basis.cache_clear()
@@ -390,11 +395,12 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
                 ones[0].check(rid, x, _block(rhs, n, j), **dict(kwargs, params=ps))
                 continue
             weighed.add(family)
-            h, w = weight
+            h, w, bulk = weight
             h = h[j * x.shape[0]:(j + 1) * x.shape[0]]
-            ones[0].emit(ones[0].check_weights([rid], x, h, w, **dict(kwargs, params=[ps])))
+            ones[0].emit(ones[0].check_weights([rid], x, [(h, w, bulk)],
+                                               **dict(kwargs, params=[ps])))
             ones[1].check(rid, fock.scale_rows(x, h) - fock.scale_columns(x, h), x * w,
-                          **dict(kwargs, params=ps))
+                          bulk=bulk, **dict(kwargs, params=ps))
         for one in ones[:1 if weight is None else 2]:
             assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in one.reports]
             strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
@@ -595,22 +601,22 @@ def test_weight_scaling_equals_cartan_commutator(cfg):
 
 
 def _weight_cases(cfg):
-    """(suite, ids, x, h, w, kwargs) of three weight checks: a full-dimension
-    generator under the bulk (1, 0) (eq7b), the q-boson family stacked over
-    its modes, w = -1 (eq49d), and stacked over mode pairs, w = 0 (eq49d0)."""
+    """(suite, ids, x, h, w, bulk, factor) of three weight checks: a
+    full-dimension generator under the bulk (1, 0) (eq7b), the q-boson family
+    stacked over its modes, w = -1 (eq49d), and stacked over mode pairs,
+    w = 0 (eq49d0)."""
     gs = cached_generators(cfg, True)
     basis = cached_basis(cfg)
     ms = basis.boson_modes
     pairs = [(m1, m2) for m1 in ms for m2 in ms if m1 != m2]
-    bosons = {"factor": fock.BOSON}
     return [("quantum", [f"eq7b[0,{be},+]"], gs.E[(be, "+")], gs.h(0), gs.cartan.a[0][be],
-             {"bulk": (1, 0)}) for be in gs.H] + [
+             (1, 0), None) for be in gs.H] + [
         ("oscillators", [f"eq49d[{m}]" for m in ms],
          basis.stack([fock.ladder(cfg, basis, m) for m in ms]),
-         np.concatenate([number_factor(basis, m) for m in ms]), -1, bosons),
+         np.concatenate([number_factor(basis, m) for m in ms]), -1, None, fock.BOSON),
         ("oscillators", [f"eq49d0[{m1},{m2}]" for m1, m2 in pairs],
          basis.stack([fock.ladder(cfg, basis, m2) for _, m2 in pairs]),
-         np.concatenate([number_factor(basis, m1) for m1, _ in pairs]), 0, bosons)]
+         np.concatenate([number_factor(basis, m1) for m1, _ in pairs]), 0, None, fock.BOSON)]
 
 
 @pytest.mark.parametrize("cfg", CFG22_Q + [CFG21_S4], ids=["nu", "real-q", "S4"])
@@ -619,12 +625,12 @@ def test_check_weights_equals_the_sparse_form(cfg):
     report is the one of the sparse form scale_rows - scale_columns against
     w x, the residual equal by float.hex, at the true weight and one off."""
     basis = cached_basis(cfg)
-    for suite, ids, x, h, w, kwargs in _weight_cases(cfg):
+    for suite, ids, x, h, w, bulk, factor in _weight_cases(cfg):
         out = SuiteReports(suite, cfg.tol, basis)
         for weight in (w, w + 1):
-            reports = out.check_weights(ids, x, h, weight, **kwargs)
+            reports = out.check_weights(ids, x, [(h, weight, bulk)], factor=factor)
             sparse = out.check_family(ids, fock.scale_rows(x, h) - fock.scale_columns(x, h),
-                                      x * weight, **kwargs)
+                                      x * weight, bulk=bulk, factor=factor)
             assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in sparse]
             strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
                      for r in reports + sparse]
@@ -636,18 +642,152 @@ def test_check_weights_sees_a_weight_off_by_one():
     -x, so the residual is max |x| on the bulk, to rounding, and the check
     fails."""
     basis = cached_basis(CFG21_S4)
-    for suite, ids, x, h, w, kwargs in _weight_cases(CFG21_S4):
+    for suite, ids, x, h, w, bulk, factor in _weight_cases(CFG21_S4):
         out = SuiteReports(suite, CFG21_S4.tol, basis)
         n, r = len(ids), x.shape[0] // len(ids)
-        mask = (np.tile(out.mask(kwargs["bulk"]), n) if "bulk" in kwargs
+        mask = (np.tile(out.mask(bulk), n) if bulk
                 else np.ones(x.shape[0], dtype=bool))
         peaks = [np.abs(restrict(x[j * r:(j + 1) * r, j * r:(j + 1) * r],
                                  mask[j * r:(j + 1) * r]).data).max(initial=0.0)
                  for j in range(n)]
-        assert all(rep.passed for rep in out.check_weights(ids, x, h, w, **kwargs))
-        reports = out.check_weights(ids, x, h, w + 1, **kwargs)
+        assert all(rep.passed for rep in out.check_weights(ids, x, [(h, w, bulk)],
+                                                           factor=factor))
+        reports = out.check_weights(ids, x, [(h, w + 1, bulk)], factor=factor)
         assert min(peaks) > 0 and not any(rep.passed for rep in reports)
         assert [rep.residual for rep in reports] == pytest.approx(peaks, rel=1e-15), ids[0]
+
+
+def _reference_weights(self, relation_ids, x, weights, *, factor=None, params=None):
+    """check_weights one relation at a time, as the defect CSR of each weight
+    reduced by check_identity against a zero right side: the per-relation
+    arithmetic the grouped passes replace."""
+    bands, starts = len(relation_ids) // len(weights), np.diff(x.indptr)
+    reports = []
+    for k, (h, w, bulk) in enumerate(weights):
+        block = slice(k * bands, (k + 1) * bands)
+        ids = relation_ids[block]
+        defect = (np.multiply(x.data, np.repeat(h, starts))
+                  - np.multiply(x.data, h[x.indices])) - x.data * w
+        if bulk is not None:
+            mask = np.tile(self.mask(bulk, factor), bands)
+            defect[~(np.repeat(mask, starts) & mask[x.indices])] = 0
+        reports += check_identity(
+            ids, self.equation(ids[0]), sp.csr_matrix((defect, x.indices, x.indptr), x.shape),
+            sp.csr_matrix(x.shape, dtype=complex), tol=self.tol, label=bulk_label(bulk),
+            params=params and params[block])
+    return reports
+
+
+def _reference_scalings(self, relation_id, x, h, closed, hopf, *, bulk=None, params=None):
+    """check_scalings with q_power taken on every entry of Y E, the defect a CSR
+    reduced by check_identity."""
+    mask = None if bulk is None else self.mask(bulk)
+    x, h = restrict(x, mask), h if mask is None else h[mask]
+    defect = x.data * (closed - hopf(np.repeat(h, np.diff(x.indptr)) - h[x.indices]))
+    self.reports += check_identity(
+        [relation_id], self.equation(relation_id),
+        sp.csr_matrix((defect, x.indices, x.indptr), x.shape), tol=self.tol,
+        label=bulk_label(bulk), params=[params])
+
+
+ENTRYWISE = ("eq7b", "eq2b", "eq1b", "eq12-oracle", "eq49d", "eq49e", "eq49d0")
+
+
+@pytest.mark.parametrize("corrupt", ["none", "weight", "exponent"])
+@pytest.mark.parametrize("ordering", ["sea", "empty"])
+def test_entrywise_families_equal_the_per_relation_arithmetic(ordering, corrupt, monkeypatch):
+    """Every weight and Hopf-oracle report equals the one the per-relation
+    arithmetic gives (one defect CSR per weight through check_identity, q_power
+    on every entry of Y E): the same fields and the residual equal by
+    float.hex.  A weight w + 1 or an antipode exponent e + 1 makes the
+    residuals nonzero, so those are compared too.  A weight pass is cut into
+    pieces shorter than these operators, so each pass spans several."""
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, ordering=(ordering,), nu=0.3)
+    monkeypatch.setattr(report, "_PIECE", 1000)
+    shift = 1 if corrupt == "weight" else 0
+    if corrupt == "exponent":
+        form = verify.hopf_form
+
+        def wrong_exponent(*args):
+            X, sgn, e, h = form(*args)
+            return X, sgn, e + 1, h
+        monkeypatch.setattr(verify, "hopf_form", wrong_exponent)
+
+    def entrywise(weights, scalings):
+        def shifted(self, relation_ids, x, ws, **kwargs):
+            return weights(self, relation_ids, x, [(h, w + shift, b) for h, w, b in ws],
+                           **kwargs)
+        monkeypatch.setattr(SuiteReports, "check_weights", shifted)
+        monkeypatch.setattr(SuiteReports, "check_scalings", scalings)
+        _cached_basis.cache_clear()
+        names = ["oscillators", "quantum", "serre", "undeformed", "cartanweyl"]
+        return [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                for reps in run_suites(cfg, names).values() for r in reps
+                if r.relation_id.split("[", 1)[0] in ENTRYWISE]
+
+    got = entrywise(SuiteReports.check_weights, SuiteReports.check_scalings)
+    want = entrywise(_reference_weights, _reference_scalings)
+    assert [r["residual"].hex() for r in got] == [r["residual"].hex() for r in want]
+    assert got == want
+    assert {r["relation_id"].split("[", 1)[0] for r in got} == set(ENTRYWISE)
+    failing = {r["relation_id"].split("[", 1)[0] for r in got if not r["passed"]}
+    assert failing == {"none": set(), "weight": set(ENTRYWISE) - {"eq12-oracle"},
+                       "exponent": {"eq12-oracle"}}[corrupt]
+
+
+def test_entrywise_checks_sort_nothing_and_tabulate_each_exponent_once(monkeypatch):
+    """A weight or oracle check forms no CSR to reduce: it reaches neither
+    scipy's index sort or duplicate sum nor check_identity, which other checks
+    do reach.  The oracle hands q_power one exponent per half-step in range,
+    never one per entry, and check_weights takes each operator once, with all
+    its Cartan vectors."""
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    where, hits, exponents, operators = [None], Counter(), [], defaultdict(list)
+
+    def hook(owner, name, record):
+        original = getattr(owner, name)
+
+        def hooked(*args, **kwargs):
+            record(*args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, hooked)
+
+    for owner, name in ((compressed, "csr_sort_indices"), (report, "check_identity"),
+                        (compressed._cs_matrix, "sum_duplicates")):
+        hook(owner, name, lambda *args, name=name: hits.update([(where[0], name)]))
+    hook(verify, "q_power", lambda q, x: where[0] and exponents.append(np.asarray(x)))
+    for name in ("check_weights", "check_scalings"):
+        def check(self, *args, _name=name, _check=getattr(SuiteReports, name), **kwargs):
+            if _name == "check_weights":
+                operators[self.suite].append(args[1])
+            where[0] = _name
+            try:
+                return _check(self, *args, **kwargs)
+            finally:
+                where[0] = None
+        monkeypatch.setattr(SuiteReports, name, check)
+    _cached_basis.cache_clear()
+    run_suites(cfg, ["quantum", "undeformed", "cartanweyl", "serre"])
+    assert {name for place, name in hits if place is None} == {
+        "csr_sort_indices", "check_identity", "sum_duplicates"}
+    assert not [(place, name) for place, name in hits if place is not None]
+    steps = [2 * x for x in exponents if x.ndim]
+    assert len(steps) == 2 * cfg.R * (cfg.R + 1)
+    assert all(len(k) <= k.max() - k.min() + 1 for k in steps)
+    roots = cfg.R + 1  # the simple roots 1..R and one affine root, each at m = -1, 0, 1
+    assert {suite: len(xs) for suite, xs in operators.items()} == {
+        "quantum": 2 * (cfg.R + 1), "undeformed": 2 * (cfg.R + 1), "cartanweyl": 3 * roots}
+    assert all(len({id(x) for x in xs}) == len(xs) for xs in operators.values())
+
+
+def test_the_oracle_refuses_a_diagonal_off_the_half_integers(cfg21):
+    """check_scalings reads h in half-steps: a diagonal that is not
+    half-integral is refused, not truncated."""
+    basis = cached_basis(cfg21)
+    out = SuiteReports("serre", cfg21.tol, basis)
+    with pytest.raises(ValueError, match="half-integral"):
+        out.check_scalings("eq12-oracle[1,2,+]", identity_op(basis),
+                           np.arange(basis.dim) / 3, 1.0, lambda d: d)
 
 
 def _ad_q_hopf_diagonal_matrices(gs, alpha, Y, grade_of_Y, sign):
