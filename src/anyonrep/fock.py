@@ -378,13 +378,11 @@ class FockBasis:
         idx, cx, cy = self._idx, np.diff(x.indptr), np.diff(y.indptr)
         indptr = y.nnz * x.indptr[:-1, None].astype(idx) + np.outer(cx, y.indptr[:-1])
         indices = (x.indices[:, None].astype(idx) * self.NB + y.indices).ravel()
-        u, v = x.data[:, None], y.data
         if one:  # a product with 1 adds each entry to zero
-            data = 0.0 + np.broadcast_to(v if x is self._one[FERMION] else u, (x.nnz, y.nnz))
+            data = 0.0 + np.broadcast_to(y.data if x is self._one[FERMION] else x.data[:, None],
+                                         (x.nnz, y.nnz))
         else:
-            data = np.empty((x.nnz, y.nnz), dtype=complex)
-            data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
-            data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
+            data = entry_products(x.data, y.data)
         data = data.ravel()
         if cx.max(initial=0) > 1:
             # entry p of row f (x) entry s of row b is entry p*cy[b] + s of
@@ -433,10 +431,6 @@ class FockBasis:
             if mode.kind == FERMION and mode.site < 0:
                 return 1
         return 0
-
-    def vacuum_index(self) -> int:
-        f_occ = [self.vacuum_occupation(m) for m in self.fermion_modes]
-        return self.index_for(f_occ, [0] * self.B)
 
 
 def build_basis(cfg: LatticeConfig) -> FockBasis:
@@ -527,6 +521,17 @@ def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
 # ---------------------------------------------------------------------------
 # combinators
 # ---------------------------------------------------------------------------
+
+def entry_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_i v_j for every pair, shape (len(u), len(v)), as scipy forms a
+    product entry of one term: real and imaginary parts each rounded
+    separately and added to zero."""
+    u = u[:, None]
+    data = np.empty((len(u), len(v)), dtype=complex)
+    data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
+    data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
+    return data
+
 
 def op_adjoint(x: sp.spmatrix) -> sp.csr_matrix:
     return x.conjugate().transpose().tocsr()

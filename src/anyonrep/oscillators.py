@@ -185,21 +185,22 @@ def _canonical_relations(basis: FockBasis) -> list[RelationReport]:
         out.emit(family([i + "+]" for i in ids], [(1, x, yd), (sign, yd, x)], one, bulk=bulk),
                  family([i + "]" for i in ids], [(1, x, y), (sign, y, x)]))
 
-    # the mixed pairs are X (x) Y in both orders, checked on the whole basis
-    lc = {m: basis.lift(FERMION, ops[m]) for m in basis.fermion_modes[:4]}
-    ld = {m: (basis.lift(BOSON, ops[m]), basis.lift(BOSON, dag[m])) for m in basis.boson_modes[:4]}
-    for mf, c in lc.items():
-        for mb, (d, dd) in ld.items():
-            out.check(f"eq30[{mf},{mb}]", commutator(c, d), params=_params((mf, mb)))
-            out.check(f"eq30[{mf},{mb}+]", commutator(c, dd), params=_params((mf, mb)))
+    # the mixed pairs [c (x) 1, 1 (x) d] and [c (x) 1, 1 (x) d^dag], on the factors
+    mixed = [(mf, mb, dagger) for mf in basis.fermion_modes[:4]
+             for mb in basis.boson_modes[:4] for dagger in (False, True)]
+    out.reports += out.check_factor_commutators(
+        [f"eq30[{mf},{mb}{'+' if dagger else ''}]" for mf, mb, dagger in mixed],
+        [(ops[mf], (dag if dagger else ops)[mb]) for mf, mb, dagger in mixed],
+        params=[_params((mf, mb)) for mf, mb, _ in mixed])
     return out.reports
 
 
 def suite_oscillators(cfg: LatticeConfig) -> list[RelationReport]:
     """Canonical (anti)commutators, mixed commutativity, and the q-boson rows
     :data:`Q_BOSON`; relations that raise boson number run with boson headroom
-    1.  Every relation but the mixed eq30 acts on one factor of the basis index
-    and is checked there, each family stacked over its modes or mode pairs.
+    1.  Every relation is checked on the factors of the basis index: each
+    single-statistics family on its factor, stacked over its modes or mode
+    pairs, and the mixed eq30 on the entries of its fermion and boson ladders.
     The first three read no q and are checked once per basis, before the rest."""
     basis = cached_basis(cfg)
     canonical = basis.memo(basis.cfg, ("canonical",), lambda: _canonical_relations(basis))

@@ -11,13 +11,17 @@ A relation id is a family id, optionally followed by an index in brackets
 through :class:`SuiteReports`, which takes the equation tag from there.
 A check's products, the braiding and q-boson rows' (``oscillators.Row``)
 included, are formed in :func:`restrict` alone, restricted to its bulk before
-they are multiplied, with the residual of the full products.  A family, one
-relation over many operand tuples, is checked at once on block-diagonal
-stacks, one residual per block (:meth:`SuiteReports.check_family`); one
-relation is the one-block case; a zero right side is no matrix.  The
+they are multiplied, with the residual of the full products; a
+:class:`SuiteReports` keeps each product factor's restriction, each tiled
+mask and each Cartan diagonal's half-steps for one suite call, and no
+longer.  A family, one relation over many operand tuples, is checked at once
+on block-diagonal stacks, one residual per block
+(:meth:`SuiteReports.check_family`); one relation is the one-block case; a
+zero right side is no matrix.  The
 weights and the Hopf oracle are decided on one operator's stored entries, one
 pass per relation reduced there, with no sparse matrix: an operator is taken
 once with all its Cartan vectors, and the oracle tabulated once per exponent.
+The mixed eq30 is read off the entries of its fermion and boson factors.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, bulk_mask
+from .fock import FockBasis, bulk_mask, entry_products
 
 
 @dataclass
@@ -80,31 +84,51 @@ def bulk_label(bulk: tuple[int, int] | None, side: str = "both") -> str:
             + (",right" if side == "right" else ""))
 
 
-def restrict(terms, mask: np.ndarray | None = None, side: str = "both") -> sp.csr_matrix:
+def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
+             kept: dict | None = None) -> sp.csr_matrix:
     """The sum of ``terms`` on the masked columns, and for side "both" the
     masked rows.  ``terms`` is a matrix X or a list of products
     (c, X1, ..., Xn), meaning c X1 ... Xn, added in order.  Side "both" forms
     each left to right from X1[mask] and masks the columns once, of the sum
     (no full-dimension factor is column-indexed); side "right" right to left
     from Xn[:, mask].  Entry (i, j) of X Y sums over row i of X in one order
-    whatever other rows X or columns Y have: each kept entry is the full one."""
+    whatever other rows X or columns Y have: each kept entry is the full one.
+    A product of the same factors is formed once per call.  ``kept`` holds
+    the restricted X1 or Xn of each product, with X1 or Xn and the mask, for
+    as long as its owner keeps it (default: this call); a restriction in it
+    is never returned, so never changed in place."""
     if side not in ("both", "right"):
         raise ValueError(f"unknown projector side {side!r}")
     if sp.issparse(terms):
         terms = [(1, terms)]
-    total = None
-    for c, *factors in terms:
-        if mask is not None and side == "right":
-            factors[-1] = factors[-1][:, mask]
-        elif mask is not None:
-            factors[0] = factors[0][mask]
-        x, *rest = factors if side == "both" else factors[::-1]
-        for f in rest:
-            x = x @ f if side == "both" else f @ x
+    kept = {} if kept is None else kept
+    keys = [tuple(map(id, factors)) for _, *factors in terms]
+    formed, total = {}, None
+    for key, (c, *factors) in zip(keys, terms):
+        x = formed.get(key)
+        if x is None:
+            if side == "right":
+                factors = factors[::-1]
+            if mask is not None:  # a lone matrix (a right side) multiplies nothing: not kept
+                factors[0] = _part(kept if factors[1:] else {}, factors[0], mask, side)
+            x, *rest = factors
+            for f in rest:
+                x = x @ f if side == "both" else f @ x
+            if keys.count(key) > 1:
+                formed[key] = x
         if c != 1:
             x = c * x
         total = x if total is None else total + x
     return (total if mask is None or side == "right" else total[:, mask]).tocsr()
+
+
+def _part(kept: dict, x: sp.csr_matrix, mask: np.ndarray, side: str) -> sp.csr_matrix:
+    """x's rows in the mask (side "right": its columns), once per ``kept``;
+    the entry holds x and the mask, so their ids stay theirs."""
+    key = ("part", id(x), id(mask), side)
+    if key not in kept:
+        kept[key] = x, mask, x[:, mask] if side == "right" else x[mask]
+    return kept[key][2]
 
 
 def check_identity(relation_ids: list[str], equation: str, lhs: sp.spmatrix,
@@ -158,6 +182,15 @@ def _timed(t0: float, reports: list[RelationReport]) -> list[RelationReport]:
     for report in reports:
         report.wall_time = wall_time
     return reports
+
+
+def _half_steps(h: np.ndarray) -> np.ndarray:
+    """2 h as integers; a diagonal that is not half-integral is refused."""
+    steps = 2 * h
+    half = steps.astype(np.intp)
+    if (half != steps).any():
+        raise ValueError("a Cartan diagonal must be half-integral")
+    return half
 
 
 def not_applicable(relation_id: str, equation: str, reason: str) -> RelationReport:
@@ -271,6 +304,11 @@ class SuiteReports:
     ``factor=FERMION`` or ``BOSON``, and is restricted to that factor's bulk.
     Emitting a family that the catalog does not declare for this suite
     raises ``KeyError``.
+
+    One instance serves one suite call, and keeps for that call what its
+    checks share: each tiled mask, each product factor's bulk rows or columns
+    (:func:`restrict`) and each Cartan diagonal's half-steps.  Nothing of it
+    outlives the instance, and nothing goes into the basis memo.
     """
 
     def __init__(self, suite: str, tol: float, basis: FockBasis | None = None):
@@ -278,6 +316,13 @@ class SuiteReports:
         self.tol = tol
         self.basis = basis
         self.reports: list[RelationReport] = []
+        self._kept = {}
+
+    def _keep(self, key, build):
+        """``build()`` once per key for the life of this instance."""
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
 
     def equation(self, relation_id: str) -> str:
         family = relation_id.split("[", 1)[0]
@@ -294,6 +339,21 @@ class SuiteReports:
         return self.basis.memo(self.basis.cfg, ("mask", bulk, factor),
                                lambda: bulk_mask(self.basis, *bulk, factor=factor))
 
+    def _tiled(self, bulk: tuple[int, int] | None, factor: str | None = None,
+               blocks: int = 1) -> np.ndarray | None:
+        """The mask of ``bulk`` on each of ``blocks`` stacked blocks (None
+        without a bulk), tiled once per suite call."""
+        if bulk is None:
+            return None
+        return self._keep(("mask", bulk, factor, blocks),
+                          lambda: np.tile(self.mask(bulk, factor), blocks))
+
+    def restrict(self, terms, bulk: tuple[int, int] | None = None, side: str = "both",
+                 factor: str | None = None, blocks: int = 1) -> sp.csr_matrix:
+        """:func:`restrict` to the bulk on each of ``blocks`` blocks, with the
+        factor restrictions this suite call keeps."""
+        return restrict(terms, self._tiled(bulk, factor, blocks), side, self._kept)
+
     def check(self, relation_id: str, lhs, rhs=None, *, params=None, **kwargs):
         """Emit one relation: the one-block :meth:`check_family`."""
         self.reports += self.check_family([relation_id], lhs, rhs, params=[params], **kwargs)
@@ -307,15 +367,14 @@ class SuiteReports:
         blocks, a matrix or products of stacks restricted to each block's bulk
         by :func:`restrict`; ``rhs`` defaults to zero.  Each report's wall
         time is the family's, forming its products included, over its blocks."""
-        t0 = time.perf_counter()
-        mask = None if bulk is None else np.tile(self.mask(bulk, factor), len(relation_ids))
-        lhs, equation = restrict(lhs, mask, side), self.equation(relation_ids[0])
+        t0, on_bulk = time.perf_counter(), (bulk, side, factor, len(relation_ids))
+        lhs, equation = self.restrict(lhs, *on_bulk), self.equation(relation_ids[0])
         kwargs.update(tol=self.tol if tol is None else tol, label=bulk_label(bulk, side))
         if rhs is None:  # no zero matrix: perfbench's check_identity observer reads rhs.nnz
             reports = _make_reports(relation_ids, equation,
                                     _residuals(lhs, len(relation_ids)), **kwargs)
         else:
-            reports = check_identity(relation_ids, equation, lhs, restrict(rhs, mask, side),
+            reports = check_identity(relation_ids, equation, lhs, self.restrict(rhs, *on_bulk),
                                      **kwargs)
         return _timed(t0, reports)
 
@@ -334,7 +393,7 @@ class SuiteReports:
         starts = x.indptr[::x.shape[0] // bands]
         entries = {None: (x.data, rows, x.indices, starts)}
         for bulk in dict.fromkeys(bulk for _, _, bulk in weights if bulk is not None):
-            mask = np.tile(self.mask(bulk, factor), bands)
+            mask = self._tiled(bulk, factor, bands)
             kept = np.flatnonzero(mask[rows] & mask[x.indices])
             entries[bulk] = (x.data[kept], rows[kept], x.indices[kept],
                              np.searchsorted(kept, starts))
@@ -352,17 +411,16 @@ class SuiteReports:
                                      label=bulk_label(bulk), params=params and params[block])
         return _timed(t0, reports)
 
-    def check_scalings(self, relation_id, x, h, closed, hopf, *, bulk=None, params=None):
+    def check_scalings(self, relation_id, x, h, closed, hopf, *, node, bulk=None, params=None):
         """Emit closed x = hopf(h[row] - h[column]) x, decided entry by entry on
-        the one product x, formed by :func:`restrict` on the bulk.  h is read in
-        half-steps: closed - hopf is evaluated once per half-step d in range, on
-        d / 2, and gathered per entry."""
-        t0, mask = time.perf_counter(), None if bulk is None else self.mask(bulk)
-        x = restrict(x, mask)
-        steps = 2 * (h if mask is None else h[mask])
-        half = steps.astype(np.intp)
-        if (half != steps).any():
-            raise ValueError("a Cartan diagonal must be half-integral")
+        the one product x, formed by :func:`restrict` on the bulk.  h, the
+        Cartan diagonal of ``node``, is read in half-steps once per node and
+        bulk in this suite call; closed - hopf is evaluated once per half-step
+        d in range, on d / 2, and gathered per entry."""
+        t0, mask = time.perf_counter(), self._tiled(bulk)
+        x = self.restrict(x, bulk)
+        half = self._keep(("half-steps", node, bulk),
+                          lambda: _half_steps(h if mask is None else h[mask]))
         d = np.repeat(half, np.diff(x.indptr)) - half[x.indices]
         lo = d.min(initial=0)
         table = closed - hopf(np.arange(lo, d.max(initial=0) + 1) / 2)
@@ -370,6 +428,23 @@ class SuiteReports:
         self.reports += _timed(t0, _make_reports(
             [relation_id], self.equation(relation_id), [residual], tol=self.tol,
             label=bulk_label(bulk), params=[params]))
+
+    def check_factor_commutators(self, relation_ids: list[str], pairs, *,
+                                 params=None) -> list[RelationReport]:
+        """The reports, not yet emitted, of [x (x) 1, 1 (x) y] = 0 for each
+        (x, y) of ``pairs``, x on the fermion factor and y on the boson
+        factor, decided on the factors.  With no duplicate entries in x or y
+        (none in a ladder), entry ((f, b), (f', b')) of either whole-basis
+        product is the one term x_ff' y_bb' (y_bb' x_ff'), formed as scipy
+        forms it (:func:`fock.entry_products`), so the residual is read off
+        the stored entries of x and y: no lifted operand and no whole-basis
+        product is formed."""
+        t0 = time.perf_counter()
+        residuals = [float(np.abs(entry_products(x.data, y.data)
+                                  - entry_products(y.data, x.data).T).max(initial=0.0))
+                     for x, y in pairs]
+        return _timed(t0, _make_reports(relation_ids, self.equation(relation_ids[0]), residuals,
+                                        tol=self.tol, label=bulk_label(None), params=params))
 
     def emit(self, *families):
         """Emit the reports of families over the same blocks, block-major."""

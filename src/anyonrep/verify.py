@@ -65,7 +65,7 @@ from .fock import (
     zero_op,
 )
 from .oscillators import number_diag
-from .report import RelationReport, SuiteReports, restrict
+from .report import RelationReport, SuiteReports
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +95,6 @@ def hopf_form(genset: GeneratorSet, alpha: int, grade_of_Y: int, sign: str = "+"
     aa = genset.cartan.a[alpha][alpha]
     sgn = -1.0 if (genset.grade(alpha) * grade_of_Y) % 2 else 1.0
     return genset.script_e(alpha, sign), sgn, aa if sign == "+" else -aa, genset.h(alpha)
-
-
-def ad_q_hopf(genset: GeneratorSet, alpha: int, Y: sp.spmatrix,
-              grade_of_Y: int, sign: str = "+") -> list:
-    """The Hopf form (:func:`hopf_form`) as two products, q^{+-h} as scalings."""
-    X, sgn, exponent, h = hopf_form(genset, alpha, grade_of_Y, sign)
-    qa = genset.q_alpha(alpha)
-    SX = -q_power(qa, exponent) * scale_columns(X, q_power(qa, h))
-    return [(1, X, Y), (sgn, scale_rows(Y, q_power(qa, -h)), SX)]
 
 
 def _sig(sign: str) -> int:
@@ -287,7 +278,7 @@ def suite_serre(cfg: LatticeConfig) -> list[RelationReport]:
                 _, (closed, *YX) = ad_q(gs, al, Y, _sig(s) * ct.a[al][be], ct.parity[be], s)
                 _, sgn, e, h = hopf_form(gs, al, ct.parity[be], s)
                 out.check_scalings(f"eq12-oracle[{al},{be},{s}]", [(1, *YX)], h, closed,
-                                   lambda d: -sgn * q_power(gs.q_alpha(al), e - d),
+                                   lambda d: -sgn * q_power(gs.q_alpha(al), e - d), node=al,
                                    bulk=(1, _serre_headroom(cfg)) if al == 0 else None,
                                    params={"alpha": al, "beta": be, "sign": s})
 
@@ -505,7 +496,7 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
             continue
         hm = cartan_weyl_h(basis, 1, m)
         hmm = cartan_weyl_h(basis, 1, -m)
-        X = restrict(supercommutator(hm, hmm, 0, 0), out.mask((2, 0)))
+        X = out.restrict(supercommutator(hm, hmm, 0, 0), (2, 0))
         lam = complex(X.trace() / X.shape[0])
         lambdas[m] = lam
         res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
@@ -535,8 +526,8 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
         e1, e2, es = (cartan_weyl_generators(basis, r) for r in (r1, r2, rsum))
         # compositions of odd roots raise a boson in one ordering
         bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
-        X = restrict(supercommutator(e1, e2, r1.parity, r2.parity), out.mask(bulk))
-        Z = restrict(es, out.mask(bulk))
+        X = out.restrict(supercommutator(e1, e2, r1.parity, r2.parity), bulk)
+        Z = out.restrict(es, bulk)
         if Z.nnz == 0 or residual_norm(Z) < 1e-12:
             out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
                                "target vanishes on the bulk")

@@ -397,19 +397,22 @@ def test_q_free_parts_are_checked_once_per_basis(monkeypatch):
     reads q, and the oscillators' q-boson relations, runs at each of the
     three nu."""
     calls = Counter()
-    check_family = SuiteReports.check_family
 
-    def counted(self, relation_ids, *args, **kwargs):
-        for relation_id in relation_ids:
-            calls[self.suite, relation_id.split("[", 1)[0], relation_id] += 1
-        return check_family(self, relation_ids, *args, **kwargs)
+    def counting(check):
+        def counted(self, relation_ids, *args, **kwargs):
+            for relation_id in relation_ids:
+                calls[self.suite, relation_id.split("[", 1)[0], relation_id] += 1
+            return check(self, relation_ids, *args, **kwargs)
+        return counted
 
     _cached_basis.cache_clear()
-    monkeypatch.setattr(SuiteReports, "check_family", counted)
+    for name in ("check_family", "check_factor_commutators"):
+        monkeypatch.setattr(SuiteReports, name, counting(getattr(SuiteReports, name)))
     assert main(["verify", *SMALL, "--q-samples", "2", "--quiet"]) == EXIT_OK
     once = {(s, f) for s, f, _ in calls
             if s in ("undeformed", "cartanweyl", "central") or f in ("eq20", "eq21", "eq30")}
     assert {s for s, _ in once} == {"oscillators", "undeformed", "cartanweyl", "central"}
+    assert ("oscillators", "eq30") in once
     assert {s for s, _, _ in calls} == set(SUITES) - {"classical"}
     for (suite, family, rid), n in calls.items():
         assert n == (1 if (suite, family) in once else 3), rid

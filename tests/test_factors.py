@@ -17,6 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed as compressed
 
 from conftest import full_anyon, full_ladder, full_normal_number, kron_lift, string_exponent
 from anyonrep import algebra as alg
@@ -44,7 +45,7 @@ from anyonrep.fock import (
     scale_rows,
     zero_op,
 )
-from anyonrep.oscillators import number_diag, suite_oscillators
+from anyonrep.oscillators import _canonical_relations, number_diag, suite_oscillators
 from anyonrep.report import CATALOG, SuiteReports
 
 STACKS = [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
@@ -391,6 +392,8 @@ def _oscillator_oracle(cfg):
         (f"eq20[{f1},{f2}]", commutator(c1, c2, -1), None, None),
         (f"eq21[{m1},{m1}+]", commutator(d1, dd1), one, (0, 1)),
         (f"eq21[{m1},{m2}]", commutator(d1, d2), None, None),
+        (f"eq30[{f1},{m1}]", commutator(c1, d1), None, None),
+        (f"eq30[{f2},{m2}+]", commutator(c2, full_ladder(plain, basis, m2, True)), None, None),
         (f"eq49a[{m1}]", commutator(b, bd, q), diag_operator(q_power(q, -n)), (0, 1)),
         (f"eq49b[{m1}]", commutator(b, bd, q ** -1), diag_operator(q_power(q, n)), (0, 1)),
         (f"eq49d[{m1}]", scale_rows(b, n) - scale_columns(b, n), -1 * b, None),
@@ -472,8 +475,8 @@ def _braiding_oracle(cfg):
 def test_factor_checks_equal_the_full_dimension_oracle(cfg22, suite, corruption):
     """Each sampled relation, checked at full dimension from the lifted
     operands, has the suite's residual (compared by float.hex) and label.
-    The sample covers every family of the suite but the mixed eq30, and
-    under the disorder control the failing eq53 reports fail alike."""
+    The sample covers every family of the suite, the mixed eq30 included,
+    and under the disorder control the failing eq53 reports fail alike."""
     cfg = replace(cfg22, corruption=corruption)
     if suite == "oscillators":
         reports, oracle = suite_oscillators(cfg), _oscillator_oracle(cfg)
@@ -488,8 +491,50 @@ def test_factor_checks_equal_the_full_dimension_oracle(cfg22, suite, corruption)
         assert (got.residual.hex(), got.projector) == (ref.residual.hex(), ref.projector), \
             ref.relation_id
     sampled = {rid.split("[", 1)[0] for rid, *_ in oracle}
-    assert sampled == {fam for s, fam, _, _ in CATALOG if s == suite} - {"eq30"}
+    assert sampled == {fam for s, fam, _, _ in CATALOG if s == suite}
     assert any(r.residual > 0 for r in full.reports)
     failing = {r.relation_id.split("[", 1)[0] for r in full.reports if not r.passed}
     assert failing == ({"eq53a", "eq53b", "eq53c", "eq53d", "eq53ta", "eq53tb"}
                        if corruption else set())
+
+
+@pytest.mark.parametrize("cfg", [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+                                 LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+                                 LatticeConfig(M=2, N=1, S=2, K=2, n_max=2, nu=0.3,
+                                               ordering=("sea", "empty"))],
+                         ids=["M2N1S2", "M2N2S2", "sea,empty"])
+def test_eq30_on_its_factors_equals_the_whole_basis_check(cfg):
+    """eq30 decided on the entries of its two factor ladders has the residual
+    (by float.hex), label and order of the whole-basis check of the
+    commutator of the lifted ladders, the form it replaces."""
+    basis = cached_basis(cfg)
+    full = SuiteReports("oscillators", cfg.tol, basis)
+    for mf in basis.fermion_modes[:4]:
+        c = basis.lift(FERMION, ladder(basis.cfg, basis, mf))
+        for mb in basis.boson_modes[:4]:
+            for tag, dagger in (("", False), ("+", True)):
+                d = basis.lift(BOSON, ladder(basis.cfg, basis, mb, dagger))
+                full.check(f"eq30[{mf},{mb}{tag}]", commutator(c, d),
+                           params={"modes": [str(mf), str(mb)]})
+    got = [r for r in suite_oscillators(cfg) if r.relation_id.startswith("eq30[")]
+    assert len(got) == len(full.reports) == 2 * min(4, basis.F) * min(4, basis.B)
+    strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+             for r in got + full.reports]
+    assert strip[:len(got)] == strip[len(got):]
+    assert [r.residual.hex() for r in got] == [r.residual.hex() for r in full.reports]
+
+
+@pytest.mark.parametrize("cfg", STACKS, ids=STACK_IDS)
+def test_the_canonical_block_forms_no_whole_basis_product(cfg, monkeypatch):
+    """eq20, eq21 and eq30 form every product on a factor: none of the
+    whole basis's shape."""
+    shapes, matmat = [], compressed.csr_matmat
+
+    def recording(n_row, n_col, *arrays):
+        shapes.append((n_row, n_col))
+        return matmat(n_row, n_col, *arrays)
+
+    monkeypatch.setattr(compressed, "csr_matmat", recording)
+    basis = cached_basis(cfg)
+    _canonical_relations(basis)
+    assert shapes and (basis.dim, basis.dim) not in shapes

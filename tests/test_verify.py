@@ -46,7 +46,6 @@ from anyonrep.verify import (
     SUITES,
     _largest_entry,
     ad_q,
-    ad_q_hopf,
     run_suites,
     suite_cartan_weyl,
     suite_central_charge,
@@ -333,6 +332,57 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
             "eq21", "eq49a", "eq49b", "eq50b", "eq54a", "eq54b", "eq54ta"} <= families
 
 
+def test_kept_restrictions_give_the_fresh_reports_and_die_with_the_suite(cfg22, monkeypatch):
+    """A suite call keeps each product factor's bulk rows or columns: serre,
+    which restricts the same generators in many checks, reports the same
+    (residuals by float.hex) as with every restriction made afresh, and
+    indexes no operator twice with one mask, which fresh restrictions do.
+    Nothing kept outlives the suite: with the cyclic collector off, a weakref
+    to each kept restriction is dead once the suite returns."""
+    for deformed in (True, False):
+        gs = cached_generators(cfg22, deformed)
+        for key in gs.E:
+            gs.script_e(*key)
+    restrict, getitem = report.restrict, sp.csr_matrix.__getitem__
+    indexed, kept_parts = [], []
+
+    def recording(self, key):
+        rows = not isinstance(key, tuple)
+        mask = key if rows else key[1]
+        if isinstance(mask, np.ndarray):  # (the operator, the mask): no id is reused
+            indexed.append((self, mask, rows))
+        return getitem(self, key)
+
+    def keeping(terms, mask=None, side="both", kept=None):
+        out = restrict(terms, mask, side, kept)
+        kept_parts.extend(weakref.ref(v[-1]) for v in kept.values()
+                          if isinstance(v, tuple) and sp.issparse(v[-1]))
+        return out
+
+    def repeats():
+        counts = Counter((id(x), id(mask), rows) for x, mask, rows in indexed)
+        indexed.clear()
+        return max(counts.values())
+
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", recording)
+    monkeypatch.setattr(report, "restrict", keeping)
+    gc.disable()
+    try:
+        got = suite_serre(cfg22)
+        assert kept_parts and all(ref() is None for ref in kept_parts)
+    finally:
+        gc.enable()
+    assert repeats() == 1
+    monkeypatch.setattr(report, "restrict",
+                        lambda terms, mask=None, side="both", kept=None:
+                        restrict(terms, mask, side))
+    fresh = suite_serre(cfg22)
+    assert repeats() > 1
+    assert [r.residual.hex() for r in got] == [r.residual.hex() for r in fresh]
+    strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in got + fresh]
+    assert strip[:len(got)] == strip[len(got):]
+
+
 STACKED = {
     "M2N1S2": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
     "sea-empty": LatticeConfig(M=2, N=1, S=2, n_max=2, K=2, ordering=("sea", "empty"), nu=0.3),
@@ -360,10 +410,12 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     same fields.  A weight family (eq49d, eq49e, eq49d0) is also its blocks'
     sparse form [diag(h), x] - w x.  Covered: masked families (eq54a, eq21 at
     (0, 1)), a rhs that is 1 on some blocks and zero on others (eq20 with
-    m1 == m2) and the disorder control tripping eq53*."""
+    m1 == m2) and the disorder control tripping eq53*.  The mixed eq30 is
+    decided on its factors' entries, all its reports in one call."""
     cfg = dataclasses.replace(STACKED[name], corruption=corruption)
-    seen = []
+    seen, mixed = [], Counter()
     check_family, check_weights = SuiteReports.check_family, SuiteReports.check_weights
+    check_factor_commutators = SuiteReports.check_factor_commutators
 
     def recording(self, relation_ids, lhs, rhs=None, **kwargs):
         reports = check_family(self, relation_ids, lhs, rhs, **kwargs)
@@ -376,9 +428,14 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
         seen.append((self, relation_ids, x, None, weight, kwargs, reports))
         return reports
 
+    def recording_mixed(self, relation_ids, pairs, **kwargs):
+        mixed[self.suite, relation_ids[0].split("[", 1)[0]] += len(relation_ids)
+        return check_factor_commutators(self, relation_ids, pairs, **kwargs)
+
     _cached_basis.cache_clear()
     monkeypatch.setattr(SuiteReports, "check_family", recording)
     monkeypatch.setattr(SuiteReports, "check_weights", recording_weights)
+    monkeypatch.setattr(SuiteReports, "check_factor_commutators", recording_mixed)
     run_suites(cfg, ["oscillators", "braiding"])
     monkeypatch.undo()
     calls, stacked, masked, mixed_rhs, tripped = Counter(), set(), set(), set(), set()
@@ -416,7 +473,8 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     # one check per flavor (and form), a family over many blocks where it has them
     assert all(calls[key] <= 2 * max(cfg.M, cfg.N) for key in single_factor)
     basis = cached_basis(cfg)
-    assert calls["oscillators", "eq30"] == 2 * min(4, basis.F) * min(4, basis.B)
+    assert mixed == {("oscillators", "eq30"): 2 * min(4, basis.F) * min(4, basis.B)}
+    assert ("oscillators", "eq30") not in calls
     assert stacked == single_factor if cfg.K == 2 else stacked < single_factor
     assert weighed == {"eq49d", "eq49e", "eq49d0"}
     assert {("eq54a", (0, 1)), ("eq21", (0, 1))} <= masked
@@ -445,6 +503,15 @@ def test_not_applicable_reports_are_satisfied():
 # ---------------------------------------------------------------------------
 # quantum adjoint action
 # ---------------------------------------------------------------------------
+
+def ad_q_hopf(genset, alpha, Y, grade_of_Y, sign="+") -> list:
+    """The Hopf form (:func:`verify.hopf_form`) as two products, q^{+-h} as
+    scalings: the oracle the closed form ``ad_q`` is checked against."""
+    X, sgn, exponent, h = verify.hopf_form(genset, alpha, grade_of_Y, sign)
+    qa = genset.q_alpha(alpha)
+    SX = -fock.q_power(qa, exponent) * fock.scale_columns(X, fock.q_power(qa, h))
+    return [(1, X, Y), (sgn, fock.scale_rows(Y, fock.q_power(qa, -h)), SX)]
+
 
 def test_ad_q_matches_hopf_oracle(cfg22):
     gs = cached_generators(cfg22, True)
@@ -678,7 +745,8 @@ def _reference_weights(self, relation_ids, x, weights, *, factor=None, params=No
     return reports
 
 
-def _reference_scalings(self, relation_id, x, h, closed, hopf, *, bulk=None, params=None):
+def _reference_scalings(self, relation_id, x, h, closed, hopf, *, node, bulk=None,
+                        params=None):
     """check_scalings with q_power taken on every entry of Y E, the defect a CSR
     reduced by check_identity."""
     mask = None if bulk is None else self.mask(bulk)
@@ -787,7 +855,7 @@ def test_the_oracle_refuses_a_diagonal_off_the_half_integers(cfg21):
     out = SuiteReports("serre", cfg21.tol, basis)
     with pytest.raises(ValueError, match="half-integral"):
         out.check_scalings("eq12-oracle[1,2,+]", identity_op(basis),
-                           np.arange(basis.dim) / 3, 1.0, lambda d: d)
+                           np.arange(basis.dim) / 3, 1.0, lambda d: d, node=1)
 
 
 def _ad_q_hopf_diagonal_matrices(gs, alpha, Y, grade_of_Y, sign):
