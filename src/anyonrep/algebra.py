@@ -252,13 +252,27 @@ def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool):
         cfg, basis, mode, ("a" if mode.kind == FERMION else "A") + tilde, dagger)
 
 
+def _factors(op, r: ModeId, s: ModeId) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """op(r, True) and op(s, False), in this order if the modes share a
+    statistics, else the fermion one first, as :meth:`FockBasis.kron` takes them."""
+    x, y = op(r, True), op(s, False)
+    return (y, x) if r.kind != s.kind and r.kind == BOSON else (x, y)
+
+
 def _piece(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> sp.csr_matrix:
     """w op(r, True) op(s, False) on the smallest space that holds it: x @ y on
     the modes' shared factor, else their tensor product on the whole basis.
     w * p copies p, so a weight 1 is left out."""
-    x, y = op(r, True), op(s, False)
-    p = x @ y if r.kind == s.kind else basis.kron(x, y) if r.kind == FERMION else basis.kron(y, x)
+    x, y = _factors(op, r, s)
+    p = x @ y if r.kind == s.kind else basis.kron(x, y)
     return p if w == 1 else w * p
+
+
+def local_factors(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
+                  line: int, r: float, dressed: bool) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """The two oscillators of :func:`local_e`, each on its factor; at the
+    mixed nodes 0 and M the piece is their tensor product, fermion first."""
+    return _factors(_factor_ops(cfg, basis, sign, dressed), *_node_modes(cfg, alpha, line, r, sign))
 
 
 def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
@@ -324,26 +338,32 @@ class GeneratorSet:
         self._q_alpha = self.cartan.q_alpha(self.cfg)
 
 
+def cartan_generator(basis: FockBasis, alpha: int) -> sp.csr_matrix:
+    """H_alpha, its local diagonals summed on the node's factor and lifted
+    once.  It reads no q: built once per basis, one operator for every
+    generator set on it."""
+    def build():
+        cfg, space = basis.cfg, node_factor(basis.cfg, alpha)
+        hd = np.zeros(basis.size(space))
+        for line in cfg.lines:
+            for r in admissible_sites(cfg, alpha):
+                hd += _h_local_diag(basis, alpha, line, r)
+        return diag_operator(basis.lift(space, hd))
+    return basis.memo(basis.cfg, ("H", alpha), build)
+
+
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
                          deformed: bool = True) -> GeneratorSet:
     """Build H_alpha and E_alpha^+- as sums of local pieces over all lines.
     The plain set (not ``deformed``) is the q-boson set at ``basis.cfg``
-    (q = 1).  H_alpha reads no q: it is built once per basis."""
+    (q = 1).  H_alpha reads no q (:func:`cartan_generator`)."""
     if not deformed:
         cfg = basis.cfg
     cartan = cartan_data(cfg.M, cfg.N)
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
-        # each sum is formed on the node's factor and lifted once
-        space = node_factor(cfg, alpha)
         sites = [(line, r) for line in cfg.lines for r in admissible_sites(cfg, alpha)]
-
-        def cartan_h():
-            hd = np.zeros(basis.size(space))
-            for line, r in sites:
-                hd += _h_local_diag(basis, alpha, line, r)
-            return diag_operator(basis.lift(space, hd))
-        H[alpha] = basis.memo(basis.cfg, ("H", alpha), cartan_h)
+        H[alpha] = cartan_generator(basis, alpha)
         for sign in ("+", "-"):
             E[(alpha, sign)] = _bilinear_sum(
                 basis, [(1, *_node_modes(cfg, alpha, line, r, sign)) for line, r in sites],

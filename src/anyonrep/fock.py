@@ -343,17 +343,6 @@ class FockBasis:
     def boson_slot(self, mode: ModeId) -> int:
         return self._bslot[mode]
 
-    def occupations(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """(fermionic, bosonic) occupation vectors of one basis state."""
-        f, b = divmod(index, self.NB)
-        return self.f_occ[f].copy(), self.b_occ[b].copy()
-
-    def index_for(self, f_occ, b_occ) -> int:
-        f = int(np.dot(np.asarray(f_occ, dtype=np.int64), 2 ** np.arange(self.F)))
-        nb = self.cfg.n_max + 1
-        b = int(np.dot(np.asarray(b_occ, dtype=np.int64), nb ** np.arange(self.B)))
-        return f * self.NB + b
-
     def size(self, factor: str | None = None) -> int:
         """NF, NB, or for ``factor`` None the dimension of the whole basis."""
         return {FERMION: self.NF, BOSON: self.NB}.get(factor, self.dim)

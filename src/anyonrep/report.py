@@ -93,7 +93,10 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
     (no full-dimension factor is column-indexed); side "right" right to left
     from Xn[:, mask].  Entry (i, j) of X Y sums over row i of X in one order
     whatever other rows X or columns Y have: each kept entry is the full one.
-    A product of the same factors is formed once per call.  ``kept`` holds
+    A product of the same factors is formed once per call.  A product stops
+    at its first partial product with no entries and is left out of the sum,
+    to which it would add zero entry by entry; with every product left out
+    the sum is a fresh empty matrix of the restricted shape.  ``kept`` holds
     the restricted X1 or Xn of each product, with X1 or Xn and the mask, for
     as long as its owner keeps it (default: this call); a restriction in it
     is never returned, so never changed in place."""
@@ -113,12 +116,23 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
                 factors[0] = _part(kept if factors[1:] else {}, factors[0], mask, side)
             x, *rest = factors
             for f in rest:
+                if not x.nnz:
+                    break
                 x = x @ f if side == "both" else f @ x
             if keys.count(key) > 1:
                 formed[key] = x
+        if not x.nnz:  # adding it would add zero to each entry of the sum
+            continue
         if c != 1:
             x = c * x
         total = x if total is None else total + x
+    if total is None:  # every product left out
+        _, *factors = terms[0]
+        shape = factors[0].shape[0], factors[-1].shape[1]
+        if mask is not None:
+            k = int(mask.sum())
+            shape = k if side == "both" else shape[0], k
+        return sp.csr_matrix(shape, dtype=complex)
     return (total if mask is None or side == "right" else total[:, mask]).tocsr()
 
 
@@ -413,14 +427,15 @@ class SuiteReports:
 
     def check_scalings(self, relation_id, x, h, closed, hopf, *, node, bulk=None, params=None):
         """Emit closed x = hopf(h[row] - h[column]) x, decided entry by entry on
-        the one product x, formed by :func:`restrict` on the bulk.  h, the
-        Cartan diagonal of ``node``, is read in half-steps once per node and
-        bulk in this suite call; closed - hopf is evaluated once per half-step
-        d in range, on d / 2, and gathered per entry."""
+        the one product x, formed by :func:`restrict` on the bulk.  h() reads
+        the Cartan diagonal of ``node``: it is called, and the diagonal taken
+        in half-steps, once per node and bulk in this suite call; closed - hopf
+        is evaluated once per half-step d in range, on d / 2, and gathered per
+        entry."""
         t0, mask = time.perf_counter(), self._tiled(bulk)
         x = self.restrict(x, bulk)
         half = self._keep(("half-steps", node, bulk),
-                          lambda: _half_steps(h if mask is None else h[mask]))
+                          lambda: _half_steps(h() if mask is None else h()[mask]))
         d = np.repeat(half, np.diff(x.indptr)) - half[x.indices]
         lo = d.min(initial=0)
         table = closed - hopf(np.arange(lo, d.max(initial=0) + 1) / 2)

@@ -34,14 +34,15 @@ from .algebra import (
     _h_local_diag,
     admissible_sites,
     cached_generators,
+    cartan_generator,
     cartan_weyl_generators,
     cartan_weyl_h,
     cartan_weyl_h0_diag,
     central_charge_diag,
-    chevalley_generators,
     compose_roots,
     eq57_exponent,
     local_e,
+    local_factors,
     node_factor,
     root_weight,
 )
@@ -49,11 +50,13 @@ from .fock import (
     BOSON,
     FERMION,
     SEA,
+    FockBasis,
     LatticeConfig,
     ModeId,
     cached_basis,
     commutator,
     diag_operator,
+    entry_products,
     identity_op,
     op_adjoint,
     q_bracket,
@@ -91,10 +94,12 @@ def ad_q(genset: GeneratorSet, alpha: int, Y: sp.spmatrix, weight_of_Y,
 def hopf_form(genset: GeneratorSet, alpha: int, grade_of_Y: int, sign: str = "+"):
     """(ad_q E^s) Y = E Y + sgn q^{-h} Y S(E) by the coproduct E (x) 1 + q^{-h} (x) E
     and the antipode S(E^s) = -q^e E^s q^h, e = +-a_aa, with no weight bookkeeping,
-    as (E, sgn, e, h): sgn = (-1)^{deg alpha * deg Y}, h the diagonal of H_alpha."""
+    as (E, sgn, e, h): sgn = (-1)^{deg alpha * deg Y}, h() the diagonal of H_alpha,
+    read when called."""
     aa = genset.cartan.a[alpha][alpha]
     sgn = -1.0 if (genset.grade(alpha) * grade_of_Y) % 2 else 1.0
-    return genset.script_e(alpha, sign), sgn, aa if sign == "+" else -aa, genset.h(alpha)
+    return (genset.script_e(alpha, sign), sgn, aa if sign == "+" else -aa,
+            lambda: genset.h(alpha))
 
 
 def _sig(sign: str) -> int:
@@ -377,32 +382,79 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
 # classical limit
 # ---------------------------------------------------------------------------
 
-def _genset_distance(g1: GeneratorSet, g2: GeneratorSet) -> float:
-    """max |E_1 - E_2| over the generators: every set on a basis holds one H."""
-    return max(residual_norm(g1.E[key] - g2.E[key]) for key in g1.E)
+def _disjoint(x: sp.csr_matrix, blocks: int) -> bool:
+    """Whether no two of the ``blocks`` diagonal blocks of the stack x store an
+    entry at one position of their block."""
+    m = x.shape[0] // blocks
+    keys = np.repeat(np.arange(x.shape[0]) % m, np.diff(x.indptr)) * m + x.indices % m
+    return np.unique(keys).size == keys.size
+
+
+def _local_pieces(cfg: LatticeConfig, basis: FockBasis, dressed: bool) -> dict:
+    """The local pieces of the set at ``cfg`` (``dressed``: anyon-built, else
+    plain) by node and sign, as (operands, entries), one block of a stack
+    (:meth:`FockBasis.stack`) per site.  On a node of one statistics the
+    operand is the stack of the pieces, formed as one product of the stacks
+    of their two factors, and the entries are its own; at the mixed nodes 0
+    and M the operands are the stacks of the factors X and Y of each piece
+    X (x) Y, and the entries are the pieces' as ``FockBasis.kron`` forms
+    them (``fock.entry_products``)."""
+    out = {}
+    for alpha in range(cfg.R + 1):
+        for s in ("+", "-"):
+            xs, ys = zip(*(local_factors(cfg, basis, alpha, s, ln, r, dressed)
+                           for ln in cfg.lines for r in admissible_sites(cfg, alpha)))
+            x, y = basis.stack(xs), basis.stack(ys)
+            if node_factor(cfg, alpha) is None:
+                out[alpha, s] = (x, y), np.concatenate(
+                    [entry_products(u.data, v.data).ravel() for u, v in zip(xs, ys)])
+            else:
+                e = x @ y
+                out[alpha, s] = (e,), e.data
+    return out
+
+
+def _limit_distance(dressed: dict, plain: dict) -> float:
+    """max |E - E_plain| over the generators, read off their local pieces
+    (:func:`_local_pieces`): no generator is formed.  A dressed operand has
+    the pattern of its plain one (checked here), and of one operand the
+    plain pieces of different sites store no common position (checked by the
+    suite), so each entry of a generator is one piece's: the sum and the lift
+    add it to zero and the difference is taken entry by entry, so the
+    maximum is the whole generators' bit for bit."""
+    worst = 0.0
+    for key, (operands, entries) in dressed.items():
+        base, base_entries = plain[key]
+        if not all(np.array_equal(u.indptr, v.indptr) and np.array_equal(u.indices, v.indices)
+                   for u, v in zip(operands, base)):
+            raise ValueError(f"the dressed pieces of node {key[0]} leave the plain pattern")
+        worst = max(worst, float(np.abs(entries - base_entries).max(initial=0.0)))
+    return worst
 
 
 def suite_classical_limit(cfg: LatticeConfig) -> list[RelationReport]:
     """q = 1 collapse onto the plain oscillator realization, and first-order
-    scaling of the deviation in (q - 1)."""
+    scaling of the deviation in (q - 1), decided on the local pieces of the
+    sets at and near q = 1 (:func:`_limit_distance`): no set is built."""
     out = SuiteReports("classical", 1e-12)
-    plain, basis = cached_generators(cfg, False), cached_basis(cfg)
+    basis = cached_basis(cfg)
+    plain = _local_pieces(basis.cfg, basis, False)
+    for (alpha, _), (operands, _) in plain.items():
+        if not any(_disjoint(x, cfg.K * len(admissible_sites(cfg, alpha))) for x in operands):
+            raise ValueError(f"the local pieces of node {alpha} share an entry")
 
-    # the deformed sets at and near q = 1 are used once: built here, not
-    # cached, and the one at q = 1 is released before the others are built
-    def deformed_at(q_real):
-        return chevalley_generators(dataclasses.replace(basis.cfg, q_real=q_real), basis, True)
+    def distance(q_real):
+        at = dataclasses.replace(basis.cfg, q_real=q_real)
+        return _limit_distance(_local_pieces(at, basis, True), plain)
 
-    gs1 = deformed_at(1.0)
-    out.record("limit-q1", _genset_distance(gs1, plain))
-    worst = max(float(np.abs(q_bracket(gs1.h(al), 1.0) - gs1.h(al)).max())
-                for al in gs1.H)
+    out.record("limit-q1", distance(1.0))
+    # every set on the basis holds the one H_alpha of cartan_generator
+    h = [cartan_generator(basis, al).diagonal().real for al in range(cfg.R + 1)]
+    worst = max(float(np.abs(q_bracket(v, 1.0) - v).max()) for v in h)
     out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
-    del gs1
 
     eps = 1e-6
-    r1 = _genset_distance(deformed_at(1 + eps), plain)
-    r2 = _genset_distance(deformed_at(1 + 2 * eps), plain)
+    r1, r2 = distance(1 + eps), distance(1 + 2 * eps)
     ratio = r2 / r1 if r1 else float("inf")
     out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
                params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})

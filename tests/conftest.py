@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import scipy.sparse as sp
 
@@ -23,6 +24,20 @@ def bulk_projector(basis, boundary_margin=1, boson_headroom=0):
     of a check's products to its bulk is tested against."""
     return diag_operator(bulk_mask(basis, boundary_margin, boson_headroom)
                          .astype(complex))
+
+
+def occupations(basis, index):
+    """(fermionic, bosonic) occupation vectors of one basis state."""
+    f, b = divmod(index, basis.NB)
+    return basis.f_occ[f].copy(), basis.b_occ[b].copy()
+
+
+def index_for(basis, f_occ, b_occ) -> int:
+    """The index of the state with these occupations, f * NB + b."""
+    f = int(np.dot(np.asarray(f_occ, dtype=np.int64), 2 ** np.arange(basis.F)))
+    nb = basis.cfg.n_max + 1
+    b = int(np.dot(np.asarray(b_occ, dtype=np.int64), nb ** np.arange(basis.B)))
+    return f * basis.NB + b
 
 
 def kron_lift(basis, kind, x):

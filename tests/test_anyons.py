@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import bulk_projector, disorder_factor, full_anyon, full_ladder, string_exponent
+from conftest import (bulk_projector, disorder_factor, full_anyon, full_ladder, index_for,
+                      string_exponent)
 from anyonrep import report
 from anyonrep.anyons import BRAIDING, FAMILIES, anyon_factor, suite_braiding
 from anyonrep.fock import (
@@ -204,7 +205,7 @@ def test_cross_line_string_sign():
     basis = build_basis(cfg)
     state = [0] * basis.F
     state[basis.fermion_slot(fermion_mode(1, -0.5, line=2))] = 1
-    idx = basis.index_for(state, [0] * basis.B)
+    idx = index_for(basis, state, [0] * basis.B)
     K = disorder_factor(cfg, basis, fermion_mode(1, 0.5))
     assert abs(K.diagonal()[idx] - q_power(cfg.q, -0.5)) < 1e-14
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import bulk_projector, full_ladder, full_normal_number
+from conftest import bulk_projector, full_ladder, full_normal_number, index_for, occupations
 from anyonrep.fock import (
     LatticeConfig,
     boson_mode,
@@ -106,12 +106,12 @@ def test_boson_ladders_match_the_per_state_formula(q):
         j = basis.boson_slot(mode)
         rows, cols, plain, deformed = [], [], [], []
         for i in range(basis.dim):
-            f_occ, b_occ = basis.occupations(i)
+            f_occ, b_occ = occupations(basis, i)
             n = int(b_occ[j])
             if n == 0:
                 continue
             b_occ[j] -= 1
-            rows.append(basis.index_for(f_occ, b_occ))
+            rows.append(index_for(basis, f_occ, b_occ))
             cols.append(i)
             plain.append(math.sqrt(n))
             deformed.append(math.sqrt(q_number(n, cfg.q).real))

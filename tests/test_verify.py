@@ -21,10 +21,11 @@ from anyonrep.algebra import (
     compose_roots,
     local_e,
 )
-from anyonrep import fock, report, verify
+from anyonrep import algebra, fock, report, verify
 from anyonrep.oscillators import number_factor, suite_oscillators
 from anyonrep.fock import (
     Corruption,
+    FockBasis,
     LatticeConfig,
     _cached_basis,
     identity_op,
@@ -182,6 +183,20 @@ def _restrict_per_product(terms, mask=None, side="both"):
     return total.tocsr()
 
 
+def _bulk_row_products(terms, mask):
+    """Each product of ``terms`` formed left to right from the bulk rows of
+    its first factor, every other factor whole."""
+    if sp.issparse(terms):
+        terms = [(1, terms)]
+    products = []
+    for _, x, *rest in terms:
+        x = x[mask]
+        for f in rest:
+            x = x @ f
+        products.append(x)
+    return products
+
+
 def _hex_entries(x: sp.spmatrix):
     """Shape, pattern and entries, each by float.hex, of x in canonical form."""
     x = x.tocsr(copy=True)
@@ -195,8 +210,9 @@ def test_restrict_equals_the_per_product_reference(monkeypatch):
     product-by-product reference by float.hex: random complex factors, one
     to three per product, scalars 1, -q and 0.5j, masks that keep no state,
     every state or some, both sides, and terms whose kept entries cancel to
-    exactly zero.  No side-"both" restriction column-indexes a matrix with
-    more rows than its bulk."""
+    exactly zero.  A side-"both" restriction column-indexes one matrix, its
+    sum, with no more rows than its bulk, where a product holds entries, and
+    none where every product is empty."""
     rng = np.random.default_rng(23)
     n, scalars = 12, [1, -np.exp(1j * np.pi * 0.3), 0.5j]
 
@@ -221,12 +237,82 @@ def test_restrict_equals_the_per_product_reference(monkeypatch):
                    for k in rng.integers(0, 3, size=rng.integers(1, 4))] for _ in range(8)]
         for side in ("both", "right"):
             for terms in cases:
+                summed = any(x.nnz for x in _bulk_row_products(terms, mask))
                 indexed.clear()
                 got = restrict(terms, mask, side)
                 if side == "both":
-                    assert indexed and max(indexed) <= mask.sum()
+                    assert len(indexed) == summed and max(indexed, default=0) <= mask.sum()
                 assert _hex_entries(got) == _hex_entries(_restrict_per_product(terms, mask, side))
     assert restrict([(1, A, B), (-1, A, B2)], mask).nnz == 0 < (A @ B - A @ B2).nnz
+
+
+def test_a_product_stops_at_its_first_empty_partial_product(monkeypatch):
+    """restrict multiplies a product on only while its partial product holds
+    entries, left to right from X1's bulk rows (side "both") or right to left
+    from Xn's bulk columns (side "right"), and leaves an empty one out of the
+    sum: scipy's sparse product is called once per step up to the first
+    empty partial product."""
+    formed = []
+    matmul = compressed._cs_matrix._matmul_sparse
+    monkeypatch.setattr(compressed._cs_matrix, "_matmul_sparse",
+                        lambda self, other: formed.append(1) or matmul(self, other))
+
+    def at(*entries):
+        rows, cols = zip(*entries)
+        return sp.csr_matrix((np.ones(len(rows), dtype=complex), (rows, cols)), shape=(4, 4))
+
+    mask = np.array([True, True, False, False])
+    C = at((2, 0), (3, 1))
+    cases = [([(1, at((2, 0)), C, C)], "both", 0, 0),   # X1's bulk rows are empty
+             ([(1, at((0, 1)), at((2, 3)), C)], "both", 1, 0),   # X1 X2 is empty
+             ([(1, at((0, 2)), C, at((0, 1)))], "both", 2, 1),
+             ([(1, C, C, at((0, 2)))], "right", 0, 0),   # Xn's bulk columns are empty
+             ([(1, C, at((1, 3)), at((2, 0)))], "right", 1, 0),   # X2 Xn is empty
+             ([(1, at((0, 2)), at((2, 3)), at((3, 1))), (2, at((2, 0)), C)], "both", 2, 1)]
+    for terms, side, steps, nnz in cases:
+        formed.clear()
+        got = restrict(terms, mask, side)
+        assert (len(formed), got.nnz) == (steps, nnz), (terms, side)
+        assert _hex_entries(got) == _hex_entries(_restrict_per_product(terms, mask, side))
+
+
+def test_an_empty_sum_is_a_fresh_matrix_of_the_restricted_shape():
+    """With every product left out, restrict returns a new empty matrix of
+    the restricted shape, (k, k) on side "both", (n, k) on side "right" and
+    (n, n) unmasked, never a kept restriction or an operand."""
+    n, mask = 4, np.array([True, False, True, False])
+    low = sp.csr_matrix((np.ones(2, dtype=complex), ([1, 3], [1, 3])), shape=(n, n))
+    high = sp.csr_matrix((np.ones(2, dtype=complex), ([0, 2], [0, 2])), shape=(n, n))
+    for terms, m, side, shape in (([(1, low, high), (2, low, low)], mask, "both", (2, 2)),
+                                  ([(1, high, low.T), (-1, low.T)], mask, "right", (n, 2)),
+                                  ([(1, low, high)], None, "both", (n, n)),
+                                  (low @ high, None, "both", (n, n))):
+        kept = {}
+        got = restrict(terms, m, side, kept)
+        assert got.shape == shape and got.nnz == 0 and got.format == "csr"
+        assert bool(kept) == (m is not None)
+        held = [v for part in kept.values() for v in part if sp.issparse(v)]
+        held += [f for t in (terms if isinstance(terms, list) else [(1, terms)]) for f in t[1:]]
+        assert all(got is not x and not np.shares_memory(got.indptr, x.indptr) for x in held)
+
+
+def test_leaving_out_empty_products_changes_no_report(cfg22, monkeypatch):
+    """Every suite that forms relation products reports the same, residuals
+    by float.hex, as with each product formed whole and added
+    (``_restrict_per_product``): leaving out the products that an empty
+    partial product makes empty changes no residual."""
+    names = ["oscillators", "braiding", "quantum", "serre", "undeformed", "cartanweyl"]
+    got = run_suites(cfg22, names)
+    monkeypatch.setattr(report, "restrict", lambda terms, mask=None, side="both", kept=None:
+                        _restrict_per_product(terms, mask, side))
+    _cached_basis.cache_clear()
+    want = run_suites(cfg22, names)
+    assert list(got) == list(want)
+    for name in names:
+        assert [r.residual.hex() for r in got[name]] == [r.residual.hex() for r in want[name]]
+        strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                 for r in got[name] + want[name]]
+        assert strip[:len(got[name])] == strip[len(got[name]):], name
 
 
 def test_check_identity_reduces_one_residual_per_block():
@@ -508,7 +594,7 @@ def ad_q_hopf(genset, alpha, Y, grade_of_Y, sign="+") -> list:
     """The Hopf form (:func:`verify.hopf_form`) as two products, q^{+-h} as
     scalings: the oracle the closed form ``ad_q`` is checked against."""
     X, sgn, exponent, h = verify.hopf_form(genset, alpha, grade_of_Y, sign)
-    qa = genset.q_alpha(alpha)
+    qa, h = genset.q_alpha(alpha), h()
     SX = -fock.q_power(qa, exponent) * fock.scale_columns(X, fock.q_power(qa, h))
     return [(1, X, Y), (sgn, fock.scale_rows(Y, fock.q_power(qa, -h)), SX)]
 
@@ -579,8 +665,10 @@ def test_eq12_oracle_fails_on_a_wrong_hopf_exponent(cfg22, monkeypatch):
                          ids=["M2N2S2", "M2N1S4"])
 def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
     """eq12-oracle is decided on the entries of Y E: each check forms exactly
-    one sparse product.  scipy sizes every product, and skips csr_matmat
-    where the product is empty, as under the affine node's bulk it can be."""
+    one sparse product where Y's bulk rows hold entries, and none where they
+    do not, as under the affine node's bulk they can: restrict stops at an
+    empty partial product.  scipy sizes every product it forms, and skips
+    csr_matmat where the product is empty."""
     counts, inside = [], [False]
     check_scalings = SuiteReports.check_scalings
 
@@ -593,11 +681,12 @@ def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
             return kernel(*args)
         monkeypatch.setattr(compressed, name, recorded)
 
-    def recording_check(self, relation_id, *args, **kwargs):
-        counts.append([0, 0])
+    def recording_check(self, relation_id, x, *args, bulk=None, **kwargs):
+        (_, Y, _), = x
+        counts.append([0, 0, (Y if bulk is None else Y[self.mask(bulk)]).nnz > 0])
         inside[0] = relation_id.startswith("eq12-oracle")
         try:
-            return check_scalings(self, relation_id, *args, **kwargs)
+            return check_scalings(self, relation_id, x, *args, bulk=bulk, **kwargs)
         finally:
             inside[0] = False
 
@@ -606,8 +695,9 @@ def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
     monkeypatch.setattr(SuiteReports, "check_scalings", recording_check)
     oracle = [r for r in suite_serre(cfg) if r.relation_id.startswith("eq12-oracle")]
     assert len(counts) == len(oracle) == 2 * cfg.R * (cfg.R + 1)
-    assert all(sized == 1 and formed <= 1 for sized, formed in counts)
-    assert all(formed == 1 for (_, formed), r in zip(counts, oracle) if r.params["alpha"])
+    assert all(sized == rows and formed <= sized for sized, formed, rows in counts)
+    assert all(formed == 1 for (_, formed, _), r in zip(counts, oracle) if r.params["alpha"])
+    assert {rows for *_, rows in counts} == {True, False}
 
 
 def test_ad_q_on_itself_at_isotropic_nodes(cfg22):
@@ -750,7 +840,7 @@ def _reference_scalings(self, relation_id, x, h, closed, hopf, *, node, bulk=Non
     """check_scalings with q_power taken on every entry of Y E, the defect a CSR
     reduced by check_identity."""
     mask = None if bulk is None else self.mask(bulk)
-    x, h = restrict(x, mask), h if mask is None else h[mask]
+    x, h = restrict(x, mask), h() if mask is None else h()[mask]
     defect = x.data * (closed - hopf(np.repeat(h, np.diff(x.indptr)) - h[x.indices]))
     self.reports += check_identity(
         [relation_id], self.equation(relation_id),
@@ -855,7 +945,7 @@ def test_the_oracle_refuses_a_diagonal_off_the_half_integers(cfg21):
     out = SuiteReports("serre", cfg21.tol, basis)
     with pytest.raises(ValueError, match="half-integral"):
         out.check_scalings("eq12-oracle[1,2,+]", identity_op(basis),
-                           np.arange(basis.dim) / 3, 1.0, lambda d: d, node=1)
+                           lambda: np.arange(basis.dim) / 3, 1.0, lambda d: d, node=1)
 
 
 def _ad_q_hopf_diagonal_matrices(gs, alpha, Y, grade_of_Y, sign):
@@ -997,6 +1087,85 @@ def test_suite_classical(cfg21):
     assert abs(slope.params["ratio"] - 2) <= 0.2
 
 
+def _classical_from_whole_sets(cfg):
+    """The classical reports as whole generator sets give them, the oracle of
+    the local-piece form: chevalley_generators at q = 1, 1 + 1e-6 and
+    1 + 2e-6 against the plain set, max |E - E_plain| over the generators,
+    and [H]_q against H on the set at q = 1."""
+    basis = cached_basis(cfg)
+    plain = algebra.chevalley_generators(basis.cfg, basis, False)
+
+    def deformed_at(q_real):
+        return algebra.chevalley_generators(dataclasses.replace(basis.cfg, q_real=q_real),
+                                            basis, True)
+
+    def distance(gs):
+        return max(residual_norm(gs.E[key] - plain.E[key]) for key in gs.E)
+
+    out = SuiteReports("classical", 1e-12)
+    gs1 = deformed_at(1.0)
+    out.record("limit-q1", distance(gs1))
+    worst = max(float(np.abs(q_bracket(gs1.h(al), 1.0) - gs1.h(al)).max()) for al in gs1.H)
+    out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
+    r1, r2 = distance(deformed_at(1 + 1e-6)), distance(deformed_at(1 + 2e-6))
+    ratio = r2 / r1 if r1 else float("inf")
+    out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
+               params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})
+    return out.reports
+
+
+def _hex_fields(reports):
+    """Each report's fields but its wall time, every float by float.hex."""
+    def hexed(v):
+        return v.hex() if isinstance(v, float) else v
+    return [{k: hexed(v) if k != "params" else {p: hexed(x) for p, x in v.items()}
+             for k, v in r.to_dict().items() if k != "wall_time"} for r in reports]
+
+
+CLASSICAL = {
+    "M2N1S2": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+    "M2N2S2": LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+    "sea-empty": LatticeConfig(M=2, N=1, S=2, n_max=2, K=2, ordering=("sea", "empty"), nu=0.3),
+    "real-q": LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.3),
+    "qalpha": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3,
+                            corruption=Corruption(flip_q_alpha=True)),
+    "h0delta": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3,
+                             corruption=Corruption(drop_h0_delta=True)),
+    "disorder": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3,
+                              corruption=Corruption(flip_boson_disorder=True)),
+    "M2N1S4": LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3),
+}
+
+
+@pytest.mark.parametrize("cfg", CLASSICAL.values(), ids=CLASSICAL.keys())
+def test_classical_on_local_pieces_equals_the_whole_sets(cfg):
+    """limit-q1, limit-qbracket and limit-slope, read off the local pieces,
+    are the reports the whole sets give, every float equal by float.hex,
+    params included."""
+    got = suite_classical_limit(cfg)
+    assert [r.relation_id for r in got] == ["limit-q1", "limit-qbracket", "limit-slope"]
+    assert got[2].params["r_eps"] > 0
+    assert _hex_fields(got) == _hex_fields(_classical_from_whole_sets(cfg))
+
+
+def test_classical_builds_no_set_and_no_whole_basis_piece(cfg22, monkeypatch):
+    """On a fresh basis, so nothing is a memo hit, classical calls no
+    chevalley_generators and forms no operator on the whole basis: the mixed
+    pieces of nodes 0 and M stay their two factors (FockBasis.kron is the one
+    way onto the whole basis)."""
+    _cached_basis.cache_clear()
+    calls = []
+    build, kron = algebra.chevalley_generators, FockBasis.kron
+    monkeypatch.setattr(algebra, "chevalley_generators",
+                        lambda *args: calls.append("set") or build(*args))
+    monkeypatch.setattr(FockBasis, "kron",
+                        lambda self, x, y: calls.append("kron") or kron(self, x, y))
+    assert reports_ok(suite_classical_limit(cfg22))
+    assert calls == []
+    cached_generators(cfg22, True)
+    assert calls[0] == "set" and "kron" in calls
+
+
 @pytest.mark.parametrize("ordering,expected", [
     ("sea", 1), ("empty", 0), (("sea", "sea"), 2), (("sea", "empty"), 1),
 ])
@@ -1132,8 +1301,8 @@ def test_cocycle_pivot_equals_dense_argmax():
 def test_limit_slope_sets_are_not_cached(memo_builds):
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
     suite_classical_limit(cfg)
-    # the plain set only: the deformed sets at and near q = 1 are used once
-    assert [key for _, key in memo_builds if key[0] == "set"] == [("set", False)]
+    # no set: the limit is read off the local pieces of the sets at and near q = 1
+    assert [key for _, key in memo_builds if key[0] == "set"] == []
 
 
 def test_run_suites_caches_the_deformed_and_the_plain_set(memo_builds):
