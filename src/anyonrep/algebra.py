@@ -214,12 +214,25 @@ def node_factor(cfg: LatticeConfig, alpha: int) -> str | None:
     return upper.kind if upper.kind == lower.kind else None
 
 
-def _on_node(basis: FockBasis, modes, vectors) -> list:
-    """The factor vectors of a node's two modes on the node's factor: as they
-    are if the modes share a statistics, else lifted to the whole basis."""
+def _on_node(basis: FockBasis, modes, vectors, at=None) -> list:
+    """The factor vectors of a node's two modes on the node's factor
+    (:func:`node_factor`), read at its indices ``at`` (None: lifted whole).
+    An even node's index is its factor's; at a mixed node, whose factor is
+    the whole basis, index f * NB + b reads a fermion's vector at f and a
+    boson's at b, the entry of its lift there."""
     if modes[0].kind == modes[1].kind:
-        return vectors
-    return [basis.lift(m.kind, v) for m, v in zip(modes, vectors)]
+        return vectors if at is None else [v[at] for v in vectors]
+    if at is None:
+        return [basis.lift(m.kind, v) for m, v in zip(modes, vectors)]
+    index = dict(zip((FERMION, BOSON), np.divmod(at, basis.NB)))
+    return [v[index[m.kind]] for m, v in zip(modes, vectors)]
+
+
+def node_sum(cfg: LatticeConfig, alpha: int, up, low):
+    """up - low on even nodes, up + low on the odd nodes 0 and M: how the
+    two modes (upper, lower) of a node's piece enter its Cartan part and its
+    string tail."""
+    return up + low if alpha in (0, cfg.M) else up - low
 
 
 def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarray:
@@ -228,13 +241,11 @@ def _h_local_diag(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarr
     r = -1/2 on sea lines (not under the drop_h0_delta control)."""
     cfg = basis.cfg
     modes = _node_modes(cfg, alpha, line, r)
-    n_up, n_low = _on_node(basis, modes, [normal_number(basis, m) for m in modes])
-    if alpha not in (0, cfg.M):
-        return n_up - n_low
+    h = node_sum(cfg, alpha, *_on_node(basis, modes, [normal_number(basis, m) for m in modes]))
     if (alpha == 0 and cfg.line_ordering(line) == SEA and r == -0.5
             and not cfg.corruption.drop_h0_delta):
-        return n_up + n_low - 1.0
-    return n_up + n_low
+        return h - 1.0
+    return h
 
 
 def admissible_sites(cfg: LatticeConfig, alpha: int) -> tuple[float, ...]:
@@ -284,23 +295,22 @@ def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
                   *_node_modes(cfg, alpha, line, r, sign))
 
 
-def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float) -> np.ndarray:
+def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float, at=None,
+                  strings=None) -> np.ndarray:
     """Exponent x of the string tail in E_alpha(r) = e_hat_alpha(r) q_alpha^x,
-    on the node's factor.
+    on the node's factor, at its indices ``at`` (:func:`_on_node`).
 
-    With w the ``oscillators.string_factor`` of each node mode, x is 1/2 sum_t
-    eps(t-r) :h_alpha(t):, that is 1/2 (w_upper - w_lower) on even nodes and
-    1/2 (w_upper + w_lower) at node M.  The affine node straddles (r, r+1)
-    and its tail carries both strings with the opposite base sign:
-    -1/2 (w_upper + w_lower).
+    With w the ``oscillators.string_factor`` of each node mode (``strings``,
+    built here if not given), x is 1/2 sum_t eps(t-r) :h_alpha(t):, that is
+    1/2 (w_upper - w_lower) on even nodes and 1/2 (w_upper + w_lower) at
+    node M.  The affine node straddles (r, r+1) and its tail carries both
+    strings with the opposite base sign: -1/2 (w_upper + w_lower).
     """
     modes = _node_modes(basis.cfg, alpha, line, r)
-    w_up, w_low = _on_node(basis, modes, [string_factor(basis, m) for m in modes])
-    if alpha == 0:
-        return -0.5 * (w_up + w_low)
-    if alpha == basis.cfg.M:
-        return 0.5 * (w_up + w_low)
-    return 0.5 * (w_up - w_low)
+    if strings is None:
+        strings = [string_factor(basis, m) for m in modes]
+    x = node_sum(basis.cfg, alpha, *_on_node(basis, modes, strings, at))
+    return -0.5 * x if alpha == 0 else 0.5 * x
 
 
 @dataclass

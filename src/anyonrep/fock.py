@@ -24,7 +24,8 @@ package mutates a returned matrix.
 
 An operator diagonal in the occupation basis (a number, a string, q^{H/2},
 [H]_q) is a vector over the basis.  It acts on a sparse operator through
-:func:`scale_rows` / :func:`scale_columns` and becomes a CSR matrix
+:func:`scale_rows` / :func:`scale_columns`, or is read at the operator's
+stored entries and applied by :func:`scale_entries`, and becomes a CSR matrix
 (:func:`diag_operator`) only as the operand of a check or as an exported
 generator; the Cartan generators ``GeneratorSet.H`` are kept as CSR.
 """
@@ -463,19 +464,28 @@ def diag_operator(diagonal: np.ndarray) -> sp.csr_matrix:
                          shape=(d.size, d.size))
 
 
+def entry_rows(x: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of the CSR matrix x, in storage order."""
+    return np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+
+
+def scale_entries(x: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
+    """x with its k-th stored entry times w[k], the entry the left operand at
+    any size (numpy's ``*`` may swap them)."""
+    return sp.csr_matrix((np.multiply(x.data, w), x.indices.copy(), x.indptr.copy()),
+                         shape=x.shape)
+
+
 def scale_rows(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
-    """diag(v) @ x without forming the diagonal: row i of x times v[i], x's
-    entry the left operand at any size (numpy's ``*`` may swap them)."""
+    """diag(v) @ x without forming the diagonal: row i of x times v[i]."""
     x = x.tocsr()
-    return sp.csr_matrix((np.multiply(x.data, np.repeat(v, np.diff(x.indptr))),
-                          x.indices.copy(), x.indptr.copy()), shape=x.shape)
+    return scale_entries(x, np.repeat(v, np.diff(x.indptr)))
 
 
 def scale_columns(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:
     """x @ diag(v) without forming the diagonal: column j of x times v[j]."""
     x = x.tocsr()
-    return sp.csr_matrix((np.multiply(x.data, v[x.indices]), x.indices.copy(),
-                          x.indptr.copy()), shape=x.shape)
+    return scale_entries(x, v[x.indices])
 
 
 def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,

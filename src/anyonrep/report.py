@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, bulk_mask, entry_products
+from .fock import FockBasis, bulk_mask, entry_products, entry_rows
 
 
 @dataclass
@@ -403,7 +403,7 @@ class SuiteReports:
         bulk's entries, piece by piece, each product rounded as the scalings
         ``fock.scale_rows``/``scale_columns`` round it, and reduced per block."""
         t0, bands = time.perf_counter(), len(relation_ids) // len(weights)
-        rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+        rows = entry_rows(x)
         starts = x.indptr[::x.shape[0] // bands]
         entries = {None: (x.data, rows, x.indices, starts)}
         for bulk in dict.fromkeys(bulk for _, _, bulk in weights if bulk is not None):

@@ -31,7 +31,8 @@ from .algebra import (
     DELTA,
     GeneratorSet,
     RootLabel,
-    _h_local_diag,
+    _node_modes,
+    _on_node,
     admissible_sites,
     cached_generators,
     cartan_generator,
@@ -44,6 +45,7 @@ from .algebra import (
     local_e,
     local_factors,
     node_factor,
+    node_sum,
     root_weight,
 )
 from .fock import (
@@ -57,17 +59,16 @@ from .fock import (
     commutator,
     diag_operator,
     entry_products,
+    entry_rows,
     identity_op,
     op_adjoint,
     q_bracket,
     q_power,
     residual_norm,
-    scale_columns,
-    scale_rows,
+    scale_entries,
     supercommutator,
-    zero_op,
 )
-from .oscillators import number_diag
+from .oscillators import normal_number, number_diag, string_factor
 from .report import RelationReport, SuiteReports
 
 
@@ -306,11 +307,25 @@ def suite_undeformed(cfg: LatticeConfig) -> list[RelationReport]:
 # coproduct suite
 # ---------------------------------------------------------------------------
 
+def _disjoint_sum(pieces: list, alpha: int) -> sp.csr_matrix:
+    """The sum of node alpha's pieces, CSR matrices of one shape that store
+    disjoint entries (checked), assembled once: each entry is one piece's."""
+    rows, columns, data = (np.concatenate(parts) for parts in zip(
+        *((entry_rows(x), x.indices, x.data) for x in pieces)))
+    total = sp.csr_matrix((data, (rows, columns)), shape=pieces[0].shape)
+    if total.nnz != data.size:
+        raise ValueError(f"the local pieces of node {alpha} share an entry")
+    return total
+
+
 def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
     """String-tail factorization of every local piece, and the two-half split
     of the global generators with the coproduct weights between the halves.
     Each piece is built once over anyons and once over q-bosons, and read by
-    every statement about it."""
+    every statement about it.  A diagonal acting on a piece, its tail, half
+    and weight, is read at the piece's stored columns or rows from its modes'
+    vectors, each built once per node on its factor (``algebra._on_node``):
+    none is lifted to the whole basis."""
     gs = cached_generators(cfg, True)
     basis = cached_basis(cfg)
     out = SuiteReports("coproduct", cfg.tol)
@@ -321,49 +336,59 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
     control = cfg.M + 1 if cfg.N >= 2 else None
     worst_flip = 0.0
 
-    # two-half split along a cut compatible with the lattice order (an order
-    # ideal: earlier lines plus the left half of the cut line); the affine
-    # pieces straddle the cut and are excluded.  Every right site comes after
-    # every left site, so a left piece's left-only tail exponent is its full
-    # one minus H_right/2 and a right piece's right-only one its full one
-    # plus H_left/2: exact, as every exponent is a half-integer.
+    # two-half split E = E_L q^{H_R/2} + q^{-H_L/2} E_R along a cut compatible
+    # with the lattice order (an order ideal: earlier lines plus the left half
+    # of the cut line); the affine pieces straddle the cut and are excluded.
+    # Every right site comes after every left site, so a left piece's
+    # left-only tail exponent is its full one minus H_R/2 and a right piece's
+    # right-only one its full one plus H_L/2: exact, as every exponent is a
+    # half-integer.  The pieces of different sites store disjoint entries
+    # (checked), so each entry of the split is one piece's, and each piece is
+    # scaled on its own, half then weight, as the half-sum scales it, and the
+    # split assembled once (:func:`_disjoint_sum`).
     cut = (cfg.K + 1) // 2
 
     for alpha in range(cfg.R + 1):
         qa = gs.q_alpha(alpha)
-        # pieces, tails and halves live on the node's factor
         space = node_factor(cfg, alpha)
-        zero = np.zeros(basis.size(space))
         sites = [(ln, r) for ln in cfg.lines for r in admissible_sites(cfg, alpha)]
-        expos = [eq57_exponent(basis, alpha, ln, r) for ln, r in sites]
-        tails = [q_power(qa, x) for x in expos]
-        if alpha:
-            left = [ln < cut or (ln == cut and r < 0) for ln, r in sites]
-            h = [_h_local_diag(basis, alpha, ln, r) for ln, r in sites]
-            HL = sum((v for v, lf in zip(h, left) if lf), zero)
-            HR = sum((v for v, lf in zip(h, left) if not lf), zero)
-            halves = [q_power(qa, x - 0.5 * HR if lf else x + 0.5 * HL)
-                      for x, lf in zip(expos, left)]
+        modes = [_node_modes(cfg, alpha, ln, r) for ln, r in sites]
+        strings = [[string_factor(basis, m) for m in pair] for pair in modes]
+        left = [ln < cut or (ln == cut and r < 0) for ln, r in sites]
+
+        def half_cartan(on_left):
+            """H_L (``on_left``) or H_R as a reader of indices of the node's
+            factor, from the half's upper and lower mode numbers, each summed
+            on its factor."""
+            numbers = [sum((normal_number(basis, pair[j]) for pair, lf in zip(modes, left)
+                            if lf == on_left), np.zeros(basis.size(modes[0][j].kind)))
+                       for j in (0, 1)]
+            return lambda at: node_sum(cfg, alpha, *_on_node(basis, modes[0], numbers, at))
+
+        HL, HR = half_cartan(True), half_cartan(False)
         worst = 0.0
         for s in ("+", "-"):
-            EL = ER = zero_op(basis, space)
+            halves = []
             for i, (ln, r) in enumerate(sites):
                 E = local_e(cfg, basis, alpha, s, ln, r, True)
                 ehat = local_e(cfg, basis, alpha, s, ln, r, False)
-                worst = max(worst, residual_norm(E - scale_columns(ehat, tails[i])))
+                x = eq57_exponent(basis, alpha, ln, r, ehat.indices, strings[i])
+                worst = max(worst, residual_norm(E - scale_entries(ehat, q_power(qa, x))))
                 if alpha == control:
-                    flipped = scale_columns(ehat, q_power(1 / qa, expos[i]))
+                    flipped = scale_entries(ehat, q_power(1 / qa, x))
                     worst_flip = max(worst_flip, residual_norm(E - flipped))
                 if alpha:
-                    half = scale_columns(ehat, halves[i])
                     if left[i]:
-                        EL = EL + half
+                        h = 0.5 * HR(ehat.indices)
+                        half = scale_entries(ehat, q_power(qa, x - h))
+                        half = scale_entries(half, q_power(qa, h))
                     else:
-                        ER = ER + half
+                        half = scale_entries(ehat, q_power(qa, x + 0.5 * HL(ehat.indices)))
+                        half = scale_entries(half, q_power(qa, -0.5 * HL(entry_rows(ehat))))
+                    halves.append(half)
             if alpha:
-                rhs = basis.lift(space, scale_columns(EL, q_power(qa, 0.5 * HR))
-                                 + scale_rows(ER, q_power(qa, -0.5 * HL)))
-                splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)], rhs,
+                splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
+                             basis.lift(space, _disjoint_sum(halves, alpha)),
                              params={"alpha": alpha, "sign": s})
         out.record(f"eq57[{alpha}]", worst,
                    params={"alpha": alpha,
@@ -386,48 +411,49 @@ def _disjoint(x: sp.csr_matrix, blocks: int) -> bool:
     """Whether no two of the ``blocks`` diagonal blocks of the stack x store an
     entry at one position of their block."""
     m = x.shape[0] // blocks
-    keys = np.repeat(np.arange(x.shape[0]) % m, np.diff(x.indptr)) * m + x.indices % m
+    keys = entry_rows(x) % m * m + x.indices % m
     return np.unique(keys).size == keys.size
 
 
-def _local_pieces(cfg: LatticeConfig, basis: FockBasis, dressed: bool) -> dict:
+def _local_pieces(cfg: LatticeConfig, basis: FockBasis, dressed: bool):
     """The local pieces of the set at ``cfg`` (``dressed``: anyon-built, else
-    plain) by node and sign, as (operands, entries), one block of a stack
-    (:meth:`FockBasis.stack`) per site.  On a node of one statistics the
-    operand is the stack of the pieces, formed as one product of the stacks
-    of their two factors, and the entries are its own; at the mixed nodes 0
-    and M the operands are the stacks of the factors X and Y of each piece
-    X (x) Y, and the entries are the pieces' as ``FockBasis.kron`` forms
-    them (``fock.entry_products``)."""
-    out = {}
+    plain), one node and sign at a time, as (alpha, operands, entries), one
+    block of a stack (:meth:`FockBasis.stack`) per site.  On a node of one
+    statistics the operand is the stack of the pieces, formed as one product
+    of the stacks of their two factors, and the entries are its own; at the
+    mixed nodes 0 and M the operands are the stacks of the factors X and Y of
+    each piece X (x) Y, and the entries are the pieces' as ``FockBasis.kron``
+    forms them (``fock.entry_products``)."""
     for alpha in range(cfg.R + 1):
         for s in ("+", "-"):
             xs, ys = zip(*(local_factors(cfg, basis, alpha, s, ln, r, dressed)
                            for ln in cfg.lines for r in admissible_sites(cfg, alpha)))
             x, y = basis.stack(xs), basis.stack(ys)
             if node_factor(cfg, alpha) is None:
-                out[alpha, s] = (x, y), np.concatenate(
+                yield alpha, (x, y), np.concatenate(
                     [entry_products(u.data, v.data).ravel() for u, v in zip(xs, ys)])
             else:
                 e = x @ y
-                out[alpha, s] = (e,), e.data
-    return out
+                yield alpha, (e,), e.data
 
 
-def _limit_distance(dressed: dict, plain: dict) -> float:
-    """max |E - E_plain| over the generators, read off their local pieces
-    (:func:`_local_pieces`): no generator is formed.  A dressed operand has
-    the pattern of its plain one (checked here), and of one operand the
-    plain pieces of different sites store no common position (checked by the
-    suite), so each entry of a generator is one piece's: the sum and the lift
-    add it to zero and the difference is taken entry by entry, so the
-    maximum is the whole generators' bit for bit."""
-    worst = 0.0
-    for key, (operands, entries) in dressed.items():
-        base, base_entries = plain[key]
+def _limit_distance(basis: FockBasis, q_real: float) -> float:
+    """max |E - E_plain| over the generators at ``q_real``, read off their
+    local pieces (:func:`_local_pieces`) one node and sign at a time: no
+    generator is formed.  A dressed operand has the pattern of its plain one,
+    and of one operand the plain pieces of different sites store no common
+    position (both checked here), so each entry of a generator is one
+    piece's: the sum and the lift add it to zero and the difference is taken
+    entry by entry, so the maximum is the whole generators' bit for bit."""
+    cfg, worst = basis.cfg, 0.0
+    dressed = _local_pieces(dataclasses.replace(cfg, q_real=q_real), basis, True)
+    plain = _local_pieces(cfg, basis, False)
+    for (alpha, operands, entries), (_, base, base_entries) in zip(dressed, plain):
+        if not any(_disjoint(x, cfg.K * len(admissible_sites(cfg, alpha))) for x in base):
+            raise ValueError(f"the local pieces of node {alpha} share an entry")
         if not all(np.array_equal(u.indptr, v.indptr) and np.array_equal(u.indices, v.indices)
                    for u, v in zip(operands, base)):
-            raise ValueError(f"the dressed pieces of node {key[0]} leave the plain pattern")
+            raise ValueError(f"the dressed pieces of node {alpha} leave the plain pattern")
         worst = max(worst, float(np.abs(entries - base_entries).max(initial=0.0)))
     return worst
 
@@ -438,23 +464,15 @@ def suite_classical_limit(cfg: LatticeConfig) -> list[RelationReport]:
     sets at and near q = 1 (:func:`_limit_distance`): no set is built."""
     out = SuiteReports("classical", 1e-12)
     basis = cached_basis(cfg)
-    plain = _local_pieces(basis.cfg, basis, False)
-    for (alpha, _), (operands, _) in plain.items():
-        if not any(_disjoint(x, cfg.K * len(admissible_sites(cfg, alpha))) for x in operands):
-            raise ValueError(f"the local pieces of node {alpha} share an entry")
-
-    def distance(q_real):
-        at = dataclasses.replace(basis.cfg, q_real=q_real)
-        return _limit_distance(_local_pieces(at, basis, True), plain)
-
-    out.record("limit-q1", distance(1.0))
-    # every set on the basis holds the one H_alpha of cartan_generator
-    h = [cartan_generator(basis, al).diagonal().real for al in range(cfg.R + 1)]
-    worst = max(float(np.abs(q_bracket(v, 1.0) - v).max()) for v in h)
+    out.record("limit-q1", _limit_distance(basis, 1.0))
+    # every set on the basis holds the one H_alpha of cartan_generator, read
+    # one node at a time; fock.q_number makes [h]_1 = h by construction
+    worst = max(float(np.abs(q_bracket(h, 1.0) - h).max())
+                for h in (cartan_generator(basis, al).diagonal().real for al in range(cfg.R + 1)))
     out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
 
     eps = 1e-6
-    r1, r2 = distance(1 + eps), distance(1 + 2 * eps)
+    r1, r2 = _limit_distance(basis, 1 + eps), _limit_distance(basis, 1 + 2 * eps)
     ratio = r2 / r1 if r1 else float("inf")
     out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
                params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})

@@ -1070,6 +1070,119 @@ def test_coproduct_control_not_applicable_without_inverse_nodes(cfg21):
     assert len(control) == 1 and not control[0].applicable
 
 
+def _coproduct_on_the_whole_basis(cfg):
+    """The coproduct reports with every tail, Cartan part, half and weight
+    lifted to the whole basis, the oracle of the suite that reads them at
+    the pieces' entries: eq57 against each piece's tail, and the split
+    summed into E_L and E_R, scaled by q^{H_R/2} and q^{-H_L/2} and lifted."""
+    gs = cached_generators(cfg, True)
+    basis = cached_basis(cfg)
+    out, splits = SuiteReports("coproduct", cfg.tol), SuiteReports("coproduct", cfg.tol)
+    control = cfg.M + 1 if cfg.N >= 2 else None
+    worst_flip = 0.0
+    cut = (cfg.K + 1) // 2
+    for alpha in range(cfg.R + 1):
+        qa = gs.q_alpha(alpha)
+        space = algebra.node_factor(cfg, alpha)
+        zero = np.zeros(basis.size(space))
+        sites = [(ln, r) for ln in cfg.lines for r in admissible_sites(cfg, alpha)]
+        expos = [algebra.eq57_exponent(basis, alpha, ln, r) for ln, r in sites]
+        tails = [fock.q_power(qa, x) for x in expos]
+        if alpha:
+            left = [ln < cut or (ln == cut and r < 0) for ln, r in sites]
+            h = [algebra._h_local_diag(basis, alpha, ln, r) for ln, r in sites]
+            HL = sum((v for v, lf in zip(h, left) if lf), zero)
+            HR = sum((v for v, lf in zip(h, left) if not lf), zero)
+            halves = [fock.q_power(qa, x - 0.5 * HR if lf else x + 0.5 * HL)
+                      for x, lf in zip(expos, left)]
+        worst = 0.0
+        for s in ("+", "-"):
+            EL = ER = fock.zero_op(basis, space)
+            for i, (ln, r) in enumerate(sites):
+                E = local_e(cfg, basis, alpha, s, ln, r, True)
+                ehat = local_e(cfg, basis, alpha, s, ln, r, False)
+                worst = max(worst, residual_norm(E - fock.scale_columns(ehat, tails[i])))
+                if alpha == control:
+                    flipped = fock.scale_columns(ehat, fock.q_power(1 / qa, expos[i]))
+                    worst_flip = max(worst_flip, residual_norm(E - flipped))
+                if alpha:
+                    half = fock.scale_columns(ehat, halves[i])
+                    if left[i]:
+                        EL = EL + half
+                    else:
+                        ER = ER + half
+            if alpha:
+                rhs = basis.lift(space, fock.scale_columns(EL, fock.q_power(qa, 0.5 * HR))
+                                 + fock.scale_rows(ER, fock.q_power(qa, -0.5 * HL)))
+                splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)], rhs,
+                             params={"alpha": alpha, "sign": s})
+        out.record(f"eq57[{alpha}]", worst,
+                   params={"alpha": alpha,
+                           "form": "two-site tail" if alpha == 0 else "standard"})
+    if control is None:
+        out.not_applicable("eq57-tailflip-control", "no q^-1 node (N = 1)")
+    else:
+        out.record(f"eq57-tailflip-control[{control}]", worst_flip, tol=1e-3,
+                   params={"alpha": control, "note": "sensitivity control, must fail"},
+                   expect_fail=True)
+    return out.reports + splits.reports
+
+
+COPRODUCT = {
+    "M2N1S2": LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+    "M2N2S2": LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+    "M1N2S2": LatticeConfig(M=1, N=2, S=2, n_max=2, nu=0.3),
+    "sea-empty": LatticeConfig(M=2, N=1, S=2, n_max=2, K=2, ordering=("sea", "empty"), nu=0.3),
+    "real-q": LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.3),
+    "M2N1S4": LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3),
+    **{name: LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3, corruption=Corruption(**{flag: True}))
+       for name, flag in (("qalpha", "flip_q_alpha"), ("h0delta", "drop_h0_delta"),
+                          ("disorder", "flip_boson_disorder"))},
+}
+
+
+@pytest.mark.parametrize("cfg", COPRODUCT.values(), ids=COPRODUCT.keys())
+def test_coproduct_on_factors_equals_the_whole_basis_suite(cfg):
+    """Every report of the suite that reads each diagonal at the pieces'
+    entries is the whole-basis suite's, every float equal by float.hex,
+    params included."""
+    got = suite_coproduct(cfg)
+    assert any(r.relation_id.startswith("eq11a-split") for r in got)
+    assert _hex_fields(got) == _hex_fields(_coproduct_on_the_whole_basis(cfg))
+
+
+def test_coproduct_forms_no_full_dimension_vector(cfg22, monkeypatch):
+    """No diagonal of the whole basis reaches q_power, a scaling or a lift
+    while the suite runs: each is read at the stored entries of the piece it
+    scales.  The generator set is built before, so that its Cartan parts,
+    summed at full dimension at the mixed nodes, are a memo hit."""
+    cached_generators(cfg22, True)
+    dim, seen = cached_basis(cfg22).dim, []
+
+    def watched(f):
+        def call(*args, **kw):
+            seen.extend(a.shape for a in args if isinstance(a, np.ndarray) and a.size == dim)
+            return f(*args, **kw)
+        return call
+
+    for name in ("q_power", "scale_entries", "scale_rows", "scale_columns"):
+        if hasattr(verify, name):
+            monkeypatch.setattr(verify, name, watched(getattr(verify, name)))
+    monkeypatch.setattr(FockBasis, "lift", watched(FockBasis.lift))
+    reports = suite_coproduct(cfg22)
+    assert reports_ok(reports) and seen == []
+
+
+def test_coproduct_refuses_pieces_that_share_an_entry(cfg22, monkeypatch):
+    """The split is summed piece by piece as the half-sums scale it only
+    because the pieces of different sites store disjoint entries."""
+    monkeypatch.setattr(verify, "local_e",
+                        lambda cfg, basis, alpha, s, ln, r, dressed:
+                        local_e(cfg, basis, alpha, s, ln, cfg.sites[0], dressed))
+    with pytest.raises(ValueError, match="share an entry"):
+        suite_coproduct(cfg22)
+
+
 def test_split_degenerates_to_additivity_at_q_one():
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.0)
     gs = cached_generators(cfg, True)
