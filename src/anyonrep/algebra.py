@@ -11,16 +11,19 @@ Simple generators are sums of local one- or two-site pieces.  The deformed set
 replaces oscillators by anyons; every deformed local piece factorizes into the
 q-boson local generator times a diagonal string tail, which is what the
 coproduct suite checks.  A generator set holds only the sums, ``H`` (CSR)
-and ``E``, and keeps no local pieces: the coproduct suite builds the pieces it
-checks one at a time.  Every oscillator is a ladder or an anyon on its factor
-of the basis index (``fock.ladder``, ``anyons.anyon_factor``); the plain set
-and the Cartan-Weyl operators take them at q = 1, where the q-boson is the
-plain boson, and what reads no q (``H``, the Cartan-Weyl operators) is built
-once per basis.  Every generator is one bilinear sum (``_bilinear_sum``): a
-sum whose pieces act on one factor (an even node, a root of two fermion or two
-boson modes) is formed there and lifted once, and a mixed piece is the
-tensor product X (x) Y of its two factors (``FockBasis.kron``).  A negative
-control is a field of the config, read as ``cfg.corruption`` by
+and ``E``, and keeps no local pieces: the coproduct and classical-limit
+suites read a node's pieces one site at a time (``node_pieces``).  Every
+oscillator is a ladder or an anyon on its factor of the basis index
+(``fock.ladder``, ``anyons.anyon_factor``); the plain set and the Cartan-Weyl
+operators take them at q = 1, where the q-boson is the plain boson, and what
+reads no q (``H``, the Cartan-Weyl operators) is built once per basis.
+A local bilinear piece is its stored entries (``_entries``): x @ y on the
+factor its two modes share (an even node, a root of two fermion or two boson
+modes), else the entries of the tensor product X (x) Y of its two factors
+on the whole basis, with no whole-basis matrix formed.  Pieces of different
+sites store disjoint positions, so every generator is one sum, assembled once
+per factor and lifted once (``fock.assemble``, ``_bilinear_sum``).  A
+negative control is a field of the config, read as ``cfg.corruption`` by
 ``CartanData.q_alpha``, ``_h_local_diag`` and ``anyons.anyon_factor``.
 """
 
@@ -42,8 +45,11 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     ModeId,
+    assemble,
     cached_basis,
     diag_operator,
+    entry_products,
+    entry_rows,
     ladder,
     q_power,
     scale_columns,
@@ -263,36 +269,38 @@ def _factor_ops(cfg: LatticeConfig, basis: FockBasis, sign: str, dressed: bool):
         cfg, basis, mode, ("a" if mode.kind == FERMION else "A") + tilde, dagger)
 
 
-def _factors(op, r: ModeId, s: ModeId) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """op(r, True) and op(s, False), in this order if the modes share a
-    statistics, else the fermion one first, as :meth:`FockBasis.kron` takes them."""
+def _entries(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> tuple:
+    """(rows, columns, values) of w op(r, True) op(s, False) on the smallest
+    space that holds it: the stored entries of x @ y on the modes' shared
+    factor, else those of X (x) Y on the whole basis, fermion first, at
+    index f * NB + b (in ``basis._idx``, int64 past 2^31) with the values of
+    scipy's product of the lifts (``fock.entry_products``), zeros dropped.
+    No whole-basis matrix is formed; w * values copies them, so a weight 1
+    is left out."""
     x, y = op(r, True), op(s, False)
-    return (y, x) if r.kind != s.kind and r.kind == BOSON else (x, y)
+    if r.kind == s.kind:
+        p = x @ y
+        rows, columns, values = entry_rows(p), p.indices, p.data
+    else:
+        x, y = (y, x) if r.kind == BOSON else (x, y)
+        rows, columns = ((u.astype(basis._idx)[:, None] * basis.NB + v).ravel()
+                         for u, v in ((entry_rows(x), entry_rows(y)), (x.indices, y.indices)))
+        values = entry_products(x.data, y.data).ravel()
+        if not values.all():
+            keep = values != 0
+            rows, columns, values = rows[keep], columns[keep], values[keep]
+    return rows, columns, (values if w == 1 else values * w)
 
 
-def _piece(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> sp.csr_matrix:
-    """w op(r, True) op(s, False) on the smallest space that holds it: x @ y on
-    the modes' shared factor, else their tensor product on the whole basis.
-    w * p copies p, so a weight 1 is left out."""
-    x, y = _factors(op, r, s)
-    p = x @ y if r.kind == s.kind else basis.kron(x, y)
-    return p if w == 1 else w * p
-
-
-def local_factors(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
-                  line: int, r: float, dressed: bool) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """The two oscillators of :func:`local_e`, each on its factor; at the
-    mixed nodes 0 and M the piece is their tensor product, fermion first."""
-    return _factors(_factor_ops(cfg, basis, sign, dressed), *_node_modes(cfg, alpha, line, r, sign))
-
-
-def local_e(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str,
-            line: int, r: float, dressed: bool) -> sp.csr_matrix:
-    """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
-    (line, r) over the oscillators of :func:`_factor_ops`, on the node's
-    factor."""
-    return _piece(basis, _factor_ops(cfg, basis, sign, dressed), 1,
-                  *_node_modes(cfg, alpha, line, r, sign))
+def node_pieces(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str, dressed: bool):
+    """The local pieces of node alpha's E^sign, e^+ = upper^dag lower or
+    e^- = lower^dag upper over the oscillators of :func:`_factor_ops`, as
+    their entries on the node's factor (:func:`_entries`), formed one site
+    at a time in the order of ``cfg.lines`` and :func:`admissible_sites`."""
+    op = _factor_ops(cfg, basis, sign, dressed)
+    for line in cfg.lines:
+        for r in admissible_sites(cfg, alpha):
+            yield _entries(basis, op, 1, *_node_modes(cfg, alpha, line, r, sign))
 
 
 def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float, at=None,
@@ -364,21 +372,20 @@ def cartan_generator(basis: FockBasis, alpha: int) -> sp.csr_matrix:
 
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
                          deformed: bool = True) -> GeneratorSet:
-    """Build H_alpha and E_alpha^+- as sums of local pieces over all lines.
+    """Build H_alpha and E_alpha^+- as sums of local pieces over all lines,
+    each E assembled once from its pieces on the node's factor and lifted.
     The plain set (not ``deformed``) is the q-boson set at ``basis.cfg``
     (q = 1).  H_alpha reads no q (:func:`cartan_generator`)."""
     if not deformed:
         cfg = basis.cfg
-    cartan = cartan_data(cfg.M, cfg.N)
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
-        sites = [(line, r) for line in cfg.lines for r in admissible_sites(cfg, alpha)]
+        space = node_factor(cfg, alpha)
         H[alpha] = cartan_generator(basis, alpha)
         for sign in ("+", "-"):
-            E[(alpha, sign)] = _bilinear_sum(
-                basis, [(1, *_node_modes(cfg, alpha, line, r, sign)) for line, r in sites],
-                _factor_ops(cfg, basis, sign, deformed))
-    return GeneratorSet(cfg, cartan, H, E)
+            E[(alpha, sign)] = basis.lift(space, assemble(
+                node_pieces(cfg, basis, alpha, sign, deformed), basis.size(space)))
+    return GeneratorSet(cfg, cartan_data(cfg.M, cfg.N), H, E)
 
 
 def cached_generators(cfg: LatticeConfig, deformed: bool,
@@ -417,18 +424,19 @@ def _mode_for(kind_tag: str, flavor: int, line: int, site: float) -> ModeId:
 
 def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
     """sum_i w_i op(r_i, True) op(s_i, False) over ``terms`` (w, r, s).  The
-    terms of one statistics are summed on its factor and lifted once, mixed
-    ones (:func:`_piece`) at full dimension; the sums shift different
-    factors, so they touch disjoint entries and add as one sum does."""
-    total = None
+    terms of one statistics are assembled on its factor and lifted once, the
+    mixed ones on the whole basis (:func:`_entries`); the pieces, and the
+    sums of different factors, store disjoint positions (checked by
+    ``fock.assemble``), so each entry is one piece's."""
+    parts = []
     for space in (FERMION, BOSON, None):
-        group = [(w, r, s) for w, r, s in terms
+        group = [_entries(basis, op, w, r, s) for w, r, s in terms
                  if (r.kind if r.kind == s.kind else None) == space]
-        if group:  # summed piece by piece: a node's pieces are never all held at once
-            part = sum((_piece(basis, op, *t) for t in group), zero_op(basis, space))
-            part = basis.lift(space, part)
-            total = part if total is None else total + part
-    return zero_op(basis) if total is None else total.tocsr()
+        if group:
+            parts.append(basis.lift(space, assemble(group, basis.size(space))))
+    if len(parts) < 2:
+        return parts[0] if parts else zero_op(basis)
+    return assemble([(entry_rows(p), p.indices, p.data) for p in parts], basis.dim)
 
 
 def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:

@@ -7,13 +7,15 @@ and ``N`` bosonic oscillator modes; bosons are truncated at occupation
 dimension ``2^(M*S*K) * (n_max+1)^(N*S*K)``.
 
 Operators are scipy CSR matrices.  Ladders and anyons act on one factor of
-the state index f * NB + b, where their sums are formed; only
-:meth:`FockBasis.kron` places them on the whole basis (X (x) 1, 1 (x) Y or
-X (x) Y), and :meth:`FockBasis.stack` joins them block-diagonally for a
-family's check.  A basis reads no q: ``FockBasis.cfg`` is its config at q = 1,
-negative controls (``LatticeConfig.corruption``) included, so a basis serves
-one corruption.  :meth:`FockBasis.memo` is the one cache below the basis: it
-builds what reads no q once per basis and the rest once per q.
+the state index f * NB + b, where their sums are formed; :meth:`FockBasis.kron`
+lifts one of them to the whole basis (X (x) 1 or 1 (x) Y), and
+:meth:`FockBasis.stack` joins them block-diagonally for a family's check.
+A sum of pieces that store disjoint positions, each given by its entries
+(rows, columns, values), is put together once by :func:`assemble`, which
+checks that they do.  A basis reads no q: ``FockBasis.cfg`` is its config at
+q = 1, negative controls (``LatticeConfig.corruption``) included, so a basis
+serves one corruption.  :meth:`FockBasis.memo` is the one cache below the
+basis: it builds what reads no q once per basis and the rest once per q.
 Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
 preceding the target in a fixed global order (line, then site ascending, then
 flavor ascending), so the canonical anticommutation relations hold exactly for
@@ -358,22 +360,19 @@ class FockBasis:
         return np.repeat(x, self.NB) if kind == FERMION else np.tile(x, self.NF)
 
     def kron(self, x: sp.csr_matrix | None, y: sp.csr_matrix | None) -> sp.csr_matrix:
-        """x (x) y on the whole basis, x on the fermion factor and y on the
-        boson factor (None: the identity).  Row f*NB + b holds the products of
-        the entries of rows f of x and b of y, formed as scipy's product of the
-        lifts forms them (separately rounded real products added to zero)."""
-        one = (x is None) != (y is None)
+        """x (x) 1 or 1 (x) y on the whole basis, x on the fermion factor or y on
+        the boson factor, the other None (both None: the identity).  Row
+        f*NB + b holds the entries of row f of x or b of y, each added to
+        zero, as scipy's product with the identity forms them."""
+        if x is not None and y is not None:
+            raise ValueError("kron lifts one factor operator; the other must be None")
         x = self._one[FERMION] if x is None else x
         y = self._one[BOSON] if y is None else y
         idx, cx, cy = self._idx, np.diff(x.indptr), np.diff(y.indptr)
         indptr = y.nnz * x.indptr[:-1, None].astype(idx) + np.outer(cx, y.indptr[:-1])
         indices = (x.indices[:, None].astype(idx) * self.NB + y.indices).ravel()
-        if one:  # a product with 1 adds each entry to zero
-            data = 0.0 + np.broadcast_to(y.data if x is self._one[FERMION] else x.data[:, None],
-                                         (x.nnz, y.nnz))
-        else:
-            data = entry_products(x.data, y.data)
-        data = data.ravel()
+        data = (0.0 + np.broadcast_to(y.data if x is self._one[FERMION] else x.data[:, None],
+                                      (x.nnz, y.nnz))).ravel()
         if cx.max(initial=0) > 1:
             # entry p of row f (x) entry s of row b is entry p*cy[b] + s of
             # row f*NB + b; with one entry per row of x this is the order above
@@ -465,8 +464,9 @@ def diag_operator(diagonal: np.ndarray) -> sp.csr_matrix:
 
 
 def entry_rows(x: sp.csr_matrix) -> np.ndarray:
-    """The row of each stored entry of the CSR matrix x, in storage order."""
-    return np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    """The row of each stored entry of the CSR matrix x, in storage order, in
+    the type of its column indices."""
+    return np.repeat(np.arange(x.shape[0], dtype=x.indices.dtype), np.diff(x.indptr))
 
 
 def scale_entries(x: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
@@ -530,6 +530,18 @@ def entry_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
     data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
     return data
+
+
+def assemble(pieces, n: int) -> sp.csr_matrix:
+    """The n x n CSR sum of ``pieces``, each the (rows, columns, values) of its
+    stored entries.  The pieces must store disjoint positions, which is
+    checked (the sum holds one entry per stored entry), so each entry of the
+    sum is one piece's value, put in place as it is."""
+    rows, columns, values = (np.concatenate(part) for part in zip(*pieces))
+    total = sp.csr_matrix((values, (rows, columns)), shape=(n, n))
+    if total.nnz != values.size:
+        raise ValueError(f"{values.size - total.nnz} entries of the pieces share a position")
+    return total
 
 
 def op_adjoint(x: sp.spmatrix) -> sp.csr_matrix:

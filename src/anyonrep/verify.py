@@ -42,9 +42,8 @@ from .algebra import (
     central_charge_diag,
     compose_roots,
     eq57_exponent,
-    local_e,
-    local_factors,
     node_factor,
+    node_pieces,
     node_sum,
     root_weight,
 )
@@ -55,17 +54,15 @@ from .fock import (
     FockBasis,
     LatticeConfig,
     ModeId,
+    assemble,
     cached_basis,
     commutator,
     diag_operator,
-    entry_products,
-    entry_rows,
     identity_op,
     op_adjoint,
     q_bracket,
     q_power,
     residual_norm,
-    scale_entries,
     supercommutator,
 )
 from .oscillators import normal_number, number_diag, string_factor
@@ -307,25 +304,30 @@ def suite_undeformed(cfg: LatticeConfig) -> list[RelationReport]:
 # coproduct suite
 # ---------------------------------------------------------------------------
 
-def _disjoint_sum(pieces: list, alpha: int) -> sp.csr_matrix:
-    """The sum of node alpha's pieces, CSR matrices of one shape that store
-    disjoint entries (checked), assembled once: each entry is one piece's."""
-    rows, columns, data = (np.concatenate(parts) for parts in zip(
-        *((entry_rows(x), x.indices, x.data) for x in pieces)))
-    total = sp.csr_matrix((data, (rows, columns)), shape=pieces[0].shape)
-    if total.nnz != data.size:
-        raise ValueError(f"the local pieces of node {alpha} share an entry")
-    return total
+def _plain_values(piece, plain, alpha: int) -> np.ndarray:
+    """The values of the plain piece ``plain``, which must store the
+    positions of the dressed piece ``piece``, both (rows, columns, values)
+    in one order (checked), so their values compare entry by entry."""
+    if not all(np.array_equal(u, v) for u, v in zip(piece[:2], plain[:2])):
+        raise ValueError(f"the dressed pieces of node {alpha} leave the plain pattern")
+    return plain[2]
+
+
+def _distance(u: np.ndarray, v: np.ndarray) -> float:
+    """max |u - v| over the values of one pattern (0 for none), the residual
+    of the two sums that hold them."""
+    return float(np.abs(u - v).max(initial=0.0))
 
 
 def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
     """String-tail factorization of every local piece, and the two-half split
     of the global generators with the coproduct weights between the halves.
-    Each piece is built once over anyons and once over q-bosons, and read by
-    every statement about it.  A diagonal acting on a piece, its tail, half
-    and weight, is read at the piece's stored columns or rows from its modes'
-    vectors, each built once per node on its factor (``algebra._on_node``):
-    none is lifted to the whole basis."""
+    Each piece is formed once over anyons and once over q-bosons, as its
+    entries on its node's factor (``algebra.node_pieces``), and read by every
+    statement about it.  A diagonal acting on a piece, its tail, half and
+    weight, is read at the piece's columns or rows from its modes' vectors,
+    each built once per node on its factor (``algebra._on_node``): none is
+    lifted to the whole basis, and no piece is formed there."""
     gs = cached_generators(cfg, True)
     basis = cached_basis(cfg)
     out = SuiteReports("coproduct", cfg.tol)
@@ -342,10 +344,10 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
     # Every right site comes after every left site, so a left piece's
     # left-only tail exponent is its full one minus H_R/2 and a right piece's
     # right-only one its full one plus H_L/2: exact, as every exponent is a
-    # half-integer.  The pieces of different sites store disjoint entries
+    # half-integer.  The pieces of different sites store disjoint positions
     # (checked), so each entry of the split is one piece's, and each piece is
     # scaled on its own, half then weight, as the half-sum scales it, and the
-    # split assembled once (:func:`_disjoint_sum`).
+    # split assembled once (``fock.assemble``).
     cut = (cfg.K + 1) // 2
 
     for alpha in range(cfg.R + 1):
@@ -369,26 +371,27 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
         worst = 0.0
         for s in ("+", "-"):
             halves = []
-            for i, (ln, r) in enumerate(sites):
-                E = local_e(cfg, basis, alpha, s, ln, r, True)
-                ehat = local_e(cfg, basis, alpha, s, ln, r, False)
-                x = eq57_exponent(basis, alpha, ln, r, ehat.indices, strings[i])
-                worst = max(worst, residual_norm(E - scale_entries(ehat, q_power(qa, x))))
+            pieces = zip(node_pieces(cfg, basis, alpha, s, True),
+                         node_pieces(cfg, basis, alpha, s, False))
+            for i, (piece, plain) in enumerate(pieces):
+                rows, columns, e = piece
+                ehat = _plain_values(piece, plain, alpha)
+                x = eq57_exponent(basis, alpha, *sites[i], columns, strings[i])
+                worst = max(worst, _distance(e, np.multiply(ehat, q_power(qa, x))))
                 if alpha == control:
-                    flipped = scale_entries(ehat, q_power(1 / qa, x))
-                    worst_flip = max(worst_flip, residual_norm(E - flipped))
+                    flipped = np.multiply(ehat, q_power(1 / qa, x))
+                    worst_flip = max(worst_flip, _distance(e, flipped))
                 if alpha:
                     if left[i]:
-                        h = 0.5 * HR(ehat.indices)
-                        half = scale_entries(ehat, q_power(qa, x - h))
-                        half = scale_entries(half, q_power(qa, h))
+                        h = 0.5 * HR(columns)
+                        half = np.multiply(np.multiply(ehat, q_power(qa, x - h)), q_power(qa, h))
                     else:
-                        half = scale_entries(ehat, q_power(qa, x + 0.5 * HL(ehat.indices)))
-                        half = scale_entries(half, q_power(qa, -0.5 * HL(entry_rows(ehat))))
-                    halves.append(half)
+                        half = np.multiply(ehat, q_power(qa, x + 0.5 * HL(columns)))
+                        half = np.multiply(half, q_power(qa, -0.5 * HL(rows)))
+                    halves.append((rows, columns, half))
             if alpha:
                 splits.check(f"eq11a-split[{alpha},{s}]", gs.E[(alpha, s)],
-                             basis.lift(space, _disjoint_sum(halves, alpha)),
+                             basis.lift(space, assemble(halves, basis.size(space))),
                              params={"alpha": alpha, "sign": s})
         out.record(f"eq57[{alpha}]", worst,
                    params={"alpha": alpha,
@@ -407,72 +410,43 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
 # classical limit
 # ---------------------------------------------------------------------------
 
-def _disjoint(x: sp.csr_matrix, blocks: int) -> bool:
-    """Whether no two of the ``blocks`` diagonal blocks of the stack x store an
-    entry at one position of their block."""
-    m = x.shape[0] // blocks
-    keys = entry_rows(x) % m * m + x.indices % m
-    return np.unique(keys).size == keys.size
-
-
-def _local_pieces(cfg: LatticeConfig, basis: FockBasis, dressed: bool):
-    """The local pieces of the set at ``cfg`` (``dressed``: anyon-built, else
-    plain), one node and sign at a time, as (alpha, operands, entries), one
-    block of a stack (:meth:`FockBasis.stack`) per site.  On a node of one
-    statistics the operand is the stack of the pieces, formed as one product
-    of the stacks of their two factors, and the entries are its own; at the
-    mixed nodes 0 and M the operands are the stacks of the factors X and Y of
-    each piece X (x) Y, and the entries are the pieces' as ``FockBasis.kron``
-    forms them (``fock.entry_products``)."""
+def _limit_distances(basis: FockBasis, q_reals) -> list[float]:
+    """max |E - E_plain| over the generators at each of ``q_reals``, read off
+    their local pieces (``algebra.node_pieces``) one node and sign at a time:
+    no generator is formed, and each node's plain pieces are formed once for
+    every q.  A dressed piece has the pattern of its plain one, and the plain
+    pieces of different sites store no common position (``fock.assemble``),
+    both checked, so each entry of a generator is one piece's: the sum and
+    the lift add it to zero and the difference is taken entry by entry, so
+    each maximum is the whole generators' bit for bit."""
+    cfg = basis.cfg
+    dressed_at = [dataclasses.replace(cfg, q_real=q) for q in q_reals]
+    worst = [0.0] * len(q_reals)
     for alpha in range(cfg.R + 1):
         for s in ("+", "-"):
-            xs, ys = zip(*(local_factors(cfg, basis, alpha, s, ln, r, dressed)
-                           for ln in cfg.lines for r in admissible_sites(cfg, alpha)))
-            x, y = basis.stack(xs), basis.stack(ys)
-            if node_factor(cfg, alpha) is None:
-                yield alpha, (x, y), np.concatenate(
-                    [entry_products(u.data, v.data).ravel() for u, v in zip(xs, ys)])
-            else:
-                e = x @ y
-                yield alpha, (e,), e.data
-
-
-def _limit_distance(basis: FockBasis, q_real: float) -> float:
-    """max |E - E_plain| over the generators at ``q_real``, read off their
-    local pieces (:func:`_local_pieces`) one node and sign at a time: no
-    generator is formed.  A dressed operand has the pattern of its plain one,
-    and of one operand the plain pieces of different sites store no common
-    position (both checked here), so each entry of a generator is one
-    piece's: the sum and the lift add it to zero and the difference is taken
-    entry by entry, so the maximum is the whole generators' bit for bit."""
-    cfg, worst = basis.cfg, 0.0
-    dressed = _local_pieces(dataclasses.replace(cfg, q_real=q_real), basis, True)
-    plain = _local_pieces(cfg, basis, False)
-    for (alpha, operands, entries), (_, base, base_entries) in zip(dressed, plain):
-        if not any(_disjoint(x, cfg.K * len(admissible_sites(cfg, alpha))) for x in base):
-            raise ValueError(f"the local pieces of node {alpha} share an entry")
-        if not all(np.array_equal(u.indptr, v.indptr) and np.array_equal(u.indices, v.indices)
-                   for u, v in zip(operands, base)):
-            raise ValueError(f"the dressed pieces of node {alpha} leave the plain pattern")
-        worst = max(worst, float(np.abs(entries - base_entries).max(initial=0.0)))
+            plain = list(node_pieces(cfg, basis, alpha, s, False))
+            assemble(plain, basis.size(node_factor(cfg, alpha)))
+            for k, at in enumerate(dressed_at):
+                for piece, base in zip(node_pieces(at, basis, alpha, s, True), plain):
+                    worst[k] = max(worst[k], _distance(piece[2], _plain_values(piece, base, alpha)))
     return worst
 
 
 def suite_classical_limit(cfg: LatticeConfig) -> list[RelationReport]:
     """q = 1 collapse onto the plain oscillator realization, and first-order
     scaling of the deviation in (q - 1), decided on the local pieces of the
-    sets at and near q = 1 (:func:`_limit_distance`): no set is built."""
+    sets at and near q = 1 (:func:`_limit_distances`): no set is built."""
     out = SuiteReports("classical", 1e-12)
     basis = cached_basis(cfg)
-    out.record("limit-q1", _limit_distance(basis, 1.0))
+    eps = 1e-6
+    at_one, r1, r2 = _limit_distances(basis, (1.0, 1 + eps, 1 + 2 * eps))
+    out.record("limit-q1", at_one)
     # every set on the basis holds the one H_alpha of cartan_generator, read
     # one node at a time; fock.q_number makes [h]_1 = h by construction
     worst = max(float(np.abs(q_bracket(h, 1.0) - h).max())
                 for h in (cartan_generator(basis, al).diagonal().real for al in range(cfg.R + 1)))
     out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
 
-    eps = 1e-6
-    r1, r2 = _limit_distance(basis, 1 + eps), _limit_distance(basis, 1 + 2 * eps)
     ratio = r2 / r1 if r1 else float("inf")
     out.record("limit-slope", abs(ratio - 2.0), tol=0.2,
                params={"r_eps": r1, "r_2eps": r2, "ratio": ratio})

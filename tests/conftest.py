@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anyonrep.algebra import _h_local_diag, eq57_exponent, local_e, node_factor
+from anyonrep.algebra import (
+    _factor_ops,
+    _h_local_diag,
+    _node_modes,
+    eq57_exponent,
+    node_factor,
+)
 from anyonrep.anyons import anyon_factor
 from anyonrep.oscillators import normal_number, string_factor
 from anyonrep.fock import (
@@ -14,6 +20,7 @@ from anyonrep.fock import (
     build_basis,
     bulk_mask,
     diag_operator,
+    identity_op,
     ladder,
     q_power,
 )
@@ -62,6 +69,38 @@ def on_basis(basis, alpha, x):
     """A local piece (an operator) or a tail or Cartan part (a vector) of node
     alpha, which the package forms on the node's factor, on the whole basis."""
     return basis.lift(node_factor(basis.cfg, alpha), x)
+
+
+def lifted_product(basis, x, y):
+    """The product of the kron lifts of x on the fermion factor and y on the
+    boson factor (None: the identity), its rows sorted: scipy's product
+    leaves them in reverse order of first touch."""
+    def lift(kind, z):
+        return kron_lift(basis, kind, identity_op(basis, kind) if z is None else z)
+
+    out = lift(FERMION, x) @ lift(BOSON, y)
+    out.sort_indices()
+    return out
+
+
+def piece(basis, op, w, r, s):
+    """w op(r, True) op(s, False) as a matrix on the smallest space that holds
+    it, the reference of ``algebra._entries``: x @ y on the modes' shared
+    factor, else the product of the lifts of X and Y, fermion first, on the
+    whole basis."""
+    x, y = op(r, True), op(s, False)
+    if r.kind == s.kind:
+        p = x @ y
+    else:
+        p = lifted_product(basis, *((y, x) if r.kind == BOSON else (x, y)))
+    return p if w == 1 else w * p
+
+
+def local_e(cfg, basis, alpha, sign, line, r, dressed):
+    """e^+ = upper^dag lower or e^- = lower^dag upper of node alpha at
+    (line, r), dressed or plain, as a matrix on the node's factor."""
+    return piece(basis, _factor_ops(cfg, basis, sign, dressed), 1,
+                 *_node_modes(cfg, alpha, line, r, sign))
 
 
 def full_local_e(cfg, basis, alpha, *args):

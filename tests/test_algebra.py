@@ -560,8 +560,8 @@ def test_a_config_beside_the_basis_reads_q():
                 types |= {name} if meth else set()
                 if {"LatticeConfig", "FockBasis"} <= types:
                     both.add(f"{name}.{meth}" if meth else name)
-    assert both == {"ladder", "anyon_factor", "_factor_ops", "local_e", "local_factors",
-                    "_local_pieces", "chevalley_generators", "FockBasis.memo"}
+    assert both == {"ladder", "anyon_factor", "_factor_ops", "node_pieces",
+                    "chevalley_generators", "FockBasis.memo"}
 
 
 def test_only_the_basis_converts_a_config_to_q_one():

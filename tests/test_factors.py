@@ -13,13 +13,22 @@ full-dimension evaluation of these suites lives here, as their oracle.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse._compressed as compressed
 
-from conftest import full_anyon, full_ladder, full_normal_number, kron_lift, string_exponent
+from conftest import (
+    full_anyon,
+    full_ladder,
+    full_normal_number,
+    kron_lift,
+    lifted_product,
+    piece,
+    string_exponent,
+)
 from anyonrep import algebra as alg
 from anyonrep import verify
 from anyonrep.anyons import FAMILIES, anyon_factor, suite_braiding
@@ -32,6 +41,7 @@ from anyonrep.fock import (
     LatticeConfig,
     ModeId,
     _cached_basis,
+    assemble,
     build_basis,
     cached_basis,
     commutator,
@@ -108,44 +118,44 @@ def test_full_space_operators_are_lifted_factors(cfg):
                 assert_same_arrays(basis.lift(kind, x), kron_lift(basis, kind, x))
 
 
-def lifted_product(basis, x, y):
-    """The product of the kron lifts of x on the fermion factor and y on the
-    boson factor (None: the identity), its rows sorted: scipy's product
-    leaves them in reverse order of first touch."""
-    def lift(kind, z):
-        return kron_lift(basis, kind, identity_op(basis, kind) if z is None else z)
-
-    out = lift(FERMION, x) @ lift(BOSON, y)
-    out.sort_indices()
-    return out
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_lift_of_a_factor_operator_is_the_kron_lift(seed):
-    """x (x) y of random operators with rows of several entries, empty rows
-    and real rows on both factors, either side the identity (None), has the
-    arrays of the product of the kron lifts, bit for bit: its rounding, its
-    signed zeros and its dropped zeros, the stored zeros of x and y among
-    them.  A factor operator lifts as its tensor product with the identity."""
+    """x (x) 1 and 1 (x) y of random operators with rows of several entries,
+    empty rows and real rows, and the identity (both None), have the arrays
+    of the product of the kron lifts, bit for bit: its rounding, its signed
+    zeros and its dropped zeros, the stored zeros of x and y among them.  A
+    factor operator lifts as its tensor product with the identity; kron
+    forms no tensor product of two factor operators (:func:`alg._entries`
+    reads those)."""
     basis = build_basis(STACKS[0])
     rng = np.random.default_rng(seed)
     x = random_factor_operator(rng, basis.NF)
     y = random_factor_operator(rng, basis.NB)
-    for fx, by in ((x, y), (x, None), (None, y), (None, None)):
+    for fx, by in ((x, None), (None, y), (None, None)):
         assert_same_arrays(basis.kron(fx, by), lifted_product(basis, fx, by), bits=True)
     assert_same_arrays(basis.lift(FERMION, x), basis.kron(x, None), bits=True)
     assert_same_arrays(basis.lift(BOSON, y), basis.kron(None, y), bits=True)
     assert basis.lift(None, x) is x
+    with pytest.raises(ValueError, match="one factor operator"):
+        basis.kron(x, y)
+
+
+def _assembled_piece(basis, ops, r, s):
+    """The piece ops[r] ops[s], assembled from its entries on the smallest
+    space that holds it."""
+    return assemble([alg._entries(basis, lambda m, _: ops[m], 1, r, s)],
+                    basis.size(r.kind if r.kind == s.kind else None))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
-    """The product of a fermion-factor and a boson-factor operator, with
-    rows of several entries, in either order, is their tensor product, bit
-    for bit like scipy's product of the lifts: its complex rounding (numpy's
-    complex * differs from it in about a third of random products, and is
-    not commutative), its signed zeros and its dropped zeros.  Operators of
-    one factor multiply there."""
+    """The entries of the product of a fermion-factor and a boson-factor
+    operator, with rows of several entries, in either order, assembled, are
+    their product on the whole basis, bit for bit like scipy's product of
+    the lifts: its complex rounding (numpy's complex * differs from it in
+    about a third of random products, and is not commutative), its signed
+    zeros and its dropped zeros.  Operators of one factor multiply there,
+    and assemble to the canonical form of their product."""
     basis = build_basis(STACKS[0])
     rng = np.random.default_rng(seed)
     x = random_factor_operator(rng, basis.NF)
@@ -153,15 +163,43 @@ def test_mixed_product_is_tiled_like_the_product_of_the_lifts(seed):
     (f,), (b, b2) = basis.fermion_modes[:1], basis.boson_modes[:2]
     ops = {f: x, b: y}
     ref = lifted_product(basis, x, y)
-    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], 1, f, b), ref, bits=True)
-    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], 1, b, f), ref, bits=True)
+    assert_same_arrays(_assembled_piece(basis, ops, f, b), ref, bits=True)
+    assert_same_arrays(_assembled_piece(basis, ops, b, f), ref, bits=True)
     swapped = kron_lift(basis, BOSON, y) @ kron_lift(basis, FERMION, x)
     swapped.sort_indices()
     assert_same_arrays(swapped, ref, bits=True)
     empty = sp.csr_matrix(x.shape, dtype=complex)
-    assert_same_arrays(basis.kron(empty, y), lifted_product(basis, empty, y), bits=True)
+    assert_same_arrays(_assembled_piece(basis, {f: empty, b: y}, f, b),
+                       lifted_product(basis, empty, y), bits=True)
     ops = {b: random_factor_operator(rng, basis.NB), b2: y}
-    assert_same_arrays(alg._piece(basis, lambda m, _: ops[m], 1, b, b2), ops[b] @ y, bits=True)
+    product = ops[b] @ y
+    assert not product.has_sorted_indices
+    product.sort_indices()
+    assert_same_arrays(_assembled_piece(basis, ops, b, b2), product, bits=True)
+
+
+def test_mixed_entries_are_indexed_past_two_to_the_31():
+    """A mixed piece's index f * NB + b is computed in the basis's index type:
+    with NB = 2^20 and int64 indices, a fermion column of 4095 gives the
+    exact column 4095 * 2^20 + b, past 2^31, not one wrapped in int32."""
+    stub = SimpleNamespace(NB=2 ** 20, _idx=np.int64)
+    f, b = ModeId(FERMION, 1, 1, 0.5), ModeId(BOSON, 1, 1, 0.5)
+    x = sp.csr_matrix(([1.0 + 0j], ([4094], [4095])), shape=(4096, 4096))
+    y = sp.csr_matrix(([2.0 + 0j], ([3], [5])), shape=(8, 8))
+    rows, columns, values = alg._entries(stub, lambda m, _: {f: x, b: y}[m], 1, f, b)
+    assert rows.tolist() == [4094 * 2 ** 20 + 3] and columns.tolist() == [4095 * 2 ** 20 + 5]
+    assert columns[0] > 2 ** 31 and values.tolist() == [2.0 + 0j]
+
+
+def test_assemble_refuses_pieces_that_share_a_position():
+    """Pieces are put in place, not added: two pieces that store one
+    position are refused, and disjoint ones give their union."""
+    one = (np.array([0, 1]), np.array([1, 0]), np.array([1.0, 2.0j]))
+    other = (np.array([1]), np.array([1]), np.array([3.0 + 0j]))
+    total = assemble([one, other], 2)
+    assert total.toarray().tolist() == [[0, 1.0], [2.0j, 3.0]]
+    with pytest.raises(ValueError, match="1 entries of the pieces share a position"):
+        assemble([one, (np.array([1]), np.array([0]), np.array([3.0 + 0j]))], 2)
 
 
 def test_factor_operators_are_built_once_per_config():
@@ -298,6 +336,64 @@ def _ref_cartan_weyl_h(cfg, basis, a, m):
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
     return sum((w * (full_ladder(cfg, basis, mr, True) @ full_ladder(cfg, basis, ms))
                 for w, mr, ms in terms), zero_op(basis)).tocsr()
+
+
+def _sequential_sum(basis, terms, op):
+    """sum_i w_i op(r_i, True) op(s_i, False) as the generators were summed
+    before they were assembled from entries: the pieces of one statistics
+    added one at a time with scipy's + from the zero operator of their
+    factor and the sum lifted, the mixed pieces formed as matrices on the
+    whole basis and added the same way, and the groups added."""
+    total = None
+    for space in (FERMION, BOSON, None):
+        group = [(w, r, s) for w, r, s in terms
+                 if (r.kind if r.kind == s.kind else None) == space]
+        if group:
+            part = sum((piece(basis, op, *t) for t in group), zero_op(basis, space))
+            part = basis.lift(space, part)
+            total = part if total is None else total + part
+    return zero_op(basis) if total is None else total.tocsr()
+
+
+ASSEMBLY = {
+    "M2N2S2": LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
+    "M2N1S4": LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3),
+    "sea,empty": STACKS[2],
+    "real-q": LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.3),
+    **{name: LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3, corruption=corruption)
+       for name, corruption in zip(["qalpha", "h0delta", "disorder"], CONTROLS[1:])},
+}
+
+
+@pytest.mark.parametrize("cfg", ASSEMBLY.values(), ids=ASSEMBLY.keys())
+def test_assembled_generators_equal_the_sequential_sum(cfg, monkeypatch):
+    """Every E of the plain and the deformed set, every Cartan-Weyl root
+    generator at m = -1, 0, 1 and every h_a^{+-1}, assembled once from the
+    entries of their pieces, has the data, indices and indptr of the sum of
+    the pieces as matrices, added one at a time, byte for byte, signed zeros
+    included."""
+    basis, reference = build_basis(cfg), build_basis(cfg)
+    for deformed in (False, True):
+        at = cfg if deformed else basis.cfg
+        gs = alg.chevalley_generators(cfg, basis, deformed)
+        for alpha in range(cfg.R + 1):
+            for sign in ("+", "-"):
+                terms = [(1, *alg._node_modes(at, alpha, ln, r, sign))
+                         for ln in at.lines for r in alg.admissible_sites(at, alpha)]
+                ref = _sequential_sum(reference, terms,
+                                      alg._factor_ops(at, reference, sign, deformed))
+                assert_same_arrays(gs.E[(alpha, sign)], ref, bits=True)
+    cartan = alg.cartan_data(cfg.M, cfg.N)
+    labels = [replace(cartan.simple_root_label(al), m=m)
+              for al in range(cfg.R + 1) for m in (-1, 0, 1)]
+    assembled = ([alg.cartan_weyl_generators(basis, lab) for lab in labels]
+                 + [alg.cartan_weyl_h(basis, a, m) for a in range(1, cfg.R + 1) for m in (-1, 1)])
+    monkeypatch.setattr(alg, "_bilinear_sum", _sequential_sum)
+    summed = ([alg.cartan_weyl_generators(reference, lab) for lab in labels]
+              + [alg.cartan_weyl_h(reference, a, m) for a in range(1, cfg.R + 1) for m in (-1, 1)])
+    for x, y in zip(assembled, summed):
+        assert x.nnz
+        assert_same_arrays(x, y, bits=True)
 
 
 @pytest.mark.parametrize("cfg", STACKS, ids=STACK_IDS)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse._compressed as compressed
 from hypothesis import given, settings, strategies as st
 
-from conftest import bulk_projector, full_local_e
+from conftest import bulk_projector, full_local_e, local_e
 from anyonrep.algebra import (
     admissible_sites,
     cached_basis,
@@ -19,7 +19,6 @@ from anyonrep.algebra import (
     cartan_data,
     cartan_weyl_generators,
     compose_roots,
-    local_e,
 )
 from anyonrep import algebra, fock, report, verify
 from anyonrep.oscillators import number_factor, suite_oscillators
@@ -1047,21 +1046,31 @@ def test_coproduct_split_on_line_stacks(ordering):
 
 
 def test_suite_coproduct_builds_each_local_piece_once(monkeypatch):
+    """Each local piece is formed once over anyons and once over q-bosons,
+    as its entries: one node_pieces call per node, sign and statistics, each
+    yielding every site once, and no other _entries call (the generator set
+    is built before)."""
     cfg = LatticeConfig(M=2, N=2, S=2, K=2, n_max=1, nu=0.3,
                         ordering=("sea", "empty"))
-    calls = []
+    cached_generators(cfg, True)
+    calls, formed, entries = [], [], algebra._entries
 
-    def counted(cfg, basis, alpha, sign, line, r, dressed, *args, **kw):
-        calls.append((alpha, sign, line, r, dressed))
-        return local_e(cfg, basis, alpha, sign, line, r, dressed, *args, **kw)
+    def counted(cfg, basis, alpha, sign, dressed):
+        calls.append((alpha, sign, dressed))
+        for k, piece in enumerate(algebra.node_pieces(cfg, basis, alpha, sign, dressed)):
+            formed.append((alpha, sign, k, dressed))
+            yield piece
 
-    monkeypatch.setattr(verify, "local_e", counted)
+    monkeypatch.setattr(verify, "node_pieces", counted)
+    monkeypatch.setattr(algebra, "_entries", lambda *args: formed.append(args[3:]) or entries(*args))
     assert reports_ok(suite_coproduct(cfg))
-    pieces = {(al, s, ln, r) for al in range(cfg.R + 1) for s in ("+", "-")
-              for ln in cfg.lines for r in admissible_sites(cfg, al)}
-    # once over anyons, once over q-bosons
-    assert len(calls) == len(set(calls)) == 2 * len(pieces)
-    assert {c[:4] for c in calls} == pieces
+    keys = [(al, s) for al in range(cfg.R + 1) for s in ("+", "-")]
+    assert sorted(calls) == sorted((*key, d) for key in keys for d in (False, True))
+    pieces = [(*key, k, d) for key in keys for d in (False, True)
+              for k in range(cfg.K * len(admissible_sites(cfg, key[0])))]
+    sites = [f for f in formed if len(f) == 4]
+    assert len(sites) == len(set(sites)) == len(pieces) and set(sites) == set(pieces)
+    assert len(formed) == 2 * len(pieces)  # one _entries call per piece
 
 
 def test_coproduct_control_not_applicable_without_inverse_nodes(cfg21):
@@ -1173,14 +1182,40 @@ def test_coproduct_forms_no_full_dimension_vector(cfg22, monkeypatch):
     assert reports_ok(reports) and seen == []
 
 
+def _repeated_pieces(cfg, basis, alpha, s, dressed):
+    """Every site of the node yields the first site's piece."""
+    first = next(algebra.node_pieces(cfg, basis, alpha, s, dressed))
+    return (first for _ in cfg.lines for _ in admissible_sites(cfg, alpha))
+
+
+def _moved_pieces(cfg, basis, alpha, s, dressed):
+    """The node's pieces, each dressed one with its columns reversed."""
+    for rows, columns, values in algebra.node_pieces(cfg, basis, alpha, s, dressed):
+        yield rows, columns[::-1] if dressed else columns, values
+
+
 def test_coproduct_refuses_pieces_that_share_an_entry(cfg22, monkeypatch):
     """The split is summed piece by piece as the half-sums scale it only
-    because the pieces of different sites store disjoint entries."""
-    monkeypatch.setattr(verify, "local_e",
-                        lambda cfg, basis, alpha, s, ln, r, dressed:
-                        local_e(cfg, basis, alpha, s, ln, cfg.sites[0], dressed))
-    with pytest.raises(ValueError, match="share an entry"):
+    because the pieces of different sites store disjoint entries: a node
+    whose every site yields the first site's piece is refused."""
+    monkeypatch.setattr(verify, "node_pieces", _repeated_pieces)
+    with pytest.raises(ValueError, match="share a position"):
         suite_coproduct(cfg22)
+
+
+@pytest.mark.parametrize("suite", ["coproduct", "classical"])
+def test_pieces_compare_by_value_only_on_the_plain_pattern(cfg22, suite, monkeypatch):
+    """Both suites compare a dressed piece with its plain one value by value,
+    and classical reads each generator entry as one piece's: so a dressed
+    piece off the plain pattern is refused by both, and plain pieces that
+    share a position by classical."""
+    monkeypatch.setattr(verify, "node_pieces", _moved_pieces)
+    with pytest.raises(ValueError, match="leave the plain pattern"):
+        verify.SUITES[suite](cfg22)
+    if suite == "classical":
+        monkeypatch.setattr(verify, "node_pieces", _repeated_pieces)
+        with pytest.raises(ValueError, match="share a position"):
+            suite_classical_limit(cfg22)
 
 
 def test_split_degenerates_to_additivity_at_q_one():
@@ -1263,9 +1298,9 @@ def test_classical_on_local_pieces_equals_the_whole_sets(cfg):
 
 def test_classical_builds_no_set_and_no_whole_basis_piece(cfg22, monkeypatch):
     """On a fresh basis, so nothing is a memo hit, classical calls no
-    chevalley_generators and forms no operator on the whole basis: the mixed
-    pieces of nodes 0 and M stay their two factors (FockBasis.kron is the one
-    way onto the whole basis)."""
+    chevalley_generators and lifts no operator (FockBasis.kron): no piece is
+    a whole-basis matrix, and the mixed pieces of nodes 0 and M are read as
+    the entries of their two factors' tensor product."""
     _cached_basis.cache_clear()
     calls = []
     build, kron = algebra.chevalley_generators, FockBasis.kron
@@ -1277,6 +1312,18 @@ def test_classical_builds_no_set_and_no_whole_basis_piece(cfg22, monkeypatch):
     assert calls == []
     cached_generators(cfg22, True)
     assert calls[0] == "set" and "kron" in calls
+
+
+def test_coproduct_and_classical_make_no_two_factor_kron_call(cfg22, monkeypatch):
+    """Neither suite forms a mixed piece X (x) Y on the whole basis: every
+    FockBasis.kron call of theirs, the generator set's included, lifts one
+    factor operator."""
+    _cached_basis.cache_clear()
+    calls, kron = [], FockBasis.kron
+    monkeypatch.setattr(FockBasis, "kron",
+                        lambda self, x, y: calls.append((x is None, y is None)) or kron(self, x, y))
+    assert reports_ok(suite_coproduct(cfg22)) and reports_ok(suite_classical_limit(cfg22))
+    assert calls and (False, False) not in calls
 
 
 @pytest.mark.parametrize("ordering,expected", [
