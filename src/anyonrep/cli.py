@@ -245,8 +245,8 @@ def cmd_verify(args) -> int:
         "all_ok": all_ok,
         "counts": _counts(results),
         "suites": {
-            name: {"ok": reports_ok(reps),
-                   "reports": [r.to_dict() for r in reps]}
+            # each report's own field dict, not a copy
+            name: {"ok": reports_ok(reps), "reports": [*map(vars, reps)]}
             for name, reps in results.items()
         },
     }

@@ -8,7 +8,8 @@ occupation numbers everywhere.  The q-bosons b|n> = sqrt([n]_q) |n-1> are
 ``fock.ladder``; the ordinary truncated bosons of the canonical relations are
 the same ladders at q = 1.  The q-boson relations here and the braiding
 relations of ``anyons`` are tables of rows, each family stated once, and
-:func:`check_rows` evaluates them all as ``fock.commutator`` products.
+:func:`check_rows` evaluates them all as ``fock.commutator`` products, the
+rows that share a coefficient, right side and bulk in one check.
 """
 
 from __future__ import annotations
@@ -66,16 +67,20 @@ def string_factor(basis: FockBasis, mode: ModeId) -> np.ndarray:
     statistics and flavor as ``mode``, r its position, on the factor of the
     basis index that carries that statistics.  eps compares (line, site)
     pairs in line-major order and vanishes at the target itself, so the
-    string commutes with ladder operators of the target mode."""
-    total = np.zeros(basis.size(mode.kind))
-    modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
-    for m in modes:
-        if m.flavor != mode.flavor:
-            continue
-        eps = site_order_sign(m.line, m.site, mode.line, mode.site)
-        if eps:
-            total += eps * normal_number(basis, m)
-    return total
+    string commutes with ladder operators of the target mode.  It reads no
+    q: it is built once per basis, kept under ``basis.cfg``, and never
+    changed in place."""
+    def build():
+        total = np.zeros(basis.size(mode.kind))
+        modes = basis.fermion_modes if mode.kind == FERMION else basis.boson_modes
+        for m in modes:
+            if m.flavor != mode.flavor:
+                continue
+            eps = site_order_sign(m.line, m.site, mode.line, mode.site)
+            if eps:
+                total += eps * normal_number(basis, m)
+        return total
+    return basis.memo(basis.cfg, ("string", mode), build)
 
 
 # ---------------------------------------------------------------------------
@@ -112,28 +117,41 @@ def q_oscillator(family: str, power: int, L: str) -> Row:
 def check_rows(out: SuiteReports, cfg: LatticeConfig, rows, keys, operator, *,
                tags, params, factor):
     """Emit the families of ``rows`` over ``keys``, each a point (x,) or a
-    pair (x, y) of modes, as ``family[tag]``, block-major.  An operand is the
-    stack of ``operator(name, dagger, mode)`` over the keys, a vector ("n",
-    "w") the concatenation of its factor vectors, each formed once."""
+    pair (x, y) of modes, as ``family[tag]``, block-major.  Rows that share
+    the coefficient c, a right side or none, and the bulk are one family
+    over their (row, key) blocks, X, Y and the right side joined row by row;
+    its reports are split back per row.  An operand is the stack of
+    ``operator(name, dagger, mode)`` over the keys of each spec in turn, a
+    vector ("n", "w") the concatenation of its factor vectors, each formed
+    once per distinct tuple of specs."""
     basis, vectors = out.basis, {"n": number_factor, "w": string_factor}
 
     @functools.cache
-    def operand(spec):
-        name, at = spec.split()
-        modes = [key["xy".index(at)] for key in keys]
-        if name in vectors:
-            return np.concatenate([vectors[name](basis, m) for m in modes])
-        return basis.stack([operator(name.rstrip("+"), name.endswith("+"), m) for m in modes])
+    def operand(*specs):
+        blocks = [(name, k["xy".index(at)]) for name, at in map(str.split, specs) for k in keys]
+        if blocks[0][0] in vectors:
+            return np.concatenate([vectors[name](basis, m) for name, m in blocks])
+        return basis.stack([operator(name.rstrip("+"), name.endswith("+"), m)
+                            for name, m in blocks])
 
-    def family(row):
-        ids, x, y = [f"{row.family}[{tag}]" for tag in tags], operand(row.x), operand(row.y)
-        kwargs = {"factor": factor, "params": params}
-        if row.x == "n x":  # the weight relation [n, Y] = w Y, read off Y's entries
-            return out.check_weights(ids, y, [(x, row.rhs, row.bulk)], **kwargs)
-        rhs = row.rhs and diag_operator(DIAGONALS[row.rhs](cfg.q, lambda v: operand(v + " x")))
-        return out.check_family(ids, commutator(x, y, row.sign * cfg.q ** row.power), rhs,
-                                bulk=row.bulk, **kwargs)
-    out.emit(*map(family, rows))
+    groups, reports = {}, {}
+    for row in rows:  # a weight row ("n x") is its own group
+        key = row.sign * cfg.q ** row.power, row.rhs is None, row.bulk, row.x == "n x" and row
+        groups.setdefault(key, []).append(row)
+    for (c, _, bulk, weight), members in groups.items():
+        ids = [f"{row.family}[{tag}]" for row in members for tag in tags]
+        kwargs = {"factor": factor, "params": params * len(members)}
+        y = operand(*(row.y for row in members))
+        if weight:  # the weight relation [n, Y] = w Y, read off Y's entries
+            got = out.check_weights(ids, y, [(operand(weight.x), weight.rhs, bulk)], **kwargs)
+        else:
+            rhs = members[0].rhs and diag_operator(np.concatenate(
+                [DIAGONALS[row.rhs](cfg.q, lambda v: operand(v + " x")) for row in members]))
+            got = out.check_family(ids, commutator(operand(*(row.x for row in members)), y, c),
+                                   rhs, bulk=bulk, **kwargs)
+        reports.update((row, got[i * len(keys):(i + 1) * len(keys)])
+                       for i, row in enumerate(members))
+    out.emit(*map(reports.get, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ mask and each Cartan diagonal's half-steps for one suite call, and no
 longer.  A family, one relation over many operand tuples, is checked at once
 on block-diagonal stacks, one residual per block
 (:meth:`SuiteReports.check_family`); one relation is the one-block case; a
-zero right side is no matrix.  The
+zero right side is no matrix.  One check may hold the blocks of several
+catalog families (``oscillators.check_rows`` joins the rows that share a
+coefficient, right side and bulk): each report takes its equation tag from
+its own id, and its ``wall_time`` is the check's time over its blocks.  The
 weights and the Hopf oracle are decided on one operator's stored entries, one
 pass per relation reduced there, with no sparse matrix: an operator is taken
 once with all its Cartan vectors, and the oracle tabulated once per exponent.
@@ -145,15 +148,16 @@ def _part(kept: dict, x: sp.csr_matrix, mask: np.ndarray, side: str) -> sp.csr_m
     return kept[key][2]
 
 
-def check_identity(relation_ids: list[str], equation: str, lhs: sp.spmatrix,
+def check_identity(relation_ids: list[str], equation: str | list[str], lhs: sp.spmatrix,
                    rhs: sp.spmatrix | None = None, *, tol: float, label: str = "identity",
                    params: list | None = None, expect_fail: bool = False,
                    informational: bool = False) -> list[RelationReport]:
     """One report per relation of a family: the residual of lhs - rhs (rhs
     None: zero), duplicates summed, on the j-th of len(relation_ids) equal row
     bands (the j-th diagonal block of a stack); neither operand is changed
-    (generators are shared).  ``label`` names the bulk of the operands,
-    ``params`` holds each relation's parameters."""
+    (generators are shared).  ``equation`` is every relation's tag, or a list
+    of one per relation; ``label`` names the bulk of the operands, ``params``
+    holds each relation's parameters."""
     if rhs is not None and lhs.shape != rhs.shape:
         raise ValueError(f"operator dimensions differ: {lhs.shape} vs {rhs.shape}")
     diff = lhs - rhs if rhs is not None and rhs.nnz else lhs
@@ -177,13 +181,16 @@ def _band_maxima(size: np.ndarray, offsets) -> list[float]:
     return [float(size[i:j].max(initial=0.0)) for i, j in zip(offsets, offsets[1:])]
 
 
-def _make_reports(relation_ids: list[str], equation: str, residuals, *, tol: float,
+def _make_reports(relation_ids: list[str], equation: str | list[str], residuals, *, tol: float,
                   label: str, params: list | None = None, **flags) -> list[RelationReport]:
-    """One report per relation id and residual; ``flags`` are report fields."""
-    return [RelationReport(relation_id=relation_id, equation=equation, params=dict(ps or {}),
+    """One report per relation id and residual; ``equation`` is every
+    report's tag or a list of one per id, ``flags`` are report fields."""
+    n = len(relation_ids)
+    return [RelationReport(relation_id=relation_id, equation=tag, params=dict(ps or {}),
                            projector=label, residual=res, tol=tol, passed=res <= tol, **flags)
-            for relation_id, ps, res in zip(
-                relation_ids, params or [None] * len(relation_ids), residuals)]
+            for relation_id, tag, ps, res in zip(
+                relation_ids, [equation] * n if isinstance(equation, str) else equation,
+                params or [None] * n, residuals)]
 
 
 # entries per piece of a weight pass, so that its temporaries stay in cache
@@ -379,16 +386,18 @@ class SuiteReports:
         """The reports, not yet emitted, of a family: one relation over many
         operand tuples, each side the stack (:meth:`FockBasis.stack`) of its
         blocks, a matrix or products of stacks restricted to each block's bulk
-        by :func:`restrict`; ``rhs`` defaults to zero.  Each report's wall
-        time is the family's, forming its products included, over its blocks."""
+        by :func:`restrict`; ``rhs`` defaults to zero.  The ids may name
+        several catalog families: each report's equation tag is its own id's.
+        Each report's wall time is the check's, forming its products
+        included, over its blocks."""
         t0, on_bulk = time.perf_counter(), (bulk, side, factor, len(relation_ids))
-        lhs, equation = self.restrict(lhs, *on_bulk), self.equation(relation_ids[0])
+        lhs, equations = self.restrict(lhs, *on_bulk), [*map(self.equation, relation_ids)]
         kwargs.update(tol=self.tol if tol is None else tol, label=bulk_label(bulk, side))
         if rhs is None:  # no zero matrix: perfbench's check_identity observer reads rhs.nnz
-            reports = _make_reports(relation_ids, equation,
+            reports = _make_reports(relation_ids, equations,
                                     _residuals(lhs, len(relation_ids)), **kwargs)
         else:
-            reports = check_identity(relation_ids, equation, lhs, self.restrict(rhs, *on_bulk),
+            reports = check_identity(relation_ids, equations, lhs, self.restrict(rhs, *on_bulk),
                                      **kwargs)
         return _timed(t0, reports)
 
@@ -411,7 +420,7 @@ class SuiteReports:
             kept = np.flatnonzero(mask[rows] & mask[x.indices])
             entries[bulk] = (x.data[kept], rows[kept], x.indices[kept],
                              np.searchsorted(kept, starts))
-        reports, equation = [], self.equation(relation_ids[0])
+        reports, equations = [], [*map(self.equation, relation_ids)]
         for k, (h, w, bulk) in enumerate(weights):
             data, row, column, offsets = entries[bulk]
             size = np.empty(len(data))
@@ -420,7 +429,7 @@ class SuiteReports:
                 size[i:i + _PIECE] = np.abs((np.multiply(d, h[r]) - np.multiply(d, h[c]))
                                             - d * w)
             block = slice(k * bands, (k + 1) * bands)
-            reports += _make_reports(relation_ids[block], equation,
+            reports += _make_reports(relation_ids[block], equations[block],
                                      _band_maxima(size, offsets), tol=self.tol,
                                      label=bulk_label(bulk), params=params and params[block])
         return _timed(t0, reports)
@@ -458,8 +467,9 @@ class SuiteReports:
         residuals = [float(np.abs(entry_products(x.data, y.data)
                                   - entry_products(y.data, x.data).T).max(initial=0.0))
                      for x, y in pairs]
-        return _timed(t0, _make_reports(relation_ids, self.equation(relation_ids[0]), residuals,
-                                        tol=self.tol, label=bulk_label(None), params=params))
+        return _timed(t0, _make_reports(relation_ids, [*map(self.equation, relation_ids)],
+                                        residuals, tol=self.tol, label=bulk_label(None),
+                                        params=params))
 
     def emit(self, *families):
         """Emit the reports of families over the same blocks, block-major."""

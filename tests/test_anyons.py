@@ -264,6 +264,36 @@ def test_suite_braiding_builds_each_anyon_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 24
 
 
+def test_braiding_rows_that_share_a_key_are_one_check(monkeypatch):
+    """Rows with the same coefficient, right side (named or not) and bulk
+    are one check_family call: per fermion flavor 3 over the site pairs and
+    4 over the points, per boson flavor 2 and 3, so 19 calls at M = 2,
+    N = 1 where one call per row made 56."""
+    calls = []
+    check_family = report.SuiteReports.check_family
+    monkeypatch.setattr(report.SuiteReports, "check_family",
+                        lambda self, ids, *a, **kw: calls.append(ids) or check_family(
+                            self, ids, *a, **kw))
+    reports = suite_braiding(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3))
+    assert reports_ok(reports)
+    assert len(calls) == 19
+    assert sorted(rid for ids in calls for rid in ids) == sorted(r.relation_id for r in reports)
+
+
+def test_a_check_over_two_families_tags_each_report_with_its_own():
+    """A check_family over the ids of two catalog families gives each report
+    its own family's equation tag, with and without a right side."""
+    basis = cached_basis(LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3))
+    out = report.SuiteReports("braiding", 1e-10, basis)
+    one = identity_op(basis, FERMION)
+    lhs, ids = basis.stack([one, one]), ["eq42a[1]", "eq43[2]"]
+    tags = {family: tag for _, family, tag, _ in CATALOG}
+    for rhs in (None, lhs):
+        got = out.check_family(ids, lhs, rhs, factor=FERMION)
+        assert [r.equation for r in got] == [tags["eq42a"], tags["eq43"]] == [
+            "Eq. (42)", "Eq. (43)"]
+
+
 # ---------------------------------------------------------------------------
 # the relation rows
 # ---------------------------------------------------------------------------

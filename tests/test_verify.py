@@ -373,8 +373,8 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
 
     def recording_check(self, relation_ids, lhs, rhs=None, *, bulk=None,
                         side="both", **kwargs):
-        if not sp.issparse(lhs):
-            families.add(relation_ids[0].split("[", 1)[0])
+        if not sp.issparse(lhs):  # a call may check rows of several families
+            families.update(rid.split("[", 1)[0] for rid in relation_ids)
         where[0] = side if bulk is not None else "identity"
         try:
             return check_family(self, relation_ids, lhs, rhs, bulk=bulk, side=side, **kwargs)
@@ -485,18 +485,27 @@ def _block(side, n: int, j: int):
     return [(c, *map(block, factors)) for c, *factors in side]
 
 
-@pytest.mark.parametrize("corruption", [Corruption(), Corruption(flip_boson_disorder=True)],
-                         ids=["plain", "disorder"])
+CONTROLS = {"plain": Corruption(), "qalpha": Corruption(flip_q_alpha=True),
+            "h0delta": Corruption(drop_h0_delta=True),
+            "disorder": Corruption(flip_boson_disorder=True)}
+
+
+@pytest.mark.parametrize("control", CONTROLS)
 @pytest.mark.parametrize("name", STACKED)
-def test_stacked_families_equal_their_one_relation_checks(name, corruption, monkeypatch):
+def test_stacked_families_equal_their_one_relation_checks(name, control, monkeypatch):
     """Every single-factor family of the oscillator and braiding suites is
     checked at once, stacked over its blocks, and each of its reports is the
     one-relation check of its block: the same residual by float.hex and the
-    same fields.  A weight family (eq49d, eq49e, eq49d0) is also its blocks'
-    sparse form [diag(h), x] - w x.  Covered: masked families (eq54a, eq21 at
-    (0, 1)), a rhs that is 1 on some blocks and zero on others (eq20 with
-    m1 == m2) and the disorder control tripping eq53*.  The mixed eq30 is
-    decided on its factors' entries, all its reports in one call."""
+    same fields, its own family's equation tag included.  Rows that share
+    their coefficient, right side and bulk are one call over the blocks of
+    several families (eq42a with eq42tc, eq49c with eq49a0), and every
+    family a call names is recorded.  A weight family (eq49d, eq49e, eq49d0)
+    is also its blocks' sparse form [diag(h), x] - w x.  Covered: masked
+    families (eq54a, eq21 at (0, 1)), a rhs that is 1 on some blocks and zero
+    on others (eq20 with m1 == m2) and the disorder control tripping eq53*,
+    under each negative control.  The mixed eq30 is decided on its factors'
+    entries, all its reports in one call."""
+    corruption = CONTROLS[control]
     cfg = dataclasses.replace(STACKED[name], corruption=corruption)
     seen, mixed = [], Counter()
     check_family, check_weights = SuiteReports.check_family, SuiteReports.check_weights
@@ -524,19 +533,26 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     run_suites(cfg, ["oscillators", "braiding"])
     monkeypatch.undo()
     calls, stacked, masked, mixed_rhs, tripped = Counter(), set(), set(), set(), set()
-    weighed = set()
+    weighed, grouped = set(), set()
     for out, ids, lhs, rhs, weight, kwargs, reports in seen:
-        family, n = ids[0].split("[", 1)[0], len(ids)
-        calls[out.suite, family] += 1
-        if n > 1:
-            stacked.add((out.suite, family))
+        n, of = len(ids), [rid.split("[", 1)[0] for rid in ids]
+        blocks = {family: [j for j in range(n) if of[j] == family] for family in of}
+        grouped.add(frozenset(blocks))
+        for family, js in blocks.items():
+            calls[out.suite, family] += 1
+            if len(js) > 1:
+                stacked.add((out.suite, family))
+            if kwargs.get("bulk"):
+                masked.add((family, kwargs["bulk"]))
+            if rhs is not None and 0 < sum(_block(rhs, n, j).nnz > 0 for j in js) < len(js):
+                mixed_rhs.add(family)
         ones = [SuiteReports(out.suite, out.tol, out.basis) for _ in range(2)]
         for j, rid in enumerate(ids):
             x, ps = _block(lhs, n, j), kwargs["params"][j]
             if weight is None:
                 ones[0].check(rid, x, _block(rhs, n, j), **dict(kwargs, params=ps))
                 continue
-            weighed.add(family)
+            weighed.add(of[j])
             h, w, bulk = weight
             h = h[j * x.shape[0]:(j + 1) * x.shape[0]]
             ones[0].emit(ones[0].check_weights([rid], x, [(h, w, bulk)],
@@ -547,16 +563,14 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
             assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in one.reports]
             strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
                      for r in reports + one.reports]
-            assert strip[:n] == strip[n:], family
-        if kwargs.get("bulk"):
-            masked.add((family, kwargs["bulk"]))
-        if rhs is not None and 0 < sum(_block(rhs, n, j).nnz > 0 for j in range(n)) < n:
-            mixed_rhs.add(family)
-        tripped |= {family for r in reports if not r.passed}
+            assert strip[:n] == strip[n:], ids[0]
+        tripped |= {r.relation_id.split("[", 1)[0] for r in reports if not r.passed}
     single_factor = {(suite, family) for suite, family, _, _ in CATALOG
                      if suite in ("oscillators", "braiding") and family != "eq30"}
     # one check per flavor (and form), a family over many blocks where it has them
     assert all(calls[key] <= 2 * max(cfg.M, cfg.N) for key in single_factor)
+    assert {frozenset({"eq42a", "eq42b", "eq42tc", "eq42td"}),
+            frozenset({"eq49c", "eq49a0"}), frozenset({"eq54b", "eq54ta"})} <= grouped
     basis = cached_basis(cfg)
     assert mixed == {("oscillators", "eq30"): 2 * min(4, basis.F) * min(4, basis.B)}
     assert ("oscillators", "eq30") not in calls
@@ -564,7 +578,7 @@ def test_stacked_families_equal_their_one_relation_checks(name, corruption, monk
     assert weighed == {"eq49d", "eq49e", "eq49d0"}
     assert {("eq54a", (0, 1)), ("eq21", (0, 1))} <= masked
     assert {"eq20", "eq21"} <= mixed_rhs
-    assert {f[:4] for f in tripped} == ({"eq53"} if corruption else set())
+    assert {f[:4] for f in tripped} == ({"eq53"} if corruption.flip_boson_disorder else set())
 
 
 def test_projector_labels_follow_the_spec_format():
