@@ -292,15 +292,18 @@ def _entries(basis: FockBasis, op, w, r: ModeId, s: ModeId) -> tuple:
     return rows, columns, (values if w == 1 else values * w)
 
 
+def node_terms(cfg: LatticeConfig, alpha: int, sign: str) -> list:
+    """The terms (1, r, s) of node alpha's E^sign (:func:`_node_modes`), by line, then site."""
+    return [(1, *_node_modes(cfg, alpha, line, r, sign))
+            for line in cfg.lines for r in admissible_sites(cfg, alpha)]
+
+
 def node_pieces(cfg: LatticeConfig, basis: FockBasis, alpha: int, sign: str, dressed: bool):
-    """The local pieces of node alpha's E^sign, e^+ = upper^dag lower or
-    e^- = lower^dag upper over the oscillators of :func:`_factor_ops`, as
-    their entries on the node's factor (:func:`_entries`), formed one site
-    at a time in the order of ``cfg.lines`` and :func:`admissible_sites`."""
+    """The local pieces of node alpha's E^sign (:func:`node_terms`) over the
+    oscillators of :func:`_factor_ops`, as their entries on the node's
+    factor (:func:`_entries`), formed one site at a time."""
     op = _factor_ops(cfg, basis, sign, dressed)
-    for line in cfg.lines:
-        for r in admissible_sites(cfg, alpha):
-            yield _entries(basis, op, 1, *_node_modes(cfg, alpha, line, r, sign))
+    return (_entries(basis, op, *term) for term in node_terms(cfg, alpha, sign))
 
 
 def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float, at=None,
@@ -380,11 +383,10 @@ def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
         cfg = basis.cfg
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
-        space = node_factor(cfg, alpha)
         H[alpha] = cartan_generator(basis, alpha)
         for sign in ("+", "-"):
-            E[(alpha, sign)] = basis.lift(space, assemble(
-                node_pieces(cfg, basis, alpha, sign, deformed), basis.size(space)))
+            E[(alpha, sign)] = _bilinear_sum(basis, node_terms(cfg, alpha, sign),
+                                             _factor_ops(cfg, basis, sign, deformed))
     return GeneratorSet(cfg, cartan_data(cfg.M, cfg.N), H, E)
 
 
@@ -392,7 +394,7 @@ def cached_generators(cfg: LatticeConfig, deformed: bool,
                       corruption: Corruption | None = None) -> GeneratorSet:
     """The generator set of ``cfg``, kept in the basis memo under its config:
     the plain set reads no q and lives under ``basis.cfg`` (q = 1) as long as
-    the basis, a deformed set until another q is asked for.  The set reads
+    the basis, a deformed set until ``FockBasis.release``.  The set reads
     ``cfg.corruption``; ``corruption``, if given, is only checked against it."""
     if corruption is not None and corruption != cfg.corruption:
         raise ValueError(f"{corruption} is not the config's {cfg.corruption}")
@@ -430,10 +432,10 @@ def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
     ``fock.assemble``), so each entry is one piece's."""
     parts = []
     for space in (FERMION, BOSON, None):
-        group = [_entries(basis, op, w, r, s) for w, r, s in terms
-                 if (r.kind if r.kind == s.kind else None) == space]
-        if group:
-            parts.append(basis.lift(space, assemble(group, basis.size(space))))
+        group = [t for t in terms if (t[1].kind if t[1].kind == t[2].kind else None) == space]
+        if group:  # pieces formed as assemble reads them, freed before the lift
+            pieces = (_entries(basis, op, *t) for t in group)
+            parts.append(basis.lift(space, assemble(pieces, basis.size(space))))
     if len(parts) < 2:
         return parts[0] if parts else zero_op(basis)
     return assemble([(entry_rows(p), p.indices, p.data) for p in parts], basis.dim)

@@ -15,7 +15,8 @@ A sum of pieces that store disjoint positions, each given by its entries
 checks that they do.  A basis reads no q: ``FockBasis.cfg`` is its config at
 q = 1, negative controls (``LatticeConfig.corruption``) included, so a basis
 serves one corruption.  :meth:`FockBasis.memo` is the one cache below the
-basis: it builds what reads no q once per basis and the rest once per q.
+basis: it builds what reads no q once per basis and the rest once per q, kept
+until :meth:`FockBasis.release` (called by ``verify.run_suites``).
 Fermionic operators carry Jordan-Wigner sign strings over all fermionic modes
 preceding the target in a fixed global order (line, then site ascending, then
 flavor ascending), so the canonical anticommutation relations hold exactly for
@@ -402,17 +403,17 @@ class FockBasis:
                               np.concatenate(indptr)), shape=(len(blocks) * r, len(blocks) * c))
 
     def memo(self, cfg: LatticeConfig, key, build):
-        """``build()`` once per config and key, the one cache below the basis.
+        """``build()`` once per config and key, kept until :meth:`release`.
         Under ``self.cfg`` (q = 1) what reads no q lives as long as the basis
-        (operators, masks, the plain set and the oscillators' canonical
-        reports); of the other configs only the one asked for last is kept."""
-        ops = self._memo.get(cfg)
-        if ops is None:
-            self._memo = {self.cfg: self._memo[self.cfg]}
-            ops = self._memo[cfg] = {}
+        (operators, masks, the plain set, the oscillators' canonical reports)."""
+        ops = self._memo.setdefault(cfg, {})
         if key not in ops:
             ops[key] = build()
         return ops[key]
+
+    def release(self):
+        """Drop the entries of every config but ``self.cfg``: all that reads a q."""
+        self._memo = {self.cfg: self._memo[self.cfg]}
 
     def vacuum_occupation(self, mode: ModeId) -> int:
         """Occupation of this mode in the reference vacuum of its line's scheme."""

@@ -69,9 +69,6 @@ class RelationReport:
         """Whether this report counts as OK for the run outcome."""
         return self.status not in ("UNEXPECTED-PASS", "FAIL")
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # a shallow copy: ``params`` is not copied
-
     def summary_line(self) -> str:
         return (f"{self.relation_id:<34} {self.equation:<12} "
                 f"residual={self.residual:.3e}  [{self.projector}]  {self.status}")

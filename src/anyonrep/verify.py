@@ -413,12 +413,13 @@ def suite_coproduct(cfg: LatticeConfig) -> list[RelationReport]:
 def _limit_distances(basis: FockBasis, q_reals) -> list[float]:
     """max |E - E_plain| over the generators at each of ``q_reals``, read off
     their local pieces (``algebra.node_pieces``) one node and sign at a time:
-    no generator is formed, and each node's plain pieces are formed once for
-    every q.  A dressed piece has the pattern of its plain one, and the plain
-    pieces of different sites store no common position (``fock.assemble``),
-    both checked, so each entry of a generator is one piece's: the sum and
-    the lift add it to zero and the difference is taken entry by entry, so
-    each maximum is the whole generators' bit for bit."""
+    no generator is formed, each node's plain pieces are formed once for every
+    q, and each q's oscillators once for every node (kept until ``run_suites``
+    releases them).  A dressed piece has the pattern of its plain one, and
+    the plain pieces of different sites store no common position
+    (``fock.assemble``), both checked, so each entry of a generator is one
+    piece's: the sum and the lift add it to zero and the difference is taken
+    entry by entry, so each maximum is the whole generators' bit for bit."""
     cfg = basis.cfg
     dressed_at = [dataclasses.replace(cfg, q_real=q) for q in q_reals]
     worst = [0.0] * len(q_reals)
@@ -614,16 +615,20 @@ def run_suites(cfg: LatticeConfig, names=None, q_samples: int = 0) -> dict:
     """The one loop of a verify run, deterministic: the selected suites (default
     all) in registry order, then at each of ``q_samples`` sampled nu every one
     but ``classical``, keyed ``name@nu=...``.  A sample does not rerun a suite
-    in ``Q_FREE``: it holds a fresh list of the base key's report objects."""
+    in ``Q_FREE``: it holds a fresh list of the base key's report objects.
+    Once no later suite of a pass reads its q (all but ``Q_FREE`` and
+    ``classical`` do), it releases the basis memo (``FockBasis.release``)."""
     unknown = [n for n in names or () if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}")
     names = [name for name in SUITES if names is None or name in names]
-    results = {name: SUITES[name](cfg) for name in names}
-    for nu in _nu_samples(cfg, q_samples):
-        sampled = dataclasses.replace(cfg, nu=nu)
-        for name in names:
-            if name != "classical":
-                results[f"{name}@nu={nu:.6f}"] = (
-                    list(results[name]) if name in Q_FREE else SUITES[name](sampled))
+    results = {}
+    for nu in (None, *_nu_samples(cfg, q_samples)):
+        at, tag = (cfg, "") if nu is None else (dataclasses.replace(cfg, nu=nu), f"@nu={nu:.6f}")
+        run = [name for name in names if not tag or name != "classical"]
+        for i, name in enumerate(run):
+            results[name + tag] = (list(results[name]) if tag and name in Q_FREE
+                                   else SUITES[name](at))
+            if all(later in Q_FREE or later == "classical" for later in run[i + 1:]):
+                cached_basis(at).release()
     return results

@@ -387,7 +387,7 @@ def test_q_samples_repeat_the_reports_of_a_fresh_run(outdir, flags, stack):
         _cached_basis.cache_clear()
         fresh = run_suites(dataclasses.replace(cfg, nu=nu), Q_FREE)
         for name in Q_FREE:
-            expected = json.loads(json.dumps([r.to_dict() for r in fresh[name]], default=repr))
+            expected = json.loads(json.dumps([vars(r) for r in fresh[name]], default=repr))
             assert fields(suites[f"{name}@nu={nu:.6f}"]["reports"]) == fields(expected)
 
 
@@ -464,16 +464,18 @@ def test_central_builds_no_deformed_set(monkeypatch):
     assert built == [False]
 
 
-def test_q_samples_keep_the_plain_and_the_last_deformed_set(memo_builds):
+def test_q_samples_build_no_config_and_key_twice(memo_builds):
+    """A run keeps what a q builds until its last reader, so a full run at
+    three nu builds each (config, key) once: one plain set and three deformed
+    ones among them.  Past the last suite that reads a q, only the basis's
+    config is left in the memo."""
     assert main(["verify", "--M", "2", "--N", "1", "--sites", "2",
-                 "--q-samples", "3", "--quiet"]) == EXIT_OK
-    sets = [(at, key) for at, key in memo_builds if key[0] == "set"]
-    # one plain set and four deformed ones, each built once
-    assert len(set(sets)) == len(sets) == 5
-    assert [key[1] for _, key in sets].count(False) == 1
-    last = sets[-1][0]
-    basis = cached_basis(last)
-    assert set(basis._memo) == {basis.cfg, last}
+                 "--q-samples", "2", "--quiet"]) == EXIT_OK
+    assert memo_builds and len(set(memo_builds)) == len(memo_builds)
+    sets = [key[1] for _, key in memo_builds if key[0] == "set"]
+    assert sorted(sets) == [False, True, True, True]
+    basis = cached_basis(memo_builds[0][0])
+    assert set(basis._memo) == {basis.cfg}
 
 
 def test_bulk_masks_are_built_once_per_basis(memo_builds):

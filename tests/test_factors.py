@@ -203,10 +203,10 @@ def test_assemble_refuses_pieces_that_share_a_position():
 
 
 def test_factor_operators_are_built_once_per_config():
-    """A ladder or an anyon is built once per config and key; a config of
-    another corruption has its own basis.  The operators of the basis's
-    config (q = 1) are kept as long as the basis, and of the other configs
-    only the one asked for last."""
+    """A ladder or an anyon is built once per config and key and kept, at
+    every config asked for, until ``FockBasis.release`` drops all but the
+    basis's config (q = 1); a config of another corruption has its own
+    basis."""
     cfg = STACKS[0]
     basis = build_basis(cfg)
     mode = basis.boson_modes[0]
@@ -219,14 +219,16 @@ def test_factor_operators_are_built_once_per_config():
     assert ladder(cfg, basis, mode) is b
     plain = ladder(cfg._q_one, basis, mode)
     assert ladder(cfg._q_one, basis, mode) is plain and plain is not b
-    ladder(LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.2), basis, mode)
-    assert ladder(cfg._q_one, basis, mode) is plain  # asked for last but one
-    assert len(basis._memo) == 2 and cfg not in basis._memo
+    others = [replace(cfg, nu=0.2), replace(cfg, nu=None, q_real=1.3)]
+    held = [ladder(at, basis, mode) for at in others]
+    assert ladder(cfg, basis, mode) is b and anyon_factor(cfg, basis, mode, "A") is a
+    assert all(ladder(at, basis, mode) is x for at, x in zip(others, held))
+    assert set(basis._memo) == {basis.cfg, cfg, *others}
+    basis.release()
+    assert set(basis._memo) == {basis.cfg}
+    assert ladder(cfg._q_one, basis, mode) is plain
     assert ladder(cfg, basis, mode) is not b  # rebuilt, equal
     assert abs(ladder(cfg, basis, mode) - b).max() == 0
-    ladder(LatticeConfig(M=2, N=1, S=2, n_max=2, q_real=1.3), basis, mode)
-    assert ladder(cfg._q_one, basis, mode) is plain  # two other configs later
-    assert len(basis._memo) == 2
 
 
 def test_the_first_q_free_build_keeps_the_config_asked_for():
@@ -614,7 +616,7 @@ def test_eq30_on_its_factors_equals_the_whole_basis_check(cfg):
                            params={"modes": [str(mf), str(mb)]})
     got = [r for r in suite_oscillators(cfg) if r.relation_id.startswith("eq30[")]
     assert len(got) == len(full.reports) == 2 * min(4, basis.F) * min(4, basis.B)
-    strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+    strip = [{k: v for k, v in vars(r).items() if k != "wall_time"}
              for r in got + full.reports]
     assert strip[:len(got)] == strip[len(got):]
     assert [r.residual.hex() for r in got] == [r.residual.hex() for r in full.reports]

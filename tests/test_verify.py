@@ -43,6 +43,7 @@ from anyonrep.report import (
     restrict,
 )
 from anyonrep.verify import (
+    Q_FREE,
     SUITES,
     _largest_entry,
     ad_q,
@@ -309,7 +310,7 @@ def test_leaving_out_empty_products_changes_no_report(cfg22, monkeypatch):
     assert list(got) == list(want)
     for name in names:
         assert [r.residual.hex() for r in got[name]] == [r.residual.hex() for r in want[name]]
-        strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+        strip = [{k: v for k, v in vars(r).items() if k != "wall_time"}
                  for r in got[name] + want[name]]
         assert strip[:len(got[name])] == strip[len(got[name]):], name
 
@@ -464,7 +465,7 @@ def test_kept_restrictions_give_the_fresh_reports_and_die_with_the_suite(cfg22, 
     fresh = suite_serre(cfg22)
     assert repeats() > 1
     assert [r.residual.hex() for r in got] == [r.residual.hex() for r in fresh]
-    strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in got + fresh]
+    strip = [{k: v for k, v in vars(r).items() if k != "wall_time"} for r in got + fresh]
     assert strip[:len(got)] == strip[len(got):]
 
 
@@ -561,7 +562,7 @@ def test_stacked_families_equal_their_one_relation_checks(name, control, monkeyp
                           bulk=bulk, **dict(kwargs, params=ps))
         for one in ones[:1 if weight is None else 2]:
             assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in one.reports]
-            strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+            strip = [{k: v for k, v in vars(r).items() if k != "wall_time"}
                      for r in reports + one.reports]
             assert strip[:n] == strip[n:], ids[0]
         tripped |= {r.relation_id.split("[", 1)[0] for r in reports if not r.passed}
@@ -802,7 +803,7 @@ def test_check_weights_equals_the_sparse_form(cfg):
             sparse = out.check_family(ids, fock.scale_rows(x, h) - fock.scale_columns(x, h),
                                       x * weight, bulk=bulk, factor=factor)
             assert [r.residual.hex() for r in reports] == [r.residual.hex() for r in sparse]
-            strip = [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+            strip = [{k: v for k, v in vars(r).items() if k != "wall_time"}
                      for r in reports + sparse]
             assert strip[:len(ids)] == strip[len(ids):], ids[0]
 
@@ -892,7 +893,7 @@ def test_entrywise_families_equal_the_per_relation_arithmetic(ordering, corrupt,
         monkeypatch.setattr(SuiteReports, "check_scalings", scalings)
         _cached_basis.cache_clear()
         names = ["oscillators", "quantum", "serre", "undeformed", "cartanweyl"]
-        return [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+        return [{k: v for k, v in vars(r).items() if k != "wall_time"}
                 for reps in run_suites(cfg, names).values() for r in reps
                 if r.relation_id.split("[", 1)[0] in ENTRYWISE]
 
@@ -1281,7 +1282,7 @@ def _hex_fields(reports):
     def hexed(v):
         return v.hex() if isinstance(v, float) else v
     return [{k: hexed(v) if k != "params" else {p: hexed(x) for p, x in v.items()}
-             for k, v in r.to_dict().items() if k != "wall_time"} for r in reports]
+             for k, v in vars(r).items() if k != "wall_time"} for r in reports]
 
 
 CLASSICAL = {
@@ -1479,16 +1480,52 @@ def test_limit_slope_sets_are_not_cached(memo_builds):
     assert [key for _, key in memo_builds if key[0] == "set"] == []
 
 
-def test_run_suites_caches_the_deformed_and_the_plain_set(memo_builds):
-    """Both sets are memo hits after a run, but classical asks for q near 1
-    and so frees the deformed set, which the next call builds again once."""
+def test_run_suites_releases_a_q_after_its_last_reader(monkeypatch):
+    """run_suites releases the basis memo once no later suite of a pass reads
+    the pass's q: a suite of ``Q_FREE``, or ``classical``, that starts after
+    the last suite that reads it finds only the basis's config there, and a
+    suite that reads it after another finds what that one built."""
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
-    for names, rebuilt in (([s for s in SUITES if s != "classical"], []), (list(SUITES), [True])):
-        run_suites(cfg, names)
-        memo_builds.clear()
-        cached_generators(cfg, True)
-        cached_generators(cfg, False)
-        assert [key[1] for _, key in memo_builds if key[0] == "set"] == rebuilt
+    _cached_basis.cache_clear()
+    basis = cached_basis(cfg)
+    starts = []
+    for name, suite in SUITES.items():
+        monkeypatch.setitem(SUITES, name, lambda at, name=name, suite=suite: (
+            starts.append((name, at, set(basis._memo))) or suite(at)))
+
+    def reads_q(name):
+        return name not in Q_FREE and name != "classical"
+
+    for names in (list(SUITES), [s for s in SUITES if s != "classical"],
+                  ["oscillators", "central", "cartanweyl"], ["classical", "central"]):
+        starts.clear()
+        run_suites(cfg, names, q_samples=1)
+        passes = defaultdict(list)
+        for name, at, held in starts:
+            passes[at].append((name, held))
+        assert len(passes) == 1 + any(map(reads_q, names))
+        for at, run in passes.items():
+            readers = [i for i, (name, _) in enumerate(run) if reads_q(name)]
+            for i, (name, held) in enumerate(run):
+                if i > max(readers, default=-1):
+                    assert held == {basis.cfg}, (names, name)
+                elif i > readers[0]:
+                    assert at in held, (names, name)
+        assert set(basis._memo) == {basis.cfg}
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+def test_each_suite_alone_gives_the_full_run_reports(control):
+    """A suite's reports do not depend on what an earlier suite left in the
+    memo: each suite run alone on a fresh basis gives the full run's reports,
+    every float equal by float.hex."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3, corruption=CONTROLS[control])
+    _cached_basis.cache_clear()
+    full = run_suites(cfg)
+    for name in SUITES:
+        _cached_basis.cache_clear()
+        alone = run_suites(cfg, [name])
+        assert _hex_fields(alone[name]) == _hex_fields(full[name]), name
 
 
 def test_script_e_is_built_once_per_deformed_set(memo_builds):
@@ -1742,17 +1779,7 @@ def test_serre_projector_label_names_the_headroom_at_nmax_one():
     assert {r.projector for r in labelled} == {"margin=2,headroom=1"}
 
 
-def test_report_dict_is_a_copy_of_its_fields():
-    """to_dict copies the fields without the deep copy of dataclasses.asdict,
-    and equals it for every report of a full run."""
-    cfg = LatticeConfig(M=2, N=1, S=2, K=2, n_max=2, ordering=("sea", "empty"), nu=0.3)
-    reports = [r for reps in run_suites(cfg).values() for r in reps]
-    assert len(reports) == 652
-    for r in reports:
-        assert r.to_dict() == dataclasses.asdict(r)
-
-
 def test_reports_are_json_serializable(cfg21):
     import json
     for reps in run_suites(cfg21, ["central", "classical"]).values():
-        json.dumps([r.to_dict() for r in reps], default=repr)
+        json.dumps([vars(r) for r in reps], default=repr)
