@@ -252,7 +252,7 @@ def cmd_verify(args) -> int:
     }
     if run.report_path:
         with open(run.report_path, "w") as fh:
-            json.dump(payload, fh, indent=2, default=repr)
+            _write_report(fh, payload)
     if run.summary_path:
         with open(run.summary_path, "w") as fh:
             fh.write(_markdown_summary(cfg, results, payload["config_hash"]))
@@ -266,6 +266,22 @@ def cmd_verify(args) -> int:
         print(f"overall: {'ok' if all_ok else 'FAILED'} "
               f"(config {payload['config_hash'][:12]})")
     return EXIT_OK if all_ok else EXIT_RELATION_FAILURE
+
+
+def _write_report(fh, payload: dict) -> None:
+    """Write what ``json.dump(payload, fh, indent=2, default=repr)`` parses
+    to, one relation report a line: line 1 holds every top-level field but
+    ``suites``, each suite opens on its own line, and each report is one call
+    of json's C encoder, written as it is encoded."""
+    encode = json.JSONEncoder(default=repr).encode
+    # `suites` and `reports` are their object's last field: an opening is that
+    # object with the field emptied, less its two closing brackets
+    fh.write(encode(dict(payload, suites={}))[:-2])
+    for i, (name, block) in enumerate(payload["suites"].items()):
+        fh.write(f"{',' if i else ''}\n{encode(name)}: {encode(dict(block, reports=[]))[:-2]}")
+        fh.writelines(f"{',' if j else ''}\n{encode(r)}" for j, r in enumerate(block["reports"]))
+        fh.write("\n]}")
+    fh.write("}}\n")
 
 
 def _counts(results: dict) -> dict:

@@ -1,23 +1,28 @@
 import dataclasses
+import io
 import json
+import math
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from anyonrep import algebra
+from anyonrep import algebra, cli
 from anyonrep.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_OK,
     EXIT_RELATION_FAILURE,
     EXIT_TOO_LARGE,
     _counts,
+    build_parser,
     config_digest,
     lattice_config_from_raw,
     main,
     read_operator,
     resolve_operator,
+    run_config_from,
     write_operator,
 )
 from anyonrep.fock import (
@@ -56,14 +61,109 @@ def test_verify_default_config_passes(outdir):
     assert "| relation |" in text and "eq29-gamma" in text
 
 
-def test_report_file_is_the_indented_dump_of_its_content(outdir):
-    """The report file is the payload's JSON indented by 2: its text is
-    ``json.dumps`` of its own parsed content with ``indent=2``."""
+def _exact(obj):
+    """``obj`` with each dict as its list of items and each float as its
+    ``float.hex``: equal when every key is in the same place and every float
+    is bit-equal, NaN and the sign of zero included."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return [(k, _exact(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [_exact(v) for v in obj]
+    return obj
+
+
+def _written(payload) -> str:
+    """The report text ``cli._write_report`` writes for ``payload``, checked
+    against the ``indent=2`` dump and for its layout: line 1 holds every
+    top-level field but ``suites``, each suite opens on its own line, and each
+    relation report is one line that parses alone (without its trailing
+    comma) to that report."""
+    fh = io.StringIO()
+    cli._write_report(fh, payload)
+    text = fh.getvalue()
+    content = json.loads(text)
+    assert _exact(content) == _exact(json.loads(json.dumps(payload, indent=2, default=repr)))
+    lines = iter(text.splitlines())
+    opening = ', "suites": {'
+    head = next(lines)
+    assert head.endswith(opening)
+    assert _exact(json.loads(head[:-len(opening)] + "}")) == \
+        _exact({k: v for k, v in content.items() if k != "suites"})
+    for name, block in content["suites"].items():
+        suite = json.loads("{" + next(lines) + "]}}")
+        assert _exact(suite) == _exact({name: dict(block, reports=[])})
+        for report in block["reports"]:
+            assert _exact(json.loads(next(lines).removesuffix(","))) == _exact(report)
+        assert next(lines) in ("]},", "]}}}")
+    assert next(lines, None) is None
+    return text
+
+
+def test_report_file_holds_one_relation_report_a_line(outdir, monkeypatch):
+    """The file ``verify --report`` writes is the text of ``_written``: it
+    parses, key for key and float for float, to the ``indent=2`` dump of its
+    payload, one relation report a line; with --q-samples 1 the q-free
+    reports repeat under ``name@nu=...``."""
     report = outdir / "report.json"
-    assert main(["verify", *SMALL, "--suites", "oscillators,central",
+    payloads = []
+    write = cli._write_report
+    monkeypatch.setattr(cli, "_write_report",
+                        lambda fh, payload: (payloads.append(payload), write(fh, payload)))
+    assert main(["verify", *SMALL, "--q-samples", "1", "--suites", "oscillators,central,quantum",
                  "--report", str(report), "--quiet"]) == EXIT_OK
     text = report.read_text()
-    assert text == json.dumps(json.loads(text), indent=2)
+    assert text == _written(payloads[0])
+    suites = json.loads(text)["suites"]
+    assert sorted(name.split("@")[0] for name in suites) == sorted(["oscillators", "central", "quantum"] * 2)
+    assert text.count("\n") == 1 + sum(len(block["reports"]) + 2 for block in suites.values())
+
+
+def test_report_writer_agrees_with_the_indented_dump_on_edge_values():
+    """NaN, both infinities, -0.0, a subnormal, non-ASCII text, tuples,
+    nested params, an empty suite and an object only ``default=repr`` can
+    encode parse as they do from ``json.dumps(..., indent=2, default=repr)``."""
+    reports = [
+        {"relation_id": "eq7c[0,0]", "params": {"modes": ("c1(-0.5)", "b(+0.5)"),
+                                                "inner": {"pairs": [(0, 1), [2, (3,)]]}},
+         "residual": float("nan"), "tol": 1e-310, "passed": False},
+        {"relation_id": "\u015d\u2013\u03bd \"quoted\"", "residual": float("inf"),
+         "tol": -float("inf"), "wall_time": -0.0, "odd": Fraction(1, 3)},
+    ]
+    payload = {"schema_version": 1, "config": {"nu": -0.0, "ordering": ("sea", "empty")},
+               "odd": 1 + 2j,
+               "suites": {"quantum": {"ok": False, "reports": reports},
+                          "central@nu=0.300000": {"ok": True, "reports": []}}}
+    content = json.loads(_written(payload))
+    report = content["suites"]["quantum"]["reports"][0]
+    assert math.isnan(report["residual"]) and report["params"]["inner"]["pairs"] == [[0, 1], [2, [3]]]
+    assert content["odd"] == "(1+2j)" and math.copysign(1, content["config"]["nu"]) == -1
+    assert content["suites"]["quantum"]["reports"][1]["odd"] == "Fraction(1, 3)"
+
+
+D21 = ["--M", "2", "--N", "1", "--sites", "2", "--nmax", "2"]
+TIER1_FLAGS = {
+    "desk-sea-M2N1": D21, "desk-sea-M2N2": ["--M", "2", "--N", "2", "--sites", "2", "--nmax", "2"],
+    "desk-empty-M2N1": [*D21, "--ordering", "empty"], "desk-real-q": [*D21, "--q-real", "1.3"],
+    "desk-two-sea-lines": [*D21, "--lines", "2"],
+    "desk-sea-empty": [*D21, "--lines", "2", "--ordering", "sea,empty"],
+    "control-disorder": [*D21, "--negative-control", "disorder"],
+    "control-h0delta": [*D21, "--negative-control", "h0delta"],
+    "control-qalpha": [*D21, "--negative-control", "qalpha"],
+    "M1N2S2": ["--M", "1", "--N", "2", "--sites", "2", "--nmax", "2"],
+    "q-samples-2": [*D21, "--q-samples", "2"],
+    "M2N1S4-empty": ["--M", "2", "--N", "1", "--sites", "4", "--nmax", "1", "--ordering", "empty"],
+}
+
+
+@pytest.mark.parametrize("flags", TIER1_FLAGS.values(), ids=TIER1_FLAGS)
+def test_no_report_field_needs_the_repr_fallback(flags):
+    """Every field of every report is plain JSON with finite numbers: the
+    writer's ``default=repr`` is a guard only."""
+    run = run_config_from(build_parser().parse_args(["verify", *flags]))
+    results = run_suites(run.lattice, run.suites, run.q_samples)
+    json.dumps([vars(r) for reps in results.values() for r in reps], allow_nan=False)
 
 
 def test_verify_exit_codes(capsys):

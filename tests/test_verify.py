@@ -1777,9 +1777,3 @@ def test_serre_projector_label_names_the_headroom_at_nmax_one():
                 and r.applicable and not r.relation_id.startswith("eq9-alphaM-img")]
     assert {r.relation_id[:3] for r in labelled} == {"eq3", "eq4", "eq8", "eq9"}
     assert {r.projector for r in labelled} == {"margin=2,headroom=1"}
-
-
-def test_reports_are_json_serializable(cfg21):
-    import json
-    for reps in run_suites(cfg21, ["central", "classical"]).values():
-        json.dumps([vars(r) for r in reps], default=repr)
