@@ -15,8 +15,11 @@ and ``E``, and keeps no local pieces: the coproduct and classical-limit
 suites read a node's pieces one site at a time (``node_pieces``).  Every
 oscillator is a ladder or an anyon on its factor of the basis index
 (``fock.ladder``, ``anyons.anyon_factor``); the plain set and the Cartan-Weyl
-operators take them at q = 1, where the q-boson is the plain boson, and what
-reads no q (``H``, the Cartan-Weyl operators) is built once per basis.
+operators take them at q = 1, where the q-boson is the plain boson.  ``H``
+reads no q and is built once per basis; a Cartan-Weyl operator is built for
+the call that reads it.  A generator's pattern reads no q either: every set
+on a basis holds one ``indices``/``indptr`` pair per generator, that of the
+first set built (``_on_pattern``).
 A local bilinear piece is its stored entries (``_entries``): x @ y on the
 factor its two modes share (an even node, a root of two fermion or two boson
 modes), else the entries of the tensor product X (x) Y of its two factors
@@ -328,7 +331,8 @@ def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float, at=None,
 class GeneratorSet:
     """Assembled simple generators: ``H`` holds CSR matrices (:meth:`h` reads
     their diagonals), ``E`` the summed local pieces; :meth:`script_e` is kept
-    in the memo.  A set holds no basis, so its basis's memo makes no cycle."""
+    by this set object.  A set holds no basis, so its basis's memo makes no
+    cycle."""
 
     cfg: LatticeConfig
     cartan: CartanData
@@ -346,17 +350,20 @@ class GeneratorSet:
         return self.H[alpha].diagonal().real
 
     def script_e(self, alpha: int, sign: str) -> sp.csr_matrix:
-        """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2}, built once per
-        config, node and sign; E itself at q_alpha = 1."""
+        """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2} on E's pattern,
+        built once per set object, node and sign; E itself at q_alpha = 1.
+        A suite that reads it takes a copy of the set kept in the basis memo
+        (``dataclasses.replace``), so it lives for that suite call."""
         E, qa = self.E[alpha, sign], self.q_alpha(alpha)
         if qa == 1:
             return E
-        return cached_basis(self.cfg).memo(
-            self.cfg, ("script", alpha, sign),
-            lambda: scale_columns(E, q_power(qa, -0.5 * self.h(alpha))))
+        if (alpha, sign) not in self._script:
+            self._script[alpha, sign] = scale_columns(E, q_power(qa, -0.5 * self.h(alpha)))
+        return self._script[alpha, sign]
 
     def __post_init__(self):
         self._q_alpha = self.cartan.q_alpha(self.cfg)
+        self._script = {}
 
 
 def cartan_generator(basis: FockBasis, alpha: int) -> sp.csr_matrix:
@@ -373,20 +380,35 @@ def cartan_generator(basis: FockBasis, alpha: int) -> sp.csr_matrix:
     return basis.memo(basis.cfg, ("H", alpha), build)
 
 
+def _on_pattern(basis: FockBasis, key, x: sp.csr_matrix) -> sp.csr_matrix:
+    """x on the pattern kept in the basis memo under ``key``, registered by
+    the first x asked for: a later x whose pattern equals it drops its own
+    ``indices`` and ``indptr`` for the kept ones, one that differs is
+    refused (``ValueError``)."""
+    indices, indptr = basis.memo(basis.cfg, key, lambda: (x.indices, x.indptr))
+    if indices is x.indices:
+        return x
+    if not (np.array_equal(indptr, x.indptr) and np.array_equal(indices, x.indices)):
+        raise ValueError(f"generator {key[1:]} leaves the pattern of the first set built")
+    return sp.csr_matrix((x.data, indices, indptr), shape=x.shape)
+
+
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,
                          deformed: bool = True) -> GeneratorSet:
     """Build H_alpha and E_alpha^+- as sums of local pieces over all lines,
     each E assembled once from its pieces on the node's factor and lifted.
     The plain set (not ``deformed``) is the q-boson set at ``basis.cfg``
-    (q = 1).  H_alpha reads no q (:func:`cartan_generator`)."""
+    (q = 1).  H_alpha reads no q (:func:`cartan_generator`), nor does the
+    pattern of E_alpha^+-: each E is put on the one its basis keeps
+    (:func:`_on_pattern`, key ``("pattern", alpha, sign)``)."""
     if not deformed:
         cfg = basis.cfg
     H, E = {}, {}
     for alpha in range(cfg.R + 1):
         H[alpha] = cartan_generator(basis, alpha)
         for sign in ("+", "-"):
-            E[(alpha, sign)] = _bilinear_sum(basis, node_terms(cfg, alpha, sign),
-                                             _factor_ops(cfg, basis, sign, deformed))
+            E[(alpha, sign)] = _on_pattern(basis, ("pattern", alpha, sign), _bilinear_sum(
+                basis, node_terms(cfg, alpha, sign), _factor_ops(cfg, basis, sign, deformed)))
     return GeneratorSet(cfg, cartan_data(cfg.M, cfg.N), H, E)
 
 
@@ -443,7 +465,8 @@ def _bilinear_sum(basis: FockBasis, terms, op) -> sp.csr_matrix:
 
 def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:
     """e_root^m = sum_r (pos mode)^dag(r) (neg mode)(r+m), truncated, over
-    plain oscillators: it reads no q and is built once per basis."""
+    plain oscillators.  It reads no q; it is built on each call and kept by
+    no cache, so it lives as long as its caller holds it."""
     cfg = basis.cfg
     for kind, idx in (label.pos, label.neg):
         hi = cfg.M if kind == EPS else cfg.N
@@ -453,8 +476,7 @@ def cartan_weyl_generators(basis: FockBasis, label: RootLabel) -> sp.csr_matrix:
              for line in cfg.lines for r in cfg.sites if r + label.m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for {label}; returning zero operator")
-    return basis.memo(cfg, ("e", label),
-                      lambda: _bilinear_sum(basis, terms, partial(ladder, cfg, basis)))
+    return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
 
 
 def cartan_weyl_h0_diag(basis: FockBasis, a: int) -> np.ndarray:
@@ -467,8 +489,8 @@ def cartan_weyl_h0_diag(basis: FockBasis, a: int) -> np.ndarray:
 
 def cartan_weyl_h(basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
     """h_a^m = sum_r of the h_a bilinears (r, r+m), truncated, over plain
-    oscillators: it reads no q and is built once per basis; at m = 0 it is
-    the diagonal :func:`cartan_weyl_h0_diag`."""
+    oscillators, built on each call as :func:`cartan_weyl_generators` is; at
+    m = 0 it is the diagonal :func:`cartan_weyl_h0_diag`."""
     if m == 0:
         return diag_operator(cartan_weyl_h0_diag(basis, a))
     cfg = basis.cfg
@@ -477,8 +499,7 @@ def cartan_weyl_h(basis: FockBasis, a: int, m: int) -> sp.csr_matrix:
              for line in cfg.lines for r in cfg.sites if r + m in cfg.sites]
     if not terms:
         warnings.warn(f"empty truncated sum for h_{a}^{m}; returning zero operator")
-    return basis.memo(cfg, ("h", a, m),
-                      lambda: _bilinear_sum(basis, terms, partial(ladder, cfg, basis)))
+    return _bilinear_sum(basis, terms, partial(ladder, cfg, basis))
 
 
 def compose_roots(a: RootLabel, b: RootLabel) -> RootLabel | None:

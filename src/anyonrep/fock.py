@@ -22,8 +22,12 @@ preceding the target in a fixed global order (line, then site ascending, then
 flavor ascending), so the canonical anticommutation relations hold exactly for
 every mode pair.  There is one boson ladder, the q-boson b|n> = sqrt([n]_q)
 |n-1>; the plain boson is the same ladder at q = 1, where [n]_1 = n.
-Operators and bases are immutable by convention once built; nothing in this
-package mutates a returned matrix.
+Operators and bases are immutable by convention once built: no code changes
+an operator's arrays in place, since operators share sparsity patterns.  A
+scaling (:func:`scale_entries`) is built on its operand's ``indices`` and
+``indptr``, so an anyon holds its ladder's and a rescaled generator its
+generator's, and every generator set on a basis holds one pattern per
+generator (``algebra.chevalley_generators``).
 
 An operator diagonal in the occupation basis (a number, a string, q^{H/2},
 [H]_q) is a vector over the basis.  It acts on a sparse operator through
@@ -63,29 +67,36 @@ class InstanceTooLargeError(RuntimeError):
 # deformation parameter helpers
 # ---------------------------------------------------------------------------
 
-def q_power(q: complex, x) -> np.ndarray | complex:
-    """q**x through the principal logarithm (consistent branch everywhere).
-
-    ``x`` may be a scalar or an ndarray of real exponents.  An array of
-    half-integers (every string and Cartan exponent) reads q^{k/2} from a
-    table indexed by k = 2x: the same exp of the same argument, so the result
-    equals the element-wise exp bit for bit.  -0.0 has its own slot, since
-    the sign of a zero exponent can reach the sign of a zero imaginary part.
-    """
-    lg = cmath.log(q)
-    if np.isscalar(x):
-        return cmath.exp(x * lg)
-    x = np.asarray(x, dtype=float)
+def _by_half_steps(x: np.ndarray, f) -> np.ndarray | None:
+    """f(values)[k] read for each entry of x, the values every half-step of
+    x's range, k the entry's own; None unless x is half-integral and that
+    table is smaller than x.  -0.0 has its own slot, since the sign of a zero
+    argument can reach the sign of a zero in the result."""
     k = 2 * x
     if x.size and (np.rint(k) == k).all():
         lo, hi = k.min(), k.max()
         if lo > hi - x.size:  # the table is smaller; false for infinities
             lo, span = int(lo), int(hi - lo) + 1
-            table = np.exp(np.append(np.arange(lo, lo + span) / 2, -0.0) * lg)
             idx = k.astype(np.intp) - lo
             idx[np.signbit(k) & (k == 0)] = span
-            return table[idx]
-    return np.exp(x * lg)
+            return f(np.append(np.arange(lo, lo + span) / 2, -0.0))[idx]
+    return None
+
+
+def q_power(q: complex, x) -> np.ndarray | complex:
+    """q**x through the principal logarithm (consistent branch everywhere).
+
+    ``x`` may be a scalar or an ndarray of real exponents.  An array of
+    half-integers (every string and Cartan exponent) reads q^{k/2} from a
+    table over its half-steps (:func:`_by_half_steps`): the same exp of the
+    same argument, so the result equals the element-wise exp bit for bit.
+    """
+    lg = cmath.log(q)
+    if np.isscalar(x):
+        return cmath.exp(x * lg)
+    x = np.asarray(x, dtype=float)
+    table = _by_half_steps(x, lambda v: np.exp(v * lg))
+    return np.exp(x * lg) if table is None else table
 
 
 def q_number(n, q: complex) -> complex:
@@ -105,10 +116,16 @@ def q_number(n, q: complex) -> complex:
 
 def q_bracket(h: np.ndarray, q: complex) -> np.ndarray:
     """[h]_q entry by entry for a real vector h (the diagonal of [H]_q); one
-    q_number call per distinct value."""
-    vals, where = np.unique(h, return_inverse=True)
-    table = np.array([q_number(x, q) for x in vals], dtype=complex)
-    return table[where]
+    q_number call per half-step of h's range (:func:`_by_half_steps`), else
+    per distinct value."""
+    def numbers(values):
+        return np.array([q_number(x, q) for x in values], dtype=complex)
+
+    table = _by_half_steps(h, numbers)
+    if table is None:
+        vals, where = np.unique(h, return_inverse=True)
+        return numbers(vals)[where]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +422,9 @@ class FockBasis:
     def memo(self, cfg: LatticeConfig, key, build):
         """``build()`` once per config and key, kept until :meth:`release`.
         Under ``self.cfg`` (q = 1) what reads no q lives as long as the basis
-        (operators, masks, the plain set, the oscillators' canonical reports)."""
+        (operators, masks, the plain set, each generator's pattern, the
+        oscillators' canonical reports).  What one suite call alone reads is
+        not kept here."""
         ops = self._memo.setdefault(cfg, {})
         if key not in ops:
             ops[key] = build()
@@ -472,9 +491,9 @@ def entry_rows(x: sp.csr_matrix) -> np.ndarray:
 
 def scale_entries(x: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
     """x with its k-th stored entry times w[k], the entry the left operand at
-    any size (numpy's ``*`` may swap them)."""
-    return sp.csr_matrix((np.multiply(x.data, w), x.indices.copy(), x.indptr.copy()),
-                         shape=x.shape)
+    any size (numpy's ``*`` may swap them), on x's own pattern: the result
+    shares x's ``indices`` and ``indptr``, copying neither."""
+    return sp.csr_matrix((np.multiply(x.data, w), x.indices, x.indptr), shape=x.shape)
 
 
 def scale_rows(x: sp.spmatrix, v: np.ndarray) -> sp.csr_matrix:

@@ -98,8 +98,9 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
     to which it would add zero entry by entry; with every product left out
     the sum is a fresh empty matrix of the restricted shape.  ``kept`` holds
     the restricted X1 or Xn of each product, with X1 or Xn and the mask, for
-    as long as its owner keeps it (default: this call); a restriction in it
-    is never returned, so never changed in place."""
+    as long as its owner keeps it (default: this call).  Neither a
+    restriction in it nor an operand is ever returned: a lone unmasked
+    operand, its own sum, is returned as a copy."""
     if side not in ("both", "right"):
         raise ValueError(f"unknown projector side {side!r}")
     if sp.issparse(terms):
@@ -133,7 +134,8 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
             k = int(mask.sum())
             shape = k if side == "both" else shape[0], k
         return sp.csr_matrix(shape, dtype=complex)
-    return (total if mask is None or side == "right" else total[:, mask]).tocsr()
+    total = (total if mask is None or side == "right" else total[:, mask]).tocsr()
+    return total.copy() if any(total is f for _, *factors in terms for f in factors) else total
 
 
 def _part(kept: dict, x: sp.csr_matrix, mask: np.ndarray, side: str) -> sp.csr_matrix:
@@ -163,12 +165,20 @@ def check_identity(relation_ids: list[str], equation: str | list[str], lhs: sp.s
                          informational=informational)
 
 
+def canonical(x: sp.csr_matrix) -> sp.csr_matrix:
+    """x in canonical form, duplicates summed and indices sorted: x itself if
+    it is, else a copy; x is not changed (operators share their arrays)."""
+    if x.has_canonical_format:
+        return x
+    x = x.copy()
+    x.sum_duplicates()
+    return x
+
+
 def _residuals(diff: sp.csr_matrix, n: int) -> list[float]:
     """max |entry| of diff, duplicates summed, on each of n equal row bands;
     diff is not changed."""
-    if not diff.has_canonical_format:
-        diff = diff.copy()
-        diff.sum_duplicates()
+    diff = canonical(diff)
     return _band_maxima(np.abs(diff.data), diff.indptr[::diff.shape[0] // n])
 
 
@@ -367,10 +377,13 @@ class SuiteReports:
                           lambda: np.tile(self.mask(bulk, factor), blocks))
 
     def restrict(self, terms, bulk: tuple[int, int] | None = None, side: str = "both",
-                 factor: str | None = None, blocks: int = 1) -> sp.csr_matrix:
+                 factor: str | None = None, blocks: int = 1, keep: bool = True) -> sp.csr_matrix:
         """:func:`restrict` to the bulk on each of ``blocks`` blocks, with the
-        factor restrictions this suite call keeps."""
-        return restrict(terms, self._tiled(bulk, factor, blocks), side, self._kept)
+        factor restrictions this suite call keeps; with ``keep`` False it
+        neither reads nor adds to them, so an operand that one check alone
+        reads is not held for the call."""
+        return restrict(terms, self._tiled(bulk, factor, blocks), side,
+                        self._kept if keep else None)
 
     def check(self, relation_id: str, lhs, rhs=None, *, params=None, **kwargs):
         """Emit one relation: the one-block :meth:`check_family`."""

@@ -66,7 +66,7 @@ from .fock import (
     supercommutator,
 )
 from .oscillators import normal_number, number_diag, string_factor
-from .report import RelationReport, SuiteReports
+from .report import RelationReport, SuiteReports, canonical
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +265,10 @@ def suite_quantum(cfg: LatticeConfig) -> list[RelationReport]:
 def suite_serre(cfg: LatticeConfig) -> list[RelationReport]:
     """The adjoint-action oracle cross-checks, then the expanded Serre
     relations and the quartic supplementary relations at the isotropic
-    nodes, with their headroom images (``_serre_relations`` with ``images``)."""
-    gs = cached_generators(cfg, True)
+    nodes, with their headroom images (``_serre_relations`` with ``images``).
+    It reads the set through a copy, so the rescaled generators
+    (``GeneratorSet.script_e``) live for this call alone."""
+    gs = dataclasses.replace(cached_generators(cfg, True))
     ct = gs.cartan
     out = SuiteReports("serre", cfg.tol, cached_basis(cfg))
 
@@ -493,10 +495,21 @@ def suite_central_charge(cfg: LatticeConfig) -> list[RelationReport]:
 
 def _largest_entry(Z: sp.csr_matrix) -> tuple[int, int]:
     """(row, column) of the first largest-magnitude entry of Z in row-major
-    order, as a dense argmax picks it; Z is put in canonical form first."""
-    Z.sum_duplicates()
+    order, as a dense argmax picks it, read on Z in canonical form
+    (``report.canonical``); Z is not changed."""
+    Z = canonical(Z)
     k = int(np.argmax(np.abs(Z.data)))
     return int(np.searchsorted(Z.indptr, k, side="right")) - 1, int(Z.indices[k])
+
+
+def _anomaly(out: SuiteReports, basis: FockBasis, m: int) -> tuple[complex, float]:
+    """The scalar lambda = tr X / dim X and the residual max |X - lambda| of
+    X = [h_1^m, h_1^-m] on the bulk (2, 0); the two operators are built for
+    this check alone, and ``out`` keeps none of their restrictions."""
+    X = out.restrict(supercommutator(cartan_weyl_h(basis, 1, m), cartan_weyl_h(basis, 1, -m),
+                                     0, 0), (2, 0), keep=False)
+    lam = complex(X.trace() / X.shape[0])
+    return lam, residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
 
 
 def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
@@ -510,10 +523,13 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
     R = cfg.R
     out = SuiteReports("cartanweyl", cfg.tol, basis)
 
-    for alpha in range(R + 1):
-        lab = ct.simple_root_label(alpha)
-        out.check(f"eq6-cw[{alpha}]", cartan_weyl_generators(basis, lab),
-                  gs.E[(alpha, "+")], params={"alpha": alpha, "root": str(lab)})
+    # this call keeps the simple-root generators, which eq1b at m = 0 and the
+    # cocycle chains read again; every other operator is built for its check
+    simple = {lab: cartan_weyl_generators(basis, lab)
+              for lab in map(ct.simple_root_label, range(R + 1))}
+    for alpha, (lab, e) in enumerate(simple.items()):
+        out.check(f"eq6-cw[{alpha}]", e, gs.E[(alpha, "+")],
+                  params={"alpha": alpha, "root": str(lab)})
     h0 = {a_: cartan_weyl_h0_diag(basis, a_) for a_ in range(1, R + 1)}
     for a_, h in h0.items():
         out.check(f"eq26-h[{a_}]", diag_operator(h), gs.H[a_], params={"a": a_})
@@ -528,7 +544,8 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
             lab = dataclasses.replace(base, m=m)
             w = {a_: root_weight(cfg.M, cfg.N, a_, lab) for a_ in h0}
             out.reports += out.check_weights(
-                [f"eq1b[{lab},a={a_}]" for a_ in h0], cartan_weyl_generators(basis, lab),
+                [f"eq1b[{lab},a={a_}]" for a_ in h0],
+                simple[lab] if lab in simple else cartan_weyl_generators(basis, lab),
                 [(h, w[a_], (abs(m), 0) if m else None) for a_, h in h0.items()],
                 params=[{"root": str(lab), "a": a_, "weight": w[a_]} for a_ in h0])
 
@@ -539,12 +556,8 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
         if m >= cfg.S:
             out.not_applicable(f"eq1a-scalar[m={m}]", "lattice too short")
             continue
-        hm = cartan_weyl_h(basis, 1, m)
-        hmm = cartan_weyl_h(basis, 1, -m)
-        X = out.restrict(supercommutator(hm, hmm, 0, 0), (2, 0))
-        lam = complex(X.trace() / X.shape[0])
+        lam, res = _anomaly(out, basis, m)
         lambdas[m] = lam
-        res = residual_norm(X - lam * sp.identity(X.shape[0], format="csr"))
         K_obs = (lam / gamma_expected / m).real if gamma_expected else None
         out.record(f"eq1a-scalar[m={m}]", res, bulk=(2, 0),
                    params={"a": 1, "m": m, "lambda": [lam.real, lam.imag],
@@ -568,11 +581,10 @@ def suite_cartan_weyl(cfg: LatticeConfig) -> list[RelationReport]:
         rsum = compose_roots(r1, r2)
         if rsum is None:
             continue
-        e1, e2, es = (cartan_weyl_generators(basis, r) for r in (r1, r2, rsum))
         # compositions of odd roots raise a boson in one ordering
         bulk = (max(1, abs(r1.m) + abs(r2.m)), 1 if (r1.parity or r2.parity) else 0)
-        X = out.restrict(supercommutator(e1, e2, r1.parity, r2.parity), bulk)
-        Z = out.restrict(es, bulk)
+        X = out.restrict(supercommutator(simple[r1], simple[r2], r1.parity, r2.parity), bulk)
+        Z = out.restrict(cartan_weyl_generators(basis, rsum), bulk)
         if Z.nnz == 0 or residual_norm(Z) < 1e-12:
             out.not_applicable(f"eq1c-cocycle[{r1},{r2}]",
                                "target vanishes on the bulk")

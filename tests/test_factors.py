@@ -242,8 +242,9 @@ def test_the_first_q_free_build_keeps_the_config_asked_for():
 
 def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
     """Runs at nu 0.3, nu 0.2 and q_real 1.3 on one basis build each fermion
-    ladder, each H_alpha and each Cartan-Weyl operator once, under the
-    basis's config; a run under a control does so on its own basis."""
+    ladder, each H_alpha and each generator's pattern once, under the
+    basis's config; a run under a control does so on its own basis.  No
+    Cartan-Weyl operator is kept there: the suite call that reads one builds it."""
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3)
     for at in (cfg, replace(cfg, nu=0.2), replace(cfg, nu=None, q_real=1.3)):
         verify.run_suites(at)
@@ -254,7 +255,7 @@ def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
     def reads_no_q(key):
         if isinstance(key[0], ModeId):  # a ladder (mode, dagger) or an anyon
             return len(key) == 2 and key[0].kind == FERMION
-        return key[0] in ("H", "e", "h")
+        return key[0] in ("H", "pattern")
 
     q_free = [(at, key) for at, key in memo_builds if reads_no_q(key)]
     assert {at for at, _ in q_free} == {basis.cfg, h0_basis.cfg}
@@ -264,7 +265,99 @@ def test_what_reads_no_q_is_built_once_per_basis(memo_builds):
         (b.cfg, ("H", alpha)) for alpha in range(cfg.R + 1) for b in (basis, h0_basis)}
     assert {k for k in keys if isinstance(k[0], ModeId)} == {
         (m, d) for m in basis.fermion_modes for d in (False, True)}
-    assert any(k[0] == "e" for k in keys)
+    assert {k for k in keys if k[0] == "pattern"} == {
+        ("pattern", alpha, s) for alpha in range(cfg.R + 1) for s in "+-"}
+    assert not [key for _, key in memo_builds if key[0] in ("e", "h", "script")]
+
+
+PATTERNS = STACKS + [LatticeConfig(M=2, N=1, S=2, n_max=4, q_real=10.0),
+                     replace(STACKS[0], corruption=Corruption(flip_boson_disorder=True)),
+                     replace(STACKS[0], corruption=Corruption(flip_q_alpha=True))]
+
+
+@pytest.mark.parametrize("plain_first", [False, True])
+@pytest.mark.parametrize("cfg", PATTERNS, ids=STACK_IDS + ["q10", "disorder", "qalpha"])
+def test_operators_share_their_operands_patterns(cfg, plain_first):
+    """Every set on a basis holds one pattern per generator, whichever set is
+    built first; a rescaled generator holds its generator's, an anyon its
+    ladder's; each holds its own values."""
+    _cached_basis.cache_clear()
+    basis = cached_basis(cfg)
+    if plain_first:
+        alg.cached_generators(cfg, False)
+    deformed, plain = alg.cached_generators(cfg, True), alg.cached_generators(cfg, False)
+    for key, E in deformed.E.items():
+        for other in (plain.E[key], deformed.script_e(*key)):
+            assert np.shares_memory(E.indices, other.indices), key
+            assert np.shares_memory(E.indptr, other.indptr), key
+            assert not np.shares_memory(E.data, other.data), key
+    for mode in basis.fermion_modes + basis.boson_modes:
+        for family, (kind, _) in FAMILIES.items():
+            for dagger in (False, True) if kind == mode.kind else ():
+                x, a = ladder(cfg, basis, mode, dagger), anyon_factor(cfg, basis, mode, family, dagger)
+                assert np.shares_memory(x.indices, a.indices) and np.shares_memory(x.indptr, a.indptr)
+                assert not np.shares_memory(x.data, a.data)
+
+
+def test_a_generator_off_its_pattern_is_refused():
+    """A later set whose generator leaves the kept pattern is refused, as a
+    dressed piece that leaves its plain one is."""
+    basis = build_basis(STACKS[0])
+    first = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert alg._on_pattern(basis, ("pattern", 9, "+"), first) is first
+    same = alg._on_pattern(basis, ("pattern", 9, "+"), 2 * first)
+    assert np.shares_memory(same.indices, first.indices) and np.shares_memory(same.indptr, first.indptr)
+    assert same.data.tolist() == [2]
+    with pytest.raises(ValueError, match="leaves the pattern"):
+        alg._on_pattern(basis, ("pattern", 9, "+"), first.T.tocsr())
+
+
+def test_one_suite_builds_only_the_sets_it_reads(memo_builds):
+    """The deformed suites alone build no plain set to take a pattern from."""
+    cfg = STACKS[0]
+    verify.run_suites(cfg, ["quantum", "serre"])
+    assert [key for _, key in memo_builds if key[0] == "set"] == [("set", True)]
+
+
+def _arrays(value) -> list:
+    """Every numpy array an operator, a generator set or a memo entry holds."""
+    if sp.issparse(value):
+        return [value.data, value.indices, value.indptr]
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, alg.GeneratorSet):
+        return _arrays([*value.H.values(), *value.E.values()])
+    if isinstance(value, (tuple, list)):
+        return [a for x in value for a in _arrays(x)]
+    return []
+
+
+def test_a_verify_run_changes_no_array_of_an_operator(monkeypatch):
+    """Operators share their arrays, so none may change in place: every
+    array of every memo entry and rescaled generator built during a full run
+    with a sampled q holds the bytes it held when built, and no operator that
+    one suite call alone reads is left in the memo."""
+    cfg = LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3)
+    _cached_basis.cache_clear()
+    held = {}
+
+    def snapshot(value):
+        held.setdefault(id(value), (value, [a.tobytes() for a in _arrays(value)]))
+        return value
+
+    memo, script_e = alg.FockBasis.memo, alg.GeneratorSet.script_e
+    monkeypatch.setattr(alg.FockBasis, "memo",
+                        lambda self, at, key, build: memo(self, at, key, lambda: snapshot(build())))
+    monkeypatch.setattr(alg.GeneratorSet, "script_e",
+                        lambda self, *key: snapshot(script_e(self, *key)))
+    verify.run_suites(cfg, q_samples=1)
+    kinds = {type(value) for value, _ in held.values()}
+    assert alg.GeneratorSet in kinds and sp.csr_matrix in kinds and tuple in kinds
+    for value, before in held.values():
+        assert [a.tobytes() for a in _arrays(value)] == before, type(value)
+    basis = cached_basis(cfg)
+    assert set(basis._memo) == {basis.cfg}
+    assert not [key for key in basis._memo[basis.cfg] if key[0] in ("script", "e", "h")]
 
 
 # ---------------------------------------------------------------------------

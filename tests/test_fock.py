@@ -386,6 +386,17 @@ def test_q_power_falls_back_off_the_half_integers(q, xs):
         assert q_power(q, x).tobytes() == np.exp(x * cmath.log(q)).tobytes()
 
 
+@given(QS, st.lists(st.one_of(HALF, st.just(-0.0)), min_size=1, max_size=60))
+@settings(max_examples=80, deadline=None)
+def test_q_bracket_reads_its_half_step_table_bit_for_bit(q, xs):
+    """[h]_q from the half-step table (which the 81 repeats make smaller than
+    h), -0.0 included, or off the half-integers from one q_number per
+    distinct value, is q_number of each entry, bit for bit."""
+    for h in (np.array(xs + xs[:1] * 81), np.array(xs) + 0.25):
+        loop = np.array([q_number(x, q) for x in h], dtype=complex)
+        assert q_bracket(h, q).tobytes() == loop.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # bulk projector
 # ---------------------------------------------------------------------------

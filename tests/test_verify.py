@@ -151,8 +151,9 @@ def test_zero_rhs_reduces_the_canonical_form_without_mutation():
         [report] = check_identity(["x"], "-", x, zero, tol=1e-10)
         return report.residual
 
-    assert restrict(lhs) is lhs
-    assert residual(restrict(lhs)) == 1.0
+    alone = restrict(lhs)
+    assert alone is not lhs and not np.shares_memory(alone.indices, lhs.indices)
+    assert residual(alone) == 1.0
     kept = restrict(lhs, np.array([True, True]))
     assert kept.nnz == 3
     assert residual(kept) == 1.0
@@ -1368,14 +1369,23 @@ def test_suite_cartan_weyl():
     assert cocycle and all(r.satisfied for r in cocycle)
 
 
-def test_suite_cartan_weyl_builds_each_generator_once(memo_builds):
-    """eq6-cw, eq1b at m = 0 and the cocycle chains share root labels; each
-    label's generator is built once per basis, whatever q the run reads."""
+def test_suite_cartan_weyl_builds_each_generator_once(memo_builds, monkeypatch):
+    """eq6-cw, eq1b at m = 0 and the cocycle chains share the simple-root
+    labels: a suite call builds each simple-root generator once and keeps it
+    for the call; a Cartan-Weyl operator never enters the basis memo, so
+    another run builds them again."""
     cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    built, build = [], verify.cartan_weyl_generators
+    monkeypatch.setattr(verify, "cartan_weyl_generators",
+                        lambda basis, label: built.append(label) or build(basis, label))
+    simple = [cartan_data(cfg.M, cfg.N).simple_root_label(al) for al in range(cfg.R + 1)]
     for nu in (0.3, 0.2):
+        built.clear()
         run_suites(dataclasses.replace(cfg, nu=nu))
-    labels = [key for _, key in memo_builds if key[0] == "e"]
-    assert labels and len(labels) == len(set(labels))
+        counts = Counter(built)
+        assert all(counts[label] == 1 for label in simple), counts
+        assert len(counts) > len(simple)
+    assert not [key for _, key in memo_builds if key[0] in ("e", "h")]
 
 
 @pytest.mark.parametrize("suite", [suite_oscillators])
@@ -1470,7 +1480,44 @@ def test_cocycle_pivot_equals_dense_argmax():
         Z = sp.csr_matrix((np.array(data, dtype=complex), np.array(indices),
                            np.array(indptr)), shape=(3, 3))
         dense = np.abs(Z.toarray())
+        before = [a.copy() for a in (Z.data, Z.indices, Z.indptr)]
         assert _largest_entry(Z) == np.unravel_index(np.argmax(dense), dense.shape)
+        assert all(np.array_equal(a, b) for a, b in zip((Z.data, Z.indices, Z.indptr), before))
+
+
+@pytest.mark.parametrize("control", CONTROLS)
+@pytest.mark.parametrize("cfg", [LatticeConfig(M=2, N=1, S=2, n_max=2, nu=0.3),
+                                 LatticeConfig(M=2, N=2, S=2, n_max=1, q_real=1.3),
+                                 LatticeConfig(M=2, N=1, S=2, n_max=4, q_real=10.0)],
+                         ids=["M2N1S2", "M2N2S2-q1.3", "q10"])
+def test_the_checks_that_cannot_fail_read_exactly_zero(cfg, control):
+    """eq30, limit-q1 and limit-qbracket hold by IEEE arithmetic, not by the
+    algebra, so they read exactly 0.0 under every negative control: an entry
+    of eq30 is one product and ``*`` and ``+`` commute; q_power(1, x) is 1
+    and q_number(n, 1) is n, so the dressed pieces at q = 1 are the plain
+    ones and [h]_1 is h."""
+    cfg = dataclasses.replace(cfg, corruption=CONTROLS[control])
+    _cached_basis.cache_clear()
+    reports = [r for rs in run_suites(cfg, ["oscillators", "classical"]).values() for r in rs]
+    exact = [r for r in reports
+             if r.relation_id.startswith("eq30[") or r.relation_id in ("limit-q1", "limit-qbracket")]
+    assert len(exact) == 2 + sum(r.relation_id.startswith("eq30[") for r in reports) > 2
+    assert all(r.residual == 0.0 and r.passed for r in exact), [
+        (r.relation_id, r.residual) for r in exact if r.residual]
+
+
+def test_restrict_never_returns_an_operand():
+    """A lone unmasked matrix, or one product of one factor, is its own sum:
+    restrict returns an equal copy, so a caller that sorts or sums its result
+    in place changes no operand (operators share their arrays)."""
+    x = sp.csr_matrix((np.array([3, -3, 1j]), np.array([1, 0, 1]), np.array([0, 2, 3])),
+                      shape=(2, 2))
+    for terms in (x, [(1, x)], [(1, x, sp.csr_matrix((2, 2), dtype=complex)), (1, x)]):
+        for mask, side in ((None, "both"), (None, "right")):
+            got = restrict(terms, mask, side)
+            assert got is not x and not any(np.shares_memory(a, b) for a in (
+                got.data, got.indices, got.indptr) for b in (x.data, x.indices, x.indptr))
+            assert _hex_entries(got) == _hex_entries(x)
 
 
 def test_limit_slope_sets_are_not_cached(memo_builds):
@@ -1528,15 +1575,40 @@ def test_each_suite_alone_gives_the_full_run_reports(control):
         assert _hex_fields(alone[name]) == _hex_fields(full[name]), name
 
 
-def test_script_e_is_built_once_per_deformed_set(memo_builds):
-    """The rescaled generators live in the memo under the set's config: the
-    quantum and Serre suites at two nu build each one once per nu."""
+def test_cartan_weyl_operators_live_for_the_check_that_reads_them(monkeypatch):
+    """cartanweyl keeps the simple-root generators for its call; every other
+    e_root^m and h_a^m it builds is freed once the check that reads it is
+    made, so none is alive when a later report is recorded."""
+    cfg = LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)
+    simple = {cartan_data(cfg.M, cfg.N).simple_root_label(al) for al in range(cfg.R + 1)}
+    built, alive = [], []
+    for name in ("cartan_weyl_generators", "cartan_weyl_h"):
+        monkeypatch.setattr(verify, name, lambda basis, *key, build=getattr(verify, name): (
+            built.append((key, weakref.ref(op := build(basis, *key)))) or op))
+    record = SuiteReports.record
+    monkeypatch.setattr(SuiteReports, "record", lambda self, rid, *a, **kw: alive.extend(
+        (rid, key) for key, ref in built if ref() is not None and key[0] not in simple)
+        or record(self, rid, *a, **kw))
+    reports = suite_cartan_weyl(cfg)
+    assert {key for key, _ in built} > {(label,) for label in simple}
+    assert any(r.relation_id.startswith("eq1c-cocycle") and r.applicable for r in reports)
+    assert any(r.relation_id.startswith("eq1a-scalar") for r in reports) and alive == []
+
+
+def test_script_e_is_built_once_per_deformed_set(memo_builds, monkeypatch):
+    """The rescaled generators live for a Serre suite call, held by its copy
+    of the deformed set: the quantum and Serre suites at two nu build each
+    one once per nu, none enters the basis memo, and the kept set holds none."""
     cfg = LatticeConfig(M=2, N=1, S=2, n_max=1, nu=0.3)
+    built, scale = [], algebra.scale_columns
+    monkeypatch.setattr(algebra, "scale_columns", lambda x, v: built.append(x) or scale(x, v))
     for nu in (0.3, 0.2):
-        run_suites(dataclasses.replace(cfg, nu=nu), ["quantum", "serre"])
-    scripts = [(at, key) for at, key in memo_builds if key[0] == "script"]
-    assert len(set(scripts)) == len(scripts) == 2 * 2 * (cfg.R + 1)
-    gs = cached_generators(dataclasses.replace(cfg, nu=0.2), True)
+        at = dataclasses.replace(cfg, nu=nu)
+        gs, built[:] = cached_generators(at, True), []
+        run_suites(at, ["quantum", "serre"])
+        assert len(built) == len(gs.E) and {*map(id, built)} == {*map(id, gs.E.values())}, nu
+        assert gs._script == {}
+    assert not [key for _, key in memo_builds if key[0] == "script"]
     assert gs.script_e(0, "+") is gs.script_e(0, "+")
 
 
