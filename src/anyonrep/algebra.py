@@ -329,10 +329,11 @@ def eq57_exponent(basis: FockBasis, alpha: int, line: int, r: float, at=None,
 
 @dataclass
 class GeneratorSet:
-    """Assembled simple generators: ``H`` holds CSR matrices (:meth:`h` reads
-    their diagonals), ``E`` the summed local pieces; :meth:`script_e` is kept
-    by this set object.  A set holds no basis, so its basis's memo makes no
-    cycle."""
+    """Assembled simple generators: ``H`` holds real CSR matrices (:meth:`h`
+    reads their diagonals), ``E`` the summed local pieces, real in the plain
+    set and at a real q, complex only where a string carries a phase;
+    :meth:`script_e` is kept by this set object.  A set holds no basis, so
+    its basis's memo makes no cycle."""
 
     cfg: LatticeConfig
     cartan: CartanData
@@ -347,7 +348,7 @@ class GeneratorSet:
 
     def h(self, alpha: int) -> np.ndarray:
         """The diagonal of H_alpha, a real vector."""
-        return self.H[alpha].diagonal().real
+        return self.H[alpha].diagonal()
 
     def script_e(self, alpha: int, sign: str) -> sp.csr_matrix:
         """Rescaled generator E_alpha^s q_alpha^{-H_alpha/2} on E's pattern,

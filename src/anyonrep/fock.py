@@ -34,7 +34,11 @@ An operator diagonal in the occupation basis (a number, a string, q^{H/2},
 :func:`scale_rows` / :func:`scale_columns`, or is read at the operator's
 stored entries and applied by :func:`scale_entries`, and becomes a CSR matrix
 (:func:`diag_operator`) only as the operand of a check or as an exported
-generator; the Cartan generators ``GeneratorSet.H`` are kept as CSR.
+generator; the Cartan generators ``GeneratorSet.H`` are kept as real CSR.
+An operator is float64 unless one of its values is complex: complex data
+enters only through q^x with q on the unit circle (:func:`q_power`, real at
+a positive real q), a complex coefficient or a complex right side, and
+scipy and numpy upcast mixed operands themselves.
 """
 
 from __future__ import annotations
@@ -90,13 +94,15 @@ def q_power(q: complex, x) -> np.ndarray | complex:
     half-integers (every string and Cartan exponent) reads q^{k/2} from a
     table over its half-steps (:func:`_by_half_steps`): the same exp of the
     same argument, so the result equals the element-wise exp bit for bit.
+    At a positive real q (log q real) it is the real part of that exp.
     """
     lg = cmath.log(q)
+    part = (lambda z: z.real) if lg.imag == 0 else (lambda z: z)
     if np.isscalar(x):
-        return cmath.exp(x * lg)
+        return part(cmath.exp(x * lg))
     x = np.asarray(x, dtype=float)
-    table = _by_half_steps(x, lambda v: np.exp(v * lg))
-    return np.exp(x * lg) if table is None else table
+    table = _by_half_steps(x, lambda v: part(np.exp(v * lg)))
+    return part(np.exp(x * lg)) if table is None else table
 
 
 def q_number(n, q: complex) -> complex:
@@ -117,9 +123,10 @@ def q_number(n, q: complex) -> complex:
 def q_bracket(h: np.ndarray, q: complex) -> np.ndarray:
     """[h]_q entry by entry for a real vector h (the diagonal of [H]_q); one
     q_number call per half-step of h's range (:func:`_by_half_steps`), else
-    per distinct value."""
+    per distinct value; at a positive real q the real parts."""
     def numbers(values):
-        return np.array([q_number(x, q) for x in values], dtype=complex)
+        out = np.array([q_number(x, q) for x in values])  # q_number is complex
+        return out.real if cmath.log(q).imag == 0 else out
 
     table = _by_half_steps(h, numbers)
     if table is None:
@@ -412,7 +419,8 @@ class FockBasis:
         product, sum or scaling of stacks holds each block's own, every entry
         summed in the same order."""
         r, c = next(b.shape for b in blocks if b is not None)
-        blocks = [sp.csr_matrix((r, c), dtype=complex) if b is None else b for b in blocks]
+        dtype = np.result_type(*(b.dtype for b in blocks if b is not None))
+        blocks = [sp.csr_matrix((r, c), dtype=dtype) if b is None else b for b in blocks]
         offsets = np.cumsum([0] + [b.nnz for b in blocks]).tolist()
         indptr = [b.indptr[:-1] + off for b, off in zip(blocks, offsets)] + [offsets[-1:]]
         return sp.csr_matrix((np.concatenate([b.data for b in blocks]),
@@ -464,18 +472,19 @@ def _cached_basis(cfg: LatticeConfig) -> FockBasis:
 
 def identity_op(basis: FockBasis, factor: str | None = None) -> sp.csr_matrix:
     """The identity on the whole basis, or on its fermion or boson factor."""
-    return sp.identity(basis.size(factor), format="csr", dtype=complex)
+    return sp.identity(basis.size(factor), format="csr")
 
 
 def zero_op(basis: FockBasis, factor: str | None = None) -> sp.csr_matrix:
     """The zero operator on the whole basis, or on its fermion or boson factor."""
     n = basis.size(factor)
-    return sp.csr_matrix((n, n), dtype=complex)
+    return sp.csr_matrix((n, n))
 
 
 def diag_operator(diagonal: np.ndarray) -> sp.csr_matrix:
-    """The diagonal matrix of ``diagonal``, zeros not stored."""
-    d = np.asarray(diagonal, dtype=complex)
+    """The diagonal matrix of ``diagonal``, zeros not stored, in its dtype:
+    real unless the diagonal is complex."""
+    d = np.asarray(diagonal)
     keep = np.flatnonzero(d)
     indptr = np.zeros(d.size + 1, dtype=np.int32)
     np.cumsum(d != 0, out=indptr[1:])
@@ -526,13 +535,13 @@ def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
         if mode.kind == FERMION:
             j = basis.fermion_slot(mode)
             src = np.nonzero(basis.f_occ[:, j])[0]
-            return sp.csr_matrix((basis.f_sign[src, j].astype(complex), (src ^ (1 << j), src)),
+            return sp.csr_matrix((basis.f_sign[src, j].astype(float), (src ^ (1 << j), src)),
                                  shape=(basis.NF, basis.NF))
         j = basis.boson_slot(mode)
         occ = basis.b_occ[:, j]
         src = np.nonzero(occ)[0]
         amplitude = np.sqrt([q_number(n, cfg.q).real for n in range(cfg.n_max + 1)])
-        return sp.csr_matrix((amplitude.astype(complex)[occ[src]],
+        return sp.csr_matrix((amplitude[occ[src]],
                               (src - (cfg.n_max + 1) ** j, src)), shape=(basis.NB, basis.NB))
     return basis.memo(basis.cfg if mode.kind == FERMION else cfg, (mode, dagger), build)
 
@@ -543,10 +552,12 @@ def ladder(cfg: LatticeConfig, basis: FockBasis, mode: ModeId,
 
 def entry_products(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u_i v_j for every pair, shape (len(u), len(v)), as scipy forms a
-    product entry of one term: real and imaginary parts each rounded
-    separately and added to zero."""
+    product entry of one term: added to zero, and for complex operands real
+    and imaginary parts each rounded separately."""
     u = u[:, None]
-    data = np.empty((len(u), len(v)), dtype=complex)
+    if not (np.iscomplexobj(u) or np.iscomplexobj(v)):
+        return 0.0 + u * v
+    data = np.empty((len(u), len(v)), dtype=np.result_type(u, v))
     data.real = 0.0 + (u.real * v.real - u.imag * v.imag)
     data.imag = 0.0 + (u.real * v.imag + u.imag * v.real)
     return data

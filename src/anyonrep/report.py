@@ -133,7 +133,8 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
         if mask is not None:
             k = int(mask.sum())
             shape = k if side == "both" else shape[0], k
-        return sp.csr_matrix(shape, dtype=complex)
+        dtype = np.result_type(*(f.dtype for _, *fs in terms for f in fs))
+        return sp.csr_matrix(shape, dtype=dtype)
     total = (total if mask is None or side == "right" else total[:, mask]).tocsr()
     return total.copy() if any(total is f for _, *factors in terms for f in factors) else total
 

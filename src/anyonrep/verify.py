@@ -447,7 +447,7 @@ def suite_classical_limit(cfg: LatticeConfig) -> list[RelationReport]:
     # every set on the basis holds the one H_alpha of cartan_generator, read
     # one node at a time; fock.q_number makes [h]_1 = h by construction
     worst = max(float(np.abs(q_bracket(h, 1.0) - h).max())
-                for h in (cartan_generator(basis, al).diagonal().real for al in range(cfg.R + 1)))
+                for h in (cartan_generator(basis, al).diagonal() for al in range(cfg.R + 1)))
     out.record("limit-qbracket", worst, params={"note": "[H]_q -> H at q=1"})
 
     ratio = r2 / r1 if r1 else float("inf")

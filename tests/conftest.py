@@ -30,7 +30,7 @@ def bulk_projector(basis, boundary_margin=1, boson_headroom=0):
     """The bulk projector as a diagonal matrix: the reference the restriction
     of a check's products to its bulk is tested against."""
     return diag_operator(bulk_mask(basis, boundary_margin, boson_headroom)
-                         .astype(complex))
+                         .astype(float))
 
 
 def occupations(basis, index):
@@ -48,9 +48,9 @@ def index_for(basis, f_occ, b_occ) -> int:
 
 
 def kron_lift(basis, kind, x):
-    """The reference lift x (x) 1 (fermions) or 1 (x) x (bosons), by sp.kron."""
-    one = sp.identity(basis.NB if kind == FERMION else basis.NF, dtype=complex,
-                      format="csr")
+    """The reference lift x (x) 1 (fermions) or 1 (x) x (bosons), by sp.kron,
+    in x's dtype: the identity is real."""
+    one = sp.identity(basis.NB if kind == FERMION else basis.NF, format="csr")
     return (sp.kron(x, one) if kind == FERMION else sp.kron(one, x)).tocsr()
 
 

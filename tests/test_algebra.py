@@ -178,6 +178,43 @@ def test_h_reads_the_diagonal_of_the_csr_cartan_generator(cfg22, basis22):
             assert np.array_equal(local, h)
 
 
+@pytest.mark.parametrize("qspec", [{"q_real": 1.3}, {"nu": 0.3}])
+def test_operators_are_real_unless_a_value_is_complex(qspec):
+    """An operator is float64 unless one of its values is complex.  The
+    ladders at q and at q = 1, the identity and zero operators, every
+    H_alpha (kept as CSR), the plain set's E and the Cartan-Weyl operators
+    are real at any q; the anyons, the deformed set, its rescaled generators
+    and q^x are real at a real q and complex128 on the unit circle."""
+    cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, **qspec)
+    basis = build_basis(cfg)
+    real = np.dtype(np.float64)
+    phase = real if "q_real" in qspec else np.dtype(np.complex128)
+    for mode in basis.fermion_modes + basis.boson_modes:
+        for dagger in (False, True):
+            for at in (cfg, basis.cfg):
+                assert fock.ladder(at, basis, mode, dagger).dtype == real
+            for family, (kind, _) in anyons.FAMILIES.items():
+                if kind == mode.kind:
+                    assert anyons.anyon_factor(cfg, basis, mode, family, dagger).dtype == phase
+    for factor in (None, FERMION, BOSON):
+        assert fock.identity_op(basis, factor).dtype == real
+        assert fock.zero_op(basis, factor).dtype == real
+    plain, deformed = (chevalley_generators(cfg, basis, d) for d in (False, True))
+    for gs in (plain, deformed):
+        for al, H in gs.H.items():
+            assert isinstance(H, sp.csr_matrix) and H.dtype == real and gs.h(al).dtype == real
+    assert {E.dtype for E in plain.E.values()} == {real}
+    assert {E.dtype for E in deformed.E.values()} == {phase}
+    assert {deformed.script_e(*key).dtype for key in deformed.E} == {phase}
+    assert q_power(cfg.q, plain.h(1)).dtype == q_bracket(plain.h(1), cfg.q).dtype == phase
+    ct = cartan_data(cfg.M, cfg.N)
+    for m in (-1, 0, 1):
+        for al in range(cfg.R + 1):
+            assert cartan_weyl_generators(basis, replace(ct.simple_root_label(al), m=m)).dtype == real
+        for a in range(1, cfg.R + 1):
+            assert cartan_weyl_h(basis, a, m).dtype == real
+
+
 def test_deformed_equals_undeformed_at_q_one():
     cfg = LatticeConfig(M=2, N=2, S=2, n_max=2, q_real=1.0)
     basis = build_basis(cfg)

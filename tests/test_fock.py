@@ -274,14 +274,14 @@ def test_q_number_unit_circle_is_real():
 @pytest.mark.parametrize("q", [np.exp(0.3j * np.pi), 1.3, 1.0])
 def test_q_bracket_diag_equals_per_state_loop(cfg22, basis22, q):
     """One q_number call per distinct value gives exactly the per-state
-    loop, on every H_alpha of M2N2 and on n + 1."""
+    loop, on every H_alpha of M2N2 and on n + 1; at a real q its real part."""
     from anyonrep.algebra import chevalley_generators
     from anyonrep.oscillators import number_diag
     gs = chevalley_generators(cfg22, basis22, deformed=False)
     n = number_diag(basis22, boson_mode(1, 0.5))
     for h in [gs.h(al) for al in gs.H] + [n + 1]:
         loop = np.array([q_number(x, q) for x in h], dtype=complex)
-        assert q_bracket(h, q).tobytes() == loop.tobytes()
+        assert q_bracket(h, q).tobytes() == _real_at_real_q(q, loop).tobytes()
 
 
 def test_q_power_branch_consistency():
@@ -366,6 +366,12 @@ def test_scaling_rounds_alike_at_every_size(scale):
     assert small.tobytes() == np.multiply(d[:-1], v[:-1]).tobytes()
 
 
+def _real_at_real_q(q, z):
+    """The element-wise complex evaluation z as q_power and q_bracket return
+    it: its real part at a positive real q (log q real), else z."""
+    return z.real if cmath.log(q).imag == 0 else z
+
+
 HALF = st.integers(-40, 40).map(lambda k: k / 2)
 QS = st.one_of(st.floats(-0.99, 0.99).map(lambda nu: np.exp(1j * np.pi * nu)),
                st.floats(0.05, 20.0))
@@ -375,7 +381,7 @@ QS = st.one_of(st.floats(-0.99, 0.99).map(lambda nu: np.exp(1j * np.pi * nu)),
 @settings(max_examples=80, deadline=None)
 def test_tabulated_q_power_is_bit_equal(q, xs):
     x = np.array(xs)
-    ref = np.exp(x * cmath.log(q))
+    ref = _real_at_real_q(q, np.exp(x * cmath.log(q)))
     assert q_power(q, x).tobytes() == ref.tobytes()
 
 
@@ -383,7 +389,8 @@ def test_tabulated_q_power_is_bit_equal(q, xs):
 @settings(max_examples=60, deadline=None)
 def test_q_power_falls_back_off_the_half_integers(q, xs):
     for x in (np.array(xs) + 0.25, np.array([0.0, 60.0]), np.array(xs)):
-        assert q_power(q, x).tobytes() == np.exp(x * cmath.log(q)).tobytes()
+        ref = _real_at_real_q(q, np.exp(x * cmath.log(q)))
+        assert q_power(q, x).tobytes() == ref.tobytes()
 
 
 @given(QS, st.lists(st.one_of(HALF, st.just(-0.0)), min_size=1, max_size=60))
@@ -391,10 +398,11 @@ def test_q_power_falls_back_off_the_half_integers(q, xs):
 def test_q_bracket_reads_its_half_step_table_bit_for_bit(q, xs):
     """[h]_q from the half-step table (which the 81 repeats make smaller than
     h), -0.0 included, or off the half-integers from one q_number per
-    distinct value, is q_number of each entry, bit for bit."""
+    distinct value, is q_number of each entry, bit for bit (its real part
+    at a real q)."""
     for h in (np.array(xs + xs[:1] * 81), np.array(xs) + 0.25):
         loop = np.array([q_number(x, q) for x in h], dtype=complex)
-        assert q_bracket(h, q).tobytes() == loop.tobytes()
+        assert q_bracket(h, q).tobytes() == _real_at_real_q(q, loop).tobytes()
 
 
 # ---------------------------------------------------------------------------
