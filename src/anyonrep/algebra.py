@@ -19,7 +19,9 @@ operators take them at q = 1, where the q-boson is the plain boson.  ``H``
 reads no q and is built once per basis; a Cartan-Weyl operator is built for
 the call that reads it.  A generator's pattern reads no q either: every set
 on a basis holds one ``indices``/``indptr`` pair per generator, that of the
-first set built (``_on_pattern``).
+first set built (``_on_pattern``), and the shift its entries make in each
+particle number and Cartan half-step is found once per basis beside it
+(``label_shift``).
 A local bilinear piece is its stored entries (``_entries``): x @ y on the
 factor its two modes share (an even node, a root of two fermion or two boson
 modes), else the entries of the tensor product X (x) Y of its two factors
@@ -32,6 +34,7 @@ negative control is a field of the config, read as ``cfg.corruption`` by
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -42,6 +45,7 @@ import scipy.sparse as sp
 from .fock import (
     BOSON,
     FERMION,
+    NUMBERS,
     SEA,
     ConfigError,
     Corruption,
@@ -54,6 +58,7 @@ from .fock import (
     entry_products,
     entry_rows,
     ladder,
+    number_labels,
     q_power,
     scale_columns,
     zero_op,
@@ -385,13 +390,103 @@ def _on_pattern(basis: FockBasis, key, x: sp.csr_matrix) -> sp.csr_matrix:
     """x on the pattern kept in the basis memo under ``key``, registered by
     the first x asked for: a later x whose pattern equals it drops its own
     ``indices`` and ``indptr`` for the kept ones, one that differs is
-    refused (``ValueError``)."""
-    indices, indptr = basis.memo(basis.cfg, key, lambda: (x.indices, x.indptr))
+    refused (``ValueError``).  The memo's ``("patterns",)`` entry maps each
+    kept pattern's :func:`_address` to its key, for :func:`label_shift`."""
+    def register():
+        basis.memo(basis.cfg, ("patterns",), dict)[_address(x)] = key[1:]
+        return x.indices, x.indptr
+    indices, indptr = basis.memo(basis.cfg, key, register)
     if indices is x.indices:
         return x
     if not (np.array_equal(indptr, x.indptr) and np.array_equal(indices, x.indices)):
         raise ValueError(f"generator {key[1:]} leaves the pattern of the first set built")
     return sp.csr_matrix((x.data, indices, indptr), shape=x.shape)
+
+
+def _address(x: sp.csr_matrix) -> tuple:
+    """Where the ``indices`` and ``indptr`` of x start in memory.  Operators
+    on one kept pattern share its arrays' memory, though scipy may hand each
+    its own array objects over it; the kept arrays live as long as the basis,
+    so no other array starts there meanwhile."""
+    return x.indices.ctypes.data, x.indptr.ctypes.data
+
+
+def label_shift(basis: FockBasis, x: sp.csr_matrix, label=NUMBERS):
+    """label[row] - label[column] at the stored entries of x, when it is one
+    value for all of them, else None; None too for an x that holds no kept
+    generator pattern (:func:`_on_pattern`) and for any x not a CSR matrix of
+    the basis dimension (the transpose of a generator, a CSC matrix, holds
+    its buffers but not its pattern).  ``label`` is ``NUMBERS``, the
+    particle number of each (kind, flavor), a tuple with the fermion flavors
+    first (``fock.number_labels``), or a node alpha, the half-steps 2 h_alpha
+    of ``H_alpha``'s diagonal, an int.  A shift reads the pattern alone, no
+    q: it is found once per pattern and label, kept beside the pattern in the
+    basis memo (key ``("shift", alpha, sign)``), and serves the plain set,
+    every deformed set and every rescaled generator on the basis, as they all
+    hold that pattern."""
+    if x.format != "csr" or x.shape != (basis.dim, basis.dim):
+        return None
+    node = basis.memo(basis.cfg, ("patterns",), dict).get(_address(x))
+    if node is None:
+        return None
+    shifts = basis.memo(basis.cfg, ("shift", *node), dict)
+    if label not in shifts:
+        shifts[label] = (_number_shift(basis, x) if label == NUMBERS
+                         else _cartan_shift(basis, label, label_shift(basis, x)))
+    return shifts[label]
+
+
+def _number_shift(basis: FockBasis, x: sp.csr_matrix) -> tuple | None:
+    """The particle-number shift of x's pattern, read at every entry as the
+    shift of one code per state: the labels in a balanced mixed radix, each
+    label's radix twice its largest value plus one.  Two label differences
+    whose codes are equal are then equal (their least digit that differs
+    would be a nonzero multiple of its radix, larger than any difference),
+    so one code shift is one label shift.  The codes fit in int64: each
+    radix is 2 n + 1 for a flavor's largest particle number n, at most its
+    modes times n_max, and a few flavors of a few dozen modes each are far
+    below 2 ** 63 (asserted)."""
+    tables = [number_labels(basis, kind) for kind in (FERMION, BOSON)]
+    radix = [2 * int(top) + 1 for table in tables for top in table.max(axis=0)]
+    assert math.prod(radix) < 2 ** 63, radix
+    weights, split = np.cumprod([1, *radix[:-1]]), tables[0].shape[1]
+    code = np.add.outer(tables[0] @ weights[:split], tables[1] @ weights[split:]).ravel()
+    moves = np.repeat(code, np.diff(x.indptr)) - np.take(code, x.indices)
+    if not moves.size or (moves != moves[0]).any():
+        return None
+    first = np.searchsorted(x.indptr, 0, side="right") - 1, x.indices[0]  # row, column
+    (f, b), (g, c) = (divmod(int(k), basis.NB) for k in first)
+    return (*(tables[0][f] - tables[0][g]).tolist(), *(tables[1][b] - tables[1][c]).tolist())
+
+
+def _cartan_shift(basis: FockBasis, alpha: int, numbers: tuple | None) -> int | None:
+    """The shift of 2 h_alpha across a pattern whose particle-number shift is
+    ``numbers``: 2 sum_k c_k numbers_k, c from :func:`_h_in_numbers`, which
+    is checked once per node and basis.  None where either is."""
+    kept = basis.memo(basis.cfg, ("H in numbers",), dict)
+    if alpha not in kept:
+        kept[alpha] = _h_in_numbers(basis, alpha)
+    if numbers is None or kept[alpha] is None:
+        return None
+    return 2 * sum(c * n for c, n in zip(kept[alpha], numbers))
+
+
+def _h_in_numbers(basis: FockBasis, alpha: int) -> list | None:
+    """The coefficients c of :func:`h_coefficients`, one per particle-number
+    label, where ``H_alpha``'s diagonal is sum_k c_k N_k plus one
+    half-integral constant on every state; else None, as for the affine
+    node, whose ``H_0`` leaves out the lattice ends."""
+    cfg = basis.cfg
+    try:
+        h = h_coefficients(cfg.M, cfg.N, alpha)
+    except ValueError:
+        return None
+    c = [h.get((kind, flavor), 0)
+         for kind, n in ((FERMION, cfg.M), (BOSON, cfg.N)) for flavor in range(1, n + 1)]
+    numbers = np.add.outer(number_labels(basis, FERMION) @ c[:cfg.M],
+                           number_labels(basis, BOSON) @ c[cfg.M:]).ravel()
+    rest = cartan_generator(basis, alpha).diagonal() - numbers
+    return c if (rest == rest[0]).all() and float(2 * rest[0]).is_integer() else None
 
 
 def chevalley_generators(cfg: LatticeConfig, basis: FockBasis,

@@ -38,7 +38,12 @@ generator; the Cartan generators ``GeneratorSet.H`` are kept as real CSR.
 An operator is float64 unless one of its values is complex: complex data
 enters only through q^x with q on the unit circle (:func:`q_power`, real at
 a positive real q), a complex coefficient or a complex right side, and
-scipy and numpy upcast mixed operands themselves.
+scipy and numpy upcast mixed operands themselves; a coefficient whose
+imaginary part is exactly 0 is passed as a float (:func:`real_if_exact`).
+
+A state's particle-number sector, the number of particles of each (kind,
+flavor) summed over lines and sites, is tabulated on each factor of the
+index (:func:`number_labels`); no table over the whole basis is kept.
 """
 
 from __future__ import annotations
@@ -103,6 +108,13 @@ def q_power(q: complex, x) -> np.ndarray | complex:
     x = np.asarray(x, dtype=float)
     table = _by_half_steps(x, lambda v: part(np.exp(v * lg)))
     return part(np.exp(x * lg)) if table is None else table
+
+
+def real_if_exact(c: complex) -> complex | float:
+    """c's real part where its imaginary part is exactly 0, else c: a
+    coefficient such as q^k at a real q then upcasts no real operand, and a
+    value with a +-0 imaginary part rounds as its real part does."""
+    return c.real if c.imag == 0 else c
 
 
 def q_number(n, q: complex) -> complex:
@@ -417,15 +429,19 @@ class FockBasis:
         """The block-diagonal matrix of ``blocks``, CSR matrices of one shape
         (None: a zero block).  Each row keeps its entries in their order, so a
         product, sum or scaling of stacks holds each block's own, every entry
-        summed in the same order."""
+        summed in the same order.  Each block's columns and row starts are
+        moved by one repeated offset per array, and a zero block adds rows
+        with no entries."""
         r, c = next(b.shape for b in blocks if b is not None)
-        dtype = np.result_type(*(b.dtype for b in blocks if b is not None))
-        blocks = [sp.csr_matrix((r, c), dtype=dtype) if b is None else b for b in blocks]
-        offsets = np.cumsum([0] + [b.nnz for b in blocks]).tolist()
-        indptr = [b.indptr[:-1] + off for b, off in zip(blocks, offsets)] + [offsets[-1:]]
-        return sp.csr_matrix((np.concatenate([b.data for b in blocks]),
-                              np.concatenate([b.indices + j * c for j, b in enumerate(blocks)]),
-                              np.concatenate(indptr)), shape=(len(blocks) * r, len(blocks) * c))
+        kept = [b for b in blocks if b is not None]
+        nnz = np.array([0 if b is None else b.nnz for b in blocks])
+        empty = np.zeros(r, dtype=kept[0].indptr.dtype)  # the row starts of a zero block
+        indices = (np.concatenate([b.indices for b in kept])
+                   + np.repeat(c * np.arange(len(blocks)), nnz))
+        starts = np.concatenate([empty if b is None else b.indptr[:-1] for b in blocks])
+        indptr = np.append(starts + np.repeat(np.cumsum(nnz) - nnz, r), nnz.sum())
+        return sp.csr_matrix((np.concatenate([b.data for b in kept]), indices, indptr),
+                             shape=(len(blocks) * r, len(blocks) * c))
 
     def memo(self, cfg: LatticeConfig, key, build):
         """``build()`` once per config and key, kept until :meth:`release`.
@@ -639,3 +655,17 @@ def bulk_mask(basis: FockBasis, boundary_margin: int, boson_headroom: int,
         return f_ok if factor == FERMION else b_ok
     return (f_ok[:, None] & b_ok[None, :]).ravel()
 
+
+NUMBERS = "numbers"  # the particle-number label of a state, beside a node's Cartan label
+
+
+def number_labels(basis: FockBasis, kind: str) -> np.ndarray:
+    """The particle number of each flavor of ``kind``, summed over lines and
+    sites, on that kind's factor of the basis index: one row per factor
+    state, one column per flavor, flavor ascending.  A state's particle-number
+    sector is its fermion row next to its boson row."""
+    occ, modes = ((basis.f_occ, basis.fermion_modes) if kind == FERMION
+                  else (basis.b_occ, basis.boson_modes))
+    flavor = np.array([m.flavor for m in modes])
+    return np.stack([occ[:, flavor == fl].sum(axis=1, dtype=np.intp)
+                     for fl in range(1, flavor.max() + 1)], axis=1)

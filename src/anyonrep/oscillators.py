@@ -33,6 +33,7 @@ from .fock import (
     ladder,
     q_bracket,
     q_power,
+    real_if_exact,
     site_order_sign,
 )
 from .report import RelationReport, SuiteReports
@@ -118,7 +119,8 @@ def check_rows(out: SuiteReports, cfg: LatticeConfig, rows, keys, operator, *,
                tags, params, factor):
     """Emit the families of ``rows`` over ``keys``, each a point (x,) or a
     pair (x, y) of modes, as ``family[tag]``, block-major.  Rows that share
-    the coefficient c, a right side or none, and the bulk are one family
+    the coefficient c (a float where it is real, ``fock.real_if_exact``), a
+    right side or none, and the bulk are one family
     over their (row, key) blocks, X, Y and the right side joined row by row;
     its reports are split back per row.  An operand is the stack of
     ``operator(name, dagger, mode)`` over the keys of each spec in turn, a
@@ -136,7 +138,8 @@ def check_rows(out: SuiteReports, cfg: LatticeConfig, rows, keys, operator, *,
 
     groups, reports = {}, {}
     for row in rows:  # a weight row ("n x") is its own group
-        key = row.sign * cfg.q ** row.power, row.rhs is None, row.bulk, row.x == "n x" and row
+        c = real_if_exact(row.sign * cfg.q ** row.power)
+        key = c, row.rhs is None, row.bulk, row.x == "n x" and row
         groups.setdefault(key, []).append(row)
     for (c, _, bulk, weight), members in groups.items():
         ids = [f"{row.family}[{tag}]" for row in members for tag in tags]

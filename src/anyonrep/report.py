@@ -25,17 +25,32 @@ weights and the Hopf oracle are decided on one operator's stored entries, one
 pass per relation reduced there, with no sparse matrix: an operator is taken
 once with all its Cartan vectors, and the oracle tabulated once per exponent.
 The mixed eq30 is read off the entries of its fermion and boson factors.
+
+A check on generator words may be decided from its operands' pattern shifts
+(``algebra.label_shift``), with no product formed: a word that cannot hold
+an entry on its bulk, and an oracle check that scales every entry by an
+exact zero, each with the result the formed products give, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, bulk_mask, entry_products, entry_rows
+from .fock import (
+    BOSON,
+    FERMION,
+    NUMBERS,
+    FockBasis,
+    bulk_mask,
+    entry_products,
+    entry_rows,
+    number_labels,
+)
 
 
 @dataclass
@@ -128,15 +143,20 @@ def restrict(terms, mask: np.ndarray | None = None, side: str = "both",
             x = c * x
         total = x if total is None else total + x
     if total is None:  # every product left out
-        _, *factors = terms[0]
-        shape = factors[0].shape[0], factors[-1].shape[1]
-        if mask is not None:
-            k = int(mask.sum())
-            shape = k if side == "both" else shape[0], k
-        dtype = np.result_type(*(f.dtype for _, *fs in terms for f in fs))
-        return sp.csr_matrix(shape, dtype=dtype)
+        return _no_entries(terms, mask, side)
     total = (total if mask is None or side == "right" else total[:, mask]).tocsr()
     return total.copy() if any(total is f for _, *factors in terms for f in factors) else total
+
+
+def _no_entries(terms: list, mask: np.ndarray | None, side: str) -> sp.csr_matrix:
+    """What :func:`restrict` returns with every product of ``terms`` left
+    out: a fresh empty matrix of the restricted shape, in the factors' dtype."""
+    _, *factors = terms[0]
+    shape = factors[0].shape[0], factors[-1].shape[1]
+    if mask is not None:
+        k = int(mask.sum())
+        shape = k if side == "both" else shape[0], k
+    return sp.csr_matrix(shape, dtype=np.result_type(*(f.dtype for _, *fs in terms for f in fs)))
 
 
 def _part(kept: dict, x: sp.csr_matrix, mask: np.ndarray, side: str) -> sp.csr_matrix:
@@ -336,14 +356,24 @@ class SuiteReports:
 
     One instance serves one suite call, and keeps for that call what its
     checks share: each tiled mask, each product factor's bulk rows or columns
-    (:func:`restrict`) and each Cartan diagonal's half-steps.  Nothing of it
-    outlives the instance, and nothing goes into the basis memo.
+    (:func:`restrict`), each Cartan diagonal's half-steps, each bulk's
+    particle-number sectors, each operand's shifts and each oracle operand's
+    largest magnitude.  Nothing of it outlives the instance, and nothing of
+    it goes into the basis memo; the shifts themselves are kept there, beside
+    their patterns.
+
+    ``shift(x, label)`` reads the label shift of the generator pattern that
+    an operand x holds (``algebra.label_shift`` on this basis), None where it
+    knows none.  With it, a check that cannot hold entries is decided without
+    its products (:meth:`restrict`, :meth:`check_scalings`); without it
+    every product is formed.
     """
 
-    def __init__(self, suite: str, tol: float, basis: FockBasis | None = None):
+    def __init__(self, suite: str, tol: float, basis: FockBasis | None = None, shift=None):
         self.suite = suite
         self.tol = tol
         self.basis = basis
+        self.shift = shift
         self.reports: list[RelationReport] = []
         self._kept = {}
 
@@ -382,9 +412,59 @@ class SuiteReports:
         """:func:`restrict` to the bulk on each of ``blocks`` blocks, with the
         factor restrictions this suite call keeps; with ``keep`` False it
         neither reads nor adds to them, so an operand that one check alone
-        reads is not held for the call."""
-        return restrict(terms, self._tiled(bulk, factor, blocks), side,
-                        self._kept if keep else None)
+        reads is not held for the call.  Whole-basis products that cannot
+        hold an entry on the block read (:meth:`_cannot_hold_entries`) give
+        restrict's result for every product left out, none of them formed."""
+        mask = self._tiled(bulk, factor, blocks)
+        if factor is None and blocks == 1 and self._cannot_hold_entries(terms, bulk, side):
+            return _no_entries(terms, mask, side)
+        return restrict(terms, mask, side, self._kept if keep else None)
+
+    def _cannot_hold_entries(self, terms, bulk: tuple[int, int] | None, side: str) -> bool:
+        """Whether no product of ``terms`` can hold an entry on the rows and
+        columns that :meth:`restrict` reads.  Each stored entry of a factor
+        moves the particle-number sector by its pattern's shift, so every
+        entry of a product moves it by the sum of its factors' shifts.  When
+        every factor has a shift and no bulk column sector, moved by its
+        product's sum, lands on a sector of the rows read (the bulk rows,
+        side "right" every row), each product is empty there; any factor
+        without a shift, and a lone matrix, leave it undecided (False)."""
+        if self.shift is None or sp.issparse(terms):
+            return False
+        moves = set()
+        for _, *factors in terms:
+            shifts = [self._shift(f, NUMBERS) for f in factors]
+            if None in shifts:
+                return False
+            moves.add(tuple(map(sum, zip(*shifts))))
+        return not any(self._reaches(move, bulk, side) for move in moves)
+
+    def _reaches(self, move: tuple, bulk: tuple[int, int] | None, side: str) -> bool:
+        """Whether a bulk column sector moved by ``move`` is a sector of the
+        rows read, once per move, bulk and side in this suite call: on each
+        factor, as a whole-basis sector is one of each factor's."""
+        def build():
+            rows, split = bulk if side == "both" else None, self.basis.cfg.M  # fermions first
+            return all(any(tuple(map(sum, zip(sector, part))) in self._sectors(kind, rows)
+                           for sector in self._sectors(kind, bulk))
+                       for kind, part in ((FERMION, move[:split]), (BOSON, move[split:])))
+        return self._keep(("reaches", move, bulk, side), build)
+
+    def _shift(self, x: sp.csr_matrix, label):
+        """``shift(x, label)`` once per operand and label in this suite call;
+        the entry holds x, so its id stays x's."""
+        return self._keep(("shift", id(x), label), lambda: (x, self.shift(x, label)))[1]
+
+    def _sectors(self, kind: str, bulk: tuple[int, int] | None) -> set:
+        """The particle-number sectors (``fock.number_labels``) of the states
+        of ``kind``'s factor in the bulk (None: all states), as tuples, once
+        per suite call."""
+        def build():
+            table = number_labels(self.basis, kind)
+            if bulk is not None:
+                table = table[self.mask(bulk, kind)]
+            return set(map(tuple, table.tolist()))
+        return self._keep(("sectors", kind, bulk), build)
 
     def check(self, relation_id: str, lhs, rhs=None, *, params=None, **kwargs):
         """Emit one relation: the one-block :meth:`check_family`."""
@@ -445,24 +525,49 @@ class SuiteReports:
                                      label=bulk_label(bulk), params=params and params[block])
         return _timed(t0, reports)
 
-    def check_scalings(self, relation_id, x, h, closed, hopf, *, node, bulk=None, params=None):
-        """Emit closed x = hopf(h[row] - h[column]) x, decided entry by entry on
-        the one product x, formed by :func:`restrict` on the bulk.  h() reads
-        the Cartan diagonal of ``node``: it is called, and the diagonal taken
-        in half-steps, once per node and bulk in this suite call; closed - hopf
-        is evaluated once per half-step d in range, on d / 2, and gathered per
-        entry."""
+    def check_scalings(self, relation_id, y, x, h, closed, hopf, *, node, bulk=None, params=None):
+        """Emit closed P = hopf(h[row] - h[column]) P, decided entry by entry on
+        the one product P = y x, formed by :func:`restrict` on the bulk.  h()
+        reads the Cartan diagonal of ``node``: it is called, and the diagonal
+        taken in half-steps, once per node and bulk in this suite call;
+        closed - hopf is evaluated once per half-step d in range, on d / 2, and
+        gathered per entry.  A check that scales every entry by an exact zero
+        (:meth:`_scales_by_zero`) reads 0.0 with P not formed."""
         t0, mask = time.perf_counter(), self._tiled(bulk)
-        x = self.restrict(x, bulk)
-        half = self._keep(("half-steps", node, bulk),
-                          lambda: _half_steps(h() if mask is None else h()[mask]))
-        d = np.repeat(half, np.diff(x.indptr)) - half[x.indices]
-        lo = d.min(initial=0)
-        table = closed - hopf(np.arange(lo, d.max(initial=0) + 1) / 2)
-        residual = float(np.abs(x.data * table[d - lo]).max(initial=0.0))
+        if self._scales_by_zero(y, x, closed, hopf, node):
+            residual = 0.0
+        else:
+            x = self.restrict([(1, y, x)], bulk)
+            half = self._keep(("half-steps", node, bulk),
+                              lambda: _half_steps(h() if mask is None else h()[mask]))
+            d = np.repeat(half, np.diff(x.indptr)) - half[x.indices]
+            lo = d.min(initial=0)
+            table = closed - hopf(np.arange(lo, d.max(initial=0) + 1) / 2)
+            residual = float(np.abs(x.data * table[d - lo]).max(initial=0.0))
         self.reports += _timed(t0, _make_reports(
             [relation_id], self.equation(relation_id), [residual], tol=self.tol,
             label=bulk_label(bulk), params=[params]))
+
+    def _scales_by_zero(self, y, x, closed, hopf, node) -> bool:
+        """Whether :meth:`check_scalings` reads exactly 0.0 whatever y x holds.
+        When y and x each move the half-steps of h_node by one shift, every
+        entry of y x, in any bulk, sits at their sum d, so its table entry is
+        closed - hopf(d / 2), the same float as in the table over d's range.
+        If that is exactly zero and 2 nnz_row(y) max|y| max|x| is finite (the
+        2 for a complex product's parts), no entry of y x is infinite or NaN,
+        each |entry * 0| is 0 and their maximum 0.0: the residual the formed
+        product gives, bit for bit."""
+        shifts = [self._shift(f, node) for f in (y, x)] if self.shift else [None]
+        if None in shifts or (closed - hopf(np.array([sum(shifts)]) / 2))[0] != 0:
+            return False
+        return math.isfinite(2.0 * np.diff(y.indptr).max(initial=0)
+                             * self._largest(y) * self._largest(x))
+
+    def _largest(self, x: sp.csr_matrix) -> float:
+        """max |x| over its stored entries, once per operand in this suite
+        call; the entry holds x, so its id stays x's."""
+        return self._keep(("largest", id(x)),
+                          lambda: (x, float(np.abs(x.data).max(initial=0.0))))[1]
 
     def check_factor_commutators(self, relation_ids: list[str], pairs, *,
                                  params=None) -> list[RelationReport]:

@@ -15,12 +15,16 @@ runs on that factor, under that factor's part of the same bulk.  A weight
 relation is read off its operator's entries, each operator checked once
 against all its Cartan vectors; the Hopf oracle is decided on the entries of
 its one product Y E, which both of its forms scale, its coefficient
-tabulated once per exponent.
+tabulated once per exponent.  The quantum, Serre and undeformed suites read
+their generator operands' shifts (``algebra.label_shift``), so a word that
+cannot hold entries on its bulk, and an oracle check that scales every entry
+by an exact zero, are decided without their products.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +46,7 @@ from .algebra import (
     central_charge_diag,
     compose_roots,
     eq57_exponent,
+    label_shift,
     node_factor,
     node_pieces,
     node_sum,
@@ -62,6 +67,7 @@ from .fock import (
     op_adjoint,
     q_bracket,
     q_power,
+    real_if_exact,
     residual_norm,
     supercommutator,
 )
@@ -205,7 +211,7 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids, images: bool = Fa
 
     # quartic at alpha = M (bare generators, plain q-commutators; the minus
     # form mirrors the bracket orders, as dictated by the adjoint action)
-    q = cfg.q
+    q = real_if_exact(cfg.q)
     if M >= 2 and cfg.N >= 2:
         for s in ("+", "-"):
             E1, E2, E3 = gs.E[(M - 1, s)], gs.E[(M, s)], gs.E[(M + 1, s)]
@@ -245,10 +251,18 @@ def _serre_relations(out: SuiteReports, gs: GeneratorSet, ids, images: bool = Fa
 # quantum, Serre and undeformed suites
 # ---------------------------------------------------------------------------
 
+def _on_generators(suite: str, cfg: LatticeConfig) -> SuiteReports:
+    """The reports of a suite whose words are in the generators: its checks
+    read their operands' label shifts (``algebra.label_shift``), so a word
+    that cannot hold entries is decided without its products."""
+    basis = cached_basis(cfg)
+    return SuiteReports(suite, cfg.tol, basis, functools.partial(label_shift, basis))
+
+
 def suite_quantum(cfg: LatticeConfig) -> list[RelationReport]:
     """Defining relations of the deformed superalgebra on the simple nodes."""
     gs = cached_generators(cfg, True)
-    out = SuiteReports("quantum", cfg.tol, cached_basis(cfg))
+    out = _on_generators("quantum", cfg)
     _chevalley_relations(out, gs, ("eq7a", "eq7b", "eq7c", "eq7d"))
 
     # E^- versus the matrix adjoint of E^+ is observed, never asserted: the
@@ -270,7 +284,7 @@ def suite_serre(cfg: LatticeConfig) -> list[RelationReport]:
     (``GeneratorSet.script_e``) live for this call alone."""
     gs = dataclasses.replace(cached_generators(cfg, True))
     ct = gs.cartan
-    out = SuiteReports("serre", cfg.tol, cached_basis(cfg))
+    out = _on_generators("serre", cfg)
 
     # closed form -sgn q^{-w} vs Hopf oracle -sgn q^e q^{-h_i} q^{h_j} on entry (i, j)
     # of Y E; the affine action's bulk: H_0 bookkeeping is truncated at the boundary
@@ -282,7 +296,7 @@ def suite_serre(cfg: LatticeConfig) -> list[RelationReport]:
                 Y = gs.script_e(be, s)
                 _, (closed, *YX) = ad_q(gs, al, Y, _sig(s) * ct.a[al][be], ct.parity[be], s)
                 _, sgn, e, h = hopf_form(gs, al, ct.parity[be], s)
-                out.check_scalings(f"eq12-oracle[{al},{be},{s}]", [(1, *YX)], h, closed,
+                out.check_scalings(f"eq12-oracle[{al},{be},{s}]", *YX, h, closed,
                                    lambda d: -sgn * q_power(gs.q_alpha(al), e - d), node=al,
                                    bulk=(1, _serre_headroom(cfg)) if al == 0 else None,
                                    params={"alpha": al, "beta": be, "sign": s})
@@ -296,7 +310,7 @@ def suite_undeformed(cfg: LatticeConfig) -> list[RelationReport]:
     quantum and Serre relations evaluated on it at q = 1.  It reads no q,
     so a run repeats its reports at every sampled q (``Q_FREE``)."""
     gs = cached_generators(cfg, False)
-    out = SuiteReports("undeformed", cfg.tol, cached_basis(cfg))
+    out = _on_generators("undeformed", cfg)
     _chevalley_relations(out, gs, ("eq2a", "eq2b", "eq2c", "eq2d"))
     _serre_relations(out, gs, ("eq3", "eq4-alphaM", "eq4-alpha0"))
     return out.reports

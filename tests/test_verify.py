@@ -383,12 +383,11 @@ def test_two_sided_bulks_form_no_full_dimension_product(cfg22, monkeypatch):
         finally:
             where[0] = None
 
-    def recording_scalings(self, relation_id, x, *args, bulk=None, **kwargs):
-        if not sp.issparse(x):
-            families.add(relation_id.split("[", 1)[0])
+    def recording_scalings(self, relation_id, *args, bulk=None, **kwargs):
+        families.add(relation_id.split("[", 1)[0])
         where[0] = "both" if bulk is not None else "identity"
         try:
-            return check_scalings(self, relation_id, x, *args, bulk=bulk, **kwargs)
+            return check_scalings(self, relation_id, *args, bulk=bulk, **kwargs)
         finally:
             where[0] = None
 
@@ -675,15 +674,18 @@ def test_eq12_oracle_fails_on_a_wrong_hopf_exponent(cfg22, monkeypatch):
     assert all(r.passed == (r.params["alpha"] == 0) for r in oracle)
 
 
-@pytest.mark.parametrize("cfg", [LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3),
-                                 LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3)],
+@pytest.mark.parametrize("cfg, holding", [(LatticeConfig(M=2, N=2, S=2, n_max=2, nu=0.3), 0),
+                                          (LatticeConfig(M=2, N=1, S=4, n_max=1, nu=0.3), 1)],
                          ids=["M2N2S2", "M2N1S4"])
-def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
-    """eq12-oracle is decided on the entries of Y E: each check forms exactly
-    one sparse product where Y's bulk rows hold entries, and none where they
-    do not, as under the affine node's bulk they can: restrict stops at an
-    empty partial product.  scipy sizes every product it forms, and skips
-    csr_matmat where the product is empty."""
+def test_each_oracle_check_forms_one_product(cfg, holding, monkeypatch):
+    """eq12-oracle is decided on the entries of Y E.  Off the affine node
+    every check scales each entry by an exact zero and forms no product.  At
+    the affine node, whose H_0 leaves out the lattice ends, each check forms
+    exactly one sparse product where Y E holds entries on the bulk (at
+    M2N1S4 one check does), and none where Y's bulk rows hold none, as under
+    that bulk they can: restrict stops at an empty partial product.  scipy
+    sizes every product it forms, and skips csr_matmat where the product is
+    empty."""
     counts, inside = [], [False]
     check_scalings = SuiteReports.check_scalings
 
@@ -696,12 +698,14 @@ def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
             return kernel(*args)
         monkeypatch.setattr(compressed, name, recorded)
 
-    def recording_check(self, relation_id, x, *args, bulk=None, **kwargs):
-        (_, Y, _), = x
-        counts.append([0, 0, (Y if bulk is None else Y[self.mask(bulk)]).nnz > 0])
+    def recording_check(self, relation_id, Y, X, *args, node, bulk=None, **kwargs):
+        mask = None if bulk is None else self.mask(bulk)
+        rows = Y if mask is None else Y[mask]
+        held = bool(node == 0 and rows.nnz and (rows @ X)[:, mask].nnz)
+        counts.append([0, 0, rows.nnz > 0, held])
         inside[0] = relation_id.startswith("eq12-oracle")
         try:
-            return check_scalings(self, relation_id, x, *args, bulk=bulk, **kwargs)
+            return check_scalings(self, relation_id, Y, X, *args, node=node, bulk=bulk, **kwargs)
         finally:
             inside[0] = False
 
@@ -710,9 +714,11 @@ def test_each_oracle_check_forms_one_product(cfg, monkeypatch):
     monkeypatch.setattr(SuiteReports, "check_scalings", recording_check)
     oracle = [r for r in suite_serre(cfg) if r.relation_id.startswith("eq12-oracle")]
     assert len(counts) == len(oracle) == 2 * cfg.R * (cfg.R + 1)
-    assert all(sized == rows and formed <= sized for sized, formed, rows in counts)
-    assert all(formed == 1 for (_, formed, _), r in zip(counts, oracle) if r.params["alpha"])
-    assert {rows for *_, rows in counts} == {True, False}
+    affine = [c for c, r in zip(counts, oracle) if r.params["alpha"] == 0]
+    assert all(sized == 0 for (sized, *_), r in zip(counts, oracle) if r.params["alpha"])
+    assert all(formed == held and formed <= sized <= rows for sized, formed, rows, held in affine)
+    assert sum(held for *_, held in affine) == holding  # Y E, formed by scipy alone
+    assert {rows for *_, rows, _ in counts} == {True, False}
 
 
 def test_ad_q_on_itself_at_isotropic_nodes(cfg22):
@@ -850,12 +856,12 @@ def _reference_weights(self, relation_ids, x, weights, *, factor=None, params=No
     return reports
 
 
-def _reference_scalings(self, relation_id, x, h, closed, hopf, *, node, bulk=None,
+def _reference_scalings(self, relation_id, y, x, h, closed, hopf, *, node, bulk=None,
                         params=None):
     """check_scalings with q_power taken on every entry of Y E, the defect a CSR
     reduced by check_identity."""
     mask = None if bulk is None else self.mask(bulk)
-    x, h = restrict(x, mask), h() if mask is None else h()[mask]
+    x, h = restrict([(1, y, x)], mask), h() if mask is None else h()[mask]
     defect = x.data * (closed - hopf(np.repeat(h, np.diff(x.indptr)) - h[x.indices]))
     self.reports += check_identity(
         [relation_id], self.equation(relation_id),
@@ -959,7 +965,7 @@ def test_the_oracle_refuses_a_diagonal_off_the_half_integers(cfg21):
     basis = cached_basis(cfg21)
     out = SuiteReports("serre", cfg21.tol, basis)
     with pytest.raises(ValueError, match="half-integral"):
-        out.check_scalings("eq12-oracle[1,2,+]", identity_op(basis),
+        out.check_scalings("eq12-oracle[1,2,+]", identity_op(basis), identity_op(basis),
                            lambda: np.arange(basis.dim) / 3, 1.0, lambda d: d, node=1)
 
 
